@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import QMatrix, as_num
+from .exactq import QMatrix, as_num, axpy, dense_from_columns, lincomb
 from .rootsys import StructureTable
 
 Cols = Tuple[Dict[int, object], ...]
@@ -41,29 +41,12 @@ class Automorphism:
         self.descriptor = descriptor
         self._matrix: Optional[QMatrix] = None
 
-    @property
-    def certified(self) -> bool:
-        return True
-
     def apply(self, vec: dict) -> dict:
-        out: dict = {}
-        for j, v in vec.items():
-            for r, w in self.cols[j].items():
-                nv = out.get(r, 0) + v * w
-                if nv:
-                    out[r] = nv
-                else:
-                    out.pop(r, None)
-        return out
+        return lincomb(vec.values(), (self.cols[j] for j in vec))
 
     def matrix(self) -> QMatrix:
         if self._matrix is None:
-            n = self.table.dim
-            rows = [[0] * n for _ in range(n)]
-            for j, col in enumerate(self.cols):
-                for r, v in col.items():
-                    rows[r][j] = v
-            self._matrix = QMatrix(rows)
+            self._matrix = QMatrix(dense_from_columns(self.table.dim, self.cols))
         return self._matrix
 
     def trace(self):
@@ -95,6 +78,8 @@ def _clean(vec: dict) -> dict:
 
 def compose_cols(a: Cols, b: Cols) -> Cols:
     """Columns of a∘b (apply b first)."""
+    # inline, not exactq.lincomb: this is the inner loop of commutes(), which
+    # gates every search candidate, and the call overhead slowed searches
     out = []
     for colb in b:
         acc: dict = {}
@@ -131,14 +116,8 @@ def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: s
         for j in range(i + 1, dim):
             img: dict = {}
             for k, c in pb(i, j):
-                for r, v in cc[k].items():
-                    nv = img.get(r, 0) + c * v
-                    if nv:
-                        img[r] = nv
-                    else:
-                        img.pop(r, None)
-            lhs = table.bracket(ci, cc[j])
-            if _clean(lhs) != _clean(img):
+                axpy(img, c, cc[k].items())
+            if table.bracket(ci, cc[j]) != img:
                 raise CertificationError(
                     f"{descriptor}: homomorphism fails at basis pair "
                     f"({table.basis_label(i)}, {table.basis_label(j)})"
@@ -331,13 +310,8 @@ def _exp_ad_cols(table: StructureTable, x: dict) -> Cols:
         k = 1
         while term:
             nxt = table.bracket(x, term)
-            term = {r: Fraction(v, k) for r, v in nxt.items() if v}
-            for r, v in term.items():
-                nv = total.get(r, 0) + v
-                if nv:
-                    total[r] = nv
-                else:
-                    total.pop(r, None)
+            term = {r: Fraction(v, k) for r, v in nxt.items()}
+            axpy(total, 1, term.items())
             k += 1
             if k > 30:
                 raise CertificationError("ad x is not nilpotent")

@@ -12,15 +12,21 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .autos import make_klein
 from .identify import fixed_subalgebra, identify_type
 from .realform import cartan_decomposition, load_catalog, real_fixed_subalgebra
-from .rootsys import root_system_to_jsonable, structure_table_to_jsonable
+from .rootsys import (
+    CartanMatrixError,
+    cartan_matrix,
+    root_system_to_jsonable,
+    structure_table_to_jsonable,
+)
 from .verify import (
     SCENARIOS,
     VerifyContext,
+    check_class_labels,
     reports_to_json,
     run_all,
     search_configuration,
@@ -31,13 +37,40 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _type_label(text: str) -> str:
+    try:
+        cartan_matrix(text)
+    except CartanMatrixError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _class_labels(text: str) -> List[str]:
+    labels = [x.strip() for x in text.split(",") if x.strip()]
+    try:
+        check_class_labels(labels)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return labels
+
+
+def _target(text: str) -> Tuple[str, Optional[int]]:
+    target, colon, dim_s = text.partition(":")
+    if colon and not dim_s.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"target {text!r}: the dimension after ':' must be a whole number, e.g. B4:36"
+        )
+    return target, int(dim_s) if colon else None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kleinfour",
         description="Exact verification of involution and Klein-four structure on E6.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", default="E6", help="algebra type label (default E6)")
+    common.add_argument("--type", type=_type_label, default="E6",
+                        help="algebra type label (default E6)")
     common.add_argument("--catalog", default=None, help="path to a real-form catalog JSON")
     common.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
@@ -64,9 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="fixed-group generator descriptors (0, 1 or 2)")
 
     search = sub.add_parser("search", parents=[common], help="search commuting involution configurations")
-    search.add_argument("--classes", required=True,
+    search.add_argument("--classes", type=_class_labels, required=True,
                         help="comma-separated class labels, e.g. sigma3,sigma2")
-    search.add_argument("--target", required=True,
+    search.add_argument("--target", type=_target, required=True,
                         help="required joint fixed type, e.g. B4 or B4:36")
 
     verify = sub.add_parser("verify", parents=[common], help="run verification scenarios")
@@ -161,8 +194,6 @@ def _cmd_realform(args) -> int:
     else:
         gens = [ctx.automorphism(d) for d in args.auto]
         gamma = gens[0] if len(gens) == 1 else make_klein(gens[0], gens[1])
-        if len(gens) > 2:
-            raise ValueError("at most two fixed-group generators are supported")
         desc = real_fixed_subalgebra(ctx.cb, gamma, theta, ctx.catalog)
     payload = {
         "theta": desc.theta,
@@ -184,13 +215,8 @@ def _cmd_realform(args) -> int:
 
 def _cmd_search(args) -> int:
     ctx = _context(args)
-    labels = [x.strip() for x in args.classes.split(",") if x.strip()]
-    target = args.target
-    target_dim: Optional[int] = None
-    if ":" in target:
-        target, dim_s = target.split(":", 1)
-        target_dim = int(dim_s)
-    config = search_configuration(ctx, labels, target, target_dim)
+    target, target_dim = args.target
+    config = search_configuration(ctx, args.classes, target, target_dim)
     payload = {
         "a": config.a,
         "b": config.b,
@@ -223,6 +249,11 @@ def _cmd_verify(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("search", "verify") and args.type.upper() != "E6":
+        parser.error(f"{args.command} supports only --type E6, got {args.type}: "
+                     "its class invariants and census counts are E6 facts")
+    if args.command == "realform" and len(args.auto) > 2:
+        parser.error("realform takes at most two --auto generators")
     handlers = {
         "roots": _cmd_roots,
         "fixed": _cmd_fixed,

@@ -10,6 +10,13 @@ row and run a fraction-free Bareiss elimination on integers, so intermediate
 entries stay bounded by minors of the input.  Inertia uses a pivoted symmetric
 congruence decomposition and reads the signs of the pivots; eigenvalues are
 never approximated.
+
+Sparse vectors are dicts {coordinate: value} with no zero values.  The shared
+primitives over them are ``axpy``/``lincomb`` (accumulation that drops
+cancelled entries), ``joint_eigenspace`` (kernel of the stacked A - lambda*I
+of maps given by sparse columns), ``span_kernel`` (kernel of a linear map
+restricted to a span) and ``SpanSolver`` (reduction against an RREF basis).
+The sparse bracket table built on them is ``rootsys.BracketTable``.
 """
 
 from __future__ import annotations
@@ -17,11 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
-
-Rat = Fraction
-
-Num = "int | Fraction"
-
 
 def as_num(x):
     """Normalize a scalar: Fractions with denominator 1 collapse to int."""
@@ -53,19 +55,8 @@ class QMatrix:
     def zeros(cls, r: int, c: int) -> "QMatrix":
         return cls([[0] * c for _ in range(r)])
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "QMatrix":
-        n = len(cols[0]) if cols else 0
-        return cls([[col[i] for col in cols] for i in range(n)])
-
     def at(self, i: int, j: int):
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(zip(*self.entries)) if self.rows else QMatrix([])
@@ -282,22 +273,84 @@ def symmetric_inertia(m: QMatrix) -> Tuple[int, int, int]:
     return pos, neg, zero
 
 
+def axpy(acc: dict, a, terms) -> dict:
+    """acc += a * x in place, x given as (coordinate, value) pairs.
+
+    Entries that cancel to zero are removed, so acc stays a sparse vector.
+    Returns acc.
+    """
+    for j, x in terms:
+        nv = acc.get(j, 0) + a * x
+        if nv:
+            acc[j] = nv
+        else:
+            acc.pop(j, None)
+    return acc
+
+
+def lincomb(coeffs: Iterable, vecs: Iterable[dict]) -> dict:
+    """Sparse vector sum(c * v) over paired coefficients and sparse vectors."""
+    acc: dict = {}
+    for c, v in zip(coeffs, vecs):
+        if c:
+            axpy(acc, c, v.items())
+    return acc
+
+
+def dense_from_columns(dim: int, cols: Sequence[dict]) -> List[List]:
+    """Dense rows of the dim x dim matrix whose column j is the sparse cols[j]."""
+    rows = [[0] * dim for _ in range(dim)]
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][j] = v
+    return rows
+
+
+def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[tuple]:
+    """Kernel basis of the stacked (A - eigen*I) over every map A.
+
+    Each map is given by its sparse columns (``cols[j]`` is the image of basis
+    vector j), so the result spans the vectors that every map sends to eigen
+    times themselves.
+    """
+    stacked: List[List] = []
+    for cols in maps:
+        rows = dense_from_columns(dim, cols)
+        for r in range(dim):
+            rows[r][r] -= eigen
+        stacked.extend(rows)
+    return kernel(QMatrix(stacked))
+
+
+def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
+    """Basis of {sum c_t vecs[t] : sum c_t images[t] = 0}.
+
+    ``images[t]`` is the image of ``vecs[t]`` under a linear map, so this is
+    the kernel of that map on the span of vecs.  When every image is zero the
+    vectors themselves are returned and no elimination runs.
+    """
+    coords = sorted(set().union(*images))
+    if not coords:
+        return [dict(v) for v in vecs]
+    combos = kernel(QMatrix([[im.get(c, 0) for im in images] for c in coords]))
+    return [lincomb(combo, vecs) for combo in combos]
+
+
 class SpanSolver:
     """Membership queries against a fixed RREF row basis.
 
     Rows are kept sparse ({column: value}); reduction walks the pivots, so a
-    query costs O(nnz of the vector x nnz of the touched rows).
+    query costs O(nnz of the vector x nnz of the touched rows).  ``dim`` is
+    the dimension of the span.
     """
 
     __slots__ = ("dim", "rows", "pivots", "_by_pivot")
 
-    def __init__(self, rref_rows: Sequence[Sequence], pivots: Sequence[int], dim: int):
-        self.dim = dim
-        self.pivots = tuple(pivots)
-        self.rows = tuple(
-            {j: as_num(x) for j, x in enumerate(r) if x} for r in rref_rows
-        )
-        self._by_pivot = {c: r for c, r in zip(self.pivots, self.rows)}
+    def __init__(self, rref_rows: Sequence[Sequence], pivots: Sequence[int]):
+        self.rows: Tuple[dict, ...] = tuple(sparse_from_dense(r) for r in rref_rows)
+        self.pivots: Tuple[int, ...] = tuple(pivots)
+        self.dim = len(self.rows)
+        self._by_pivot = dict(zip(self.pivots, self.rows))
 
     def reduce(self, vec: dict) -> Tuple[dict, dict]:
         """Split vec into (coefficients over the basis, residual)."""
@@ -307,12 +360,7 @@ class SpanSolver:
             f = v.get(c)
             if f:
                 coeffs[idx] = f
-                for j, x in self._by_pivot[c].items():
-                    nv = v.get(j, 0) - f * x
-                    if nv:
-                        v[j] = nv
-                    else:
-                        v.pop(j, None)
+                axpy(v, -f, self._by_pivot[c].items())
         return coeffs, v
 
     def contains(self, vec: dict) -> bool:
@@ -322,10 +370,3 @@ class SpanSolver:
 
 def sparse_from_dense(vec: Sequence) -> dict:
     return {j: as_num(x) for j, x in enumerate(vec) if x}
-
-
-def dense_from_sparse(vec: dict, dim: int) -> tuple:
-    out = [0] * dim
-    for j, x in vec.items():
-        out[j] = as_num(x)
-    return tuple(out)

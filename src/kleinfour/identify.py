@@ -20,7 +20,7 @@ from itertools import permutations
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import QMatrix, as_num, kernel, rank as mat_rank, rref
+from .exactq import QMatrix, SpanSolver, joint_eigenspace, rank as mat_rank, rref, span_kernel
 from .autos import Automorphism
 from .rootsys import StructureTable, validate_cartan
 
@@ -35,39 +35,14 @@ class IdentifyError(Exception):
 # Subalgebras
 # ---------------------------------------------------------------------------
 
-class Subalgebra:
-    """Exact spanning set inside an ambient algebra, closed under bracket."""
+class Subalgebra(SpanSolver):
+    """Exact RREF basis inside an ambient bracket table, closed under bracket."""
 
-    __slots__ = ("table", "rows", "pivots", "dim", "_by_pivot")
+    __slots__ = ("table",)
 
     def __init__(self, table: StructureTable, rows, pivots):
+        super().__init__(rows, pivots)
         self.table = table
-        self.rows: Tuple[dict, ...] = tuple(
-            {j: as_num(x) for j, x in enumerate(r) if x} if not isinstance(r, dict) else r
-            for r in rows
-        )
-        self.pivots: Tuple[int, ...] = tuple(pivots)
-        self.dim = len(self.rows)
-        self._by_pivot = dict(zip(self.pivots, self.rows))
-
-    def reduce(self, vec: dict) -> Tuple[dict, dict]:
-        """Split a sparse vector into (basis coefficients, residual)."""
-        v = dict(vec)
-        coeffs: dict = {}
-        for idx, c in enumerate(self.pivots):
-            f = v.get(c)
-            if f:
-                coeffs[idx] = f
-                for j, x in self._by_pivot[c].items():
-                    nv = v.get(j, 0) - f * x
-                    if nv:
-                        v[j] = nv
-                    else:
-                        v.pop(j, None)
-        return coeffs, v
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)[1]
 
     def dense_rows(self) -> List[tuple]:
         n = self.table.dim
@@ -86,18 +61,26 @@ def subalgebra_from_vectors(
     rows, pivots = rref(vectors)
     s = Subalgebra(table, rows, pivots)
     if check_closed:
-        _verify_closed(s)
+        escape = first_escape(s, s, s)
+        if escape:
+            raise IdentifyError(
+                f"span is not bracket-closed: [row {escape[0]}, row {escape[1]}] escapes"
+            )
     return s
 
 
-def _verify_closed(s: Subalgebra) -> None:
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            w = s.table.bracket(s.rows[i], s.rows[j])
-            if w and not s.contains(w):
-                raise IdentifyError(
-                    f"span is not bracket-closed: [row {i}, row {j}] escapes"
-                )
+def first_escape(xs: Subalgebra, ys: Subalgebra, target: Subalgebra) -> Optional[Tuple[int, int]]:
+    """First row pair (i, j) with [xs row i, ys row j] outside target, or None.
+
+    When xs is ys only pairs i < j are bracketed, since the bracket is
+    antisymmetric and vanishes on the diagonal.
+    """
+    for i, x in enumerate(xs.rows):
+        for j in range(i + 1 if xs is ys else 0, ys.dim):
+            w = target.table.bracket(x, ys.rows[j])
+            if w and not target.contains(w):
+                return i, j
+    return None
 
 
 def fixed_subalgebra(table: StructureTable, autos: Sequence[Automorphism]) -> Subalgebra:
@@ -115,16 +98,7 @@ def fixed_subalgebra(table: StructureTable, autos: Sequence[Automorphism]) -> Su
     if not autos:
         eye = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
         return subalgebra_from_vectors(table, eye, check_closed=False)
-    stacked: List[List] = []
-    for a in autos:
-        rows = [[0] * dim for _ in range(dim)]
-        for j, col in enumerate(a.cols):
-            for r, v in col.items():
-                rows[r][j] = v
-        for r in range(dim):
-            rows[r][r] -= 1
-        stacked.extend(rows)
-    vecs = kernel(QMatrix(stacked))
+    vecs = joint_eigenspace(dim, [a.cols for a in autos], 1)
     return subalgebra_from_vectors(table, vecs)
 
 
@@ -135,35 +109,10 @@ def center_of(s: Subalgebra) -> Subalgebra:
     ker(ad b_j |_candidates) usually collapses the space after a few basis
     elements, so the linear systems stay small.
     """
-    if s.dim == 0:
-        return s
-    cur: List[dict] = [dict(r) for r in s.rows]
-    for j in range(s.dim):
-        if not cur:
-            break
-        target = s.rows[j]
-        images = [s.table.bracket(v, target) for v in cur]
-        coords = sorted(set().union(*[set(im) for im in images]))
-        if not coords:
-            continue
-        mat = QMatrix([[im.get(c, 0) for im in images] for c in coords])
-        combos = kernel(mat)
-        nxt: List[dict] = []
-        for combo in combos:
-            acc: dict = {}
-            for t, x in enumerate(combo):
-                if x:
-                    for coord, v in cur[t].items():
-                        nv = acc.get(coord, 0) + x * v
-                        if nv:
-                            acc[coord] = nv
-                        else:
-                            acc.pop(coord, None)
-            nxt.append(acc)
-        cur = nxt
-    vectors = []
-    for v in cur:
-        vectors.append([v.get(j, 0) for j in range(s.table.dim)])
+    cur: List[dict] = list(s.rows)
+    for target in s.rows:
+        cur = span_kernel(cur, [s.table.bracket(v, target) for v in cur])
+    vectors = [[v.get(j, 0) for j in range(s.table.dim)] for v in cur]
     return subalgebra_from_vectors(s.table, vectors, check_closed=False)
 
 
@@ -270,36 +219,12 @@ def _intersect_with_coords(s: Subalgebra, coordset: frozenset) -> List[dict]:
 
     In RREF every pivot column is zero in all other rows, so any member
     supported inside coordset is a combination of rows whose pivot lies in
-    coordset; a small kernel cleans up tails that stick out.
+    coordset; the kernel of the projection onto the other coordinates cleans
+    up tails that stick out.
     """
-    cand = [
-        (r, row)
-        for r, row in zip(s.pivots, s.rows)
-        if r in coordset
-    ]
-    if not cand:
-        return []
-    outside: Dict[int, List] = {}
-    for idx, (_, row) in enumerate(cand):
-        for j, x in row.items():
-            if j not in coordset:
-                outside.setdefault(j, [0] * len(cand))[idx] = x
-    if not outside:
-        return [dict(row) for _, row in cand]
-    combos = kernel(QMatrix([outside[j] for j in sorted(outside)]))
-    out = []
-    for combo in combos:
-        acc: dict = {}
-        for idx, c in enumerate(combo):
-            if c:
-                for j, x in cand[idx][1].items():
-                    nv = acc.get(j, 0) + c * x
-                    if nv:
-                        acc[j] = nv
-                    else:
-                        acc.pop(j, None)
-        out.append(acc)
-    return out
+    cand = [row for r, row in zip(s.pivots, s.rows) if r in coordset]
+    outside = [{j: x for j, x in row.items() if j not in coordset} for row in cand]
+    return span_kernel(cand, outside)
 
 
 def _cartan_part(s: Subalgebra) -> List[dict]:
@@ -307,16 +232,9 @@ def _cartan_part(s: Subalgebra) -> List[dict]:
 
 
 def _centralizer_dim_of_toral(s: Subalgebra, toral: List[dict]) -> int:
-    k = s.dim
-    rows: Dict[Tuple[int, int], List] = {}
-    for tix, t in enumerate(toral):
-        for i in range(k):
-            w = s.table.bracket(t, s.rows[i])
-            for coord, v in w.items():
-                rows.setdefault((tix, coord), [0] * k)[i] = v
-    if not rows:
-        return k
-    return k - mat_rank(QMatrix([rows[key] for key in sorted(rows)]))
+    images = [{(tix, c): v for tix, t in enumerate(toral) for c, v in s.table.bracket(t, x).items()}
+              for x in s.rows]
+    return len(span_kernel(s.rows, images))
 
 
 def identify_type(s: Subalgebra) -> ReductiveType:

@@ -24,18 +24,26 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import QMatrix, as_num, kernel, rref, symmetric_inertia
+from .exactq import (
+    QMatrix,
+    axpy,
+    joint_eigenspace,
+    lincomb,
+    span_kernel,
+    sparse_from_dense,
+    symmetric_inertia,
+)
 from .autos import Automorphism, KleinGroup, commutes
 from .identify import (
-    IdentifyError,
     ReductiveType,
     Subalgebra,
     center_of,
+    first_escape,
     fixed_subalgebra,
     identify_type,
     subalgebra_from_vectors,
 )
-from .rootsys import StructureTable, killing_from_brackets
+from .rootsys import BracketTable, StructureTable, killing_from_brackets
 
 
 class RealFormError(Exception):
@@ -50,7 +58,7 @@ class CatalogMissError(KeyError):
 # Compact form
 # ---------------------------------------------------------------------------
 
-class CompactBasis:
+class CompactBasis(BracketTable):
     """Rational structure table of the compact real form.
 
     Basis indices: 0..npos-1 are u_a, npos..2npos-1 are v_a (positive roots in
@@ -58,12 +66,10 @@ class CompactBasis:
     """
 
     def __init__(self, table: StructureTable):
-        rs = table.rs
+        super().__init__(2 * table.rs.npos + table.rank)
         self.table = table
         self.rank = table.rank
-        self.npos = rs.npos
-        self.dim = 2 * rs.npos + table.rank
-        self._bra: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        self.npos = table.rs.npos
         self._build(table)
         self.killing = killing_from_brackets(self.dim, self.pair_bracket)
         inertia = symmetric_inertia(self.killing)
@@ -89,15 +95,6 @@ class CompactBasis:
         if i < 2 * self.npos:
             return "v" + str(self.table.rs.roots[i - self.npos].coords)
         return f"w{i - 2 * self.npos + 1}"
-
-    def _set(self, i: int, j: int, terms) -> None:
-        terms = tuple((k, c) for k, c in terms if c)
-        if not terms:
-            return
-        if i < j:
-            self._bra[(i, j)] = terms
-        else:
-            self._bra[(j, i)] = tuple((k, -c) for k, c in terms)
 
     def _build(self, table: StructureTable) -> None:
         rs = table.rs
@@ -156,28 +153,6 @@ class CompactBasis:
                     self._set(self.w(i), self.u(ka), [(self.v(ka), c)])
                     self._set(self.w(i), self.v(ka), [(self.u(ka), -c)])
 
-    def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
-        if i == j:
-            return ()
-        if i < j:
-            return self._bra.get((i, j), ())
-        return tuple((k, -c) for k, c in self._bra.get((j, i), ()))
-
-    def bracket(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                if i == j:
-                    continue
-                ab = a * b
-                for k, c in self.pair_bracket(i, j):
-                    nv = out.get(k, 0) + ab * c
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return out
-
 
 def compact_form(table: StructureTable) -> CompactBasis:
     """Build the compact real form table; definiteness is verified inside."""
@@ -200,29 +175,24 @@ def compact_matrix_cols(cb: CompactBasis, auto: Automorphism) -> Tuple[dict, ...
     npos = cb.npos
 
     def convert(R: dict, I: dict, what: str) -> dict:
+        def fail(why: str) -> RealFormError:
+            return RealFormError(
+                f"{auto.descriptor} does not preserve the compact basis ({why} on {what})"
+            )
+
         out: dict = {}
-        for j, x in R.items():
-            if j < rank:
-                raise RealFormError(
-                    f"{auto.descriptor} does not preserve the compact basis "
-                    f"(real Cartan component on {what})"
-                )
+        if any(j < rank for j in R):
+            raise fail("real Cartan component")
         for k in range(npos):
             ip, im = rank + k, rank + npos + k
             a, am = R.get(ip, 0), R.get(im, 0)
             if am != -a:
-                raise RealFormError(
-                    f"{auto.descriptor} does not preserve the compact basis "
-                    f"(real part mismatch on {what})"
-                )
+                raise fail("real part mismatch")
             if a:
                 out[cb.u(k)] = a
             b, bm = I.get(ip, 0), I.get(im, 0)
             if b != bm:
-                raise RealFormError(
-                    f"{auto.descriptor} does not preserve the compact basis "
-                    f"(imaginary part mismatch on {what})"
-                )
+                raise fail("imaginary part mismatch")
             if b:
                 out[cb.v(k)] = b
         for i in range(rank):
@@ -245,45 +215,22 @@ def compact_matrix_cols(cb: CompactBasis, auto: Automorphism) -> Tuple[dict, ...
 
 def _eigenspace_rows(cb: CompactBasis, cols: Sequence[dict], eigen: int):
     """RREF basis of the +-1 eigenspace of a compact-basis matrix."""
-    dim = cb.dim
-    rows = [[0] * dim for _ in range(dim)]
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][j] = v
-    for r in range(dim):
-        rows[r][r] -= eigen
-    vecs = kernel(QMatrix(rows))
-    return subalgebra_from_vectors(cb, vecs, check_closed=False)
+    return subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, [cols], eigen), check_closed=False)
 
 
-def _span_brackets_into(cb: CompactBasis, xs: Subalgebra, ys: Subalgebra, target: Subalgebra) -> bool:
-    for i in range(xs.dim):
-        for j in range(ys.dim):
-            w = cb.bracket(xs.rows[i], ys.rows[j])
-            if w and not target.contains(w):
-                return False
-    return True
+def _check_bracket_relations(k: Subalgebra, p: Subalgebra, where: str) -> None:
+    """[k,k] in k, [k,p] in p and [p,p] in k, else the first failure is raised."""
+    for xs, ys, into, what in ((k, k, k, "[k,k] escapes k"), (k, p, p, "[k,p] escapes p"),
+                               (p, p, k, "[p,p] escapes k")):
+        if first_escape(xs, ys, into):
+            raise RealFormError(what + where)
 
 
 def _restricted_inertia(cb: CompactBasis, span: Subalgebra) -> Tuple[int, int, int]:
-    B = cb.killing.entries
-    k = span.dim
-    G = [[0] * k for _ in range(k)]
-    dense = []
-    for r in span.rows:
-        w = [0] * cb.dim
-        for i, x in r.items():
-            row = B[i]
-            for j in range(cb.dim):
-                if row[j]:
-                    w[j] += x * row[j]
-        dense.append(w)
-    for a in range(k):
-        wa = dense[a]
-        for b in range(a, k):
-            s = sum(wa[j] * x for j, x in span.rows[b].items())
-            G[a][b] = s
-            G[b][a] = s
+    """Inertia of the Killing form on span, from the Gram matrix of its rows."""
+    B = [sparse_from_dense(row) for row in cb.killing.entries]
+    xB = [lincomb(x.values(), (B[i] for i in x)) for x in span.rows]
+    G = [[sum(xb.get(j, 0) * v for j, v in y.items()) for y in span.rows] for xb in xB]
     return symmetric_inertia(QMatrix(G))
 
 
@@ -432,12 +379,7 @@ def cartan_decomposition(
     pspan = _eigenspace_rows(cb, cols, -1)
     if kspan.dim + pspan.dim != cb.dim:
         raise RealFormError("eigenspace dimensions do not fill the algebra")
-    if not _span_brackets_into(cb, kspan, kspan, kspan):
-        raise RealFormError("[k,k] escapes k")
-    if not _span_brackets_into(cb, kspan, pspan, pspan):
-        raise RealFormError("[k,p] escapes p")
-    if not _span_brackets_into(cb, pspan, pspan, kspan):
-        raise RealFormError("[p,p] escapes k")
+    _check_bracket_relations(kspan, pspan, "")
     if _restricted_inertia(cb, kspan) != (0, kspan.dim, 0):
         raise RealFormError("Killing form on k is not negative definite")
     if pspan.dim and _restricted_inertia(cb, pspan) != (0, pspan.dim, 0):
@@ -485,54 +427,22 @@ def real_fixed_subalgebra(
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
 
-    dim = cb.dim
-    stacked: List[List] = []
-    for cols in gcols:
-        rows = [[0] * dim for _ in range(dim)]
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                rows[r][j] = v
-        for r in range(dim):
-            rows[r][r] -= 1
-        stacked.extend(rows)
-    fixed = subalgebra_from_vectors(cb, kernel(QMatrix(stacked)), check_closed=True)
+    fixed = subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, gcols, 1), check_closed=True)
 
     def part(eigen: int) -> Subalgebra:
-        if fixed.dim == 0:
-            return fixed
-        cons: List[List] = []
-        images = []
-        for row in fixed.rows:
-            img: dict = {}
-            for j, x in row.items():
-                for r, v in tcols[j].items():
-                    img[r] = img.get(r, 0) + x * v
-            images.append(img)
-        coords = sorted(set().union(*[set(r) | set(i) for r, i in zip(fixed.rows, images)]))
-        for c in coords:
-            cons.append([images[t].get(c, 0) - eigen * fixed.rows[t].get(c, 0)
-                         for t in range(fixed.dim)])
-        combos = kernel(QMatrix(cons))
-        vecs = []
-        for combo in combos:
-            acc: dict = {}
-            for t, x in enumerate(combo):
-                if x:
-                    for j, v in fixed.rows[t].items():
-                        acc[j] = acc.get(j, 0) + x * v
-            vecs.append([acc.get(j, 0) for j in range(dim)])
-        return subalgebra_from_vectors(cb, vecs, check_closed=False)
+        """Vectors of the fixed algebra that theta multiplies by eigen."""
+        images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
+                  for row in fixed.rows]
+        vecs = span_kernel(fixed.rows, images)
+        return subalgebra_from_vectors(
+            cb, [[v.get(j, 0) for j in range(cb.dim)] for v in vecs], check_closed=False
+        )
 
     kpart = part(1)
     ppart = part(-1)
     if kpart.dim + ppart.dim != fixed.dim:
         raise RealFormError("theta does not split the fixed algebra")
-    if not _span_brackets_into(cb, kpart, kpart, kpart):
-        raise RealFormError("[k,k] escapes k in the fixed algebra")
-    if not _span_brackets_into(cb, kpart, ppart, ppart):
-        raise RealFormError("[k,p] escapes p in the fixed algebra")
-    if not _span_brackets_into(cb, ppart, ppart, kpart):
-        raise RealFormError("[p,p] escapes k in the fixed algebra")
+    _check_bracket_relations(kpart, ppart, " in the fixed algebra")
 
     g_complex = fixed_subalgebra(cb.table, gens)
     if g_complex.dim != fixed.dim:

@@ -9,6 +9,12 @@ forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the standard
 three- and four-root relations.  Magnitudes satisfy |N(a,b)| = p+1 where p is
 the largest k with b - k*a a root; this is asserted for every pair.
 
+``BracketTable`` is the one sparse antisymmetric bracket (storage, pair
+brackets, bilinear extension through ``exactq.axpy``); the Chevalley table
+here and the compact form in ``realform`` both inherit it.  Positive
+definiteness of a symmetrized Cartan matrix is read from
+``exactq.symmetric_inertia``.
+
 Conventions, fixed once and used everywhere:
   - cartan[i][j] = <alpha_i, alpha_j^vee>  (column j carries the coroot)
   - pairing(alpha, j) = <alpha, alpha_j^vee> = sum_i m_i cartan[i][j]
@@ -21,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import QMatrix, as_num
+from .exactq import QMatrix, axpy, symmetric_inertia
 
 Coords = Tuple[int, ...]
 
@@ -38,7 +44,14 @@ class CartanMatrixError(ValueError):
 
 def cartan_matrix(label: str) -> Tuple[Tuple[int, ...], ...]:
     """Standard Cartan matrix for a simple type label like 'A3', 'E6', 'G2'."""
-    letter, rank = label[0].upper(), int(label[1:])
+    letter, digits = label[:1].upper(), label[1:]
+    if not digits.isdigit():
+        raise CartanMatrixError(
+            f"malformed type label {label!r}: expected a letter and a rank, e.g. E6"
+        )
+    rank = int(digits)
+    if rank < 1:
+        raise CartanMatrixError(f"type label {label!r}: rank must be at least 1")
     A = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def edge(i, j, aij=-1, aji=-1):
@@ -134,33 +147,13 @@ def validate_cartan(A: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
                 raise CartanMatrixError(f"zero pattern not symmetric at ({i},{j})")
     L = _symmetrizer(A)
     # positive definiteness of the symmetrization S[i][j] = A[i][j] * L[j]
-    S = [[Fraction(A[i][j]) * L[j] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in S[:k]]) <= 0:
-            raise CartanMatrixError(
-                f"symmetrized matrix not positive definite (order-{k} minor <= 0); "
-                "not a finite-type Cartan matrix"
-            )
+    inertia = symmetric_inertia(QMatrix([[A[i][j] * L[j] for j in range(n)] for i in range(n)]))
+    if inertia != (n, 0, 0):
+        raise CartanMatrixError(
+            f"symmetrized matrix not positive definite (inertia {inertia}); "
+            "not a finite-type Cartan matrix"
+        )
     return L
-
-
-def _det(M: List[List[Fraction]]) -> Fraction:
-    n = len(M)
-    M = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            det = -det
-        det *= M[c][c]
-        for r in range(c + 1, n):
-            f = M[r][c] / M[c][c]
-            if f:
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +267,64 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Chevalley structure table
+# Sparse bracket tables
 # ---------------------------------------------------------------------------
 
-class StructureTable:
+class BracketTable:
+    """Sparse exact antisymmetric bracket on the basis indices 0..dim-1.
+
+    ``_bra`` stores [e_i, e_j] for i < j only, as a tuple of (index,
+    coefficient) terms; the bracket of a pair (j, i) is the stored value
+    negated and [e_i, e_i] = 0, which makes the operational bracket
+    antisymmetric by construction.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._bra: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+
+    def _set(self, i: int, j: int, terms) -> None:
+        """Record [e_i, e_j] = terms (either order), dropping zero terms."""
+        terms = tuple((k, c) for k, c in terms if c)
+        if not terms:
+            return
+        if i < j:
+            self._bra[(i, j)] = terms
+        else:
+            self._bra[(j, i)] = tuple((k, -c) for k, c in terms)
+
+    def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
+        """[e_i, e_j] as a sparse coefficient tuple."""
+        if i == j:
+            return ()
+        if i < j:
+            return self._bra.get((i, j), ())
+        return tuple((k, -c) for k, c in self._bra.get((j, i), ()))
+
+    def bracket(self, u: dict, v: dict) -> dict:
+        """Bracket of two sparse vectors {basis index: coefficient}."""
+        out: dict = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                if i != j:
+                    axpy(out, a * b, self.pair_bracket(i, j))
+        return out
+
+
+class StructureTable(BracketTable):
     """Sparse exact bracket table of a Chevalley basis.
 
     Basis: indices 0..rank-1 are the simple coroots h_i, index rank+k is the
-    root vector of roots[k].  Brackets are stored for i < j only; the bracket
-    of a pair (j, i) is the stored value negated, which makes the operational
-    bracket antisymmetric by construction.
+    root vector of roots[k].
     """
 
     def __init__(self, rs: RootSystem):
+        super().__init__(rs.rank + len(rs.roots))
         self.rs = rs
         self.rank = rs.rank
         self.npos = rs.npos
-        self.dim = rs.rank + len(rs.roots)
         self._n: Dict[Tuple[Coords, Coords], int] = {}
         self._fill_structure_constants()
-        self._bra: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
         self._fill_brackets()
 
     # -- structure constants ------------------------------------------------
@@ -395,14 +426,11 @@ class StructureTable:
     def _fill_brackets(self) -> None:
         rs = self.rs
         rank = self.rank
-        bra = self._bra
         # [h_i, x_a] = pairing(a, i) x_a
         for k, r in enumerate(rs.roots):
             xk = rank + k
             for i in range(rank):
-                c = rs.pairing(r.coords, i)
-                if c:
-                    bra[(i, xk)] = ((xk, c),)
+                self._set(i, xk, ((xk, rs.pairing(r.coords, i)),))
         # [x_a, x_b]
         for k1, r1 in enumerate(rs.roots):
             for k2, r2 in enumerate(rs.roots):
@@ -411,34 +439,9 @@ class StructureTable:
                     continue
                 s = tuple(x + y for x, y in zip(r1.coords, r2.coords))
                 if not any(s):
-                    co = rs.coroot(r1.coords)
-                    bra[(i, j)] = tuple((t, c) for t, c in enumerate(co) if c)
+                    self._set(i, j, enumerate(rs.coroot(r1.coords)))
                 elif rs.is_root(s):
-                    bra[(i, j)] = ((rank + rs.index(s), self._n[(r1.coords, r2.coords)]),)
-
-    def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
-        """[e_i, e_j] as a sparse coefficient tuple."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._bra.get((i, j), ())
-        return tuple((k, -c) for k, c in self._bra.get((j, i), ()))
-
-    def bracket(self, u: dict, v: dict) -> dict:
-        """Bracket of two sparse vectors {basis index: coefficient}."""
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                if i == j:
-                    continue
-                ab = a * b
-                for k, c in self.pair_bracket(i, j):
-                    nv = out.get(k, 0) + ab * c
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
-        return out
+                    self._set(i, j, ((rank + rs.index(s), self._n[(r1.coords, r2.coords)]),))
 
     def basis_label(self, i: int) -> str:
         if i < self.rank:
@@ -524,15 +527,12 @@ def jacobi_defect(t) -> Optional[Tuple[int, int, int]]:
             for k in range(j + 1, dim):
                 acc: Dict[int, int] = {}
                 for m, c in uv:  # [[i,j],k]
-                    for r, d in pb(m, k):
-                        acc[r] = acc.get(r, 0) + c * d
+                    axpy(acc, c, pb(m, k))
                 for m, c in pb(j, k):  # [[j,k],i]
-                    for r, d in pb(m, i):
-                        acc[r] = acc.get(r, 0) + c * d
+                    axpy(acc, c, pb(m, i))
                 for m, c in pb(k, i):  # [[k,i],j]
-                    for r, d in pb(m, j):
-                        acc[r] = acc.get(r, 0) + c * d
-                if any(acc.values()):
+                    axpy(acc, c, pb(m, j))
+                if acc:
                     return (i, j, k)
     return None
 

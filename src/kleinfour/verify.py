@@ -16,7 +16,7 @@ configurations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,10 +25,8 @@ from .autos import (
     commutes,
     compose,
     make_klein,
-    omega_automorphism,
-    torus_involution,
 )
-from .identify import fixed_subalgebra, identify_type
+from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type
 from .realform import (
     Catalog,
     cartan_decomposition,
@@ -55,18 +53,38 @@ class SearchExhausted(Exception):
     """A configuration search ran out of candidates (falsification)."""
 
 
-def classify_involution(table, auto: Automorphism) -> str:
-    """Class label from the (fixed dim, fixed type) invariant pair."""
+def _classify(table, auto: Automorphism) -> Tuple[str, Subalgebra, ReductiveType]:
+    """Class label, fixed subalgebra and fixed type of a nonidentity involution.
+
+    The label comes from the (fixed dim, fixed type) invariant pair.
+    """
     if not auto.is_involution():
         raise ValueError(f"{auto.descriptor} is not a nonidentity involution")
     s = fixed_subalgebra(table, [auto])
-    key = (s.dim, str(identify_type(s)))
+    ty = identify_type(s)
+    key = (s.dim, str(ty))
     for label, inv in CLASS_INVARIANTS.items():
         if inv == key:
-            return label
+            return label, s, ty
     raise CensusError(
         f"involution {auto.descriptor} has invariants {key}, matching no known class"
     )
+
+
+def classify_involution(table, auto: Automorphism) -> str:
+    """Class label from the (fixed dim, fixed type) invariant pair."""
+    return _classify(table, auto)[0]
+
+
+def check_class_labels(class_labels: Sequence[str]) -> None:
+    """Reject a generator class list that search_configuration cannot run."""
+    if len(class_labels) not in (2, 3):
+        raise ValueError(f"search needs 2 or 3 generator classes, got {len(class_labels)}")
+    for lab in class_labels:
+        if lab not in CLASS_INVARIANTS:
+            raise ValueError(
+                f"unknown class label {lab!r}; known: {', '.join(CLASS_INVARIANTS)}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +124,8 @@ def involution_census(ctx: "VerifyContext") -> Census:
         if not any(bits):
             continue
         a = ctx.automorphism("torus:" + ",".join(map(str, bits)))
-        label, s = _classify_with_subalgebra(ctx, a)
-        rows.append(_census_row(table, a, "inner", s, label))
+        label, s, ty = _classify(table, a)
+        rows.append(_census_row(table, a, "inner", s, ty, label))
         inner_counts[label] = inner_counts.get(label, 0) + 1
         reps.setdefault(label, a)
     for bits in product((0, 1), repeat=table.rank):
@@ -116,8 +134,8 @@ def involution_census(ctx: "VerifyContext") -> Census:
         if not a.is_involution():
             continue
         twist_involutions += 1
-        label, s = _classify_with_subalgebra(ctx, a)
-        rows.append(_census_row(table, a, "outer", s, label))
+        label, s, ty = _classify(table, a)
+        rows.append(_census_row(table, a, "outer", s, ty, label))
         outer_counts[label] = outer_counts.get(label, 0) + 1
         reps.setdefault(label, a)
     realform_names = {
@@ -134,20 +152,9 @@ def involution_census(ctx: "VerifyContext") -> Census:
     )
 
 
-def _classify_with_subalgebra(ctx, auto):
-    s = fixed_subalgebra(ctx.table, [auto])
-    key = (s.dim, str(identify_type(s)))
-    for label, inv in CLASS_INVARIANTS.items():
-        if inv == key:
-            return label, s
-    raise CensusError(
-        f"involution {auto.descriptor} has invariants {key}, matching no known class"
-    )
-
-
-def _census_row(table, auto, kind, s, label):
+def _census_row(table, auto, kind, s, ty, label):
     trace_ok = 2 * s.dim == table.dim + auto.trace()
-    return CensusRow(auto.descriptor, kind, s.dim, str(identify_type(s)), label, trace_ok)
+    return CensusRow(auto.descriptor, kind, s.dim, str(ty), label, trace_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +291,7 @@ def search_configuration(
     joint fixed algebra must identify as ``target_type`` (and match
     ``target_dim`` when given).  First match in census order wins.
     """
-    if len(class_labels) not in (2, 3):
-        raise ValueError("search supports 2 or 3 generator classes")
-    for lab in class_labels:
-        if lab not in CLASS_INVARIANTS:
-            raise ValueError(f"unknown class label {lab!r}")
+    check_class_labels(class_labels)
     census = ctx.census
     kind_of = {"sigma1": "inner", "sigma2": "inner", "sigma3": "outer", "sigma4": "outer"}
     pools = [

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -12,9 +14,6 @@ REPO = Path(__file__).resolve().parent.parent
 
 def run_cli(args):
     """Invoke the entry point in-process, capturing stdout/stderr/exit code."""
-    import contextlib
-    import io
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
@@ -94,6 +93,26 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["roots", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["roots", "--type", "E"], "malformed type label 'E'"),
+    (["roots", "--type", "A0"], "rank must be at least 1"),
+    (["search", "--classes", "sigma3,sigma2", "--target", "B4:x"], "must be a whole number"),
+    (["search", "--classes", "sigma3", "--target", "B4"], "2 or 3 generator classes"),
+    (["search", "--classes", "sigma3,sigma9", "--target", "B4"], "unknown class label 'sigma9'"),
+    (["search", "--type", "E7", "--classes", "sigma3,sigma2", "--target", "B4"],
+     "supports only --type E6"),
+    (["verify", "census", "--type", "A2"], "supports only --type E6"),
+    (["realform", "--theta", "omega", "--auto", "torus:1,0,0,0,0,1",
+      "--auto", "torus:0,1,0,0,0,0", "--auto", "torus:0,0,1,0,0,0"], "at most two --auto"),
+])
+def test_bad_input_is_usage_error_exit_2(args, message):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(args)
+    assert exc.value.code == 2
+    assert message in err.getvalue()
 
 
 def test_verify_single_scenario_exit_zero(ctx):

@@ -123,7 +123,7 @@ def test_inertia_invariant_under_unimodular_congruence():
 
 def test_span_solver_membership():
     rows, piv = rref([[1, 0, 2], [0, 1, 3]])
-    solver = SpanSolver(rows, piv, 3)
+    solver = SpanSolver(rows, piv)
     assert solver.contains(sparse_from_dense([1, 1, 5]))
     assert not solver.contains(sparse_from_dense([0, 0, 1]))
 

@@ -1,0 +1,140 @@
+"""Property tests of the exact core against sympy, a second exact route.
+
+Random rational matrices are small (at most 6x6) so each example is cheap;
+runs are derandomized so the suite is reproducible.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from kleinfour.exactq import (
+    QMatrix,
+    axpy,
+    joint_eigenspace,
+    kernel,
+    lincomb,
+    rank,
+    symmetric_inertia,
+)
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# zeros are frequent so that rank deficiency and cancellation actually occur
+scalars = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    return [[draw(scalars) for _ in range(c)] for _ in range(r)]
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    # a zero diagonal forces the row+column congruence branch of the inertia
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                a[i][j] = a[j][i] = draw(scalars)
+    return a
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                          for x in row] for row in rows])
+
+
+def _frac(vec):
+    return tuple(Fraction(int(e.p), int(e.q)) for e in vec)
+
+
+@PROPS
+@given(matrices())
+def test_kernel_and_rank_match_sympy(rows):
+    m, s = QMatrix(rows), _sym(rows)
+    assert rank(m) == s.rank()
+    # both bases put a 1 on each free column and solve the pivots from the RREF
+    assert kernel(m) == [_frac(v) for v in s.nullspace()]
+
+
+@st.composite
+def column_maps(draw):
+    """(dim, eigen, maps): each map is eigen*I plus a perturbation with many
+    zero columns, so the joint eigenspace is often nonzero."""
+    dim = draw(st.integers(1, 5))
+    eigen = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = []
+        for j in range(dim):
+            col = {r: draw(scalars) for r in range(dim)} if draw(st.booleans()) else {}
+            col[j] = col.get(j, 0) + eigen
+            cols.append({r: x for r, x in col.items() if x})
+        maps.append(cols)
+    return dim, eigen, maps
+
+
+@PROPS
+@given(column_maps())
+def test_joint_eigenspace_matches_stacked_nullspace(dim_eigen_maps):
+    dim, eigen, maps = dim_eigen_maps
+    blocks = []
+    for cols in maps:
+        dense = [[cols[j].get(r, 0) for j in range(dim)] for r in range(dim)]
+        blocks.append(_sym(dense) - _sym([[eigen]])[0, 0] * sympy.eye(dim))
+    stacked = sympy.Matrix.vstack(*blocks)
+    assert joint_eigenspace(dim, maps, eigen) == [_frac(v) for v in stacked.nullspace()]
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@PROPS
+@given(symmetric_matrices())
+def test_inertia_matches_descartes_count_of_characteristic_polynomial(rows):
+    # a symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+    # counts the positive (and, on p(-x), the negative) roots exactly
+    coeffs = _sym(rows).charpoly().all_coeffs()  # highest degree first
+    n = len(rows)
+    zero = n - max(k for k, c in enumerate(coeffs) if c != 0)
+    pos = _sign_changes(coeffs)
+    neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
+    assert symmetric_inertia(QMatrix(rows)) == (pos, neg, zero)
+
+
+sparse_vectors = st.dictionaries(
+    st.integers(0, 7), st.integers(-3, 3).filter(bool), max_size=6
+)
+
+
+@PROPS
+@given(st.lists(st.tuples(st.integers(-2, 2), sparse_vectors), min_size=1, max_size=4))
+def test_lincomb_matches_dense_sum_and_drops_cancelled_entries(terms):
+    coeffs = [c for c, _ in terms]
+    vecs = [v for _, v in terms]
+    got = lincomb(coeffs, vecs)
+    dense = [sum(c * v.get(j, 0) for c, v in terms) for j in range(8)]
+    assert got == {j: x for j, x in enumerate(dense) if x}
+    assert all(got.values())
+    assert axpy(dict(got), -1, got.items()) == {}
+
+
+@PROPS
+@given(sparse_vectors, st.integers(-3, 3).filter(bool))
+def test_axpy_of_a_vector_and_its_negation_is_empty(vec, c):
+    assert lincomb([c, -c], [vec, vec]) == {}
+    acc = dict(vec)
+    assert axpy(acc, -1, vec.items()) is acc
+    assert acc == {}
