@@ -94,6 +94,39 @@ def compose_cols(a: Cols, b: Cols) -> Cols:
     return tuple(out)
 
 
+def _product_trace(a: Cols, b: Cols):
+    """tr(a∘b) = sum_j sum_k a[j][k] b[k][j], read off the sparse columns."""
+    return sum(v * a[k].get(j, 0) for j, col in enumerate(b) for k, v in col.items())
+
+
+def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
+    """dim Fix<g_1..g_k> = 2^-k * sum over subsets S of tr(prod of S).
+
+    The sum is the trace of the projection prod (1 + g_i)/2 onto the joint
+    fixed space, so the value is exact for pairwise commuting generators of
+    order 1 or 2; commutation is the caller's to check.  A generator of any
+    other order is rejected, and a trace sum not divisible by 2^k raises.
+    """
+    if not gens:
+        raise ValueError("joint_fixed_dim needs at least one generator")
+    for g in gens:
+        if g.order not in (1, 2):
+            raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
+    total = gens[0].table.dim
+    prods: List[Cols] = []  # products of the nonempty subsets of earlier generators
+    for i, g in enumerate(gens):
+        total += g.trace() + sum(_product_trace(p, g.cols) for p in prods)
+        if i + 1 < len(gens):
+            prods += [compose_cols(p, g.cols) for p in prods] + [g.cols]
+    den = 2 ** len(gens)
+    if total % den:
+        raise CertificationError(
+            f"character sum {total} of {', '.join(g.descriptor for g in gens)} "
+            f"is not divisible by {den}"
+        )
+    return int(total) // den
+
+
 def _is_identity_cols(cols: Cols) -> bool:
     return all(col == {j: 1} for j, col in enumerate(cols))
 

@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .autos import make_klein
-from .identify import fixed_subalgebra, identify_type
+from .identify import fixed_subalgebra, identify_type, type_dim
 from .realform import cartan_decomposition, load_catalog, real_fixed_subalgebra
 from .rootsys import (
     CartanMatrixError,
@@ -59,6 +59,14 @@ def _target(text: str) -> Tuple[str, Optional[int]]:
     if colon and not dim_s.isdigit():
         raise argparse.ArgumentTypeError(
             f"target {text!r}: the dimension after ':' must be a whole number, e.g. B4:36"
+        )
+    try:
+        dim = type_dim(target)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"target {text!r}: {exc}") from None
+    if colon and int(dim_s) != dim:
+        raise argparse.ArgumentTypeError(
+            f"target {text!r}: {target} has dimension {dim}, not {dim_s}"
         )
     return target, int(dim_s) if colon else None
 

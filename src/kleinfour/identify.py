@@ -14,6 +14,7 @@ digit uniqueness then guarantees it never vanishes on a nonzero weight.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -164,6 +165,34 @@ class ReductiveType:
         elif self.center_dim > 1:
             parts.append(f"{self.center_dim}u(1)")
         return "+".join(parts) if parts else "0"
+
+
+_SUMMAND = re.compile(r"([A-G])([1-9][0-9]*)")
+_CENTER = re.compile(r"([0-9]*)u\(1\)")
+
+
+def type_dim(label: str) -> int:
+    """Dimension of a reductive type label in the form identify_type prints.
+
+    Reads labels such as 'D4+2u(1)', 'C3+A1', 'u(1)' and '0'.  Any other form
+    ('A1+C3', 'B1', '1u(1)', 'foo') raises ValueError: no subalgebra is ever
+    printed that way, so a search for it could never match.
+    """
+    summands: List[Tuple[str, int]] = []
+    center = 0
+    for part in [] if label == "0" else label.split("+"):
+        m = _SUMMAND.fullmatch(part)
+        c = _CENTER.fullmatch(part)
+        if m and (m[1], int(m[2])) in _catalog_for_rank(int(m[2])):
+            summands.append((m[1], int(m[2])))
+        elif c:
+            center += int(c[1] or 1)
+        else:
+            raise ValueError(f"malformed type label {label!r}: cannot read {part!r}")
+    ty = ReductiveType.make(summands, center)
+    if str(ty) != label:
+        raise ValueError(f"type label {label!r} is not in canonical form; use {str(ty)!r}")
+    return ty.dim()
 
 
 # ---------------------------------------------------------------------------

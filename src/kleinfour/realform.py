@@ -470,22 +470,33 @@ def real_fixed_subalgebra(
     )
 
 
+def holomorphic_flags(
+    cb: CompactBasis, sigmas: Sequence[Automorphism], theta: Automorphism
+) -> List[bool]:
+    """is_holomorphic_type of each sigma, building k(theta) and its center once.
+
+    Every sigma must commute with theta, and theta must be of Hermitian type
+    (center of k exactly 1-dimensional); both are verified.
+    """
+    for sigma in sigmas:
+        if not commutes(sigma, theta):
+            raise RealFormError(
+                f"{sigma.descriptor} does not commute with theta = {theta.descriptor}"
+            )
+    _check_involution(theta)
+    z = center_of(fixed_subalgebra(cb.table, [theta]))
+    if z.dim != 1:
+        raise RealFormError(
+            f"theta = {theta.descriptor} is not Hermitian: center of k has dim {z.dim}"
+        )
+    zvec = z.rows[0]
+    return [sigma.apply(zvec) == zvec for sigma in sigmas]
+
+
 def is_holomorphic_type(cb: CompactBasis, sigma: Automorphism, theta: Automorphism) -> bool:
     """True iff sigma acts as the identity on the 1-dim center of k(theta).
 
     Requires sigma to commute with theta and theta to be of Hermitian type
     (center of k exactly 1-dimensional); both are verified.
     """
-    if not commutes(sigma, theta):
-        raise RealFormError(
-            f"{sigma.descriptor} does not commute with theta = {theta.descriptor}"
-        )
-    _check_involution(theta)
-    k_complex = fixed_subalgebra(cb.table, [theta])
-    z = center_of(k_complex)
-    if z.dim != 1:
-        raise RealFormError(
-            f"theta = {theta.descriptor} is not Hermitian: center of k has dim {z.dim}"
-        )
-    zvec = z.rows[0]
-    return sigma.apply(zvec) == zvec
+    return holomorphic_flags(cb, [sigma], theta)[0]

@@ -11,6 +11,16 @@ Searches run over the full torus 2-group (63 nonzero classes) and the 64
 twisted products omega*torus(c), keeping the twists that square to the
 identity; iteration order is fixed, so identical inputs find identical first
 configurations.
+
+Every search is gated by the character formula: for pairwise commuting
+involutions g_1..g_k the joint fixed space has dimension
+2^-k * sum over subsets S of tr(prod of S) (autos.joint_fixed_dim), read off
+traces without any elimination.  A tuple whose character dimension differs
+from the target is never passed to fixed_subalgebra and identify_type.  This
+is exact: identify_type's dimension accounting ties the printed type to the
+subalgebra's dimension, so such a tuple could never have matched.  A tuple
+that passes still goes through the full closure check and identification,
+and its fixed subalgebra must have exactly the character dimension.
 """
 
 from __future__ import annotations
@@ -22,16 +32,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .autos import (
     Automorphism,
+    CertificationError,
     commutes,
     compose,
+    joint_fixed_dim,
     make_klein,
+    parse_descriptor,
 )
-from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type
+from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type, type_dim
 from .realform import (
     Catalog,
     cartan_decomposition,
     compact_form,
-    is_holomorphic_type,
+    holomorphic_flags,
     load_catalog,
     real_fixed_subalgebra,
 )
@@ -125,7 +138,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
             continue
         a = ctx.automorphism("torus:" + ",".join(map(str, bits)))
         label, s, ty = _classify(table, a)
-        rows.append(_census_row(table, a, "inner", s, ty, label))
+        rows.append(_census_row(a, "inner", s, ty, label))
         inner_counts[label] = inner_counts.get(label, 0) + 1
         reps.setdefault(label, a)
     for bits in product((0, 1), repeat=table.rank):
@@ -135,7 +148,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
             continue
         twist_involutions += 1
         label, s, ty = _classify(table, a)
-        rows.append(_census_row(table, a, "outer", s, ty, label))
+        rows.append(_census_row(a, "outer", s, ty, label))
         outer_counts[label] = outer_counts.get(label, 0) + 1
         reps.setdefault(label, a)
     realform_names = {
@@ -152,8 +165,8 @@ def involution_census(ctx: "VerifyContext") -> Census:
     )
 
 
-def _census_row(table, auto, kind, s, ty, label):
-    trace_ok = 2 * s.dim == table.dim + auto.trace()
+def _census_row(auto, kind, s, ty, label):
+    trace_ok = s.dim == joint_fixed_dim([auto])
     return CensusRow(auto.descriptor, kind, s.dim, str(ty), label, trace_ok)
 
 
@@ -172,6 +185,17 @@ class Configuration:
     provenance: Dict[str, object]
 
 
+def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:
+    """Joint fixed subalgebra of a tuple whose character dimension is dim."""
+    s = fixed_subalgebra(table, autos)
+    if s.dim != dim:
+        raise CertificationError(
+            f"fixed subalgebra of {', '.join(a.descriptor for a in autos)} has dim "
+            f"{s.dim}, but the character formula gives {dim}"
+        )
+    return s
+
+
 def _census_descriptors(census: Census, kind: str, label: str) -> List[str]:
     return [r.descriptor for r in census.rows if r.kind == kind and r.label == label]
 
@@ -185,7 +209,8 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
 
     Every commuting candidate pair is pushed through the recomputation gate
     (fixed type must be B4 of dimension 36); the count of gate-checked pairs
-    is recorded in the provenance.
+    is recorded in the provenance.  Each fixed subalgebra's dimension must
+    also equal the pair's character dimension.
     """
     census = ctx.census
     a_list = _census_descriptors(census, "outer", "sigma3")
@@ -199,7 +224,7 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
             if not commutes(a, b):
                 continue
             make_klein(a, b)
-            s = fixed_subalgebra(ctx.table, [a, b])
+            s = _gated_fixed(ctx.table, [a, b], joint_fixed_dim([a, b]))
             checked += 1
             if s.dim != 36 or str(identify_type(s)) != "B4":
                 raise SearchExhausted(
@@ -234,7 +259,9 @@ def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
     """Rank-3 configuration (a, b, theta): a sigma3, b/theta/b*theta sigma2.
 
     Gates: <a,b> is of so(9) type (fixed B4, dim 36) and the joint fixed
-    algebra of all three has dimension 28 and type D4.
+    algebra of all three has dimension 28 and type D4.  Both dimensions are
+    checked by the character formula first, so only tuples of the right
+    dimension are eliminated and identified.
     """
     census = ctx.census
     label_of = {r.descriptor: r.label for r in census.rows}
@@ -244,10 +271,9 @@ def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
         a = ctx.automorphism(da)
         for db in b_list:
             b = ctx.automorphism(db)
-            if not commutes(a, b):
+            if not commutes(a, b) or joint_fixed_dim([a, b]) != 36:
                 continue
-            s_ab = fixed_subalgebra(ctx.table, [a, b])
-            if s_ab.dim != 36 or str(identify_type(s_ab)) != "B4":
+            if str(identify_type(_gated_fixed(ctx.table, [a, b], 36))) != "B4":
                 continue
             for dt in b_list:
                 if dt == db:
@@ -265,8 +291,10 @@ def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
                 bt_desc = "torus:" + ",".join(map(str, bt_bits))
                 if label_of.get(bt_desc) != "sigma2":
                     continue
-                s3 = fixed_subalgebra(ctx.table, [a, b, theta])
-                if s3.dim != 28 or str(identify_type(s3)) != "D4":
+                # b and theta commute: torus involutions are diagonal
+                if joint_fixed_dim([a, b, theta]) != 28:
+                    continue
+                if str(identify_type(_gated_fixed(ctx.table, [a, b, theta], 28))) != "D4":
                     continue
                 return Configuration(
                     a=da,
@@ -290,8 +318,17 @@ def search_configuration(
     ``class_labels`` gives the class of each generator (2 or 3 of them); the
     joint fixed algebra must identify as ``target_type`` (and match
     ``target_dim`` when given).  First match in census order wins.
+
+    The target dimension is ``target_dim``, or else ``type_dim(target_type)``
+    (a malformed label raises ValueError).  A commuting tuple is eliminated
+    and identified only when its character dimension (joint_fixed_dim) equals
+    the target dimension, and a partial tuple whose character dimension is
+    already below it is pruned.  Neither changes the result: fixed spaces
+    only shrink as generators are added, and a subalgebra of another
+    dimension can never identify as the target type.
     """
     check_class_labels(class_labels)
+    want = type_dim(target_type) if target_dim is None else target_dim
     census = ctx.census
     kind_of = {"sigma1": "inner", "sigma2": "inner", "sigma3": "outer", "sigma4": "outer"}
     pools = [
@@ -299,23 +336,20 @@ def search_configuration(
     ]
 
     def recurse(chosen: List[str], depth: int):
-        if depth == len(pools):
-            autos = [ctx.automorphism(d) for d in chosen]
-            s = fixed_subalgebra(ctx.table, autos)
-            if target_dim is not None and s.dim != target_dim:
-                return None
-            if str(identify_type(s)) != target_type:
-                return None
-            return chosen
         for d in pools[depth]:
             if d in chosen:
                 continue
-            a = ctx.automorphism(d)
-            if any(not commutes(ctx.automorphism(c), a) for c in chosen):
+            autos = [ctx.automorphism(c) for c in chosen + [d]]
+            if any(not commutes(c, autos[-1]) for c in autos[:-1]):
                 continue
-            got = recurse(chosen + [d], depth + 1)
-            if got:
-                return got
+            dim = joint_fixed_dim(autos)
+            if depth + 1 < len(pools):
+                got = recurse(chosen + [d], depth + 1) if dim >= want else None
+                if got:
+                    return got
+            elif dim == want:
+                if str(identify_type(_gated_fixed(ctx.table, autos, dim))) == target_type:
+                    return chosen + [d]
         return None
 
     found = recurse([], 0)
@@ -468,9 +502,12 @@ class VerifyContext:
     def automorphism(self, descriptor: str) -> Automorphism:
         got = self._autos.get(descriptor)
         if got is None:
-            from .autos import parse_descriptor
-
-            got = parse_descriptor(self.table, descriptor)
+            text = descriptor.strip()
+            if text.startswith("omega*torus:"):
+                # the cached omega and torus; compose recertifies the product
+                got = compose(self.automorphism("omega"), self.automorphism(text[len("omega*"):]))
+            else:
+                got = parse_descriptor(self.table, descriptor)
             self._autos[descriptor] = got
             self._autos.setdefault(got.descriptor, got)
         return got
@@ -580,26 +617,19 @@ def verify_holomorphic(ctx: VerifyContext) -> Report:
     cfg = ctx.rank3
     a = ctx.automorphism(cfg.a)
     theta = ctx.automorphism(cfg.theta)
-    steps = [
-        _step("theta is holomorphic for itself",
-              is_holomorphic_type(ctx.cb, theta, theta), True, "structural"),
+    tori = [
+        ctx.automorphism("torus:" + ",".join(map(str, bits)))
+        for bits in product((0, 1), repeat=ctx.table.rank)
+        if any(bits)
     ]
-    holo = 0
-    total = 0
-    for bits in product((0, 1), repeat=ctx.table.rank):
-        if not any(bits):
-            continue
-        sigma = ctx.automorphism("torus:" + ",".join(map(str, bits)))
-        if not commutes(sigma, theta):
-            continue
-        total += 1
-        if is_holomorphic_type(ctx.cb, sigma, theta):
-            holo += 1
-    steps += [
-        _step("torus involutions commuting with theta", total, 63, "structural"),
-        _step("holomorphic among them", holo, 63, "derived"),
-        _step("sigma3-class generator is anti-holomorphic",
-              is_holomorphic_type(ctx.cb, a, theta), False, "reference"),
+    tori = [sigma for sigma in tori if commutes(sigma, theta)]
+    # one k(theta) and one center for all three checks
+    self_holo, a_holo, *tori_holo = holomorphic_flags(ctx.cb, [theta, a] + tori, theta)
+    steps = [
+        _step("theta is holomorphic for itself", self_holo, True, "structural"),
+        _step("torus involutions commuting with theta", len(tori), 63, "structural"),
+        _step("holomorphic among them", sum(tori_holo), 63, "derived"),
+        _step("sigma3-class generator is anti-holomorphic", a_holo, False, "reference"),
     ]
     return Report("holomorphic", tuple(steps))
 

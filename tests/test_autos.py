@@ -9,6 +9,7 @@ from kleinfour.autos import (
     conjugate,
     diagram_automorphism,
     identity_automorphism,
+    joint_fixed_dim,
     make_automorphism,
     make_klein,
     omega_automorphism,
@@ -191,6 +192,33 @@ def test_trace_identity_for_involutions(e6):
     for bits in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 1, 1, 0, 0, 0)):
         a = torus_involution(e6, bits)
         assert 2 * fixed_dim(e6, a) == e6.dim + a.trace()
+
+
+def test_joint_fixed_dim_of_one_generator(e6):
+    assert joint_fixed_dim([identity_automorphism(e6)]) == 78
+    assert joint_fixed_dim([omega_automorphism(e6)]) == 52
+    assert joint_fixed_dim([torus_involution(e6, (0, 1, 0, 0, 0, 0))]) == 38
+
+
+def test_joint_fixed_dim_rejects_other_orders(e6):
+    w = weyl_lift(e6, 0)
+    assert w.order == 4
+    with pytest.raises(ValueError, match="order 4"):
+        joint_fixed_dim([torus_involution(e6, (1, 0, 0, 0, 0, 1)), w])
+    with pytest.raises(ValueError):
+        joint_fixed_dim([])
+
+
+def test_joint_fixed_dim_checks_divisibility(e6):
+    from kleinfour.autos import Automorphism
+
+    # built around make_automorphism on purpose: an odd trace cannot come
+    # from a certified involution, so only a forged one reaches the check
+    good = torus_involution(e6, (0, 1, 0, 0, 0, 0))
+    cols = tuple({} if j == 0 else c for j, c in enumerate(good.cols))
+    forged = Automorphism(e6, cols, 2, "forged")
+    with pytest.raises(CertificationError, match="not divisible by 2"):
+        joint_fixed_dim([forged])
 
 
 def test_fixed_plus_antifixed_fills_algebra(e6):

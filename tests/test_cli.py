@@ -106,6 +106,8 @@ def test_usage_error_is_exit_2():
     (["verify", "census", "--type", "A2"], "supports only --type E6"),
     (["realform", "--theta", "omega", "--auto", "torus:1,0,0,0,0,1",
       "--auto", "torus:0,1,0,0,0,0", "--auto", "torus:0,0,1,0,0,0"], "at most two --auto"),
+    (["search", "--classes", "sigma3,sigma2", "--target", "foo"], "malformed type label 'foo'"),
+    (["search", "--classes", "sigma3,sigma2", "--target", "B4:30"], "B4 has dimension 36, not 30"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()

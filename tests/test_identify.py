@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from kleinfour.identify import (
     match_cartan,
     simple_root_count,
     subalgebra_from_vectors,
+    type_dim,
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from oracles import classify_even_subsystem
@@ -219,3 +221,33 @@ def test_rendering_conventions():
     assert str(ReductiveType.make([], 0)) == "0"
     # ordering is by descending dimension
     assert str(ReductiveType.make([("A", 1), ("B", 2), ("A", 1)], 0)) == "B2+A1+A1"
+
+
+@pytest.mark.parametrize("label, dim", [
+    ("A5+A1", 38), ("D5+u(1)", 46), ("F4", 52), ("C4", 36),  # census fixed types
+    ("E6", 78), ("B4", 36), ("D4", 28), ("D4+2u(1)", 30), ("C3+A1", 24), ("B3", 21),
+    ("A1", 3), ("G2", 14), ("B2+A1+A1", 16), ("u(1)", 1), ("6u(1)", 6), ("0", 0),
+])
+def test_type_dim_reads_printed_labels(label, dim):
+    assert type_dim(label) == dim
+
+
+@pytest.mark.parametrize("label, message", [
+    ("foo", "cannot read 'foo'"),
+    ("", "cannot read ''"),
+    ("D4+", "cannot read ''"),
+    ("A0", "cannot read 'A0'"),
+    ("B1", "cannot read 'B1'"),
+    ("C2", "cannot read 'C2'"),
+    ("D3", "cannot read 'D3'"),
+    ("E9", "cannot read 'E9'"),
+    ("b4", "cannot read 'b4'"),
+    ("A1+C3", "use 'C3+A1'"),
+    ("1u(1)", "use 'u(1)'"),
+    ("u(1)+u(1)", "use '2u(1)'"),
+    ("0u(1)", "use '0'"),
+    ("A01", "cannot read 'A01'"),
+])
+def test_type_dim_rejects_labels_identify_never_prints(label, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        type_dim(label)

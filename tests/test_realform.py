@@ -20,6 +20,7 @@ from kleinfour.realform import (
     cartan_decomposition,
     compact_form,
     compact_matrix_cols,
+    holomorphic_flags,
     is_holomorphic_type,
     load_catalog,
     real_fixed_subalgebra,
@@ -198,6 +199,27 @@ def test_sigma3_generator_is_anti_holomorphic(ctx):
     theta = ctx.automorphism(ctx.rank3.theta)
     a = ctx.automorphism(ctx.rank3.a)
     assert is_holomorphic_type(ctx.cb, a, theta) is False
+
+
+def test_holomorphic_flags_build_the_center_once(ctx, e6, monkeypatch):
+    from kleinfour import realform
+
+    theta = ctx.automorphism(ctx.rank3.theta)
+    a = ctx.automorphism(ctx.rank3.a)
+    sigmas = [theta, a, torus_involution(e6, (0, 1, 0, 0, 0, 0))]
+    calls = []
+    center_of = realform.center_of
+    monkeypatch.setattr(realform, "center_of", lambda s: calls.append(s) or center_of(s))
+    assert holomorphic_flags(ctx.cb, sigmas, theta) == [True, False, True]
+    assert len(calls) == 1
+
+
+def test_holomorphic_flags_reject_noncommuting_sigma(ctx, e6):
+    theta = torus_involution(e6, (1, 0, 0, 0, 0, 1))
+    sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
+    moved = _unipotent_conjugate(e6, (0, 0, 1, 1, 0, 0), sigma)
+    with pytest.raises(RealFormError, match="commute"):
+        holomorphic_flags(ctx.cb, [theta, moved], theta)
 
 
 def test_non_hermitian_theta_rejected(ctx, e6):

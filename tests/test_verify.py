@@ -1,10 +1,22 @@
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
-from kleinfour.autos import compose, conjugate, omega_automorphism, torus_involution, weyl_lift
-from kleinfour.identify import fixed_subalgebra, identify_type
+from kleinfour import verify
+from kleinfour.autos import (
+    CertificationError,
+    commutes,
+    compose,
+    conjugate,
+    joint_fixed_dim,
+    omega_automorphism,
+    parse_descriptor,
+    torus_involution,
+    weyl_lift,
+)
+from kleinfour.identify import fixed_subalgebra, identify_type, type_dim
 from kleinfour.verify import (
     CLASS_INVARIANTS,
     CensusError,
@@ -77,6 +89,58 @@ def test_census_invariants_recomputed(census):
         assert (row.fixed_dim, row.fixed_type) == CLASS_INVARIANTS[row.label]
 
 
+def test_census_type_labels_parse_to_their_dimension(census):
+    for row in census.rows:
+        assert type_dim(row.fixed_type) == row.fixed_dim
+
+
+# -- character formula -------------------------------------------------------------
+
+def _commuting_tuples(ctx, labels, limit):
+    """The first `limit` pairwise commuting tuples of distinct census rows
+    with the given class labels, in census order."""
+    out = []
+
+    def extend(chosen):
+        if len(out) == limit:
+            return
+        if len(chosen) == len(labels):
+            out.append(chosen)
+            return
+        for row in ctx.census.rows:
+            if row.label != labels[len(chosen)] or row.descriptor in chosen:
+                continue
+            a = ctx.automorphism(row.descriptor)
+            if all(commutes(ctx.automorphism(c), a) for c in chosen):
+                extend(chosen + [row.descriptor])
+
+    extend([])
+    return out
+
+
+CLASS_TUPLES = [list(p) for p in combinations_with_replacement(sorted(CLASS_INVARIANTS), 2)] + [
+    ["sigma1", "sigma1", "sigma1"],
+    ["sigma3", "sigma2", "sigma1"],
+    ["sigma3", "sigma2", "sigma2"],
+    ["sigma4", "sigma4", "sigma2"],
+]
+
+
+@pytest.mark.parametrize("labels", CLASS_TUPLES, ids=",".join)
+def test_character_dim_matches_fixed_subalgebra(ctx, labels):
+    tuples = _commuting_tuples(ctx, labels, 3)
+    assert tuples, labels
+    for descs in tuples:
+        autos = [ctx.automorphism(d) for d in descs]
+        assert joint_fixed_dim(autos) == fixed_subalgebra(ctx.table, autos).dim, descs
+
+
+def test_so9_klein_character_mismatch_raises(ctx, monkeypatch):
+    monkeypatch.setattr(verify, "joint_fixed_dim", lambda gens: 35)
+    with pytest.raises(CertificationError, match="character formula gives 35"):
+        find_so9_klein(ctx)
+
+
 # -- searches ----------------------------------------------------------------------
 
 def test_so9_klein_found_with_b4_gate(ctx):
@@ -121,8 +185,78 @@ def test_generic_search_matches_so9_klein(ctx):
 def test_generic_search_exhausts_impossible_target(ctx):
     from kleinfour.verify import SearchExhausted
 
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted) as exc:
         search_configuration(ctx, ["sigma1", "sigma1"], "E6", 78)
+    assert str(exc.value) == (
+        "no configuration with classes ['sigma1', 'sigma1'] and fixed type E6 dim 78"
+    )
+
+
+def _exhausted(classes, target):
+    return f"no configuration with classes {classes} and fixed type {target}"
+
+
+# first-found (a, b, theta) or exhaustion message: the benchmark's five search
+# calls, then a hit whose theta is the product a*b, so the partial pair already
+# has the target dimension (the edge of partial-tuple pruning)
+SEARCH_PINS = [
+    (["sigma2", "sigma2"], "D4+2u(1)", ("torus:0,0,0,1,0,1", "torus:0,1,1,0,0,0", None)),
+    (["sigma3", "sigma1"], "C3+A1", ("omega*torus:0,0,0,0,0,0", "torus:0,0,0,1,0,0", None)),
+    (["sigma3", "sigma4"], "B4", _exhausted(["sigma3", "sigma4"], "B4")),
+    (["sigma4", "sigma2"], "B4", _exhausted(["sigma4", "sigma2"], "B4")),
+    (["sigma3", "sigma2", "sigma1"], "B3", _exhausted(["sigma3", "sigma2", "sigma1"], "B3")),
+    (["sigma2", "sigma2", "sigma2"], "D4+2u(1)",
+     ("torus:0,0,0,1,0,1", "torus:0,1,1,0,0,0", "torus:0,1,1,1,0,1")),
+]
+
+
+@pytest.mark.parametrize("classes, target, expected", SEARCH_PINS)
+def test_generic_search_results_pinned(ctx, classes, target, expected):
+    from kleinfour.verify import SearchExhausted
+
+    try:
+        config = search_configuration(ctx, classes, target)
+    except SearchExhausted as exc:
+        got = str(exc)
+    else:
+        got = (config.a, config.b, config.theta)
+    assert got == expected
+
+
+def test_so9_klein_pinned(ctx):
+    g = ctx.so9_klein
+    assert (g.a, g.b, g.labels, g.provenance["pairs_gated"]) == (
+        "omega*torus:0,0,0,0,0,0",
+        "torus:0,0,1,0,1,0",
+        {"a": "sigma3", "b": "sigma2", "ab": "sigma3"},
+        12,
+    )
+
+
+def test_context_builds_omega_once_for_twists(monkeypatch):
+    ctx = verify.VerifyContext()
+    parsed = []
+
+    def counting(table, text):
+        parsed.append(text)
+        return parse_descriptor(table, text)
+
+    monkeypatch.setattr(verify, "parse_descriptor", counting)
+    twists = ["omega*torus:0,1,0,0,0,0", "omega*torus:1,0,0,0,0,1", "omega*torus:0,0,0,0,0,0"]
+    for d in twists:
+        got = ctx.automorphism(d)
+        ref = parse_descriptor(ctx.table, d)
+        assert (got.descriptor, got.cols, got.order) == (ref.descriptor, ref.cols, ref.order)
+    assert parsed.count("omega") == 1
+    assert not [t for t in parsed if t.startswith("omega*")]
+
+
+def test_rank3_pinned(rank3):
+    assert (rank3.a, rank3.b, rank3.theta) == (
+        "omega*torus:0,0,0,0,0,0",
+        "torus:0,0,1,0,1,0",
+        "torus:1,0,0,0,0,1",
+    )
 
 
 # -- conjugation invariance (sampled) -------------------------------------------------
