@@ -262,6 +262,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "its class invariants and census counts are E6 facts")
     if args.command == "realform" and len(args.auto) > 2:
         parser.error("realform takes at most two --auto generators")
+    if args.command == "roots" and args.bless and not args.golden_dir:
+        parser.error("--bless needs --golden-dir")
     handlers = {
         "roots": _cmd_roots,
         "fixed": _cmd_fixed,

@@ -6,27 +6,33 @@ pair (fixed-space dimension, fixed-point type).  The four classes in scope:
     sigma1 <-> (38, A5+A1)      sigma2 <-> (46, D5+u(1))
     sigma3 <-> (52, F4)         sigma4 <-> (36, C4)
 
-The dimensions 52/36/36 collide partially, so type matching is mandatory.
-Searches run over the full torus 2-group (63 nonzero classes) and the 64
+The four dimensions are distinct, but the type is matched as well, as a
+certificate that the invariant pair is one of the catalogued ones.  Searches
+run over the census: the full torus 2-group (63 nonzero classes) and the 64
 twisted products omega*torus(c), keeping the twists that square to the
-identity; iteration order is fixed, so identical inputs find identical first
-configurations.
+identity.  One enumerator (_commuting_tuples) walks the pairwise commuting
+tuples of distinct census involutions, one per requested class, depth first in
+census order, so identical inputs find identical first configurations.
 
-Every search is gated by the character formula: for pairwise commuting
+Each tuple carries its character dimension: for pairwise commuting
 involutions g_1..g_k the joint fixed space has dimension
 2^-k * sum over subsets S of tr(prod of S) (autos.joint_fixed_dim), read off
-traces without any elimination.  A tuple whose character dimension differs
-from the target is never passed to fixed_subalgebra and identify_type.  This
-is exact: identify_type's dimension accounting ties the printed type to the
-subalgebra's dimension, so such a tuple could never have matched.  A tuple
-that passes still goes through the full closure check and identification,
-and its fixed subalgebra must have exactly the character dimension.
+traces without any elimination.  Fixed spaces only shrink as generators are
+added, so the enumerator does not extend a partial tuple whose character
+dimension is already below its floor (the target dimension of a search).  A
+tuple whose character dimension differs from the target is never passed to
+fixed_subalgebra and identify_type.  This is exact: identify_type's dimension
+accounting ties the printed type to the subalgebra's dimension, so such a
+tuple could never have matched.  A tuple that passes still goes through the
+full closure check and identification, and its fixed subalgebra must have
+exactly the character dimension.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -196,12 +202,31 @@ def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:
     return s
 
 
-def _census_descriptors(census: Census, kind: str, label: str) -> List[str]:
-    return [r.descriptor for r in census.rows if r.kind == kind and r.label == label]
+def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: int):
+    """Pairwise commuting tuples of distinct census involutions, one per class.
 
+    Yields (descriptors, automorphisms, joint_fixed_dim) in census order,
+    depth first.  A partial tuple whose character dimension is below
+    ``floor`` is not extended: fixed spaces only shrink as generators are
+    added, so none of its extensions reaches ``floor`` either.
+    """
+    pools = [[r.descriptor for r in ctx.census.rows if r.label == lab] for lab in class_labels]
 
-def _torus_bits(descriptor: str) -> Tuple[int, ...]:
-    return tuple(int(x) for x in descriptor.split(":", 1)[1].split(","))
+    def extend(descs: List[str], autos: List[Automorphism]):
+        for d in pools[len(descs)]:
+            if d in descs:
+                continue
+            x = ctx.automorphism(d)
+            if not all(commutes(c, x) for c in autos):
+                continue
+            chosen, gens = descs + [d], autos + [x]
+            dim = joint_fixed_dim(gens)
+            if len(chosen) == len(pools):
+                yield chosen, gens, dim
+            elif dim >= floor:
+                yield from extend(chosen, gens)
+
+    yield from extend([], [])
 
 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:
@@ -212,99 +237,40 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     is recorded in the provenance.  Each fixed subalgebra's dimension must
     also equal the pair's character dimension.
     """
-    census = ctx.census
-    a_list = _census_descriptors(census, "outer", "sigma3")
-    b_list = _census_descriptors(census, "inner", "sigma2")
     checked = 0
-    first: Optional[Configuration] = None
-    for da in a_list:
-        a = ctx.automorphism(da)
-        for db in b_list:
-            b = ctx.automorphism(db)
-            if not commutes(a, b):
-                continue
-            make_klein(a, b)
-            s = _gated_fixed(ctx.table, [a, b], joint_fixed_dim([a, b]))
-            checked += 1
-            if s.dim != 36 or str(identify_type(s)) != "B4":
-                raise SearchExhausted(
-                    f"pair ({da}, {db}) has fixed type {identify_type(s)} "
-                    f"dim {s.dim}; the unique-class claim is falsified"
-                )
-            if first is None:
-                ab = compose(a, b)
-                first = Configuration(
-                    a=da,
-                    b=db,
-                    theta=None,
-                    labels={
-                        "a": "sigma3",
-                        "b": "sigma2",
-                        "ab": classify_involution(ctx.table, ab),
-                    },
-                    provenance={"search": "so9-klein", "pairs_gated": 0},
-                )
+    first: Optional[Tuple[str, str, str]] = None
+    for (da, db), (a, b), dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0):
+        make_klein(a, b)
+        s = _gated_fixed(ctx.table, [a, b], dim)
+        checked += 1
+        ty = identify_type(s)
+        if s.dim != 36 or str(ty) != "B4":
+            raise SearchExhausted(
+                f"pair ({da}, {db}) has fixed type {ty} "
+                f"dim {s.dim}; the unique-class claim is falsified"
+            )
+        if first is None:
+            first = (da, db, classify_involution(ctx.table, compose(a, b)))
     if first is None:
         raise SearchExhausted("no commuting (sigma3, sigma2) pair found")
+    da, db, ab = first
     return Configuration(
-        first.a,
-        first.b,
+        da,
+        db,
         None,
-        first.labels,
+        {"a": "sigma3", "b": "sigma2", "ab": ab},
         {"search": "so9-klein", "pairs_gated": checked},
     )
 
 
 def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
-    """Rank-3 configuration (a, b, theta): a sigma3, b/theta/b*theta sigma2.
+    """Rank-3 configuration (a, b, theta): a sigma3, b and theta sigma2.
 
-    Gates: <a,b> is of so(9) type (fixed B4, dim 36) and the joint fixed
-    algebra of all three has dimension 28 and type D4.  Both dimensions are
-    checked by the character formula first, so only tuples of the right
-    dimension are eliminated and identified.
+    The first such tuple whose joint fixed algebra is D4 (dimension 28).
+    That <a,b> is of so(9) type and b*theta is sigma2-class are certified by
+    the so81 and so82 scenarios.
     """
-    census = ctx.census
-    label_of = {r.descriptor: r.label for r in census.rows}
-    a_list = _census_descriptors(census, "outer", "sigma3")
-    b_list = _census_descriptors(census, "inner", "sigma2")
-    for da in a_list:
-        a = ctx.automorphism(da)
-        for db in b_list:
-            b = ctx.automorphism(db)
-            if not commutes(a, b) or joint_fixed_dim([a, b]) != 36:
-                continue
-            if str(identify_type(_gated_fixed(ctx.table, [a, b], 36))) != "B4":
-                continue
-            for dt in b_list:
-                if dt == db:
-                    continue
-                theta = ctx.automorphism(dt)
-                if not commutes(a, theta):
-                    continue
-                # product of two torus involutions is the torus involution of
-                # the mod-2 sum; its label is already in the census
-                bt_bits = tuple(
-                    (x + y) % 2 for x, y in zip(_torus_bits(db), _torus_bits(dt))
-                )
-                if not any(bt_bits):
-                    continue
-                bt_desc = "torus:" + ",".join(map(str, bt_bits))
-                if label_of.get(bt_desc) != "sigma2":
-                    continue
-                # b and theta commute: torus involutions are diagonal
-                if joint_fixed_dim([a, b, theta]) != 28:
-                    continue
-                if str(identify_type(_gated_fixed(ctx.table, [a, b, theta], 28))) != "D4":
-                    continue
-                return Configuration(
-                    a=da,
-                    b=db,
-                    theta=dt,
-                    labels={"a": "sigma3", "b": "sigma2", "theta": "sigma2",
-                            "b*theta": "sigma2"},
-                    provenance={"search": "rank3"},
-                )
-    raise SearchExhausted("no (sigma3, sigma2, sigma2) configuration found")
+    return search_configuration(ctx, ["sigma3", "sigma2", "sigma2"], "D4")
 
 
 def search_configuration(
@@ -322,48 +288,25 @@ def search_configuration(
     The target dimension is ``target_dim``, or else ``type_dim(target_type)``
     (a malformed label raises ValueError).  A commuting tuple is eliminated
     and identified only when its character dimension (joint_fixed_dim) equals
-    the target dimension, and a partial tuple whose character dimension is
-    already below it is pruned.  Neither changes the result: fixed spaces
-    only shrink as generators are added, and a subalgebra of another
-    dimension can never identify as the target type.
+    the target dimension, and partial tuples below it are pruned.  Neither
+    changes the result: a subalgebra of another dimension can never identify
+    as the target type.
     """
     check_class_labels(class_labels)
     want = type_dim(target_type) if target_dim is None else target_dim
-    census = ctx.census
-    kind_of = {"sigma1": "inner", "sigma2": "inner", "sigma3": "outer", "sigma4": "outer"}
-    pools = [
-        _census_descriptors(census, kind_of[lab], lab) for lab in class_labels
-    ]
-
-    def recurse(chosen: List[str], depth: int):
-        for d in pools[depth]:
-            if d in chosen:
-                continue
-            autos = [ctx.automorphism(c) for c in chosen + [d]]
-            if any(not commutes(c, autos[-1]) for c in autos[:-1]):
-                continue
-            dim = joint_fixed_dim(autos)
-            if depth + 1 < len(pools):
-                got = recurse(chosen + [d], depth + 1) if dim >= want else None
-                if got:
-                    return got
-            elif dim == want:
-                if str(identify_type(_gated_fixed(ctx.table, autos, dim))) == target_type:
-                    return chosen + [d]
-        return None
-
-    found = recurse([], 0)
-    if not found:
+    for found, autos, dim in _commuting_tuples(ctx, class_labels, want):
+        if dim == want and str(identify_type(_gated_fixed(ctx.table, autos, dim))) == target_type:
+            break
+    else:
         raise SearchExhausted(
             f"no configuration with classes {list(class_labels)} and fixed type "
             f"{target_type}{'' if target_dim is None else f' dim {target_dim}'}"
         )
-    labels = {name: lab for name, lab in zip("ab" if len(found) == 2 else ("a", "b", "theta"), class_labels)}
     return Configuration(
         a=found[0],
         b=found[1],
         theta=found[2] if len(found) == 3 else None,
-        labels=labels,
+        labels=dict(zip(("a", "b", "theta"), class_labels)),
         provenance={"search": "generic", "classes": ",".join(class_labels),
                     "target": target_type},
     )
@@ -448,56 +391,37 @@ class VerifyContext:
 
     def __init__(self, catalog: Optional[Catalog] = None, algebra: str = "E6"):
         self.algebra = algebra
-        self._catalog = catalog
-        self._rs = None
-        self._table = None
-        self._cb = None
-        self._census: Optional[Census] = None
+        if catalog is not None:
+            self.catalog = catalog
         self._autos: Dict[str, Automorphism] = {}
-        self._so9_klein: Optional[Configuration] = None
-        self._rank3: Optional[Configuration] = None
 
-    @property
+    @cached_property
     def rs(self):
-        if self._rs is None:
-            self._rs = build_root_system(cartan_matrix(self.algebra))
-        return self._rs
+        return build_root_system(cartan_matrix(self.algebra))
 
-    @property
+    @cached_property
     def table(self):
-        if self._table is None:
-            self._table = chevalley_table(self.rs)
-        return self._table
+        return chevalley_table(self.rs)
 
-    @property
+    @cached_property
     def cb(self):
-        if self._cb is None:
-            self._cb = compact_form(self.table)
-        return self._cb
+        return compact_form(self.table)
 
-    @property
+    @cached_property
     def catalog(self) -> Catalog:
-        if self._catalog is None:
-            self._catalog = load_catalog()
-        return self._catalog
+        return load_catalog()
 
-    @property
+    @cached_property
     def census(self) -> Census:
-        if self._census is None:
-            self._census = involution_census(self)
-        return self._census
+        return involution_census(self)
 
-    @property
+    @cached_property
     def so9_klein(self) -> Configuration:
-        if self._so9_klein is None:
-            self._so9_klein = find_so9_klein(self)
-        return self._so9_klein
+        return find_so9_klein(self)
 
-    @property
+    @cached_property
     def rank3(self) -> Configuration:
-        if self._rank3 is None:
-            self._rank3 = find_rank3_configuration(self)
-        return self._rank3
+        return find_rank3_configuration(self)
 
     def automorphism(self, descriptor: str) -> Automorphism:
         got = self._autos.get(descriptor)

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import kleinfour
 from kleinfour.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -108,6 +110,7 @@ def test_usage_error_is_exit_2():
       "--auto", "torus:0,1,0,0,0,0", "--auto", "torus:0,0,1,0,0,0"], "at most two --auto"),
     (["search", "--classes", "sigma3,sigma2", "--target", "foo"], "malformed type label 'foo'"),
     (["search", "--classes", "sigma3,sigma2", "--target", "B4:30"], "B4 has dimension 36, not 30"),
+    (["roots", "--type", "A2", "--bless"], "--bless needs --golden-dir"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()
@@ -131,11 +134,15 @@ def test_search_command():
 
 
 def test_entry_point_subprocess():
+    # the child imports the package this test imports, installed or not
+    src = str(Path(kleinfour.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "kleinfour.cli", "roots", "--type", "A1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "2 roots" in proc.stdout

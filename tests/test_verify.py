@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
 import pytest
 
@@ -96,28 +96,6 @@ def test_census_type_labels_parse_to_their_dimension(census):
 
 # -- character formula -------------------------------------------------------------
 
-def _commuting_tuples(ctx, labels, limit):
-    """The first `limit` pairwise commuting tuples of distinct census rows
-    with the given class labels, in census order."""
-    out = []
-
-    def extend(chosen):
-        if len(out) == limit:
-            return
-        if len(chosen) == len(labels):
-            out.append(chosen)
-            return
-        for row in ctx.census.rows:
-            if row.label != labels[len(chosen)] or row.descriptor in chosen:
-                continue
-            a = ctx.automorphism(row.descriptor)
-            if all(commutes(ctx.automorphism(c), a) for c in chosen):
-                extend(chosen + [row.descriptor])
-
-    extend([])
-    return out
-
-
 CLASS_TUPLES = [list(p) for p in combinations_with_replacement(sorted(CLASS_INVARIANTS), 2)] + [
     ["sigma1", "sigma1", "sigma1"],
     ["sigma3", "sigma2", "sigma1"],
@@ -128,11 +106,16 @@ CLASS_TUPLES = [list(p) for p in combinations_with_replacement(sorted(CLASS_INVA
 
 @pytest.mark.parametrize("labels", CLASS_TUPLES, ids=",".join)
 def test_character_dim_matches_fixed_subalgebra(ctx, labels):
-    tuples = _commuting_tuples(ctx, labels, 3)
+    """The search enumerator's first tuples: distinct, pairwise commuting, of
+    the requested classes, and carrying their true joint fixed dimension."""
+    label_of = {r.descriptor: r.label for r in ctx.census.rows}
+    tuples = list(islice(verify._commuting_tuples(ctx, labels, 0), 3))
     assert tuples, labels
-    for descs in tuples:
-        autos = [ctx.automorphism(d) for d in descs]
-        assert joint_fixed_dim(autos) == fixed_subalgebra(ctx.table, autos).dim, descs
+    for descs, autos, dim in tuples:
+        assert [label_of[d] for d in descs] == labels
+        assert len(set(descs)) == len(descs)
+        assert all(commutes(x, y) for x, y in combinations(autos, 2))
+        assert dim == joint_fixed_dim(autos) == fixed_subalgebra(ctx.table, autos).dim, descs
 
 
 def test_so9_klein_character_mismatch_raises(ctx, monkeypatch):
@@ -198,7 +181,8 @@ def _exhausted(classes, target):
 
 # first-found (a, b, theta) or exhaustion message: the benchmark's five search
 # calls, then a hit whose theta is the product a*b, so the partial pair already
-# has the target dimension (the edge of partial-tuple pruning)
+# has the target dimension (the edge of partial-tuple pruning), then the rank-3
+# and so(9) configurations as generic searches
 SEARCH_PINS = [
     (["sigma2", "sigma2"], "D4+2u(1)", ("torus:0,0,0,1,0,1", "torus:0,1,1,0,0,0", None)),
     (["sigma3", "sigma1"], "C3+A1", ("omega*torus:0,0,0,0,0,0", "torus:0,0,0,1,0,0", None)),
@@ -207,6 +191,9 @@ SEARCH_PINS = [
     (["sigma3", "sigma2", "sigma1"], "B3", _exhausted(["sigma3", "sigma2", "sigma1"], "B3")),
     (["sigma2", "sigma2", "sigma2"], "D4+2u(1)",
      ("torus:0,0,0,1,0,1", "torus:0,1,1,0,0,0", "torus:0,1,1,1,0,1")),
+    (["sigma3", "sigma2", "sigma2"], "D4",
+     ("omega*torus:0,0,0,0,0,0", "torus:0,0,1,0,1,0", "torus:1,0,0,0,0,1")),
+    (["sigma3", "sigma2"], "B4", ("omega*torus:0,0,0,0,0,0", "torus:0,0,1,0,1,0", None)),
 ]
 
 
@@ -231,6 +218,13 @@ def test_so9_klein_pinned(ctx):
         {"a": "sigma3", "b": "sigma2", "ab": "sigma3"},
         12,
     )
+
+
+def test_context_uses_the_catalog_it_is_given():
+    from kleinfour.realform import load_catalog
+
+    given = load_catalog()
+    assert verify.VerifyContext(catalog=given).catalog is given
 
 
 def test_context_builds_omega_once_for_twists(monkeypatch):
