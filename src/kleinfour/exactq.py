@@ -5,11 +5,16 @@ extraction, Killing-form signatures) runs on the primitives in this module.
 There is no floating point anywhere: entries are Python ints or
 ``fractions.Fraction`` values, and every elimination is exact.
 
-Row-echelon paths (``rref``, ``kernel``, ``rank``) clear denominators row by
-row and run a fraction-free Bareiss elimination on integers, so intermediate
-entries stay bounded by minors of the input.  Inertia uses a pivoted symmetric
-congruence decomposition and reads the signs of the pivots; eigenvalues are
-never approximated.
+Every row echelon form comes from one sparse eliminator, ``_echelon``, over
+primitive integer rows ({column: int}, content 1).  Each input row is scaled
+to integers once; elimination cross-multiplies rows in the fraction-free
+manner of Bareiss (Math. Comp. 1968) and divides each result by its content
+gcd, so entries stay small integers and no Fraction is built until the
+output, where each row is divided by its pivot once.  ``rref``, ``kernel``
+and ``rank`` are dense wrappers over it; ``joint_eigenspace`` and
+``span_kernel`` feed it sparse rows directly.  Inertia uses a pivoted
+symmetric congruence decomposition and reads the signs of the pivots;
+eigenvalues are never approximated.
 
 Sparse vectors are dicts {coordinate: value} with no zero values.  The shared
 primitives over them are ``axpy``/``lincomb`` (accumulation that drops
@@ -22,8 +27,8 @@ The sparse bracket table built on them is ``rootsys.BracketTable``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 def as_num(x):
     """Normalize a scalar: Fractions with denominator 1 collapse to int."""
@@ -108,56 +113,116 @@ def _dot(a, b):
     return s
 
 
-def _row_to_int(row: Sequence) -> List[int]:
-    """Scale a rational row to a primitive integer row (positive scale)."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = x.denominator
-            den = den // gcd(den, d) * d
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _primitive(pairs) -> dict:
+    """Primitive integer row proportional to the exact scalars in pairs.
 
-
-def _bareiss_echelon(mat: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free row echelon form of an integer matrix.
-
-    Deterministic pivoting: first row with a nonzero entry, columns in order.
-    Returns (echelon rows, pivot column indices); divisions are exact.
+    pairs are (column, value); values must be ints or Fractions, anything else
+    raises TypeError.  The row is scaled by the lcm of the denominators and
+    divided by the gcd of its entries, so it has content 1; zeros are dropped.
     """
-    rows = [r[:] for r in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv_cols: List[int] = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    row = {}
+    den = 1
+    frac = False
+    for j, x in pairs:
+        if type(x) is int:
+            if x:
+                row[j] = x
+        elif isinstance(x, (int, Fraction)):
+            if x:
+                row[j] = x
+                frac = True
+                den = lcm(den, x.denominator)
+        else:
+            raise TypeError(f"exact scalar expected, got {type(x).__name__}")
+    if frac:
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    return _divide_content(row)
+
+
+def _divide_content(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: x // g for j, x in row.items()}
+    return row
+
+
+def _clear(row: dict, c: int, prow: dict) -> dict:
+    """p*row - row[c]*prow with p = prow[c]: a row that is zero in column c.
+
+    Integer cross-multiplication, so nothing is divided; cancelled entries
+    are removed, and row is updated in place when p is 1.
+    """
+    f = row[c]
+    p = prow[c]
+    if p != 1:
+        row = {j: p * x for j, x in row.items()}
+    for j, x in prow.items():
+        v = row.get(j, 0) - f * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return row
+
+
+def _echelon(rows: Iterable) -> Dict[int, dict]:
+    """Sparse fraction-free Gauss-Jordan elimination.
+
+    rows are iterables of (column, exact scalar) pairs; each is first made a
+    primitive integer row.  Returns {pivot column: row}: each row is
+    primitive, its leftmost entry sits in its pivot column and is positive,
+    and every pivot column is zero in all other rows.  Dividing each row by
+    its pivot gives the RREF of the span, which is unique, so the input order
+    never changes the result.
+
+    An incoming row is cleared against the pivot rows it meets; since a pivot
+    row is zero in every other pivot column, one pass suffices.  The result
+    is divided by its content gcd and, if nonzero, becomes a new pivot row
+    whose column is then cleared from the existing rows the same way.
+    """
+    pivots: Dict[int, dict] = {}
+    for pairs in rows:
+        r = _primitive(pairs)
+        hits = [c for c in r if c in pivots]
+        if hits:
+            for c in hits:
+                r = _clear(r, c, pivots[c])
+            r = _divide_content(r)
+        if not r:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            for j in range(c, n):
-                ri[j] = (p * ri[j] - f * rr[j]) // prev
-        piv_cols.append(c)
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return rows[:r], piv_cols
+        c = min(r)
+        if r[c] < 0:
+            r = {j: -x for j, x in r.items()}
+        for k, q in pivots.items():
+            if c in q:
+                pivots[k] = _divide_content(_clear(q, c, r))
+        pivots[c] = r
+    return pivots
+
+
+def _quotient(x: int, p: int):
+    """x / p as an int when exact, else as a Fraction."""
+    return x // p if x % p == 0 else Fraction(x, p)
+
+
+def _null_basis(pivots: Dict[int, dict], cols: int) -> List[tuple]:
+    """Kernel basis of the echelon rows, one vector per free column in order.
+
+    Each vector has a 1 in its free column and the pivot coordinates solved
+    from the rows; a row is zero on every other pivot column, so each of its
+    off-pivot entries lies in a free column.
+    """
+    basis = {}
+    for free in range(cols):
+        if free not in pivots:
+            basis[free] = [0] * cols
+            basis[free][free] = 1
+    for c, row in pivots.items():
+        p = row[c]
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = _quotient(-x, p)
+    return [tuple(v) for v in basis.values()]
 
 
 def rref(vectors: Iterable[Sequence]) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
@@ -165,32 +230,26 @@ def rref(vectors: Iterable[Sequence]) -> Tuple[Tuple[tuple, ...], Tuple[int, ...
 
     Returns (rows, pivot columns).  Rows have leading entry 1 and zeros above
     and below each pivot; the result is the canonical basis of the row space,
-    identical across runs.
+    identical across runs.  Entries must be ints or Fractions (TypeError
+    otherwise).
     """
-    int_rows = []
-    for v in vectors:
-        row = _row_to_int(v)
-        if any(row):
-            int_rows.append(row)
-    if not int_rows:
+    vectors = list(vectors)
+    if not vectors:
         return (), ()
-    ech, piv = _bareiss_echelon(int_rows)
-    # normalize pivots to 1, then eliminate above
-    work = [[Fraction(x, row[c]) for x in row] for row, c in zip(ech, piv)]
-    for k in range(len(work) - 1, -1, -1):
-        c = piv[k]
-        for i in range(k):
-            f = work[i][c]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-    out = tuple(tuple(as_num(x) for x in row) for row in work)
-    return out, tuple(piv)
+    pivots = _echelon(map(enumerate, vectors))
+    piv = tuple(sorted(pivots))
+    rows = []
+    for c in piv:
+        prow, row = pivots[c], [0] * len(vectors[0])
+        for j, x in prow.items():
+            row[j] = _quotient(x, prow[c])
+        rows.append(tuple(row))
+    return tuple(rows), piv
 
 
 def rank(m: QMatrix) -> int:
     """Exact rank; rank + kernel dimension = column count."""
-    _, piv = rref(m.entries)
-    return len(piv)
+    return len(_echelon(map(enumerate, m.entries)))
 
 
 def kernel(m: QMatrix) -> List[tuple]:
@@ -200,19 +259,7 @@ def kernel(m: QMatrix) -> List[tuple]:
     coordinate and the pivot coordinates solved from the RREF, so identical
     inputs yield identical bases.
     """
-    rows, piv = rref(m.entries)
-    pivset = set(piv)
-    basis = []
-    for free in range(m.cols):
-        if free in pivset:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for row, c in zip(rows, piv):
-            if row[free]:
-                v[c] = as_num(-row[free])
-        basis.append(tuple(v))
-    return basis
+    return _null_basis(_echelon(map(enumerate, m.entries)), m.cols)
 
 
 def symmetric_inertia(m: QMatrix) -> Tuple[int, int, int]:
@@ -311,15 +358,19 @@ def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[tu
 
     Each map is given by its sparse columns (``cols[j]`` is the image of basis
     vector j), so the result spans the vectors that every map sends to eigen
-    times themselves.
+    times themselves.  The sparse rows of each A - eigen*I are read straight
+    off the columns.
     """
-    stacked: List[List] = []
+    stacked: List[dict] = []
     for cols in maps:
-        rows = dense_from_columns(dim, cols)
-        for r in range(dim):
-            rows[r][r] -= eigen
+        rows: List[dict] = [{} for _ in range(dim)]
+        for j, col in enumerate(cols):
+            for r, v in col.items():
+                rows[r][j] = v
+        for r, row in enumerate(rows):
+            row[r] = row.get(r, 0) - eigen
         stacked.extend(rows)
-    return kernel(QMatrix(stacked))
+    return _null_basis(_echelon(row.items() for row in stacked), dim)
 
 
 def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
@@ -329,10 +380,13 @@ def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
     the kernel of that map on the span of vecs.  When every image is zero the
     vectors themselves are returned and no elimination runs.
     """
-    coords = sorted(set().union(*images))
-    if not coords:
+    rows: Dict[int, dict] = {}
+    for t, im in enumerate(images):
+        for c, v in im.items():
+            rows.setdefault(c, {})[t] = v
+    if not rows:
         return [dict(v) for v in vecs]
-    combos = kernel(QMatrix([[im.get(c, 0) for im in images] for c in coords]))
+    combos = _null_basis(_echelon(row.items() for row in rows.values()), len(vecs))
     return [lincomb(combo, vecs) for combo in combos]
 
 

@@ -185,6 +185,7 @@ class RootSystem:
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.npos = len(pos)
         self._index: Dict[Coords, int] = {r.coords: i for i, r in enumerate(self.roots)}
+        self._length2: Dict[Coords, Fraction] = {}
 
     def _close_positive_roots(self) -> List[Coords]:
         rank = self.rank
@@ -229,7 +230,11 @@ class RootSystem:
         return s
 
     def length2(self, a: Coords) -> Fraction:
-        return self.inner(a, a)
+        """(a, a), computed once per coordinate vector."""
+        out = self._length2.get(a)
+        if out is None:
+            out = self._length2[a] = self.inner(a, a)
+        return out
 
     def coroot(self, coords: Coords) -> Tuple[int, ...]:
         """H_alpha as an integer combination of the simple coroots."""

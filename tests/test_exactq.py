@@ -5,12 +5,14 @@ import pytest
 
 from kleinfour.exactq import (
     QMatrix,
+    joint_eigenspace,
     kernel,
     rank,
     rref,
     sparse_from_dense,
     symmetric_inertia,
     SpanSolver,
+    span_kernel,
 )
 from oracles import hand_kernel_2x2_ones
 
@@ -131,6 +133,26 @@ def test_span_solver_membership():
 def test_matrix_no_floats_rejected():
     with pytest.raises(TypeError):
         QMatrix([[0.5]])
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 1.0]], [[0.5, 0.25]], [[0.0, 1]], [[1, 2], [3, 1.5]]])
+def test_rref_rejects_floats(rows):
+    # an integer elimination would silently truncate 0.5 to 0
+    with pytest.raises(TypeError, match="exact scalar"):
+        rref(rows)
+
+
+def test_sparse_kernel_builders_reject_floats():
+    with pytest.raises(TypeError, match="exact scalar"):
+        span_kernel([{0: 1}, {1: 1}], [{0: 0.5}, {0: 1}])
+    with pytest.raises(TypeError, match="exact scalar"):
+        joint_eigenspace(2, [[{0: 1}, {1: 1}]], 0.5)
+
+
+def test_rref_fraction_entries_normalise_to_int_when_integral():
+    rows, piv = rref([[Fraction(2, 3), Fraction(4, 3), 0], [0, 0, Fraction(-1, 2)]])
+    assert (rows, piv) == (((1, 2, 0), (0, 0, 1)), (0, 2))
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_fraction_entries_survive_exactly():

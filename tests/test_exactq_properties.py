@@ -5,17 +5,21 @@ runs are derandomized so the suite is reproducible.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kleinfour.exactq import (
     QMatrix,
+    _echelon,
     axpy,
     joint_eigenspace,
     kernel,
     lincomb,
     rank,
+    rref,
+    span_kernel,
     symmetric_inertia,
 )
 
@@ -34,6 +38,21 @@ def matrices(draw, max_rows=5, max_cols=6):
     r = draw(st.integers(1, max_rows))
     c = draw(st.integers(1, max_cols))
     return [[draw(scalars) for _ in range(c)] for _ in range(r)]
+
+
+@st.composite
+def row_lists(draw):
+    """Up to 9 rows of up to 6 columns (so often more rows than columns),
+    with an inserted zero row and a scaled copy of an existing row."""
+    rows = draw(matrices(max_rows=7))
+    cols = len(rows[0])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * cols)
+    if draw(st.booleans()):
+        src = draw(st.sampled_from(rows))
+        k = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+        rows.insert(draw(st.integers(0, len(rows))), [k * x for x in src])
+    return rows
 
 
 @st.composite
@@ -65,6 +84,45 @@ def test_kernel_and_rank_match_sympy(rows):
     assert rank(m) == s.rank()
     # both bases put a 1 on each free column and solve the pivots from the RREF
     assert kernel(m) == [_frac(v) for v in s.nullspace()]
+
+
+@PROPS
+@given(row_lists())
+@example([[0, 0, 0], [Fraction(-1, 2), 1, 0], [Fraction(-1, 2), 1, 0], [3, 0, 1], [1, 1, 1]])
+@example([[0, Fraction(-2, 3), 1], [0, 0, 0], [0, 2, -3]])
+def test_rref_matches_sympy(rows):
+    out, piv = rref(rows)
+    s, s_piv = _sym(rows).rref()
+    assert piv == s_piv
+    assert out == tuple(_frac(s.row(i)) for i in range(len(piv)))
+    # integral entries come back as int, never as Fraction(n, 1)
+    assert all(type(x) is int or x.denominator != 1 for row in out for x in row)
+
+
+@PROPS
+@given(row_lists())
+def test_echelon_rows_are_primitive_and_reduced(rows):
+    pivots = _echelon(map(enumerate, rows))
+    for c, row in pivots.items():
+        assert min(row) == c and row[c] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(other in row for other in pivots if other != c)
+
+
+@PROPS
+@given(matrices(max_rows=6, max_cols=5), st.integers(1, 4))
+def test_span_kernel_spans_sympy_nullspace(rows, ambient):
+    # column t of rows is the image of vecs[t]; vecs are dense in the ambient space
+    cols = len(rows[0])
+    images = [{c: row[t] for c, row in enumerate(rows) if row[t]} for t in range(cols)]
+    vecs = [{j: (t + 1) * (j + 2) % 5 - 2 for j in range(ambient)} for t in range(cols)]
+    vecs = [{j: x for j, x in v.items() if x} for v in vecs]
+    expected = []
+    for combo in _sym(rows).nullspace():
+        combo = _frac(combo)
+        dense = [sum(c * v.get(j, 0) for c, v in zip(combo, vecs)) for j in range(ambient)]
+        expected.append({j: x for j, x in enumerate(dense) if x})
+    assert span_kernel(vecs, images) == expected
 
 
 @st.composite

@@ -62,6 +62,16 @@ def test_fixed_subalgebra_closure_is_verified(e6):
         subalgebra_from_vectors(e6, [x_a, x_b])
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.0, 0.0])
+def test_subalgebra_from_float_vectors_rejected(e6, scale):
+    # a float scalar would be truncated or dropped by an integer elimination
+    row = [0] * 78
+    row[0] = 1
+    row[1] = scale
+    with pytest.raises(TypeError, match="exact scalar"):
+        subalgebra_from_vectors(e6, [row])
+
+
 # -- center -----------------------------------------------------------------------
 
 def test_center_of_simple_algebra_is_zero(e6):

@@ -118,7 +118,9 @@ def test_character_dim_matches_fixed_subalgebra(ctx, labels):
         assert dim == joint_fixed_dim(autos) == fixed_subalgebra(ctx.table, autos).dim, descs
 
 
-def test_so9_klein_character_mismatch_raises(ctx, monkeypatch):
+def test_so9_klein_character_mismatch_raises(ctx, census, monkeypatch):
+    # the census fixture builds the shared census before the patch, so its
+    # cached trace-identity rows never see the fake dimension
     monkeypatch.setattr(verify, "joint_fixed_dim", lambda gens: 35)
     with pytest.raises(CertificationError, match="character formula gives 35"):
         find_so9_klein(ctx)
