@@ -7,21 +7,25 @@ root system, recovers Cartan integers from actual coroot brackets
 2*mu([e,f])/nu([e,f]), and matches components against the finite-type catalog
 by exhaustive permutation (fine at rank <= 8).
 
-The positivity functional uses coordinates (1, M, M^2, ...) on weights scaled
-to a common integer grid with all entries below M in absolute value; base-M
-digit uniqueness then guarantees it never vanishes on a nonzero weight.
+Weights are integer tuples: each toral basis row is scaled to a primitive
+integer row, a positive rescaling of each weight coordinate that changes
+neither negation stability, decomposability, lattice rank nor signs, and a
+root's weight is then one integer dot product per row against the root
+system's pairing table.  The positivity functional gives the weight
+coordinates the values (1, M, M^2, ...) with every entry below M in absolute
+value; base-M digit uniqueness then guarantees it never vanishes on a nonzero
+weight, and its sign is that of the last nonzero coordinate.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import QMatrix, SpanSolver, joint_eigenspace, rank as mat_rank, rref, span_kernel
+from .exactq import SpanSolver, _echelon, _primitive, joint_eigenspace, rref, span_kernel
 from .autos import Automorphism
 from .rootsys import StructureTable, validate_cartan
 
@@ -266,6 +270,12 @@ def _centralizer_dim_of_toral(s: Subalgebra, toral: List[dict]) -> int:
     return len(span_kernel(s.rows, images))
 
 
+def _int_row(h: dict, n: int) -> List[int]:
+    """Dense primitive integer row proportional to a sparse Cartan vector."""
+    p = _primitive(h.items())
+    return [p.get(i, 0) for i in range(n)]
+
+
 def identify_type(s: Subalgebra) -> ReductiveType:
     """Reductive isomorphism type (simple summands + center dimension).
 
@@ -287,21 +297,16 @@ def identify_type(s: Subalgebra) -> ReductiveType:
             "a regular-element extension would be needed"
         )
 
-    # weights: restrictions of ambient roots to the toral part
-    def evaluate(coords: Coords, h: dict) -> Fraction:
-        return sum(
-            (Fraction(v) * rs.pairing(coords, i) for i, v in h.items()),
-            Fraction(0),
-        )
-
-    classes: Dict[tuple, List[int]] = {}
-    for ridx, root in enumerate(rs.roots):
-        mu = tuple(evaluate(root.coords, h) for h in toral)
+    # weights: restrictions of ambient roots to the integer toral rows
+    rows = [_int_row(h, rank_amb) for h in toral]
+    classes: Dict[Coords, List[int]] = {}
+    for ridx, p in enumerate(rs.pairings):
+        mu = tuple(sum(map(mul, h, p)) for h in rows)
         if any(mu):
             classes.setdefault(mu, []).append(ridx)
 
-    weight_vecs: Dict[tuple, dict] = {}
-    weight_rep: Dict[tuple, Coords] = {}
+    weight_vecs: Dict[Coords, dict] = {}
+    weight_rep: Dict[Coords, int] = {}
     total = t_dim
     for mu, ridxs in sorted(classes.items()):
         coordset = frozenset(rank_amb + r for r in ridxs)
@@ -310,7 +315,7 @@ def identify_type(s: Subalgebra) -> ReductiveType:
             raise IdentifyError(f"weight multiplicity {len(part)} > 1 at {mu}")
         if part:
             weight_vecs[mu] = part[0]
-            weight_rep[mu] = rs.roots[ridxs[0]].coords
+            weight_rep[mu] = ridxs[0]
             total += 1
     if total != s.dim:
         raise IdentifyError(
@@ -325,51 +330,40 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     if not weights:
         return ReductiveType.make([], t_dim)
 
-    # integer grid + provably generic positivity functional
-    den = 1
-    for mu in weights:
-        for x in mu:
-            d = Fraction(x).denominator
-            den = den // gcd(den, d) * d
-    grid = {mu: tuple(int(x * den) for x in mu) for mu in weights}
-    M = 1 + max(abs(e) for g in grid.values() for e in g)
-    fval = {mu: sum(e * M**i for i, e in enumerate(grid[mu])) for mu in weights}
+    # provably generic positivity functional; simple = positive, not a sum of two
+    M = 1 + max(abs(e) for mu in weights for e in mu)
+    fval = {mu: sum(e * M**i for i, e in enumerate(mu)) for mu in weights}
     if any(v == 0 for v in fval.values()):
         raise IdentifyError("positivity functional vanished on a weight")
     positive = [mu for mu in weights if fval[mu] > 0]
-    posset = set(positive)
+    sums = {tuple(map(add, a, b)) for i, a in enumerate(positive) for b in positive[i:]}
+    simple = [mu for mu in positive if mu not in sums]
 
-    def decomposable(mu):
-        for nu in positive:
-            if nu != mu:
-                diff = tuple(a - b for a, b in zip(mu, nu))
-                if diff in posset:
-                    return True
-        return False
-
-    simple = sorted((mu for mu in positive if not decomposable(mu)), key=lambda m: grid[m])
-
-    # Cartan integers from coroot brackets
-    coroot_elts: List[dict] = []
+    # Cartan integers 2 mu(h)/nu(h) from coroot brackets h = [e_nu, f_nu],
+    # each as an integer row (the ratio ignores the scale)
+    coroot_elts: List[List[int]] = []
     for mu in simple:
         e = weight_vecs[mu]
         f = weight_vecs[tuple(-x for x in mu)]
         h = table.bracket(e, f)
         if not h or any(j >= rank_amb for j in h):
             raise IdentifyError(f"coroot bracket escapes the Cartan at weight {mu}")
-        coroot_elts.append(h)
+        coroot_elts.append(_int_row(h, rank_amb))
+
+    def evaluate(ridx: int, h: List[int]) -> int:
+        return sum(map(mul, h, rs.pairings[ridx]))
+
     C: List[List[int]] = []
-    for a, mu in enumerate(simple):
+    for mu in simple:
         row = []
-        for b, nu in enumerate(simple):
-            h = coroot_elts[b]
+        for nu, h in zip(simple, coroot_elts):
             denom = evaluate(weight_rep[nu], h)
             if denom == 0:
                 raise IdentifyError(f"degenerate coroot at weight {nu}")
-            val = 2 * evaluate(weight_rep[mu], h) / denom
-            if val.denominator != 1:
+            val, rem = divmod(2 * evaluate(weight_rep[mu], h), denom)
+            if rem:
                 raise IdentifyError(f"non-integral Cartan pairing at ({mu}, {nu})")
-            row.append(int(val))
+            row.append(val)
         C.append(row)
 
     # split into connected components and match each
@@ -396,7 +390,7 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         summands.append(match_cartan(sub))
 
     # accounting invariants
-    if mat_rank(QMatrix([list(grid[mu]) for mu in weights])) != n:
+    if len(_echelon(map(enumerate, weights))) != n:
         raise IdentifyError("weight lattice rank disagrees with the simple system")
     center_dim = t_dim - n
     out = ReductiveType.make(summands, center_dim)

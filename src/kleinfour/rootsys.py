@@ -170,7 +170,8 @@ class RootSystem:
     """The closed root set of a finite-type Cartan matrix.
 
     ``roots`` lists positives in (height, lex) order, then their negatives in
-    the mirrored order; ``pairing`` gives alpha(H_beta) for the simple coroots.
+    the mirrored order; ``pairing`` gives alpha(H_beta) for the simple coroots,
+    and ``pairings[k][i]`` holds pairing(roots[k].coords, i) for every root.
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]]):
@@ -185,6 +186,9 @@ class RootSystem:
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.npos = len(pos)
         self._index: Dict[Coords, int] = {r.coords: i for i, r in enumerate(self.roots)}
+        self.pairings: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(self.pairing(r.coords, i) for i in range(self.rank)) for r in self.roots
+        )
         self._length2: Dict[Coords, Fraction] = {}
 
     def _close_positive_roots(self) -> List[Coords]:
@@ -435,7 +439,7 @@ class StructureTable(BracketTable):
         for k, r in enumerate(rs.roots):
             xk = rank + k
             for i in range(rank):
-                self._set(i, xk, ((xk, rs.pairing(r.coords, i)),))
+                self._set(i, xk, ((xk, rs.pairings[k][i]),))
         # [x_a, x_b]
         for k1, r1 in enumerate(rs.roots):
             for k2, r2 in enumerate(rs.roots):

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kleinfour.autos import (
     CertificationError,
@@ -243,6 +245,34 @@ def test_certification_rejects_sign_corruption(e6):
     cols[6] = {k: -v for k, v in cols[6].items()}
     with pytest.raises(CertificationError):
         make_automorphism(e6, cols, "corrupted")
+
+
+@pytest.fixture(scope="module")
+def certified(ctx):
+    return {
+        "torus": ctx.automorphism("torus:0,1,0,0,0,0"),
+        "omega-twist": ctx.automorphism("omega*torus:0,0,1,0,1,0"),
+        "weyl-lift": weyl_lift(ctx.table, 2),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["torus", "omega-twist", "weyl-lift"]),
+    col=st.integers(0, 77),
+    shift=st.one_of(st.just(0), st.integers(1, 77)),
+    delta=st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3)]),
+)
+def test_certification_rejects_single_entry_corruption(certified, kind, col, shift, delta):
+    # g + d e_row e_col^T = g(1 + u e_col^T) with u != 0; were it an
+    # automorphism, 1 + u e_col^T would fix a codimension-1 subalgebra, which
+    # E6 does not have.  shift 0 changes the diagonal entry.
+    good = certified[kind]
+    cols = [dict(c) for c in good.cols]
+    row = (col + shift) % len(cols)
+    cols[col][row] = cols[col].get(row, 0) + delta
+    with pytest.raises(CertificationError):
+        make_automorphism(good.table, cols, "corrupted")
 
 
 def test_certification_rejects_non_invertible(e6):

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import lru_cache
 
 import pytest
 
@@ -139,6 +140,17 @@ def test_torus_classes_match_subsystem_oracle(e6):
         assert ty.center_dim == center, bits
 
 
+def test_census_inner_types_match_subsystem_oracle(census):
+    """Every inner census row agrees with the 8-coordinate classification."""
+    inner = [row for row in census.rows if row.kind == "inner"]
+    assert len(inner) == 63
+    for row in inner:
+        bits = tuple(int(b) for b in row.descriptor[len("torus:"):].split(","))
+        labels, center = classify_even_subsystem(bits)
+        expected = ReductiveType.make([(l[0], int(l[1:])) for l in labels], center)
+        assert row.fixed_type == str(expected), row.descriptor
+
+
 def test_weight_root_counts_match_root_systems(e6):
     # nonzero weight count of each summand equals the root count of its type
     for bits in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)):
@@ -179,6 +191,57 @@ def test_identify_fails_loudly_without_maximal_toral_part(e6):
     s = subalgebra_from_vectors(e6, [row])
     with pytest.raises(IdentifyError, match="maximal toral"):
         identify_type(s)
+
+
+def test_identify_rejects_borel_as_not_negation_stable(e6):
+    # Cartan plus the 36 positive root vectors: maximal toral, multiplicity
+    # one and full accounting, but no weight has its negative
+    rows = [[1 if j == i else 0 for j in range(e6.dim)] for i in range(6 + 36)]
+    s = subalgebra_from_vectors(e6, rows)
+    assert s.dim == 42
+    with pytest.raises(IdentifyError, match="negation-stable") as err:
+        identify_type(s)
+    assert re.fullmatch(r"weight set is not negation-stable at \(-?\d+(, -?\d+)*\)", str(err.value))
+
+
+# -- type sweep over the catalog ---------------------------------------------------
+
+SWEEP = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "C2", "C3", "C4",
+         "D3", "D4", "D5", "D6", "E6", "E7", "F4", "G2")
+WHOLE_ALIAS = {"D3": "A3", "C2": "B2"}  # the labels match_cartan reports
+OMEGA_FIXED = {"A2": "A1", "A3": "B2", "A4": "B2", "A5": "C3", "A6": "B3", "A7": "C4",
+               "D3": "B2", "D5": "B4", "D6": "B5", "E6": "F4"}
+
+
+@lru_cache(maxsize=None)
+def sweep_table(label):
+    return chevalley_table(build_root_system(cartan_matrix(label)))
+
+
+@pytest.mark.parametrize("label", SWEEP)
+def test_whole_algebra_identifies_as_itself(label):
+    t = sweep_table(label)
+    ty = identify_type(fixed_subalgebra(t, []))
+    assert str(ty) == WHOLE_ALIAS.get(label, label)
+    assert ty.dim() == t.dim
+
+
+@pytest.mark.parametrize("label", SWEEP)
+def test_omega_fixed_type(label):
+    t = sweep_table(label)
+    if label in OMEGA_FIXED:
+        assert str(identify_type(fixed_subalgebra(t, [omega_automorphism(t)]))) == OMEGA_FIXED[label]
+    else:
+        with pytest.raises(ValueError, match="exactly one nontrivial diagram involution"):
+            omega_automorphism(t)
+
+
+@pytest.mark.parametrize("label", SWEEP)
+def test_pairing_table_matches_pairing(label):
+    rs = sweep_table(label).rs
+    assert len(rs.pairings) == len(rs.roots)
+    for r, row in zip(rs.roots, rs.pairings):
+        assert row == tuple(rs.pairing(r.coords, i) for i in range(rs.rank))
 
 
 # -- match_cartan ---------------------------------------------------------------------

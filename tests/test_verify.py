@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations, combinations_with_replacement, islice
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +287,15 @@ def test_all_scenarios_pass(ctx):
     assert [r.scenario for r in reports] == ["census", "so82", "so81", "holomorphic"]
     for r in reports:
         assert r.passed, r.render_text()
+
+
+def test_verify_all_matches_golden(ctx):
+    """`kleinfour verify all` output, text and JSON, byte for byte."""
+    golden = Path(__file__).resolve().parent.parent / "golden"
+    reports = run_all(ctx)
+    text = "".join(r.render_text() + "\n" for r in reports)
+    assert text == (golden / "verify_all.txt").read_text(encoding="utf-8")
+    assert reports_to_json(reports) + "\n" == (golden / "verify_all.json").read_text(encoding="utf-8")
 
 
 def test_reports_json_schema(ctx):
