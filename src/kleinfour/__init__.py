@@ -1,7 +1,7 @@
 """Exact-arithmetic Lie theory: E6, its involutions, Klein four subgroups,
 fixed-point subalgebras and real forms, with mechanical verification."""
 
-from .exactq import QMatrix, kernel, rank, symmetric_inertia
+from .exactq import kernel, rank, symmetric_inertia
 from .rootsys import (
     CartanMatrixError,
     RootSystem,

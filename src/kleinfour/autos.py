@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .exactq import QMatrix, as_num, axpy, dense_from_columns, lincomb
+from .exactq import as_num, axpy, lincomb
 from .rootsys import StructureTable
 
 Cols = Tuple[Dict[int, object], ...]
@@ -32,22 +32,16 @@ class Automorphism:
     by make_automorphism only and are immutable afterwards.
     """
 
-    __slots__ = ("table", "cols", "order", "descriptor", "_matrix")
+    __slots__ = ("table", "cols", "order", "descriptor")
 
     def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str):
         self.table = table
         self.cols = cols
         self.order = order
         self.descriptor = descriptor
-        self._matrix: Optional[QMatrix] = None
 
     def apply(self, vec: dict) -> dict:
         return lincomb(vec.values(), (self.cols[j] for j in vec))
-
-    def matrix(self) -> QMatrix:
-        if self._matrix is None:
-            self._matrix = QMatrix(dense_from_columns(self.table.dim, self.cols))
-        return self._matrix
 
     def trace(self):
         return as_num(sum(col.get(j, 0) for j, col in enumerate(self.cols)))

@@ -1,27 +1,33 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra over sparse rows.
 
 Everything downstream (root systems, automorphism certificates, fixed-space
 extraction, Killing-form signatures) runs on the primitives in this module.
 There is no floating point anywhere: entries are Python ints or
-``fractions.Fraction`` values, and every elimination is exact.
+``fractions.Fraction`` values, every elimination is exact, and every entry
+point rejects any other scalar with TypeError.
+
+There is one matrix representation: a sequence of sparse rows, dicts
+{column: value}.  Sparse vectors are the same dicts, with no zero values.
+Outputs list their keys in ascending column order, so iteration order is
+reproducible.
 
 Every row echelon form comes from one sparse eliminator, ``_echelon``, over
 primitive integer rows ({column: int}, content 1).  Each input row is scaled
 to integers once; elimination cross-multiplies rows in the fraction-free
 manner of Bareiss (Math. Comp. 1968) and divides each result by its content
 gcd, so entries stay small integers and no Fraction is built until the
-output, where each row is divided by its pivot once.  ``rref``, ``kernel``
-and ``rank`` are dense wrappers over it; ``joint_eigenspace`` and
-``span_kernel`` feed it sparse rows directly.  Inertia uses a pivoted
-symmetric congruence decomposition and reads the signs of the pivots;
+output, where each row is divided by its pivot once.  ``rref``, ``rank`` and
+``kernel`` are its public entry points; ``joint_eigenspace`` and
+``span_kernel`` build their sparse rows and call ``kernel``.  Inertia is a
+sparse symmetric congruence elimination that reads the signs of the pivots;
 eigenvalues are never approximated.
 
-Sparse vectors are dicts {coordinate: value} with no zero values.  The shared
-primitives over them are ``axpy``/``lincomb`` (accumulation that drops
-cancelled entries), ``joint_eigenspace`` (kernel of the stacked A - lambda*I
-of maps given by sparse columns), ``span_kernel`` (kernel of a linear map
-restricted to a span) and ``SpanSolver`` (reduction against an RREF basis).
-The sparse bracket table built on them is ``rootsys.BracketTable``.
+The shared primitives over sparse vectors are ``axpy``/``lincomb``
+(accumulation that drops cancelled entries), ``joint_eigenspace`` (kernel of
+the stacked A - lambda*I of maps given by sparse columns), ``span_kernel``
+(kernel of a linear map restricted to a span) and ``SpanSolver`` (reduction
+against an RREF basis).  The sparse bracket table built on them is
+``rootsys.BracketTable``.
 """
 
 from __future__ import annotations
@@ -37,80 +43,6 @@ def as_num(x):
     if isinstance(x, int):
         return x
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
-
-
-class QMatrix:
-    """Immutable dense matrix over the rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(as_num(x) for x in row) for row in entries)
-        self.entries = rows
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        if any(len(r) != self.cols for r in rows):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "QMatrix":
-        return cls([[0] * c for _ in range(r)])
-
-    def at(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.entries)) if self.rows else QMatrix([])
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        ot = tuple(zip(*other.entries))
-        return QMatrix(
-            [[_dot(r, c) for c in ot] for r in self.entries]
-        )
-
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(as_num(_dot(r, vec)) for r in self.entries)
-
-    def sub(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix difference")
-        return QMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.rows}x{self.cols})"
-
-
-def _dot(a, b):
-    s = 0
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
 
 
 def _primitive(pairs) -> dict:
@@ -205,119 +137,108 @@ def _quotient(x: int, p: int):
     return x // p if x % p == 0 else Fraction(x, p)
 
 
-def _null_basis(pivots: Dict[int, dict], cols: int) -> List[tuple]:
-    """Kernel basis of the echelon rows, one vector per free column in order.
+def _null_basis(pivots: Dict[int, dict], cols: int) -> List[dict]:
+    """Kernel basis of the echelon rows, one sparse vector per free column.
 
     Each vector has a 1 in its free column and the pivot coordinates solved
     from the rows; a row is zero on every other pivot column, so each of its
-    off-pivot entries lies in a free column.
+    off-pivot entries lies in a free column, right of the row's pivot.  Keys
+    therefore come out in ascending column order, the free column last.
     """
-    basis = {}
-    for free in range(cols):
-        if free not in pivots:
-            basis[free] = [0] * cols
-            basis[free][free] = 1
-    for c, row in pivots.items():
+    basis: Dict[int, dict] = {free: {} for free in range(cols) if free not in pivots}
+    for c in sorted(pivots):
+        row = pivots[c]
         p = row[c]
         for j, x in row.items():
             if j != c:
                 basis[j][c] = _quotient(-x, p)
-    return [tuple(v) for v in basis.values()]
+    for free, vec in basis.items():
+        vec[free] = 1
+    return list(basis.values())
 
 
-def rref(vectors: Iterable[Sequence]) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
-    """Reduced row echelon form of the span of the given row vectors.
+def rref(rows: Iterable[dict]) -> Tuple[Tuple[dict, ...], Tuple[int, ...]]:
+    """Reduced row echelon form of the span of sparse rows.
 
-    Returns (rows, pivot columns).  Rows have leading entry 1 and zeros above
-    and below each pivot; the result is the canonical basis of the row space,
-    identical across runs.  Entries must be ints or Fractions (TypeError
-    otherwise).
+    Returns (rows, pivot columns).  Each row has a 1 at its pivot, which is
+    zero in every other row, and its keys in ascending column order; the
+    result is the canonical basis of the row space, identical across runs.
+    Entries must be ints or Fractions (TypeError otherwise).
     """
-    vectors = list(vectors)
-    if not vectors:
-        return (), ()
-    pivots = _echelon(map(enumerate, vectors))
+    pivots = _echelon(row.items() for row in rows)
     piv = tuple(sorted(pivots))
-    rows = []
+    out = []
     for c in piv:
-        prow, row = pivots[c], [0] * len(vectors[0])
-        for j, x in prow.items():
-            row[j] = _quotient(x, prow[c])
-        rows.append(tuple(row))
-    return tuple(rows), piv
+        prow = pivots[c]
+        out.append({j: _quotient(prow[j], prow[c]) for j in sorted(prow)})
+    return tuple(out), piv
 
 
-def rank(m: QMatrix) -> int:
-    """Exact rank; rank + kernel dimension = column count."""
-    return len(_echelon(map(enumerate, m.entries)))
+def rank(rows: Iterable[dict]) -> int:
+    """Exact rank of sparse rows; rank + kernel dimension = column count."""
+    return len(_echelon(row.items() for row in rows))
 
 
-def kernel(m: QMatrix) -> List[tuple]:
-    """Exact basis of the null space, one vector per free column.
+def kernel(rows: Iterable[dict], cols: int) -> List[dict]:
+    """Exact null-space basis of sparse rows over cols columns.
 
-    The basis is echelon-normalized: each vector has a 1 in its free
-    coordinate and the pivot coordinates solved from the RREF, so identical
+    The basis is echelon-normalized: one sparse vector per free column, with
+    a 1 there and the pivot coordinates solved from the RREF, so identical
     inputs yield identical bases.
     """
-    return _null_basis(_echelon(map(enumerate, m.entries)), m.cols)
+    return _null_basis(_echelon(row.items() for row in rows), cols)
 
 
-def symmetric_inertia(m: QMatrix) -> Tuple[int, int, int]:
+def symmetric_inertia(rows: Sequence[dict]) -> Tuple[int, int, int]:
     """Counts (n_pos, n_neg, n_zero) of eigenvalue signs of a symmetric matrix.
 
-    Computed by pivoted symmetric congruence elimination; by Sylvester's law
-    the signs of the pivots give the inertia exactly.  When the active block
-    has a zero diagonal, a row+column congruence manufactures a pivot.
+    rows[i] is the sparse row i of an n x n matrix, n = len(rows).  Computed
+    by sparse symmetric congruence elimination; by Sylvester's law the signs
+    of the pivots give the inertia exactly.  A pivot on a nonzero diagonal
+    entry updates only the Schur complement over its row's nonzeros; when
+    every remaining diagonal entry is zero, the congruence e_i += e_j turns
+    an off-diagonal a[i][j] into the pivot 2*a[i][j].
     """
-    if not m.is_symmetric():
-        raise ValueError("symmetric_inertia requires a symmetric matrix")
-    n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        p = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                p = i
-                break
+    a: Dict[int, Dict[int, Fraction]] = {}
+    for i, row in enumerate(rows):
+        a[i] = {}
+        for j, x in row.items():
+            if as_num(x):
+                a[i][j] = Fraction(x)
+    for i, row in a.items():
+        for j, x in row.items():
+            if j not in a or a[j].get(i) != x:
+                raise ValueError("symmetric_inertia requires a symmetric matrix")
+    pos = neg = 0
+    while a:
+        p = next((i for i, row in a.items() if i in row), None)
         if p is None:
-            hit = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        hit = (i, j)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                zero += n - k
+            p = next((i for i, row in a.items() if row), None)
+            if p is None:
                 break
-            i, j = hit
-            # congruence row_i += row_j / col_i += col_j: makes a[i][i] = 2 a[i][j]
-            for t in range(k, n):
-                a[i][t] += a[j][t]
-            for t in range(k, n):
-                a[t][i] += a[t][j]
-            p = i
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            for t in range(n):
-                a[t][k], a[t][p] = a[t][p], a[t][k]
-        piv = a[k][k]
-        if piv > 0:
+            ri = a[p]
+            j = next(iter(ri))
+            rj = a[j]
+            new = axpy(dict(ri), 1, rj.items())
+            new[p] = 2 * ri[j]
+            # column p changes wherever row p did; mirror it to keep a symmetric
+            for k in set(ri).union(rj) - {p}:
+                if k in new:
+                    a[k][p] = new[k]
+                else:
+                    a[k].pop(p, None)
+            a[p] = new
+        row = a.pop(p)
+        d = row.pop(p)
+        if d > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / piv
-            if f:
-                for j in range(i, n):
-                    v = a[i][j] - f * a[k][j]
-                    a[i][j] = v
-                    a[j][i] = v
-        k += 1
-    return pos, neg, zero
+        for i, x in row.items():
+            ai = a[i]
+            del ai[p]
+            axpy(ai, -x / d, row.items())
+    return pos, neg, len(a)
 
 
 def axpy(acc: dict, a, terms) -> dict:
@@ -344,16 +265,7 @@ def lincomb(coeffs: Iterable, vecs: Iterable[dict]) -> dict:
     return acc
 
 
-def dense_from_columns(dim: int, cols: Sequence[dict]) -> List[List]:
-    """Dense rows of the dim x dim matrix whose column j is the sparse cols[j]."""
-    rows = [[0] * dim for _ in range(dim)]
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][j] = v
-    return rows
-
-
-def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[tuple]:
+def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[dict]:
     """Kernel basis of the stacked (A - eigen*I) over every map A.
 
     Each map is given by its sparse columns (``cols[j]`` is the image of basis
@@ -370,7 +282,7 @@ def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[tu
         for r, row in enumerate(rows):
             row[r] = row.get(r, 0) - eigen
         stacked.extend(rows)
-    return _null_basis(_echelon(row.items() for row in stacked), dim)
+    return kernel(stacked, dim)
 
 
 def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
@@ -386,8 +298,8 @@ def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
             rows.setdefault(c, {})[t] = v
     if not rows:
         return [dict(v) for v in vecs]
-    combos = _null_basis(_echelon(row.items() for row in rows.values()), len(vecs))
-    return [lincomb(combo, vecs) for combo in combos]
+    combos = kernel(rows.values(), len(vecs))
+    return [lincomb(combo.values(), (vecs[t] for t in combo)) for combo in combos]
 
 
 class SpanSolver:
@@ -400,8 +312,8 @@ class SpanSolver:
 
     __slots__ = ("dim", "rows", "pivots", "_by_pivot")
 
-    def __init__(self, rref_rows: Sequence[Sequence], pivots: Sequence[int]):
-        self.rows: Tuple[dict, ...] = tuple(sparse_from_dense(r) for r in rref_rows)
+    def __init__(self, rref_rows: Sequence[dict], pivots: Sequence[int]):
+        self.rows: Tuple[dict, ...] = tuple(rref_rows)
         self.pivots: Tuple[int, ...] = tuple(pivots)
         self.dim = len(self.rows)
         self._by_pivot = dict(zip(self.pivots, self.rows))
@@ -420,7 +332,3 @@ class SpanSolver:
     def contains(self, vec: dict) -> bool:
         _, residual = self.reduce(vec)
         return not residual
-
-
-def sparse_from_dense(vec: Sequence) -> dict:
-    return {j: as_num(x) for j, x in enumerate(vec) if x}

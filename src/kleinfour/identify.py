@@ -25,7 +25,7 @@ from itertools import permutations
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import SpanSolver, _echelon, _primitive, joint_eigenspace, rref, span_kernel
+from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
 from .autos import Automorphism
 from .rootsys import StructureTable, validate_cartan
 
@@ -49,19 +49,9 @@ class Subalgebra(SpanSolver):
         super().__init__(rows, pivots)
         self.table = table
 
-    def dense_rows(self) -> List[tuple]:
-        n = self.table.dim
-        out = []
-        for r in self.rows:
-            row = [0] * n
-            for j, x in r.items():
-                row[j] = x
-            out.append(tuple(row))
-        return out
-
 
 def subalgebra_from_vectors(
-    table: StructureTable, vectors: Sequence[Sequence], check_closed: bool = True
+    table: StructureTable, vectors: Sequence[dict], check_closed: bool = True
 ) -> Subalgebra:
     rows, pivots = rref(vectors)
     s = Subalgebra(table, rows, pivots)
@@ -101,8 +91,7 @@ def fixed_subalgebra(table: StructureTable, autos: Sequence[Automorphism]) -> Su
         if a.table is not table:
             raise IdentifyError("automorphism acts on a different algebra")
     if not autos:
-        eye = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        return subalgebra_from_vectors(table, eye, check_closed=False)
+        return subalgebra_from_vectors(table, [{i: 1} for i in range(dim)], check_closed=False)
     vecs = joint_eigenspace(dim, [a.cols for a in autos], 1)
     return subalgebra_from_vectors(table, vecs)
 
@@ -117,8 +106,7 @@ def center_of(s: Subalgebra) -> Subalgebra:
     cur: List[dict] = list(s.rows)
     for target in s.rows:
         cur = span_kernel(cur, [s.table.bracket(v, target) for v in cur])
-    vectors = [[v.get(j, 0) for j in range(s.table.dim)] for v in cur]
-    return subalgebra_from_vectors(s.table, vectors, check_closed=False)
+    return subalgebra_from_vectors(s.table, cur, check_closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +378,7 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         summands.append(match_cartan(sub))
 
     # accounting invariants
-    if len(_echelon(map(enumerate, weights))) != n:
+    if rank(dict(enumerate(mu)) for mu in weights) != n:
         raise IdentifyError("weight lattice rank disagrees with the simple system")
     center_dim = t_dim - n
     out = ReductiveType.make(summands, center_dim)

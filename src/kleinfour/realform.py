@@ -24,15 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import (
-    QMatrix,
-    axpy,
-    joint_eigenspace,
-    lincomb,
-    span_kernel,
-    sparse_from_dense,
-    symmetric_inertia,
-)
+from .exactq import axpy, joint_eigenspace, lincomb, span_kernel, symmetric_inertia
 from .autos import Automorphism, KleinGroup, commutes
 from .identify import (
     ReductiveType,
@@ -228,10 +220,11 @@ def _check_bracket_relations(k: Subalgebra, p: Subalgebra, where: str) -> None:
 
 def _restricted_inertia(cb: CompactBasis, span: Subalgebra) -> Tuple[int, int, int]:
     """Inertia of the Killing form on span, from the Gram matrix of its rows."""
-    B = [sparse_from_dense(row) for row in cb.killing.entries]
+    B = cb.killing
     xB = [lincomb(x.values(), (B[i] for i in x)) for x in span.rows]
-    G = [[sum(xb.get(j, 0) * v for j, v in y.items()) for y in span.rows] for xb in xB]
-    return symmetric_inertia(QMatrix(G))
+    G = [{k: sum(xb.get(j, 0) * v for j, v in y.items()) for k, y in enumerate(span.rows)}
+         for xb in xB]
+    return symmetric_inertia(G)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +426,7 @@ def real_fixed_subalgebra(
         """Vectors of the fixed algebra that theta multiplies by eigen."""
         images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
                   for row in fixed.rows]
-        vecs = span_kernel(fixed.rows, images)
-        return subalgebra_from_vectors(
-            cb, [[v.get(j, 0) for j in range(cb.dim)] for v in vecs], check_closed=False
-        )
+        return subalgebra_from_vectors(cb, span_kernel(fixed.rows, images), check_closed=False)
 
     kpart = part(1)
     ppart = part(-1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import QMatrix, axpy, symmetric_inertia
+from .exactq import axpy, symmetric_inertia
 
 Coords = Tuple[int, ...]
 
@@ -147,7 +147,7 @@ def validate_cartan(A: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
                 raise CartanMatrixError(f"zero pattern not symmetric at ({i},{j})")
     L = _symmetrizer(A)
     # positive definiteness of the symmetrization S[i][j] = A[i][j] * L[j]
-    inertia = symmetric_inertia(QMatrix([[A[i][j] * L[j] for j in range(n)] for i in range(n)]))
+    inertia = symmetric_inertia([{j: x * L[j] for j, x in enumerate(row)} for row in A])
     if inertia != (n, 0, 0):
         raise CartanMatrixError(
             f"symmetrized matrix not positive definite (inertia {inertia}); "
@@ -483,10 +483,13 @@ def ad_columns(dim: int, pair_bracket) -> List[Dict[int, Dict[int, int]]]:
     return ads
 
 
-def killing_from_brackets(dim: int, pair_bracket) -> QMatrix:
-    """B(e_i, e_j) = trace(ad e_i o ad e_j), computed from the trace directly."""
+def killing_from_brackets(dim: int, pair_bracket) -> List[Dict[int, int]]:
+    """B(e_i, e_j) = trace(ad e_i o ad e_j), computed from the trace directly.
+
+    Returns the sparse rows of B, keys in ascending column order.
+    """
     ads = ad_columns(dim, pair_bracket)
-    B = [[0] * dim for _ in range(dim)]
+    B: List[Dict[int, int]] = [{} for _ in range(dim)]
     for i in range(dim):
         adi = ads[i]
         for j in range(i, dim):
@@ -498,12 +501,13 @@ def killing_from_brackets(dim: int, pair_bracket) -> QMatrix:
                         w = coli.get(c)
                         if w:
                             s += v * w
-            B[i][j] = s
-            B[j][i] = s
-    return QMatrix(B)
+            if s:
+                B[i][j] = s
+                B[j][i] = s
+    return B
 
 
-def killing_form(t: StructureTable) -> QMatrix:
+def killing_form(t: StructureTable) -> List[Dict[int, int]]:
     return killing_from_brackets(t.dim, t.pair_bracket)
 
 
@@ -550,10 +554,10 @@ def verify_jacobi(t) -> bool:
     return jacobi_defect(t) is None
 
 
-def verify_ad_invariance(t, killing: QMatrix) -> bool:
-    """B([u,v],w) + B(v,[u,w]) = 0 on all basis triples."""
+def verify_ad_invariance(t, killing: Sequence[Dict[int, int]]) -> bool:
+    """B([u,v],w) + B(v,[u,w]) = 0 on all basis triples; killing is sparse rows."""
     dim = t.dim
-    K = killing.entries
+    K = killing
     pb = t.pair_bracket
     for u in range(dim):
         for v in range(dim):
@@ -561,9 +565,9 @@ def verify_ad_invariance(t, killing: QMatrix) -> bool:
             for w in range(dim):
                 s = 0
                 for m, c in uv:
-                    s += c * K[m][w]
+                    s += c * K[m].get(w, 0)
                 for m, c in pb(u, w):
-                    s += c * K[v][m]
+                    s += c * K[v].get(m, 0)
                 if s:
                     return False
     return True

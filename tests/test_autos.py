@@ -224,17 +224,21 @@ def test_joint_fixed_dim_checks_divisibility(e6):
 
 
 def test_fixed_plus_antifixed_fills_algebra(e6):
-    from kleinfour.exactq import QMatrix, kernel
+    from kleinfour.exactq import kernel
+
+    def shifted_rows(a, eigen):
+        # sparse rows of A - eigen*I, transposed here from the columns of A
+        rows = [{i: -eigen} for i in range(78)]
+        for j, col in enumerate(a.cols):
+            for i, x in col.items():
+                rows[i][j] = rows[i].get(j, 0) + x
+        return rows
 
     for desc_bits in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1)):
         involutions = [torus_involution(e6, desc_bits), omega_automorphism(e6)]
         for a in involutions:
-            m = a.matrix()
-            plus = kernel(m.sub(QMatrix.identity(78)))
-            minus = kernel(
-                QMatrix([[x + (1 if i == j else 0) for j, x in enumerate(row)]
-                         for i, row in enumerate(m.entries)])
-            )
+            plus = kernel(shifted_rows(a, 1), 78)
+            minus = kernel(shifted_rows(a, -1), 78)
             assert len(plus) + len(minus) == 78
 
 

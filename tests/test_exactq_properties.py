@@ -11,7 +11,6 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from kleinfour.exactq import (
-    QMatrix,
     _echelon,
     axpy,
     joint_eigenspace,
@@ -77,13 +76,24 @@ def _frac(vec):
     return tuple(Fraction(int(e.p), int(e.q)) for e in vec)
 
 
+def _rows(dense):
+    """Sparse rows of a dense matrix; explicit zero entries are kept."""
+    return [dict(enumerate(row)) for row in dense]
+
+
+def _dense(vecs, n):
+    """Dense tuples of sparse outputs, whose keys must come in ascending order."""
+    assert all(list(v) == sorted(v) for v in vecs)
+    return [tuple(v.get(j, 0) for j in range(n)) for v in vecs]
+
+
 @PROPS
 @given(matrices())
 def test_kernel_and_rank_match_sympy(rows):
-    m, s = QMatrix(rows), _sym(rows)
+    m, s, cols = _rows(rows), _sym(rows), len(rows[0])
     assert rank(m) == s.rank()
     # both bases put a 1 on each free column and solve the pivots from the RREF
-    assert kernel(m) == [_frac(v) for v in s.nullspace()]
+    assert _dense(kernel(m, cols), cols) == [_frac(v) for v in s.nullspace()]
 
 
 @PROPS
@@ -91,12 +101,12 @@ def test_kernel_and_rank_match_sympy(rows):
 @example([[0, 0, 0], [Fraction(-1, 2), 1, 0], [Fraction(-1, 2), 1, 0], [3, 0, 1], [1, 1, 1]])
 @example([[0, Fraction(-2, 3), 1], [0, 0, 0], [0, 2, -3]])
 def test_rref_matches_sympy(rows):
-    out, piv = rref(rows)
+    out, piv = rref(_rows(rows))
     s, s_piv = _sym(rows).rref()
     assert piv == s_piv
-    assert out == tuple(_frac(s.row(i)) for i in range(len(piv)))
+    assert _dense(out, len(rows[0])) == [_frac(s.row(i)) for i in range(len(piv))]
     # integral entries come back as int, never as Fraction(n, 1)
-    assert all(type(x) is int or x.denominator != 1 for row in out for x in row)
+    assert all(type(x) is int or x.denominator != 1 for row in out for x in row.values())
 
 
 @PROPS
@@ -151,7 +161,8 @@ def test_joint_eigenspace_matches_stacked_nullspace(dim_eigen_maps):
         dense = [[cols[j].get(r, 0) for j in range(dim)] for r in range(dim)]
         blocks.append(_sym(dense) - _sym([[eigen]])[0, 0] * sympy.eye(dim))
     stacked = sympy.Matrix.vstack(*blocks)
-    assert joint_eigenspace(dim, maps, eigen) == [_frac(v) for v in stacked.nullspace()]
+    got = joint_eigenspace(dim, maps, eigen)
+    assert _dense(got, dim) == [_frac(v) for v in stacked.nullspace()]
 
 
 def _sign_changes(coeffs):
@@ -169,7 +180,7 @@ def test_inertia_matches_descartes_count_of_characteristic_polynomial(rows):
     zero = n - max(k for k, c in enumerate(coeffs) if c != 0)
     pos = _sign_changes(coeffs)
     neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
-    assert symmetric_inertia(QMatrix(rows)) == (pos, neg, zero)
+    assert symmetric_inertia(_rows(rows)) == (pos, neg, zero)
 
 
 sparse_vectors = st.dictionaries(

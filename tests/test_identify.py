@@ -55,10 +55,8 @@ def test_uncertified_rejected(e6):
 def test_fixed_subalgebra_closure_is_verified(e6):
     # the constructor re-checks closure; a non-closed span must be rejected
     rs = e6.rs
-    x_a = [0] * 78
-    x_a[6 + rs.index((1, 0, 0, 0, 0, 0))] = 1
-    x_b = [0] * 78
-    x_b[6 + rs.index((0, 0, 1, 0, 0, 0))] = 1
+    x_a = {6 + rs.index((1, 0, 0, 0, 0, 0)): 1}
+    x_b = {6 + rs.index((0, 0, 1, 0, 0, 0)): 1}
     with pytest.raises(IdentifyError, match="closed"):
         subalgebra_from_vectors(e6, [x_a, x_b])
 
@@ -66,9 +64,7 @@ def test_fixed_subalgebra_closure_is_verified(e6):
 @pytest.mark.parametrize("scale", [0.5, 1.0, 0.0])
 def test_subalgebra_from_float_vectors_rejected(e6, scale):
     # a float scalar would be truncated or dropped by an integer elimination
-    row = [0] * 78
-    row[0] = 1
-    row[1] = scale
+    row = {0: 1, 1: scale}
     with pytest.raises(TypeError, match="exact scalar"):
         subalgebra_from_vectors(e6, [row])
 
@@ -88,11 +84,7 @@ def test_center_of_sigma2_fixed_is_one_dimensional(e6):
 
 
 def test_center_of_abelian_is_itself(e6):
-    cartan = []
-    for i in range(6):
-        row = [0] * 78
-        row[i] = 1
-        cartan.append(row)
+    cartan = [{i: 1} for i in range(6)]
     s = subalgebra_from_vectors(e6, cartan)
     assert center_of(s).dim == 6
 
@@ -186,8 +178,7 @@ def test_identify_fails_loudly_without_maximal_toral_part(e6):
     # a single nilpotent root vector is a closed abelian span whose Cartan
     # part is zero; identification must refuse rather than guess
     rs = e6.rs
-    row = [0] * 78
-    row[6 + rs.index((1, 0, 0, 0, 0, 0))] = 1
+    row = {6 + rs.index((1, 0, 0, 0, 0, 0)): 1}
     s = subalgebra_from_vectors(e6, [row])
     with pytest.raises(IdentifyError, match="maximal toral"):
         identify_type(s)
@@ -196,7 +187,7 @@ def test_identify_fails_loudly_without_maximal_toral_part(e6):
 def test_identify_rejects_borel_as_not_negation_stable(e6):
     # Cartan plus the 36 positive root vectors: maximal toral, multiplicity
     # one and full accounting, but no weight has its negative
-    rows = [[1 if j == i else 0 for j in range(e6.dim)] for i in range(6 + 36)]
+    rows = [{i: 1} for i in range(6 + 36)]
     s = subalgebra_from_vectors(e6, rows)
     assert s.dim == 42
     with pytest.raises(IdentifyError, match="negation-stable") as err:

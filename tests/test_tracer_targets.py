@@ -1,15 +1,17 @@
 """The benchmark tracer (perfbench/tracer.py) wraps package functions by name.
 
 It looks each one up with getattr, so renaming or deleting one of them would
-break traced benchmark runs without failing any other test.  This test only
-reads perfbench/ and never changes it.
+break traced benchmark runs without failing any other test, and a wrapped
+function that the package no longer calls would read 0 in every run.  These
+tests only read perfbench/ and never change it.
 """
 
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
-import kleinfour.cli  # noqa: F401  (loads every module the tracer patches)
+import kleinfour.cli  # loads every module the tracer patches
 from kleinfour import verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -34,3 +36,16 @@ def test_every_traced_name_is_a_callable_of_that_name():
         assert callable(fn), key
     assert callable(verify.VerifyContext.automorphism)
     assert verify.VerifyContext.automorphism.__name__ == "automorphism"
+
+
+def test_every_traced_exactq_function_runs_on_a_request(capsys):
+    tracer = _tracer()
+    tr = tracer.Tracer(time.perf_counter)
+    tr.install()
+    try:
+        assert kleinfour.cli.main(["identify", "--type", "A2", "--auto", "torus:1,0"]) == 0
+    finally:
+        tr.uninstall()
+    assert capsys.readouterr().out == "A1+u(1)\n"
+    for name in tracer.TARGETS["exactq"]:
+        assert tr.counts[f"exactq.{name}.calls"] > 0, f"exactq.{name} is never called"
