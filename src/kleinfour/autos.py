@@ -226,22 +226,13 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
             out[perm[i]] = m
         return tuple(out)
 
-    pos = [r.coords for r in rs.positive_roots()]
-    order = {c: i for i, c in enumerate(pos)}
-    posset = set(pos)
     eps: Dict[Tuple[int, ...], int] = {}
-    for g in pos:
-        if sum(g) == 1:
+    for r in rs.positive_roots():
+        g = r.coords
+        if g not in table.extraspecial:  # simple root
             eps[g] = 1
             continue
-        # extraspecial decomposition g = a + b, minimal a in canonical order
-        pair = None
-        for a in pos:
-            b = tuple(x - y for x, y in zip(g, a))
-            if b in posset and order[a] < order[b]:
-                pair = (a, b)
-                break
-        a, b = pair
+        a, b = table.extraspecial[g]
         na = table.n_constant(a, b)
         nb = table.n_constant(image_coords(a), image_coords(b))
         v = Fraction(eps[a] * eps[b] * nb, na)

@@ -71,7 +71,7 @@ def _target(text: str) -> Tuple[str, Optional[int]]:
     return target, int(dim_s) if colon else None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kleinfour",
         description="Exact verification of involution and Klein-four structure on E6.",
@@ -255,7 +255,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _make_parser()
     args = parser.parse_args(argv)
     if args.command in ("search", "verify") and args.type.upper() != "E6":
         parser.error(f"{args.command} supports only --type E6, got {args.type}: "

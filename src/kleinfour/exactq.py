@@ -25,8 +25,8 @@ eigenvalues are never approximated.
 The shared primitives over sparse vectors are ``axpy``/``lincomb``
 (accumulation that drops cancelled entries), ``joint_eigenspace`` (kernel of
 the stacked A - lambda*I of maps given by sparse columns), ``span_kernel``
-(kernel of a linear map restricted to a span) and ``SpanSolver`` (reduction
-against an RREF basis).  The sparse bracket table built on them is
+(kernel of a linear map restricted to a span) and ``SpanSolver`` (membership
+in the span of an RREF basis).  The sparse bracket table built on them is
 ``rootsys.BracketTable``.
 """
 
@@ -305,9 +305,10 @@ def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
 class SpanSolver:
     """Membership queries against a fixed RREF row basis.
 
-    Rows are kept sparse ({column: value}); reduction walks the pivots, so a
-    query costs O(nnz of the vector x nnz of the touched rows).  ``dim`` is
-    the dimension of the span.
+    Rows are kept sparse ({column: value}).  An RREF row is zero on every
+    other pivot column, so reducing a vector touches only the rows whose
+    pivots are among its own keys, and a query costs O(nnz of the vector x
+    nnz of the touched rows).  ``dim`` is the dimension of the span.
     """
 
     __slots__ = ("dim", "rows", "pivots", "_by_pivot")
@@ -318,17 +319,8 @@ class SpanSolver:
         self.dim = len(self.rows)
         self._by_pivot = dict(zip(self.pivots, self.rows))
 
-    def reduce(self, vec: dict) -> Tuple[dict, dict]:
-        """Split vec into (coefficients over the basis, residual)."""
-        v = dict(vec)
-        coeffs = {}
-        for idx, c in enumerate(self.pivots):
-            f = v.get(c)
-            if f:
-                coeffs[idx] = f
-                axpy(v, -f, self._by_pivot[c].items())
-        return coeffs, v
-
     def contains(self, vec: dict) -> bool:
-        _, residual = self.reduce(vec)
-        return not residual
+        v = dict(vec)
+        for c in [c for c in vec if c in self._by_pivot]:
+            axpy(v, -vec[c], self._by_pivot[c].items())
+        return not v

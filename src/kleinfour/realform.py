@@ -3,17 +3,23 @@
 The compact form is held in the rational basis
     u_a = X_a - X_{-a},   v_a = sqrt(-1)(X_a + X_{-a}),   w_i = sqrt(-1) h_i
 for positive roots a; sqrt(-1) lives only in the basis labels, never in an
-entry.  Structure constants in this basis are integers derived from the
-Chevalley constants, and the Killing form must come out negative definite --
-a definiteness failure signals a structure-constant bug and is fatal.
+entry.  Structure constants in this basis are carried over from the Chevalley
+table, not derived by hand: each basis vector is sqrt(-1)^e times a Chevalley
+vector, so its brackets are Chevalley brackets, read back into compact
+coordinates by the one map ``CompactBasis.to_compact``, which rejects any
+result outside the compact form.  The same map gives automorphisms their
+compact columns.  The Killing form must come out negative definite -- a
+definiteness failure signals a structure-constant bug and is fatal.
 
 Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
 form), and (g_type, k_type, signature) is looked up in a data catalog of real
-form names.  Complexified types are identified on the complex side: theta
-preserves the compact form, so the compact fixed space is a real form of the
-complex fixed space and both have the same type and dimension (this equality
-is asserted, not assumed).
+form names.  One routine, ``cartan_decomposition``, splits the fixed
+subalgebra of a group gamma (trivial for the whole algebra) under theta.
+Complexified types are identified on the complex side: theta preserves the
+compact form, so the compact fixed space is a real form of the complex fixed
+space and both have the same type and dimension (this equality is asserted,
+not assumed).
 """
 
 from __future__ import annotations
@@ -54,15 +60,26 @@ class CompactBasis(BracketTable):
     """Rational structure table of the compact real form.
 
     Basis indices: 0..npos-1 are u_a, npos..2npos-1 are v_a (positive roots in
-    canonical order), 2npos..2npos+rank-1 are w_i.
+    canonical order), 2npos..2npos+rank-1 are w_i.  ``parts[i] = (e, x)``
+    says that basis vector i is sqrt(-1)^e times the Chevalley vector x.
     """
 
     def __init__(self, table: StructureTable):
         super().__init__(2 * table.rs.npos + table.rank)
         self.table = table
-        self.rank = table.rank
-        self.npos = table.rs.npos
-        self._build(table)
+        self.rank = rank = table.rank
+        self.npos = npos = table.rs.npos
+        self.parts: Tuple[Tuple[int, dict], ...] = tuple(
+            [(0, {rank + k: 1, rank + npos + k: -1}) for k in range(npos)]
+            + [(1, {rank + k: 1, rank + npos + k: 1}) for k in range(npos)]
+            + [(1, {i: 1}) for i in range(rank)]
+        )
+        labels = [self.label(i) for i in range(self.dim)]
+        for i, (ei, xi) in enumerate(self.parts):
+            for j in range(i + 1, self.dim):
+                ej, xj = self.parts[j]
+                what = f"[{labels[i]}, {labels[j]}]"
+                self._set(i, j, self.to_compact(table.bracket(xi, xj), ei + ej, what).items())
         self.killing = killing_from_brackets(self.dim, self.pair_bracket)
         inertia = symmetric_inertia(self.killing)
         if inertia != (0, self.dim, 0):
@@ -88,62 +105,34 @@ class CompactBasis(BracketTable):
             return "v" + str(self.table.rs.roots[i - self.npos].coords)
         return f"w{i - 2 * self.npos + 1}"
 
-    def _build(self, table: StructureTable) -> None:
-        rs = table.rs
-        npos = self.npos
-        pos = [r.coords for r in rs.positive_roots()]
-        index = {c: k for k, c in enumerate(pos)}
-        N = table.n_constant
+    def to_compact(self, x: dict, e: int, what: str) -> dict:
+        """Compact coordinates of sqrt(-1)^e * x for a rational Chevalley vector x.
 
-        def diff_term(a, b, base_sign: int):
-            """base_sign * N(a,-b) * u_{a-b} with u_{-g} = -u_g folded in."""
-            g = tuple(x - y for x, y in zip(a, b))
-            if g in index:
-                return [(self.u(index[g]), base_sign * N(a, tuple(-x for x in b)))]
-            gm = tuple(-x for x in g)
-            if gm in index:
-                return [(self.u(index[gm]), -base_sign * N(a, tuple(-x for x in b)))]
-            return []
-
-        for ka, a in enumerate(pos):
-            for kb, b in enumerate(pos):
-                s = tuple(x + y for x, y in zip(a, b))
-                srt = s in index
-                # [u_a, v_b]; covers ka == kb, where the coroot appears
-                terms: List[Tuple[int, int]] = []
-                if ka == kb:
-                    for i, c in enumerate(rs.coroot(a)):
-                        if c:
-                            terms.append((self.w(i), 2 * c))
-                else:
-                    if srt:
-                        terms.append((self.v(index[s]), N(a, b)))
-                    g = tuple(x - y for x, y in zip(a, b))
-                    gm = tuple(-x for x in g)
-                    if g in index:
-                        terms.append((self.v(index[g]), N(a, tuple(-x for x in b))))
-                    elif gm in index:
-                        terms.append((self.v(index[gm]), N(a, tuple(-x for x in b))))
-                self._set(self.u(ka), self.v(kb), terms)
-                if ka < kb:
-                    # [u_a, u_b] = N(a,b) u_{a+b} - N(a,-b) u~_{a-b}
-                    terms = []
-                    if srt:
-                        terms.append((self.u(index[s]), N(a, b)))
-                    terms += diff_term(a, b, -1)
-                    self._set(self.u(ka), self.u(kb), terms)
-                    # [v_a, v_b] = -N(a,b) u_{a+b} - N(a,-b) u~_{a-b}
-                    terms = []
-                    if srt:
-                        terms.append((self.u(index[s]), -N(a, b)))
-                    terms += diff_term(a, b, -1)
-                    self._set(self.v(ka), self.v(kb), terms)
-        for i in range(self.rank):
-            for ka, a in enumerate(pos):
-                c = rs.pairing(a, i)
-                if c:
-                    self._set(self.w(i), self.u(ka), [(self.v(ka), c)])
-                    self._set(self.w(i), self.v(ka), [(self.u(ka), -c)])
+        A compact vector has coefficients z on X_a and -conj(z) on X_{-a} and
+        an imaginary one on each h_i.  So for even e, x must be antisymmetric
+        on every pair X_a, X_{-a} and vanish on the Cartan; for odd e it must
+        be symmetric on every pair.  Otherwise RealFormError names what and
+        the first Chevalley basis vector where this fails.
+        """
+        rank, npos = self.rank, self.npos
+        odd = e % 2
+        sign = -1 if e % 4 >= 2 else 1
+        out: dict = {}
+        for j, c in x.items():
+            if j < rank:
+                ok = odd
+                out[self.w(j)] = sign * c
+            elif j < rank + npos:
+                ok = x.get(j + npos, 0) == (c if odd else -c)
+                k = j - rank
+                out[self.v(k) if odd else self.u(k)] = sign * c
+            else:
+                ok = j - npos in x
+            if not ok:
+                raise RealFormError(
+                    f"{what} is not in the compact form (at {self.table.basis_label(j)})"
+                )
+        return out
 
 
 def compact_form(table: StructureTable) -> CompactBasis:
@@ -158,64 +147,14 @@ def compact_form(table: StructureTable) -> CompactBasis:
 def compact_matrix_cols(cb: CompactBasis, auto: Automorphism) -> Tuple[dict, ...]:
     """Columns of the automorphism on the compact basis; exact and verified.
 
-    Each compact basis vector is split into real and imaginary complex-basis
-    parts, pushed through the (rational) complex matrix, and recombined; any
-    inconsistency means the map does not preserve the compact form.
+    Basis vector i is sqrt(-1)^e x with x rational, so its image is
+    sqrt(-1)^e auto(x), read back by ``to_compact``; RealFormError if any
+    image leaves the compact form.
     """
-    table = cb.table
-    rank = table.rank
-    npos = cb.npos
-
-    def convert(R: dict, I: dict, what: str) -> dict:
-        def fail(why: str) -> RealFormError:
-            return RealFormError(
-                f"{auto.descriptor} does not preserve the compact basis ({why} on {what})"
-            )
-
-        out: dict = {}
-        if any(j < rank for j in R):
-            raise fail("real Cartan component")
-        for k in range(npos):
-            ip, im = rank + k, rank + npos + k
-            a, am = R.get(ip, 0), R.get(im, 0)
-            if am != -a:
-                raise fail("real part mismatch")
-            if a:
-                out[cb.u(k)] = a
-            b, bm = I.get(ip, 0), I.get(im, 0)
-            if b != bm:
-                raise fail("imaginary part mismatch")
-            if b:
-                out[cb.v(k)] = b
-        for i in range(rank):
-            c = I.get(i, 0)
-            if c:
-                out[cb.w(i)] = c
-        return out
-
-    cols: List[dict] = []
-    for k in range(npos):
-        ip, im = rank + k, rank + npos + k
-        cols.append(convert(auto.apply({ip: 1, im: -1}), {}, cb.label(cb.u(k))))
-    for k in range(npos):
-        ip, im = rank + k, rank + npos + k
-        cols.append(convert({}, auto.apply({ip: 1, im: 1}), cb.label(cb.v(k))))
-    for i in range(rank):
-        cols.append(convert({}, auto.apply({i: 1}), cb.label(cb.w(i))))
-    return tuple(cols)
-
-
-def _eigenspace_rows(cb: CompactBasis, cols: Sequence[dict], eigen: int):
-    """RREF basis of the +-1 eigenspace of a compact-basis matrix."""
-    return subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, [cols], eigen), check_closed=False)
-
-
-def _check_bracket_relations(k: Subalgebra, p: Subalgebra, where: str) -> None:
-    """[k,k] in k, [k,p] in p and [p,p] in k, else the first failure is raised."""
-    for xs, ys, into, what in ((k, k, k, "[k,k] escapes k"), (k, p, p, "[k,p] escapes p"),
-                               (p, p, k, "[p,p] escapes k")):
-        if first_escape(xs, ys, into):
-            raise RealFormError(what + where)
+    return tuple(
+        cb.to_compact(auto.apply(x), e, f"{auto.descriptor} applied to {cb.label(i)}")
+        for i, (e, x) in enumerate(cb.parts)
+    )
 
 
 def _restricted_inertia(cb: CompactBasis, span: Subalgebra) -> Tuple[int, int, int]:
@@ -356,61 +295,24 @@ def _check_involution(theta: Automorphism) -> None:
 
 
 def cartan_decomposition(
-    cb: CompactBasis, theta: Automorphism, catalog: Optional[Catalog] = None
+    cb: CompactBasis,
+    theta: Automorphism,
+    catalog: Optional[Catalog] = None,
+    gamma: Sequence[Automorphism] = (),
 ) -> RealFormDescriptor:
-    """Split the compact form under theta and name the dual real form.
+    """Split the gamma-fixed compact subalgebra under theta and name its real form.
 
-    k is the fixed part, p the antifixed part; the noncompact real form is
-    k + sqrt(-1) p.  The bracket relations [k,k] in k, [k,p] in p, [p,p] in k
-    and the definiteness of the Killing form on both parts are verified.
+    gamma lists the generators of the fixed group; empty means the whole
+    algebra.  k is the part of the fixed algebra that theta fixes, p the part
+    it negates; the noncompact real form is k + sqrt(-1) p.  Verified: theta
+    has order 1 or 2 and commutes with gamma, k + p fills the fixed algebra,
+    [k,k] in k, [k,p] in p, [p,p] in k, the Killing form is negative definite
+    on k and on p, and the complex fixed subalgebras of gamma and gamma+theta,
+    which give the types, have exactly the compact dimensions.
     """
     if catalog is None:
         catalog = load_catalog()
-    _check_involution(theta)
-    cols = compact_matrix_cols(cb, theta)
-    kspan = _eigenspace_rows(cb, cols, 1)
-    pspan = _eigenspace_rows(cb, cols, -1)
-    if kspan.dim + pspan.dim != cb.dim:
-        raise RealFormError("eigenspace dimensions do not fill the algebra")
-    _check_bracket_relations(kspan, pspan, "")
-    if _restricted_inertia(cb, kspan) != (0, kspan.dim, 0):
-        raise RealFormError("Killing form on k is not negative definite")
-    if pspan.dim and _restricted_inertia(cb, pspan) != (0, pspan.dim, 0):
-        raise RealFormError("Killing form on p (compact coordinates) is not negative definite")
-    g_type = identify_type(fixed_subalgebra(cb.table, []))
-    k_complex = fixed_subalgebra(cb.table, [theta])
-    if k_complex.dim != kspan.dim:
-        raise RealFormError(
-            f"complex fixed space has dim {k_complex.dim} but compact k has {kspan.dim}"
-        )
-    k_type = identify_type(k_complex)
-    name = catalog.lookup(str(g_type), str(k_type), kspan.dim, pspan.dim)
-    return RealFormDescriptor(
-        theta.descriptor, (), str(g_type), str(k_type), kspan.dim, pspan.dim, name
-    )
-
-
-def _gamma_generators(gamma) -> List[Automorphism]:
-    if isinstance(gamma, KleinGroup):
-        return list(gamma.generators)
-    if isinstance(gamma, Automorphism):
-        return [gamma]  # rank-1 degenerate case
-    raise TypeError("gamma must be a KleinGroup or a single Automorphism")
-
-
-def real_fixed_subalgebra(
-    cb: CompactBasis, gamma, theta: Automorphism, catalog: Optional[Catalog] = None
-) -> RealFormDescriptor:
-    """Real form of the gamma-fixed subalgebra inside the theta real form.
-
-    k-part: compact fixed vectors of gamma also fixed by theta; p-part: those
-    negated by theta.  Complexified types come from the complex-side fixed
-    subalgebras of gamma and gamma+theta; their dimensions must match the
-    compact computation exactly.
-    """
-    if catalog is None:
-        catalog = load_catalog()
-    gens = _gamma_generators(gamma)
+    gens = list(gamma)
     _check_involution(theta)
     for g in gens:
         if not commutes(g, theta):
@@ -419,8 +321,10 @@ def real_fixed_subalgebra(
             )
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
-
-    fixed = subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, gcols, 1), check_closed=True)
+    # with no generators every vector is fixed, and the whole algebra is closed
+    fixed = subalgebra_from_vectors(
+        cb, joint_eigenspace(cb.dim, gcols, 1), check_closed=bool(gens)
+    )
 
     def part(eigen: int) -> Subalgebra:
         """Vectors of the fixed algebra that theta multiplies by eigen."""
@@ -432,7 +336,14 @@ def real_fixed_subalgebra(
     ppart = part(-1)
     if kpart.dim + ppart.dim != fixed.dim:
         raise RealFormError("theta does not split the fixed algebra")
-    _check_bracket_relations(kpart, ppart, " in the fixed algebra")
+    for xs, ys, into, what in ((kpart, kpart, kpart, "[k,k] escapes k"),
+                               (kpart, ppart, ppart, "[k,p] escapes p"),
+                               (ppart, ppart, kpart, "[p,p] escapes k")):
+        if first_escape(xs, ys, into):
+            raise RealFormError(what)
+    for span, name in ((kpart, "k"), (ppart, "p")):
+        if _restricted_inertia(cb, span) != (0, span.dim, 0):
+            raise RealFormError(f"Killing form on {name} is not negative definite")
 
     g_complex = fixed_subalgebra(cb.table, gens)
     if g_complex.dim != fixed.dim:
@@ -458,6 +369,23 @@ def real_fixed_subalgebra(
         ppart.dim,
         name,
     )
+
+
+def real_fixed_subalgebra(
+    cb: CompactBasis, gamma, theta: Automorphism, catalog: Optional[Catalog] = None
+) -> RealFormDescriptor:
+    """Real form of the gamma-fixed subalgebra inside the theta real form.
+
+    gamma is a KleinGroup or a single Automorphism (the rank-1 degenerate
+    case); the split and its certificates are those of cartan_decomposition.
+    """
+    if isinstance(gamma, KleinGroup):
+        gens = list(gamma.generators)
+    elif isinstance(gamma, Automorphism):
+        gens = [gamma]
+    else:
+        raise TypeError("gamma must be a KleinGroup or a single Automorphism")
+    return cartan_decomposition(cb, theta, catalog, gens)
 
 
 def holomorphic_flags(

@@ -324,7 +324,8 @@ class StructureTable(BracketTable):
     """Sparse exact bracket table of a Chevalley basis.
 
     Basis: indices 0..rank-1 are the simple coroots h_i, index rank+k is the
-    root vector of roots[k].
+    root vector of roots[k].  ``extraspecial[g]`` is the extraspecial pair
+    (a, b) of each non-simple positive root g = a + b.
     """
 
     def __init__(self, rs: RootSystem):
@@ -333,6 +334,7 @@ class StructureTable(BracketTable):
         self.rank = rs.rank
         self.npos = rs.npos
         self._n: Dict[Tuple[Coords, Coords], int] = {}
+        self.extraspecial: Dict[Coords, Tuple[Coords, Coords]] = {}
         self._fill_structure_constants()
         self._fill_brackets()
 
@@ -396,6 +398,7 @@ class StructureTable(BracketTable):
                     pairs.append((a, b))
             pairs.sort(key=lambda ab: order[ab[0]])
             ea, eb = pairs[0]  # extraspecial: minimal first member
+            self.extraspecial[g] = (ea, eb)
             special[(ea, eb)] = rs.string_down(ea, eb) + 1
             for a, b in pairs[1:]:
                 t = Fraction(0)

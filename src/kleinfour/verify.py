@@ -134,28 +134,19 @@ def involution_census(ctx: "VerifyContext") -> Census:
     """Classify all nonzero torus involutions and all involutive omega-twists."""
     table = ctx.table
     rows: List[CensusRow] = []
-    inner_counts: Dict[str, int] = {}
-    outer_counts: Dict[str, int] = {}
+    counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
     reps: Dict[str, Automorphism] = {}
-    twist_candidates = 0
-    twist_involutions = 0
-    for bits in product((0, 1), repeat=table.rank):
-        if not any(bits):
+    bit_strings = [",".join(map(str, bits)) for bits in product((0, 1), repeat=table.rank)]
+    # bit_strings[0] is all zeros, and torus:0,...,0 is the identity
+    candidates = [("inner", "torus:" + b) for b in bit_strings[1:]]
+    candidates += [("outer", "omega*torus:" + b) for b in bit_strings]
+    for kind, descriptor in candidates:
+        a = ctx.automorphism(descriptor)
+        if kind == "outer" and not a.is_involution():
             continue
-        a = ctx.automorphism("torus:" + ",".join(map(str, bits)))
         label, s, ty = _classify(table, a)
-        rows.append(_census_row(a, "inner", s, ty, label))
-        inner_counts[label] = inner_counts.get(label, 0) + 1
-        reps.setdefault(label, a)
-    for bits in product((0, 1), repeat=table.rank):
-        twist_candidates += 1
-        a = ctx.automorphism("omega*torus:" + ",".join(map(str, bits)))
-        if not a.is_involution():
-            continue
-        twist_involutions += 1
-        label, s, ty = _classify(table, a)
-        rows.append(_census_row(a, "outer", s, ty, label))
-        outer_counts[label] = outer_counts.get(label, 0) + 1
+        rows.append(_census_row(a, kind, s, ty, label))
+        counts[kind][label] = counts[kind].get(label, 0) + 1
         reps.setdefault(label, a)
     realform_names = {
         label: cartan_decomposition(ctx.cb, rep, ctx.catalog).name
@@ -163,11 +154,11 @@ def involution_census(ctx: "VerifyContext") -> Census:
     }
     return Census(
         tuple(rows),
-        inner_counts,
-        outer_counts,
+        counts["inner"],
+        counts["outer"],
         realform_names,
-        twist_candidates,
-        twist_involutions,
+        len(bit_strings),
+        sum(counts["outer"].values()),
     )
 
 

@@ -142,6 +142,7 @@ def test_span_solver_membership():
     solver = SpanSolver(rows, piv)
     assert solver.contains({0: 1, 1: 1, 2: 5})
     assert not solver.contains({2: 1})
+    assert not solver.contains({0: 1, 1: 1, 2: 4})  # both pivots, tail -1 on column 2
 
 
 def test_matrix_no_floats_rejected():

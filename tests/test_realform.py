@@ -69,6 +69,35 @@ def test_compact_brackets_are_integral(e6_compact):
             assert isinstance(c, int)
 
 
+@pytest.mark.parametrize("label", ["G2", "B3", "C3"])
+def test_compact_form_of_multiply_laced_types(label):
+    cb = compact_form(chevalley_table(build_root_system(cartan_matrix(label))))
+    assert all(isinstance(c, int) for terms in cb._bra.values() for _, c in terms)
+    assert jacobi_defect(cb) is None
+
+
+def test_f4_compact_form_builds():
+    cb = compact_form(chevalley_table(build_root_system(cartan_matrix("F4"))))
+    assert cb.dim == 52
+
+
+def test_to_compact_reads_back_the_basis(e6_compact):
+    cb = e6_compact
+    for i, (e, x) in enumerate(cb.parts):
+        assert cb.to_compact(x, e, cb.label(i)) == {i: 1}
+        assert cb.to_compact(x, e + 2, cb.label(i)) == {i: -1}
+
+
+def test_to_compact_rejects_vectors_outside_the_compact_form(e6_compact):
+    cb = e6_compact
+    x_a = {cb.rank: 1}  # X_a of the first positive root, without X_{-a}
+    for e in (0, 1):
+        with pytest.raises(RealFormError, match=r"X_a alone .*x\+\[0,0,0,0,0,1\]"):
+            cb.to_compact(x_a, e, "X_a alone")
+    with pytest.raises(RealFormError, match=r"real h1 .*\(at h1\)"):
+        cb.to_compact({0: 1}, 0, "real h1")
+
+
 # -- automorphisms in compact coordinates ---------------------------------------------
 
 def test_torus_compact_matrix_is_diagonal(e6, e6_compact):
