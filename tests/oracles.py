@@ -5,6 +5,8 @@ E6 root system, with plain inner products.  No code from the package under
 test is imported: root enumeration, positivity, torus fixed-space dimensions
 (parity counts) and subsystem classification (ADE graph shapes) are all
 derived separately, so agreement with the library is a genuine cross-check.
+The reference certifier at the end reads a structure table only through its
+``pair_bracket`` and is the generic all-pairs homomorphism check.
 """
 
 from fractions import Fraction
@@ -168,3 +170,40 @@ def classify_even_subsystem(bits):
 def hand_kernel_2x2_ones():
     """Kernel direction of [[1,1],[1,1]] by hand elimination: x0 + x1 = 0."""
     return (Fraction(-1), Fraction(1))
+
+
+def _add_scaled(acc, a, terms):
+    """acc += a * terms, dropping entries that cancel to zero."""
+    for k, x in terms:
+        v = acc.get(k, 0) + a * x
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+
+
+def first_homomorphism_defect(table, cols):
+    """First basis pair (i, j), i < j, with [A e_i, A e_j] != A [e_i, e_j], or None.
+
+    cols[j] is the sparse image A e_j.  Both sides are expanded through
+    table.pair_bracket over every pair in lexicographic order; no other part
+    of the table is read.
+    """
+    pb = table.pair_bracket
+    cols = [{k: v for k, v in c.items() if v} for c in cols]
+
+    def bracket(u, v):
+        out = {}
+        for k, a in u.items():
+            for l, b in v.items():
+                _add_scaled(out, a * b, pb(k, l))
+        return out
+
+    for i in range(table.dim):
+        for j in range(i + 1, table.dim):
+            rhs = {}
+            for k, c in pb(i, j):
+                _add_scaled(rhs, c, cols[k].items())
+            if bracket(cols[i], cols[j]) != rhs:
+                return i, j
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from kleinfour.autos import (
     CertificationError,
+    _exp_ad_cols,
     commutes,
     compose,
+    compose_cols,
     conjugate,
     diagram_automorphism,
     identity_automorphism,
@@ -21,7 +24,7 @@ from kleinfour.autos import (
 )
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import pairing_parity_fixed_dim
+from oracles import first_homomorphism_defect, pairing_parity_fixed_dim
 
 
 def fixed_dim(table, auto):
@@ -251,6 +254,34 @@ def test_certification_rejects_sign_corruption(e6):
         make_automorphism(e6, cols, "corrupted")
 
 
+def _flip_col6(cols):
+    cols[6] = {k: -v for k, v in cols[6].items()}
+
+
+def _bump(col, row, delta):
+    def edit(cols):
+        cols[col][row] = cols[col].get(row, 0) + delta
+    return edit
+
+
+@pytest.mark.parametrize("descriptor, edit, pair", [
+    ("torus:0,1,0,0,0,0", _flip_col6, "(x+[0,0,0,0,0,1], x+[0,0,0,0,1,0])"),
+    ("torus:0,1,0,0,0,0", _bump(20, 20, Fraction(1, 2)), "(x+[0,0,0,0,1,0], x+[0,1,1,1,0,0])"),
+    ("omega*torus:0,0,1,0,1,0", _bump(3, 3, 2), "(h4, x+[0,0,0,0,1,0])"),
+    ("weyl:3", _bump(1, 40, 1), "(h2, h4)"),
+    ("weyl:3", _bump(2, 0, -1), "(h3, x+[0,0,0,1,0,0])"),
+])
+def test_certification_names_first_failing_pair(ctx, descriptor, edit, pair):
+    # the message names the lexicographically first basis pair i < j at which
+    # [A e_i, A e_j] != A [e_i, e_j]
+    good = weyl_lift(ctx.table, 2) if descriptor == "weyl:3" else ctx.automorphism(descriptor)
+    cols = [dict(c) for c in good.cols]
+    edit(cols)
+    with pytest.raises(CertificationError) as err:
+        make_automorphism(ctx.table, cols, "corrupted")
+    assert str(err.value) == f"corrupted: homomorphism fails at basis pair {pair}"
+
+
 @pytest.fixture(scope="module")
 def certified(ctx):
     return {
@@ -277,6 +308,103 @@ def test_certification_rejects_single_entry_corruption(certified, kind, col, shi
     cols[col][row] = cols[col].get(row, 0) + delta
     with pytest.raises(CertificationError):
         make_automorphism(good.table, cols, "corrupted")
+
+
+# -- cross-check against the generic all-pairs certifier ----------------------
+
+_LIFT_TYPES = ("E6", "B3", "C3", "F4", "G2")
+
+
+@pytest.fixture(scope="module")
+def lift_tables(e6):
+    out = {"E6": e6}
+    for label in _LIFT_TYPES[1:]:
+        out[label] = chevalley_table(build_root_system(cartan_matrix(label)))
+    return out
+
+
+def _homomorphism_verdict(table, cols):
+    """make_automorphism's homomorphism message for cols, or None if it holds."""
+    try:
+        make_automorphism(table, cols, "candidate")
+    except CertificationError as err:
+        if "homomorphism fails" in str(err):
+            return str(err)
+    return None
+
+
+def _reference_verdict(table, cols):
+    pair = first_homomorphism_defect(table, cols)
+    if pair is None:
+        return None
+    i, j = pair
+    return (f"candidate: homomorphism fails at basis pair "
+            f"({table.basis_label(i)}, {table.basis_label(j)})")
+
+
+def test_census_automorphisms_pass_the_reference_certifier(ctx):
+    bits = [",".join(map(str, b)) for b in itertools.product((0, 1), repeat=6)]
+    for descriptor in ["torus:" + b for b in bits[1:]] + ["omega*torus:" + b for b in bits]:
+        a = ctx.automorphism(descriptor)
+        assert first_homomorphism_defect(ctx.table, a.cols) is None, descriptor
+        assert make_automorphism(ctx.table, a.cols, descriptor).order == a.order
+
+
+@pytest.mark.parametrize("label", _LIFT_TYPES)
+def test_weyl_lifts_pass_the_reference_certifier(lift_tables, label):
+    table = lift_tables[label]
+    for i in range(table.rank):
+        assert first_homomorphism_defect(table, weyl_lift(table, i).cols) is None
+
+
+@pytest.fixture(scope="module")
+def cross_check_bases(ctx, lift_tables):
+    """Certified automorphisms to corrupt: monomial, Weyl-lift and dense columns."""
+    t = ctx.table
+    torus = ctx.automorphism("torus:0,1,0,0,0,0")
+    # exp(ad x) torus exp(-ad x) for a root vector x that torus negates: an
+    # involution whose root-vector columns have up to three entries
+    k = t.rank + t.rs.index((0, 0, 0, 1, 0, 0))
+    conj = compose_cols(_exp_ad_cols(t, {k: 1}), compose_cols(torus.cols, _exp_ad_cols(t, {k: -1})))
+    out = {
+        "torus": torus,
+        "omega-twist": ctx.automorphism("omega*torus:0,0,1,0,1,0"),
+        "conjugated": make_automorphism(t, conj, "conjugated"),
+    }
+    for label in _LIFT_TYPES:
+        out["weyl-" + label] = weyl_lift(lift_tables[label], 1)
+    return out
+
+
+_edit = st.tuples(
+    st.integers(0, 10**4),
+    st.one_of(st.just(0), st.integers(1, 10**4)),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 3), "cancel"]),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["torus", "omega-twist", "conjugated"]
+                         + ["weyl-" + label for label in _LIFT_TYPES]),
+    edits=st.lists(_edit, min_size=1, max_size=2),
+)
+def test_certification_agrees_with_reference_certifier(cross_check_bases, kind, edits):
+    # one or two entries changed; "cancel" deletes an existing entry, so a
+    # bracket can vanish on one side of the equation and not on the other
+    good = cross_check_bases[kind]
+    table = good.table
+    cols = [dict(c) for c in good.cols]
+    for col, shift, delta in edits:
+        col %= table.dim
+        row = (col + shift) % table.dim
+        if delta == "cancel":
+            keys = sorted(cols[col])
+            if keys:
+                del cols[col][keys[shift % len(keys)]]
+        else:
+            cols[col][row] = cols[col].get(row, 0) + delta
+    assert _homomorphism_verdict(table, cols) == _reference_verdict(table, cols)
 
 
 def test_certification_rejects_non_invertible(e6):
