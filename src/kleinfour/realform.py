@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -87,6 +88,11 @@ class CompactBasis(BracketTable):
                 f"Killing form of the compact basis has inertia {inertia}, "
                 f"expected (0, {self.dim}, 0); structure constants are wrong"
             )
+
+    @cached_property
+    def complex_type(self) -> ReductiveType:
+        """Reductive type of the whole complex algebra, identified once."""
+        return identify_type(fixed_subalgebra(self.table, []))
 
     # index helpers
     def u(self, k: int) -> int:
@@ -351,7 +357,7 @@ def cartan_decomposition(
             f"complex fixed space of gamma has dim {g_complex.dim}, "
             f"compact fixed space has {fixed.dim}"
         )
-    g_type = identify_type(g_complex)
+    g_type = identify_type(g_complex) if gens else cb.complex_type
     k_complex = fixed_subalgebra(cb.table, gens + [theta])
     if k_complex.dim != kpart.dim:
         raise RealFormError(

@@ -282,41 +282,45 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
 class BracketTable:
     """Sparse exact antisymmetric bracket on the basis indices 0..dim-1.
 
-    ``_bra`` stores [e_i, e_j] for i < j only, as a tuple of (index,
-    coefficient) terms; the bracket of a pair (j, i) is the stored value
-    negated and [e_i, e_i] = 0, which makes the operational bracket
-    antisymmetric by construction.
+    ``_adj[i][j]`` is [e_i, e_j] as a tuple of (index, coefficient) terms,
+    stored for both orders (the (j, i) entry is the negated tuple) and only
+    when nonzero, so ``_adj[i]`` lists exactly the basis vectors with a
+    nonzero bracket against e_i.  ``_bra`` holds the i < j half, sharing the
+    same tuples.  No diagonal bracket is ever stored.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._bra: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        self._adj: List[Dict[int, Tuple[Tuple[int, int], ...]]] = [{} for _ in range(dim)]
 
     def _set(self, i: int, j: int, terms) -> None:
         """Record [e_i, e_j] = terms (either order), dropping zero terms."""
         terms = tuple((k, c) for k, c in terms if c)
         if not terms:
             return
-        if i < j:
-            self._bra[(i, j)] = terms
-        else:
-            self._bra[(j, i)] = tuple((k, -c) for k, c in terms)
+        if i == j:
+            raise ValueError(f"nonzero diagonal bracket [e_{i}, e_{i}]")
+        neg = tuple((k, -c) for k, c in terms)
+        if i > j:
+            i, j, terms, neg = j, i, neg, terms
+        self._bra[(i, j)] = terms
+        self._adj[i][j] = terms
+        self._adj[j][i] = neg
 
     def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
         """[e_i, e_j] as a sparse coefficient tuple."""
-        if i == j:
-            return ()
-        if i < j:
-            return self._bra.get((i, j), ())
-        return tuple((k, -c) for k, c in self._bra.get((j, i), ()))
+        return self._adj[i].get(j, ())
 
     def bracket(self, u: dict, v: dict) -> dict:
         """Bracket of two sparse vectors {basis index: coefficient}."""
         out: dict = {}
         for i, a in u.items():
+            row = self._adj[i]
             for j, b in v.items():
-                if i != j:
-                    axpy(out, a * b, self.pair_bracket(i, j))
+                terms = row.get(j)
+                if terms:
+                    axpy(out, a * b, terms)
         return out
 
 
@@ -515,7 +519,7 @@ def killing_form(t: StructureTable) -> List[Dict[int, int]]:
 
 
 def verify_antisymmetry(t) -> bool:
-    """No diagonal brackets; [i,j] = -[j,i] for every stored pair."""
+    """No diagonal brackets; the two stored orders of every pair negate each other."""
     for i in range(t.dim):
         if t.pair_bracket(i, i):
             return False

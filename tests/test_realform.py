@@ -243,6 +243,26 @@ def test_holomorphic_flags_build_the_center_once(ctx, e6, monkeypatch):
     assert len(calls) == 1
 
 
+def test_whole_algebra_is_identified_once_per_compact_basis(ctx, e6, monkeypatch):
+    from kleinfour import realform
+
+    thetas = [torus_involution(e6, bits)
+              for bits in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 0, 1, 0, 0))]
+    expected = [cartan_decomposition(ctx.cb, theta) for theta in thetas]
+    cb = compact_form(e6)
+    whole = []
+    identify_type = realform.identify_type
+
+    def counting(s):
+        if s.dim == e6.dim:
+            whole.append(s)
+        return identify_type(s)
+
+    monkeypatch.setattr(realform, "identify_type", counting)
+    assert [cartan_decomposition(cb, theta) for theta in thetas] == expected
+    assert len(whole) == 1
+
+
 def test_holomorphic_flags_reject_noncommuting_sigma(ctx, e6):
     theta = torus_involution(e6, (1, 0, 0, 0, 0, 1))
     sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))

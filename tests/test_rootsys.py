@@ -4,6 +4,7 @@ import pytest
 
 from kleinfour.exactq import rank as mat_rank, symmetric_inertia
 from kleinfour.rootsys import (
+    BracketTable,
     CartanMatrixError,
     build_root_system,
     cartan_matrix,
@@ -104,6 +105,32 @@ def test_a1_bracket_relations():
     assert t.pair_bracket(0, 1) == ((1, 2),)
     assert t.pair_bracket(0, 2) == ((2, -2),)
     assert t.pair_bracket(1, 2) == ((0, 1),)
+
+
+def test_bracket_table_stores_each_pair_once_for_both_orders():
+    t = BracketTable(3)
+    t._set(2, 0, [(1, 3), (2, 0)])
+    assert t._bra == {(0, 2): ((1, -3),)}
+    assert t.pair_bracket(0, 2) == ((1, -3),)
+    assert t.pair_bracket(2, 0) == ((1, 3),)
+    assert t.pair_bracket(0, 1) == ()
+    assert t.bracket({0: 1, 1: 5}, {2: 2}) == {1: -6}
+    assert t.bracket({2: 2}, {0: 1, 1: 5}) == {1: 6}
+    assert verify_antisymmetry(t)
+    t._adj[2][0] = ((1, 4),)  # one half edited behind _set's back
+    assert not verify_antisymmetry(t)
+
+
+def test_bracket_table_rejects_a_diagonal_bracket():
+    t = BracketTable(3)
+    t._set(1, 1, [(0, 0)])  # a zero bracket stores nothing
+    with pytest.raises(ValueError, match="diagonal"):
+        t._set(1, 1, [(0, 2)])
+    assert t.pair_bracket(1, 1) == ()
+    assert t.bracket({1: 1}, {1: 1}) == {}
+    assert verify_antisymmetry(t)
+    t._adj[1][1] = ((0, 2),)
+    assert not verify_antisymmetry(t)
 
 
 def test_a2_constants_all_magnitude_one():
