@@ -88,7 +88,13 @@ def compose_cols(a: Cols, b: Cols) -> Cols:
                     acc[r] = nv
                 else:
                     acc.pop(r, None)
-        out.append(_clean(acc))
+        # acc has no zeros; only a Fraction entry can need normalising (a
+        # loop, not any(): this check runs once per column of every product)
+        for v in acc.values():
+            if type(v) is not int:
+                acc = {r: as_num(x) for r, x in acc.items()}
+                break
+        out.append(acc)
     return tuple(out)
 
 
@@ -214,8 +220,8 @@ def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
         raise ValueError(f"coefficient vector must have length {table.rank}")
     bits = tuple(x % 2 for x in c)
     cols: List[dict] = [{i: 1} for i in range(table.rank)]
-    for k, r in enumerate(rs.roots):
-        s = sum(bits[i] * rs.pairing(r.coords, i) for i in range(table.rank))
+    for k, pairs in enumerate(rs.pairings):
+        s = sum(b * p for b, p in zip(bits, pairs))
         cols.append({table.rank + k: -1 if s % 2 else 1})
     desc = "torus:" + ",".join(str(b) for b in bits)
     return make_automorphism(table, cols, desc)
@@ -389,16 +395,21 @@ def weyl_lift(table: StructureTable, i: int) -> Automorphism:
     return make_automorphism(table, cols, f"weyl:{i + 1}")
 
 
-def conjugate(w: Automorphism, a: Automorphism) -> Automorphism:
-    """w a w^{-1}; the inverse comes from the certified order of w."""
-    if w.table is not a.table:
-        raise ValueError("automorphisms live on different algebras")
+def inverse_cols(w: Automorphism) -> Cols:
+    """Columns of w^{-1} = w^(order - 1), from the certified order of w."""
+    if w.order == 1:
+        return tuple({j: 1} for j in range(w.table.dim))
     inv = w.cols
     for _ in range(w.order - 2):
         inv = compose_cols(w.cols, inv)
-    if w.order == 1:
-        inv = tuple({j: 1} for j in range(w.table.dim))
-    cols = compose_cols(w.cols, compose_cols(a.cols, inv))
+    return inv
+
+
+def conjugate(w: Automorphism, a: Automorphism) -> Automorphism:
+    """w a w^{-1}, re-certified; the inverse comes from the certified order of w."""
+    if w.table is not a.table:
+        raise ValueError("automorphisms live on different algebras")
+    cols = compose_cols(w.cols, compose_cols(a.cols, inverse_cols(w)))
     return make_automorphism(w.table, cols, f"conj({w.descriptor},{a.descriptor})")
 
 

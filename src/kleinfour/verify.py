@@ -1,15 +1,21 @@
 """Involution census, configuration searches, and verification scenarios.
 
-Conjugacy classes of involutions are recognized by computed invariants: the
+A conjugacy class of involutions is recognized by computed invariants: the
 pair (fixed-space dimension, fixed-point type).  The four classes in scope:
 
     sigma1 <-> (38, A5+A1)      sigma2 <-> (46, D5+u(1))
     sigma3 <-> (52, F4)         sigma4 <-> (36, C4)
 
 The four dimensions are distinct, but the type is matched as well, as a
-certificate that the invariant pair is one of the catalogued ones.  Searches
-run over the census: the full torus 2-group (63 nonzero classes) and the 64
-twisted products omega*torus(c), keeping the twists that square to the
+certificate that the invariant pair is one of the catalogued ones.  The census
+checks the invariant pair on one representative per conjugacy orbit only.
+Every other census involution y is certified conjugate to a classified one x,
+y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
+column equality y∘g == g∘x, and takes x's class; each row's dimension is
+still checked against its trace.
+
+Searches run over the census: the full torus 2-group (63 nonzero classes) and
+the 64 twisted products omega*torus(c), keeping the twists that square to the
 identity.  One enumerator (_commuting_tuples) walks the pairwise commuting
 tuples of distinct census involutions, one per requested class, depth first in
 census order, so identical inputs find identical first configurations.
@@ -31,19 +37,23 @@ exactly the character dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .autos import (
     Automorphism,
     CertificationError,
+    Cols,
     commutes,
     compose,
+    compose_cols,
+    inverse_cols,
     joint_fixed_dim,
     make_klein,
     parse_descriptor,
+    weyl_lift,
 )
 from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type, type_dim
 from .realform import (
@@ -118,6 +128,10 @@ class CensusRow:
     fixed_type: str
     label: str
     trace_identity_ok: bool
+    # how the row was labelled: "generic" (classified by _classify), or
+    # (g, x): conjugate by g of the census row with descriptor x, certified
+    # by row∘g == g∘x.  Not part of the row's value.
+    provenance: Union[str, Tuple[str, str]] = field(default="generic", compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,22 +144,95 @@ class Census:
     twist_involutions: int
 
 
-def involution_census(ctx: "VerifyContext") -> Census:
-    """Classify all nonzero torus involutions and all involutive omega-twists."""
+def _conjugators(ctx: "VerifyContext") -> List[Tuple[Automorphism, Cols]]:
+    """Certified inner automorphisms the census conjugates by, with inverses.
+
+    The Weyl lifts of the simple reflections and the simple torus involutions
+    (census rows already); each inverse comes from the certified order.
+    """
     table = ctx.table
-    rows: List[CensusRow] = []
-    counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
-    reps: Dict[str, Automorphism] = {}
+    rank = table.rank
+    gens = [weyl_lift(table, i) for i in range(rank)]
+    gens += [
+        ctx.automorphism("torus:" + ",".join("1" if j == i else "0" for j in range(rank)))
+        for i in range(rank)
+    ]
+    return [(g, inverse_cols(g)) for g in gens]
+
+
+def _fingerprint(cols, gens: Sequence[int]) -> tuple:
+    """The images of the basis vectors gens, hashable."""
+    return tuple(tuple(sorted(cols[k].items())) for k in gens)
+
+
+def _fingerprint_index(autos: Sequence[Automorphism], gens: Sequence[int]) -> Dict[tuple, int]:
+    """Position of each automorphism, keyed by its fingerprint on gens."""
+    return {_fingerprint(a.cols, gens): n for n, a in enumerate(autos)}
+
+
+def _label_by_conjugacy(table, autos: Sequence[Automorphism], conjugators) -> List[tuple]:
+    """(label, fixed dim, fixed type, provenance) of each involution in autos.
+
+    The first unlabelled involution is classified by _classify and its orbit
+    is walked depth first: for a labelled x and a conjugator (g, g^-1), the
+    involution y = g x g^-1 gets x's class once y∘g == g∘x holds column for
+    column.  y is looked up by its images of the Chevalley generators
+    x_{+-alpha_i}, which determine an automorphism; a lookup whose column
+    equality fails is no edge.
+    """
+    rank = table.rank
+    gens = []
+    for i in range(rank):
+        e = tuple(1 if j == i else 0 for j in range(rank))
+        gens += [rank + table.rs.index(e), rank + table.rs.index(tuple(-c for c in e))]
+    index = _fingerprint_index(autos, gens)
+    classes: List[Optional[tuple]] = [None] * len(autos)
+    left = len(autos)
+    for start, a in enumerate(autos):
+        if classes[start] is not None:
+            continue
+        label, s, ty = _classify(table, a)
+        classes[start] = (label, s.dim, str(ty), "generic")
+        left -= 1
+        stack = [start]
+        while stack and left:
+            n = stack.pop()
+            x = autos[n]
+            for g, g_inv in conjugators:
+                images = {k: g.apply(x.apply(g_inv[k])) for k in gens}
+                m = index.get(_fingerprint(images, gens))
+                if m is None or classes[m] is not None:
+                    continue
+                if compose_cols(autos[m].cols, g.cols) != compose_cols(g.cols, x.cols):
+                    continue
+                classes[m] = classes[n][:3] + ((g.descriptor, x.descriptor),)
+                left -= 1
+                stack.append(m)
+    return classes
+
+
+def involution_census(ctx: "VerifyContext") -> Census:
+    """Classify all nonzero torus involutions and all involutive omega-twists.
+
+    One row per conjugacy orbit is classified by _classify; every other row
+    takes its class from a certified conjugation (_label_by_conjugacy), and a
+    row that no orbit reaches is classified by _classify itself.
+    """
+    table = ctx.table
     bit_strings = [",".join(map(str, bits)) for bits in product((0, 1), repeat=table.rank)]
     # bit_strings[0] is all zeros, and torus:0,...,0 is the identity
     candidates = [("inner", "torus:" + b) for b in bit_strings[1:]]
     candidates += [("outer", "omega*torus:" + b) for b in bit_strings]
-    for kind, descriptor in candidates:
-        a = ctx.automorphism(descriptor)
-        if kind == "outer" and not a.is_involution():
-            continue
-        label, s, ty = _classify(table, a)
-        rows.append(_census_row(a, kind, s, ty, label))
+    found = [(kind, ctx.automorphism(d)) for kind, d in candidates]
+    found = [(kind, a) for kind, a in found if kind == "inner" or a.is_involution()]
+    classes = _label_by_conjugacy(table, [a for _, a in found], _conjugators(ctx))
+
+    rows: List[CensusRow] = []
+    counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
+    reps: Dict[str, Automorphism] = {}
+    for (kind, a), (label, dim, ty, how) in zip(found, classes):
+        trace_ok = dim == joint_fixed_dim([a])
+        rows.append(CensusRow(a.descriptor, kind, dim, ty, label, trace_ok, how))
         counts[kind][label] = counts[kind].get(label, 0) + 1
         reps.setdefault(label, a)
     realform_names = {
@@ -160,11 +247,6 @@ def involution_census(ctx: "VerifyContext") -> Census:
         len(bit_strings),
         sum(counts["outer"].values()),
     )
-
-
-def _census_row(auto, kind, s, ty, label):
-    trace_ok = s.dim == joint_fixed_dim([auto])
-    return CensusRow(auto.descriptor, kind, s.dim, str(ty), label, trace_ok)
 
 
 # ---------------------------------------------------------------------------

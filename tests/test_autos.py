@@ -14,6 +14,7 @@ from kleinfour.autos import (
     conjugate,
     diagram_automorphism,
     identity_automorphism,
+    inverse_cols,
     joint_fixed_dim,
     make_automorphism,
     make_klein,
@@ -22,6 +23,7 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
+from kleinfour.exactq import as_num, lincomb
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from oracles import first_homomorphism_defect, pairing_parity_fixed_dim
@@ -189,6 +191,47 @@ def test_conjugation_preserves_fixed_dim(e6):
         c = conjugate(weyl_lift(e6, i), s1)
         assert c.order == 2
         assert fixed_dim(e6, c) == 38
+
+
+def _reference_compose(a, b):
+    """a∘b column by column through lincomb, every entry normalised."""
+    return tuple(
+        {r: as_num(v) for r, v in lincomb(col.values(), (a[k] for k in col)).items()}
+        for col in b
+    )
+
+
+def test_compose_cols_normalises_fraction_entries_only(e6):
+    """Products of Fraction columns (the exp(ad) factors of a Weyl lift, with
+    every entry a Fraction) are ints or non-integral Fractions, and equal and
+    hash as the product normalised entry by entry."""
+    plus, minus = (0, 0, 1, 0, 0, 0), (0, 0, -1, 0, 0, 0)
+    x_plus = {6 + e6.rs.index(plus): Fraction(1)}
+    as_fractions = lambda cols: tuple({r: Fraction(v) for r, v in c.items()} for c in cols)
+    e_plus = as_fractions(_exp_ad_cols(e6, x_plus))
+    e_minus = as_fractions(_exp_ad_cols(e6, {6 + e6.rs.index(minus): Fraction(-1)}))
+    e_half = _exp_ad_cols(e6, {k: v / 2 for k, v in x_plus.items()})
+    for a, b in ((e_plus, e_minus), (e_minus, e_plus), (e_minus, e_half)):
+        got = compose_cols(a, b)
+        ref = _reference_compose(a, b)
+        assert got == ref
+        assert hash(tuple(tuple(sorted(c.items())) for c in got)) == hash(
+            tuple(tuple(sorted(c.items())) for c in ref)
+        )
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+                   for col in got for v in col.values())
+    assert any(type(v) is Fraction for col in compose_cols(e_minus, e_half) for v in col.values())
+    lift = compose_cols(e_plus, compose_cols(e_minus, e_plus))
+    assert all(type(v) is int for col in lift for v in col.values())
+    assert lift == weyl_lift(e6, 2).cols
+
+
+def test_inverse_cols_from_the_certified_order(e6):
+    for w in (weyl_lift(e6, 0), torus_involution(e6, (0, 1, 0, 0, 0, 0)),
+              omega_automorphism(e6), identity_automorphism(e6)):
+        ident = tuple({j: 1} for j in range(e6.dim))
+        assert compose_cols(w.cols, inverse_cols(w)) == ident
+        assert compose_cols(inverse_cols(w), w.cols) == ident
 
 
 # -- certification ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from kleinfour.autos import (
     CertificationError,
     commutes,
     compose,
+    compose_cols,
     conjugate,
     joint_fixed_dim,
     omega_automorphism,
@@ -93,6 +94,78 @@ def test_census_invariants_recomputed(census):
 def test_census_type_labels_parse_to_their_dimension(census):
     for row in census.rows:
         assert type_dim(row.fixed_type) == row.fixed_dim
+
+
+def test_census_rows_match_the_generic_classifier(ctx, census):
+    """Every transported row carries what _classify computes for it, and
+    exactly one row per class was classified generically."""
+    for row in census.rows:
+        label, s, ty = verify._classify(ctx.table, ctx.automorphism(row.descriptor))
+        assert (label, s.dim, str(ty)) == (row.label, row.fixed_dim, row.fixed_type), row
+    generic = [r.label for r in census.rows if r.provenance == "generic"]
+    assert sorted(generic) == sorted(CLASS_INVARIANTS)
+
+
+def test_census_provenance_edges_lead_to_a_generic_row(ctx, census):
+    """Each recorded edge (g, x) is a certified conjugation row = g x g^-1 of
+    a row of the same class, and following the edges ends at a generic row."""
+    by_desc = {r.descriptor: r for r in census.rows}
+    lifts = {f"weyl:{i + 1}": weyl_lift(ctx.table, i) for i in range(ctx.table.rank)}
+    for row in census.rows:
+        seen = set()
+        r = row
+        while r.provenance != "generic":
+            assert r.descriptor not in seen
+            seen.add(r.descriptor)
+            g_desc, x_desc = r.provenance
+            g = lifts.get(g_desc) or ctx.automorphism(g_desc)
+            y, x = ctx.automorphism(r.descriptor), ctx.automorphism(x_desc)
+            assert compose_cols(y.cols, g.cols) == compose_cols(g.cols, x.cols)
+            r = by_desc[x_desc]
+        assert r.label == row.label
+
+
+def test_census_without_conjugators_is_all_generic(ctx, census, monkeypatch):
+    monkeypatch.setattr(verify, "_conjugators", lambda ctx: [])
+    plain = verify.involution_census(ctx)
+    assert all(r.provenance == "generic" for r in plain.rows)
+    assert plain == census
+
+
+def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
+    """A sigma1 row's fingerprint pointed at a sigma2 row: the walk finds the
+    sigma2 row, its column equality fails, and no edge is taken."""
+    rows = census.rows
+    start = [n for n, r in enumerate(rows) if r.provenance == "generic"]
+    assert rows[start[0]].label == "sigma1"
+    y = next(n for n, r in enumerate(rows) if r.label == "sigma1" and n not in start)
+    z = next(n for n, r in enumerate(rows) if r.label == "sigma2" and n not in start)
+    real_index = verify._fingerprint_index
+    hits = []
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            if super().get(key) == z and key != z_key:
+                hits.append(key)
+            return super().get(key, default)
+
+    def poisoned(autos, gens):
+        nonlocal z_key
+        index = Spy(real_index(autos, gens))
+        z_key = next(k for k, n in index.items() if n == z)
+        index[next(k for k, n in index.items() if n == y)] = z
+        return index
+
+    z_key = None
+    monkeypatch.setattr(verify, "_fingerprint_index", poisoned)
+    got = verify.involution_census(ctx)
+    assert hits  # the walk looked up y's fingerprint and found z
+    assert got == census  # z was not labelled sigma1 through that hit
+    # y is unreachable by fingerprint, so it starts an orbit of its own
+    assert got.rows[y].provenance == "generic"
+    by_desc = {r.descriptor: r for r in got.rows}
+    if got.rows[z].provenance != "generic":
+        assert by_desc[got.rows[z].provenance[1]].label == "sigma2"
 
 
 # -- character formula -------------------------------------------------------------
