@@ -8,6 +8,13 @@ brackets and the candidate's nonzero entries, and a pair reached by neither
 is zero on both sides.  Nothing downstream ever touches an
 uncertified matrix; sign mistakes in the diagram-automorphism extension are
 the dominant bug risk and this is the firewall.
+
+The two search gates, commutes and joint_fixed_dim, read a diagonal factor
+(every torus involution) from the diagonal entries that each Automorphism
+records from its columns: commutation compares entries on the other
+factor's support, and the joint fixed dimension of diagonal involutions
+counts the basis vectors that every sign fixes.  Neither composes a product.
+Both answers are exact, and every other input takes the generic formulas.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .rootsys import StructureTable
 Cols = Tuple[Dict[int, object], ...]
 
 _ORDER_CAP = 60
+_SIGNS = frozenset((1, -1))
 
 
 class CertificationError(Exception):
@@ -32,17 +40,25 @@ class CertificationError(Exception):
 class Automorphism:
     """Certified algebra automorphism in the canonical basis.
 
-    ``cols[j]`` is the sparse image of basis vector j.  Instances are created
-    by make_automorphism only and are immutable afterwards.
+    ``cols[j]`` is the sparse image of basis vector j.  ``diagonal`` is the
+    tuple of diagonal entries d_j when every column j is {j: d_j} with
+    d_j != 0, else None; it is read from ``cols``, never from the descriptor.
+    Instances are created by make_automorphism only and are immutable
+    afterwards.
     """
 
-    __slots__ = ("table", "cols", "order", "descriptor")
+    __slots__ = ("table", "cols", "order", "descriptor", "diagonal")
 
     def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str):
         self.table = table
         self.cols = cols
         self.order = order
         self.descriptor = descriptor
+        self.diagonal = (
+            tuple(col[j] for j, col in enumerate(cols))
+            if all(len(col) == 1 and col.get(j) for j, col in enumerate(cols))
+            else None
+        )
 
     def apply(self, vec: dict) -> dict:
         return lincomb(vec.values(), (self.cols[j] for j in vec))
@@ -74,28 +90,34 @@ def _clean(vec: dict) -> dict:
     return {k: as_num(v) for k, v in vec.items() if v}
 
 
+def _apply_cols(a: Cols, col: dict) -> dict:
+    """The sparse vector a(col): column j of a∘b when col is b's column j."""
+    # inline, not exactq.lincomb: this is the inner loop of every composition
+    # and of the generic commutes(), and the call overhead slowed searches
+    acc: dict = {}
+    for k, v in col.items():
+        for r, w in a[k].items():
+            nv = acc.get(r, 0) + v * w
+            if nv:
+                acc[r] = nv
+            else:
+                acc.pop(r, None)
+    # acc has no zeros; only a Fraction entry can need normalising (a loop,
+    # not any(): this check runs once per column of every product)
+    for v in acc.values():
+        if type(v) is not int:
+            return {r: as_num(x) for r, x in acc.items()}
+    return acc
+
+
 def compose_cols(a: Cols, b: Cols) -> Cols:
     """Columns of a∘b (apply b first)."""
-    # inline, not exactq.lincomb: this is the inner loop of commutes(), which
-    # gates every search candidate, and the call overhead slowed searches
-    out = []
-    for colb in b:
-        acc: dict = {}
-        for k, v in colb.items():
-            for r, w in a[k].items():
-                nv = acc.get(r, 0) + v * w
-                if nv:
-                    acc[r] = nv
-                else:
-                    acc.pop(r, None)
-        # acc has no zeros; only a Fraction entry can need normalising (a
-        # loop, not any(): this check runs once per column of every product)
-        for v in acc.values():
-            if type(v) is not int:
-                acc = {r: as_num(x) for r, x in acc.items()}
-                break
-        out.append(acc)
-    return tuple(out)
+    return tuple(_apply_cols(a, col) for col in b)
+
+
+def products_equal(a: Cols, b: Cols, c: Cols, d: Cols) -> bool:
+    """a∘b == c∘d, compared one column at a time up to the first difference."""
+    return all(_apply_cols(a, x) == _apply_cols(c, y) for x, y in zip(b, d))
 
 
 def _product_trace(a: Cols, b: Cols):
@@ -110,12 +132,29 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
     fixed space, so the value is exact for pairwise commuting generators of
     order 1 or 2; commutation is the caller's to check.  A generator of any
     other order is rejected, and a trace sum not divisible by 2^k raises.
+
+    When every generator is diagonal the joint fixed space is spanned by the
+    basis vectors on which every diagonal entry is +1, so the value is their
+    count, with no product or trace.  A diagonal entry other than +1 or -1
+    cannot come from an involution and raises, as the divisibility check
+    does on the generic path.
     """
     if not gens:
         raise ValueError("joint_fixed_dim needs at least one generator")
     for g in gens:
         if g.order not in (1, 2):
             raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
+    diags = [g.diagonal for g in gens]
+    if all(d is not None for d in diags):
+        for g, d in zip(gens, diags):
+            if not _SIGNS.issuperset(d):
+                j = next(j for j, e in enumerate(d) if e not in _SIGNS)
+                raise CertificationError(
+                    f"{g.descriptor}: diagonal entry {d[j]} at "
+                    f"{g.table.basis_label(j)} is not +1 or -1"
+                )
+        # the least sign at j is +1 exactly where every sign is +1, else -1
+        return (len(diags[0]) + sum(map(min, zip(*diags)))) // 2
     total = gens[0].table.dim
     prods: List[Cols] = []  # products of the nonempty subsets of earlier generators
     for i, g in enumerate(gens):
@@ -157,7 +196,7 @@ def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: s
     # every j > i at once, from the nonzero brackets only: [e_k, e_l] for k
     # in supp(Ae_i) and l in supp(Ae_j), then [e_i, e_j].  A j reached by
     # neither is zero on both sides.  Inline, not exactq.axpy, as in
-    # compose_cols: this is the inner loop of every certification, and
+    # _apply_cols: this is the inner loop of every certification, and
     # calling axpy for the right-hand side alone made it about 15 % slower.
     for i in range(dim):
         diff: Dict[int, dict] = defaultdict(dict)
@@ -318,9 +357,25 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
 
 
 def commutes(a: Automorphism, b: Automorphism) -> bool:
+    """a∘b == b∘a, exactly.
+
+    When one factor is diagonal with entries d, column j of the two products
+    is the other factor's column j with entry r scaled by d_r and by d_j, so
+    they commute exactly when d_r == d_j for every r in the support of every
+    column: O(nnz), with no composition.  Otherwise the products are compared
+    one column at a time up to the first column that differs.
+    """
     if a.table is not b.table:
         raise ValueError("automorphisms live on different algebras")
-    return compose_cols(a.cols, b.cols) == compose_cols(b.cols, a.cols)
+    if a.diagonal is None:
+        a, b = b, a
+    d = a.diagonal
+    if d is None:
+        return products_equal(a.cols, b.cols, b.cols, a.cols)
+    if b.diagonal is not None:
+        return True  # each column's support is {j}, where d_j == d_j
+    # a zero entry, which only a forged column holds, drops out of both products
+    return all(dj == d[r] or not v for dj, col in zip(d, b.cols) for r, v in col.items())
 
 
 @dataclass(frozen=True)

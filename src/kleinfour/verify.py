@@ -20,18 +20,22 @@ identity.  One enumerator (_commuting_tuples) walks the pairwise commuting
 tuples of distinct census involutions, one per requested class, depth first in
 census order, so identical inputs find identical first configurations.
 
-Each tuple carries its character dimension: for pairwise commuting
+Both per-tuple gates are exact and need no elimination.  Commutation
+(autos.commutes) with a torus involution, which is diagonal, compares its
+signs on the other factor's support; two outer rows compare their products
+column by column up to the first difference.  Each tuple carries its
+character dimension (autos.joint_fixed_dim): for pairwise commuting
 involutions g_1..g_k the joint fixed space has dimension
-2^-k * sum over subsets S of tr(prod of S) (autos.joint_fixed_dim), read off
-traces without any elimination.  Fixed spaces only shrink as generators are
-added, so the enumerator does not extend a partial tuple whose character
-dimension is already below its floor (the target dimension of a search).  A
-tuple whose character dimension differs from the target is never passed to
-fixed_subalgebra and identify_type.  This is exact: identify_type's dimension
-accounting ties the printed type to the subalgebra's dimension, so such a
-tuple could never have matched.  A tuple that passes still goes through the
-full closure check and identification, and its fixed subalgebra must have
-exactly the character dimension.
+2^-k * sum over subsets S of tr(prod of S), and for an all-torus tuple this
+is the count of basis vectors on which every sign is +1.  Fixed spaces only
+shrink as generators are added, so the enumerator does not extend a partial
+tuple whose character dimension is already below its floor (the target
+dimension of a search).  A tuple whose character dimension differs from the
+target is never passed to fixed_subalgebra and identify_type.  This is exact:
+identify_type's dimension accounting ties the printed type to the
+subalgebra's dimension, so such a tuple could never have matched.  A tuple
+that passes still goes through the full closure check and identification,
+and its fixed subalgebra must have exactly the character dimension.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ from .autos import (
     Cols,
     commutes,
     compose,
-    compose_cols,
     inverse_cols,
     joint_fixed_dim,
     make_klein,
     parse_descriptor,
+    products_equal,
     weyl_lift,
 )
 from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type, type_dim
@@ -199,11 +203,13 @@ def _label_by_conjugacy(table, autos: Sequence[Automorphism], conjugators) -> Li
             n = stack.pop()
             x = autos[n]
             for g, g_inv in conjugators:
+                if x.diagonal is not None and g.diagonal is not None:
+                    continue  # diagonal matrices commute: g x g^-1 is x
                 images = {k: g.apply(x.apply(g_inv[k])) for k in gens}
                 m = index.get(_fingerprint(images, gens))
                 if m is None or classes[m] is not None:
                     continue
-                if compose_cols(autos[m].cols, g.cols) != compose_cols(g.cols, x.cols):
+                if not products_equal(autos[m].cols, g.cols, g.cols, x.cols):
                     continue
                 classes[m] = classes[n][:3] + ((g.descriptor, x.descriptor),)
                 left -= 1

@@ -10,6 +10,7 @@ The reference certifier at the end reads a structure table only through its
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 HALF = Fraction(1, 2)
@@ -74,13 +75,31 @@ def pairing_parity_fixed_dim(bits):
     sum_i bits_i * (alpha, alpha_i) even; all E6 root lengths are 2, so the
     inner product equals the coroot pairing.
     """
-    count = 0
+    return joint_parity_fixed_dim([bits])
+
+
+@lru_cache(maxsize=None)
+def _root_pairings():
+    """(alpha, alpha_i) over the simple roots alpha_i, as ints, for every root."""
+    out = []
     for r in e6_roots_8d():
-        s = sum(bits[i] * dot(r, SIMPLE_8D[i]) for i in range(6))
-        assert s.denominator == 1
-        if int(s) % 2 == 0:
-            count += 1
-    return 6 + count
+        ps = [dot(r, s) for s in SIMPLE_8D]
+        assert all(p.denominator == 1 for p in ps)
+        out.append(tuple(int(p) for p in ps))
+    return tuple(out)
+
+
+def joint_parity_fixed_dim(bit_vectors):
+    """dim of the joint fixed algebra of the torus involutions bit_vectors.
+
+    Rank 6 for the Cartan plus the number of roots alpha with
+    sum_i bits_i * (alpha, alpha_i) even for every bit vector: a root vector
+    is fixed by the group exactly when each generator fixes it.
+    """
+    return 6 + sum(
+        all(sum(b * p for b, p in zip(bits, ps)) % 2 == 0 for bits in bit_vectors)
+        for ps in _root_pairings()
+    )
 
 
 def torus_census_buckets():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleinfour.autos import (
+    Automorphism,
     CertificationError,
     _exp_ad_cols,
     commutes,
@@ -26,7 +27,7 @@ from kleinfour.autos import (
 from kleinfour.exactq import as_num, lincomb
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import first_homomorphism_defect, pairing_parity_fixed_dim
+from oracles import first_homomorphism_defect, joint_parity_fixed_dim, pairing_parity_fixed_dim
 
 
 def fixed_dim(table, auto):
@@ -155,6 +156,77 @@ def test_any_two_torus_involutions_commute(e6):
         assert commutes(torus_involution(e6, c1), torus_involution(e6, c2))
 
 
+def _reference_commutes(a, b):
+    """Both full products, compared whole."""
+    return compose_cols(a.cols, b.cols) == compose_cols(b.cols, a.cols)
+
+
+def _census_autos(ctx, kind):
+    return [ctx.automorphism(r.descriptor) for r in ctx.census.rows if r.kind == kind]
+
+
+def test_diagonal_is_read_from_the_columns(ctx):
+    for a in _census_autos(ctx, "inner"):
+        assert a.diagonal == tuple(col[j] for j, col in enumerate(a.cols)), a
+    assert all(a.diagonal is None for a in _census_autos(ctx, "outer"))
+    assert weyl_lift(ctx.table, 0).diagonal is None
+    assert identity_automorphism(ctx.table).diagonal == (1,) * 78
+    torus = ctx.automorphism("torus:0,1,0,0,0,0")
+    # the descriptor plays no part, and a zero on the diagonal disqualifies
+    assert Automorphism(ctx.table, torus.cols, 2, "omega").diagonal == torus.diagonal
+    zeroed = ({0: 0},) + torus.cols[1:]
+    assert Automorphism(ctx.table, zeroed, 2, "torus:0,1,0,0,0,0").diagonal is None
+
+
+def test_commutes_matches_full_products(ctx, cross_check_bases):
+    """commutes agrees with the whole products, in both orders, on outer x
+    outer pairs and on Weyl lifts and a conjugated involution (several entries
+    per column) against outer rows (the generic path), on those against torus
+    rows, and on torus x outer pairs (the diagonal path)."""
+    rng = random.Random(17)
+    inner, outer = _census_autos(ctx, "inner"), _census_autos(ctx, "outer")
+    dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
+    groups = [
+        # the outer rows are omega times the omega-symmetric torus rows, which
+        # generate an abelian group
+        (list(itertools.product(outer, outer)), {True}),
+        ([(w, o) for w in dense for o in rng.sample(outer, 4)], {True, False}),
+        ([(w, t) for w in dense for t in rng.sample(inner, 12)], {True, False}),
+        (list(zip(rng.choices(inner, k=40), rng.choices(outer, k=40))), {True, False}),
+    ]
+    for pairs, outcomes in groups:
+        seen = set()
+        for a, b in pairs:
+            want = _reference_commutes(a, b)
+            assert commutes(a, b) == commutes(b, a) == want, (a, b)
+            seen.add(want)
+        assert seen == outcomes
+
+
+def _forged(e6, cols, name):
+    return Automorphism(e6, tuple(cols), 2, name)
+
+
+def test_commutes_compares_up_to_the_last_column(e6):
+    """Forged pairs whose products differ in the last column only, on the
+    generic path and on the diagonal path, and diagonal entries other than
+    +1 and -1."""
+    n = e6.dim
+    last = [{j: 1} for j in range(n - 1)] + [{n - 1: 1, 0: 1}]
+    swap = [{1: 1}, {0: 1}] + [{j: 1} for j in range(2, n)]
+    signs = [{j: 1} for j in range(n - 1)] + [{n - 1: -1}]
+    weights = [{j: j % 3 + 2} for j in range(n)]
+    scalar = [{j: 3} for j in range(n)]
+    lift = weyl_lift(e6, 3).cols
+    for x, y, want in [(swap, last, False), (signs, last, False), (weights, lift, False),
+                       (scalar, lift, True), (weights, signs, True)]:
+        a, b = _forged(e6, x, "x"), _forged(e6, y, "y")
+        assert _reference_commutes(a, b) == commutes(a, b) == commutes(b, a) == want
+    for x in (swap, signs):
+        ab, ba = compose_cols(x, last), compose_cols(last, x)
+        assert [j for j in range(n) if ab[j] != ba[j]] == [n - 1]
+
+
 # -- Weyl lifts ------------------------------------------------------------------
 
 def test_a1_lift_negates_cartan():
@@ -267,6 +339,33 @@ def test_joint_fixed_dim_checks_divisibility(e6):
     forged = Automorphism(e6, cols, 2, "forged")
     with pytest.raises(CertificationError, match="not divisible by 2"):
         joint_fixed_dim([forged])
+
+
+def _bits(descriptor):
+    return tuple(int(b) for b in descriptor[len("torus:"):].split(","))
+
+
+def test_joint_fixed_dim_of_torus_tuples_matches_joint_parity_oracle(ctx):
+    """The count of jointly fixed basis vectors equals the parity count of
+    the oracle and the generic trace formula on every pair of torus rows and
+    on a seeded sample of triples."""
+    tori = _census_autos(ctx, "inner")
+    rng = random.Random(23)
+    tuples = list(itertools.combinations(tori, 2)) + [tuple(rng.sample(tori, 3)) for _ in range(200)]
+    for gens in tuples:
+        generic = [Automorphism(g.table, g.cols, g.order, g.descriptor) for g in gens]
+        for g in generic:
+            g.diagonal = None  # takes the trace formula
+        want = joint_parity_fixed_dim([_bits(g.descriptor) for g in gens])
+        assert joint_fixed_dim(gens) == joint_fixed_dim(generic) == want, gens
+
+
+def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):
+    torus = torus_involution(e6, (0, 1, 0, 0, 0, 0))
+    forged = _forged(e6, [{j: 3 if j == 10 else d} for j, d in enumerate(torus.diagonal)], "forged")
+    for gens in ([forged], [torus, forged]):
+        with pytest.raises(CertificationError, match=r"forged: diagonal entry 3 at .* not \+1 or -1"):
+            joint_fixed_dim(gens)
 
 
 def test_fixed_plus_antifixed_fills_algebra(e6):

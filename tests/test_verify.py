@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kleinfour import verify
+from kleinfour import autos, verify
 from kleinfour.autos import (
     CertificationError,
     commutes,
@@ -130,6 +130,23 @@ def test_census_without_conjugators_is_all_generic(ctx, census, monkeypatch):
     plain = verify.involution_census(ctx)
     assert all(r.provenance == "generic" for r in plain.rows)
     assert plain == census
+
+
+def test_census_walk_skips_diagonal_conjugations(ctx, census, monkeypatch):
+    """A torus row conjugated by a simple torus involution is the row itself,
+    so the walk computes 510 fingerprints besides the index's one per row."""
+    real = verify._fingerprint
+    calls = []
+
+    def counting(cols, gens):
+        calls.append(1)
+        return real(cols, gens)
+
+    monkeypatch.setattr(verify, "_fingerprint", counting)
+    again = verify.involution_census(ctx)
+    assert again == census
+    assert [r.provenance for r in again.rows] == [r.provenance for r in census.rows]
+    assert len(calls) == len(census.rows) + 510
 
 
 def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
@@ -258,7 +275,8 @@ def _exhausted(classes, target):
 # first-found (a, b, theta) or exhaustion message: the benchmark's five search
 # calls, then a hit whose theta is the product a*b, so the partial pair already
 # has the target dimension (the edge of partial-tuple pruning), then the rank-3
-# and so(9) configurations as generic searches
+# and so(9) configurations as generic searches, then two deep exhaustions (an
+# all-torus one and one with an outer generator last)
 SEARCH_PINS = [
     (["sigma2", "sigma2"], "D4+2u(1)", ("torus:0,0,0,1,0,1", "torus:0,1,1,0,0,0", None)),
     (["sigma3", "sigma1"], "C3+A1", ("omega*torus:0,0,0,0,0,0", "torus:0,0,0,1,0,0", None)),
@@ -270,6 +288,8 @@ SEARCH_PINS = [
     (["sigma3", "sigma2", "sigma2"], "D4",
      ("omega*torus:0,0,0,0,0,0", "torus:0,0,1,0,1,0", "torus:1,0,0,0,0,1")),
     (["sigma3", "sigma2"], "B4", ("omega*torus:0,0,0,0,0,0", "torus:0,0,1,0,1,0", None)),
+    (["sigma2", "sigma2", "sigma2"], "B3", _exhausted(["sigma2", "sigma2", "sigma2"], "B3")),
+    (["sigma1", "sigma2", "sigma4"], "B3", _exhausted(["sigma1", "sigma2", "sigma4"], "B3")),
 ]
 
 
@@ -284,6 +304,29 @@ def test_generic_search_results_pinned(ctx, classes, target, expected):
     else:
         got = (config.a, config.b, config.theta)
     assert got == expected
+
+
+def test_all_torus_search_composes_nothing(ctx, census, monkeypatch):
+    """No product of columns: neither compose_cols nor a column of the
+    generic commutation test."""
+    from kleinfour.verify import SearchExhausted
+
+    calls = []
+    for name in ("compose_cols", "_apply_cols"):
+        real = getattr(autos, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(autos, name, counting)
+    with pytest.raises(SearchExhausted):
+        search_configuration(ctx, ["sigma2", "sigma2", "sigma2"], "B3")
+    assert calls == []
+    # the counter is live: a search with an outer generator composes
+    with pytest.raises(SearchExhausted):
+        search_configuration(ctx, ["sigma3", "sigma4"], "B4")
+    assert "_apply_cols" in calls
 
 
 def test_so9_klein_pinned(ctx):
