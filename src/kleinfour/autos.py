@@ -3,9 +3,9 @@
 Every constructor funnels through make_automorphism, which verifies the
 homomorphism property [Au, Av] = A[u, v] on all basis pairs and computes the
 order before the object exists.  The check covers every pair but does work
-only where a bracket is nonzero: it walks the structure table's nonzero
-brackets and the candidate's nonzero entries, and a pair reached by neither
-is zero on both sides.  Nothing downstream ever touches an
+only where a bracket is nonzero (``BracketTable.homomorphism_defect``): it
+walks the nonzero brackets and the candidate's nonzero entries, and a pair
+reached by neither is zero on both sides.  Nothing downstream ever touches an
 uncertified matrix; sign mistakes in the diagram-automorphism extension are
 the dominant bug risk and this is the firewall.
 
@@ -19,7 +19,6 @@ Both answers are exact, and every other input takes the generic formulas.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -177,57 +176,21 @@ def _is_identity_cols(cols: Cols) -> bool:
 def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
     """Certify and wrap a candidate matrix given by sparse columns.
 
-    Checks: every bracket of basis pairs is intertwined exactly, and some
-    power of the matrix is the identity (which also certifies invertibility).
+    Checks: every bracket of basis pairs is intertwined exactly
+    (``table.homomorphism_defect``, on the table's one walk over its nonzero
+    brackets; the first failing pair is named), and some power of the
+    matrix is the identity (which also certifies invertibility).
     """
     dim = table.dim
     if len(cols) != dim:
         raise CertificationError(f"{descriptor}: expected {dim} columns")
     cc: Cols = tuple(_clean(dict(c)) for c in cols)
-    adj = table._adj
-    # rows[l] lists (j, A[l][j]) over the nonzero entries of row l
-    rows: List[List[Tuple[int, object]]] = [[] for _ in range(dim)]
-    for j, col in enumerate(cc):
-        for l, b in col.items():
-            rows[l].append((j, b))
-    # [Ae_i, Ae_j] = A[e_i, e_j] on the pairs i < j covers everything: the
-    # bracket is antisymmetric by construction and diagonal pairs bracket to
-    # zero.  For each i, diff[j] accumulates [Ae_i, Ae_j] - A[e_i, e_j] for
-    # every j > i at once, from the nonzero brackets only: [e_k, e_l] for k
-    # in supp(Ae_i) and l in supp(Ae_j), then [e_i, e_j].  A j reached by
-    # neither is zero on both sides.  Inline, not exactq.axpy, as in
-    # _apply_cols: this is the inner loop of every certification, and
-    # calling axpy for the right-hand side alone made it about 15 % slower.
-    for i in range(dim):
-        diff: Dict[int, dict] = defaultdict(dict)
-        for k, a in cc[i].items():
-            for l, terms in adj[k].items():
-                for j, b in rows[l]:
-                    if j > i:
-                        acc = diff[j]
-                        ab = a * b
-                        for r, t in terms:
-                            nv = acc.get(r, 0) + ab * t
-                            if nv:
-                                acc[r] = nv
-                            else:
-                                del acc[r]
-        for j, terms in adj[i].items():
-            if j > i:
-                acc = diff[j]
-                for k, c in terms:
-                    for r, t in cc[k].items():
-                        nv = acc.get(r, 0) - c * t
-                        if nv:
-                            acc[r] = nv
-                        else:
-                            del acc[r]
-        bad = [j for j, acc in diff.items() if acc]
-        if bad:
-            raise CertificationError(
-                f"{descriptor}: homomorphism fails at basis pair "
-                f"({table.basis_label(i)}, {table.basis_label(min(bad))})"
-            )
+    defect = table.homomorphism_defect(cc)
+    if defect:
+        raise CertificationError(
+            f"{descriptor}: homomorphism fails at basis pair "
+            f"({table.basis_label(defect[0])}, {table.basis_label(defect[1])})"
+        )
     power = cc
     order = None
     for n in range(1, _ORDER_CAP + 1):

@@ -56,7 +56,7 @@ def _class_labels(text: str) -> List[str]:
 
 def _target(text: str) -> Tuple[str, Optional[int]]:
     target, colon, dim_s = text.partition(":")
-    if colon and not dim_s.isdigit():
+    if colon and not (dim_s.isascii() and dim_s.isdigit()):
         raise argparse.ArgumentTypeError(
             f"target {text!r}: the dimension after ':' must be a whole number, e.g. B4:36"
         )
@@ -138,7 +138,7 @@ def _cmd_roots(args) -> int:
         lines.append(f"{i:3d}  height {r.height:3d}  [{coords}]")
     if args.table:
         payload["structure_table"] = structure_table_to_jsonable(ctx.table)
-        nz = sum(len(v) for v in ctx.table._bra.values())
+        nz = sum(len(terms) for _, _, terms in ctx.table.brackets())
         lines.append(f"structure table: dim {ctx.table.dim}, {nz} stored bracket terms")
     rendered = (
         json.dumps(payload, indent=2, sort_keys=True)

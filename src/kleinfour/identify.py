@@ -67,12 +67,13 @@ def subalgebra_from_vectors(
 def first_escape(xs: Subalgebra, ys: Subalgebra, target: Subalgebra) -> Optional[Tuple[int, int]]:
     """First row pair (i, j) with [xs row i, ys row j] outside target, or None.
 
+    The first row i with an escape is reported with its least escaping j.
     When xs is ys only pairs i < j are bracketed, since the bracket is
     antisymmetric and vanishes on the diagonal.
     """
-    for i, x in enumerate(xs.rows):
-        for j in range(i + 1 if xs is ys else 0, ys.dim):
-            w = target.table.bracket(x, ys.rows[j])
+    for i, acc in target.table.row_brackets(xs.rows, ys.rows, xs is ys):
+        for j in sorted(acc):
+            w = acc[j]
             if w and not target.contains(w):
                 return i, j
     return None

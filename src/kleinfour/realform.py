@@ -42,7 +42,7 @@ from .identify import (
     identify_type,
     subalgebra_from_vectors,
 )
-from .rootsys import BracketTable, StructureTable, killing_from_brackets
+from .rootsys import BracketTable, StructureTable, killing_form
 
 
 class RealFormError(Exception):
@@ -75,13 +75,12 @@ class CompactBasis(BracketTable):
             + [(1, {rank + k: 1, rank + npos + k: 1}) for k in range(npos)]
             + [(1, {i: 1}) for i in range(rank)]
         )
-        labels = [self.label(i) for i in range(self.dim)]
-        for i, (ei, xi) in enumerate(self.parts):
-            for j in range(i + 1, self.dim):
-                ej, xj = self.parts[j]
-                what = f"[{labels[i]}, {labels[j]}]"
-                self._set(i, j, self.to_compact(table.bracket(xi, xj), ei + ej, what).items())
-        self.killing = killing_from_brackets(self.dim, self.pair_bracket)
+        powers, xs = zip(*self.parts)
+        for i, acc in table.row_brackets(xs, xs, True):
+            for j in sorted(acc):
+                what = f"[{self.label(i)}, {self.label(j)}]"
+                self._set(i, j, self.to_compact(acc[j], powers[i] + powers[j], what).items())
+        self.killing = killing_form(self)
         inertia = symmetric_inertia(self.killing)
         if inertia != (0, self.dim, 0):
             raise RealFormError(

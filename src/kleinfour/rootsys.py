@@ -9,11 +9,12 @@ forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the standard
 three- and four-root relations.  Magnitudes satisfy |N(a,b)| = p+1 where p is
 the largest k with b - k*a a root; this is asserted for every pair.
 
-``BracketTable`` is the one sparse antisymmetric bracket (storage, pair
-brackets, bilinear extension through ``exactq.axpy``); the Chevalley table
-here and the compact form in ``realform`` both inherit it.  Positive
-definiteness of a symmetrized Cartan matrix is read from
-``exactq.symmetric_inertia``.
+``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
+Chevalley table here and the compact form in ``realform``.  It has one store
+of the nonzero brackets and one walk over it, ``row_brackets``, behind the
+homomorphism certificate and the closure check; ``killing_form`` reads the
+same store.  Positive definiteness of a symmetrized Cartan matrix is read
+from ``exactq.symmetric_inertia``.
 
 Conventions, fixed once and used everywhere:
   - cartan[i][j] = <alpha_i, alpha_j^vee>  (column j carries the coroot)
@@ -25,9 +26,10 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactq import axpy, symmetric_inertia
 
@@ -45,7 +47,7 @@ class CartanMatrixError(ValueError):
 def cartan_matrix(label: str) -> Tuple[Tuple[int, ...], ...]:
     """Standard Cartan matrix for a simple type label like 'A3', 'E6', 'G2'."""
     letter, digits = label[:1].upper(), label[1:]
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         raise CartanMatrixError(
             f"malformed type label {label!r}: expected a letter and a rank, e.g. E6"
         )
@@ -285,13 +287,12 @@ class BracketTable:
     ``_adj[i][j]`` is [e_i, e_j] as a tuple of (index, coefficient) terms,
     stored for both orders (the (j, i) entry is the negated tuple) and only
     when nonzero, so ``_adj[i]`` lists exactly the basis vectors with a
-    nonzero bracket against e_i.  ``_bra`` holds the i < j half, sharing the
-    same tuples.  No diagonal bracket is ever stored.
+    nonzero bracket against e_i.  It is the one store; ``brackets`` lists
+    its i < j half.  No diagonal bracket is ever stored.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._bra: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
         self._adj: List[Dict[int, Tuple[Tuple[int, int], ...]]] = [{} for _ in range(dim)]
 
     def _set(self, i: int, j: int, terms) -> None:
@@ -301,12 +302,12 @@ class BracketTable:
             return
         if i == j:
             raise ValueError(f"nonzero diagonal bracket [e_{i}, e_{i}]")
-        neg = tuple((k, -c) for k, c in terms)
-        if i > j:
-            i, j, terms, neg = j, i, neg, terms
-        self._bra[(i, j)] = terms
         self._adj[i][j] = terms
-        self._adj[j][i] = neg
+        self._adj[j][i] = tuple((k, -c) for k, c in terms)
+
+    def brackets(self) -> Iterator[Tuple[int, int, Tuple[Tuple[int, int], ...]]]:
+        """(i, j, [e_i, e_j]) for every nonzero bracket with i < j, in index order."""
+        return ((i, j, row[j]) for i, row in enumerate(self._adj) for j in sorted(row) if j > i)
 
     def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
         """[e_i, e_j] as a sparse coefficient tuple."""
@@ -322,6 +323,60 @@ class BracketTable:
                 if terms:
                     axpy(out, a * b, terms)
         return out
+
+    def row_brackets(self, xs: Sequence[dict], ys: Sequence[dict], upper: bool):
+        """Yield (i, acc) with acc[j] = [xs[i], ys[j]] for every j (j > i if upper).
+
+        All j are accumulated at once from the nonzero brackets [e_k, e_l], k
+        in supp(xs[i]) and l in supp(ys[j]).  A j reached by none is absent
+        and brackets to zero; a reached j may hold an empty vector.
+        """
+        adj = self._adj
+        at: List[List[Tuple[int, object]]] = [[] for _ in range(self.dim)]  # (j, ys[j][l]) at l
+        for j, y in enumerate(ys):
+            for l, b in y.items():
+                at[l].append((j, b))
+        for i, x in enumerate(xs):
+            low = i + 1 if upper else 0
+            acc: Dict[int, dict] = defaultdict(dict)
+            # inline, not exactq.axpy, here and in homomorphism_defect: calling
+            # axpy for the certificate's right-hand side alone cost it 15 %
+            for k, a in x.items():
+                for l, terms in adj[k].items():
+                    for j, b in at[l]:
+                        if j >= low:
+                            out = acc[j]
+                            ab = a * b
+                            for r, t in terms:
+                                nv = out.get(r, 0) + ab * t
+                                if nv:
+                                    out[r] = nv
+                                else:
+                                    del out[r]
+            yield i, acc
+
+    def homomorphism_defect(self, cols: Sequence[dict]) -> Optional[Tuple[int, int]]:
+        """First basis pair (i, j), i < j, with [A e_i, A e_j] != A [e_i, e_j], or None.
+
+        cols[j] = A e_j has no zero entries.  Pairs i < j suffice, by
+        antisymmetry.  A j reached neither by ``row_brackets`` nor by the
+        nonzero brackets of e_i is zero on both sides.
+        """
+        for i, diff in self.row_brackets(cols, cols, True):
+            for j, terms in self._adj[i].items():
+                if j > i:
+                    out = diff[j]
+                    for k, c in terms:
+                        for r, t in cols[k].items():
+                            nv = out.get(r, 0) - c * t
+                            if nv:
+                                out[r] = nv
+                            else:
+                                del out[r]
+            bad = [j for j, out in diff.items() if out]
+            if bad:
+                return i, min(bad)
+        return None
 
 
 class StructureTable(BracketTable):
@@ -477,45 +532,27 @@ def chevalley_table(rs: RootSystem) -> StructureTable:
 # Killing form and structural scans
 # ---------------------------------------------------------------------------
 
-def ad_columns(dim: int, pair_bracket) -> List[Dict[int, Dict[int, int]]]:
-    """For each basis index b, the sparse columns of ad(e_b)."""
-    ads = []
-    for b in range(dim):
-        cols: Dict[int, Dict[int, int]] = {}
-        for c in range(dim):
-            w = pair_bracket(b, c)
-            if w:
-                cols[c] = dict(w)
-        ads.append(cols)
-    return ads
+def killing_form(t: BracketTable) -> List[Dict[int, int]]:
+    """Sparse rows of B(e_i, e_j) = tr(ad e_i o ad e_j), keys ascending.
 
-
-def killing_from_brackets(dim: int, pair_bracket) -> List[Dict[int, int]]:
-    """B(e_i, e_j) = trace(ad e_i o ad e_j), computed from the trace directly.
-
-    Returns the sparse rows of B, keys in ascending column order.
+    The trace is the sum of [e_i, e_m]_c [e_j, e_c]_m over the nonzero terms.
     """
-    ads = ad_columns(dim, pair_bracket)
-    B: List[Dict[int, int]] = [{} for _ in range(dim)]
-    for i in range(dim):
-        adi = ads[i]
-        for j in range(i, dim):
-            s = 0
-            for c, colj in ads[j].items():
-                for m, v in colj.items():
-                    coli = adi.get(m)
-                    if coli:
-                        w = coli.get(c)
-                        if w:
-                            s += v * w
-            if s:
-                B[i][j] = s
-                B[j][i] = s
+    adj = t._adj
+    # into[c][m] lists (j, [e_j, e_c]_m) over the nonzero terms
+    into: List[Dict[int, List[Tuple[int, int]]]] = [defaultdict(list) for _ in range(t.dim)]
+    for j, row in enumerate(adj):
+        for c, terms in row.items():
+            for m, v in terms:
+                into[c][m].append((j, v))
+    B: List[Dict[int, int]] = []
+    for row in adj:
+        acc: Dict[int, int] = defaultdict(int)
+        for m, terms in row.items():
+            for c, w in terms:
+                for j, v in into[c].get(m, ()):
+                    acc[j] += w * v
+        B.append({j: acc[j] for j in sorted(acc) if acc[j]})
     return B
-
-
-def killing_form(t: StructureTable) -> List[Dict[int, int]]:
-    return killing_from_brackets(t.dim, t.pair_bracket)
 
 
 def verify_antisymmetry(t) -> bool:
@@ -594,30 +631,21 @@ def verify_ad_invariance(t, killing: Sequence[Dict[int, int]]) -> bool:
 # of roots[k].  Brackets are listed for i < j in index order; absent pairs
 # bracket to zero; [j, i] is the negation of [i, j].
 
-def _numstr(x) -> str:
-    return str(x)
-
-
 def root_system_to_jsonable(rs: RootSystem) -> dict:
     return {
-        "cartan": [[_numstr(x) for x in row] for row in rs.cartan],
-        "rank": _numstr(rs.rank),
-        "npos": _numstr(rs.npos),
-        "roots": [
-            {"coords": [_numstr(c) for c in r.coords], "height": _numstr(r.height)}
-            for r in rs.roots
-        ],
+        "cartan": [[str(x) for x in row] for row in rs.cartan],
+        "rank": str(rs.rank),
+        "npos": str(rs.npos),
+        "roots": [{"coords": [str(c) for c in r.coords], "height": str(r.height)} for r in rs.roots],
     }
 
 
 def structure_table_to_jsonable(t: StructureTable) -> dict:
-    brackets = []
-    for (i, j) in sorted(t._bra):
-        terms = [[_numstr(k), _numstr(c)] for k, c in t._bra[(i, j)]]
-        brackets.append({"i": _numstr(i), "j": _numstr(j), "terms": terms})
+    brackets = [{"i": str(i), "j": str(j), "terms": [[str(k), str(c)] for k, c in terms]}
+                for i, j, terms in t.brackets()]
     return {
-        "rank": _numstr(t.rank),
-        "dim": _numstr(t.dim),
-        "roots": [[_numstr(c) for c in r.coords] for r in t.rs.roots],
+        "rank": str(t.rank),
+        "dim": str(t.dim),
+        "roots": [[str(c) for c in r.coords] for r in t.rs.roots],
         "brackets": brackets,
     }

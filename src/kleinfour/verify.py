@@ -50,8 +50,10 @@ from .autos import (
     Automorphism,
     CertificationError,
     Cols,
+    _is_identity_cols,
     commutes,
     compose,
+    compose_cols,
     inverse_cols,
     joint_fixed_dim,
     make_klein,
@@ -228,9 +230,14 @@ def involution_census(ctx: "VerifyContext") -> Census:
     bit_strings = [",".join(map(str, bits)) for bits in product((0, 1), repeat=table.rank)]
     # bit_strings[0] is all zeros, and torus:0,...,0 is the identity
     candidates = [("inner", "torus:" + b) for b in bit_strings[1:]]
-    candidates += [("outer", "omega*torus:" + b) for b in bit_strings]
+    # a twist's factors are certified, so a twist whose columns do not square
+    # to the identity is an automorphism but no involution: it is not certified
+    omega = ctx.automorphism("omega").cols
+    for b in bit_strings:
+        cols = compose_cols(omega, ctx.automorphism("torus:" + b).cols)
+        if _is_identity_cols(compose_cols(cols, cols)):
+            candidates.append(("outer", "omega*torus:" + b))
     found = [(kind, ctx.automorphism(d)) for kind, d in candidates]
-    found = [(kind, a) for kind, a in found if kind == "inner" or a.is_involution()]
     classes = _label_by_conjugacy(table, [a for _, a in found], _conjugators(ctx))
 
     rows: List[CensusRow] = []

@@ -5,8 +5,10 @@ E6 root system, with plain inner products.  No code from the package under
 test is imported: root enumeration, positivity, torus fixed-space dimensions
 (parity counts) and subsystem classification (ADE graph shapes) are all
 derived separately, so agreement with the library is a genuine cross-check.
-The reference certifier at the end reads a structure table only through its
-``pair_bracket`` and is the generic all-pairs homomorphism check.
+The references at the end read a bracket table only through its
+``pair_bracket``: the generic all-pairs homomorphism check, the
+lexicographic closure check with its own exact elimination, and the
+Killing form as a trace over all pairs.
 """
 
 from fractions import Fraction
@@ -201,6 +203,15 @@ def _add_scaled(acc, a, terms):
             acc.pop(k, None)
 
 
+def _bracket(pb, u, v):
+    """[u, v] of sparse vectors, expanded through pb over every pair of entries."""
+    out = {}
+    for k, a in u.items():
+        for l, b in v.items():
+            _add_scaled(out, a * b, pb(k, l))
+    return out
+
+
 def first_homomorphism_defect(table, cols):
     """First basis pair (i, j), i < j, with [A e_i, A e_j] != A [e_i, e_j], or None.
 
@@ -210,19 +221,68 @@ def first_homomorphism_defect(table, cols):
     """
     pb = table.pair_bracket
     cols = [{k: v for k, v in c.items() if v} for c in cols]
-
-    def bracket(u, v):
-        out = {}
-        for k, a in u.items():
-            for l, b in v.items():
-                _add_scaled(out, a * b, pb(k, l))
-        return out
-
     for i in range(table.dim):
         for j in range(i + 1, table.dim):
             rhs = {}
             for k, c in pb(i, j):
                 _add_scaled(rhs, c, cols[k].items())
-            if bracket(cols[i], cols[j]) != rhs:
+            if _bracket(pb, cols[i], cols[j]) != rhs:
                 return i, j
     return None
+
+
+def _reduce(echelon, vec):
+    """vec minus its components along the (pivot, row) pairs of echelon."""
+    out = {k: Fraction(x) for k, x in vec.items() if x}
+    for p, row in echelon:
+        c = out.get(p)
+        if c:
+            _add_scaled(out, -c, row.items())
+    return out
+
+
+def _echelon(vectors):
+    """(pivot, row) pairs spanning vectors: each row is 1 at its pivot and
+    0 at the pivots of the rows before it, which are 0 at its pivot."""
+    echelon = []
+    for v in vectors:
+        r = _reduce(echelon, v)
+        if r:
+            p = min(r)
+            echelon.append((p, {k: x / r[p] for k, x in r.items()}))
+    return echelon
+
+
+def first_escape_reference(table, xs, ys, target):
+    """First pair (i, j) in lexicographic order with [xs[i], ys[j]] outside
+    the span of target, or None.  Only pairs i < j when xs is ys.
+
+    xs, ys and target are sequences of sparse vectors.  Brackets go through
+    table.pair_bracket; membership is tested by the elimination above.
+    """
+    pb = table.pair_bracket
+    echelon = _echelon(target)
+    for i, x in enumerate(xs):
+        for j in range(i + 1 if xs is ys else 0, len(ys)):
+            if _reduce(echelon, _bracket(pb, x, ys[j])):
+                return i, j
+    return None
+
+
+def killing_reference(table):
+    """Sparse rows of B(e_i, e_j) = tr(ad e_i o ad e_j), keys ascending.
+
+    ad[i][c] is the column [e_i, e_c], read from table.pair_bracket for
+    every pair; the trace sums ad[j][c][m] * ad[i][m][c] over all m and c.
+    """
+    n = table.dim
+    ad = [[dict(table.pair_bracket(i, c)) for c in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = {}
+        for j in range(n):
+            s = sum(v * ad[i][m].get(c, 0) for c in range(n) for m, v in ad[j][c].items())
+            if s:
+                row[j] = s
+        rows.append(row)
+    return rows

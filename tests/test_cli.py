@@ -111,6 +111,12 @@ def test_usage_error_is_exit_2():
     (["search", "--classes", "sigma3,sigma2", "--target", "foo"], "malformed type label 'foo'"),
     (["search", "--classes", "sigma3,sigma2", "--target", "B4:30"], "B4 has dimension 36, not 30"),
     (["roots", "--type", "A2", "--bless"], "--bless needs --golden-dir"),
+    # digits outside ASCII [0-9]: an Arabic-Indic six, a superscript two,
+    # and an Arabic-Indic 36
+    (["roots", "--type", "E\u0666"], "malformed type label 'E\u0666'"),
+    (["roots", "--type", "A\u00b2"], "malformed type label 'A\u00b2'"),
+    (["search", "--classes", "sigma3,sigma2", "--target", "B4:\u0663\u0666"],
+     "must be a whole number"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()

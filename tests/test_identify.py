@@ -11,10 +11,12 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
+from kleinfour.exactq import joint_eigenspace
 from kleinfour.identify import (
     IdentifyError,
     ReductiveType,
     center_of,
+    first_escape,
     fixed_subalgebra,
     identify_type,
     match_cartan,
@@ -22,8 +24,9 @@ from kleinfour.identify import (
     subalgebra_from_vectors,
     type_dim,
 )
+from kleinfour.realform import compact_form, compact_matrix_cols
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import classify_even_subsystem
+from oracles import classify_even_subsystem, first_escape_reference
 
 
 # -- fixed subalgebras ----------------------------------------------------------
@@ -59,6 +62,48 @@ def test_fixed_subalgebra_closure_is_verified(e6):
     x_b = {6 + rs.index((0, 0, 1, 0, 0, 0)): 1}
     with pytest.raises(IdentifyError, match="closed"):
         subalgebra_from_vectors(e6, [x_a, x_b])
+
+
+@lru_cache(maxsize=None)
+def _escape_tables():
+    """(bracket table, its Chevalley table) for A2, G2, B3 and B3's compact form."""
+    out = []
+    for label in ("A2", "G2", "B3"):
+        t = chevalley_table(build_root_system(cartan_matrix(label)))
+        out.append((t, t))
+    out.append((compact_form(out[-1][1]), out[-1][1]))
+    return tuple(out)
+
+
+def _random_span(rng, table, chevalley):
+    """A torus-fixed subalgebra with some rows dropped and random vectors added."""
+    a = torus_involution(chevalley, [rng.randint(0, 1) for _ in range(chevalley.rank)])
+    cols = a.cols if table is chevalley else compact_matrix_cols(table, a)
+    vecs = [v for v in joint_eigenspace(table.dim, [cols], 1) if rng.random() < 0.8]
+    for _ in range(rng.randint(0, 2)):
+        support = rng.sample(range(table.dim), rng.randint(1, 3))
+        vecs.append({k: rng.choice((-2, -1, 1, 3)) for k in support})
+    return subalgebra_from_vectors(table, vecs or [{0: 1}], check_closed=False)
+
+
+def test_first_escape_matches_the_lexicographic_reference():
+    """Same first pair, or None, as the all-pairs reference in the three call
+    shapes of the closure checks: [s,s] in s, [s,t] in s and [t,s] in t."""
+    rng = random.Random(12)
+    seen = {"none": 0, "first": 0, "later": 0}
+    for _ in range(150):
+        table, chevalley = rng.choice(_escape_tables())
+        s = _random_span(rng, table, chevalley)
+        t = _random_span(rng, table, chevalley)
+        for xs, ys, into in ((s, s, s), (s, t, s), (t, s, t)):
+            got = first_escape(xs, ys, into)
+            assert got == first_escape_reference(table, xs.rows, ys.rows, into.rows)
+            if got is None:
+                seen["none"] += 1
+            else:
+                seen["first" if got == (0, 1 if xs is ys else 0) else "later"] += 1
+    # the spans reach all three outcomes, so the order of the scan is pinned
+    assert min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 0.0])

@@ -31,6 +31,7 @@ from kleinfour.rootsys import (
     chevalley_table,
     jacobi_defect,
 )
+from oracles import killing_reference
 
 
 # -- compact form -----------------------------------------------------------------
@@ -44,6 +45,17 @@ def test_a1_compact_form_is_su2():
 
 def test_e6_compact_inertia_negative_definite(e6_compact):
     assert symmetric_inertia(e6_compact.killing) == (0, 78, 0)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "E6"])
+def test_compact_killing_matches_the_all_pairs_trace(e6_compact, label):
+    cb = e6_compact if label == "E6" else compact_form(
+        chevalley_table(build_root_system(cartan_matrix(label)))
+    )
+    # items, not dicts, so the ascending key order is compared as well
+    assert [list(r.items()) for r in cb.killing] == [
+        list(r.items()) for r in killing_reference(cb)
+    ]
 
 
 def test_w_bracket_u_proportional_to_v(e6_compact):
@@ -64,7 +76,7 @@ def test_compact_table_satisfies_jacobi(e6_compact):
 
 
 def test_compact_brackets_are_integral(e6_compact):
-    for terms in e6_compact._bra.values():
+    for _, _, terms in e6_compact.brackets():
         for _, c in terms:
             assert isinstance(c, int)
 
@@ -72,7 +84,7 @@ def test_compact_brackets_are_integral(e6_compact):
 @pytest.mark.parametrize("label", ["G2", "B3", "C3"])
 def test_compact_form_of_multiply_laced_types(label):
     cb = compact_form(chevalley_table(build_root_system(cartan_matrix(label))))
-    assert all(isinstance(c, int) for terms in cb._bra.values() for _, c in terms)
+    assert all(isinstance(c, int) for _, _, terms in cb.brackets() for _, c in terms)
     assert jacobi_defect(cb) is None
 
 

@@ -17,7 +17,7 @@ from kleinfour.rootsys import (
     verify_antisymmetry,
     verify_jacobi,
 )
-from oracles import e6_roots_8d, simple_coordinates
+from oracles import e6_roots_8d, killing_reference, simple_coordinates
 
 
 # -- root system construction -------------------------------------------------
@@ -110,7 +110,7 @@ def test_a1_bracket_relations():
 def test_bracket_table_stores_each_pair_once_for_both_orders():
     t = BracketTable(3)
     t._set(2, 0, [(1, 3), (2, 0)])
-    assert t._bra == {(0, 2): ((1, -3),)}
+    assert list(t.brackets()) == [(0, 2, ((1, -3),))]
     assert t.pair_bracket(0, 2) == ((1, -3),)
     assert t.pair_bracket(2, 0) == ((1, 3),)
     assert t.pair_bracket(0, 1) == ()
@@ -193,6 +193,15 @@ def test_killing_weight_grading_zeros(e6):
             if k2 != k_opp:
                 assert K[rank + k1].get(rank + k2, 0) == 0
         assert K[rank + k1].get(rank + k_opp, 0) != 0
+
+
+@pytest.mark.parametrize("label", ["A2", "G2", "E6"])
+def test_killing_matches_the_all_pairs_trace(e6, label):
+    t = e6 if label == "E6" else chevalley_table(build_root_system(cartan_matrix(label)))
+    # items, not dicts, so the ascending key order is compared as well
+    assert [list(r.items()) for r in killing_form(t)] == [
+        list(r.items()) for r in killing_reference(t)
+    ]
 
 
 def test_killing_e6_nondegenerate(e6):

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice, product
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from kleinfour.identify import fixed_subalgebra, identify_type, type_dim
 from kleinfour.verify import (
     CLASS_INVARIANTS,
     CensusError,
+    VerifyContext,
     classify_involution,
     find_rank3_configuration,
     find_so9_klein,
@@ -33,7 +34,7 @@ from kleinfour.verify import (
     verify_so82_fixed_form,
     verify_so81_klein_pair,
 )
-from oracles import torus_census_buckets
+from oracles import first_homomorphism_defect, torus_census_buckets
 
 
 # -- classification -------------------------------------------------------------
@@ -84,6 +85,29 @@ def test_census_realform_names(census):
 def test_census_total_and_trace_identity(census):
     assert len(census.rows) == 63 + 16
     assert all(r.trace_identity_ok for r in census.rows)
+
+
+def test_census_certifies_only_the_involutive_twists(ctx, census):
+    """The 48 omega*torus products the census leaves uncertified pass the
+    reference certifier and are neither the identity nor an involution; a
+    census on a fresh cache certifies exactly the 16 it keeps."""
+    table = ctx.table
+    identity = tuple({j: 1} for j in range(table.dim))
+    kept = [r.descriptor for r in census.rows if r.kind == "outer"]
+    omega = ctx.automorphism("omega").cols
+    dropped = 0
+    for bits in product((0, 1), repeat=table.rank):
+        if "omega*torus:" + ",".join(map(str, bits)) in kept:
+            continue
+        cols = compose_cols(omega, torus_involution(table, bits).cols)
+        assert first_homomorphism_defect(table, cols) is None, bits
+        assert cols != identity and compose_cols(cols, cols) != identity, bits
+        dropped += 1
+    assert dropped == 48
+    fresh = VerifyContext(catalog=ctx.catalog)
+    fresh.__dict__.update(table=table, cb=ctx.cb)
+    assert verify.involution_census(fresh) == census
+    assert [d for d in fresh._autos if d.startswith("omega*")] == kept
 
 
 def test_census_invariants_recomputed(census):
