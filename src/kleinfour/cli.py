@@ -38,11 +38,12 @@ EXIT_USAGE = 2
 
 
 def _type_label(text: str) -> str:
+    """The canonical label, e.g. E6 for e6: upper-case letter, ASCII rank."""
     try:
         cartan_matrix(text)
     except CartanMatrixError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+    return f"{text[0].upper()}{int(text[1:])}"
 
 
 def _class_labels(text: str) -> List[str]:
@@ -257,7 +258,7 @@ def _cmd_verify(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    if args.command in ("search", "verify") and args.type.upper() != "E6":
+    if args.command in ("search", "verify") and args.type != "E6":
         parser.error(f"{args.command} supports only --type E6, got {args.type}: "
                      "its class invariants and census counts are E6 facts")
     if args.command == "realform" and len(args.auto) > 2:

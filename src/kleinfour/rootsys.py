@@ -1,13 +1,15 @@
 """Root systems from Cartan matrices, Chevalley bases, Killing forms.
 
 Roots are built by height induction over root strings, so the closed root set
-comes out of the Cartan matrix alone.  The structure constants N(a,b) follow
-the extraspecial-pair construction: positive roots get a fixed total order
-(height, then lexicographic coordinates), the extraspecial pair of each
-non-simple positive root gets the positive sign, and every other constant is
-forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the standard
-three- and four-root relations.  Magnitudes satisfy |N(a,b)| = p+1 where p is
-the largest k with b - k*a a root; this is asserted for every pair.
+comes out of the Cartan matrix alone.  Each root has the integer key
+sum_i m_i 64^i, so a sum or difference of roots is one integer addition and
+one dict lookup.  The structure constants N(a,b) follow the extraspecial-pair
+construction on root indices: positive roots are ordered by height, then
+lexicographic coordinates, the extraspecial pair of each non-simple positive
+root gets the positive sign, and every other constant is forced by
+antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the three- and
+four-root relations.  One pass over the ordered root pairs computes N, asserts
+|N(a,b)| = p+1 (p the largest k with b - k*a a root) and stores the bracket.
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
@@ -29,6 +31,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactq import axpy, symmetric_inertia
@@ -174,6 +178,10 @@ class RootSystem:
     ``roots`` lists positives in (height, lex) order, then their negatives in
     the mirrored order; ``pairing`` gives alpha(H_beta) for the simple coroots,
     and ``pairings[k][i]`` holds pairing(roots[k].coords, i) for every root.
+    ``keys[k]`` is the key of roots[k], ``key_index`` maps it back to k; it
+    is injective for coefficients below 32 in absolute value, and those of a
+    root or a sum of two roots are at most 12.  ``norms[k]`` is the integer
+    (roots[k], roots[k]) up to one factor common to all roots.
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]]):
@@ -187,11 +195,19 @@ class RootSystem:
         roots += [Root(tuple(-x for x in c), -sum(c)) for c in pos]
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.npos = len(pos)
-        self._index: Dict[Coords, int] = {r.coords: i for i, r in enumerate(self.roots)}
+        self._place = tuple(64 ** i for i in range(self.rank))
+        self.keys: Tuple[int, ...] = tuple(self.key(r.coords) for r in self.roots)
+        self.key_index: Dict[int, int] = {k: i for i, k in enumerate(self.keys)}
         self.pairings: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(self.pairing(r.coords, i) for i in range(self.rank)) for r in self.roots
         )
-        self._length2: Dict[Coords, Fraction] = {}
+        scale = lcm(*(x.denominator for x in lengths))
+        self._ilengths = tuple(int(x * scale) for x in lengths)
+        # (a, a) = sum_i m_i (a, alpha_i) = sum_i m_i L_i <a, alpha_i^vee>
+        self.norms: Tuple[int, ...] = tuple(
+            sum(map(mul, r.coords, map(mul, self._ilengths, ps)))
+            for r, ps in zip(self.roots, self.pairings)
+        )
 
     def _close_positive_roots(self) -> List[Coords]:
         rank = self.rank
@@ -205,7 +221,7 @@ class RootSystem:
                     # p = how far the string a, a-e, a-2e, ... continues down
                     p = 0
                     down = tuple(x - y for x, y in zip(a, e))
-                    while down in found or tuple(-x for x in down) in found:
+                    while down in found:
                         p += 1
                         down = tuple(x - y for x, y in zip(down, e))
                     if p - self.pairing(a, i) > 0:
@@ -236,39 +252,45 @@ class RootSystem:
         return s
 
     def length2(self, a: Coords) -> Fraction:
-        """(a, a), computed once per coordinate vector."""
-        out = self._length2.get(a)
-        if out is None:
-            out = self._length2[a] = self.inner(a, a)
-        return out
+        """(a, a)."""
+        return self.inner(a, a)
 
     def coroot(self, coords: Coords) -> Tuple[int, ...]:
         """H_alpha as an integer combination of the simple coroots."""
-        La = self.length2(coords) / 2
+        norm = self.norms[self.index(coords)]
         out = []
-        for i, m in enumerate(coords):
-            c = m * self.lengths[i] / La
-            if c.denominator != 1:
+        for m, L in zip(coords, self._ilengths):
+            c, rem = divmod(2 * m * L, norm)
+            if rem:
                 raise ArithmeticError(f"non-integral coroot coefficient for {coords}")
-            out.append(int(c))
+            out.append(c)
         return tuple(out)
 
+    def key(self, coords: Coords) -> int:
+        """sum_i m_i 64^i."""
+        return sum(map(mul, coords, self._place))
+
     def is_root(self, coords: Coords) -> bool:
-        return coords in self._index
+        k = self.key_index.get(self.key(coords))
+        return k is not None and self.roots[k].coords == coords
 
     def index(self, coords: Coords) -> int:
-        return self._index[coords]
+        k = self.key_index.get(self.key(coords))
+        if k is None or self.roots[k].coords != coords:
+            raise KeyError(coords)
+        return k
 
     def positive_roots(self) -> Tuple[Root, ...]:
         return self.roots[: self.npos]
 
     def string_down(self, a: Coords, b: Coords) -> int:
-        """p = max k such that b - k*a is a root."""
+        """p = max k such that b - k*a is a root, for roots a and b."""
+        step = self.key(a)
+        cur = self.key(b) - step
         k = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while cur in self._index:
+        while cur in self.key_index:
             k += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
+            cur -= step
         return k
 
 
@@ -394,125 +416,83 @@ class StructureTable(BracketTable):
         self.npos = rs.npos
         self._n: Dict[Tuple[Coords, Coords], int] = {}
         self.extraspecial: Dict[Coords, Tuple[Coords, Coords]] = {}
-        self._fill_structure_constants()
-        self._fill_brackets()
+        self._fill()
 
-    # -- structure constants ------------------------------------------------
+    def _fill(self) -> None:
+        """Constants and brackets on root indices; -a is a +- npos."""
+        rs, rank, npos = self.rs, self.rank, self.npos
+        cs, keys, at, norms = [r.coords for r in rs.roots], rs.keys, rs.key_index, rs.norms
+        special: Dict[Tuple[int, int], int] = {}
 
-    def _fill_structure_constants(self) -> None:
-        rs = self.rs
-        pos = [r.coords for r in rs.positive_roots()]
-        order = {c: i for i, c in enumerate(pos)}
-        posset = set(pos)
-        special: Dict[Tuple[Coords, Coords], int] = {}
+        def n_pos(a: int, b: int) -> int:
+            return special[(a, b)] if a < b else -special[(b, a)]
 
-        def neg(c: Coords) -> Coords:
-            return tuple(-x for x in c)
-
-        def add(a: Coords, b: Coords) -> Coords:
-            return tuple(x + y for x, y in zip(a, b))
-
-        def sub(a: Coords, b: Coords) -> Coords:
-            return tuple(x - y for x, y in zip(a, b))
-
-        def n_pos(a: Coords, b: Coords) -> int:
-            if order[a] < order[b]:
-                return special[(a, b)]
-            return -special[(b, a)]
-
-        memo: Dict[Tuple[Coords, Coords], int] = {}
-
-        def n(a: Coords, b: Coords) -> int:
-            key = (a, b)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            ap, bp = a in posset, b in posset
-            if ap and bp:
-                val = n_pos(a, b)
-            elif not ap and not bp:
-                val = -n(neg(a), neg(b))
-            elif not ap:
-                val = -n(b, a)
+        def n(a: int, b: int) -> int:
+            """N(a, b) for root indices whose sum is a root."""
+            if a < npos and b < npos:
+                return n_pos(a, b)
+            if a >= npos and b >= npos:
+                return -n_pos(a - npos, b - npos)
+            if a >= npos:
+                return -n(b, a)
+            g = at[keys[a] + keys[b]]
+            if g < npos:
+                val, rem = divmod(-norms[g] * n_pos(b - npos, g), norms[a])
             else:
-                g = add(a, b)
-                if g in posset:
-                    v = -Fraction(rs.length2(g), rs.length2(a)) * n(neg(b), g)
-                else:
-                    v = Fraction(rs.length2(g), rs.length2(b)) * n(neg(g), a)
-                if v.denominator != 1:
-                    raise ArithmeticError(f"non-integral constant for {a}, {b}")
-                val = int(v)
-            memo[key] = val
+                val, rem = divmod(norms[g] * n_pos(g - npos, a), norms[b])
+            if rem:
+                raise ArithmeticError(f"non-integral constant for {cs[a]}, {cs[b]}")
             return val
 
-        # fill special pairs, height-major (canonical positive order)
-        for g in pos:
-            if sum(g) < 2:
-                continue
-            pairs = []
-            for a in pos:
-                b = sub(g, a)
-                if b in posset and order[a] < order[b]:
-                    pairs.append((a, b))
-            pairs.sort(key=lambda ab: order[ab[0]])
+        # special pairs, height-major; roots 0..rank-1 are the simple roots
+        for g in range(rank, npos):
+            kg = keys[g]
+            pairs = [(a, b) for a in range(g) for b in (at.get(kg - keys[a], -1),) if a < b < npos]
             ea, eb = pairs[0]  # extraspecial: minimal first member
-            self.extraspecial[g] = (ea, eb)
-            special[(ea, eb)] = rs.string_down(ea, eb) + 1
+            self.extraspecial[cs[g]] = (cs[ea], cs[eb])
+            # p + 1 by its own walk: the |N| = p + 1 check reads rs.string_down
+            p, down = 1, keys[eb] - keys[ea]
+            while down in at:
+                p, down = p + 1, down - keys[ea]
+            special[(ea, eb)] = p
             for a, b in pairs[1:]:
                 t = Fraction(0)
-                d1 = sub(eb, a)
-                if d1 in posset or neg(d1) in posset:
-                    t += Fraction(n(eb, neg(a)) * n(ea, neg(b)), rs.length2(d1))
-                d2 = sub(ea, a)
-                if d2 in posset or neg(d2) in posset:
-                    t += Fraction(n(neg(a), ea) * n(eb, neg(b)), rs.length2(d2))
-                v = rs.length2(g) / special[(ea, eb)] * t
+                d1 = at.get(keys[eb] - keys[a])
+                if d1 is not None:
+                    t += Fraction(n(eb, a + npos) * n(ea, b + npos), norms[d1])
+                d2 = at.get(keys[ea] - keys[a])
+                if d2 is not None:
+                    t += Fraction(n(a + npos, ea) * n(eb, b + npos), norms[d2])
+                v = t * norms[g] / special[(ea, eb)]
                 if v.denominator != 1:
-                    raise ArithmeticError(f"non-integral constant at {a} + {b} = {g}")
+                    raise ArithmeticError(f"non-integral constant at {cs[a]} + {cs[b]} = {cs[g]}")
                 special[(a, b)] = int(v)
 
-        # tabulate N for every ordered pair of roots whose sum is a root,
-        # asserting the string-length magnitude |N| = p + 1 throughout
-        allroots = [r.coords for r in rs.roots]
-        rootset = set(allroots)
-        for a in allroots:
-            for b in allroots:
-                s = add(a, b)
-                if s in rootset:
-                    val = n(a, b)
-                    p = rs.string_down(a, b)
-                    if abs(val) != p + 1:
-                        raise ArithmeticError(
-                            f"|N{a},{b}| = {abs(val)} != p+1 = {p + 1}"
-                        )
-                    self._n[(a, b)] = val
+        # [h_i, x_a] = pairing(a, i) x_a
+        for k, ps in enumerate(rs.pairings):
+            for i, p in enumerate(ps):
+                self._set(i, rank + k, ((rank + k, p),))
+        # one pass over ordered root pairs: where a + b is a root, N with the
+        # check |N| = p + 1 and, if a < b, [x_a, x_b]; at a + b = 0 the coroot
+        for a, ca in enumerate(cs):
+            ka = keys[a]
+            for b, kb in enumerate(keys):
+                g = at.get(ka + kb)
+                if g is None:
+                    if b == a + npos:
+                        self._set(rank + a, rank + b, enumerate(rs.coroot(ca)))
+                    continue
+                val, cb = n(a, b), cs[b]
+                p = rs.string_down(ca, cb)
+                if abs(val) != p + 1:
+                    raise ArithmeticError(f"|N{ca},{cb}| = {abs(val)} != p+1 = {p + 1}")
+                self._n[(ca, cb)] = val
+                if a < b:
+                    self._set(rank + a, rank + b, ((rank + g, val),))
 
     def n_constant(self, a: Coords, b: Coords) -> int:
         """N(a,b) for roots with a+b a root; 0 if a+b is not a root."""
         return self._n.get((a, b), 0)
-
-    # -- bracket table -------------------------------------------------------
-
-    def _fill_brackets(self) -> None:
-        rs = self.rs
-        rank = self.rank
-        # [h_i, x_a] = pairing(a, i) x_a
-        for k, r in enumerate(rs.roots):
-            xk = rank + k
-            for i in range(rank):
-                self._set(i, xk, ((xk, rs.pairings[k][i]),))
-        # [x_a, x_b]
-        for k1, r1 in enumerate(rs.roots):
-            for k2, r2 in enumerate(rs.roots):
-                i, j = rank + k1, rank + k2
-                if i >= j:
-                    continue
-                s = tuple(x + y for x, y in zip(r1.coords, r2.coords))
-                if not any(s):
-                    self._set(i, j, enumerate(rs.coroot(r1.coords)))
-                elif rs.is_root(s):
-                    self._set(i, j, ((rank + rs.index(s), self._n[(r1.coords, r2.coords)]),))
 
     def basis_label(self, i: int) -> str:
         if i < self.rank:

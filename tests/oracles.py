@@ -5,6 +5,8 @@ E6 root system, with plain inner products.  No code from the package under
 test is imported: root enumeration, positivity, torus fixed-space dimensions
 (parity counts) and subsystem classification (ADE graph shapes) are all
 derived separately, so agreement with the library is a genuine cross-check.
+``chevalley_reference`` reads a ``RootSystem`` instance for its roots and
+Cartan data and rebuilds the Chevalley table on coordinate tuples.
 The references at the end read a bracket table only through its
 ``pair_bracket``: the generic all-pairs homomorphism check, the
 lexicographic closure check with its own exact elimination, and the
@@ -50,8 +52,9 @@ def e6_roots_8d():
     return roots
 
 
+@lru_cache(maxsize=None)
 def simple_coordinates(root):
-    """Exact coordinates of a root over SIMPLE_8D (Gram-system solve)."""
+    """Exact coordinates of a root over SIMPLE_8D (Gram-system solve), once per root."""
     n = 6
     G = [[dot(SIMPLE_8D[i], SIMPLE_8D[j]) for j in range(n)] for i in range(n)]
     b = [dot(root, SIMPLE_8D[i]) for i in range(n)]
@@ -286,3 +289,116 @@ def killing_reference(table):
                 row[j] = s
         rows.append(row)
     return rows
+
+
+def chevalley_reference(rs):
+    """(adj, n, extraspecial) of the Chevalley table of rs, on coordinate tuples.
+
+    The extraspecial-pair construction of the library's table, kept as it
+    was before the table moved to integer root keys: every root is a
+    coordinate tuple, sums and root strings go through a set of tuples, and
+    lengths are exact ``Fraction`` inner products of the symmetrized Cartan
+    form.  Only rs.roots, rs.npos, rs.rank, rs.cartan and rs.lengths are
+    read.  ``adj`` has the layout of ``BracketTable._adj``: adj[i][j] is
+    [e_i, e_j] as (index, coefficient) terms, with keys in insertion order.
+    """
+    rank, cartan = rs.rank, rs.cartan
+    allroots = [r.coords for r in rs.roots]
+    index = {c: k for k, c in enumerate(allroots)}
+    pos = allroots[: rs.npos]
+    order = {c: k for k, c in enumerate(pos)}
+
+    def neg(a):
+        return tuple(-x for x in a)
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    @lru_cache(maxsize=None)
+    def length2(a):
+        return sum(Fraction(m * n * cartan[i][j]) * rs.lengths[j]
+                   for i, m in enumerate(a) for j, n in enumerate(a))
+
+    def string_down(a, b):
+        k, cur = 0, sub(b, a)
+        while cur in index:
+            k, cur = k + 1, sub(cur, a)
+        return k
+
+    special, memo = {}, {}
+
+    def n(a, b):
+        if (a, b) in memo:
+            return memo[(a, b)]
+        ap, bp = a in order, b in order
+        if ap and bp:
+            val = special[(a, b)] if order[a] < order[b] else -special[(b, a)]
+        elif not ap and not bp:
+            val = -n(neg(a), neg(b))
+        elif not ap:
+            val = -n(b, a)
+        else:
+            g = add(a, b)
+            if g in order:
+                v = -length2(g) / length2(a) * n(neg(b), g)
+            else:
+                v = length2(g) / length2(b) * n(neg(g), a)
+            assert v.denominator == 1, (a, b)
+            val = int(v)
+        memo[(a, b)] = val
+        return val
+
+    extraspecial = {}
+    for g in pos:
+        if sum(g) < 2:
+            continue
+        pairs = sorted(((a, sub(g, a)) for a in pos
+                        if sub(g, a) in order and order[a] < order[sub(g, a)]),
+                       key=lambda ab: order[ab[0]])
+        ea, eb = pairs[0]
+        extraspecial[g] = (ea, eb)
+        special[(ea, eb)] = string_down(ea, eb) + 1
+        for a, b in pairs[1:]:
+            t = Fraction(0)
+            d1, d2 = sub(eb, a), sub(ea, a)
+            if d1 in index:
+                t += Fraction(n(eb, neg(a)) * n(ea, neg(b))) / length2(d1)
+            if d2 in index:
+                t += Fraction(n(neg(a), ea) * n(eb, neg(b))) / length2(d2)
+            v = length2(g) / special[(ea, eb)] * t
+            assert v.denominator == 1, (a, b)
+            special[(a, b)] = int(v)
+
+    nconst = {}
+    for a in allroots:
+        for b in allroots:
+            if add(a, b) in index:
+                nconst[(a, b)] = val = n(a, b)
+                assert abs(val) == string_down(a, b) + 1, (a, b)
+
+    adj = [{} for _ in range(rank + len(allroots))]
+
+    def put(i, j, terms):
+        terms = tuple((k, c) for k, c in terms if c)
+        if terms:
+            adj[i][j] = terms
+            adj[j][i] = tuple((k, -c) for k, c in terms)
+
+    for k, a in enumerate(allroots):
+        for i in range(rank):
+            put(i, rank + k, ((rank + k, sum(m * cartan[j][i] for j, m in enumerate(a))),))
+    for k1, a in enumerate(allroots):
+        for k2 in range(k1 + 1, len(allroots)):
+            b = allroots[k2]
+            s = add(a, b)
+            if not any(s):
+                half = length2(a) / 2
+                coroot = [m * rs.lengths[i] / half for i, m in enumerate(a)]
+                assert all(c.denominator == 1 for c in coroot), a
+                put(rank + k1, rank + k2, ((i, int(c)) for i, c in enumerate(coroot)))
+            elif s in index:
+                put(rank + k1, rank + k2, ((rank + index[s], nconst[(a, b)]),))
+    return adj, nconst, extraspecial

@@ -49,6 +49,20 @@ def test_golden_comparison_matches():
     assert "golden match" in out
 
 
+def test_table_golden_comparison_matches():
+    code, out, _ = run_cli(["roots", "--type", "E6", "--table", "--format", "json",
+                            "--golden-dir", str(REPO / "golden")])
+    assert code == 0
+    assert "golden match" in out
+
+
+def test_type_label_is_normalised():
+    assert run_cli(["roots", "--type", "e6"]) == run_cli(["roots", "--type", "E6"])
+    code, out, _ = run_cli(["roots", "--type", "e6", "--golden-dir", str(REPO / "golden")])
+    assert code == 0
+    assert "golden match" in out
+
+
 def test_golden_mismatch_fails(tmp_path):
     (tmp_path / "roots_A1.txt").write_text("not the real thing\n")
     code, _, err = run_cli(["roots", "--type", "A1", "--golden-dir", str(tmp_path)])

@@ -6,6 +6,7 @@ from kleinfour.exactq import rank as mat_rank, symmetric_inertia
 from kleinfour.rootsys import (
     BracketTable,
     CartanMatrixError,
+    RootSystem,
     build_root_system,
     cartan_matrix,
     chevalley_table,
@@ -17,7 +18,7 @@ from kleinfour.rootsys import (
     verify_antisymmetry,
     verify_jacobi,
 )
-from oracles import e6_roots_8d, killing_reference, simple_coordinates
+from oracles import chevalley_reference, e6_roots_8d, killing_reference, simple_coordinates
 
 
 # -- root system construction -------------------------------------------------
@@ -160,6 +161,38 @@ def test_n_zero_iff_sum_not_root(e6):
                 assert e6.n_constant(a, b) != 0
             else:
                 assert e6.n_constant(a, b) == 0
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "B3", "C3", "C4", "D4", "D5",
+                                   "B5", "F4", "A5", "E6", "E7", "E8"])
+def test_table_matches_the_tuple_keyed_reference(label):
+    rs = build_root_system(cartan_matrix(label))
+    t = chevalley_table(rs)
+    adj, n, extraspecial = chevalley_reference(rs)
+    # items, not dicts, so the key order of every row is compared as well
+    assert [list(row.items()) for row in t._adj] == [list(row.items()) for row in adj]
+    assert list(t._n.items()) == list(n.items())
+    assert list(t.extraspecial.items()) == list(extraspecial.items())
+
+
+@pytest.mark.parametrize("label", ["G2", "E6"])
+def test_magnitude_certificate_runs_on_every_pair(monkeypatch, label):
+    rs = build_root_system(cartan_matrix(label))
+    # the extraspecial constants walk their own root strings, so a wrong
+    # string_down can only show in the |N| = p+1 check of the pair loop
+    string_down = RootSystem.string_down
+    monkeypatch.setattr(RootSystem, "string_down", lambda self, a, b: string_down(self, a, b) + 1)
+    with pytest.raises(ArithmeticError, match=r"p\+1"):
+        chevalley_table(rs)
+
+
+def test_root_lookups_reject_coordinates_off_the_root_set(e6_rs):
+    # (65, -1, 0, 0, 0, 0) has the key of the simple root (1, 0, 0, 0, 0, 0)
+    for coords in ((65, -1, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0,) * 6):
+        assert not e6_rs.is_root(coords)
+        with pytest.raises(KeyError):
+            e6_rs.index(coords)
+    assert e6_rs.roots[e6_rs.index((1, 0, 0, 0, 0, 0))].coords == (1, 0, 0, 0, 0, 0)
 
 
 def test_jacobi_small_types():
