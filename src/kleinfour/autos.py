@@ -19,8 +19,10 @@ Both answers are exact, and every other input takes the generic formulas.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exactq import as_num, axpy, lincomb
@@ -30,6 +32,7 @@ Cols = Tuple[Dict[int, object], ...]
 
 _ORDER_CAP = 60
 _SIGNS = frozenset((1, -1))
+_INT = re.compile(r"-?[0-9]+")  # int() would also take "_", spaces and non-ASCII digits
 
 
 class CertificationError(Exception):
@@ -248,7 +251,8 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
     Root vectors of non-simple roots are extended recursively through
     x_{a+b} = [x_a, x_b] / N(a, b), using the extraspecial decomposition of
     each positive root; the mirrored decomposition is used for negatives, so
-    the sign on x_{-g} equals the sign on x_g.
+    the sign on x_{-g} equals the sign on x_g.  The recursion runs on root
+    indices and reads N from the table's one bracket store.
     """
     rs = table.rs
     rank = table.rank
@@ -262,31 +266,20 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
     ):
         raise ValueError("permutation is not a Cartan-matrix symmetry")
 
-    def image_coords(coords):
-        out = [0] * rank
-        for i, m in enumerate(coords):
-            out[perm[i]] = m
-        return tuple(out)
-
-    eps: Dict[Tuple[int, ...], int] = {}
-    for r in rs.positive_roots():
-        g = r.coords
-        if g not in table.extraspecial:  # simple root
-            eps[g] = 1
-            continue
-        a, b = table.extraspecial[g]
-        na = table.n_constant(a, b)
-        nb = table.n_constant(image_coords(a), image_coords(b))
-        v = Fraction(eps[a] * eps[b] * nb, na)
+    # the key is additive, so the image of a root is sum_i m_i key(alpha_perm(i))
+    place = [rs.keys[rs.simple[p]] for p in perm]
+    img = [rs.key_index[sum(map(mul, r.coords, place))] for r in rs.roots]
+    eps = [1] * rs.npos  # simple roots keep the sign +1
+    for g, (a, b) in table.extraspecial.items():  # height order: a, b precede g
+        v = Fraction(eps[a] * eps[b] * table.n_constant(img[a], img[b]), table.n_constant(a, b))
         if v.denominator != 1 or abs(v) != 1:
-            raise CertificationError(f"diagram extension sign is not a unit at {g}")
+            raise CertificationError(
+                f"diagram extension sign is not a unit at {rs.roots[g].coords}"
+            )
         eps[g] = int(v)
 
     cols: List[dict] = [{perm[i]: 1} for i in range(rank)]
-    for r in rs.roots:
-        g = r.coords if r.height > 0 else tuple(-x for x in r.coords)
-        img = image_coords(r.coords)
-        cols.append({rank + rs.index(img): eps[g]})
+    cols += [{rank + m: eps[k % rs.npos]} for k, m in enumerate(img)]
     desc = "diagram:" + ",".join(str(p + 1) for p in perm)
     return make_automorphism(table, cols, desc)
 
@@ -348,9 +341,6 @@ class KleinGroup:
     generators: Tuple[Automorphism, Automorphism]
     elements: Tuple[Automorphism, ...]  # (identity, a, b, ab)
 
-    def nonidentity(self) -> Tuple[Automorphism, ...]:
-        return self.elements[1:]
-
 
 def make_klein(a: Automorphism, b: Automorphism) -> KleinGroup:
     """Validate the Klein four axioms; report the first violated one."""
@@ -404,9 +394,8 @@ def weyl_lift(table: StructureTable, i: int) -> Automorphism:
     rs = table.rs
     if not 0 <= i < table.rank:
         raise ValueError(f"simple index out of range: {i}")
-    simple = tuple(1 if j == i else 0 for j in range(table.rank))
-    xp = {table.rank + rs.index(simple): 1}
-    xm = {table.rank + rs.index(tuple(-c for c in simple)): -1}
+    xp = {table.rank + rs.simple[i]: 1}
+    xm = {table.rank + rs.simple[i] + rs.npos: -1}
     e_plus = _exp_ad_cols(table, xp)
     e_minus = _exp_ad_cols(table, xm)
     cols = compose_cols(e_plus, compose_cols(e_minus, e_plus))
@@ -453,10 +442,10 @@ def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
 
 def _parse_torus(table: StructureTable, text: str) -> Automorphism:
     body = text[len("torus:") :]
-    try:
-        c = [int(x) for x in body.split(",")]
-    except ValueError:
-        raise ValueError(f"bad torus coefficients {body!r}") from None
+    parts = body.split(",")
+    if not all(_INT.fullmatch(x) for x in parts):
+        raise ValueError(f"bad torus coefficients {body!r}")
+    c = [int(x) for x in parts]
     if len(c) != table.rank:
         raise ValueError(
             f"torus descriptor needs {table.rank} coefficients, got {len(c)}"

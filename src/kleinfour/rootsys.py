@@ -1,15 +1,19 @@
 """Root systems from Cartan matrices, Chevalley bases, Killing forms.
 
 Roots are built by height induction over root strings, so the closed root set
-comes out of the Cartan matrix alone.  Each root has the integer key
-sum_i m_i 64^i, so a sum or difference of roots is one integer addition and
-one dict lookup.  The structure constants N(a,b) follow the extraspecial-pair
-construction on root indices: positive roots are ordered by height, then
-lexicographic coordinates, the extraspecial pair of each non-simple positive
-root gets the positive sign, and every other constant is forced by
-antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the three- and
-four-root relations.  One pass over the ordered root pairs computes N, asserts
-|N(a,b)| = p+1 (p the largest k with b - k*a a root) and stores the bracket.
+comes out of the Cartan matrix alone.  Inside this module a root is named by
+its index in ``RootSystem.roots``; coordinate tuples appear only at the edges
+(``index``, ``is_root``, ``key``, basis labels, error messages, JSON).  Each
+root has the integer key sum_i m_i 64^i, so a sum or difference of roots is
+one integer addition and one dict lookup.  The structure constants N(a,b)
+follow the extraspecial-pair construction on root indices: positive roots are
+ordered by height, then lexicographic coordinates, the extraspecial pair of
+each non-simple positive root gets the positive sign, and every other constant
+is forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the
+three- and four-root relations.  One pass over the ordered root pairs computes
+N, asserts |N(a,b)| = p+1 (p the largest k with b - k*a a root) and stores
+the bracket [x_a, x_b] = N(a,b) x_{a+b}; ``n_constant`` reads N back from that
+one store.
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
@@ -181,7 +185,8 @@ class RootSystem:
     ``keys[k]`` is the key of roots[k], ``key_index`` maps it back to k; it
     is injective for coefficients below 32 in absolute value, and those of a
     root or a sum of two roots are at most 12.  ``norms[k]`` is the integer
-    (roots[k], roots[k]) up to one factor common to all roots.
+    (roots[k], roots[k]) up to one factor common to all roots.  ``simple[i]``
+    is the index of alpha_i, and simple[i] + npos that of -alpha_i.
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]]):
@@ -195,6 +200,8 @@ class RootSystem:
         roots += [Root(tuple(-x for x in c), -sum(c)) for c in pos]
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.npos = len(pos)
+        # height 1 comes first in lexicographic order: alpha_i is roots[rank-1-i]
+        self.simple: Tuple[int, ...] = tuple(range(self.rank - 1, -1, -1))
         self._place = tuple(64 ** i for i in range(self.rank))
         self.keys: Tuple[int, ...] = tuple(self.key(r.coords) for r in self.roots)
         self.key_index: Dict[int, int] = {k: i for i, k in enumerate(self.keys)}
@@ -240,24 +247,9 @@ class RootSystem:
         """alpha(H_{alpha_i}) = <alpha, alpha_i^vee>."""
         return sum(m * self.cartan[j][i] for j, m in enumerate(coords) if m)
 
-    def inner(self, a: Coords, b: Coords) -> Fraction:
-        """(a, b) via the symmetrized Cartan form."""
-        s = Fraction(0)
-        for i, m in enumerate(a):
-            if not m:
-                continue
-            for j, n in enumerate(b):
-                if n and self.cartan[i][j]:
-                    s += m * n * self.cartan[i][j] * self.lengths[j]
-        return s
-
-    def length2(self, a: Coords) -> Fraction:
-        """(a, a)."""
-        return self.inner(a, a)
-
-    def coroot(self, coords: Coords) -> Tuple[int, ...]:
-        """H_alpha as an integer combination of the simple coroots."""
-        norm = self.norms[self.index(coords)]
+    def coroot(self, k: int) -> Tuple[int, ...]:
+        """H_alpha of roots[k] as an integer combination of the simple coroots."""
+        norm, coords = self.norms[k], self.roots[k].coords
         out = []
         for m, L in zip(coords, self._ilengths):
             c, rem = divmod(2 * m * L, norm)
@@ -280,13 +272,10 @@ class RootSystem:
             raise KeyError(coords)
         return k
 
-    def positive_roots(self) -> Tuple[Root, ...]:
-        return self.roots[: self.npos]
-
-    def string_down(self, a: Coords, b: Coords) -> int:
-        """p = max k such that b - k*a is a root, for roots a and b."""
-        step = self.key(a)
-        cur = self.key(b) - step
+    def string_down(self, a: int, b: int) -> int:
+        """p = max k such that roots[b] - k*roots[a] is a root."""
+        step = self.keys[a]
+        cur = self.keys[b] - step
         k = 0
         while cur in self.key_index:
             k += 1
@@ -406,7 +395,7 @@ class StructureTable(BracketTable):
 
     Basis: indices 0..rank-1 are the simple coroots h_i, index rank+k is the
     root vector of roots[k].  ``extraspecial[g]`` is the extraspecial pair
-    (a, b) of each non-simple positive root g = a + b.
+    (a, b) of each non-simple positive root g = a + b, all three root indices.
     """
 
     def __init__(self, rs: RootSystem):
@@ -414,8 +403,7 @@ class StructureTable(BracketTable):
         self.rs = rs
         self.rank = rs.rank
         self.npos = rs.npos
-        self._n: Dict[Tuple[Coords, Coords], int] = {}
-        self.extraspecial: Dict[Coords, Tuple[Coords, Coords]] = {}
+        self.extraspecial: Dict[int, Tuple[int, int]] = {}
         self._fill()
 
     def _fill(self) -> None:
@@ -449,7 +437,7 @@ class StructureTable(BracketTable):
             kg = keys[g]
             pairs = [(a, b) for a in range(g) for b in (at.get(kg - keys[a], -1),) if a < b < npos]
             ea, eb = pairs[0]  # extraspecial: minimal first member
-            self.extraspecial[cs[g]] = (cs[ea], cs[eb])
+            self.extraspecial[g] = (ea, eb)
             # p + 1 by its own walk: the |N| = p + 1 check reads rs.string_down
             p, down = 1, keys[eb] - keys[ea]
             while down in at:
@@ -474,25 +462,28 @@ class StructureTable(BracketTable):
                 self._set(i, rank + k, ((rank + k, p),))
         # one pass over ordered root pairs: where a + b is a root, N with the
         # check |N| = p + 1 and, if a < b, [x_a, x_b]; at a + b = 0 the coroot
-        for a, ca in enumerate(cs):
-            ka = keys[a]
+        for a, ka in enumerate(keys):
             for b, kb in enumerate(keys):
                 g = at.get(ka + kb)
                 if g is None:
                     if b == a + npos:
-                        self._set(rank + a, rank + b, enumerate(rs.coroot(ca)))
+                        self._set(rank + a, rank + b, enumerate(rs.coroot(a)))
                     continue
-                val, cb = n(a, b), cs[b]
-                p = rs.string_down(ca, cb)
+                val = n(a, b)
+                p = rs.string_down(a, b)
                 if abs(val) != p + 1:
-                    raise ArithmeticError(f"|N{ca},{cb}| = {abs(val)} != p+1 = {p + 1}")
-                self._n[(ca, cb)] = val
+                    raise ArithmeticError(f"|N{cs[a]},{cs[b]}| = {abs(val)} != p+1 = {p + 1}")
                 if a < b:
                     self._set(rank + a, rank + b, ((rank + g, val),))
 
-    def n_constant(self, a: Coords, b: Coords) -> int:
-        """N(a,b) for roots with a+b a root; 0 if a+b is not a root."""
-        return self._n.get((a, b), 0)
+    def n_constant(self, a: int, b: int) -> int:
+        """N(a,b) for root indices, read from [x_a, x_b] = N(a,b) x_{a+b}.
+
+        0 when a + b is not a root, and when a + b = 0 (the bracket is then
+        the coroot, in the Cartan).
+        """
+        terms = self._adj[self.rank + a].get(self.rank + b)
+        return terms[0][1] if terms and terms[0][0] >= self.rank else 0
 
     def basis_label(self, i: int) -> str:
         if i < self.rank:

@@ -186,11 +186,8 @@ def _label_by_conjugacy(table, autos: Sequence[Automorphism], conjugators) -> Li
     x_{+-alpha_i}, which determine an automorphism; a lookup whose column
     equality fails is no edge.
     """
-    rank = table.rank
-    gens = []
-    for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        gens += [rank + table.rs.index(e), rank + table.rs.index(tuple(-c for c in e))]
+    rs = table.rs
+    gens = [table.rank + k for s in rs.simple for k in (s, s + rs.npos)]
     index = _fingerprint_index(autos, gens)
     classes: List[Optional[tuple]] = [None] * len(autos)
     left = len(autos)
@@ -457,8 +454,6 @@ def _stringify(x):
         return {str(k): _stringify(v) for k, v in sorted(x.items())}
     if isinstance(x, bool):
         return x
-    if isinstance(x, int):
-        return str(x)
     return str(x)
 
 

@@ -291,6 +291,16 @@ def killing_reference(table):
     return rows
 
 
+def root_inner(rs, a, b):
+    """(a, b) for coordinate tuples a, b, from the symmetrized Cartan form.
+
+    Only rs.cartan and rs.lengths are read: (alpha_i, alpha_j) is
+    cartan[i][j] * lengths[j].
+    """
+    return sum(Fraction(m * n * rs.cartan[i][j]) * rs.lengths[j]
+               for i, m in enumerate(a) for j, n in enumerate(b))
+
+
 def chevalley_reference(rs):
     """(adj, n, extraspecial) of the Chevalley table of rs, on coordinate tuples.
 
@@ -319,8 +329,7 @@ def chevalley_reference(rs):
 
     @lru_cache(maxsize=None)
     def length2(a):
-        return sum(Fraction(m * n * cartan[i][j]) * rs.lengths[j]
-                   for i, m in enumerate(a) for j, n in enumerate(a))
+        return root_inner(rs, a, a)
 
     def string_down(a, b):
         k, cur = 0, sub(b, a)

@@ -14,6 +14,7 @@ from kleinfour.autos import (
     compose_cols,
     conjugate,
     diagram_automorphism,
+    diagram_symmetries,
     identity_automorphism,
     inverse_cols,
     joint_fixed_dim,
@@ -98,6 +99,34 @@ def test_omega_generator_images(e6):
         src = rs.index(tuple(1 if k == i else 0 for k in range(6)))
         dst = rs.index(tuple(1 if k == j else 0 for k in range(6)))
         assert om.cols[6 + src] == {6 + dst: 1}
+
+
+def permutation_order(perm):
+    power, order = tuple(perm), 1
+    while power != tuple(range(len(perm))):
+        power, order = tuple(perm[i] for i in power), order + 1
+    return order
+
+
+@pytest.mark.parametrize("label", ["A3", "A5", "D4", "D5", "E6"])
+def test_every_diagram_symmetry_maps_the_generators(e6, label):
+    t = e6 if label == "E6" else chevalley_table(build_root_system(cartan_matrix(label)))
+    rs, rank = t.rs, t.rank
+    perms = diagram_symmetries(rs.cartan)
+    assert len(perms) == {"A3": 2, "A5": 2, "D4": 6, "D5": 2, "E6": 2}[label]
+
+    def root_vector(i, sign):
+        return rank + rs.index(tuple(sign if k == i else 0 for k in range(rank)))
+
+    for perm in perms:
+        a = diagram_automorphism(t, perm)
+        for i in range(rank):
+            assert a.cols[i] == {perm[i]: 1}
+            for sign in (1, -1):
+                assert a.cols[root_vector(i, sign)] == {root_vector(perm[i], sign): 1}
+        assert a.order == permutation_order(perm)
+    # D4's triality: two permutations of order 3
+    assert sum(permutation_order(p) == 3 for p in perms) == (2 if label == "D4" else 0)
 
 
 def test_non_symmetry_permutation_rejected(e6):

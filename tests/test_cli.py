@@ -105,6 +105,20 @@ def test_bad_descriptor_is_failure_exit_1():
     assert "error" in err
 
 
+@pytest.mark.parametrize("descriptor", [
+    "torus:1_0,0,0,0,0,0",  # int() reads "1_0" as 10
+    "torus:\u0661,0,0,0,0,0",  # an Arabic-Indic one, which int() reads as 1
+    "torus: 1,0,0,0,0,0",
+    "omega*torus:1_0,0,0,0,0,0",
+    "omega*torus:\u0661,0,0,0,0,0",
+])
+def test_torus_coefficients_are_ascii_integers(descriptor):
+    code, out, err = run_cli(["identify", "--auto", descriptor])
+    assert code == 1
+    assert out == ""
+    assert "bad torus coefficients" in err
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["roots", "--no-such-flag"])

@@ -18,7 +18,20 @@ from kleinfour.rootsys import (
     verify_antisymmetry,
     verify_jacobi,
 )
-from oracles import chevalley_reference, e6_roots_8d, killing_reference, simple_coordinates
+from oracles import (
+    chevalley_reference,
+    e6_roots_8d,
+    killing_reference,
+    root_inner,
+    simple_coordinates,
+)
+
+
+def ordered_root_pairs(rs):
+    """(a, b, coordinates of a + b) for every ordered pair of root indices."""
+    cs = [r.coords for r in rs.roots]
+    return [(a, b, tuple(x + y for x, y in zip(ca, cb)))
+            for a, ca in enumerate(cs) for b, cb in enumerate(cs)]
 
 
 # -- root system construction -------------------------------------------------
@@ -54,6 +67,8 @@ def test_canonical_order_contract(e6_rs):
     for k, r in enumerate(pos):
         mirrored = e6_rs.roots[e6_rs.npos + k]
         assert mirrored.coords == tuple(-c for c in r.coords)
+    units = [tuple(int(j == i) for j in range(6)) for i in range(6)]
+    assert [e6_rs.roots[k].coords for k in e6_rs.simple] == units
 
 
 def test_closed_under_negation_and_reflection(e6_rs):
@@ -71,11 +86,11 @@ def test_closed_under_negation_and_reflection(e6_rs):
 def test_root_strings_unbroken(e6_rs):
     allset = {r.coords for r in e6_rs.roots}
     roots = [r.coords for r in e6_rs.roots]
-    for a in roots:
-        for b in roots:
+    for ia, a in enumerate(roots):
+        for ib, b in enumerate(roots):
             if b in (a, tuple(-x for x in a)):
                 continue
-            p = e6_rs.string_down(a, b)
+            p = e6_rs.string_down(ia, ib)
             # walk upward to the top of the a-string through b
             q = 0
             cur = tuple(x + y for x, y in zip(b, a))
@@ -87,7 +102,7 @@ def test_root_strings_unbroken(e6_rs):
                 step = tuple(x + k * y for x, y in zip(b, a))
                 assert step in allset
             # string length relation: p - q = <b, a^vee> = 2(b,a)/(a,a)
-            assert p - q == 2 * e6_rs.inner(b, a) / e6_rs.length2(a)
+            assert p - q == 2 * root_inner(e6_rs, b, a) / root_inner(e6_rs, a, a)
 
 
 def test_rejects_non_finite_type():
@@ -134,33 +149,40 @@ def test_bracket_table_rejects_a_diagonal_bracket():
     assert not verify_antisymmetry(t)
 
 
+def constants_on_root_sums(t):
+    """N(a, b) over every ordered pair of root indices whose sum is a root."""
+    return [t.n_constant(a, b) for a, b, s in ordered_root_pairs(t.rs) if t.rs.is_root(s)]
+
+
 def test_a2_constants_all_magnitude_one():
     t = chevalley_table(build_root_system(cartan_matrix("A2")))
-    assert all(abs(v) == 1 for v in t._n.values())
+    got = constants_on_root_sums(t)
+    assert len(got) == 12 and all(abs(v) == 1 for v in got)
 
 
 def test_e6_constants_all_magnitude_one(e6):
-    assert all(abs(v) == 1 for v in e6._n.values())
+    got = constants_on_root_sums(e6)
+    assert len(got) == 1440 and all(abs(v) == 1 for v in got)
 
 
 def test_n_antisymmetry_and_negation(e6):
-    for (a, b), v in e6._n.items():
-        assert e6._n[(b, a)] == -v
-        na, nb = tuple(-x for x in a), tuple(-x for x in b)
-        assert e6._n[(na, nb)] == -v
+    rs = e6.rs
+    for a, b, s in ordered_root_pairs(rs):
+        if not rs.is_root(s):
+            continue
+        v = e6.n_constant(a, b)
+        assert e6.n_constant(b, a) == -v
+        na = rs.index(tuple(-x for x in rs.roots[a].coords))
+        nb = rs.index(tuple(-x for x in rs.roots[b].coords))
+        assert e6.n_constant(na, nb) == -v
 
 
 def test_n_zero_iff_sum_not_root(e6):
-    rs = e6.rs
-    roots = [r.coords for r in rs.roots]
-    allset = set(roots)
-    for a in roots[:9]:
-        for b in roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in allset:
-                assert e6.n_constant(a, b) != 0
-            else:
-                assert e6.n_constant(a, b) == 0
+    for a, b, s in ordered_root_pairs(e6.rs):
+        if e6.rs.is_root(s):
+            assert e6.n_constant(a, b) != 0
+        else:
+            assert e6.n_constant(a, b) == 0
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "B3", "C3", "C4", "D4", "D5",
@@ -171,8 +193,13 @@ def test_table_matches_the_tuple_keyed_reference(label):
     adj, n, extraspecial = chevalley_reference(rs)
     # items, not dicts, so the key order of every row is compared as well
     assert [list(row.items()) for row in t._adj] == [list(row.items()) for row in adj]
-    assert list(t._n.items()) == list(n.items())
-    assert list(t.extraspecial.items()) == list(extraspecial.items())
+    cs = [r.coords for r in rs.roots]
+    assert [t.n_constant(a, b) for a, b, _ in ordered_root_pairs(rs)] == [
+        n.get((cs[a], cs[b]), 0) for a, b, _ in ordered_root_pairs(rs)
+    ]
+    assert list(t.extraspecial.items()) == [
+        (rs.index(g), (rs.index(a), rs.index(b))) for g, (a, b) in extraspecial.items()
+    ]
 
 
 @pytest.mark.parametrize("label", ["G2", "E6"])
