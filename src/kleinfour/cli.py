@@ -43,7 +43,7 @@ def _type_label(text: str) -> str:
         cartan_matrix(text)
     except CartanMatrixError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return f"{text[0].upper()}{int(text[1:])}"
+    return f"{text[0].upper()}{text[1:].lstrip('0')}"
 
 
 def _class_labels(text: str) -> List[str]:

@@ -1,7 +1,9 @@
 """Root systems from Cartan matrices, Chevalley bases, Killing forms.
 
 Roots are built by height induction over root strings, so the closed root set
-comes out of the Cartan matrix alone.  Inside this module a root is named by
+comes out of the Cartan matrix alone; each positive root carries its pairings
+with the simple coroots, and the up-step a + alpha_i adds row i of the Cartan
+matrix to them.  Inside this module a root is named by
 its index in ``RootSystem.roots``; coordinate tuples appear only at the edges
 (``index``, ``is_root``, ``key``, basis labels, error messages, JSON).  Each
 root has the integer key sum_i m_i 64^i, so a sum or difference of roots is
@@ -10,10 +12,11 @@ follow the extraspecial-pair construction on root indices: positive roots are
 ordered by height, then lexicographic coordinates, the extraspecial pair of
 each non-simple positive root gets the positive sign, and every other constant
 is forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the
-three- and four-root relations.  One pass over the ordered root pairs computes
-N, asserts |N(a,b)| = p+1 (p the largest k with b - k*a a root) and stores
-the bracket [x_a, x_b] = N(a,b) x_{a+b}; ``n_constant`` reads N back from that
-one store.
+three- and four-root relations.  One pass over the unordered root pairs
+a < b computes N(a,b) once, asserts |N| = p+1 for both orders (p the largest
+k with b - k*a a root, and with a and b swapped) and stores both brackets
+[x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a]; ``n_constant`` reads N back from
+that one store.
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
@@ -24,7 +27,7 @@ from ``exactq.symmetric_inertia``.
 
 Conventions, fixed once and used everywhere:
   - cartan[i][j] = <alpha_i, alpha_j^vee>  (column j carries the coroot)
-  - pairing(alpha, j) = <alpha, alpha_j^vee> = sum_i m_i cartan[i][j]
+  - pairings[k][j] = <alpha, alpha_j^vee> = sum_i m_i cartan[i][j], alpha = roots[k]
   - basis order of a structure table: h_1..h_l, then x_a for positive a in
     canonical order, then x_{-a} mirrored.  This order is part of the public
     contract; automorphism matrices are comparable across runs because of it.
@@ -36,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactq import axpy, symmetric_inertia
@@ -52,16 +55,30 @@ class CartanMatrixError(ValueError):
 # Cartan matrix catalog
 # ---------------------------------------------------------------------------
 
+# Largest rank cartan_matrix accepts.  The largest tables, B32 and C32 (dim
+# 2080), build in about 1.3 s and 77 MB peak RSS (2-core host, Python 3.11);
+# their stored brackets grow as the cube of the rank (B16: 33,936, B32: 267,536).
+MAX_RANK = 32
+
+
 def cartan_matrix(label: str) -> Tuple[Tuple[int, ...], ...]:
-    """Standard Cartan matrix for a simple type label like 'A3', 'E6', 'G2'."""
+    """Standard Cartan matrix for a simple type label like 'A3', 'E6', 'G2'.
+
+    The rank is checked against MAX_RANK before anything is allocated.
+    """
     letter, digits = label[:1].upper(), label[1:]
     if not (digits.isascii() and digits.isdigit()):
         raise CartanMatrixError(
             f"malformed type label {label!r}: expected a letter and a rank, e.g. E6"
         )
-    rank = int(digits)
+    # a rank longer than MAX_RANK's digits is out of range; int() of thousands
+    # of digits would raise its own ValueError
+    significant = digits.lstrip("0")
+    rank = int(significant or "0") if len(significant) <= len(str(MAX_RANK)) else MAX_RANK + 1
     if rank < 1:
         raise CartanMatrixError(f"type label {label!r}: rank must be at least 1")
+    if rank > MAX_RANK:
+        raise CartanMatrixError(f"type label {label!r}: rank must be at most {MAX_RANK}")
     A = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
     def edge(i, j, aij=-1, aji=-1):
@@ -180,8 +197,7 @@ class RootSystem:
     """The closed root set of a finite-type Cartan matrix.
 
     ``roots`` lists positives in (height, lex) order, then their negatives in
-    the mirrored order; ``pairing`` gives alpha(H_beta) for the simple coroots,
-    and ``pairings[k][i]`` holds pairing(roots[k].coords, i) for every root.
+    the mirrored order; ``pairings[k][i]`` is <roots[k], alpha_i^vee>.
     ``keys[k]`` is the key of roots[k], ``key_index`` maps it back to k; it
     is injective for coefficients below 32 in absolute value, and those of a
     root or a sum of two roots are at most 12.  ``norms[k]`` is the integer
@@ -194,58 +210,51 @@ class RootSystem:
         self.cartan: Tuple[Tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
         self.rank = len(self.cartan)
         self.lengths = lengths
-        pos = self._close_positive_roots()
-        pos.sort(key=lambda c: (sum(c), c))
-        roots: List[Root] = [Root(c, sum(c)) for c in pos]
-        roots += [Root(tuple(-x for x in c), -sum(c)) for c in pos]
+        self._place = tuple(64 ** i for i in range(self.rank))
+        pos = sorted(self._close_positive_roots().items(), key=lambda kv: (sum(kv[1][0]), kv[1][0]))
+        roots: List[Root] = [Root(c, sum(c)) for _, (c, _) in pos]
+        roots += [Root(tuple(-x for x in r.coords), -r.height) for r in roots]
         self.roots: Tuple[Root, ...] = tuple(roots)
         self.npos = len(pos)
         # height 1 comes first in lexicographic order: alpha_i is roots[rank-1-i]
         self.simple: Tuple[int, ...] = tuple(range(self.rank - 1, -1, -1))
-        self._place = tuple(64 ** i for i in range(self.rank))
-        self.keys: Tuple[int, ...] = tuple(self.key(r.coords) for r in self.roots)
+        self.keys: Tuple[int, ...] = tuple(k for k, _ in pos) + tuple(-k for k, _ in pos)
         self.key_index: Dict[int, int] = {k: i for i, k in enumerate(self.keys)}
-        self.pairings: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(self.pairing(r.coords, i) for i in range(self.rank)) for r in self.roots
-        )
+        ps = [p for _, (_, p) in pos]
+        self.pairings: Tuple[Tuple[int, ...], ...] = tuple(ps + [tuple(-x for x in p) for p in ps])
         scale = lcm(*(x.denominator for x in lengths))
         self._ilengths = tuple(int(x * scale) for x in lengths)
-        # (a, a) = sum_i m_i (a, alpha_i) = sum_i m_i L_i <a, alpha_i^vee>
-        self.norms: Tuple[int, ...] = tuple(
-            sum(map(mul, r.coords, map(mul, self._ilengths, ps)))
-            for r, ps in zip(self.roots, self.pairings)
-        )
+        # (a, a) = sum_i m_i (a, alpha_i) = sum_i m_i L_i <a, alpha_i^vee> = (-a, -a)
+        norms = [sum(map(mul, r.coords, map(mul, self._ilengths, p))) for r, p in zip(roots, ps)]
+        self.norms: Tuple[int, ...] = tuple(norms + norms)
 
-    def _close_positive_roots(self) -> List[Coords]:
-        rank = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        found = set(simple)
-        frontier = list(simple)
+    def _close_positive_roots(self) -> Dict[int, Tuple[Coords, Tuple[int, ...]]]:
+        """key -> (coordinates, pairings) of every positive root, by height.
+
+        The up-step a + alpha_i adds row i of the Cartan matrix to a's pairings.
+        """
+        rank, A, place = self.rank, self.cartan, self._place
+        found = {place[i]: (tuple(int(j == i) for j in range(rank)), A[i]) for i in range(rank)}
+        frontier = list(found)
+        # no finite type of rank r has more than r * max(r, 15) positive roots
+        # (B_r and C_r have r * r, E8 has 8 * 15), whatever its components
+        cap = rank * max(rank, 15)
         while frontier:
-            new: List[Coords] = []
-            for a in frontier:
-                for i, e in enumerate(simple):
-                    # p = how far the string a, a-e, a-2e, ... continues down
-                    p = 0
-                    down = tuple(x - y for x, y in zip(a, e))
+            new: List[int] = []
+            for ka in frontier:
+                a, ps = found[ka]
+                for i, step in enumerate(place):
+                    # p = how far the string a, a - alpha_i, ... continues down
+                    p, down = 0, ka - step
                     while down in found:
-                        p += 1
-                        down = tuple(x - y for x, y in zip(down, e))
-                    if p - self.pairing(a, i) > 0:
-                        up = tuple(x + y for x, y in zip(a, e))
-                        if up not in found:
-                            found.add(up)
-                            new.append(up)
+                        p, down = p + 1, down - step
+                    if p > ps[i] and ka + step not in found:
+                        found[ka + step] = (a[:i] + (a[i] + 1,) + a[i + 1:], tuple(map(add, ps, A[i])))
+                        new.append(ka + step)
             frontier = new
-            if len(found) > 10000:
+            if len(found) > cap:
                 raise CartanMatrixError("root set does not close; not finite type")
-        return sorted(found)
-
-    # -- exact pairings ----------------------------------------------------
-
-    def pairing(self, coords: Coords, i: int) -> int:
-        """alpha(H_{alpha_i}) = <alpha, alpha_i^vee>."""
-        return sum(m * self.cartan[j][i] for j, m in enumerate(coords) if m)
+        return found
 
     def coroot(self, k: int) -> Tuple[int, ...]:
         """H_alpha of roots[k] as an integer combination of the simple coroots."""
@@ -410,24 +419,21 @@ class StructureTable(BracketTable):
         """Constants and brackets on root indices; -a is a +- npos."""
         rs, rank, npos = self.rs, self.rank, self.npos
         cs, keys, at, norms = [r.coords for r in rs.roots], rs.keys, rs.key_index, rs.norms
-        special: Dict[Tuple[int, int], int] = {}
-
-        def n_pos(a: int, b: int) -> int:
-            return special[(a, b)] if a < b else -special[(b, a)]
+        special: Dict[Tuple[int, int], int] = {}  # N(a, b) for positive a, b, both orders
 
         def n(a: int, b: int) -> int:
             """N(a, b) for root indices whose sum is a root."""
             if a < npos and b < npos:
-                return n_pos(a, b)
+                return special[(a, b)]
             if a >= npos and b >= npos:
-                return -n_pos(a - npos, b - npos)
+                return -special[(a - npos, b - npos)]
             if a >= npos:
                 return -n(b, a)
             g = at[keys[a] + keys[b]]
             if g < npos:
-                val, rem = divmod(-norms[g] * n_pos(b - npos, g), norms[a])
+                val, rem = divmod(-norms[g] * special[(b - npos, g)], norms[a])
             else:
-                val, rem = divmod(norms[g] * n_pos(g - npos, a), norms[b])
+                val, rem = divmod(norms[g] * special[(g - npos, a)], norms[b])
             if rem:
                 raise ArithmeticError(f"non-integral constant for {cs[a]}, {cs[b]}")
             return val
@@ -442,39 +448,47 @@ class StructureTable(BracketTable):
             p, down = 1, keys[eb] - keys[ea]
             while down in at:
                 p, down = p + 1, down - keys[ea]
-            special[(ea, eb)] = p
+            special[(ea, eb)], special[(eb, ea)] = p, -p
             for a, b in pairs[1:]:
-                t = Fraction(0)
+                # N(a,b) = (t1/|d1|^2 + t2/|d2|^2) |g|^2 / N(ea,eb) as num/den
+                num, den = 0, 1
                 d1 = at.get(keys[eb] - keys[a])
                 if d1 is not None:
-                    t += Fraction(n(eb, a + npos) * n(ea, b + npos), norms[d1])
+                    num, den = n(eb, a + npos) * n(ea, b + npos), norms[d1]
                 d2 = at.get(keys[ea] - keys[a])
                 if d2 is not None:
-                    t += Fraction(n(a + npos, ea) * n(eb, b + npos), norms[d2])
-                v = t * norms[g] / special[(ea, eb)]
-                if v.denominator != 1:
+                    num = num * norms[d2] + n(a + npos, ea) * n(eb, b + npos) * den
+                    den *= norms[d2]
+                val, rem = divmod(num * norms[g], den * special[(ea, eb)])
+                if rem:
                     raise ArithmeticError(f"non-integral constant at {cs[a]} + {cs[b]} = {cs[g]}")
-                special[(a, b)] = int(v)
+                special[(a, b)], special[(b, a)] = val, -val
 
-        # [h_i, x_a] = pairing(a, i) x_a
+        adj, string_down = self._adj, rs.string_down
+        # [h_i, x_a] = <a, alpha_i^vee> x_a
         for k, ps in enumerate(rs.pairings):
             for i, p in enumerate(ps):
-                self._set(i, rank + k, ((rank + k, p),))
-        # one pass over ordered root pairs: where a + b is a root, N with the
-        # check |N| = p + 1 and, if a < b, [x_a, x_b]; at a + b = 0 the coroot
+                if p:
+                    adj[i][rank + k] = ((rank + k, p),)
+                    adj[rank + k][i] = ((rank + k, -p),)
+        # one pass over unordered pairs a < b with a + b a root or 0 (sum key
+        # 0 gives -1): N once, |N| = p + 1 checked for both orders, and both
+        # brackets stored; at a + b = 0 the coroot
+        sums = {**at, 0: -1}
         for a, ka in enumerate(keys):
-            for b, kb in enumerate(keys):
-                g = at.get(ka + kb)
-                if g is None:
-                    if b == a + npos:
-                        self._set(rank + a, rank + b, enumerate(rs.coroot(a)))
+            for b in [b for b in range(a + 1, len(keys)) if ka + keys[b] in sums]:
+                g = sums[ka + keys[b]]
+                if g < 0:
+                    self._set(rank + a, rank + b, enumerate(rs.coroot(a)))
                     continue
                 val = n(a, b)
-                p = rs.string_down(a, b)
-                if abs(val) != p + 1:
-                    raise ArithmeticError(f"|N{cs[a]},{cs[b]}| = {abs(val)} != p+1 = {p + 1}")
-                if a < b:
-                    self._set(rank + a, rank + b, ((rank + g, val),))
+                if not string_down(a, b) == string_down(b, a) == abs(val) - 1:
+                    x, y = (a, b) if string_down(a, b) != abs(val) - 1 else (b, a)
+                    raise ArithmeticError(
+                        f"|N{cs[x]},{cs[y]}| = {abs(val)} != p+1 = {string_down(x, y) + 1}")
+                # nonzero by the check, and off the diagonal: 2a is never a root
+                adj[rank + a][rank + b] = ((rank + g, val),)
+                adj[rank + b][rank + a] = ((rank + g, -val),)
 
     def n_constant(self, a: int, b: int) -> int:
         """N(a,b) for root indices, read from [x_a, x_b] = N(a,b) x_{a+b}.
@@ -524,68 +538,6 @@ def killing_form(t: BracketTable) -> List[Dict[int, int]]:
                     acc[j] += w * v
         B.append({j: acc[j] for j in sorted(acc) if acc[j]})
     return B
-
-
-def verify_antisymmetry(t) -> bool:
-    """No diagonal brackets; the two stored orders of every pair negate each other."""
-    for i in range(t.dim):
-        if t.pair_bracket(i, i):
-            return False
-        for j in range(i + 1, t.dim):
-            fwd = dict(t.pair_bracket(i, j))
-            bwd = dict(t.pair_bracket(j, i))
-            if fwd != {k: -c for k, c in bwd.items()}:
-                return False
-    return True
-
-
-def jacobi_defect(t) -> Optional[Tuple[int, int, int]]:
-    """First basis triple violating Jacobi, or None.
-
-    Scans unordered triples i < j < k.  Together with the antisymmetry of the
-    operational bracket and bilinearity this covers all ordered triples:
-    permuting a triple only permutes/negates the three summands, and a triple
-    with a repeated element reduces to [[u,v],u] + [[v,u],u] = 0.
-    """
-    dim = t.dim
-    pb = t.pair_bracket
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            uv = pb(i, j)
-            for k in range(j + 1, dim):
-                acc: Dict[int, int] = {}
-                for m, c in uv:  # [[i,j],k]
-                    axpy(acc, c, pb(m, k))
-                for m, c in pb(j, k):  # [[j,k],i]
-                    axpy(acc, c, pb(m, i))
-                for m, c in pb(k, i):  # [[k,i],j]
-                    axpy(acc, c, pb(m, j))
-                if acc:
-                    return (i, j, k)
-    return None
-
-
-def verify_jacobi(t) -> bool:
-    return jacobi_defect(t) is None
-
-
-def verify_ad_invariance(t, killing: Sequence[Dict[int, int]]) -> bool:
-    """B([u,v],w) + B(v,[u,w]) = 0 on all basis triples; killing is sparse rows."""
-    dim = t.dim
-    K = killing
-    pb = t.pair_bracket
-    for u in range(dim):
-        for v in range(dim):
-            uv = pb(u, v)
-            for w in range(dim):
-                s = 0
-                for m, c in uv:
-                    s += c * K[m].get(w, 0)
-                for m, c in pb(u, w):
-                    s += c * K[v].get(m, 0)
-                if s:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ derived separately, so agreement with the library is a genuine cross-check.
 Cartan data and rebuilds the Chevalley table on coordinate tuples.
 The references at the end read a bracket table only through its
 ``pair_bracket``: the generic all-pairs homomorphism check, the
-lexicographic closure check with its own exact elimination, and the
-Killing form as a trace over all pairs.
+lexicographic closure check with its own exact elimination, the Killing
+form as a trace over all pairs, and the antisymmetry, Jacobi and
+ad-invariance scans over all basis pairs and triples.  ``pairing`` reads
+only a root system's Cartan matrix.
 """
 
 from fractions import Fraction
@@ -291,6 +293,68 @@ def killing_reference(table):
     return rows
 
 
+def verify_antisymmetry(t):
+    """No diagonal brackets; the two stored orders of every pair negate each other."""
+    for i in range(t.dim):
+        if t.pair_bracket(i, i):
+            return False
+        for j in range(i + 1, t.dim):
+            fwd = dict(t.pair_bracket(i, j))
+            bwd = dict(t.pair_bracket(j, i))
+            if fwd != {k: -c for k, c in bwd.items()}:
+                return False
+    return True
+
+
+def jacobi_defect(t):
+    """First basis triple violating Jacobi, or None.
+
+    Scans unordered triples i < j < k.  Together with the antisymmetry of the
+    operational bracket and bilinearity this covers all ordered triples:
+    permuting a triple only permutes/negates the three summands, and a triple
+    with a repeated element reduces to [[u,v],u] + [[v,u],u] = 0.
+    """
+    dim = t.dim
+    pb = t.pair_bracket
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            uv = pb(i, j)
+            for k in range(j + 1, dim):
+                acc = {}
+                for m, c in uv:  # [[i,j],k]
+                    _add_scaled(acc, c, pb(m, k))
+                for m, c in pb(j, k):  # [[j,k],i]
+                    _add_scaled(acc, c, pb(m, i))
+                for m, c in pb(k, i):  # [[k,i],j]
+                    _add_scaled(acc, c, pb(m, j))
+                if acc:
+                    return (i, j, k)
+    return None
+
+
+def verify_jacobi(t):
+    return jacobi_defect(t) is None
+
+
+def verify_ad_invariance(t, killing):
+    """B([u,v],w) + B(v,[u,w]) = 0 on all basis triples; killing is sparse rows."""
+    dim = t.dim
+    K = killing
+    pb = t.pair_bracket
+    for u in range(dim):
+        for v in range(dim):
+            uv = pb(u, v)
+            for w in range(dim):
+                s = 0
+                for m, c in uv:
+                    s += c * K[m].get(w, 0)
+                for m, c in pb(u, w):
+                    s += c * K[v].get(m, 0)
+                if s:
+                    return False
+    return True
+
+
 def root_inner(rs, a, b):
     """(a, b) for coordinate tuples a, b, from the symmetrized Cartan form.
 
@@ -299,6 +363,14 @@ def root_inner(rs, a, b):
     """
     return sum(Fraction(m * n * rs.cartan[i][j]) * rs.lengths[j]
                for i, m in enumerate(a) for j, n in enumerate(b))
+
+
+def pairing(rs, coords, i):
+    """<alpha, alpha_i^vee> = sum_j m_j cartan[j][i] for the coordinate tuple alpha.
+
+    Only rs.cartan is read.
+    """
+    return sum(m * rs.cartan[j][i] for j, m in enumerate(coords))
 
 
 def chevalley_reference(rs):
@@ -312,7 +384,7 @@ def chevalley_reference(rs):
     read.  ``adj`` has the layout of ``BracketTable._adj``: adj[i][j] is
     [e_i, e_j] as (index, coefficient) terms, with keys in insertion order.
     """
-    rank, cartan = rs.rank, rs.cartan
+    rank = rs.rank
     allroots = [r.coords for r in rs.roots]
     index = {c: k for k, c in enumerate(allroots)}
     pos = allroots[: rs.npos]
@@ -398,7 +470,7 @@ def chevalley_reference(rs):
 
     for k, a in enumerate(allroots):
         for i in range(rank):
-            put(i, rank + k, ((rank + k, sum(m * cartan[j][i] for j, m in enumerate(a))),))
+            put(i, rank + k, ((rank + k, pairing(rs, a, i)),))
     for k1, a in enumerate(allroots):
         for k2 in range(k1 + 1, len(allroots)):
             b = allroots[k2]

@@ -12,14 +12,9 @@ from kleinfour.autos import compose, conjugate, make_klein, omega_automorphism, 
 from kleinfour.exactq import symmetric_inertia
 from kleinfour.identify import fixed_subalgebra, identify_type
 from kleinfour.realform import real_fixed_subalgebra
-from kleinfour.rootsys import (
-    killing_form,
-    verify_ad_invariance,
-    verify_antisymmetry,
-    verify_jacobi,
-)
+from kleinfour.rootsys import killing_form
 from kleinfour.verify import classify_involution, run_all
-from oracles import torus_census_buckets
+from oracles import torus_census_buckets, verify_ad_invariance, verify_antisymmetry, verify_jacobi
 
 
 def _report(criterion: str, ok: bool) -> bool:

@@ -28,7 +28,7 @@ from kleinfour.autos import (
 from kleinfour.exactq import as_num, lincomb
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import first_homomorphism_defect, joint_parity_fixed_dim, pairing_parity_fixed_dim
+from oracles import first_homomorphism_defect, joint_parity_fixed_dim, pairing, pairing_parity_fixed_dim
 
 
 def fixed_dim(table, auto):
@@ -281,7 +281,7 @@ def test_lift_permutes_root_spaces_by_reflection(e6):
         assert len(col) == 1
         ((target, coeff),) = col.items()
         refl = list(r.coords)
-        refl[i] -= rs.pairing(r.coords, i)
+        refl[i] -= pairing(rs, r.coords, i)
         assert target == 6 + rs.index(tuple(refl))
         assert coeff in (1, -1)
 

@@ -145,6 +145,8 @@ def test_usage_error_is_exit_2():
     (["roots", "--type", "A\u00b2"], "malformed type label 'A\u00b2'"),
     (["search", "--classes", "sigma3,sigma2", "--target", "B4:\u0663\u0666"],
      "must be a whole number"),
+    # above rootsys.MAX_RANK: rejected before any matrix is built
+    (["roots", "--type", "A1000"], "rank must be at most 32"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()

@@ -26,7 +26,7 @@ from kleinfour.identify import (
 )
 from kleinfour.realform import compact_form, compact_matrix_cols
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import classify_even_subsystem, first_escape_reference
+from oracles import classify_even_subsystem, first_escape_reference, pairing
 
 
 # -- fixed subalgebras ----------------------------------------------------------
@@ -277,7 +277,7 @@ def test_pairing_table_matches_pairing(label):
     rs = sweep_table(label).rs
     assert len(rs.pairings) == len(rs.roots)
     for r, row in zip(rs.roots, rs.pairings):
-        assert row == tuple(rs.pairing(r.coords, i) for i in range(rs.rank))
+        assert row == tuple(pairing(rs, r.coords, i) for i in range(rs.rank))
 
 
 # -- match_cartan ---------------------------------------------------------------------

@@ -1,30 +1,38 @@
 import json
+import tracemalloc
 
 import pytest
 
 from kleinfour.exactq import rank as mat_rank, symmetric_inertia
 from kleinfour.rootsys import (
+    MAX_RANK,
     BracketTable,
     CartanMatrixError,
     RootSystem,
     build_root_system,
     cartan_matrix,
     chevalley_table,
-    jacobi_defect,
     killing_form,
     root_system_to_jsonable,
     structure_table_to_jsonable,
-    verify_ad_invariance,
-    verify_antisymmetry,
-    verify_jacobi,
 )
 from oracles import (
     chevalley_reference,
     e6_roots_8d,
+    jacobi_defect,
     killing_reference,
+    pairing,
     root_inner,
     simple_coordinates,
+    verify_ad_invariance,
+    verify_antisymmetry,
+    verify_jacobi,
 )
+
+
+# the types the library is checked on against the tuple-keyed oracles
+REFERENCE_TYPES = ["A1", "A2", "B2", "G2", "B3", "C3", "C4", "D4", "D5",
+                   "B5", "F4", "A5", "E6", "E7", "E8"]
 
 
 def ordered_root_pairs(rs):
@@ -77,7 +85,7 @@ def test_closed_under_negation_and_reflection(e6_rs):
         assert tuple(-c for c in r.coords) in allset
     for r in e6_rs.roots:
         for i in range(6):
-            n = e6_rs.pairing(r.coords, i)
+            n = pairing(e6_rs, r.coords, i)
             refl = list(r.coords)
             refl[i] -= n
             assert tuple(refl) in allset
@@ -103,6 +111,43 @@ def test_root_strings_unbroken(e6_rs):
                 assert step in allset
             # string length relation: p - q = <b, a^vee> = 2(b,a)/(a,a)
             assert p - q == 2 * root_inner(e6_rs, b, a) / root_inner(e6_rs, a, a)
+
+
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+def test_pairings_keys_and_norms_match_the_oracle(label):
+    rs = build_root_system(cartan_matrix(label))
+    assert rs.pairings == tuple(
+        tuple(pairing(rs, r.coords, i) for i in range(rs.rank)) for r in rs.roots
+    )
+    assert rs.keys == tuple(sum(m * 64 ** i for i, m in enumerate(r.coords)) for r in rs.roots)
+    # the lengths of a simple type are integers, so the common factor is 1
+    assert list(rs.norms) == [root_inner(rs, r.coords, r.coords) for r in rs.roots]
+
+
+@pytest.mark.parametrize("letter, npos", [
+    ("A", MAX_RANK * (MAX_RANK + 1) // 2),
+    ("B", MAX_RANK * MAX_RANK),
+    ("C", MAX_RANK * MAX_RANK),
+    ("D", MAX_RANK * (MAX_RANK - 1)),
+])
+def test_every_family_closes_at_the_maximum_rank(letter, npos):
+    assert build_root_system(cartan_matrix(f"{letter}{MAX_RANK}")).npos == npos
+
+
+@pytest.mark.parametrize("label", ["A1000", "D" + "9" * 5000])
+def test_rank_above_the_maximum_is_rejected_before_allocating(label):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CartanMatrixError, match=f"at most {MAX_RANK}"):
+            cartan_matrix(label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the rows of a 1000 x 1000 matrix take megabytes
+
+
+def test_leading_zeros_do_not_count_towards_the_rank():
+    assert cartan_matrix("E" + "0" * 5000 + "6") == cartan_matrix("E6")
 
 
 def test_rejects_non_finite_type():
@@ -185,8 +230,7 @@ def test_n_zero_iff_sum_not_root(e6):
             assert e6.n_constant(a, b) == 0
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "B3", "C3", "C4", "D4", "D5",
-                                   "B5", "F4", "A5", "E6", "E7", "E8"])
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
 def test_table_matches_the_tuple_keyed_reference(label):
     rs = build_root_system(cartan_matrix(label))
     t = chevalley_table(rs)
@@ -209,6 +253,18 @@ def test_magnitude_certificate_runs_on_every_pair(monkeypatch, label):
     # string_down can only show in the |N| = p+1 check of the pair loop
     string_down = RootSystem.string_down
     monkeypatch.setattr(RootSystem, "string_down", lambda self, a, b: string_down(self, a, b) + 1)
+    with pytest.raises(ArithmeticError, match=r"p\+1"):
+        chevalley_table(rs)
+
+
+@pytest.mark.parametrize("label", ["G2", "E6"])
+def test_magnitude_certificate_checks_the_reversed_order(monkeypatch, label):
+    rs = build_root_system(cartan_matrix(label))
+    # N is computed once per unordered pair; a string_down that is wrong only
+    # when its first root index is the larger must still fail the check
+    string_down = RootSystem.string_down
+    monkeypatch.setattr(RootSystem, "string_down",
+                        lambda self, a, b: string_down(self, a, b) + (a > b))
     with pytest.raises(ArithmeticError, match=r"p\+1"):
         chevalley_table(rs)
 
