@@ -1,13 +1,28 @@
 """Automorphisms of a Chevalley-basis Lie algebra, with mandatory certificates.
 
-Every constructor funnels through make_automorphism, which verifies the
-homomorphism property [Au, Av] = A[u, v] on all basis pairs and computes the
-order before the object exists.  The check covers every pair but does work
-only where a bracket is nonzero (``BracketTable.homomorphism_defect``): it
-walks the nonzero brackets and the candidate's nonzero entries, and a pair
-reached by neither is zero on both sides.  Nothing downstream ever touches an
-uncertified matrix; sign mistakes in the diagram-automorphism extension are
-the dominant bug risk and this is the firewall.
+Every constructor funnels through make_automorphisms (make_automorphism is a
+batch of one), which verifies the homomorphism property [Au, Av] = A[u, v] on
+all basis pairs and computes the order before the object exists.  Nothing
+downstream ever touches an uncertified matrix; sign mistakes in the
+diagram-automorphism extension are the dominant bug risk and this is the
+firewall.
+
+The homomorphism check takes one of two paths, chosen by the columns' shape.
+When every column is one entry +-1 and the targets are distinct, A is a
+signed permutation A e_j = s_j e_pi(j), and the check on a nonzero bracket
+[e_i, e_j] = sum c_k e_k is a lookup: [e_pi(i), e_pi(j)] must have support
+{pi(k)}, entries +-c_k, and s_i s_j s_k equal to each entry's sign against
+c_k (``BracketTable.signed_permutation_flags``).  As pi is a bijection, the
+nonzero pairs then map onto the nonzero pairs, and a zero bracket stays zero.
+The members of a batch that share one pi share one walk of the table, which
+checks supports and magnitudes once and every sign condition for all of them
+with one XOR of Python ints holding a bit per member.  Any other shape, and
+any member the walk flags, takes the generic path
+(``BracketTable.homomorphism_defect``): it walks the nonzero brackets and the
+candidate's nonzero entries, a pair reached by neither is zero on both sides,
+and it names the first failing pair, so the message of a rejected candidate
+does not depend on the path.  The order is certified per member on either
+path.
 
 The two search gates, commutes and joint_fixed_dim, read a diagonal factor
 (every torus involution) from the diagonal entries that each Automorphism
@@ -23,7 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exactq import as_num, axpy, lincomb
 from .rootsys import StructureTable
@@ -45,8 +60,8 @@ class Automorphism:
     ``cols[j]`` is the sparse image of basis vector j.  ``diagonal`` is the
     tuple of diagonal entries d_j when every column j is {j: d_j} with
     d_j != 0, else None; it is read from ``cols``, never from the descriptor.
-    Instances are created by make_automorphism only and are immutable
-    afterwards.
+    Instances are created by make_automorphisms only (make_automorphism is a
+    batch of one) and are immutable afterwards.
     """
 
     __slots__ = ("table", "cols", "order", "descriptor", "diagonal")
@@ -88,8 +103,13 @@ class Automorphism:
         return f"Automorphism({self.descriptor!r}, order={self.order})"
 
 
-def _clean(vec: dict) -> dict:
-    return {k: as_num(v) for k, v in vec.items() if v}
+def _clean(vec) -> dict:
+    """A copy of the sparse vector without zero entries, scalars normalised."""
+    vec = dict(vec)
+    for v in vec.values():  # a copy of nonzero ints is already clean
+        if type(v) is not int or not v:
+            return {k: as_num(v) for k, v in vec.items() if v}
+    return vec
 
 
 def _apply_cols(a: Cols, col: dict) -> dict:
@@ -176,19 +196,62 @@ def _is_identity_cols(cols: Cols) -> bool:
     return all(col == {j: 1} for j, col in enumerate(cols))
 
 
-def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
-    """Certify and wrap a candidate matrix given by sparse columns.
+def _signed_permutation(cols: Cols) -> Optional[Tuple[int, ...]]:
+    """pi when every column j is {pi(j): +-1} and pi is a bijection, else None."""
+    if not all(len(col) == 1 for col in cols):
+        return None
+    perm = tuple(target for col in cols for target in col)
+    if set(perm) != set(range(len(cols))):
+        return None
+    return perm if _SIGNS.issuperset(e for col in cols for e in col.values()) else None
 
-    Checks: every bracket of basis pairs is intertwined exactly
-    (``table.homomorphism_defect``, on the table's one walk over its nonzero
-    brackets; the first failing pair is named), and some power of the
-    matrix is the identity (which also certifies invertibility).
+
+def make_automorphisms(
+    table: StructureTable, batch: Iterable[Tuple[Sequence[dict], str]]
+) -> List[Union[Automorphism, CertificationError]]:
+    """Certify and wrap candidates given as (sparse columns, descriptor).
+
+    Entry n of the result is the n-th candidate's automorphism, or the
+    CertificationError that make_automorphism would raise for it.  Signed
+    permutations that share one pi share one ``table.signed_permutation_flags``
+    walk; a member it flags, and every other shape, runs the generic
+    ``table.homomorphism_defect``, which names the first failing pair; the
+    order is certified per member.  The batch is read once, so a generator's
+    columns can be freed as soon as they are copied.
     """
     dim = table.dim
-    if len(cols) != dim:
-        raise CertificationError(f"{descriptor}: expected {dim} columns")
-    cc: Cols = tuple(_clean(dict(c)) for c in cols)
-    defect = table.homomorphism_defect(cc)
+    descriptors: List[str] = []
+    cleaned: List[Optional[Cols]] = []
+    for cols, descriptor in batch:
+        descriptors.append(descriptor)
+        cleaned.append(tuple(map(_clean, cols)) if len(cols) == dim else None)
+    by_perm: Dict[Tuple[int, ...], List[int]] = {}
+    for n, cc in enumerate(cleaned):
+        perm = None if cc is None else _signed_permutation(cc)
+        if perm is not None:
+            by_perm.setdefault(perm, []).append(n)
+    generic = set(range(len(cleaned))).difference(*by_perm.values())
+    for perm, members in by_perm.items():
+        bits = [0] * dim
+        for m, n in enumerate(members):
+            for j, col in enumerate(cleaned[n]):
+                if col[perm[j]] < 0:
+                    bits[j] |= 1 << m
+        flags = table.signed_permutation_flags(perm, bits, (1 << len(members)) - 1)
+        generic.update(n for m, n in enumerate(members) if flags >> m & 1)
+    out: List[Union[Automorphism, CertificationError]] = []
+    for n, (descriptor, cc) in enumerate(zip(descriptors, cleaned)):
+        try:
+            out.append(_certify(table, cc, descriptor, n in generic))
+        except CertificationError as exc:
+            out.append(exc)
+    return out
+
+
+def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic: bool) -> Automorphism:
+    if cc is None:
+        raise CertificationError(f"{descriptor}: expected {table.dim} columns")
+    defect = table.homomorphism_defect(cc) if generic else None
     if defect:
         raise CertificationError(
             f"{descriptor}: homomorphism fails at basis pair "
@@ -206,6 +269,14 @@ def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: s
     return Automorphism(table, cc, order, descriptor)
 
 
+def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
+    """Certify and wrap one candidate: make_automorphisms on a batch of one."""
+    (got,) = make_automorphisms(table, [(cols, descriptor)])
+    if isinstance(got, CertificationError):
+        raise got
+    return got
+
+
 def identity_automorphism(table: StructureTable) -> Automorphism:
     return make_automorphism(table, [{j: 1} for j in range(table.dim)], "identity")
 
@@ -214,22 +285,25 @@ def identity_automorphism(table: StructureTable) -> Automorphism:
 # Torus involutions and diagram automorphisms
 # ---------------------------------------------------------------------------
 
-def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
-    """exp(pi*sqrt(-1) ad H_c) for H_c = sum c_i H_{alpha_i}, c taken mod 2.
-
-    Acts as identity on the Cartan and by (-1)^{alpha(H_c)} on each root
-    vector; order 1 or 2.
-    """
+def torus_columns(table: StructureTable, c: Sequence[int]) -> Tuple[List[dict], str]:
+    """Uncertified columns and descriptor of torus_involution(table, c)."""
     rs = table.rs
     if len(c) != table.rank:
         raise ValueError(f"coefficient vector must have length {table.rank}")
     bits = tuple(x % 2 for x in c)
     cols: List[dict] = [{i: 1} for i in range(table.rank)]
     for k, pairs in enumerate(rs.pairings):
-        s = sum(b * p for b, p in zip(bits, pairs))
-        cols.append({table.rank + k: -1 if s % 2 else 1})
-    desc = "torus:" + ",".join(str(b) for b in bits)
-    return make_automorphism(table, cols, desc)
+        cols.append({table.rank + k: -1 if sum(map(mul, bits, pairs)) % 2 else 1})
+    return cols, "torus:" + ",".join(str(b) for b in bits)
+
+
+def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
+    """exp(pi*sqrt(-1) ad H_c) for H_c = sum c_i H_{alpha_i}, c taken mod 2.
+
+    Acts as identity on the Cartan and by (-1)^{alpha(H_c)} on each root
+    vector; order 1 or 2.
+    """
+    return make_automorphism(table, *torus_columns(table, c))
 
 
 def diagram_symmetries(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

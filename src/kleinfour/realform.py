@@ -254,19 +254,52 @@ def _so_type(n: int) -> Tuple[List[Tuple[str, int]], int]:
     return ([("D", n // 2)], 0) if n % 2 == 0 else ([("B", (n - 1) // 2)], 0)
 
 
+class CatalogError(ValueError):
+    """A catalog file does not follow the catalog schema."""
+
+
 def load_catalog(path: Optional[str] = None) -> Catalog:
-    """Load the shipped catalog, or one from an explicit JSON path."""
+    """Load the shipped catalog, or one from an explicit JSON path.
+
+    The schema is checked as the file is read: an object whose "real_forms"
+    is a list of rows, each with string fields "g", "k" and "name" and a
+    "signature" of two non-negative JSON integers.  CatalogError names the
+    file and the first field that is missing or malformed.
+    """
     if path is None:
+        source = "kleinfour.data/realform_catalog.json"
         data = json.loads(
             resources.files("kleinfour.data").joinpath("realform_catalog.json").read_text()
         )
     else:
+        source = path
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    rows = [
-        CatalogRow(r["g"], r["k"], int(r["signature"][0]), int(r["signature"][1]), r["name"])
-        for r in data["real_forms"]
-    ]
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CatalogError(f"catalog {source}: not JSON: {exc}") from None
+
+    def field(obj, key, where, ok, want):
+        if not isinstance(obj, dict) or key not in obj:
+            raise CatalogError(f"catalog {source}: missing field {where}")
+        if not ok(obj[key]):
+            raise CatalogError(f"catalog {source}: field {where} must be {want}, got {obj[key]!r}")
+        return obj[key]
+
+    def is_signature(x):  # type(), not isinstance(): JSON true is a bool, an int to isinstance
+        return isinstance(x, list) and len(x) == 2 and all(type(n) is int and n >= 0 for n in x)
+
+    def is_str(x):
+        return isinstance(x, str)
+
+    rows = []
+    forms = field(data, "real_forms", "real_forms", lambda x: isinstance(x, list), "a list")
+    for n, r in enumerate(forms):
+        g, k, name = [field(r, key, f"real_forms[{n}].{key}", is_str, "a string")
+                      for key in ("g", "k", "name")]
+        sig = field(r, "signature", f"real_forms[{n}].signature", is_signature,
+                    "a list of two non-negative JSON integers")
+        rows.append(CatalogRow(g, k, sig[0], sig[1], name))
     return Catalog(rows)
 
 

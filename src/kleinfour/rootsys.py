@@ -21,8 +21,9 @@ that one store.
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
 of the nonzero brackets and one walk over it, ``row_brackets``, behind the
-homomorphism certificate and the closure check; ``killing_form`` reads the
-same store.  Positive definiteness of a symmetrized Cartan matrix is read
+generic homomorphism certificate and the closure check; the certificate of
+signed permutations (``signed_permutation_flags``) and ``killing_form`` read
+the same store.  Positive definiteness of a symmetrized Cartan matrix is read
 from ``exactq.symmetric_inertia``.
 
 Conventions, fixed once and used everywhere:
@@ -397,6 +398,37 @@ class BracketTable:
             if bad:
                 return i, min(bad)
         return None
+
+    def signed_permutation_flags(self, perm: Sequence[int], bits: Sequence[int], full: int) -> int:
+        """Mask of the members of a batch A e_j = s_j e_perm(j) that are no homomorphism.
+
+        perm, a bijection of the basis indices, is shared by the batch; bit m
+        of bits[j] is set when member m has s_j = -1; full has a bit per member.
+        Each nonzero [e_i, e_j] = sum c_k e_k, i < j, needs [e_perm(i), e_perm(j)]
+        to have support {perm(k)} and entries sigma_k c_k with sigma_k = +-1
+        (else every member fails), and s_i s_j s_k = sigma_k: one XOR for all
+        members.  As perm is a bijection, nonzero pairs then map onto the
+        nonzero pairs, so a pair that brackets to zero stays zero.
+        """
+        adj = self._adj
+        bad = 0
+        for i, row in enumerate(adj):
+            image_row, bi = adj[perm[i]], bits[i]
+            for j, terms in row.items():
+                if j > i:
+                    image = image_row.get(perm[j], ())
+                    if len(image) != len(terms):
+                        return full
+                    bij, image = bi ^ bits[j], dict(image)
+                    for k, c in terms:
+                        d = image.get(perm[k])
+                        if d == c:
+                            bad |= bij ^ bits[k]
+                        elif d == -c:
+                            bad |= bij ^ bits[k] ^ full
+                        else:
+                            return full
+        return bad
 
 
 class StructureTable(BracketTable):

@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .autos import (
     Automorphism,
@@ -56,9 +56,11 @@ from .autos import (
     compose_cols,
     inverse_cols,
     joint_fixed_dim,
+    make_automorphisms,
     make_klein,
     parse_descriptor,
     products_equal,
+    torus_columns,
     weyl_lift,
 )
 from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type, type_dim
@@ -224,17 +226,21 @@ def involution_census(ctx: "VerifyContext") -> Census:
     row that no orbit reaches is classified by _classify itself.
     """
     table = ctx.table
-    bit_strings = [",".join(map(str, bits)) for bits in product((0, 1), repeat=table.rank)]
-    # bit_strings[0] is all zeros, and torus:0,...,0 is the identity
-    candidates = [("inner", "torus:" + b) for b in bit_strings[1:]]
-    # a twist's factors are certified, so a twist whose columns do not square
-    # to the identity is an automorphism but no involution: it is not certified
     omega = ctx.automorphism("omega").cols
-    for b in bit_strings:
-        cols = compose_cols(omega, ctx.automorphism("torus:" + b).cols)
-        if _is_identity_cols(compose_cols(cols, cols)):
-            candidates.append(("outer", "omega*torus:" + b))
-    found = [(kind, ctx.automorphism(d)) for kind, d in candidates]
+    # all 64 torus columns, torus:0,...,0 (the identity) first, as one batch
+    tori = ctx.certify(torus_columns(table, bits) for bits in product((0, 1), repeat=table.rank))
+
+    def involutive_twists():
+        # a twist's factors are certified, so a twist whose columns do not square
+        # to the identity is an automorphism but no involution: it is not certified
+        for t in tori:
+            cols = compose_cols(omega, t.cols)
+            if _is_identity_cols(compose_cols(cols, cols)):
+                yield cols, "omega*" + t.descriptor
+
+    # generators: a batch drops each candidate's columns once it has copied them
+    found = [("inner", a) for a in tori[1:]]
+    found += [("outer", a) for a in ctx.certify(involutive_twists())]
     classes = _label_by_conjugacy(table, [a for _, a in found], _conjugators(ctx))
 
     rows: List[CensusRow] = []
@@ -254,7 +260,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
         counts["inner"],
         counts["outer"],
         realform_names,
-        len(bit_strings),
+        len(tori),
         sum(counts["outer"].values()),
     )
 
@@ -516,6 +522,17 @@ class VerifyContext:
             self._autos[descriptor] = got
             self._autos.setdefault(got.descriptor, got)
         return got
+
+    def certify(self, batch: Iterable[Tuple[Sequence[dict], str]]) -> List[Automorphism]:
+        """Certify (columns, descriptor) pairs as one batch (autos.make_automorphisms)
+        and keep each by its descriptor; one already kept is returned instead.
+        The first candidate that fails raises its CertificationError."""
+        kept = []
+        for got in make_automorphisms(self.table, batch):
+            if isinstance(got, CertificationError):
+                raise got
+            kept.append(self._autos.setdefault(got.descriptor, got))
+        return kept
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from kleinfour.autos import (
     Automorphism,
     CertificationError,
     _exp_ad_cols,
+    _signed_permutation,
     commutes,
     compose,
     compose_cols,
@@ -19,15 +20,17 @@ from kleinfour.autos import (
     inverse_cols,
     joint_fixed_dim,
     make_automorphism,
+    make_automorphisms,
     make_klein,
     omega_automorphism,
     parse_descriptor,
+    torus_columns,
     torus_involution,
     weyl_lift,
 )
 from kleinfour.exactq import as_num, lincomb
 from kleinfour.identify import fixed_subalgebra
-from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
+from kleinfour.rootsys import BracketTable, build_root_system, cartan_matrix, chevalley_table
 from oracles import first_homomorphism_defect, joint_parity_fixed_dim, pairing, pairing_parity_fixed_dim
 
 
@@ -576,6 +579,133 @@ def test_certification_agrees_with_reference_certifier(cross_check_bases, kind, 
         else:
             cols[col][row] = cols[col].get(row, 0) + delta
     assert _homomorphism_verdict(table, cols) == _reference_verdict(table, cols)
+
+
+# -- shape and batch paths of signed permutations --------------------------------
+
+def _flip(cols, i, j):
+    cols[i] = {k: -v for k, v in cols[i].items()}
+
+
+def _swap(cols, i, j):
+    cols[i], cols[j] = cols[j], cols[i]
+
+
+def _magnitude_two(cols, i, j):
+    cols[i] = {k: 2 * v for k, v in cols[i].items()}
+
+
+def _extra_entry(cols, i, j):
+    cols[i][next(iter(cols[j]))] = 1
+
+
+def _same_target(cols, i, j):
+    cols[j] = dict(cols[i])
+
+
+# (corruption, whether the columns stay a signed permutation)
+_SHAPE_CORRUPTIONS = [
+    (_flip, True),
+    (_swap, True),
+    (_magnitude_two, False),
+    (_extra_entry, False),
+    (_same_target, False),
+]
+
+
+@pytest.fixture(scope="module")
+def shape_bases(ctx):
+    """Certified signed permutations: diagonal, twisted and of order 3."""
+    a5 = chevalley_table(build_root_system(cartan_matrix("A5")))
+    d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
+    return {
+        "E6 torus": ctx.automorphism("torus:0,1,0,0,0,0"),
+        "E6 omega-twist": ctx.automorphism("omega*torus:0,0,1,0,1,0"),
+        "A5 omega-twist": compose(omega_automorphism(a5), torus_involution(a5, (1, 0, 0, 1, 0))),
+        "D4 triality": diagram_automorphism(d4, (2, 1, 3, 0)),
+    }
+
+
+def _batch_verdicts(table, candidates):
+    """The homomorphism message of each member of one make_automorphisms batch."""
+    out = []
+    for got in make_automorphisms(table, [(cols, "candidate") for cols in candidates]):
+        message = str(got) if isinstance(got, CertificationError) else ""
+        out.append(message if "homomorphism fails" in message else None)
+    return out
+
+
+@pytest.mark.parametrize("base", ["E6 torus", "E6 omega-twist", "A5 omega-twist", "D4 triality"])
+def test_shape_and_batch_paths_agree_with_the_reference_certifier(shape_bases, monkeypatch, base):
+    # every corruption, alone and inside one batch with the intact columns,
+    # gets the reference verdict and first failing pair; a corruption that
+    # leaves the shape falls back to the generic walk, one that merges two
+    # targets never passes, and the intact member never needs the generic walk
+    good = shape_bases[base]
+    table = good.table
+    assert _signed_permutation(good.cols) is not None
+    r, n, dim = table.rank, table.npos, table.dim
+    candidates = []
+    for corrupt, keeps_shape in _SHAPE_CORRUPTIONS:
+        for i, j in [(0, r), (r + 1, dim - 1), (r + n, 1)]:
+            cols = [dict(c) for c in good.cols]
+            corrupt(cols, i, j)
+            assert (_signed_permutation(cols) is not None) == keeps_shape, (corrupt, i, j)
+            if corrupt in (_magnitude_two, _same_target):
+                assert first_homomorphism_defect(table, cols) is not None, (corrupt, i, j)
+            candidates.append(cols)
+    expected = [_reference_verdict(table, cols) for cols in candidates]
+    assert [_homomorphism_verdict(table, cols) for cols in candidates] == expected
+    walked = []
+    generic = BracketTable.homomorphism_defect
+    monkeypatch.setattr(BracketTable, "homomorphism_defect",
+                        lambda self, c: walked.append(list(c)) or generic(self, c))
+    assert _batch_verdicts(table, [good.cols] + candidates) == [None] + expected
+    assert walked == candidates
+    if base == "D4 triality":
+        assert make_automorphisms(table, [(good.cols, "t")])[0].order == 3
+
+
+@pytest.mark.parametrize("corrupt", [_flip, _swap, _magnitude_two])
+def test_batch_isolates_a_corrupted_member(ctx, monkeypatch, corrupt):
+    table = ctx.table
+    batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=table.rank)]
+    bad = 37
+    cols = [dict(c) for c in batch[bad][0]]
+    corrupt(cols, table.rank + 2, table.rank + 9)
+    batch[bad] = (cols, "corrupted")
+    walked = []
+    generic = BracketTable.homomorphism_defect
+    monkeypatch.setattr(BracketTable, "homomorphism_defect",
+                        lambda self, c: walked.append(c) or generic(self, c))
+    got = make_automorphisms(table, batch)
+    monkeypatch.undo()
+    assert walked == [tuple(cols)]  # only the corrupted member ran the generic walk
+    i, j = first_homomorphism_defect(table, cols)
+    assert isinstance(got[bad], CertificationError)
+    assert str(got[bad]) == (f"corrupted: homomorphism fails at basis pair "
+                             f"({table.basis_label(i)}, {table.basis_label(j)})")
+    for n, (a, (cols, descriptor)) in enumerate(zip(got, batch)):
+        if n != bad:
+            single = make_automorphism(table, cols, descriptor)
+            assert (a.cols, a.order, a.diagonal, a.descriptor) == (
+                single.cols, single.order, single.diagonal, single.descriptor), descriptor
+
+
+def test_e7_torus_gradings_certify_in_one_batch():
+    # E7's center has order 2: one nonzero torus descriptor is the identity,
+    # and the other 126 give 63 distinct involutions
+    table = chevalley_table(build_root_system(cartan_matrix("E7")))
+    batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=7)][1:]
+    got = make_automorphisms(table, batch)
+    for a, (cols, descriptor) in zip(got, batch):
+        single = make_automorphism(table, cols, descriptor)
+        assert (a.cols, a.order, a.diagonal, a.descriptor) == (
+            single.cols, single.order, single.diagonal, single.descriptor), descriptor
+    assert sum(a.is_identity() for a in got) == 1
+    assert len({tuple(tuple(c.items()) for c in a.cols) for a in got if not a.is_identity()}) == 63
+    for a in random.Random(127).sample(got, 3):
+        assert first_homomorphism_defect(table, a.cols) is None, a.descriptor
 
 
 def test_certification_rejects_non_invertible(e6):

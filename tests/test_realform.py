@@ -15,6 +15,7 @@ from kleinfour.autos import (
 from kleinfour.exactq import symmetric_inertia
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.realform import (
+    CatalogError,
     CatalogMissError,
     RealFormError,
     cartan_decomposition,
@@ -304,3 +305,58 @@ def test_catalog_rejects_inconsistent_so_row(tmp_path):
     p.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match="k dimension mismatch"):
         load_catalog(str(p))
+
+
+_ROW = {"g": "B4", "k": "D4", "signature": [28, 8], "name": "so(8,1)"}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"rows": [_ROW]}, "missing field real_forms"),
+    ({"real_forms": _ROW}, "field real_forms must be a list"),
+    ({"real_forms": [{k: v for k, v in _ROW.items() if k != "g"}]}, "missing field real_forms[0].g"),
+    ({"real_forms": [_ROW, {k: v for k, v in _ROW.items() if k != "k"}]},
+     "missing field real_forms[1].k"),
+    ({"real_forms": [{k: v for k, v in _ROW.items() if k != "name"}]},
+     "missing field real_forms[0].name"),
+    ({"real_forms": [{k: v for k, v in _ROW.items() if k != "signature"}]},
+     "missing field real_forms[0].signature"),
+    ({"real_forms": [dict(_ROW, signature=["1_0", 8])]}, "field real_forms[0].signature must be"),
+    ({"real_forms": [dict(_ROW, signature=[28, "\u0663"])]}, "field real_forms[0].signature must be"),
+    ({"real_forms": [dict(_ROW, signature=[True, 8])]}, "field real_forms[0].signature must be"),
+    ({"real_forms": [dict(_ROW, signature=[28])]}, "field real_forms[0].signature must be"),
+    ({"real_forms": [dict(_ROW, name=7)]}, "field real_forms[0].name must be a string"),
+])
+def test_catalog_schema_is_checked_on_load(tmp_path, data, field):
+    import json
+
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(CatalogError) as err:
+        load_catalog(str(p))
+    assert str(err.value).startswith(f"catalog {p}: {field}")
+
+
+def test_a_catalog_that_is_not_json_names_the_file(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"real_forms": [')
+    with pytest.raises(CatalogError) as err:
+        load_catalog(str(p))
+    assert str(err.value).startswith(f"catalog {p}: not JSON: ")
+
+
+def test_a_malformed_catalog_exits_1_naming_file_and_field(tmp_path):
+    import contextlib
+    import io
+    import json
+
+    from kleinfour.cli import main
+
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"real_forms": [dict(_ROW, signature=["1_0", 8])]}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["realform", "--type", "B4", "--catalog", str(p), "--theta", "torus:1,0,0,0"])
+    assert code == 1
+    report = json.loads(err.getvalue())
+    assert report["error"] == "CatalogError"
+    assert report["message"].startswith(f"catalog {p}: field real_forms[0].signature")

@@ -34,6 +34,7 @@ from kleinfour.verify import (
     verify_so82_fixed_form,
     verify_so81_klein_pair,
 )
+from kleinfour.rootsys import BracketTable
 from oracles import first_homomorphism_defect, torus_census_buckets
 
 
@@ -108,6 +109,23 @@ def test_census_certifies_only_the_involutive_twists(ctx, census):
     fresh.__dict__.update(table=table, cb=ctx.cb)
     assert verify.involution_census(fresh) == census
     assert [d for d in fresh._autos if d.startswith("omega*")] == kept
+
+
+def test_census_runs_the_generic_certifier_only_for_the_weyl_lifts(ctx, census, monkeypatch):
+    """The 64 torus columns and the 16 kept twists are certified by their
+    shape, in two batches; the generic walk runs for the 6 Weyl lifts only."""
+    table = ctx.table
+    walked = []
+    generic = BracketTable.homomorphism_defect
+    monkeypatch.setattr(BracketTable, "homomorphism_defect",
+                        lambda self, c: walked.append(c) or generic(self, c))
+    fresh = VerifyContext(catalog=ctx.catalog)
+    fresh.__dict__.update(table=table, cb=ctx.cb)
+    assert verify.involution_census(fresh) == census
+    monkeypatch.undo()
+    assert walked == [weyl_lift(table, i).cols for i in range(table.rank)]
+    assert list(fresh._autos)[:65] == ["omega"] + [
+        "torus:" + ",".join(map(str, bits)) for bits in product((0, 1), repeat=table.rank)]
 
 
 def test_census_invariants_recomputed(census):
