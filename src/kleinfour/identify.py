@@ -148,9 +148,6 @@ class ReductiveType:
     def dim(self) -> int:
         return sum(simple_dim(l, n) for l, n in self.summands) + self.center_dim
 
-    def rank(self) -> int:
-        return sum(n for _, n in self.summands) + self.center_dim
-
     def __str__(self) -> str:
         parts = [f"{l}{n}" for l, n in self.summands]
         if self.center_dim == 1:

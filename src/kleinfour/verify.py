@@ -9,10 +9,11 @@ pair (fixed-space dimension, fixed-point type).  The four classes in scope:
 The four dimensions are distinct, but the type is matched as well, as a
 certificate that the invariant pair is one of the catalogued ones.  The census
 checks the invariant pair on one representative per conjugacy orbit only.
-Every other census involution y is certified conjugate to a classified one x,
+Every other involution y is certified conjugate to a classified one x,
 y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
-column equality y∘g == g∘x, and takes x's class; each row's dimension is
-still checked against its trace.
+column equality y∘g == g∘x, and takes x's class; each row's dimension is still
+checked against its trace.  The so(9) Klein gate walks its (sigma3, sigma2)
+pairs the same way, with the equality on both factors (_label_by_conjugacy).
 
 Searches run over the census: the full torus 2-group (63 nonzero classes) and
 the 64 twisted products omega*torus(c), keeping the twists that square to the
@@ -150,9 +151,11 @@ class Census:
     realform_names: Dict[str, str]
     twist_candidates: int
     twist_involutions: int
+    # the certified (g, g^-1) the census walked with; the so(9) gate reuses them
+    conjugators: Sequence[Tuple[Automorphism, Cols]] = field(default=(), compare=False, repr=False)
 
 
-def _conjugators(ctx: "VerifyContext") -> List[Tuple[Automorphism, Cols]]:
+def _conjugators(ctx: "VerifyContext") -> Tuple[Tuple[Automorphism, Cols], ...]:
     """Certified inner automorphisms the census conjugates by, with inverses.
 
     The Weyl lifts of the simple reflections and the simple torus involutions
@@ -165,7 +168,7 @@ def _conjugators(ctx: "VerifyContext") -> List[Tuple[Automorphism, Cols]]:
         ctx.automorphism("torus:" + ",".join("1" if j == i else "0" for j in range(rank)))
         for i in range(rank)
     ]
-    return [(g, inverse_cols(g)) for g in gens]
+    return tuple((g, inverse_cols(g)) for g in gens)
 
 
 def _fingerprint(cols, gens: Sequence[int]) -> tuple:
@@ -173,49 +176,50 @@ def _fingerprint(cols, gens: Sequence[int]) -> tuple:
     return tuple(tuple(sorted(cols[k].items())) for k in gens)
 
 
-def _fingerprint_index(autos: Sequence[Automorphism], gens: Sequence[int]) -> Dict[tuple, int]:
-    """Position of each automorphism, keyed by its fingerprint on gens."""
-    return {_fingerprint(a.cols, gens): n for n, a in enumerate(autos)}
+def _fingerprint_index(tuples, gens: Sequence[int]) -> Dict[tuple, int]:
+    """Position of each tuple, keyed by its factors' fingerprints on gens, concatenated."""
+    return {sum((_fingerprint(a.cols, gens) for a in t), ()): n for n, t in enumerate(tuples)}
 
 
-def _label_by_conjugacy(table, autos: Sequence[Automorphism], conjugators) -> List[tuple]:
-    """(label, fixed dim, fixed type, provenance) of each involution in autos.
+def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
+    """(classify(t), provenance) of each tuple t of involutions in tuples.
 
-    The first unlabelled involution is classified by _classify and its orbit
-    is walked depth first: for a labelled x and a conjugator (g, g^-1), the
-    involution y = g x g^-1 gets x's class once y∘g == g∘x holds column for
-    column.  y is looked up by its images of the Chevalley generators
-    x_{+-alpha_i}, which determine an automorphism; a lookup whose column
-    equality fails is no edge.
+    The first unlabelled tuple is classified by classify and its orbit is
+    walked depth first: for a labelled x = (x_1, ..., x_k) and a conjugator
+    (g, g^-1), the tuple y = (g x_i g^-1) gets x's label once y_i∘g == g∘x_i
+    holds column for column on every factor.  y is looked up by its factors'
+    images of the Chevalley generators x_{+-alpha_i}, which determine an
+    automorphism; a lookup whose column equality fails is no edge.  The
+    provenance is "generic", or (g, the descriptors of x joined by ",").
     """
     rs = table.rs
     gens = [table.rank + k for s in rs.simple for k in (s, s + rs.npos)]
-    index = _fingerprint_index(autos, gens)
-    classes: List[Optional[tuple]] = [None] * len(autos)
-    left = len(autos)
-    for start, a in enumerate(autos):
-        if classes[start] is not None:
+    index = _fingerprint_index(tuples, gens)
+    labels: List[Optional[tuple]] = [None] * len(tuples)
+    left = len(tuples)
+    for start, t in enumerate(tuples):
+        if labels[start] is not None:
             continue
-        label, s, ty = _classify(table, a)
-        classes[start] = (label, s.dim, str(ty), "generic")
+        labels[start] = (classify(t), "generic")
         left -= 1
         stack = [start]
         while stack and left:
             n = stack.pop()
-            x = autos[n]
+            xs = tuples[n]
             for g, g_inv in conjugators:
-                if x.diagonal is not None and g.diagonal is not None:
+                if g.diagonal is not None and all(x.diagonal is not None for x in xs):
                     continue  # diagonal matrices commute: g x g^-1 is x
-                images = {k: g.apply(x.apply(g_inv[k])) for k in gens}
-                m = index.get(_fingerprint(images, gens))
-                if m is None or classes[m] is not None:
+                m = index.get(sum((_fingerprint({k: g.apply(x.apply(g_inv[k])) for k in gens},
+                                                gens) for x in xs), ()))
+                if m is None or labels[m] is not None:
                     continue
-                if not products_equal(autos[m].cols, g.cols, g.cols, x.cols):
+                if not all(products_equal(y.cols, g.cols, g.cols, x.cols)
+                           for y, x in zip(tuples[m], xs)):
                     continue
-                classes[m] = classes[n][:3] + ((g.descriptor, x.descriptor),)
+                labels[m] = (labels[n][0], (g.descriptor, ",".join(x.descriptor for x in xs)))
                 left -= 1
                 stack.append(m)
-    return classes
+    return labels
 
 
 def involution_census(ctx: "VerifyContext") -> Census:
@@ -238,15 +242,20 @@ def involution_census(ctx: "VerifyContext") -> Census:
             if _is_identity_cols(compose_cols(cols, cols)):
                 yield cols, "omega*" + t.descriptor
 
+    def classify(t):
+        label, s, ty = _classify(table, t[0])
+        return label, s.dim, str(ty)
+
     # generators: a batch drops each candidate's columns once it has copied them
     found = [("inner", a) for a in tori[1:]]
     found += [("outer", a) for a in ctx.certify(involutive_twists())]
-    classes = _label_by_conjugacy(table, [a for _, a in found], _conjugators(ctx))
+    conjugators = _conjugators(ctx)
+    labels = _label_by_conjugacy(table, [(a,) for _, a in found], conjugators, classify)
 
     rows: List[CensusRow] = []
     counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
     reps: Dict[str, Automorphism] = {}
-    for (kind, a), (label, dim, ty, how) in zip(found, classes):
+    for (kind, a), ((label, dim, ty), how) in zip(found, labels):
         trace_ok = dim == joint_fixed_dim([a])
         rows.append(CensusRow(a.descriptor, kind, dim, ty, label, trace_ok, how))
         counts[kind][label] = counts[kind].get(label, 0) + 1
@@ -262,6 +271,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
         realform_names,
         len(tori),
         sum(counts["outer"].values()),
+        conjugators,
     )
 
 
@@ -321,35 +331,34 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     """First Klein group <a, b> with a sigma3-class, b sigma2-class, fixed B4.
 
-    Every commuting candidate pair is pushed through the recomputation gate
-    (fixed type must be B4 of dimension 36); the count of gate-checked pairs
-    is recorded in the provenance.  Each fixed subalgebra's dimension must
-    also equal the pair's character dimension.
+    Every commuting candidate pair must pass make_klein, have character
+    dimension 36 and be labelled B4 by _label_by_conjugacy with the census's
+    conjugators: one pair per orbit is identified from its fixed subalgebra,
+    whose dimension must equal its character dimension, and the others are
+    certified conjugate to it.  The count of gated pairs and each pair's
+    provenance are recorded.
     """
-    checked = 0
-    first: Optional[Tuple[str, str, str]] = None
-    for (da, db), (a, b), dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0):
-        make_klein(a, b)
-        s = _gated_fixed(ctx.table, [a, b], dim)
-        checked += 1
-        ty = identify_type(s)
-        if s.dim != 36 or str(ty) != "B4":
-            raise SearchExhausted(
-                f"pair ({da}, {db}) has fixed type {ty} "
-                f"dim {s.dim}; the unique-class claim is falsified"
-            )
-        if first is None:
-            first = (da, db, classify_involution(ctx.table, compose(a, b)))
-    if first is None:
+    table = ctx.table
+    found = []  # (pair, character dim, the product ab of the first pair only)
+    for _, pair, dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0):
+        klein = make_klein(*pair)
+        found.append((tuple(pair), dim, None if found else klein.elements[3]))
+    if not found:
         raise SearchExhausted("no commuting (sigma3, sigma2) pair found")
-    da, db, ab = first
-    return Configuration(
-        da,
-        db,
-        None,
-        {"a": "sigma3", "b": "sigma2", "ab": ab},
-        {"search": "so9-klein", "pairs_gated": checked},
-    )
+    labels = _label_by_conjugacy(
+        table, [pair for pair, _, _ in found], ctx.census.conjugators,
+        lambda pair: str(identify_type(_gated_fixed(table, pair, joint_fixed_dim(pair)))))
+    for ((a, b), dim, _), (ty, _) in zip(found, labels):
+        if dim != 36 or ty != "B4":
+            raise SearchExhausted(
+                f"pair ({a.descriptor}, {b.descriptor}) has fixed type {ty} "
+                f"dim {dim}; the unique-class claim is falsified"
+            )
+    (a, b), _, ab = found[0]
+    pairs = {(x.descriptor, y.descriptor): how for ((x, y), _, _), (_, how) in zip(found, labels)}
+    return Configuration(a.descriptor, b.descriptor, None,
+                         {"a": "sigma3", "b": "sigma2", "ab": classify_involution(table, ab)},
+                         {"search": "so9-klein", "pairs_gated": len(found), "pairs": pairs})
 
 
 def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
@@ -452,21 +461,17 @@ class Report:
 
 
 def _stringify(x):
-    if x is None:
-        return None
+    if x is None or isinstance(x, bool):
+        return x
     if isinstance(x, (list, tuple)):
         return [_stringify(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _stringify(v) for k, v in sorted(x.items())}
-    if isinstance(x, bool):
-        return x
     return str(x)
 
 
 def _step(claim, computed, expected, provenance) -> Step:
-    if expected is None:
-        return Step(claim, computed, None, provenance, True)
-    return Step(claim, computed, expected, provenance, computed == expected)
+    return Step(claim, computed, expected, provenance, expected is None or computed == expected)
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +564,12 @@ def verify_census(ctx: VerifyContext) -> Report:
         _step("trace identity dim fixed = (dim + tr)/2",
               all(r.trace_identity_ok for r in census.rows), True, "structural"),
     ]
-    for label, expected in (
-        ("sigma1", "e6(2)"),
-        ("sigma2", "e6(-14)"),
-        ("sigma3", "e6(-26)"),
-        ("sigma4", "e6(6)"),
-    ):
-        steps.append(
-            _step(f"real form of {label}", census.realform_names.get(label), expected,
-                  "reference")
-        )
-    for label, (d, t) in sorted(CLASS_INVARIANTS.items()):
-        seen = sorted(
-            {(r.fixed_dim, r.fixed_type) for r in census.rows if r.label == label}
-        )
-        steps.append(
-            _step(f"{label} invariant pair", seen, [(d, t)], "derived")
-        )
+    real_forms = {"sigma1": "e6(2)", "sigma2": "e6(-14)", "sigma3": "e6(-26)", "sigma4": "e6(6)"}
+    steps += [_step(f"real form of {label}", census.realform_names.get(label), name, "reference")
+              for label, name in real_forms.items()]
+    for label, inv in sorted(CLASS_INVARIANTS.items()):
+        seen = sorted({(r.fixed_dim, r.fixed_type) for r in census.rows if r.label == label})
+        steps.append(_step(f"{label} invariant pair", seen, [inv], "derived"))
     return Report("census", tuple(steps))
 
 

@@ -147,6 +147,14 @@ def test_usage_error_is_exit_2():
      "must be a whole number"),
     # above rootsys.MAX_RANK: rejected before any matrix is built
     (["roots", "--type", "A1000"], "rank must be at most 32"),
+    # each letter's rank rule, and a letter that names no type
+    (["roots", "--type", "B1"], "B requires rank >= 2"),
+    (["roots", "--type", "C1"], "C requires rank >= 2"),
+    (["roots", "--type", "D2"], "D requires rank >= 3"),
+    (["roots", "--type", "E5"], "E requires rank 6, 7 or 8"),
+    (["roots", "--type", "F3"], "F requires rank 4"),
+    (["roots", "--type", "G3"], "G requires rank 2"),
+    (["roots", "--type", "Z4"], "unknown type letter 'Z'"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()
@@ -167,6 +175,17 @@ def test_search_command():
     code, out, _ = run_cli(["search", "--classes", "sigma3,sigma2", "--target", "B4:36"])
     assert code == 0
     assert "a = " in out and "b = " in out
+
+
+def test_three_class_search_prints_theta():
+    code, out, _ = run_cli(["search", "--classes", "sigma3,sigma2,sigma2", "--target", "D4"])
+    assert code == 0
+    assert out == (
+        "a = omega*torus:0,0,0,0,0,0\n"
+        "b = torus:0,0,1,0,1,0\n"
+        "theta = torus:1,0,0,0,0,1\n"
+        'labels: {"a": "sigma3", "b": "sigma2", "theta": "sigma2"}\n'
+    )
 
 
 def test_entry_point_subprocess():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import re
 from itertools import combinations, combinations_with_replacement, islice, product
 from pathlib import Path
 
@@ -18,10 +20,11 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour.identify import fixed_subalgebra, identify_type, type_dim
+from kleinfour.identify import ReductiveType, fixed_subalgebra, identify_type, type_dim
 from kleinfour.verify import (
     CLASS_INVARIANTS,
     CensusError,
+    SearchExhausted,
     VerifyContext,
     classify_involution,
     find_rank3_configuration,
@@ -227,6 +230,43 @@ def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census
         assert by_desc[got.rows[z].provenance[1]].label == "sigma2"
 
 
+def test_census_error_names_an_involution_that_matches_no_class(ctx, census, monkeypatch):
+    """Without sigma4 in the catalogue, the first sigma4 row (an orbit
+    representative, so classified generically) falsifies the census."""
+    first = next(r.descriptor for r in census.rows if r.label == "sigma4")
+    monkeypatch.delitem(verify.CLASS_INVARIANTS, "sigma4")
+    with pytest.raises(CensusError, match=re.escape(
+            f"involution {first} has invariants (36, 'C4'), matching no known class")):
+        verify.involution_census(ctx)
+
+
+def test_certify_raises_the_first_failure_of_a_batch(ctx):
+    """A batch with an intact member and then two corrupted ones raises the
+    first corrupted member's error, after keeping the intact member."""
+    table = ctx.table
+
+    def flipped(bits, j, descriptor):
+        cols, _ = autos.torus_columns(table, bits)
+        cols[j] = {k: -v for k, v in cols[j].items()}
+        return cols, descriptor
+
+    good = autos.torus_columns(table, (1, 0, 0, 0, 0, 0))
+    bad = [flipped((0, 1, 0, 0, 0, 0), table.rank, "bad:1"),
+           flipped((0, 0, 1, 0, 0, 0), table.rank + 5, "bad:2")]
+    messages = []
+    for cols, descriptor in bad:
+        with pytest.raises(CertificationError) as exc:
+            autos.make_automorphism(table, cols, descriptor)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    fresh = VerifyContext(catalog=ctx.catalog)
+    fresh.__dict__.update(table=table)
+    with pytest.raises(CertificationError) as exc:
+        fresh.certify([good] + bad)
+    assert str(exc.value) == messages[0]
+    assert list(fresh._autos) == [good[1]]
+
+
 # -- character formula -------------------------------------------------------------
 
 CLASS_TUPLES = [list(p) for p in combinations_with_replacement(sorted(CLASS_INVARIANTS), 2)] + [
@@ -274,6 +314,155 @@ def test_so9_klein_found_with_b4_gate(ctx):
 def test_so9_klein_deterministic(ctx):
     again = find_so9_klein(ctx)
     assert (again.a, again.b) == (ctx.so9_klein.a, ctx.so9_klein.b)
+
+
+def _so9_pairs(ctx):
+    """Descriptor pair -> automorphism pair of every gated (sigma3, sigma2) pair."""
+    return {tuple(d): tuple(p) for d, p, _ in verify._commuting_tuples(ctx, ["sigma3", "sigma2"], 0)}
+
+
+def _so9_roots(how):
+    """The generically classified pair that each pair's edges lead back to."""
+    by_joined = {",".join(d): d for d in how}
+    roots = {}
+    for d in how:
+        r, seen = d, set()
+        while how[r] != "generic":
+            assert r not in seen
+            seen.add(r)
+            r = by_joined[how[r][1]]
+        roots[d] = r
+    return roots
+
+
+def _check_so9_edges(ctx, how):
+    """Each recorded edge (g, x) of a pair y is y_i∘g == g∘x_i on both factors."""
+    pairs = _so9_pairs(ctx)
+    assert list(how) == list(pairs)
+    by_joined = {",".join(d): d for d in pairs}
+    lifts = {f"weyl:{i + 1}": weyl_lift(ctx.table, i) for i in range(ctx.table.rank)}
+    for d, edge in how.items():
+        if edge != "generic":
+            g = lifts.get(edge[0]) or ctx.automorphism(edge[0])
+            for y, x in zip(pairs[d], pairs[by_joined[edge[1]]]):
+                assert compose_cols(y.cols, g.cols) == compose_cols(g.cols, x.cols), d
+
+
+def test_so9_pairs_match_the_generic_classifier(ctx):
+    """Every gated pair's fixed subalgebra is B4 of dimension 36, as the census
+    rows are checked against _classify; every recorded edge is a certified
+    simultaneous conjugation, and the edges lead to one of exactly three
+    generically classified pairs."""
+    how = ctx.so9_klein.provenance["pairs"]
+    assert len(how) == ctx.so9_klein.provenance["pairs_gated"] == 12
+    for d, (a, b) in _so9_pairs(ctx).items():
+        s = fixed_subalgebra(ctx.table, [a, b])
+        assert (s.dim, str(identify_type(s))) == (36, "B4"), d
+    _check_so9_edges(ctx, how)
+    roots = _so9_roots(how)
+    assert sorted(set(roots.values())) == sorted(d for d in how if how[d] == "generic")
+    assert len(set(roots.values())) == 3
+
+
+def test_so9_klein_without_conjugators_is_all_generic(ctx, census, monkeypatch):
+    g = ctx.so9_klein
+    monkeypatch.setitem(ctx.__dict__, "census", dataclasses.replace(census, conjugators=()))
+    plain = find_so9_klein(ctx)
+    how = plain.provenance["pairs"]
+    assert len(how) == 12 and set(how.values()) == {"generic"}
+    assert (plain.a, plain.b, plain.labels, plain.provenance["pairs_gated"]) == (
+        g.a, g.b, g.labels, g.provenance["pairs_gated"])
+
+
+@pytest.mark.parametrize("shared", [0, 1], ids=["same-a", "same-b"])
+def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monkeypatch, shared):
+    """A pair y, labelled from the first representative, has its fingerprint
+    pointed at a pair z that shares one factor with y and is still unlabelled
+    when y is looked up: the walk finds z, the column equality fails on the
+    other factor, and no edge is taken."""
+    g = ctx.so9_klein
+    how = g.provenance["pairs"]
+    roots = _so9_roots(how)
+    keys = list(how)
+
+    def from_first(n):
+        return n == 0 or how[keys[n]] != "generic" and how[keys[n]][1] == ",".join(keys[0])
+
+    y, z = next((m, n) for m, n in product(range(1, len(keys)), repeat=2)
+                if from_first(m) and not from_first(n) and keys[n][shared] == keys[m][shared])
+    real_index = verify._fingerprint_index
+    real_equal = verify.products_equal
+    hits, equalities = [], []
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            if super().get(key) == z and key != z_key:
+                hits.append(key)
+            return super().get(key, default)
+
+    def poisoned(tuples, gens):
+        nonlocal z_key
+        index = Spy(real_index(tuples, gens))
+        z_key = next(k for k, n in index.items() if n == z)
+        index[next(k for k, n in index.items() if n == y)] = z
+        return index
+
+    def recording(*cols):
+        equalities.append(real_equal(*cols))
+        return equalities[-1]
+
+    z_key = None
+    monkeypatch.setattr(verify, "_fingerprint_index", poisoned)
+    monkeypatch.setattr(verify, "products_equal", recording)
+    got = find_so9_klein(ctx)
+    assert hits  # the walk looked up y's fingerprint and found z
+    assert False in equalities  # z failed the column equality
+    assert (got.a, got.b, got.labels, got.provenance["pairs_gated"]) == (
+        g.a, g.b, g.labels, g.provenance["pairs_gated"])
+    got_how = got.provenance["pairs"]
+    # y is unreachable by fingerprint, so it starts an orbit of its own; every
+    # edge taken is certified and stays inside its orbit
+    assert got_how[keys[y]] == "generic"
+    _check_so9_edges(ctx, got_how)
+    for d, r in _so9_roots(got_how).items():
+        assert roots[d] == roots[r], d
+
+
+def test_so9_klein_falsified_when_an_orbit_representative_is_not_b4(ctx, census, monkeypatch):
+    """The second orbit representative identified as C4: the gate raises
+    SearchExhausted naming that pair."""
+    how = ctx.so9_klein.provenance["pairs"]
+    da, db = [d for d, v in how.items() if v == "generic"][1]
+    real = verify.identify_type
+    calls = []
+
+    def fake(s):
+        calls.append(s)
+        return ReductiveType.make([("C", 4)], 0) if len(calls) == 2 else real(s)
+
+    monkeypatch.setattr(verify, "identify_type", fake)
+    with pytest.raises(SearchExhausted, match=re.escape(
+            f"pair ({da}, {db}) has fixed type C4 dim 36; the unique-class claim is falsified")):
+        find_so9_klein(ctx)
+    assert len(calls) == 3  # one per orbit representative
+
+
+def test_so9_klein_falsified_when_a_labelled_pair_has_another_character_dim(ctx, census,
+                                                                            monkeypatch):
+    """An edge-labelled pair is never classified, so its character dimension
+    is checked on its own: reported as 35, the gate names that pair."""
+    how = ctx.so9_klein.provenance["pairs"]
+    da, db = next(d for d, v in how.items() if v != "generic")
+    real = verify._commuting_tuples
+
+    def shifted(*args):
+        for descs, gens, dim in real(*args):
+            yield descs, gens, dim - 1 if tuple(descs) == (da, db) else dim
+
+    monkeypatch.setattr(verify, "_commuting_tuples", shifted)
+    with pytest.raises(SearchExhausted, match=re.escape(
+            f"pair ({da}, {db}) has fixed type B4 dim 35; the unique-class claim is falsified")):
+        find_so9_klein(ctx)
 
 
 def test_rank3_configuration(ctx, rank3):
