@@ -14,6 +14,8 @@ y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
 column equality y∘g == g∘x, and takes x's class; each row's dimension is still
 checked against its trace.  The so(9) Klein gate walks its (sigma3, sigma2)
 pairs the same way, with the equality on both factors (_label_by_conjugacy).
+Scenarios read each involution's class from its census row, matched by
+columns (VerifyContext.census_labels), and never reclassify.
 
 Searches run over the census: the full torus 2-group (63 nonzero classes) and
 the 64 twisted products omega*torus(c), keeping the twists that square to the
@@ -264,15 +266,8 @@ def involution_census(ctx: "VerifyContext") -> Census:
         label: cartan_decomposition(ctx.cb, rep, ctx.catalog).name
         for label, rep in sorted(reps.items())
     }
-    return Census(
-        tuple(rows),
-        counts["inner"],
-        counts["outer"],
-        realform_names,
-        len(tori),
-        sum(counts["outer"].values()),
-        conjugators,
-    )
+    return Census(tuple(rows), counts["inner"], counts["outer"], realform_names, len(tori),
+                  sum(counts["outer"].values()), conjugators)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +331,8 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     conjugators: one pair per orbit is identified from its fixed subalgebra,
     whose dimension must equal its character dimension, and the others are
     certified conjugate to it.  The count of gated pairs and each pair's
-    provenance are recorded.
+    provenance are recorded; the first pair's product ab, certified by
+    make_klein, takes the class of its census row (CensusError if none).
     """
     table = ctx.table
     found = []  # (pair, character dim, the product ab of the first pair only)
@@ -355,9 +351,11 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
                 f"dim {dim}; the unique-class claim is falsified"
             )
     (a, b), _, ab = found[0]
+    if ab not in ctx.census_labels:
+        raise CensusError(f"product {ab.descriptor} of the first pair is no census row")
     pairs = {(x.descriptor, y.descriptor): how for ((x, y), _, _), (_, how) in zip(found, labels)}
     return Configuration(a.descriptor, b.descriptor, None,
-                         {"a": "sigma3", "b": "sigma2", "ab": classify_involution(table, ab)},
+                         {"a": "sigma3", "b": "sigma2", "ab": ctx.census_labels[ab]},
                          {"search": "so9-klein", "pairs_gated": len(found), "pairs": pairs})
 
 
@@ -508,6 +506,11 @@ class VerifyContext:
         return involution_census(self)
 
     @cached_property
+    def census_labels(self) -> Dict[Automorphism, str]:
+        """Class label of each census row, keyed by its certified columns."""
+        return {self.automorphism(r.descriptor): r.label for r in self.census.rows}
+
+    @cached_property
     def so9_klein(self) -> Configuration:
         return find_so9_klein(self)
 
@@ -577,15 +580,13 @@ def verify_so82_fixed_form(ctx: VerifyContext) -> Report:
     cfg = ctx.rank3
     b = ctx.automorphism(cfg.b)
     theta = ctx.automorphism(cfg.theta)
-    bt = compose(b, theta)
-    steps = [
-        _step("b class", classify_involution(ctx.table, b), "sigma2", "structural"),
-        _step("theta class", classify_involution(ctx.table, theta), "sigma2", "structural"),
-        _step("b*theta class", classify_involution(ctx.table, bt), "sigma2", "reference"),
-        _step("b and theta commute", commutes(b, theta), True, "structural"),
-    ]
+    labels = ctx.census_labels
     desc = real_fixed_subalgebra(ctx.cb, b, theta, ctx.catalog)
-    steps += [
+    steps = [
+        _step("b class", labels.get(b), "sigma2", "structural"),
+        _step("theta class", labels.get(theta), "sigma2", "structural"),
+        _step("b*theta class", labels.get(compose(b, theta)), "sigma2", "reference"),
+        _step("b and theta commute", commutes(b, theta), True, "structural"),
         _step("complexified fixed type of b", desc.g_type, "D5+u(1)", "reference"),
         _step("maximal compact part type", desc.k_type, "D4+2u(1)", "reference"),
         _step("signature", list(desc.signature), [30, 16], "derived"),
@@ -600,27 +601,24 @@ def verify_so81_klein_pair(ctx: VerifyContext) -> Report:
     a = ctx.automorphism(cfg.a)
     b = ctx.automorphism(cfg.b)
     theta = ctx.automorphism(cfg.theta)
-    klein = make_klein(a, b)
-    s_ab = fixed_subalgebra(ctx.table, [a, b])
-    s_abt = fixed_subalgebra(ctx.table, [a, b, theta])
+    labels = ctx.census_labels
+    # the split identifies the complex fixed algebras of <a,b> and <a,b,theta>
+    desc = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta, ctx.catalog)
     s_bt = fixed_subalgebra(ctx.table, [b, theta])
     steps = [
         _step("so(9) Klein search nonempty", bool(so9.a), True, "reference"),
         _step("so(9) Klein recomputation gate: pairs checked, all B4",
               so9.provenance.get("pairs_gated"), None, "reported"),
         _step("so(9) Klein product element class", so9.labels.get("ab"), None, "reported"),
-        _step("a class", classify_involution(ctx.table, a), "sigma3", "structural"),
-        _step("b class", classify_involution(ctx.table, b), "sigma2", "structural"),
-        _step("theta class", classify_involution(ctx.table, theta), "sigma2", "structural"),
-        _step("<a,b> fixed dim", s_ab.dim, 36, "reference"),
-        _step("<a,b> fixed type", str(identify_type(s_ab)), "B4", "reference"),
-        _step("<a,b,theta> fixed dim", s_abt.dim, 28, "reference"),
-        _step("<a,b,theta> fixed type", str(identify_type(s_abt)), "D4", "reference"),
+        _step("a class", labels.get(a), "sigma3", "structural"),
+        _step("b class", labels.get(b), "sigma2", "structural"),
+        _step("theta class", labels.get(theta), "sigma2", "structural"),
+        _step("<a,b> fixed dim", desc.k_dim + desc.p_dim, 36, "reference"),
+        _step("<a,b> fixed type", desc.g_type, "B4", "reference"),
+        _step("<a,b,theta> fixed dim", desc.k_dim, 28, "reference"),
+        _step("<a,b,theta> fixed type", desc.k_type, "D4", "reference"),
         _step("<b,theta> fixed dim", s_bt.dim, 30, "reference"),
         _step("<b,theta> fixed type", str(identify_type(s_bt)), "D4+2u(1)", "reference"),
-    ]
-    desc = real_fixed_subalgebra(ctx.cb, klein, theta, ctx.catalog)
-    steps += [
         _step("complexified fixed type of <a,b>", desc.g_type, "B4", "reference"),
         _step("maximal compact part type", desc.k_type, "D4", "reference"),
         _step("signature", list(desc.signature), [28, 8], "derived"),

@@ -15,6 +15,8 @@ from kleinfour.autos import (
     compose_cols,
     conjugate,
     joint_fixed_dim,
+    make_automorphism,
+    make_klein,
     omega_automorphism,
     parse_descriptor,
     torus_involution,
@@ -660,3 +662,89 @@ def test_report_text_rendering(ctx):
     text = r.render_text()
     assert text.startswith("[PASS] holomorphic")
     assert "anti-holomorphic" in text
+
+
+# -- classes and fixed types the scenarios read ------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def _claims(report):
+    return {s.claim: s for s in report.steps}
+
+
+def test_census_labels_match_the_generic_classifier(ctx, rank3):
+    """Every class so82, so81 and the so(9) gate read from the census index
+    equals the generic route, classify_involution."""
+    a, b, theta = (ctx.automorphism(d) for d in (rank3.a, rank3.b, rank3.theta))
+    so9 = ctx.so9_klein
+    ab = make_klein(ctx.automorphism(so9.a), ctx.automorphism(so9.b)).elements[3]
+    for x in (a, b, theta, compose(b, theta), ab):
+        assert ctx.census_labels.get(x) == classify_involution(ctx.table, x), x.descriptor
+    assert so9.labels["ab"] == classify_involution(ctx.table, ab)
+
+
+def test_so81_fixed_types_match_fixed_subalgebra(ctx, rank3):
+    """The <a,b> and <a,b,theta> steps read from so81's real-form split equal
+    fixed_subalgebra + identify_type on those generators."""
+    a, b, theta = (ctx.automorphism(d) for d in (rank3.a, rank3.b, rank3.theta))
+    steps = _claims(verify_so81_klein_pair(ctx))
+    for name, gens in (("<a,b>", [a, b]), ("<a,b,theta>", [a, b, theta])):
+        s = fixed_subalgebra(ctx.table, gens)
+        assert (steps[f"{name} fixed dim"].computed, steps[f"{name} fixed type"].computed) == (
+            s.dim, str(identify_type(s))), name
+
+
+def test_census_labels_match_by_columns_not_by_name(ctx, rank3):
+    labels = ctx.census_labels
+    assert len(labels) == len(ctx.census.rows)
+    # a fresh parse of a row is a different object with the same columns
+    assert labels.get(parse_descriptor(ctx.table, rank3.b)) == "sigma2"
+    weyl = weyl_lift(ctx.table, 0)
+    assert labels.get(weyl) is None
+    # a certified non-row automorphism named like a row is still no row
+    assert labels.get(make_automorphism(ctx.table, weyl.cols, rank3.b)) is None
+
+
+def test_so82_reads_the_class_of_b_from_the_census(ctx, census, rank3, monkeypatch):
+    """b's census row relabelled: the b class step shows the census's label and fails."""
+    rows = tuple(dataclasses.replace(r, label="sigma1") if r.descriptor == rank3.b else r
+                 for r in census.rows)
+    monkeypatch.setitem(ctx.__dict__, "census", dataclasses.replace(census, rows=rows))
+    monkeypatch.delitem(ctx.__dict__, "census_labels", raising=False)
+    report = verify_so82_fixed_form(ctx)
+    steps = _claims(report)
+    assert (steps["b class"].computed, steps["b class"].passed) == ("sigma1", False)
+    assert steps["theta class"].passed and not report.passed
+
+
+def test_scenario_steps_fail_on_a_census_miss(ctx, rank3, monkeypatch):
+    """An empty index: every class step of so82 and so81 shows None and fails
+    (the so(9) gate, built first, is not rerun)."""
+    ctx.so9_klein
+    monkeypatch.setitem(ctx.__dict__, "census_labels", {})
+    for report in (verify_so82_fixed_form(ctx), verify_so81_klein_pair(ctx)):
+        missed = [s for s in report.steps if s.claim.endswith(" class") and s.expected]
+        assert len(missed) == 3 and all(s.computed is None and not s.passed for s in missed)
+
+
+def test_so9_klein_raises_when_its_product_is_no_census_row(ctx, census, monkeypatch):
+    so9 = ctx.so9_klein
+    ab = make_klein(ctx.automorphism(so9.a), ctx.automorphism(so9.b)).elements[3]
+    index = {x: lab for x, lab in ctx.census_labels.items() if x != ab}
+    assert len(index) == len(ctx.census_labels) - 1
+    monkeypatch.setitem(ctx.__dict__, "census_labels", index)
+    with pytest.raises(CensusError, match=re.escape(f"product {ab.descriptor} of the first pair")):
+        find_so9_klein(ctx)
+
+
+@pytest.mark.parametrize("name", list(verify.SCENARIOS))
+def test_each_scenario_alone_renders_its_golden_block(name):
+    """Each scenario on a fresh context prints exactly its block of
+    `verify all`, text and JSON."""
+    text = (GOLDEN / "verify_all.txt").read_text(encoding="utf-8")
+    block = re.search(rf"^\[PASS\] {re.escape(name)}\n(?:  .*\n)*", text, re.M).group(0)
+    report = verify.SCENARIOS[name](VerifyContext())
+    assert report.render_text() + "\n" == block
+    golden_json = json.loads((GOLDEN / "verify_all.json").read_text(encoding="utf-8"))
+    assert [report.to_jsonable()] == [r for r in golden_json if r["scenario"] == name]
