@@ -21,8 +21,11 @@ any member the walk flags, takes the generic path
 (``BracketTable.homomorphism_defect``): it walks the nonzero brackets and the
 candidate's nonzero entries, a pair reached by neither is zero on both sides,
 and it names the first failing pair, so the message of a rejected candidate
-does not depend on the path.  The order is certified per member on either
-path.
+does not depend on the path.  The order of a member the walk certifies is
+read off pi's cycles: A^L is the product of the signs around a cycle of
+length L on that cycle, so the order is the lcm over the cycles of L, or of
+2L where that product is -1.  Every other member composes powers until the
+identity.
 
 The two search gates, commutes and joint_fixed_dim, read a diagonal factor
 (every torus involution) from the diagonal entries that each Automorphism
@@ -37,6 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -192,10 +196,6 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
     return int(total) // den
 
 
-def _is_identity_cols(cols: Cols) -> bool:
-    return all(col == {j: 1} for j, col in enumerate(cols))
-
-
 def _signed_permutation(cols: Cols) -> Optional[Tuple[int, ...]]:
     """pi when every column j is {pi(j): +-1} and pi is a bijection, else None."""
     if not all(len(col) == 1 for col in cols):
@@ -248,6 +248,28 @@ def make_automorphisms(
     return out
 
 
+def _cycle_order(cols: Cols) -> int:
+    """Order of the signed permutation cols[j] = {pi(j): s_j}, from pi's cycles."""
+    order, seen = 1, [False] * len(cols)
+    for j in range(len(cols)):
+        length, sign, k = 0, 1, j
+        while not seen[k]:
+            seen[k] = True
+            ((k, s),) = cols[k].items()
+            length, sign = length + 1, sign * s
+        if length:
+            order = lcm(order, length if sign > 0 else 2 * length)
+    return order
+
+
+def _composed_order(cols: Cols) -> int:
+    """Order of cols by composing powers until the identity; _ORDER_CAP + 1 past the cap."""
+    power, order = cols, 1
+    while order <= _ORDER_CAP and any(col != {j: 1} for j, col in enumerate(power)):
+        power, order = compose_cols(cols, power), order + 1
+    return order
+
+
 def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic: bool) -> Automorphism:
     if cc is None:
         raise CertificationError(f"{descriptor}: expected {table.dim} columns")
@@ -257,14 +279,8 @@ def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic
             f"{descriptor}: homomorphism fails at basis pair "
             f"({table.basis_label(defect[0])}, {table.basis_label(defect[1])})"
         )
-    power = cc
-    order = None
-    for n in range(1, _ORDER_CAP + 1):
-        if _is_identity_cols(power):
-            order = n
-            break
-        power = compose_cols(cc, power)
-    if order is None:
+    order = _composed_order(cc) if generic else _cycle_order(cc)
+    if order > _ORDER_CAP:
         raise CertificationError(f"{descriptor}: order exceeds cap {_ORDER_CAP}")
     return Automorphism(table, cc, order, descriptor)
 
@@ -278,7 +294,10 @@ def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: s
 
 
 def identity_automorphism(table: StructureTable) -> Automorphism:
-    return make_automorphism(table, [{j: 1} for j in range(table.dim)], "identity")
+    """The identity of table, certified on the first call and kept on the table."""
+    if table.identity is None:
+        table.identity = make_automorphism(table, [{j: 1} for j in range(table.dim)], "identity")
+    return table.identity
 
 
 # ---------------------------------------------------------------------------
@@ -498,30 +517,31 @@ def conjugate(w: Automorphism, a: Automorphism) -> Automorphism:
 # Textual descriptors (CLI surface)
 # ---------------------------------------------------------------------------
 
+def descriptor_torus(text: str) -> Optional[List[int]]:
+    """The coefficients of a descriptor's torus factor, or None if it has none;
+    ValueError if text is not a descriptor that parse_descriptor reads."""
+    text = text.strip()
+    if text in ("identity", "id", "omega"):
+        return None
+    body = text[len("omega*"):] if text.startswith("omega*torus:") else text
+    if not body.startswith("torus:"):
+        raise ValueError(f"cannot parse automorphism descriptor {text!r}")
+    parts = body[len("torus:"):].split(",")
+    if not all(_INT.fullmatch(x) for x in parts):
+        raise ValueError(f"bad torus coefficients {body[len('torus:'):]!r}")
+    return [int(x) for x in parts]
+
+
 def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
     """Parse 'torus:c1,...,cl', 'omega', 'omega*torus:...' or 'identity'."""
+    c = descriptor_torus(text)
     text = text.strip()
     if text in ("identity", "id"):
         return identity_automorphism(table)
-    if text == "omega":
-        return omega_automorphism(table)
-    if text.startswith("omega*torus:"):
-        om = omega_automorphism(table)
-        tor = _parse_torus(table, text[len("omega*") :])
-        return compose(om, tor)
-    if text.startswith("torus:"):
-        return _parse_torus(table, text)
-    raise ValueError(f"cannot parse automorphism descriptor {text!r}")
-
-
-def _parse_torus(table: StructureTable, text: str) -> Automorphism:
-    body = text[len("torus:") :]
-    parts = body.split(",")
-    if not all(_INT.fullmatch(x) for x in parts):
-        raise ValueError(f"bad torus coefficients {body!r}")
-    c = [int(x) for x in parts]
+    om = omega_automorphism(table) if text.startswith("omega") else None
+    if c is None:
+        return om
     if len(c) != table.rank:
-        raise ValueError(
-            f"torus descriptor needs {table.rank} coefficients, got {len(c)}"
-        )
-    return torus_involution(table, c)
+        raise ValueError(f"torus descriptor needs {table.rank} coefficients, got {len(c)}")
+    tor = torus_involution(table, c)
+    return tor if om is None else compose(om, tor)

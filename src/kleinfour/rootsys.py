@@ -445,6 +445,7 @@ class StructureTable(BracketTable):
         self.rank = rs.rank
         self.npos = rs.npos
         self.extraspecial: Dict[int, Tuple[int, int]] = {}
+        self.identity = None  # the certified identity, kept by autos.identity_automorphism
         self._fill()
 
     def _fill(self) -> None:

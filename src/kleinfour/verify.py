@@ -8,7 +8,9 @@ pair (fixed-space dimension, fixed-point type).  The four classes in scope:
 
 The four dimensions are distinct, but the type is matched as well, as a
 certificate that the invariant pair is one of the catalogued ones.  The census
-checks the invariant pair on one representative per conjugacy orbit only.
+checks the invariant pair on one representative per conjugacy orbit only, and
+reads it from the representative's real-form split (cartan_decomposition):
+Fix(theta) is the split's k part, and the split also names the real form.
 Every other involution y is certified conjugate to a classified one x,
 y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
 column equality y∘g == g∘x, and takes x's class; each row's dimension is still
@@ -53,7 +55,8 @@ from .autos import (
     Automorphism,
     CertificationError,
     Cols,
-    _is_identity_cols,
+    _apply_cols,
+    _cycle_order,
     commutes,
     compose,
     compose_cols,
@@ -102,12 +105,16 @@ def _classify(table, auto: Automorphism) -> Tuple[str, Subalgebra, ReductiveType
         raise ValueError(f"{auto.descriptor} is not a nonidentity involution")
     s = fixed_subalgebra(table, [auto])
     ty = identify_type(s)
-    key = (s.dim, str(ty))
+    return _class_label(auto, s.dim, str(ty)), s, ty
+
+
+def _class_label(auto: Automorphism, dim: int, ty: str) -> str:
+    """The class whose invariant pair is (dim, ty); CensusError if none is."""
     for label, inv in CLASS_INVARIANTS.items():
-        if inv == key:
-            return label, s, ty
+        if inv == (dim, ty):
+            return label
     raise CensusError(
-        f"involution {auto.descriptor} has invariants {key}, matching no known class"
+        f"involution {auto.descriptor} has invariants {(dim, ty)}, matching no known class"
     )
 
 
@@ -183,6 +190,14 @@ def _fingerprint_index(tuples, gens: Sequence[int]) -> Dict[tuple, int]:
     return {sum((_fingerprint(a.cols, gens) for a in t), ()): n for n, t in enumerate(tuples)}
 
 
+def _conjugate_key(g: Automorphism, g_inv_gens: Sequence[dict], xs) -> tuple:
+    """The fingerprint of (g x_i g^-1) on the generators whose columns of g^-1
+    are g_inv_gens, read off the columns of g and x_i (no product is built)."""
+    at = range(len(g_inv_gens))
+    return sum((_fingerprint([_apply_cols(g.cols, _apply_cols(x.cols, c)) for c in g_inv_gens],
+                             at) for x in xs), ())
+
+
 def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
     """(classify(t), provenance) of each tuple t of involutions in tuples.
 
@@ -197,6 +212,7 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
     rs = table.rs
     gens = [table.rank + k for s in rs.simple for k in (s, s + rs.npos)]
     index = _fingerprint_index(tuples, gens)
+    conjugators = [(g, [g_inv[k] for k in gens]) for g, g_inv in conjugators]
     labels: List[Optional[tuple]] = [None] * len(tuples)
     left = len(tuples)
     for start, t in enumerate(tuples):
@@ -208,11 +224,10 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
         while stack and left:
             n = stack.pop()
             xs = tuples[n]
-            for g, g_inv in conjugators:
+            for g, g_inv_gens in conjugators:
                 if g.diagonal is not None and all(x.diagonal is not None for x in xs):
                     continue  # diagonal matrices commute: g x g^-1 is x
-                m = index.get(sum((_fingerprint({k: g.apply(x.apply(g_inv[k])) for k in gens},
-                                                gens) for x in xs), ()))
+                m = index.get(_conjugate_key(g, g_inv_gens, xs))
                 if m is None or labels[m] is not None:
                     continue
                 if not all(products_equal(y.cols, g.cols, g.cols, x.cols)
@@ -227,9 +242,9 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
 def involution_census(ctx: "VerifyContext") -> Census:
     """Classify all nonzero torus involutions and all involutive omega-twists.
 
-    One row per conjugacy orbit is classified by _classify; every other row
-    takes its class from a certified conjugation (_label_by_conjugacy), and a
-    row that no orbit reaches is classified by _classify itself.
+    One row per conjugacy orbit is classified from its real-form split, and
+    every other row takes its class from a certified conjugation
+    (_label_by_conjugacy); a row that no orbit reaches is split itself.
     """
     table = ctx.table
     omega = ctx.automorphism("omega").cols
@@ -237,16 +252,20 @@ def involution_census(ctx: "VerifyContext") -> Census:
     tori = ctx.certify(torus_columns(table, bits) for bits in product((0, 1), repeat=table.rank))
 
     def involutive_twists():
-        # a twist's factors are certified, so a twist whose columns do not square
-        # to the identity is an automorphism but no involution: it is not certified
+        # a twist's factors are certified signed permutations, and so is the twist;
+        # one of order above 2 is an automorphism but no involution: it is not certified
         for t in tori:
             cols = compose_cols(omega, t.cols)
-            if _is_identity_cols(compose_cols(cols, cols)):
+            if _cycle_order(cols) <= 2:
                 yield cols, "omega*" + t.descriptor
 
+    realform_names: Dict[str, str] = {}
+
     def classify(t):
-        label, s, ty = _classify(table, t[0])
-        return label, s.dim, str(ty)
+        split = cartan_decomposition(ctx.cb, t[0], ctx.catalog)
+        label = _class_label(t[0], split.k_dim, split.k_type)
+        realform_names.setdefault(label, split.name)
+        return label, split.k_dim, split.k_type
 
     # generators: a batch drops each candidate's columns once it has copied them
     found = [("inner", a) for a in tori[1:]]
@@ -256,17 +275,12 @@ def involution_census(ctx: "VerifyContext") -> Census:
 
     rows: List[CensusRow] = []
     counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
-    reps: Dict[str, Automorphism] = {}
     for (kind, a), ((label, dim, ty), how) in zip(found, labels):
         trace_ok = dim == joint_fixed_dim([a])
         rows.append(CensusRow(a.descriptor, kind, dim, ty, label, trace_ok, how))
         counts[kind][label] = counts[kind].get(label, 0) + 1
-        reps.setdefault(label, a)
-    realform_names = {
-        label: cartan_decomposition(ctx.cb, rep, ctx.catalog).name
-        for label, rep in sorted(reps.items())
-    }
-    return Census(tuple(rows), counts["inner"], counts["outer"], realform_names, len(tori),
+    names = dict(sorted(realform_names.items()))
+    return Census(tuple(rows), counts["inner"], counts["outer"], names, len(tori),
                   sum(counts["outer"].values()), conjugators)
 
 

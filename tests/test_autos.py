@@ -1,10 +1,14 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinfour import autos
 from kleinfour.autos import (
     Automorphism,
     CertificationError,
@@ -725,3 +729,65 @@ def test_parse_descriptor_roundtrip(e6):
         parse_descriptor(e6, "bogus:1")
     with pytest.raises(ValueError):
         parse_descriptor(e6, "torus:1,2")
+
+
+# -- orders of signed permutations and the identity --------------------------------
+
+def test_cycle_orders_match_the_composing_loop(e6):
+    """The cycle rule gives the composing loop's order on every signed
+    permutation the package builds: the E6 tori, all 64 omega-twists (some of
+    order 4), omega on A5, D4 triality and the nontrivial E7 tori."""
+    om = omega_automorphism(e6)
+    tori = [torus_involution(e6, bits) for bits in itertools.product((0, 1), repeat=6)]
+    twists = [compose(om, t) for t in tori]
+    a5 = chevalley_table(build_root_system(cartan_matrix("A5")))
+    d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
+    e7 = chevalley_table(build_root_system(cartan_matrix("E7")))
+    e7_tori = make_automorphisms(e7, [torus_columns(e7, bits)
+                                      for bits in itertools.product((0, 1), repeat=7)][1:])
+    autos_built = tori + twists + e7_tori
+    autos_built += [omega_automorphism(a5), diagram_automorphism(d4, (2, 1, 3, 0))]
+    assert len(autos_built) == 64 + 64 + 127 + 2
+    for a in autos_built:
+        assert _signed_permutation(a.cols) is not None, a.descriptor
+        assert autos._cycle_order(a.cols) == autos._composed_order(a.cols) == a.order
+    assert {a.order for a in twists} == {2, 4}
+    assert autos_built[-1].order == 3
+
+
+def test_cycle_order_of_a_cycle_with_sign_product_minus_one():
+    # e0 -> e1 -> -e2 -> e0: the third power is -1 on the cycle, the sixth is 1
+    cols = ({1: 1}, {2: -1}, {0: 1}, {3: -1}, {4: 1})
+    assert autos._cycle_order(cols) == 6 == autos._composed_order(cols)
+    assert autos._cycle_order(({1: -1}, {0: -1})) == 2
+
+
+def test_cycle_order_above_the_cap_raises_the_composing_message():
+    # cycles of lengths 7 and 11: order 77 > _ORDER_CAP; a stub table lets
+    # both order paths run on these 18 columns
+    perm = tuple(list(range(1, 7)) + [0] + list(range(8, 18)) + [7])
+    cols = tuple({p: 1} for p in perm)
+    assert autos._cycle_order(cols) == 77
+    assert autos._composed_order(cols) == autos._ORDER_CAP + 1
+    stub = SimpleNamespace(dim=18, homomorphism_defect=lambda cc: None)
+    messages = []
+    for generic in (False, True):
+        with pytest.raises(CertificationError) as exc:
+            autos._certify(stub, cols, "synthetic", generic)
+        messages.append(str(exc.value))
+    assert messages == [f"synthetic: order exceeds cap {autos._ORDER_CAP}"] * 2
+
+
+def test_identity_is_certified_once_per_table_and_freed_with_it():
+    table = chevalley_table(build_root_system(cartan_matrix("A2")))
+    ident = identity_automorphism(table)
+    assert identity_automorphism(table) is ident and ident.is_identity()
+    a, b = torus_involution(table, (1, 0)), torus_involution(table, (0, 1))
+    assert make_klein(a, b).elements[0] is ident
+    assert parse_descriptor(table, "identity") is ident
+    # Automorphism has no weakref slot; it holds its table, so the table
+    # being collected means no live reference to the identity remains
+    ref = weakref.ref(table)
+    del table, ident, a, b
+    gc.collect()
+    assert ref() is None

@@ -164,6 +164,30 @@ def test_bad_input_is_usage_error_exit_2(args, message):
     assert message in err.getvalue()
 
 
+@pytest.mark.parametrize("args", [
+    ["fixed", "--auto", "torus:1,1"],
+    ["identify", "--auto", "omega*torus:1,0,0,0,0,0,0"],
+    ["fixed", "--auto", "omega", "--auto", "torus:1,0,0,0,0"],
+    ["realform", "--theta", "torus:1"],
+    ["realform", "--theta", "omega", "--auto", "torus:1,0,0,0,0,0,1"],
+    ["identify", "--type", "A2", "--auto", "torus:1,0,0,0,0,0"],
+])
+def test_descriptor_arity_is_usage_error_exit_2(args):
+    """A well-formed torus descriptor whose coefficient count is not the rank
+    of --type is rejected while the arguments are parsed."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(args)
+    assert exc.value.code == 2
+    assert "torus coefficients" in err.getvalue() and "has rank" in err.getvalue()
+
+
+def test_well_formed_twist_request_exits_0():
+    code, out, err = run_cli(["fixed", "--auto", "omega*torus:0,1,0,0,0,0"])
+    assert (code, err) == (0, "")
+    assert "dim 36" in out and "type C4" in out
+
+
 def test_verify_single_scenario_exit_zero(ctx):
     # in-process run reuses no ctx cache; keep to the cheapest scenario
     code, out, _ = run_cli(["verify", "census"])

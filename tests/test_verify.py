@@ -16,6 +16,7 @@ from kleinfour.autos import (
     conjugate,
     joint_fixed_dim,
     make_automorphism,
+    make_automorphisms,
     make_klein,
     omega_automorphism,
     parse_descriptor,
@@ -194,6 +195,50 @@ def test_census_walk_skips_diagonal_conjugations(ctx, census, monkeypatch):
     assert again == census
     assert [r.provenance for r in again.rows] == [r.provenance for r in census.rows]
     assert len(calls) == len(census.rows) + 510
+
+
+def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, monkeypatch):
+    """The key of g x g^-1, read off the columns of g and x, is the fingerprint
+    of the certified conjugate, factor by factor: for every census row and
+    every gated so(9) pair under each of the 12 conjugators, and for every key
+    the census and so(9) gate walks look up.  The conjugates are the columns
+    autos.conjugate builds, certified in one batch per conjugator."""
+    table = ctx.table
+    gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
+    rows = [ctx.automorphism(r.descriptor) for r in census.rows]
+    assert len(census.conjugators) == 12
+    want = {}
+    for g, g_inv in census.conjugators:
+        batch = [(compose_cols(g.cols, compose_cols(x.cols, g_inv)), f"conj({x.descriptor})")
+                 for x in rows]
+        conj = make_automorphisms(table, batch)
+        for x, y in zip(rows, conj):
+            assert isinstance(y, autos.Automorphism), y
+            want[g.descriptor, x.descriptor] = verify._fingerprint(y.cols, gens)
+        for n in (0, -1):  # an inner and an outer row through autos.conjugate itself
+            assert conjugate(g, rows[n]).cols == conj[n].cols
+    tuples = [(x,) for x in rows] + list(_so9_pairs(ctx).values())
+    assert len(tuples) == len(rows) + 12
+    for g, g_inv in census.conjugators:
+        g_inv_gens = [g_inv[k] for k in gens]
+        for xs in tuples:
+            assert verify._conjugate_key(g, g_inv_gens, xs) == sum(
+                (want[g.descriptor, x.descriptor] for x in xs), ()), (g, xs)
+    real = verify._conjugate_key
+    seen = []
+
+    def recording(g, g_inv_gens, xs):
+        seen.append((g.descriptor, xs, real(g, g_inv_gens, xs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(verify, "_conjugate_key", recording)
+    assert verify.involution_census(ctx) == census
+    walked = len(seen)
+    assert walked == 510
+    find_so9_klein(ctx)
+    assert len(seen) > walked and {len(xs) for _, xs, _ in seen[walked:]} == {2}
+    for g, xs, key in seen:
+        assert key == sum((want[g, x.descriptor] for x in xs), ()), (g, xs)
 
 
 def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
