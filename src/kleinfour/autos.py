@@ -497,8 +497,6 @@ def weyl_lift(table: StructureTable, i: int) -> Automorphism:
 
 def inverse_cols(w: Automorphism) -> Cols:
     """Columns of w^{-1} = w^(order - 1), from the certified order of w."""
-    if w.order == 1:
-        return tuple({j: 1} for j in range(w.table.dim))
     inv = w.cols
     for _ in range(w.order - 2):
         inv = compose_cols(w.cols, inv)
@@ -517,31 +515,31 @@ def conjugate(w: Automorphism, a: Automorphism) -> Automorphism:
 # Textual descriptors (CLI surface)
 # ---------------------------------------------------------------------------
 
-def descriptor_torus(text: str) -> Optional[List[int]]:
-    """The coefficients of a descriptor's torus factor, or None if it has none;
-    ValueError if text is not a descriptor that parse_descriptor reads."""
+def read_descriptor(text: str, rank: int) -> Tuple[bool, Optional[List[int]]]:
+    """(has an omega factor, torus coefficients or None) of 'identity', 'id', 'omega',
+    'torus:c1,...,cl' or 'omega*torus:c1,...,cl' with ASCII integers c; ValueError
+    if text breaks that grammar or its torus factor does not have rank coefficients."""
     text = text.strip()
     if text in ("identity", "id", "omega"):
-        return None
-    body = text[len("omega*"):] if text.startswith("omega*torus:") else text
+        return text == "omega", None
+    omega = text.startswith("omega*")
+    body = text[len("omega*"):] if omega else text
     if not body.startswith("torus:"):
         raise ValueError(f"cannot parse automorphism descriptor {text!r}")
-    parts = body[len("torus:"):].split(",")
+    body = body[len("torus:"):]
+    parts = body.split(",")
     if not all(_INT.fullmatch(x) for x in parts):
-        raise ValueError(f"bad torus coefficients {body[len('torus:'):]!r}")
-    return [int(x) for x in parts]
+        raise ValueError(f"bad torus coefficients {body!r}")
+    if len(parts) != rank:
+        raise ValueError(f"descriptor {text!r} has {len(parts)} torus coefficients; "
+                         f"the algebra has rank {rank}")
+    return omega, [int(x) for x in parts]
 
 
 def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
-    """Parse 'torus:c1,...,cl', 'omega', 'omega*torus:...' or 'identity'."""
-    c = descriptor_torus(text)
-    text = text.strip()
-    if text in ("identity", "id"):
-        return identity_automorphism(table)
-    om = omega_automorphism(table) if text.startswith("omega") else None
+    """The certified automorphism named by a descriptor (read_descriptor's grammar)."""
+    omega, c = read_descriptor(text, table.rank)
     if c is None:
-        return om
-    if len(c) != table.rank:
-        raise ValueError(f"torus descriptor needs {table.rank} coefficients, got {len(c)}")
+        return omega_automorphism(table) if omega else identity_automorphism(table)
     tor = torus_involution(table, c)
-    return tor if om is None else compose(om, tor)
+    return compose(omega_automorphism(table), tor) if omega else tor

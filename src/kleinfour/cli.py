@@ -2,8 +2,9 @@
 
 Output is deterministic (sorted keys, no timestamps), so identical inputs
 give byte-identical output.  Exit codes: 0 all passed, 1 verification or
-computation failure (a malformed descriptor among them), 2 usage errors, such
-as a torus descriptor whose coefficient count is not the rank of --type.
+computation failure, 2 usage errors, among them every --auto or --theta
+descriptor that autos.read_descriptor rejects: one outside the grammar, or a
+torus factor whose coefficient count is not the rank of --type.
 Golden files are only rewritten under an explicit --bless.
 """
 
@@ -15,7 +16,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from .autos import descriptor_torus, make_klein
+from .autos import make_klein, read_descriptor
 from .identify import fixed_subalgebra, identify_type, type_dim
 from .realform import cartan_decomposition, load_catalog, real_fixed_subalgebra
 from .rootsys import (
@@ -264,15 +265,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "its class invariants and census counts are E6 facts")
     if args.command == "realform" and len(args.auto) > 2:
         parser.error("realform takes at most two --auto generators")
-    rank = int(args.type[1:])
     for text in getattr(args, "auto", []) + ([args.theta] if args.command == "realform" else []):
         try:
-            c = descriptor_torus(text)
-        except ValueError:
-            continue  # malformed: the command reports it as a failure
-        if c is not None and len(c) != rank:
-            parser.error(f"descriptor {text!r} has {len(c)} torus coefficients; "
-                         f"{args.type} has rank {rank}")
+            read_descriptor(text, int(args.type[1:]))
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "roots" and args.bless and not args.golden_dir:
         parser.error("--bless needs --golden-dir")
     handlers = {

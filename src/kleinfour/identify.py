@@ -71,7 +71,7 @@ def first_escape(xs: Subalgebra, ys: Subalgebra, target: Subalgebra) -> Optional
     When xs is ys only pairs i < j are bracketed, since the bracket is
     antisymmetric and vanishes on the diagonal.
     """
-    for i, acc in target.table.row_brackets(xs.rows, ys.rows, xs is ys):
+    for i, acc in target.table.row_brackets(xs.rows, ys.rows):
         for j in sorted(acc):
             w = acc[j]
             if w and not target.contains(w):
@@ -91,8 +91,8 @@ def fixed_subalgebra(table: StructureTable, autos: Sequence[Automorphism]) -> Su
             raise IdentifyError("uncertified automorphism rejected")
         if a.table is not table:
             raise IdentifyError("automorphism acts on a different algebra")
-    if not autos:
-        return subalgebra_from_vectors(table, [{i: 1} for i in range(dim)], check_closed=False)
+    if not autos:  # the unit rows are already in RREF
+        return Subalgebra(table, [{i: 1} for i in range(dim)], range(dim))
     vecs = joint_eigenspace(dim, [a.cols for a in autos], 1)
     return subalgebra_from_vectors(table, vecs)
 

@@ -76,7 +76,7 @@ class CompactBasis(BracketTable):
             + [(1, {i: 1}) for i in range(rank)]
         )
         powers, xs = zip(*self.parts)
-        for i, acc in table.row_brackets(xs, xs, True):
+        for i, acc in table.row_brackets(xs, xs):
             for j in sorted(acc):
                 what = f"[{self.label(i)}, {self.label(j)}]"
                 self._set(i, j, self.to_compact(acc[j], powers[i] + powers[j], what).items())

@@ -345,8 +345,8 @@ class BracketTable:
                     axpy(out, a * b, terms)
         return out
 
-    def row_brackets(self, xs: Sequence[dict], ys: Sequence[dict], upper: bool):
-        """Yield (i, acc) with acc[j] = [xs[i], ys[j]] for every j (j > i if upper).
+    def row_brackets(self, xs: Sequence[dict], ys: Sequence[dict]):
+        """Yield (i, acc) with acc[j] = [xs[i], ys[j]] for every j (j > i if xs is ys).
 
         All j are accumulated at once from the nonzero brackets [e_k, e_l], k
         in supp(xs[i]) and l in supp(ys[j]).  A j reached by none is absent
@@ -358,7 +358,7 @@ class BracketTable:
             for l, b in y.items():
                 at[l].append((j, b))
         for i, x in enumerate(xs):
-            low = i + 1 if upper else 0
+            low = i + 1 if xs is ys else 0  # antisymmetric, zero on the diagonal
             acc: Dict[int, dict] = defaultdict(dict)
             # inline, not exactq.axpy, here and in homomorphism_defect: calling
             # axpy for the certificate's right-hand side alone cost it 15 %
@@ -383,7 +383,7 @@ class BracketTable:
         antisymmetry.  A j reached neither by ``row_brackets`` nor by the
         nonzero brackets of e_i is zero on both sides.
         """
-        for i, diff in self.row_brackets(cols, cols, True):
+        for i, diff in self.row_brackets(cols, cols):
             for j, terms in self._adj[i].items():
                 if j > i:
                     out = diff[j]

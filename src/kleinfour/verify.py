@@ -146,6 +146,7 @@ class CensusRow:
     fixed_type: str
     label: str
     trace_identity_ok: bool
+    automorphism: Automorphism = field(compare=False, repr=False)
     # how the row was labelled: "generic" (classified by _classify), or
     # (g, x): conjugate by g of the census row with descriptor x, certified
     # by row∘g == g∘x.  Not part of the row's value.
@@ -277,7 +278,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
     counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
     for (kind, a), ((label, dim, ty), how) in zip(found, labels):
         trace_ok = dim == joint_fixed_dim([a])
-        rows.append(CensusRow(a.descriptor, kind, dim, ty, label, trace_ok, how))
+        rows.append(CensusRow(a.descriptor, kind, dim, ty, label, trace_ok, a, how))
         counts[kind][label] = counts[kind].get(label, 0) + 1
     names = dict(sorted(realform_names.items()))
     return Census(tuple(rows), counts["inner"], counts["outer"], names, len(tori),
@@ -290,13 +291,15 @@ def involution_census(ctx: "VerifyContext") -> Census:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Named automorphisms realizing a searched-for subgroup, with provenance."""
+    """Named automorphisms realizing a searched-for subgroup, with provenance;
+    ``automorphisms`` holds the certified a, b[, theta] in that order."""
 
     a: str
     b: str
     theta: Optional[str]
     labels: Dict[str, str]
     provenance: Dict[str, object]
+    automorphisms: Tuple[Automorphism, ...] = field(compare=False, repr=False)
 
 
 def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:
@@ -318,16 +321,15 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
     ``floor`` is not extended: fixed spaces only shrink as generators are
     added, so none of its extensions reaches ``floor`` either.
     """
-    pools = [[r.descriptor for r in ctx.census.rows if r.label == lab] for lab in class_labels]
+    pools = [[r for r in ctx.census.rows if r.label == lab] for lab in class_labels]
 
     def extend(descs: List[str], autos: List[Automorphism]):
-        for d in pools[len(descs)]:
-            if d in descs:
+        for row in pools[len(descs)]:
+            x = row.automorphism
+            # "is", not "in": "in" would compare the columns (Automorphism.__eq__)
+            if any(x is c for c in autos) or not all(commutes(c, x) for c in autos):
                 continue
-            x = ctx.automorphism(d)
-            if not all(commutes(c, x) for c in autos):
-                continue
-            chosen, gens = descs + [d], autos + [x]
+            chosen, gens = descs + [row.descriptor], autos + [x]
             dim = joint_fixed_dim(gens)
             if len(chosen) == len(pools):
                 yield chosen, gens, dim
@@ -370,7 +372,7 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     pairs = {(x.descriptor, y.descriptor): how for ((x, y), _, _), (_, how) in zip(found, labels)}
     return Configuration(a.descriptor, b.descriptor, None,
                          {"a": "sigma3", "b": "sigma2", "ab": ctx.census_labels[ab]},
-                         {"search": "so9-klein", "pairs_gated": len(found), "pairs": pairs})
+                         {"search": "so9-klein", "pairs_gated": len(found), "pairs": pairs}, (a, b))
 
 
 def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
@@ -419,6 +421,7 @@ def search_configuration(
         labels=dict(zip(("a", "b", "theta"), class_labels)),
         provenance={"search": "generic", "classes": ",".join(class_labels),
                     "target": target_type},
+        automorphisms=tuple(autos),
     )
 
 
@@ -522,7 +525,7 @@ class VerifyContext:
     @cached_property
     def census_labels(self) -> Dict[Automorphism, str]:
         """Class label of each census row, keyed by its certified columns."""
-        return {self.automorphism(r.descriptor): r.label for r in self.census.rows}
+        return {r.automorphism: r.label for r in self.census.rows}
 
     @cached_property
     def so9_klein(self) -> Configuration:
@@ -591,9 +594,7 @@ def verify_census(ctx: VerifyContext) -> Report:
 
 
 def verify_so82_fixed_form(ctx: VerifyContext) -> Report:
-    cfg = ctx.rank3
-    b = ctx.automorphism(cfg.b)
-    theta = ctx.automorphism(cfg.theta)
+    _, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
     desc = real_fixed_subalgebra(ctx.cb, b, theta, ctx.catalog)
     steps = [
@@ -610,11 +611,8 @@ def verify_so82_fixed_form(ctx: VerifyContext) -> Report:
 
 
 def verify_so81_klein_pair(ctx: VerifyContext) -> Report:
-    cfg = ctx.rank3
     so9 = ctx.so9_klein
-    a = ctx.automorphism(cfg.a)
-    b = ctx.automorphism(cfg.b)
-    theta = ctx.automorphism(cfg.theta)
+    a, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
     # the split identifies the complex fixed algebras of <a,b> and <a,b,theta>
     desc = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta, ctx.catalog)
@@ -642,15 +640,10 @@ def verify_so81_klein_pair(ctx: VerifyContext) -> Report:
 
 
 def verify_holomorphic(ctx: VerifyContext) -> Report:
-    cfg = ctx.rank3
-    a = ctx.automorphism(cfg.a)
-    theta = ctx.automorphism(cfg.theta)
-    tori = [
-        ctx.automorphism("torus:" + ",".join(map(str, bits)))
-        for bits in product((0, 1), repeat=ctx.table.rank)
-        if any(bits)
-    ]
-    tori = [sigma for sigma in tori if commutes(sigma, theta)]
+    a, _, theta = ctx.rank3.automorphisms
+    # the census's inner rows: every nonzero torus involution, in torus order
+    tori = [r.automorphism for r in ctx.census.rows
+            if r.kind == "inner" and commutes(r.automorphism, theta)]
     # one k(theta) and one center for all three checks
     self_holo, a_holo, *tori_holo = holomorphic_flags(ctx.cb, [theta, a] + tori, theta)
     steps = [

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import kleinfour
+from kleinfour.autos import parse_descriptor
 from kleinfour.cli import main
+from kleinfour.verify import VerifyContext
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -99,10 +101,12 @@ def test_realform_command():
     assert "signature (52, 26)" in out
 
 
-def test_bad_descriptor_is_failure_exit_1():
-    code, _, err = run_cli(["fixed", "--auto", "bogus:zzz"])
-    assert code == 1
-    assert "error" in err
+def test_bad_descriptor_is_usage_error_exit_2():
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(["fixed", "--auto", "bogus:zzz"])
+    assert exc.value.code == 2
+    assert "error" in err.getvalue()
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -113,10 +117,13 @@ def test_bad_descriptor_is_failure_exit_1():
     "omega*torus:\u0661,0,0,0,0,0",
 ])
 def test_torus_coefficients_are_ascii_integers(descriptor):
-    code, out, err = run_cli(["identify", "--auto", descriptor])
-    assert code == 1
-    assert out == ""
-    assert "bad torus coefficients" in err
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        main(["identify", "--auto", descriptor])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "bad torus coefficients" in err.getvalue()
 
 
 def test_usage_error_is_exit_2():
@@ -180,6 +187,34 @@ def test_descriptor_arity_is_usage_error_exit_2(args):
         main(args)
     assert exc.value.code == 2
     assert "torus coefficients" in err.getvalue() and "has rank" in err.getvalue()
+
+
+@pytest.mark.parametrize("args", [
+    ["fixed", "--auto", "omega*omega"],
+    ["fixed", "--auto", "torus:1,0,0,0,0,x"],
+    ["fixed", "--auto", "omega", "--auto", "torus:"],
+    ["identify", "--auto", "omega*torus:1,,0,0,0,0"],
+    ["identify", "--auto", "identity*omega"],
+    ["identify", "--auto", " "],
+    ["realform", "--theta", "torus:1,0,0,0,0,0.5"],
+    ["realform", "--theta", "omega", "--auto", "Torus:1,0,0,0,0,0"],
+    ["fixed", "--auto", "torus:1,1"],
+    ["realform", "--theta", "omega*torus:1,0,0,0,0,0,0"],
+    ["identify", "--type", "A2", "--auto", "torus:1"],
+])
+def test_rejected_descriptor_exits_2_with_the_reader_message(args):
+    """The last descriptor of args, which parse_descriptor rejects, is a usage
+    error: exit 2, no traceback, nothing on stdout, parse_descriptor's message."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        main(args)
+    assert exc.value.code == 2
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    algebra = args[args.index("--type") + 1] if "--type" in args else "E6"
+    with pytest.raises(ValueError) as raised:
+        parse_descriptor(VerifyContext(algebra=algebra).table, args[-1])
+    assert f"error: {raised.value}\n" in err.getvalue()
 
 
 def test_well_formed_twist_request_exits_0():

@@ -11,7 +11,7 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour.exactq import joint_eigenspace
+from kleinfour.exactq import joint_eigenspace, rref
 from kleinfour.identify import (
     IdentifyError,
     ReductiveType,
@@ -34,6 +34,9 @@ from oracles import classify_even_subsystem, first_escape_reference, pairing
 def test_empty_list_gives_whole_algebra(e6):
     s = fixed_subalgebra(e6, [])
     assert s.dim == 78
+    # the unit rows are taken as they are: the same basis as eliminating them
+    rows, pivots = rref([{i: 1} for i in range(78)])
+    assert (s.rows, s.pivots) == (tuple(rows), tuple(pivots))
 
 
 def test_sigma2_fixed_dim(e6):

@@ -740,6 +740,18 @@ def test_so81_fixed_types_match_fixed_subalgebra(ctx, rank3):
             s.dim, str(identify_type(s))), name
 
 
+def test_census_rows_carry_the_context_automorphisms(ctx, census):
+    for row in census.rows:
+        assert row.automorphism is ctx.automorphism(row.descriptor), row.descriptor
+
+
+@pytest.mark.parametrize("name", ["rank3", "so9_klein"])
+def test_configurations_carry_the_automorphisms_they_name(ctx, name):
+    cfg = getattr(ctx, name)
+    names = (cfg.a, cfg.b) if cfg.theta is None else (cfg.a, cfg.b, cfg.theta)
+    assert tuple(x.descriptor for x in cfg.automorphisms) == names
+
+
 def test_census_labels_match_by_columns_not_by_name(ctx, rank3):
     labels = ctx.census_labels
     assert len(labels) == len(ctx.census.rows)
