@@ -8,31 +8,22 @@ diagram-automorphism extension are the dominant bug risk and this is the
 firewall.
 
 The homomorphism check takes one of two paths, chosen by the columns' shape.
-When every column is one entry +-1 and the targets are distinct, A is a
-signed permutation A e_j = s_j e_pi(j), and the check on a nonzero bracket
-[e_i, e_j] = sum c_k e_k is a lookup: [e_pi(i), e_pi(j)] must have support
-{pi(k)}, entries +-c_k, and s_i s_j s_k equal to each entry's sign against
-c_k (``BracketTable.signed_permutation_flags``).  As pi is a bijection, the
-nonzero pairs then map onto the nonzero pairs, and a zero bracket stays zero.
-The members of a batch that share one pi share one walk of the table, which
-checks supports and magnitudes once and every sign condition for all of them
-with one XOR of Python ints holding a bit per member.  Any other shape, and
-any member the walk flags, takes the generic path
-(``BracketTable.homomorphism_defect``): it walks the nonzero brackets and the
-candidate's nonzero entries, a pair reached by neither is zero on both sides,
-and it names the first failing pair, so the message of a rejected candidate
-does not depend on the path.  The order of a member the walk certifies is
-read off pi's cycles: A^L is the product of the signs around a cycle of
-length L on that cycle, so the order is the lcm over the cycles of L, or of
-2L where that product is -1.  Every other member composes powers until the
-identity.
+A signed permutation A e_j = s_j e_pi(j) (one entry +-1 per column, distinct
+targets) is checked by one lookup per nonzero bracket
+(``BracketTable.signed_permutation_flags``), and the members of a batch that
+share one pi share one walk, with a bit per member.  Any other shape, and any
+member the walk flags, takes the generic walk
+(``BracketTable.homomorphism_defect``), which names the first failing pair,
+so a rejected candidate's message does not depend on the path.  A certified
+signed permutation's order is the lcm over pi's cycles of their length L, or
+of 2L where the signs around the cycle multiply to -1; every other order is
+found by composing powers.
 
-The two search gates, commutes and joint_fixed_dim, read a diagonal factor
-(every torus involution) from the diagonal entries that each Automorphism
-records from its columns: commutation compares entries on the other
-factor's support, and the joint fixed dimension of diagonal involutions
-counts the basis vectors that every sign fixes.  Neither composes a product.
-Both answers are exact, and every other input takes the generic formulas.
+A certified signed permutation keeps its pi and signs (``Automorphism.pi``),
+and composition, trace, inverse, cycle order, commutation and the character
+sums of joint_fixed_dim take O(dim) rules on them when every factor has them;
+diagonal matrices (pi the identity) commute.  Weyl lifts and conjugates keep
+the column rules, which stay the reference.
 """
 
 from __future__ import annotations
@@ -40,14 +31,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import compress
 from math import lcm
-from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import eq, itemgetter, mul
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactq import as_num, axpy, lincomb
 from .rootsys import StructureTable
 
 Cols = Tuple[Dict[int, object], ...]
+Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
 
 _ORDER_CAP = 60
 _SIGNS = frozenset((1, -1))
@@ -61,31 +55,29 @@ class CertificationError(Exception):
 class Automorphism:
     """Certified algebra automorphism in the canonical basis.
 
-    ``cols[j]`` is the sparse image of basis vector j.  ``diagonal`` is the
-    tuple of diagonal entries d_j when every column j is {j: d_j} with
-    d_j != 0, else None; it is read from ``cols``, never from the descriptor.
-    Instances are created by make_automorphisms only (make_automorphism is a
-    batch of one) and are immutable afterwards.
+    ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
+    when the certificate found a signed permutation, else None, as for any
+    object built outside make_automorphisms.  Instances are created by
+    make_automorphisms only (make_automorphism is a batch of one) and are
+    immutable afterwards.
     """
 
-    __slots__ = ("table", "cols", "order", "descriptor", "diagonal")
+    __slots__ = ("table", "cols", "order", "descriptor", "pi", "_trace")
 
-    def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str):
+    def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str,
+                 pi: Optional[Pi] = None):
         self.table = table
         self.cols = cols
         self.order = order
         self.descriptor = descriptor
-        self.diagonal = (
-            tuple(col[j] for j, col in enumerate(cols))
-            if all(len(col) == 1 and col.get(j) for j, col in enumerate(cols))
-            else None
-        )
+        self.pi = pi
+        self._trace = _cols_trace(cols) if pi is None else _pi_trace(pi)
 
     def apply(self, vec: dict) -> dict:
         return lincomb(vec.values(), (self.cols[j] for j in vec))
 
     def trace(self):
-        return as_num(sum(col.get(j, 0) for j, col in enumerate(self.cols)))
+        return self._trace
 
     def is_identity(self) -> bool:
         return self.order == 1
@@ -146,9 +138,72 @@ def products_equal(a: Cols, b: Cols, c: Cols, d: Cols) -> bool:
     return all(_apply_cols(a, x) == _apply_cols(c, y) for x, y in zip(b, d))
 
 
-def _product_trace(a: Cols, b: Cols):
-    """tr(a∘b) = sum_j sum_k a[j][k] b[k][j], read off the sparse columns."""
-    return sum(v * a[k].get(j, 0) for j, col in enumerate(b) for k, v in col.items())
+def _cols_trace(cols: Cols):
+    return as_num(sum(col.get(j, 0) for j, col in enumerate(cols)))
+
+
+def _pi_compose(a: Pi, b: Pi) -> Pi:
+    """(pi, signs) of a∘b: e_j goes to s_b(j) s_a(pi_b(j)) e_pi_a(pi_b(j))."""
+    (pa, sa), (pb, sb) = a, b
+    if _diagonal(b):
+        return pa, tuple(map(mul, sb, sa))
+    at = itemgetter(*pb)  # a tuple of pi_b's images, as dim > 1
+    return at(pa), tuple(map(mul, sb, at(sa)))
+
+
+def _pi_trace(a: Pi):
+    """The sum of the signs at the fixed points of pi."""
+    perm, signs = a
+    return sum(signs) if _diagonal(a) else sum(compress(signs, map(eq, perm, range(len(perm)))))
+
+
+def _pi_cols(a: Pi) -> Cols:
+    return tuple({p: s} for p, s in zip(*a))
+
+
+@lru_cache(maxsize=None)
+def _identity_perm(dim: int) -> Tuple[int, ...]:
+    return tuple(range(dim))
+
+
+def _diagonal(a: Optional[Pi]) -> bool:
+    """a is a signed permutation whose pi is the identity: a diagonal matrix."""
+    return a is not None and a[0] == _identity_perm(len(a[0]))
+
+
+class CharacterSum(NamedTuple):
+    """sum over subsets S of gens of tr(prod of S), the empty one included, and
+    dim = total / 2^k; prods holds the products of the nonempty subsets, as
+    (pi, signs) while every generator has them, else as columns."""
+
+    gens: Tuple[Automorphism, ...] = ()
+    total: int = 0
+    dim: int = 0
+    prods: tuple = ()
+
+
+def add_generator(chars: CharacterSum, g: Automorphism) -> CharacterSum:
+    """chars extended by g: g's trace plus tr(p∘g) for each kept product p, and
+    the products extended by g.  A generator of order other than 1 or 2 is
+    rejected, and a sum not divisible by 2^k raises."""
+    if g.order not in (1, 2):
+        raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
+    was_pi = all(h.pi is not None for h in chars.gens)
+    pi, prods = was_pi and g.pi is not None, list(chars.prods)
+    if was_pi and not pi:
+        prods = [_pi_cols(p) for p in prods]
+    x = g.pi if pi else g.cols
+    new = [(_pi_compose if pi else compose_cols)(p, x) for p in prods]
+    gens = chars.gens + (g,)
+    total = (chars.total if chars.gens else g.table.dim) + g.trace() + sum(
+        map(_pi_trace if pi else _cols_trace, new))
+    den = 2 ** len(gens)
+    if total % den:
+        raise CertificationError(
+            f"character sum {total} of {', '.join(h.descriptor for h in gens)} "
+            f"is not divisible by {den}"
+        )
+    return CharacterSum(gens, total, int(total) // den, tuple(prods + new + [x]))
 
 
 def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
@@ -156,54 +211,21 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
 
     The sum is the trace of the projection prod (1 + g_i)/2 onto the joint
     fixed space, so the value is exact for pairwise commuting generators of
-    order 1 or 2; commutation is the caller's to check.  A generator of any
-    other order is rejected, and a trace sum not divisible by 2^k raises.
-
-    When every generator is diagonal the joint fixed space is spanned by the
-    basis vectors on which every diagonal entry is +1, so the value is their
-    count, with no product or trace.  A diagonal entry other than +1 or -1
-    cannot come from an involution and raises, as the divisibility check
-    does on the generic path.
+    order 1 or 2; commutation is the caller's to check.  It is add_generator
+    folded over gens from the empty tuple.
     """
     if not gens:
         raise ValueError("joint_fixed_dim needs at least one generator")
-    for g in gens:
-        if g.order not in (1, 2):
-            raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
-    diags = [g.diagonal for g in gens]
-    if all(d is not None for d in diags):
-        for g, d in zip(gens, diags):
-            if not _SIGNS.issuperset(d):
-                j = next(j for j, e in enumerate(d) if e not in _SIGNS)
-                raise CertificationError(
-                    f"{g.descriptor}: diagonal entry {d[j]} at "
-                    f"{g.table.basis_label(j)} is not +1 or -1"
-                )
-        # the least sign at j is +1 exactly where every sign is +1, else -1
-        return (len(diags[0]) + sum(map(min, zip(*diags)))) // 2
-    total = gens[0].table.dim
-    prods: List[Cols] = []  # products of the nonempty subsets of earlier generators
-    for i, g in enumerate(gens):
-        total += g.trace() + sum(_product_trace(p, g.cols) for p in prods)
-        if i + 1 < len(gens):
-            prods += [compose_cols(p, g.cols) for p in prods] + [g.cols]
-    den = 2 ** len(gens)
-    if total % den:
-        raise CertificationError(
-            f"character sum {total} of {', '.join(g.descriptor for g in gens)} "
-            f"is not divisible by {den}"
-        )
-    return int(total) // den
+    return reduce(add_generator, gens, CharacterSum()).dim
 
 
-def _signed_permutation(cols: Cols) -> Optional[Tuple[int, ...]]:
-    """pi when every column j is {pi(j): +-1} and pi is a bijection, else None."""
+def _signed_permutation(cols: Cols) -> Optional[Pi]:
+    """(pi, signs) when every column j is {pi(j): +-1} and pi is a bijection, else None."""
     if not all(len(col) == 1 for col in cols):
         return None
     perm = tuple(target for col in cols for target in col)
-    if set(perm) != set(range(len(cols))):
-        return None
-    return perm if _SIGNS.issuperset(e for col in cols for e in col.values()) else None
+    signs = tuple(e for col in cols for e in col.values())
+    return (perm, signs) if set(perm) == set(range(len(cols))) and _SIGNS.issuperset(signs) else None
 
 
 def make_automorphisms(
@@ -214,10 +236,10 @@ def make_automorphisms(
     Entry n of the result is the n-th candidate's automorphism, or the
     CertificationError that make_automorphism would raise for it.  Signed
     permutations that share one pi share one ``table.signed_permutation_flags``
-    walk; a member it flags, and every other shape, runs the generic
-    ``table.homomorphism_defect``, which names the first failing pair; the
-    order is certified per member.  The batch is read once, so a generator's
-    columns can be freed as soon as they are copied.
+    walk and keep pi and their signs; a member it flags, and every other
+    shape, runs the generic ``table.homomorphism_defect``, which names the
+    first failing pair; the order is certified per member.  The batch is read
+    once, so a generator's columns can be freed as soon as they are copied.
     """
     dim = table.dim
     descriptors: List[str] = []
@@ -225,38 +247,36 @@ def make_automorphisms(
     for cols, descriptor in batch:
         descriptors.append(descriptor)
         cleaned.append(tuple(map(_clean, cols)) if len(cols) == dim else None)
+    pis = [None if cc is None else _signed_permutation(cc) for cc in cleaned]
     by_perm: Dict[Tuple[int, ...], List[int]] = {}
-    for n, cc in enumerate(cleaned):
-        perm = None if cc is None else _signed_permutation(cc)
-        if perm is not None:
-            by_perm.setdefault(perm, []).append(n)
+    for n, pi in enumerate(pis):
+        if pi is not None:
+            by_perm.setdefault(pi[0], []).append(n)
     generic = set(range(len(cleaned))).difference(*by_perm.values())
     for perm, members in by_perm.items():
         bits = [0] * dim
         for m, n in enumerate(members):
-            for j, col in enumerate(cleaned[n]):
-                if col[perm[j]] < 0:
-                    bits[j] |= 1 << m
+            bits = [b | (s < 0) << m for b, s in zip(bits, pis[n][1])]
         flags = table.signed_permutation_flags(perm, bits, (1 << len(members)) - 1)
         generic.update(n for m, n in enumerate(members) if flags >> m & 1)
     out: List[Union[Automorphism, CertificationError]] = []
     for n, (descriptor, cc) in enumerate(zip(descriptors, cleaned)):
         try:
-            out.append(_certify(table, cc, descriptor, n in generic))
+            out.append(_certify(table, cc, descriptor, n in generic, pis[n]))
         except CertificationError as exc:
             out.append(exc)
     return out
 
 
-def _cycle_order(cols: Cols) -> int:
-    """Order of the signed permutation cols[j] = {pi(j): s_j}, from pi's cycles."""
-    order, seen = 1, [False] * len(cols)
-    for j in range(len(cols)):
+def _cycle_order(a: Pi) -> int:
+    """Order of the signed permutation (pi, signs), from pi's cycles."""
+    perm, signs = a
+    order, seen = 1, [False] * len(perm)
+    for j in range(len(perm)):
         length, sign, k = 0, 1, j
         while not seen[k]:
             seen[k] = True
-            ((k, s),) = cols[k].items()
-            length, sign = length + 1, sign * s
+            length, sign, k = length + 1, sign * signs[k], perm[k]
         if length:
             order = lcm(order, length if sign > 0 else 2 * length)
     return order
@@ -270,7 +290,8 @@ def _composed_order(cols: Cols) -> int:
     return order
 
 
-def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic: bool) -> Automorphism:
+def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic: bool,
+             pi: Optional[Pi]) -> Automorphism:
     if cc is None:
         raise CertificationError(f"{descriptor}: expected {table.dim} columns")
     defect = table.homomorphism_defect(cc) if generic else None
@@ -279,10 +300,10 @@ def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic
             f"{descriptor}: homomorphism fails at basis pair "
             f"({table.basis_label(defect[0])}, {table.basis_label(defect[1])})"
         )
-    order = _composed_order(cc) if generic else _cycle_order(cc)
+    order = _composed_order(cc) if generic else _cycle_order(pi)
     if order > _ORDER_CAP:
         raise CertificationError(f"{descriptor}: order exceeds cap {_ORDER_CAP}")
-    return Automorphism(table, cc, order, descriptor)
+    return Automorphism(table, cc, order, descriptor, pi)
 
 
 def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
@@ -390,7 +411,7 @@ def omega_automorphism(table: StructureTable) -> Automorphism:
             f"expected exactly one nontrivial diagram involution, found {len(sym)}"
         )
     a = diagram_automorphism(table, sym[0])
-    return Automorphism(a.table, a.cols, a.order, "omega")
+    return Automorphism(a.table, a.cols, a.order, "omega", a.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -398,33 +419,30 @@ def omega_automorphism(table: StructureTable) -> Automorphism:
 # ---------------------------------------------------------------------------
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a∘b, re-certified from scratch."""
+    """a∘b, re-certified from scratch; signed permutations compose by pi."""
     if a.table is not b.table:
         raise ValueError("automorphisms live on different algebras")
-    cols = compose_cols(a.cols, b.cols)
+    pi = None if a.pi is None or b.pi is None else _pi_compose(a.pi, b.pi)
+    cols = compose_cols(a.cols, b.cols) if pi is None else _pi_cols(pi)
     return make_automorphism(a.table, cols, f"{a.descriptor}*{b.descriptor}")
 
 
 def commutes(a: Automorphism, b: Automorphism) -> bool:
     """a∘b == b∘a, exactly.
 
-    When one factor is diagonal with entries d, column j of the two products
-    is the other factor's column j with entry r scaled by d_r and by d_j, so
-    they commute exactly when d_r == d_j for every r in the support of every
-    column: O(nnz), with no composition.  Otherwise the products are compared
-    one column at a time up to the first column that differs.
+    Two signed permutations compare their products by pi and signs, O(dim)
+    with no columns, and two diagonal ones commute at once.  Otherwise the
+    products are compared one column at a time up to the first difference.
     """
     if a.table is not b.table:
         raise ValueError("automorphisms live on different algebras")
-    if a.diagonal is None:
-        a, b = b, a
-    d = a.diagonal
-    if d is None:
+    if a.pi is None or b.pi is None:
         return products_equal(a.cols, b.cols, b.cols, a.cols)
-    if b.diagonal is not None:
-        return True  # each column's support is {j}, where d_j == d_j
-    # a zero entry, which only a forged column holds, drops out of both products
-    return all(dj == d[r] or not v for dj, col in zip(d, b.cols) for r, v in col.items())
+    if _diagonal(b.pi):
+        a, b = b, a
+    if _diagonal(a.pi):  # the products agree at j exactly when d_pi(j) == d_j
+        return _diagonal(b.pi) or itemgetter(*b.pi[0])(a.pi[1]) == a.pi[1]
+    return _pi_compose(a.pi, b.pi) == _pi_compose(b.pi, a.pi)
 
 
 @dataclass(frozen=True)
@@ -496,7 +514,10 @@ def weyl_lift(table: StructureTable, i: int) -> Automorphism:
 
 
 def inverse_cols(w: Automorphism) -> Cols:
-    """Columns of w^{-1} = w^(order - 1), from the certified order of w."""
+    """Columns of w^{-1}: column pi(j) is {j: s_j} for a signed permutation,
+    else w^(order - 1) from the certified order of w."""
+    if w.pi is not None:
+        return tuple({j: s} for _, j, s in sorted(zip(w.pi[0], range(len(w.cols)), w.pi[1])))
     inv = w.cols
     for _ in range(w.order - 2):
         inv = compose_cols(w.cols, inv)

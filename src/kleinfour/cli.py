@@ -115,6 +115,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common], help="run verification scenarios")
     verify.add_argument("scenario", choices=("all",) + tuple(sorted(SCENARIOS)))
+    for command in sub.choices.values():  # main's checks print the subcommand's usage
+        command.set_defaults(usage_error=command.error)
     return p
 
 
@@ -258,20 +260,20 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
+    error = args.usage_error
     if args.command in ("search", "verify") and args.type != "E6":
-        parser.error(f"{args.command} supports only --type E6, got {args.type}: "
-                     "its class invariants and census counts are E6 facts")
+        error(f"{args.command} supports only --type E6, got {args.type}: "
+              "its class invariants and census counts are E6 facts")
     if args.command == "realform" and len(args.auto) > 2:
-        parser.error("realform takes at most two --auto generators")
+        error("realform takes at most two --auto generators")
     for text in getattr(args, "auto", []) + ([args.theta] if args.command == "realform" else []):
         try:
             read_descriptor(text, int(args.type[1:]))
         except ValueError as exc:
-            parser.error(str(exc))
+            error(str(exc))
     if args.command == "roots" and args.bless and not args.golden_dir:
-        parser.error("--bless needs --golden-dir")
+        error("--bless needs --golden-dir")
     handlers = {
         "roots": _cmd_roots,
         "fixed": _cmd_fixed,

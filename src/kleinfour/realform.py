@@ -359,10 +359,10 @@ def cartan_decomposition(
             )
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
-    # with no generators every vector is fixed, and the whole algebra is closed
-    fixed = subalgebra_from_vectors(
-        cb, joint_eigenspace(cb.dim, gcols, 1), check_closed=bool(gens)
-    )
+    # with no generators the fixed algebra is the whole algebra: its unit rows
+    # are already in RREF, and it is closed
+    fixed = (subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, gcols, 1)) if gens
+             else Subalgebra(cb, [{i: 1} for i in range(cb.dim)], range(cb.dim)))
 
     def part(eigen: int) -> Subalgebra:
         """Vectors of the fixed algebra that theta multiplies by eigen."""

@@ -25,18 +25,15 @@ identity.  One enumerator (_commuting_tuples) walks the pairwise commuting
 tuples of distinct census involutions, one per requested class, depth first in
 census order, so identical inputs find identical first configurations.
 
-Both per-tuple gates are exact and need no elimination.  Commutation
-(autos.commutes) with a torus involution, which is diagonal, compares its
-signs on the other factor's support; two outer rows compare their products
-column by column up to the first difference.  Each tuple carries its
-character dimension (autos.joint_fixed_dim): for pairwise commuting
-involutions g_1..g_k the joint fixed space has dimension
-2^-k * sum over subsets S of tr(prod of S), and for an all-torus tuple this
-is the count of basis vectors on which every sign is +1.  Fixed spaces only
-shrink as generators are added, so the enumerator does not extend a partial
-tuple whose character dimension is already below its floor (the target
-dimension of a search).  A tuple whose character dimension differs from the
-target is never passed to fixed_subalgebra and identify_type.  This is exact:
+Both per-tuple gates are exact and need no elimination: commutation
+(autos.commutes, by pi and signs on census rows) and the character dimension
+(autos.joint_fixed_dim).  For pairwise commuting involutions g_1..g_k the
+joint fixed space has dimension 2^-k * sum over subsets S of tr(prod of S),
+and the enumerator keeps each prefix's sum (autos.add_generator).  Fixed
+spaces only shrink as generators are added, so a partial tuple whose
+character dimension is below its floor (the target dimension of a search)
+is not extended, and a tuple whose character dimension differs from the
+target never reaches fixed_subalgebra and identify_type.  This is exact:
 identify_type's dimension accounting ties the printed type to the
 subalgebra's dimension, so such a tuple could never have matched.  A tuple
 that passes still goes through the full closure check and identification,
@@ -55,11 +52,15 @@ from .autos import (
     Automorphism,
     CertificationError,
     Cols,
+    CharacterSum,
     _apply_cols,
     _cycle_order,
+    _diagonal,
+    _pi_cols,
+    _pi_compose,
+    add_generator,
     commutes,
     compose,
-    compose_cols,
     inverse_cols,
     joint_fixed_dim,
     make_automorphisms,
@@ -193,10 +194,14 @@ def _fingerprint_index(tuples, gens: Sequence[int]) -> Dict[tuple, int]:
 
 def _conjugate_key(g: Automorphism, g_inv_gens: Sequence[dict], xs) -> tuple:
     """The fingerprint of (g x_i g^-1) on the generators whose columns of g^-1
-    are g_inv_gens, read off the columns of g and x_i (no product is built)."""
-    at = range(len(g_inv_gens))
-    return sum((_fingerprint([_apply_cols(g.cols, _apply_cols(x.cols, c)) for c in g_inv_gens],
-                             at) for x in xs), ())
+    are g_inv_gens, read off g and x_i (no product is built): by pi and signs
+    when g and every x_i have them, else off their columns."""
+    if g.pi is None or any(x.pi is None for x in xs):
+        images = lambda x: [_apply_cols(g.cols, _apply_cols(x.cols, c)) for c in g_inv_gens]
+    else:  # g^-1 e_k = t e_m, x e_m = s_x(m) e_x(m), g e_x(m) = s_g(x(m)) e_g(x(m))
+        (pg, sg), steps = g.pi, [next(iter(c.items())) for c in g_inv_gens]
+        images = lambda x: [{pg[x.pi[0][m]]: t * x.pi[1][m] * sg[x.pi[0][m]]} for m, t in steps]
+    return sum((_fingerprint(images(x), range(len(g_inv_gens))) for x in xs), ())
 
 
 def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
@@ -226,7 +231,7 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
             n = stack.pop()
             xs = tuples[n]
             for g, g_inv_gens in conjugators:
-                if g.diagonal is not None and all(x.diagonal is not None for x in xs):
+                if _diagonal(g.pi) and all(_diagonal(x.pi) for x in xs):
                     continue  # diagonal matrices commute: g x g^-1 is x
                 m = index.get(_conjugate_key(g, g_inv_gens, xs))
                 if m is None or labels[m] is not None:
@@ -248,7 +253,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
     (_label_by_conjugacy); a row that no orbit reaches is split itself.
     """
     table = ctx.table
-    omega = ctx.automorphism("omega").cols
+    omega = ctx.automorphism("omega")
     # all 64 torus columns, torus:0,...,0 (the identity) first, as one batch
     tori = ctx.certify(torus_columns(table, bits) for bits in product((0, 1), repeat=table.rank))
 
@@ -256,9 +261,9 @@ def involution_census(ctx: "VerifyContext") -> Census:
         # a twist's factors are certified signed permutations, and so is the twist;
         # one of order above 2 is an automorphism but no involution: it is not certified
         for t in tori:
-            cols = compose_cols(omega, t.cols)
-            if _cycle_order(cols) <= 2:
-                yield cols, "omega*" + t.descriptor
+            twist = _pi_compose(omega.pi, t.pi)
+            if _cycle_order(twist) <= 2:
+                yield _pi_cols(twist), "omega*" + t.descriptor
 
     realform_names: Dict[str, str] = {}
 
@@ -317,26 +322,26 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
     """Pairwise commuting tuples of distinct census involutions, one per class.
 
     Yields (descriptors, automorphisms, joint_fixed_dim) in census order,
-    depth first.  A partial tuple whose character dimension is below
-    ``floor`` is not extended: fixed spaces only shrink as generators are
-    added, so none of its extensions reaches ``floor`` either.
+    depth first; each prefix keeps its character sum (autos.add_generator).
+    A partial tuple whose character dimension is below ``floor`` is not
+    extended: fixed spaces only shrink as generators are added, so none of
+    its extensions reaches ``floor`` either.
     """
     pools = [[r for r in ctx.census.rows if r.label == lab] for lab in class_labels]
 
-    def extend(descs: List[str], autos: List[Automorphism]):
+    def extend(descs: List[str], chars: CharacterSum):
         for row in pools[len(descs)]:
             x = row.automorphism
             # "is", not "in": "in" would compare the columns (Automorphism.__eq__)
-            if any(x is c for c in autos) or not all(commutes(c, x) for c in autos):
+            if any(x is c for c in chars.gens) or not all(commutes(c, x) for c in chars.gens):
                 continue
-            chosen, gens = descs + [row.descriptor], autos + [x]
-            dim = joint_fixed_dim(gens)
+            chosen, more = descs + [row.descriptor], add_generator(chars, x)
             if len(chosen) == len(pools):
-                yield chosen, gens, dim
-            elif dim >= floor:
-                yield from extend(chosen, gens)
+                yield chosen, list(more.gens), more.dim
+            elif more.dim >= floor:
+                yield from extend(chosen, more)
 
-    yield from extend([], [])
+    yield from extend([], CharacterSum())
 
 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:

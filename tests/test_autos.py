@@ -202,16 +202,22 @@ def _census_autos(ctx, kind):
 
 
 def test_diagonal_is_read_from_the_columns(ctx):
+    """A certified signed permutation keeps the pi and signs of its columns; a
+    diagonal is pi = identity.  Other shapes, and objects built by hand, have
+    neither."""
+    ident = tuple(range(78))
     for a in _census_autos(ctx, "inner"):
-        assert a.diagonal == tuple(col[j] for j, col in enumerate(a.cols)), a
-    assert all(a.diagonal is None for a in _census_autos(ctx, "outer"))
-    assert weyl_lift(ctx.table, 0).diagonal is None
-    assert identity_automorphism(ctx.table).diagonal == (1,) * 78
+        assert a.pi == (ident, tuple(col[j] for j, col in enumerate(a.cols))), a
+    for a in _census_autos(ctx, "outer") + [omega_automorphism(ctx.table)]:
+        perm, signs = a.pi
+        assert a.pi == _signed_permutation(a.cols) and perm != ident, a
+        assert signs == tuple(col[p] for col, p in zip(a.cols, perm)), a
+    assert weyl_lift(ctx.table, 0).pi is None
+    assert identity_automorphism(ctx.table).pi == (ident, (1,) * 78)
     torus = ctx.automorphism("torus:0,1,0,0,0,0")
-    # the descriptor plays no part, and a zero on the diagonal disqualifies
-    assert Automorphism(ctx.table, torus.cols, 2, "omega").diagonal == torus.diagonal
-    zeroed = ({0: 0},) + torus.cols[1:]
-    assert Automorphism(ctx.table, zeroed, 2, "torus:0,1,0,0,0,0").diagonal is None
+    # the descriptor plays no part in the certificate, and a hand-built copy has no pi
+    assert parse_descriptor(ctx.table, "omega").pi == omega_automorphism(ctx.table).pi
+    assert Automorphism(ctx.table, torus.cols, 2, "torus:0,1,0,0,0,0").pi is None
 
 
 def test_commutes_matches_full_products(ctx, cross_check_bases):
@@ -237,6 +243,51 @@ def test_commutes_matches_full_products(ctx, cross_check_bases):
             assert commutes(a, b) == commutes(b, a) == want, (a, b)
             seen.add(want)
         assert seen == outcomes
+
+
+def _column_copy(a):
+    """a built by hand: no pi, so every rule takes the column path."""
+    return Automorphism(a.table, a.cols, a.order, a.descriptor)
+
+
+def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
+    """Each pi rule gives what the column rule gives: compose, product trace and
+    commutes on every ordered pair of census rows, trace, inverse and cycle
+    order on every row and on signed permutations of order 3 and 4.  The six
+    Weyl lifts and the conjugated involution have no pi, so they check that
+    the column path is taken against the rows."""
+    rows = [r.automorphism for r in ctx.census.rows]
+    dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
+    assert all(a.pi is not None for a in rows) and all(w.pi is None for w in dense)
+    copies = {id(a): _column_copy(a) for a in rows}
+    # signed permutations of order 3 and 4, whose inverse is not themselves
+    d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
+    om, tori = omega_automorphism(ctx.table), itertools.product((0, 1), repeat=6)
+    higher = [diagram_automorphism(d4, (2, 1, 3, 0))]
+    higher += [t for t in (compose(om, torus_involution(ctx.table, c)) for c in tori) if t.order == 4]
+    assert {a.order for a in higher} == {3, 4}
+    for a in rows + dense + higher:
+        col_trace = sum(col.get(j, 0) for j, col in enumerate(a.cols))
+        assert a.trace() == _column_copy(a).trace() == col_trace, a
+        assert inverse_cols(a) == inverse_cols(_column_copy(a)), a
+        if a.pi is not None:
+            assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
+    for a, b in itertools.product(rows, rows):
+        pi, ab = autos._pi_compose(a.pi, b.pi), compose_cols(a.cols, b.cols)
+        assert autos._pi_cols(pi) == ab, (a, b)
+        assert autos._pi_trace(pi) == sum(col.get(j, 0) for j, col in enumerate(ab)), (a, b)
+        assert commutes(a, b) == commutes(copies[id(a)], copies[id(b)]), (a, b)
+    rng = random.Random(29)
+    for a, b in [(rng.choice(rows), rng.choice(rows)) for _ in range(6)]:
+        ab = compose(a, b)  # recertified: a signed-permutation product takes the shape path
+        assert ab.cols == compose_cols(a.cols, b.cols) and ab.pi is not None
+    for n, w in enumerate(dense):
+        for a in rng.sample(rows, 6):
+            for x, y in ((w, a), (a, w)):
+                assert commutes(x, y) == _reference_commutes(x, y)
+                if n < 6:  # a product with the conjugated involution can have infinite order
+                    xy = compose(x, y)
+                    assert xy.cols == compose_cols(x.cols, y.cols) and xy.pi is None
 
 
 def _forged(e6, cols, name):
@@ -389,19 +440,22 @@ def test_joint_fixed_dim_of_torus_tuples_matches_joint_parity_oracle(ctx):
     rng = random.Random(23)
     tuples = list(itertools.combinations(tori, 2)) + [tuple(rng.sample(tori, 3)) for _ in range(200)]
     for gens in tuples:
+        # a hand-built copy has no pi, so it takes the column path
         generic = [Automorphism(g.table, g.cols, g.order, g.descriptor) for g in gens]
-        for g in generic:
-            g.diagonal = None  # takes the trace formula
+        assert all(g.pi is None for g in generic)
         want = joint_parity_fixed_dim([_bits(g.descriptor) for g in gens])
         assert joint_fixed_dim(gens) == joint_fixed_dim(generic) == want, gens
 
 
 def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):
+    """An entry 3 on the diagonal cannot reach a pi rule: a hand-built copy never
+    gets a pi, and make_automorphisms rejects the columns."""
     torus = torus_involution(e6, (0, 1, 0, 0, 0, 0))
-    forged = _forged(e6, [{j: 3 if j == 10 else d} for j, d in enumerate(torus.diagonal)], "forged")
-    for gens in ([forged], [torus, forged]):
-        with pytest.raises(CertificationError, match=r"forged: diagonal entry 3 at .* not \+1 or -1"):
-            joint_fixed_dim(gens)
+    cols = [{j: 3 if j == 10 else s} for j, s in enumerate(torus.pi[1])]
+    assert _forged(e6, cols, "forged").pi is None
+    (got,) = make_automorphisms(e6, [(cols, "forged")])
+    assert isinstance(got, CertificationError)
+    assert str(got).startswith("forged: homomorphism fails at basis pair")
 
 
 def test_fixed_plus_antifixed_fills_algebra(e6):
@@ -692,8 +746,8 @@ def test_batch_isolates_a_corrupted_member(ctx, monkeypatch, corrupt):
     for n, (a, (cols, descriptor)) in enumerate(zip(got, batch)):
         if n != bad:
             single = make_automorphism(table, cols, descriptor)
-            assert (a.cols, a.order, a.diagonal, a.descriptor) == (
-                single.cols, single.order, single.diagonal, single.descriptor), descriptor
+            assert (a.cols, a.order, a.pi, a.descriptor) == (
+                single.cols, single.order, single.pi, single.descriptor), descriptor
 
 
 def test_e7_torus_gradings_certify_in_one_batch():
@@ -704,8 +758,8 @@ def test_e7_torus_gradings_certify_in_one_batch():
     got = make_automorphisms(table, batch)
     for a, (cols, descriptor) in zip(got, batch):
         single = make_automorphism(table, cols, descriptor)
-        assert (a.cols, a.order, a.diagonal, a.descriptor) == (
-            single.cols, single.order, single.diagonal, single.descriptor), descriptor
+        assert (a.cols, a.order, a.pi, a.descriptor) == (
+            single.cols, single.order, single.pi, single.descriptor), descriptor
     assert sum(a.is_identity() for a in got) == 1
     assert len({tuple(tuple(c.items()) for c in a.cols) for a in got if not a.is_identity()}) == 63
     for a in random.Random(127).sample(got, 3):
@@ -733,6 +787,11 @@ def test_parse_descriptor_roundtrip(e6):
 
 # -- orders of signed permutations and the identity --------------------------------
 
+def _pi_of(cols):
+    """(pi, signs) of single-entry columns."""
+    return tuple(next(iter(c)) for c in cols), tuple(next(iter(c.values())) for c in cols)
+
+
 def test_cycle_orders_match_the_composing_loop(e6):
     """The cycle rule gives the composing loop's order on every signed
     permutation the package builds: the E6 tori, all 64 omega-twists (some of
@@ -749,8 +808,8 @@ def test_cycle_orders_match_the_composing_loop(e6):
     autos_built += [omega_automorphism(a5), diagram_automorphism(d4, (2, 1, 3, 0))]
     assert len(autos_built) == 64 + 64 + 127 + 2
     for a in autos_built:
-        assert _signed_permutation(a.cols) is not None, a.descriptor
-        assert autos._cycle_order(a.cols) == autos._composed_order(a.cols) == a.order
+        assert _signed_permutation(a.cols) == a.pi, a.descriptor
+        assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
     assert {a.order for a in twists} == {2, 4}
     assert autos_built[-1].order == 3
 
@@ -758,8 +817,8 @@ def test_cycle_orders_match_the_composing_loop(e6):
 def test_cycle_order_of_a_cycle_with_sign_product_minus_one():
     # e0 -> e1 -> -e2 -> e0: the third power is -1 on the cycle, the sixth is 1
     cols = ({1: 1}, {2: -1}, {0: 1}, {3: -1}, {4: 1})
-    assert autos._cycle_order(cols) == 6 == autos._composed_order(cols)
-    assert autos._cycle_order(({1: -1}, {0: -1})) == 2
+    assert autos._cycle_order(_pi_of(cols)) == 6 == autos._composed_order(cols)
+    assert autos._cycle_order(_pi_of(({1: -1}, {0: -1}))) == 2
 
 
 def test_cycle_order_above_the_cap_raises_the_composing_message():
@@ -767,13 +826,13 @@ def test_cycle_order_above_the_cap_raises_the_composing_message():
     # both order paths run on these 18 columns
     perm = tuple(list(range(1, 7)) + [0] + list(range(8, 18)) + [7])
     cols = tuple({p: 1} for p in perm)
-    assert autos._cycle_order(cols) == 77
+    assert autos._cycle_order(_pi_of(cols)) == 77
     assert autos._composed_order(cols) == autos._ORDER_CAP + 1
     stub = SimpleNamespace(dim=18, homomorphism_defect=lambda cc: None)
     messages = []
     for generic in (False, True):
         with pytest.raises(CertificationError) as exc:
-            autos._certify(stub, cols, "synthetic", generic)
+            autos._certify(stub, cols, "synthetic", generic, _pi_of(cols))
         messages.append(str(exc.value))
     assert messages == [f"synthetic: order exceeds cap {autos._ORDER_CAP}"] * 2
 

@@ -126,6 +126,21 @@ def test_torus_coefficients_are_ascii_integers(descriptor):
     assert "bad torus coefficients" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixed", "--auto", "omega*omega"],
+    ["realform", "--theta", "omega"] + ["--auto", "omega"] * 3,
+    ["roots", "--bless"],
+    ["search", "--type", "A2", "--classes", "sigma3,sigma2", "--target", "B4"],
+], ids=lambda argv: argv[0])
+def test_checks_after_parsing_print_the_subcommand_usage(argv):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(argv)
+    assert exc.value.code == 2
+    assert err.getvalue().startswith(f"usage: kleinfour {argv[0]} ")
+    assert f"kleinfour {argv[0]}: error: " in err.getvalue()
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["roots", "--no-such-flag"])

@@ -12,7 +12,8 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour.exactq import symmetric_inertia
+from kleinfour import realform
+from kleinfour.exactq import joint_eigenspace, symmetric_inertia
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.realform import (
     CatalogError,
@@ -149,6 +150,25 @@ def test_identity_theta_gives_compact_form(e6, e6_compact, catalog):
     d = cartan_decomposition(e6_compact, parse_descriptor(e6, "identity"), catalog)
     assert d.signature == (78, 0)
     assert d.name == "e6(-78)"
+
+
+def test_split_of_the_whole_algebra_starts_from_its_unit_rows(ctx, e6_compact, catalog,
+                                                              monkeypatch):
+    """With no generators the fixed algebra is the unit rows, with the rows and
+    pivots that eliminating joint_eigenspace(dim, [], 1) gives; only k and p
+    are eliminated."""
+    cb = e6_compact
+    made, eliminated = [], []
+    real_sub, real_from = realform.Subalgebra, realform.subalgebra_from_vectors
+    monkeypatch.setattr(realform, "Subalgebra", lambda *a: made.append(real_sub(*a)) or made[-1])
+    monkeypatch.setattr(realform, "subalgebra_from_vectors",
+                        lambda t, vs, **k: eliminated.append(len(vs)) or real_from(t, vs, **k))
+    d = cartan_decomposition(cb, ctx.automorphism("torus:0,1,0,0,0,0"), catalog)
+    monkeypatch.undo()
+    (whole,) = made
+    old = real_from(cb, joint_eigenspace(cb.dim, [], 1), check_closed=False)
+    assert (whole.rows, whole.pivots) == (old.rows, old.pivots)
+    assert eliminated == [38, 40] == [d.k_dim, d.p_dim]
 
 
 def test_sigma2_gives_e6_minus_14(e6, e6_compact, catalog):

@@ -241,6 +241,23 @@ def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, mon
         assert key == sum((want[g, x.descriptor] for x in xs), ()), (g, xs)
 
 
+def test_conjugate_key_pi_rule_matches_the_column_path(ctx, census):
+    """The walk key by pi and signs equals the key read off the columns, for
+    every census row and every gated so(9) pair under each torus conjugator;
+    hand-built copies have no pi and take the column path."""
+    table = ctx.table
+    gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
+    copy = lambda a: autos.Automorphism(a.table, a.cols, a.order, a.descriptor)
+    tuples = [(r.automorphism,) for r in census.rows] + list(_so9_pairs(ctx).values())
+    tori = [(g, g_inv) for g, g_inv in census.conjugators if g.pi is not None]
+    assert len(tori) == 6
+    for g, g_inv in tori:
+        g_inv_gens = [g_inv[k] for k in gens]
+        for xs in tuples:
+            assert verify._conjugate_key(g, g_inv_gens, xs) == verify._conjugate_key(
+                copy(g), g_inv_gens, tuple(map(copy, xs))), (g, xs)
+
+
 def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
     """A sigma1 row's fingerprint pointed at a sigma2 row: the walk finds the
     sigma2 row, its column equality fails, and no edge is taken."""
@@ -336,6 +353,36 @@ def test_character_dim_matches_fixed_subalgebra(ctx, labels):
         assert len(set(descs)) == len(descs)
         assert all(commutes(x, y) for x, y in combinations(autos, 2))
         assert dim == joint_fixed_dim(autos) == fixed_subalgebra(ctx.table, autos).dim, descs
+
+
+@pytest.mark.parametrize("labels, count", [(["sigma3", "sigma2", "sigma1"], 144),
+                                           (["sigma2", "sigma2", "sigma2"], 17550)],
+                         ids=["sigma3,sigma2,sigma1", "sigma2,sigma2,sigma2"])
+def test_enumerator_dims_match_column_character_sums(ctx, labels, count):
+    """The whole enumeration at floor 0: each tuple's dim is the character sum
+    computed from scratch on the columns, so a prefix state left stale by
+    backtracking would show.  Pair products are kept by identity only to keep
+    the test short; each is a column-path product."""
+    pair_traces, pair_prods = {}, {}
+    product_trace = lambda a, b: sum(v * a[k].get(j, 0) for j, col in enumerate(b)
+                                     for k, v in col.items())
+
+    def pair(a, b):
+        key = (id(a), id(b))
+        if key not in pair_prods:
+            pair_prods[key] = compose_cols(a.cols, b.cols)
+            pair_traces[key] = product_trace(a.cols, b.cols)
+        return key
+
+    seen = 0
+    for _, (a, b, c), dim in verify._commuting_tuples(ctx, labels, 0):
+        total = ctx.table.dim + sum(sum(col.get(j, 0) for j, col in enumerate(x.cols))
+                                    for x in (a, b, c))
+        total += sum(pair_traces[pair(x, y)] for x, y in ((a, b), (a, c), (b, c)))
+        total += product_trace(pair_prods[pair(a, b)], c.cols)
+        assert total == 8 * dim, (a, b, c)
+        seen += 1
+    assert seen == count
 
 
 def test_so9_klein_character_mismatch_raises(ctx, census, monkeypatch):
@@ -584,11 +631,15 @@ def test_generic_search_results_pinned(ctx, classes, target, expected):
     assert got == expected
 
 
-def test_all_torus_search_composes_nothing(ctx, census, monkeypatch):
-    """No product of columns: neither compose_cols nor a column of the
-    generic commutation test."""
+def test_census_searches_compose_no_columns(ctx, census, monkeypatch):
+    """Searches over census rows run on pi rules: neither compose_cols nor a
+    column of the generic commutation test, for every pinned search, all-torus
+    or with an outer generator.  The counter is live: a Weyl lift has no pi,
+    so its commutation with an outer row composes columns."""
     from kleinfour.verify import SearchExhausted
 
+    lift = weyl_lift(ctx.table, 0)
+    outer = next(r.automorphism for r in census.rows if r.kind == "outer")
     calls = []
     for name in ("compose_cols", "_apply_cols"):
         real = getattr(autos, name)
@@ -598,12 +649,13 @@ def test_all_torus_search_composes_nothing(ctx, census, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(autos, name, counting)
-    with pytest.raises(SearchExhausted):
-        search_configuration(ctx, ["sigma2", "sigma2", "sigma2"], "B3")
+    for classes, target, _ in SEARCH_PINS:
+        try:
+            search_configuration(ctx, classes, target)
+        except SearchExhausted:
+            pass
     assert calls == []
-    # the counter is live: a search with an outer generator composes
-    with pytest.raises(SearchExhausted):
-        search_configuration(ctx, ["sigma3", "sigma4"], "B4")
+    commutes(lift, outer)
     assert "_apply_cols" in calls
 
 
