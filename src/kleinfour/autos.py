@@ -306,12 +306,21 @@ def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic
     return Automorphism(table, cc, order, descriptor, pi)
 
 
+def certify_batch(
+    table: StructureTable, batch: Iterable[Tuple[Sequence[dict], str]]
+) -> List[Automorphism]:
+    """make_automorphisms on batch; the first candidate that fails raises its
+    CertificationError."""
+    out = make_automorphisms(table, batch)
+    for got in out:
+        if isinstance(got, CertificationError):
+            raise got
+    return out
+
+
 def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
-    """Certify and wrap one candidate: make_automorphisms on a batch of one."""
-    (got,) = make_automorphisms(table, [(cols, descriptor)])
-    if isinstance(got, CertificationError):
-        raise got
-    return got
+    """Certify and wrap one candidate: a batch of one."""
+    return certify_batch(table, [(cols, descriptor)])[0]
 
 
 def identity_automorphism(table: StructureTable) -> Automorphism:
@@ -399,19 +408,17 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
 
 
 def omega_automorphism(table: StructureTable) -> Automorphism:
-    """The unique nontrivial involutive diagram automorphism, when it exists."""
-    sym = [
-        p
-        for p in diagram_symmetries(table.rs.cartan)
-        if p != tuple(range(table.rank))
-        and all(p[p[i]] == i for i in range(table.rank))
-    ]
-    if len(sym) != 1:
-        raise ValueError(
-            f"expected exactly one nontrivial diagram involution, found {len(sym)}"
-        )
-    a = diagram_automorphism(table, sym[0])
-    return Automorphism(a.table, a.cols, a.order, "omega", a.pi)
+    """The unique nontrivial involutive diagram automorphism, when it exists;
+    certified on the first call and kept on the table."""
+    if table.omega is None:
+        n = table.rank
+        sym = [p for p in diagram_symmetries(table.rs.cartan)
+               if p != tuple(range(n)) and all(p[p[i]] == i for i in range(n))]
+        if len(sym) != 1:
+            raise ValueError(f"expected exactly one nontrivial diagram involution, found {len(sym)}")
+        a = diagram_automorphism(table, sym[0])
+        table.omega = Automorphism(table, a.cols, a.order, "omega", a.pi)
+    return table.omega
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .autos import make_klein, read_descriptor
 from .identify import fixed_subalgebra, identify_type, type_dim
-from .realform import cartan_decomposition, load_catalog, real_fixed_subalgebra
+from .realform import cartan_decomposition, load_catalog
 from .rootsys import (
     CartanMatrixError,
     cartan_matrix,
@@ -57,7 +57,8 @@ def _class_labels(text: str) -> List[str]:
     return labels
 
 
-def _target(text: str) -> Tuple[str, Optional[int]]:
+def _target(text: str) -> str:
+    """The type label of a target such as B4 or B4:36; the dimension is checked."""
     target, colon, dim_s = text.partition(":")
     if colon and not (dim_s.isascii() and dim_s.isdigit()):
         raise argparse.ArgumentTypeError(
@@ -71,7 +72,7 @@ def _target(text: str) -> Tuple[str, Optional[int]]:
         raise argparse.ArgumentTypeError(
             f"target {text!r}: {target} has dimension {dim}, not {dim_s}"
         )
-    return target, int(dim_s) if colon else None
+    return target
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -202,12 +203,10 @@ def _cmd_identify(args) -> int:
 def _cmd_realform(args) -> int:
     ctx = _context(args)
     theta = ctx.automorphism(args.theta)
-    if not args.auto:
-        desc = cartan_decomposition(ctx.cb, theta, ctx.catalog)
-    else:
-        gens = [ctx.automorphism(d) for d in args.auto]
-        gamma = gens[0] if len(gens) == 1 else make_klein(gens[0], gens[1])
-        desc = real_fixed_subalgebra(ctx.cb, gamma, theta, ctx.catalog)
+    gens = [ctx.automorphism(d) for d in args.auto]
+    if len(gens) == 2:
+        make_klein(*gens)  # the Klein four axioms, each with its own message
+    desc = cartan_decomposition(ctx.cb, theta, ctx.catalog, gens)
     payload = {
         "theta": desc.theta,
         "fixed_of": list(desc.fixed_of),
@@ -228,8 +227,7 @@ def _cmd_realform(args) -> int:
 
 def _cmd_search(args) -> int:
     ctx = _context(args)
-    target, target_dim = args.target
-    config = search_configuration(ctx, args.classes, target, target_dim)
+    config = search_configuration(ctx, args.classes, args.target)
     payload = {
         "a": config.a,
         "b": config.b,

@@ -49,7 +49,7 @@ class RealFormError(Exception):
     """Compactness, commutation or Hermitian-type precondition failure."""
 
 
-class CatalogMissError(KeyError):
+class CatalogMissError(LookupError):
     """No catalog row for a computed (g_type, k_type, signature) triple."""
 
 

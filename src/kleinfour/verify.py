@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .autos import (
     Automorphism,
@@ -54,23 +54,21 @@ from .autos import (
     Cols,
     CharacterSum,
     _apply_cols,
-    _cycle_order,
     _diagonal,
-    _pi_cols,
-    _pi_compose,
     add_generator,
+    certify_batch,
     commutes,
     compose,
+    compose_cols,
     inverse_cols,
     joint_fixed_dim,
-    make_automorphisms,
     make_klein,
     parse_descriptor,
     products_equal,
     torus_columns,
     weyl_lift,
 )
-from .identify import ReductiveType, Subalgebra, fixed_subalgebra, identify_type, type_dim
+from .identify import Subalgebra, fixed_subalgebra, identify_type, type_dim
 from .realform import (
     Catalog,
     cartan_decomposition,
@@ -97,18 +95,6 @@ class SearchExhausted(Exception):
     """A configuration search ran out of candidates (falsification)."""
 
 
-def _classify(table, auto: Automorphism) -> Tuple[str, Subalgebra, ReductiveType]:
-    """Class label, fixed subalgebra and fixed type of a nonidentity involution.
-
-    The label comes from the (fixed dim, fixed type) invariant pair.
-    """
-    if not auto.is_involution():
-        raise ValueError(f"{auto.descriptor} is not a nonidentity involution")
-    s = fixed_subalgebra(table, [auto])
-    ty = identify_type(s)
-    return _class_label(auto, s.dim, str(ty)), s, ty
-
-
 def _class_label(auto: Automorphism, dim: int, ty: str) -> str:
     """The class whose invariant pair is (dim, ty); CensusError if none is."""
     for label, inv in CLASS_INVARIANTS.items():
@@ -120,8 +106,11 @@ def _class_label(auto: Automorphism, dim: int, ty: str) -> str:
 
 
 def classify_involution(table, auto: Automorphism) -> str:
-    """Class label from the (fixed dim, fixed type) invariant pair."""
-    return _classify(table, auto)[0]
+    """Class label of a nonidentity involution, from its (fixed dim, fixed type) pair."""
+    if not auto.is_involution():
+        raise ValueError(f"{auto.descriptor} is not a nonidentity involution")
+    s = fixed_subalgebra(table, [auto])
+    return _class_label(auto, s.dim, str(identify_type(s)))
 
 
 def check_class_labels(class_labels: Sequence[str]) -> None:
@@ -148,7 +137,7 @@ class CensusRow:
     label: str
     trace_identity_ok: bool
     automorphism: Automorphism = field(compare=False, repr=False)
-    # how the row was labelled: "generic" (classified by _classify), or
+    # how the row was labelled: "generic" (classified from its real-form split), or
     # (g, x): conjugate by g of the census row with descriptor x, certified
     # by row∘g == g∘x.  Not part of the row's value.
     provenance: Union[str, Tuple[str, str]] = field(default="generic", compare=False)
@@ -166,19 +155,17 @@ class Census:
     conjugators: Sequence[Tuple[Automorphism, Cols]] = field(default=(), compare=False, repr=False)
 
 
-def _conjugators(ctx: "VerifyContext") -> Tuple[Tuple[Automorphism, Cols], ...]:
+def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Tuple[Automorphism, Cols], ...]:
     """Certified inner automorphisms the census conjugates by, with inverses.
 
-    The Weyl lifts of the simple reflections and the simple torus involutions
-    (census rows already); each inverse comes from the certified order.
+    The Weyl lifts of the simple reflections and the simple torus involutions,
+    read from tori, the census's batch of all torus involutions in bit order
+    (bit i alone set is entry 2^(rank-1-i)); each inverse comes from the
+    certified order.
     """
-    table = ctx.table
     rank = table.rank
     gens = [weyl_lift(table, i) for i in range(rank)]
-    gens += [
-        ctx.automorphism("torus:" + ",".join("1" if j == i else "0" for j in range(rank)))
-        for i in range(rank)
-    ]
+    gens += [tori[2 ** (rank - 1 - i)] for i in range(rank)]
     return tuple((g, inverse_cols(g)) for g in gens)
 
 
@@ -255,15 +242,12 @@ def involution_census(ctx: "VerifyContext") -> Census:
     table = ctx.table
     omega = ctx.automorphism("omega")
     # all 64 torus columns, torus:0,...,0 (the identity) first, as one batch
-    tori = ctx.certify(torus_columns(table, bits) for bits in product((0, 1), repeat=table.rank))
-
-    def involutive_twists():
-        # a twist's factors are certified signed permutations, and so is the twist;
-        # one of order above 2 is an automorphism but no involution: it is not certified
-        for t in tori:
-            twist = _pi_compose(omega.pi, t.pi)
-            if _cycle_order(twist) <= 2:
-                yield _pi_cols(twist), "omega*" + t.descriptor
+    tori = certify_batch(table, (torus_columns(table, bits)
+                                 for bits in product((0, 1), repeat=table.rank)))
+    # omega∘t squares to the identity exactly when t commutes with omega (both
+    # have order <= 2); a twist of order above 2 is not certified
+    twists = ((compose_cols(omega.cols, t.cols), "omega*" + t.descriptor)
+              for t in tori if commutes(omega, t))
 
     realform_names: Dict[str, str] = {}
 
@@ -275,8 +259,8 @@ def involution_census(ctx: "VerifyContext") -> Census:
 
     # generators: a batch drops each candidate's columns once it has copied them
     found = [("inner", a) for a in tori[1:]]
-    found += [("outer", a) for a in ctx.certify(involutive_twists())]
-    conjugators = _conjugators(ctx)
+    found += [("outer", a) for a in certify_batch(table, twists)]
+    conjugators = _conjugators(table, tori)
     labels = _label_by_conjugacy(table, [(a,) for _, a in found], conjugators, classify)
 
     rows: List[CensusRow] = []
@@ -323,14 +307,17 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
 
     Yields (descriptors, automorphisms, joint_fixed_dim) in census order,
     depth first; each prefix keeps its character sum (autos.add_generator).
-    A partial tuple whose character dimension is below ``floor`` is not
-    extended: fixed spaces only shrink as generators are added, so none of
-    its extensions reaches ``floor`` either.
+    Where two consecutive classes are equal, their census positions increase,
+    so a set is yielded once, in the order that comes first.  A partial tuple
+    whose character dimension is below ``floor`` is not extended: fixed
+    spaces only shrink as generators are added, so none of its extensions
+    reaches ``floor`` either.
     """
     pools = [[r for r in ctx.census.rows if r.label == lab] for lab in class_labels]
 
-    def extend(descs: List[str], chars: CharacterSum):
-        for row in pools[len(descs)]:
+    def extend(descs: List[str], chars: CharacterSum, start: int):
+        k = len(descs)
+        for n, row in enumerate(pools[k][start:], start):
             x = row.automorphism
             # "is", not "in": "in" would compare the columns (Automorphism.__eq__)
             if any(x is c for c in chars.gens) or not all(commutes(c, x) for c in chars.gens):
@@ -339,9 +326,9 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
             if len(chosen) == len(pools):
                 yield chosen, list(more.gens), more.dim
             elif more.dim >= floor:
-                yield from extend(chosen, more)
+                yield from extend(chosen, more, n + 1 if class_labels[k + 1] == class_labels[k] else 0)
 
-    yield from extend([], CharacterSum())
+    yield from extend([], CharacterSum(), 0)
 
 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:
@@ -391,33 +378,29 @@ def find_rank3_configuration(ctx: "VerifyContext") -> Configuration:
 
 
 def search_configuration(
-    ctx: "VerifyContext",
-    class_labels: Sequence[str],
-    target_type: str,
-    target_dim: Optional[int] = None,
+    ctx: "VerifyContext", class_labels: Sequence[str], target_type: str
 ) -> Configuration:
     """Generic deterministic search for commuting involution tuples.
 
     ``class_labels`` gives the class of each generator (2 or 3 of them); the
-    joint fixed algebra must identify as ``target_type`` (and match
-    ``target_dim`` when given).  First match in census order wins.
+    joint fixed algebra must identify as ``target_type``.  First match in
+    census order wins.
 
-    The target dimension is ``target_dim``, or else ``type_dim(target_type)``
-    (a malformed label raises ValueError).  A commuting tuple is eliminated
-    and identified only when its character dimension (joint_fixed_dim) equals
-    the target dimension, and partial tuples below it are pruned.  Neither
-    changes the result: a subalgebra of another dimension can never identify
-    as the target type.
+    The target dimension is ``type_dim(target_type)`` (a malformed label
+    raises ValueError).  A commuting tuple is eliminated and identified only
+    when its character dimension (joint_fixed_dim) equals the target
+    dimension, and partial tuples below it are pruned.  Neither changes the
+    result: a subalgebra of another dimension can never identify as the
+    target type.
     """
     check_class_labels(class_labels)
-    want = type_dim(target_type) if target_dim is None else target_dim
+    want = type_dim(target_type)
     for found, autos, dim in _commuting_tuples(ctx, class_labels, want):
         if dim == want and str(identify_type(_gated_fixed(ctx.table, autos, dim))) == target_type:
             break
     else:
         raise SearchExhausted(
-            f"no configuration with classes {list(class_labels)} and fixed type "
-            f"{target_type}{'' if target_dim is None else f' dim {target_dim}'}"
+            f"no configuration with classes {list(class_labels)} and fixed type {target_type}"
         )
     return Configuration(
         a=found[0],
@@ -505,7 +488,6 @@ class VerifyContext:
         self.algebra = algebra
         if catalog is not None:
             self.catalog = catalog
-        self._autos: Dict[str, Automorphism] = {}
 
     @cached_property
     def rs(self):
@@ -541,28 +523,8 @@ class VerifyContext:
         return find_rank3_configuration(self)
 
     def automorphism(self, descriptor: str) -> Automorphism:
-        got = self._autos.get(descriptor)
-        if got is None:
-            text = descriptor.strip()
-            if text.startswith("omega*torus:"):
-                # the cached omega and torus; compose recertifies the product
-                got = compose(self.automorphism("omega"), self.automorphism(text[len("omega*"):]))
-            else:
-                got = parse_descriptor(self.table, descriptor)
-            self._autos[descriptor] = got
-            self._autos.setdefault(got.descriptor, got)
-        return got
-
-    def certify(self, batch: Iterable[Tuple[Sequence[dict], str]]) -> List[Automorphism]:
-        """Certify (columns, descriptor) pairs as one batch (autos.make_automorphisms)
-        and keep each by its descriptor; one already kept is returned instead.
-        The first candidate that fails raises its CertificationError."""
-        kept = []
-        for got in make_automorphisms(self.table, batch):
-            if isinstance(got, CertificationError):
-                raise got
-            kept.append(self._autos.setdefault(got.descriptor, got))
-        return kept
+        """The certified automorphism the descriptor names (autos.parse_descriptor)."""
+        return parse_descriptor(self.table, descriptor)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kleinfour
 from kleinfour.autos import parse_descriptor
@@ -230,6 +231,130 @@ def test_rejected_descriptor_exits_2_with_the_reader_message(args):
     with pytest.raises(ValueError) as raised:
         parse_descriptor(VerifyContext(algebra=algebra).table, args[-1])
     assert f"error: {raised.value}\n" in err.getvalue()
+
+
+def test_catalog_miss_message_is_plain():
+    """A CatalogMissError's message is its text, not the repr KeyError gives."""
+    code, out, err = run_cli(["realform", "--type", "A1", "--theta", "torus:1"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "CatalogMissError",
+        "message": "no real form catalogued for g_type=A1, k_type=A1, signature=(3,0)",
+    }
+
+
+# -- the CLI contract under generated arguments ---------------------------------
+
+TYPES = [f"{letter}{rank}" for letter, ranks in (
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(3, 9)),
+    ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))) for rank in ranks]
+BAD_TYPES = ["E5", "A0", "Z3", "E", "B1", "D2", "A\u0663", "e 6", ""]
+MALFORMED_CATALOGS = {
+    "not_json.json": "{",
+    "list.json": "[]",
+    "forms_not_a_list.json": '{"real_forms": 3}',
+    "row_missing_fields.json": '{"real_forms": [{"g": "E6"}]}',
+    "bool_signature.json": '{"real_forms": [{"g": "E6", "k": "F4", "signature": [true, 26],'
+                           ' "name": "e6(-26)"}]}',
+    "ambiguous.json": '{"real_forms": [{"g": "A1", "k": "A1", "signature": [3, 0], "name": "x"},'
+                      ' {"g": "A1", "k": "A1", "signature": [3, 0], "name": "y"}]}',
+    "bad_so_row.json": '{"real_forms": [{"g": "B2", "k": "A1", "signature": [3, 7],'
+                       ' "name": "so(3,2)"}]}',
+    "empty.json": '{"real_forms": []}',
+}
+
+
+@pytest.fixture(scope="module")
+def catalogs(tmp_path_factory):
+    """Paths of malformed catalogs, of a directory and of a missing file."""
+    root = tmp_path_factory.mktemp("catalogs")
+    for name, text in MALFORMED_CATALOGS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "latin1.json").write_bytes(b'{"real_forms": "\xe9"}')
+    return [str(root / name) for name in [*MALFORMED_CATALOGS, "latin1.json", "missing.json"]] + [
+        str(root)]
+
+
+def _descriptor(draw, rank, bad):
+    """A descriptor of the CLI grammar for the rank, or (bad) one beside it: a
+    torus factor of the wrong arity or with a bad coefficient, or junk."""
+    coeffs = draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "03"]),
+                           min_size=rank, max_size=rank))
+    torus = "torus:" + ",".join(coeffs)
+    if bad:
+        return draw(st.sampled_from([
+            "torus:" + ",".join(coeffs + ["1"]), "torus:" + ",".join(coeffs[1:]), torus + ",x",
+            "omega*" + torus + ",1_0", "omega*omega", "Torus:1", " "]))
+    return draw(st.sampled_from([torus, "omega*" + torus, "omega", "identity", "id"]))
+
+
+COMMANDS = ["roots", "fixed", "identify", "realform", "search", "verify"]
+
+
+@st.composite
+def cli_arguments(draw, command, catalogs):
+    """An argument list for cli.main from the CLI grammar, with at most one
+    part (the fault) drawn from outside it.  search and verify take types
+    other than E6 here: on E6 they are pinned byte for byte by the golden
+    files and the benchmark's expected outputs."""
+    fault = draw(st.sampled_from([None, None, "type", "arguments", "format", "catalog"]))
+    bad = fault == "arguments"
+    if fault == "type":
+        label, rank = draw(st.sampled_from(BAD_TYPES)), 2
+    else:
+        label = draw(st.sampled_from(
+            [t for t in TYPES if t != "E6" or command not in ("search", "verify")]))
+        rank = int(label[1:])
+        label = draw(st.sampled_from([label, label.lower(), label[0] + "0" + label[1:]]))
+    argv = [command, "--type", label]
+    if command == "roots":
+        argv += ["--bless"] if bad else draw(st.sampled_from([[], ["--table"]]))
+    elif command in ("fixed", "identify", "realform"):
+        descs = [_descriptor(draw, rank, False) for _ in range(draw(st.integers(1, 3)))]
+        if bad:
+            descs[draw(st.integers(0, len(descs) - 1))] = _descriptor(draw, rank, True)
+        flags = ["--theta" if command == "realform" and n == 0 else "--auto"
+                 for n in range(len(descs))]
+        argv += [x for f, d in zip(flags, descs) for x in (f, d)]
+    elif command == "search":
+        argv += ["--classes", draw(st.sampled_from(["sigma1", "sigma9,sigma2"] if bad else
+                                                   ["sigma3,sigma2", "sigma2,sigma2,sigma1"])),
+                 "--target", draw(st.sampled_from(["B4:x", "foo"] if bad else ["B4", "B4:36"]))]
+    else:
+        argv += [draw(st.sampled_from(["nope"] if bad else ["all", "census"]))]
+    argv += (["--format", "xml"] if fault == "format"
+             else draw(st.sampled_from([[], ["--format", "json"]])))
+    if fault == "catalog":
+        argv += ["--catalog", draw(st.sampled_from(catalogs))]
+    return argv
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of cli.main; any exception but SystemExit escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_contract_holds_for_generated_arguments(catalogs, command, data):
+    """Exit 0, 1 or 2 and no traceback; exit 1 is exactly one JSON object
+    with error and message on stderr; the same arguments give the same bytes."""
+    argv = data.draw(cli_arguments(command, catalogs))
+    code, out, err = _outcome(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 1:
+        report = json.loads(err)
+        assert isinstance(report, dict) and {"error", "message"} <= set(report), argv
+    assert _outcome(argv) == (code, out, err), argv
 
 
 def test_well_formed_twist_request_exits_0():

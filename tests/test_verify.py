@@ -94,10 +94,27 @@ def test_census_total_and_trace_identity(census):
     assert all(r.trace_identity_ok for r in census.rows)
 
 
-def test_census_certifies_only_the_involutive_twists(ctx, census):
+def _census_batches(ctx, census, monkeypatch):
+    """The descriptors of each batch a census on a fresh context certifies."""
+    batches = []
+    certify = verify.certify_batch
+
+    def recording(table, batch):
+        batch = list(batch)
+        batches.append([d for _, d in batch])
+        return certify(table, batch)
+
+    monkeypatch.setattr(verify, "certify_batch", recording)
+    fresh = VerifyContext(catalog=ctx.catalog)
+    fresh.__dict__.update(table=ctx.table, cb=ctx.cb)
+    assert verify.involution_census(fresh) == census
+    return batches
+
+
+def test_census_certifies_only_the_involutive_twists(ctx, census, monkeypatch):
     """The 48 omega*torus products the census leaves uncertified pass the
     reference certifier and are neither the identity nor an involution; a
-    census on a fresh cache certifies exactly the 16 it keeps."""
+    census on a fresh context certifies exactly the 16 it keeps."""
     table = ctx.table
     identity = tuple({j: 1} for j in range(table.dim))
     kept = [r.descriptor for r in census.rows if r.kind == "outer"]
@@ -111,10 +128,7 @@ def test_census_certifies_only_the_involutive_twists(ctx, census):
         assert cols != identity and compose_cols(cols, cols) != identity, bits
         dropped += 1
     assert dropped == 48
-    fresh = VerifyContext(catalog=ctx.catalog)
-    fresh.__dict__.update(table=table, cb=ctx.cb)
-    assert verify.involution_census(fresh) == census
-    assert [d for d in fresh._autos if d.startswith("omega*")] == kept
+    assert _census_batches(ctx, census, monkeypatch)[1] == kept
 
 
 def test_census_runs_the_generic_certifier_only_for_the_weyl_lifts(ctx, census, monkeypatch):
@@ -125,13 +139,12 @@ def test_census_runs_the_generic_certifier_only_for_the_weyl_lifts(ctx, census, 
     generic = BracketTable.homomorphism_defect
     monkeypatch.setattr(BracketTable, "homomorphism_defect",
                         lambda self, c: walked.append(c) or generic(self, c))
-    fresh = VerifyContext(catalog=ctx.catalog)
-    fresh.__dict__.update(table=table, cb=ctx.cb)
-    assert verify.involution_census(fresh) == census
+    batches = _census_batches(ctx, census, monkeypatch)
     monkeypatch.undo()
     assert walked == [weyl_lift(table, i).cols for i in range(table.rank)]
-    assert list(fresh._autos)[:65] == ["omega"] + [
-        "torus:" + ",".join(map(str, bits)) for bits in product((0, 1), repeat=table.rank)]
+    assert len(batches) == 2 and len(batches[1]) == 16
+    assert batches[0] == ["torus:" + ",".join(map(str, bits))
+                          for bits in product((0, 1), repeat=table.rank)]
 
 
 def test_census_invariants_recomputed(census):
@@ -145,11 +158,14 @@ def test_census_type_labels_parse_to_their_dimension(census):
 
 
 def test_census_rows_match_the_generic_classifier(ctx, census):
-    """Every transported row carries what _classify computes for it, and
-    exactly one row per class was classified generically."""
+    """Every transported row carries the fixed dimension and type of its own
+    fixed subalgebra and the class of that invariant pair, and exactly one
+    row per class was classified generically."""
+    class_of = {inv: label for label, inv in CLASS_INVARIANTS.items()}
     for row in census.rows:
-        label, s, ty = verify._classify(ctx.table, ctx.automorphism(row.descriptor))
-        assert (label, s.dim, str(ty)) == (row.label, row.fixed_dim, row.fixed_type), row
+        s = fixed_subalgebra(ctx.table, [row.automorphism])
+        ty = str(identify_type(s))
+        assert (class_of[(s.dim, ty)], s.dim, ty) == (row.label, row.fixed_dim, row.fixed_type), row
     generic = [r.label for r in census.rows if r.provenance == "generic"]
     assert sorted(generic) == sorted(CLASS_INVARIANTS)
 
@@ -174,7 +190,7 @@ def test_census_provenance_edges_lead_to_a_generic_row(ctx, census):
 
 
 def test_census_without_conjugators_is_all_generic(ctx, census, monkeypatch):
-    monkeypatch.setattr(verify, "_conjugators", lambda ctx: [])
+    monkeypatch.setattr(verify, "_conjugators", lambda table, tori: [])
     plain = verify.involution_census(ctx)
     assert all(r.provenance == "generic" for r in plain.rows)
     assert plain == census
@@ -305,8 +321,9 @@ def test_census_error_names_an_involution_that_matches_no_class(ctx, census, mon
 
 
 def test_certify_raises_the_first_failure_of_a_batch(ctx):
-    """A batch with an intact member and then two corrupted ones raises the
-    first corrupted member's error, after keeping the intact member."""
+    """autos.certify_batch on an intact member and then two corrupted ones
+    raises the first corrupted member's error; the intact member alone
+    certifies."""
     table = ctx.table
 
     def flipped(bits, j, descriptor):
@@ -323,12 +340,10 @@ def test_certify_raises_the_first_failure_of_a_batch(ctx):
             autos.make_automorphism(table, cols, descriptor)
         messages.append(str(exc.value))
     assert messages[0] != messages[1]
-    fresh = VerifyContext(catalog=ctx.catalog)
-    fresh.__dict__.update(table=table)
     with pytest.raises(CertificationError) as exc:
-        fresh.certify([good] + bad)
+        autos.certify_batch(table, [good] + bad)
     assert str(exc.value) == messages[0]
-    assert list(fresh._autos) == [good[1]]
+    assert [a.descriptor for a in autos.certify_batch(table, [good])] == [good[1]]
 
 
 # -- character formula -------------------------------------------------------------
@@ -356,7 +371,7 @@ def test_character_dim_matches_fixed_subalgebra(ctx, labels):
 
 
 @pytest.mark.parametrize("labels, count", [(["sigma3", "sigma2", "sigma1"], 144),
-                                           (["sigma2", "sigma2", "sigma2"], 17550)],
+                                           (["sigma2", "sigma2", "sigma2"], 2925)],
                          ids=["sigma3,sigma2,sigma1", "sigma2,sigma2,sigma2"])
 def test_enumerator_dims_match_column_character_sums(ctx, labels, count):
     """The whole enumeration at floor 0: each tuple's dim is the character sum
@@ -383,6 +398,20 @@ def test_enumerator_dims_match_column_character_sums(ctx, labels, count):
         assert total == 8 * dim, (a, b, c)
         seen += 1
     assert seen == count
+
+
+@pytest.mark.parametrize("labels", [["sigma2", "sigma2"], ["sigma3", "sigma2", "sigma2"],
+                                    ["sigma4", "sigma4", "sigma2"]], ids=",".join)
+def test_enumerator_yields_each_commuting_set_once(ctx, labels):
+    """Equal consecutive classes take increasing census positions: the sets
+    yielded are exactly the sets of distinct pairwise commuting census rows
+    of those classes, and none is yielded twice."""
+    pools = [[r.automorphism for r in ctx.census.rows if r.label == lab] for lab in labels]
+    sets = {frozenset(a.descriptor for a in t) for t in product(*pools)
+            if len(set(map(id, t))) == len(t) and all(commutes(x, y) for x, y in combinations(t, 2))}
+    yielded = [frozenset(d) for d, _, _ in verify._commuting_tuples(ctx, labels, 0)]
+    assert len(yielded) == len(set(yielded)) == len(sets)
+    assert set(yielded) == sets
 
 
 def test_so9_klein_character_mismatch_raises(ctx, census, monkeypatch):
@@ -579,7 +608,7 @@ def test_rank3_deterministic(ctx, rank3):
 
 
 def test_generic_search_matches_so9_klein(ctx):
-    config = search_configuration(ctx, ["sigma3", "sigma2"], "B4", 36)
+    config = search_configuration(ctx, ["sigma3", "sigma2"], "B4")
     assert (config.a, config.b) == (ctx.so9_klein.a, ctx.so9_klein.b)
 
 
@@ -587,10 +616,8 @@ def test_generic_search_exhausts_impossible_target(ctx):
     from kleinfour.verify import SearchExhausted
 
     with pytest.raises(SearchExhausted) as exc:
-        search_configuration(ctx, ["sigma1", "sigma1"], "E6", 78)
-    assert str(exc.value) == (
-        "no configuration with classes ['sigma1', 'sigma1'] and fixed type E6 dim 78"
-    )
+        search_configuration(ctx, ["sigma1", "sigma1"], "E6")
+    assert str(exc.value) == "no configuration with classes ['sigma1', 'sigma1'] and fixed type E6"
 
 
 def _exhausted(classes, target):
@@ -677,21 +704,20 @@ def test_context_uses_the_catalog_it_is_given():
 
 
 def test_context_builds_omega_once_for_twists(monkeypatch):
+    """Three twists parsed on one table build omega once, and each is omega∘t."""
     ctx = verify.VerifyContext()
-    parsed = []
-
-    def counting(table, text):
-        parsed.append(text)
-        return parse_descriptor(table, text)
-
-    monkeypatch.setattr(verify, "parse_descriptor", counting)
+    built = []
+    diagram = autos.diagram_automorphism
+    monkeypatch.setattr(autos, "diagram_automorphism",
+                        lambda table, perm: built.append(perm) or diagram(table, perm))
     twists = ["omega*torus:0,1,0,0,0,0", "omega*torus:1,0,0,0,0,1", "omega*torus:0,0,0,0,0,0"]
-    for d in twists:
-        got = ctx.automorphism(d)
-        ref = parse_descriptor(ctx.table, d)
-        assert (got.descriptor, got.cols, got.order) == (ref.descriptor, ref.cols, ref.order)
-    assert parsed.count("omega") == 1
-    assert not [t for t in parsed if t.startswith("omega*")]
+    got = [ctx.automorphism(d) for d in twists]
+    assert len(built) == 1 and ctx.automorphism("omega") is ctx.table.omega
+    omega = diagram(ctx.table, built[0]).cols
+    for d, a in zip(twists, got):
+        bits = [int(c) for c in d[len("omega*torus:"):].split(",")]
+        assert (a.descriptor, a.order) == (d, 2)
+        assert a.cols == compose_cols(omega, torus_involution(ctx.table, bits).cols)
 
 
 def test_rank3_pinned(rank3):
@@ -794,7 +820,7 @@ def test_so81_fixed_types_match_fixed_subalgebra(ctx, rank3):
 
 def test_census_rows_carry_the_context_automorphisms(ctx, census):
     for row in census.rows:
-        assert row.automorphism is ctx.automorphism(row.descriptor), row.descriptor
+        assert row.automorphism.cols == ctx.automorphism(row.descriptor).cols, row.descriptor
 
 
 @pytest.mark.parametrize("name", ["rank3", "so9_klein"])
