@@ -5,7 +5,7 @@ give byte-identical output.  Exit codes: 0 all passed, 1 verification or
 computation failure, 2 usage errors, among them every --auto or --theta
 descriptor that autos.read_descriptor rejects: one outside the grammar, or a
 torus factor whose coefficient count is not the rank of --type.
-Golden files are only rewritten under an explicit --bless.
+A golden mismatch is a failure (exit 1); golden files change only under --bless.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .verify import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+class GoldenMismatchError(Exception):
+    """roots output differs from its golden file."""
 
 
 def _type_label(text: str) -> str:
@@ -83,7 +87,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", type=_type_label, default="E6",
                         help="algebra type label (default E6)")
-    common.add_argument("--catalog", default=None, help="path to a real-form catalog JSON")
     common.add_argument("--format", choices=("text", "json"), default="text")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -116,6 +119,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common], help="run verification scenarios")
     verify.add_argument("scenario", choices=("all",) + tuple(sorted(SCENARIOS)))
+    for command in (real, search, verify):  # the commands whose work reads the catalog
+        command.add_argument("--catalog", default=None, help="path to a real-form catalog JSON")
     for command in sub.choices.values():  # main's checks print the subcommand's usage
         command.set_defaults(usage_error=command.error)
     return p
@@ -130,7 +135,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def _context(args) -> VerifyContext:
-    catalog = load_catalog(args.catalog) if args.catalog else None
+    catalog = load_catalog(args.catalog) if getattr(args, "catalog", None) else None
     return VerifyContext(catalog=catalog, algebra=args.type)
 
 
@@ -164,8 +169,7 @@ def _cmd_roots(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             golden = fh.read()
         if golden != rendered + "\n":
-            print(f"golden mismatch against {path}", file=sys.stderr)
-            return EXIT_FAIL
+            raise GoldenMismatchError(f"golden mismatch against {path}")
         print(f"golden match: {path}")
         return EXIT_OK
     print(rendered)

@@ -15,11 +15,11 @@ Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
 form), and (g_type, k_type, signature) is looked up in a data catalog of real
 form names.  One routine, ``cartan_decomposition``, splits the fixed
-subalgebra of a group gamma (trivial for the whole algebra) under theta.
-Complexified types are identified on the complex side: theta preserves the
-compact form, so the compact fixed space is a real form of the complex fixed
-space and both have the same type and dimension (this equality is asserted,
-not assumed).
+subalgebra of a group gamma (trivial for the whole algebra) under theta,
+reading k and p directly as joint eigenspaces on the compact basis.
+Complexified types are identified on the complex side: gamma and theta
+preserve the compact form, so k + p is a real form of the complex fixed space
+once dim k + dim p equals its dimension (asserted, not assumed).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import axpy, joint_eigenspace, lincomb, span_kernel, symmetric_inertia
+from .exactq import joint_eigenspace, lincomb, symmetric_inertia
 from .autos import Automorphism, KleinGroup, commutes
 from .identify import (
     ReductiveType,
@@ -324,12 +324,14 @@ class RealFormDescriptor:
         return (self.k_dim, self.p_dim)
 
 
-def _check_involution(theta: Automorphism) -> None:
+def _check_theta(theta: Automorphism, others: Sequence[Automorphism]) -> None:
+    """theta has order 1 or 2 and commutes with every automorphism in others."""
     if theta.order not in (1, 2):
-        raise RealFormError(
-            f"{theta.descriptor} has order {theta.order}; Cartan involutions "
-            "must square to the identity"
-        )
+        raise RealFormError(f"{theta.descriptor} has order {theta.order}; Cartan involutions "
+                            "must square to the identity")
+    for g in others:
+        if not commutes(g, theta):
+            raise RealFormError(f"{g.descriptor} does not commute with theta = {theta.descriptor}")
 
 
 def cartan_decomposition(
@@ -341,39 +343,29 @@ def cartan_decomposition(
     """Split the gamma-fixed compact subalgebra under theta and name its real form.
 
     gamma lists the generators of the fixed group; empty means the whole
-    algebra.  k is the part of the fixed algebra that theta fixes, p the part
-    it negates; the noncompact real form is k + sqrt(-1) p.  Verified: theta
-    has order 1 or 2 and commutes with gamma, k + p fills the fixed algebra,
-    [k,k] in k, [k,p] in p, [p,p] in k, the Killing form is negative definite
-    on k and on p, and the complex fixed subalgebras of gamma and gamma+theta,
-    which give the types, have exactly the compact dimensions.
+    algebra.  k is the joint +1 eigenspace of gamma and theta on the compact
+    basis, p that of gamma and -theta; the noncompact real form is
+    k + sqrt(-1) p.  Verified: theta has order 1 or 2 and commutes with
+    gamma, both preserve the compact form, dim k + dim p is the dimension of
+    the complex fixed algebra of gamma, [k,k] in k, [k,p] in p, [p,p] in k,
+    the Killing form is negative definite on k and on p, and the complex
+    fixed algebra of gamma+theta, which gives k's type, has dim k.  k and p
+    meet in 0 inside the compact gamma-fixed space, whose real dimension is
+    at most the complex one, so the fill check makes k + p all of it.
     """
     if catalog is None:
         catalog = load_catalog()
     gens = list(gamma)
-    _check_involution(theta)
-    for g in gens:
-        if not commutes(g, theta):
-            raise RealFormError(
-                f"{g.descriptor} does not commute with theta = {theta.descriptor}"
-            )
+    _check_theta(theta, gens)
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
-    # with no generators the fixed algebra is the whole algebra: its unit rows
-    # are already in RREF, and it is closed
-    fixed = (subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, gcols, 1)) if gens
-             else Subalgebra(cb, [{i: 1} for i in range(cb.dim)], range(cb.dim)))
-
-    def part(eigen: int) -> Subalgebra:
-        """Vectors of the fixed algebra that theta multiplies by eigen."""
-        images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
-                  for row in fixed.rows]
-        return subalgebra_from_vectors(cb, span_kernel(fixed.rows, images), check_closed=False)
-
-    kpart = part(1)
-    ppart = part(-1)
-    if kpart.dim + ppart.dim != fixed.dim:
-        raise RealFormError("theta does not split the fixed algebra")
+    minus = tuple({i: -c for i, c in col.items()} for col in tcols)
+    kpart, ppart = (subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, gcols + [cols], 1),
+                                            check_closed=False) for cols in (tcols, minus))
+    g_complex = fixed_subalgebra(cb.table, gens)
+    if kpart.dim + ppart.dim != g_complex.dim:
+        raise RealFormError(f"theta does not split the fixed algebra: dim k {kpart.dim} + dim p "
+                            f"{ppart.dim} != dim {g_complex.dim} of gamma's complex fixed space")
     for xs, ys, into, what in ((kpart, kpart, kpart, "[k,k] escapes k"),
                                (kpart, ppart, ppart, "[k,p] escapes p"),
                                (ppart, ppart, kpart, "[p,p] escapes k")):
@@ -383,12 +375,6 @@ def cartan_decomposition(
         if _restricted_inertia(cb, span) != (0, span.dim, 0):
             raise RealFormError(f"Killing form on {name} is not negative definite")
 
-    g_complex = fixed_subalgebra(cb.table, gens)
-    if g_complex.dim != fixed.dim:
-        raise RealFormError(
-            f"complex fixed space of gamma has dim {g_complex.dim}, "
-            f"compact fixed space has {fixed.dim}"
-        )
     g_type = identify_type(g_complex) if gens else cb.complex_type
     k_complex = fixed_subalgebra(cb.table, gens + [theta])
     if k_complex.dim != kpart.dim:
@@ -434,12 +420,7 @@ def holomorphic_flags(
     Every sigma must commute with theta, and theta must be of Hermitian type
     (center of k exactly 1-dimensional); both are verified.
     """
-    for sigma in sigmas:
-        if not commutes(sigma, theta):
-            raise RealFormError(
-                f"{sigma.descriptor} does not commute with theta = {theta.descriptor}"
-            )
-    _check_involution(theta)
+    _check_theta(theta, sigmas)
     z = center_of(fixed_subalgebra(cb.table, [theta]))
     if z.dim != 1:
         raise RealFormError(

@@ -68,9 +68,23 @@ def test_type_label_is_normalised():
 
 def test_golden_mismatch_fails(tmp_path):
     (tmp_path / "roots_A1.txt").write_text("not the real thing\n")
-    code, _, err = run_cli(["roots", "--type", "A1", "--golden-dir", str(tmp_path)])
-    assert code == 1
-    assert "mismatch" in err
+    code, out, err = run_cli(["roots", "--type", "A1", "--golden-dir", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "GoldenMismatchError",
+                               "message": f"golden mismatch against {tmp_path / 'roots_A1.txt'}"}
+
+
+@pytest.mark.parametrize("command", [["roots"], ["fixed", "--auto", "omega"],
+                                     ["identify", "--auto", "omega"]])
+def test_catalog_is_an_unrecognized_argument_where_no_work_reads_it(command):
+    """--catalog belongs to realform, search and verify only; elsewhere it is a
+    usage error (exit 2), not a failure to read a file the command never uses."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        main(command + ["--catalog", "missing.json"])
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert "unrecognized arguments: --catalog missing.json" in err.getvalue()
 
 
 def test_bless_writes_then_matches(tmp_path):
@@ -265,6 +279,14 @@ MALFORMED_CATALOGS = {
 
 
 @pytest.fixture(scope="module")
+def golden_dirs(tmp_path_factory):
+    """The committed golden/ and a directory with one wrong golden file."""
+    wrong = tmp_path_factory.mktemp("golden")
+    (wrong / "roots_A1.txt").write_text("not the real thing\n", encoding="utf-8")
+    return [str(REPO / "golden"), str(wrong)]
+
+
+@pytest.fixture(scope="module")
 def catalogs(tmp_path_factory):
     """Paths of malformed catalogs, of a directory and of a missing file."""
     root = tmp_path_factory.mktemp("catalogs")
@@ -292,7 +314,7 @@ COMMANDS = ["roots", "fixed", "identify", "realform", "search", "verify"]
 
 
 @st.composite
-def cli_arguments(draw, command, catalogs):
+def cli_arguments(draw, command, catalogs, golden_dirs):
     """An argument list for cli.main from the CLI grammar, with at most one
     part (the fault) drawn from outside it.  search and verify take types
     other than E6 here: on E6 they are pinned byte for byte by the golden
@@ -309,6 +331,8 @@ def cli_arguments(draw, command, catalogs):
     argv = [command, "--type", label]
     if command == "roots":
         argv += ["--bless"] if bad else draw(st.sampled_from([[], ["--table"]]))
+        if not bad:  # never --bless with a directory: that would rewrite golden/
+            argv += draw(st.sampled_from([[], ["--golden-dir", draw(st.sampled_from(golden_dirs))]]))
     elif command in ("fixed", "identify", "realform"):
         descs = [_descriptor(draw, rank, False) for _ in range(draw(st.integers(1, 3)))]
         if bad:
@@ -344,10 +368,10 @@ def _outcome(argv):
 @settings(derandomize=True, database=None, deadline=None, max_examples=15,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_cli_contract_holds_for_generated_arguments(catalogs, command, data):
+def test_cli_contract_holds_for_generated_arguments(catalogs, golden_dirs, command, data):
     """Exit 0, 1 or 2 and no traceback; exit 1 is exactly one JSON object
     with error and message on stderr; the same arguments give the same bytes."""
-    argv = data.draw(cli_arguments(command, catalogs))
+    argv = data.draw(cli_arguments(command, catalogs, golden_dirs))
     code, out, err = _outcome(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err, argv

@@ -13,8 +13,8 @@ from kleinfour.autos import (
     weyl_lift,
 )
 from kleinfour import realform
-from kleinfour.exactq import joint_eigenspace, symmetric_inertia
-from kleinfour.identify import fixed_subalgebra
+from kleinfour.exactq import axpy, joint_eigenspace, lincomb, span_kernel, symmetric_inertia
+from kleinfour.identify import fixed_subalgebra, subalgebra_from_vectors
 from kleinfour.realform import (
     CatalogError,
     CatalogMissError,
@@ -28,6 +28,7 @@ from kleinfour.realform import (
     real_fixed_subalgebra,
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
+from kleinfour.verify import VerifyContext
 from oracles import jacobi_defect, killing_reference, pairing
 
 
@@ -152,23 +153,90 @@ def test_identity_theta_gives_compact_form(e6, e6_compact, catalog):
     assert d.name == "e6(-78)"
 
 
-def test_split_of_the_whole_algebra_starts_from_its_unit_rows(ctx, e6_compact, catalog,
-                                                              monkeypatch):
-    """With no generators the fixed algebra is the unit rows, with the rows and
-    pivots that eliminating joint_eigenspace(dim, [], 1) gives; only k and p
-    are eliminated."""
-    cb = e6_compact
-    made, eliminated = [], []
-    real_sub, real_from = realform.Subalgebra, realform.subalgebra_from_vectors
-    monkeypatch.setattr(realform, "Subalgebra", lambda *a: made.append(real_sub(*a)) or made[-1])
+def _split_cases(ctx):
+    """(label, theta, gamma) of the whole-algebra split and the so82 and so81 splits."""
+    a, b, theta = (ctx.automorphism(d) for d in (ctx.rank3.a, ctx.rank3.b, ctx.rank3.theta))
+    return [("whole", ctx.automorphism("torus:0,1,0,0,0,0"), []),
+            ("so82", theta, [b]), ("so81", theta, [a, b])]
+
+
+def _captured_split(cb, theta, gamma, catalog, monkeypatch):
+    """The Subalgebras the split eliminates, in order, and its result (None on a
+    catalog miss: the spans are made before the name is looked up)."""
+    made = []
+    real_from = realform.subalgebra_from_vectors
     monkeypatch.setattr(realform, "subalgebra_from_vectors",
-                        lambda t, vs, **k: eliminated.append(len(vs)) or real_from(t, vs, **k))
-    d = cartan_decomposition(cb, ctx.automorphism("torus:0,1,0,0,0,0"), catalog)
+                        lambda t, vs, **k: made.append(real_from(t, vs, **k)) or made[-1])
+    try:
+        d = cartan_decomposition(cb, theta, catalog, gamma)
+    except CatalogMissError:
+        d = None
     monkeypatch.undo()
-    (whole,) = made
-    old = real_from(cb, joint_eigenspace(cb.dim, [], 1), check_closed=False)
-    assert (whole.rows, whole.pivots) == (old.rows, old.pivots)
-    assert eliminated == [38, 40] == [d.k_dim, d.p_dim]
+    return made, d
+
+
+@pytest.mark.parametrize("case, dims", [("whole", [38, 40]), ("so82", [30, 16]),
+                                        ("so81", [28, 8])], ids=["whole", "so82", "so81"])
+def test_split_eliminates_only_k_and_p(ctx, case, dims, monkeypatch):
+    """The split eliminates k and then p, nothing else, and builds no
+    Subalgebra of its own."""
+    (theta, gamma), = [(t, g) for label, t, g in _split_cases(ctx) if label == case]
+    monkeypatch.setattr(realform, "Subalgebra", None)  # realform may not call it
+    made, d = _captured_split(ctx.cb, theta, gamma, ctx.catalog, monkeypatch)
+    assert [s.dim for s in made] == dims == [d.k_dim, d.p_dim]
+
+
+def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
+    """k and p by a second route: the compact Fix(gamma) first, then theta's +1
+    and -1 eigenspaces on its rows by span_kernel."""
+    tcols = compact_matrix_cols(cb, theta)
+    fixed = subalgebra_from_vectors(
+        cb, joint_eigenspace(cb.dim, [compact_matrix_cols(cb, g) for g in gamma], 1))
+
+    def part(eigen):
+        images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
+                  for row in fixed.rows]
+        return subalgebra_from_vectors(cb, span_kernel(fixed.rows, images), check_closed=False)
+
+    return part(1), part(-1)
+
+
+# (type, theta, gamma) of splits on G2, F4 and E7, with and without gamma
+OTHER_TYPE_SPLITS = [("G2", "torus:1,0", []), ("G2", "torus:1,0", ["torus:0,1"]),
+                     ("F4", "torus:1,0,0,0", []), ("F4", "torus:0,0,0,1", ["torus:1,0,0,0"]),
+                     ("E7", "torus:1,0,0,0,0,0,0", [])]
+
+
+def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch):
+    """On the four census representatives, so82, so81 and splits on G2, F4 and
+    E7, the split's k and p have the rows and pivots of the route through the
+    compact fixed algebra."""
+    cases = [(ctx.cb, r.automorphism, []) for r in census.rows if r.provenance == "generic"]
+    cases += [(ctx.cb, theta, gamma) for _, theta, gamma in _split_cases(ctx)[1:]]
+    for label, theta, gamma in OTHER_TYPE_SPLITS:
+        other = VerifyContext(algebra=label)
+        cases.append((other.cb, other.automorphism(theta), [other.automorphism(g) for g in gamma]))
+    assert len(cases) == 11
+    for cb, theta, gamma in cases:
+        made, _ = _captured_split(cb, theta, gamma, load_catalog(), monkeypatch)
+        assert [(s.rows, s.pivots) for s in made] == [
+            (s.rows, s.pivots) for s in _split_by_the_compact_fixed_algebra(cb, theta, gamma)]
+
+
+def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
+    """k + p must fill the complex fixed space of gamma: drop one vector of p
+    (the split's second eigenspace) and the split fails naming all three dims."""
+    (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
+    real, calls = realform.joint_eigenspace, []
+
+    def dropping(dim, maps, eigen):
+        calls.append(1)
+        vecs = real(dim, maps, eigen)
+        return vecs[:-1] if len(calls) == 2 else vecs
+
+    monkeypatch.setattr(realform, "joint_eigenspace", dropping)
+    with pytest.raises(RealFormError, match=r"dim k 30 \+ dim p 15 != dim 46 of gamma's"):
+        cartan_decomposition(ctx.cb, theta, ctx.catalog, gamma)
 
 
 def test_sigma2_gives_e6_minus_14(e6, e6_compact, catalog):
