@@ -19,11 +19,11 @@ signed permutation's order is the lcm over pi's cycles of their length L, or
 of 2L where the signs around the cycle multiply to -1; every other order is
 found by composing powers.
 
-A certified signed permutation keeps its pi and signs (``Automorphism.pi``),
-and composition, trace, inverse, cycle order, commutation and the character
-sums of joint_fixed_dim take O(dim) rules on them when every factor has them;
-diagonal matrices (pi the identity) commute.  Weyl lifts and conjugates keep
-the column rules, which stay the reference.
+A certified signed permutation keeps its pi and signs (``Automorphism.pi``);
+its cycle order, commutation and the character sums of joint_fixed_dim take
+O(dim) rules on them, and diagonal matrices (pi the identity) commute.
+Composition, trace and inverse take the column rules, the reference, and a
+composed signed permutation gets its pi again from the shape certificate.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from math import lcm
 from operator import eq, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exactq import as_num, axpy, lincomb
+from .exactq import as_num, axpy
 from .rootsys import StructureTable
 
 Cols = Tuple[Dict[int, object], ...]
@@ -71,10 +71,10 @@ class Automorphism:
         self.order = order
         self.descriptor = descriptor
         self.pi = pi
-        self._trace = _cols_trace(cols) if pi is None else _pi_trace(pi)
+        self._trace = _cols_trace(cols)
 
     def apply(self, vec: dict) -> dict:
-        return lincomb(vec.values(), (self.cols[j] for j in vec))
+        return _apply_cols(self.cols, vec)
 
     def trace(self):
         return self._trace
@@ -426,12 +426,10 @@ def omega_automorphism(table: StructureTable) -> Automorphism:
 # ---------------------------------------------------------------------------
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a∘b, re-certified from scratch; signed permutations compose by pi."""
+    """a∘b, re-certified from scratch."""
     if a.table is not b.table:
         raise ValueError("automorphisms live on different algebras")
-    pi = None if a.pi is None or b.pi is None else _pi_compose(a.pi, b.pi)
-    cols = compose_cols(a.cols, b.cols) if pi is None else _pi_cols(pi)
-    return make_automorphism(a.table, cols, f"{a.descriptor}*{b.descriptor}")
+    return make_automorphism(a.table, compose_cols(a.cols, b.cols), f"{a.descriptor}*{b.descriptor}")
 
 
 def commutes(a: Automorphism, b: Automorphism) -> bool:
@@ -521,10 +519,7 @@ def weyl_lift(table: StructureTable, i: int) -> Automorphism:
 
 
 def inverse_cols(w: Automorphism) -> Cols:
-    """Columns of w^{-1}: column pi(j) is {j: s_j} for a signed permutation,
-    else w^(order - 1) from the certified order of w."""
-    if w.pi is not None:
-        return tuple({j: s} for _, j, s in sorted(zip(w.pi[0], range(len(w.cols)), w.pi[1])))
+    """Columns of w^{-1}, w^(order - 1) from the certified order of w."""
     inv = w.cols
     for _ in range(w.order - 2):
         inv = compose_cols(w.cols, inv)
@@ -570,4 +565,8 @@ def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
     if c is None:
         return omega_automorphism(table) if omega else identity_automorphism(table)
     tor = torus_involution(table, c)
+    if tor.is_identity() and any(x % 2 for x in c):  # odd coefficients that no root sees
+        from .identify import match_cartan  # identify imports this module
+        raise ValueError("the torus factor of descriptor %r is the identity of %s%d"
+                         % (text, *match_cartan(table.rs.cartan)))
     return compose(omega_automorphism(table), tor) if omega else tor

@@ -262,8 +262,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _make_parser().parse_args(argv)
+    args, extra = _make_parser().parse_known_args(argv)
     error = args.usage_error
+    if extra:
+        error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command in ("search", "verify") and args.type != "E6":
         error(f"{args.command} supports only --type E6, got {args.type}: "
               "its class invariants and census counts are E6 facts")

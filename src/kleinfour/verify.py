@@ -181,13 +181,8 @@ def _fingerprint_index(tuples, gens: Sequence[int]) -> Dict[tuple, int]:
 
 def _conjugate_key(g: Automorphism, g_inv_gens: Sequence[dict], xs) -> tuple:
     """The fingerprint of (g x_i g^-1) on the generators whose columns of g^-1
-    are g_inv_gens, read off g and x_i (no product is built): by pi and signs
-    when g and every x_i have them, else off their columns."""
-    if g.pi is None or any(x.pi is None for x in xs):
-        images = lambda x: [_apply_cols(g.cols, _apply_cols(x.cols, c)) for c in g_inv_gens]
-    else:  # g^-1 e_k = t e_m, x e_m = s_x(m) e_x(m), g e_x(m) = s_g(x(m)) e_g(x(m))
-        (pg, sg), steps = g.pi, [next(iter(c.items())) for c in g_inv_gens]
-        images = lambda x: [{pg[x.pi[0][m]]: t * x.pi[1][m] * sg[x.pi[0][m]]} for m, t in steps]
+    are g_inv_gens, read off the columns of g and x_i (no product is built)."""
+    images = lambda x: [_apply_cols(g.cols, _apply_cols(x.cols, c)) for c in g_inv_gens]
     return sum((_fingerprint(images(x), range(len(g_inv_gens))) for x in xs), ())
 
 

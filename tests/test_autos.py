@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
@@ -251,11 +252,14 @@ def _column_copy(a):
 
 
 def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
-    """Each pi rule gives what the column rule gives: compose, product trace and
-    commutes on every ordered pair of census rows, trace, inverse and cycle
-    order on every row and on signed permutations of order 3 and 4.  The six
-    Weyl lifts and the conjugated involution have no pi, so they check that
-    the column path is taken against the rows."""
+    """Each pi rule gives what the column rule gives: the product, its trace
+    and commutes on every ordered pair of census rows, the trace and the cycle
+    order on every row and on signed permutations of order 3 and 4; compose
+    hands the product's pi on through the shape certificate.  The inverse,
+    a column rule, composes with each of these and with the six Weyl lifts and
+    the conjugated involution to the unit columns.  The lifts and the
+    conjugate have no pi, so they check that the column path is taken against
+    the rows."""
     rows = [r.automorphism for r in ctx.census.rows]
     dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
     assert all(a.pi is not None for a in rows) and all(w.pi is None for w in dense)
@@ -268,9 +272,10 @@ def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
     assert {a.order for a in higher} == {3, 4}
     for a in rows + dense + higher:
         col_trace = sum(col.get(j, 0) for j, col in enumerate(a.cols))
-        assert a.trace() == _column_copy(a).trace() == col_trace, a
-        assert inverse_cols(a) == inverse_cols(_column_copy(a)), a
+        assert a.trace() == col_trace, a
+        assert compose_cols(a.cols, inverse_cols(a)) == tuple({j: 1} for j in range(len(a.cols))), a
         if a.pi is not None:
+            assert autos._pi_trace(a.pi) == col_trace, a
             assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
     for a, b in itertools.product(rows, rows):
         pi, ab = autos._pi_compose(a.pi, b.pi), compose_cols(a.cols, b.cols)
@@ -280,7 +285,7 @@ def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
     rng = random.Random(29)
     for a, b in [(rng.choice(rows), rng.choice(rows)) for _ in range(6)]:
         ab = compose(a, b)  # recertified: a signed-permutation product takes the shape path
-        assert ab.cols == compose_cols(a.cols, b.cols) and ab.pi is not None
+        assert ab.cols == compose_cols(a.cols, b.cols) and ab.pi == autos._pi_compose(a.pi, b.pi)
     for n, w in enumerate(dense):
         for a in rng.sample(rows, 6):
             for x, y in ((w, a), (a, w)):
@@ -783,6 +788,22 @@ def test_parse_descriptor_roundtrip(e6):
         parse_descriptor(e6, "bogus:1")
     with pytest.raises(ValueError):
         parse_descriptor(e6, "torus:1,2")
+
+
+@pytest.mark.parametrize("label, text", [
+    ("A1", "torus:1"), ("A5", "torus:1,0,1,0,1"), ("D5", "torus:0,0,0,1,1"),
+    ("E7", "torus:0,1,0,0,1,0,1"),
+])
+def test_torus_factor_that_is_the_identity_raises(label, text):
+    """Odd coefficients on which every root is even name the identity: an
+    error naming the descriptor and the type, with or without omega; all-even
+    coefficients still name the identity on purpose."""
+    table = chevalley_table(build_root_system(cartan_matrix(label)))
+    assert torus_involution(table, [int(x) for x in text[6:].split(",")]).is_identity()
+    for desc in [text] + ["omega*" + text] * (label == "A5"):
+        with pytest.raises(ValueError, match=f"'{re.escape(desc)}' is the identity of {label}$"):
+            parse_descriptor(table, desc)
+    assert parse_descriptor(table, "torus:" + ",".join(["2"] + ["0"] * (table.rank - 1))).is_identity()
 
 
 # -- orders of signed permutations and the identity --------------------------------

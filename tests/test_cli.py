@@ -146,6 +146,9 @@ def test_torus_coefficients_are_ascii_integers(descriptor):
     ["realform", "--theta", "omega"] + ["--auto", "omega"] * 3,
     ["roots", "--bless"],
     ["search", "--type", "A2", "--classes", "sigma3,sigma2", "--target", "B4"],
+    # arguments that no parser takes
+    pytest.param(["roots", "--type", "A1", "--catalog", "missing.json"], id="roots-unrecognized"),
+    pytest.param(["fixed", "--auto", "omega", "--nope"], id="fixed-unrecognized"),
 ], ids=lambda argv: argv[0])
 def test_checks_after_parsing_print_the_subcommand_usage(argv):
     err = io.StringIO()
@@ -249,11 +252,21 @@ def test_rejected_descriptor_exits_2_with_the_reader_message(args):
 
 def test_catalog_miss_message_is_plain():
     """A CatalogMissError's message is its text, not the repr KeyError gives."""
-    code, out, err = run_cli(["realform", "--type", "A1", "--theta", "torus:1"])
+    code, out, err = run_cli(["realform", "--type", "A2", "--theta", "torus:1,0"])
     assert (code, out) == (1, "")
     assert json.loads(err) == {
         "error": "CatalogMissError",
-        "message": "no real form catalogued for g_type=A1, k_type=A1, signature=(3,0)",
+        "message": "no real form catalogued for g_type=A2, k_type=A1+u(1), signature=(4,4)",
+    }
+
+
+def test_torus_descriptor_that_is_the_identity_is_failure_exit_1():
+    """torus:1 on A1 passes the grammar but names the identity: exit 1 with one JSON object."""
+    code, out, err = run_cli(["fixed", "--type", "A1", "--auto", "torus:1"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "the torus factor of descriptor 'torus:1' is the identity of A1",
     }
 
 
@@ -280,10 +293,11 @@ MALFORMED_CATALOGS = {
 
 @pytest.fixture(scope="module")
 def golden_dirs(tmp_path_factory):
-    """The committed golden/ and a directory with one wrong golden file."""
+    """The committed golden/ and a directory with one wrong golden file, each
+    with the types whose roots files it holds."""
     wrong = tmp_path_factory.mktemp("golden")
     (wrong / "roots_A1.txt").write_text("not the real thing\n", encoding="utf-8")
-    return [str(REPO / "golden"), str(wrong)]
+    return {str(REPO / "golden"): ["A2", "E6"], str(wrong): ["A1"]}
 
 
 @pytest.fixture(scope="module")
@@ -318,21 +332,25 @@ def cli_arguments(draw, command, catalogs, golden_dirs):
     """An argument list for cli.main from the CLI grammar, with at most one
     part (the fault) drawn from outside it.  search and verify take types
     other than E6 here: on E6 they are pinned byte for byte by the golden
-    files and the benchmark's expected outputs."""
+    files and the benchmark's expected outputs.  A roots --golden-dir takes a
+    type whose files the directory holds, so that both a match and a mismatch
+    are drawn."""
     fault = draw(st.sampled_from([None, None, "type", "arguments", "format", "catalog"]))
-    bad = fault == "arguments"
+    bad, golden = fault == "arguments", None
     if fault == "type":
         label, rank = draw(st.sampled_from(BAD_TYPES)), 2
     else:
-        label = draw(st.sampled_from(
-            [t for t in TYPES if t != "E6" or command not in ("search", "verify")]))
+        # never --bless with a directory: that would rewrite golden/
+        if command == "roots" and not bad:
+            golden = draw(st.sampled_from([*golden_dirs, None]))
+        label = draw(st.sampled_from(golden_dirs[golden] if golden else [
+            t for t in TYPES if t != "E6" or command not in ("search", "verify")]))
         rank = int(label[1:])
         label = draw(st.sampled_from([label, label.lower(), label[0] + "0" + label[1:]]))
     argv = [command, "--type", label]
     if command == "roots":
         argv += ["--bless"] if bad else draw(st.sampled_from([[], ["--table"]]))
-        if not bad:  # never --bless with a directory: that would rewrite golden/
-            argv += draw(st.sampled_from([[], ["--golden-dir", draw(st.sampled_from(golden_dirs))]]))
+        argv += ["--golden-dir", golden] if golden else []
     elif command in ("fixed", "identify", "realform"):
         descs = [_descriptor(draw, rank, False) for _ in range(draw(st.integers(1, 3)))]
         if bad:

@@ -257,23 +257,6 @@ def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, mon
         assert key == sum((want[g, x.descriptor] for x in xs), ()), (g, xs)
 
 
-def test_conjugate_key_pi_rule_matches_the_column_path(ctx, census):
-    """The walk key by pi and signs equals the key read off the columns, for
-    every census row and every gated so(9) pair under each torus conjugator;
-    hand-built copies have no pi and take the column path."""
-    table = ctx.table
-    gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
-    copy = lambda a: autos.Automorphism(a.table, a.cols, a.order, a.descriptor)
-    tuples = [(r.automorphism,) for r in census.rows] + list(_so9_pairs(ctx).values())
-    tori = [(g, g_inv) for g, g_inv in census.conjugators if g.pi is not None]
-    assert len(tori) == 6
-    for g, g_inv in tori:
-        g_inv_gens = [g_inv[k] for k in gens]
-        for xs in tuples:
-            assert verify._conjugate_key(g, g_inv_gens, xs) == verify._conjugate_key(
-                copy(g), g_inv_gens, tuple(map(copy, xs))), (g, xs)
-
-
 def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
     """A sigma1 row's fingerprint pointed at a sigma2 row: the walk finds the
     sigma2 row, its column equality fails, and no edge is taken."""
