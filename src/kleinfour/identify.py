@@ -1,9 +1,11 @@
 """Fixed-point subalgebras and reductive type identification.
 
 A subalgebra is held as an echelon-normalized (RREF) basis in the canonical
-coordinates of its ambient structure table.  Identification decomposes the
-subalgebra under the fixed part of the ambient Cartan, reads off the weight
-root system, recovers Cartan integers from actual coroot brackets
+coordinates of its ambient structure table, bracket-closed by construction.
+Identification decomposes it under the fixed part t of the ambient Cartan;
+closure makes it the sum of its t-weight spaces, so the centralizer of t has
+the dimension the nonzero weights leave.  It reads off the weight root
+system, recovers Cartan integers from actual coroot brackets
 2*mu([e,f])/nu([e,f]), and matches components against the finite-type catalog
 by exhaustive permutation (fine at rank <= 8).
 
@@ -27,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
 from .autos import Automorphism
-from .rootsys import StructureTable, validate_cartan
+from .rootsys import BracketTable, StructureTable, validate_cartan
 
 Coords = Tuple[int, ...]
 
@@ -41,7 +43,10 @@ class IdentifyError(Exception):
 # ---------------------------------------------------------------------------
 
 class Subalgebra(SpanSolver):
-    """Exact RREF basis inside an ambient bracket table, closed under bracket."""
+    """Exact RREF basis inside an ambient bracket table, closed under bracket.
+
+    ``subalgebra_from_vectors`` checks closure; the whole algebra is closed.
+    """
 
     __slots__ = ("table",)
 
@@ -50,28 +55,27 @@ class Subalgebra(SpanSolver):
         self.table = table
 
 
-def subalgebra_from_vectors(
-    table: StructureTable, vectors: Sequence[dict], check_closed: bool = True
-) -> Subalgebra:
-    rows, pivots = rref(vectors)
-    s = Subalgebra(table, rows, pivots)
-    if check_closed:
-        escape = first_escape(s, s, s)
-        if escape:
-            raise IdentifyError(
-                f"span is not bracket-closed: [row {escape[0]}, row {escape[1]}] escapes"
-            )
+def subalgebra_from_vectors(table: StructureTable, vectors: Sequence[dict]) -> Subalgebra:
+    """The span of vectors as a Subalgebra; IdentifyError if it is not bracket-closed."""
+    s = Subalgebra(table, *rref(vectors))
+    escape = first_escape(table, s, s, s)
+    if escape:
+        raise IdentifyError(
+            f"span is not bracket-closed: [row {escape[0]}, row {escape[1]}] escapes"
+        )
     return s
 
 
-def first_escape(xs: Subalgebra, ys: Subalgebra, target: Subalgebra) -> Optional[Tuple[int, int]]:
+def first_escape(table: BracketTable, xs: SpanSolver, ys: SpanSolver,
+                 target: SpanSolver) -> Optional[Tuple[int, int]]:
     """First row pair (i, j) with [xs row i, ys row j] outside target, or None.
 
-    The first row i with an escape is reported with its least escaping j.
-    When xs is ys only pairs i < j are bracketed, since the bracket is
-    antisymmetric and vanishes on the diagonal.
+    The spans are any SpanSolvers in the coordinates of table, which gives
+    the bracket.  The first row i with an escape is reported with its least
+    escaping j.  When xs is ys only pairs i < j are bracketed, since the
+    bracket is antisymmetric and vanishes on the diagonal.
     """
-    for i, acc in target.table.row_brackets(xs.rows, ys.rows):
+    for i, acc in table.row_brackets(xs.rows, ys.rows):
         for j in sorted(acc):
             w = acc[j]
             if w and not target.contains(w):
@@ -107,7 +111,7 @@ def center_of(s: Subalgebra) -> Subalgebra:
     cur: List[dict] = list(s.rows)
     for target in s.rows:
         cur = span_kernel(cur, [s.table.bracket(v, target) for v in cur])
-    return subalgebra_from_vectors(s.table, cur, check_closed=False)
+    return subalgebra_from_vectors(s.table, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +254,6 @@ def _cartan_part(s: Subalgebra) -> List[dict]:
     return _intersect_with_coords(s, frozenset(range(s.table.rank)))
 
 
-def _centralizer_dim_of_toral(s: Subalgebra, toral: List[dict]) -> int:
-    images = [{(tix, c): v for tix, t in enumerate(toral) for c, v in s.table.bracket(t, x).items()}
-              for x in s.rows]
-    return len(span_kernel(s.rows, images))
-
-
 def _int_row(h: dict, n: int) -> List[int]:
     """Dense primitive integer row proportional to a sparse Cartan vector."""
     p = _primitive(h.items())
@@ -265,7 +263,9 @@ def _int_row(h: dict, n: int) -> List[int]:
 def identify_type(s: Subalgebra) -> ReductiveType:
     """Reductive isomorphism type (simple summands + center dimension).
 
-    Requires the ambient Cartan's fixed part to be maximal toral in s; this is
+    Precondition: s is bracket-closed, as every Subalgebra is.  So s holds
+    its toral part t and is the direct sum of its t-weight spaces, the zero
+    one being the centralizer of t.  t must be maximal toral in s; this is
     checked, and failure is an error rather than a silent regular-element
     search.
     """
@@ -276,12 +276,6 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     t_dim = len(toral)
     if s.dim == 0:
         return ReductiveType.make([], 0)
-    cdim = _centralizer_dim_of_toral(s, toral)
-    if cdim != t_dim:
-        raise IdentifyError(
-            f"Cartan part (dim {t_dim}) is not maximal toral: centralizer has dim {cdim}; "
-            "a regular-element extension would be needed"
-        )
 
     # weights: restrictions of ambient roots to the integer toral rows
     rows = [_int_row(h, rank_amb) for h in toral]
@@ -290,23 +284,23 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         mu = tuple(sum(map(mul, h, p)) for h in rows)
         if any(mu):
             classes.setdefault(mu, []).append(ridx)
+    parts = {mu: _intersect_with_coords(s, frozenset(rank_amb + r for r in ridxs))
+             for mu, ridxs in sorted(classes.items())}
+    cdim = s.dim - sum(map(len, parts.values()))
+    if cdim != t_dim:
+        raise IdentifyError(
+            f"Cartan part (dim {t_dim}) is not maximal toral: centralizer has dim {cdim}; "
+            "a regular-element extension would be needed"
+        )
 
     weight_vecs: Dict[Coords, dict] = {}
     weight_rep: Dict[Coords, int] = {}
-    total = t_dim
-    for mu, ridxs in sorted(classes.items()):
-        coordset = frozenset(rank_amb + r for r in ridxs)
-        part = _intersect_with_coords(s, coordset)
+    for mu, part in parts.items():
         if len(part) > 1:
             raise IdentifyError(f"weight multiplicity {len(part)} > 1 at {mu}")
         if part:
             weight_vecs[mu] = part[0]
-            weight_rep[mu] = ridxs[0]
-            total += 1
-    if total != s.dim:
-        raise IdentifyError(
-            f"weight decomposition misses {s.dim - total} dimensions"
-        )
+            weight_rep[mu] = classes[mu][0]
 
     weights = sorted(weight_vecs)
     for mu in weights:

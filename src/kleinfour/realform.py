@@ -31,17 +31,9 @@ from functools import cached_property
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactq import joint_eigenspace, lincomb, symmetric_inertia
+from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
 from .autos import Automorphism, KleinGroup, commutes
-from .identify import (
-    ReductiveType,
-    Subalgebra,
-    center_of,
-    first_escape,
-    fixed_subalgebra,
-    identify_type,
-    subalgebra_from_vectors,
-)
+from .identify import ReductiveType, center_of, first_escape, fixed_subalgebra, identify_type
 from .rootsys import BracketTable, StructureTable, killing_form
 
 
@@ -162,7 +154,7 @@ def compact_matrix_cols(cb: CompactBasis, auto: Automorphism) -> Tuple[dict, ...
     )
 
 
-def _restricted_inertia(cb: CompactBasis, span: Subalgebra) -> Tuple[int, int, int]:
+def _restricted_inertia(cb: CompactBasis, span: SpanSolver) -> Tuple[int, int, int]:
     """Inertia of the Killing form on span, from the Gram matrix of its rows."""
     B = cb.killing
     xB = [lincomb(x.values(), (B[i] for i in x)) for x in span.rows]
@@ -344,14 +336,16 @@ def cartan_decomposition(
 
     gamma lists the generators of the fixed group; empty means the whole
     algebra.  k is the joint +1 eigenspace of gamma and theta on the compact
-    basis, p that of gamma and -theta; the noncompact real form is
-    k + sqrt(-1) p.  Verified: theta has order 1 or 2 and commutes with
-    gamma, both preserve the compact form, dim k + dim p is the dimension of
-    the complex fixed algebra of gamma, [k,k] in k, [k,p] in p, [p,p] in k,
-    the Killing form is negative definite on k and on p, and the complex
-    fixed algebra of gamma+theta, which gives k's type, has dim k.  k and p
-    meet in 0 inside the compact gamma-fixed space, whose real dimension is
-    at most the complex one, so the fill check makes k + p all of it.
+    basis, p that of gamma and -theta; both are plain spans (SpanSolver),
+    since p is no subalgebra and k's closure is the [k,k] relation below.
+    The noncompact real form is k + sqrt(-1) p.  Verified: theta has order 1
+    or 2 and commutes with gamma, both preserve the compact form, dim k +
+    dim p is the dimension of the complex fixed algebra of gamma, [k,k] in
+    k, [k,p] in p, [p,p] in k, the Killing form is negative definite on k
+    and on p, and the complex fixed algebra of gamma+theta, which gives k's
+    type, has dim k.  k and p meet in 0 inside the compact gamma-fixed
+    space, whose real dimension is at most the complex one, so the fill
+    check makes k + p all of it.
     """
     if catalog is None:
         catalog = load_catalog()
@@ -360,8 +354,8 @@ def cartan_decomposition(
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
     minus = tuple({i: -c for i, c in col.items()} for col in tcols)
-    kpart, ppart = (subalgebra_from_vectors(cb, joint_eigenspace(cb.dim, gcols + [cols], 1),
-                                            check_closed=False) for cols in (tcols, minus))
+    kpart, ppart = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols], 1)))
+                    for cols in (tcols, minus))
     g_complex = fixed_subalgebra(cb.table, gens)
     if kpart.dim + ppart.dim != g_complex.dim:
         raise RealFormError(f"theta does not split the fixed algebra: dim k {kpart.dim} + dim p "
@@ -369,7 +363,7 @@ def cartan_decomposition(
     for xs, ys, into, what in ((kpart, kpart, kpart, "[k,k] escapes k"),
                                (kpart, ppart, ppart, "[k,p] escapes p"),
                                (ppart, ppart, kpart, "[p,p] escapes k")):
-        if first_escape(xs, ys, into):
+        if first_escape(cb, xs, ys, into):
             raise RealFormError(what)
     for span, name in ((kpart, "k"), (ppart, "p")):
         if _restricted_inertia(cb, span) != (0, span.dim, 0):

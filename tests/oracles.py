@@ -9,10 +9,11 @@ derived separately, so agreement with the library is a genuine cross-check.
 Cartan data and rebuilds the Chevalley table on coordinate tuples.
 The references at the end read a bracket table only through its
 ``pair_bracket``: the generic all-pairs homomorphism check, the
-lexicographic closure check with its own exact elimination, the Killing
-form as a trace over all pairs, and the antisymmetry, Jacobi and
-ad-invariance scans over all basis pairs and triples.  ``pairing`` reads
-only a root system's Cartan matrix.
+lexicographic closure check with its own exact elimination, the dimension
+of a centralizer by the same elimination, the Killing form as a trace over
+all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
+basis pairs and triples.  ``pairing`` reads only a root system's Cartan
+matrix.
 """
 
 from fractions import Fraction
@@ -272,6 +273,21 @@ def first_escape_reference(table, xs, ys, target):
             if _reduce(echelon, _bracket(pb, x, ys[j])):
                 return i, j
     return None
+
+
+def centralizer_dim(table, rows, toral):
+    """dim of {x in span(rows) : [t, x] = 0 for every t in toral}.
+
+    rows are linearly independent.  x = sum c_i rows[i] is central for toral
+    exactly when c lies in the kernel of the map whose i-th column stacks
+    the brackets [t, rows[i]], one block per t; the dimension is len(rows)
+    minus that map's rank, the size of an echelon basis of its columns.
+    Brackets go through table.pair_bracket.
+    """
+    pb = table.pair_bracket
+    cols = [{(n, k): v for n, t in enumerate(toral) for k, v in _bracket(pb, t, x).items()}
+            for x in rows]
+    return len(rows) - len(_echelon(cols))
 
 
 def killing_reference(table):

@@ -11,7 +11,7 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour.exactq import joint_eigenspace, rref
+from kleinfour.exactq import SpanSolver, joint_eigenspace, rref
 from kleinfour.identify import (
     IdentifyError,
     ReductiveType,
@@ -26,7 +26,7 @@ from kleinfour.identify import (
 )
 from kleinfour.realform import compact_form, compact_matrix_cols
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import classify_even_subsystem, first_escape_reference, pairing
+from oracles import centralizer_dim, classify_even_subsystem, first_escape_reference, pairing
 
 
 # -- fixed subalgebras ----------------------------------------------------------
@@ -79,14 +79,15 @@ def _escape_tables():
 
 
 def _random_span(rng, table, chevalley):
-    """A torus-fixed subalgebra with some rows dropped and random vectors added."""
+    """The span of a torus-fixed subalgebra with some rows dropped and random
+    vectors added; mostly not bracket-closed."""
     a = torus_involution(chevalley, [rng.randint(0, 1) for _ in range(chevalley.rank)])
     cols = a.cols if table is chevalley else compact_matrix_cols(table, a)
     vecs = [v for v in joint_eigenspace(table.dim, [cols], 1) if rng.random() < 0.8]
     for _ in range(rng.randint(0, 2)):
         support = rng.sample(range(table.dim), rng.randint(1, 3))
         vecs.append({k: rng.choice((-2, -1, 1, 3)) for k in support})
-    return subalgebra_from_vectors(table, vecs or [{0: 1}], check_closed=False)
+    return SpanSolver(*rref(vecs or [{0: 1}]))
 
 
 def test_first_escape_matches_the_lexicographic_reference():
@@ -99,7 +100,7 @@ def test_first_escape_matches_the_lexicographic_reference():
         s = _random_span(rng, table, chevalley)
         t = _random_span(rng, table, chevalley)
         for xs, ys, into in ((s, s, s), (s, t, s), (t, s, t)):
-            got = first_escape(xs, ys, into)
+            got = first_escape(table, xs, ys, into)
             assert got == first_escape_reference(table, xs.rows, ys.rows, into.rows)
             if got is None:
                 seen["none"] += 1
@@ -222,14 +223,55 @@ def test_dimension_accounting(e6, census, ctx):
         assert ty.dim() == s.dim
 
 
-def test_identify_fails_loudly_without_maximal_toral_part(e6):
-    # a single nilpotent root vector is a closed abelian span whose Cartan
-    # part is zero; identification must refuse rather than guess
-    rs = e6.rs
-    row = {6 + rs.index((1, 0, 0, 0, 0, 0)): 1}
-    s = subalgebra_from_vectors(e6, [row])
-    with pytest.raises(IdentifyError, match="maximal toral"):
+def _maximal_toral_message(t_dim, cdim):
+    return (f"Cartan part (dim {t_dim}) is not maximal toral: centralizer has dim {cdim}; "
+            "a regular-element extension would be needed")
+
+
+@pytest.mark.parametrize("label, cartan, root, t_dim, cdim", [
+    ("E6", [], (1, 0, 0, 0, 0, 0), 0, 1),
+    ("A2", [{0: 1, 1: 2}], (1, 0), 1, 2),
+], ids=["E6-root", "A2-toral"])
+def test_identify_fails_loudly_without_maximal_toral_part(label, cartan, root, t_dim, cdim):
+    # closed abelian spans: a single nilpotent root vector, whose Cartan part
+    # is zero, and span{h1 + 2h2, x_a1} on A2, where a1(h1 + 2h2) = 2 - 2 = 0;
+    # identification must refuse rather than guess
+    table = sweep_table(label)
+    s = subalgebra_from_vectors(table, cartan + [{table.rank + table.rs.index(root): 1}])
+    with pytest.raises(IdentifyError) as err:
         identify_type(s)
+    assert str(err.value) == _maximal_toral_message(t_dim, cdim)
+
+
+def test_maximal_toral_check_agrees_with_a_centralizer_count():
+    """On closed spans of Cartan unit rows and root vectors (A2, B3, D4, E6),
+    identify_type refuses with the maximal-toral message, naming the count,
+    exactly when the oracle's centralizer of the Cartan rows is larger than
+    they are."""
+    rng = random.Random(25)
+    seen = {"refused, t = 0": 0, "refused, t != 0": 0, "accepted": 0}
+    for _ in range(300):
+        table = sweep_table(rng.choice(("A2", "B3", "D4", "E6")))
+        n = table.rank
+        toral = [{i: 1} for i in sorted(rng.sample(range(n), rng.randint(0, n)))]
+        roots = rng.sample(range(len(table.rs.roots)), rng.randint(1, 4))
+        try:
+            s = subalgebra_from_vectors(table, toral + [{n + r: 1} for r in roots])
+        except IdentifyError:
+            continue
+        cdim = centralizer_dim(table, s.rows, toral)
+        try:
+            identify_type(s)
+            message = None
+        except IdentifyError as exc:
+            message = str(exc)
+        if cdim > len(toral):
+            assert message == _maximal_toral_message(len(toral), cdim)
+            seen["refused, t != 0" if toral else "refused, t = 0"] += 1
+        else:
+            assert message is None or "maximal toral" not in message, message
+            seen["accepted"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_identify_rejects_borel_as_not_negation_stable(e6):
