@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from .autos import make_klein, read_descriptor
 from .identify import fixed_subalgebra, identify_type, type_dim
-from .realform import cartan_decomposition, load_catalog
+from .realform import cartan_decomposition
 from .rootsys import (
     CartanMatrixError,
     cartan_matrix,
@@ -119,8 +119,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common], help="run verification scenarios")
     verify.add_argument("scenario", choices=("all",) + tuple(sorted(SCENARIOS)))
-    for command in (real, search, verify):  # the commands whose work reads the catalog
-        command.add_argument("--catalog", default=None, help="path to a real-form catalog JSON")
     for command in sub.choices.values():  # main's checks print the subcommand's usage
         command.set_defaults(usage_error=command.error)
     return p
@@ -135,8 +133,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def _context(args) -> VerifyContext:
-    catalog = load_catalog(args.catalog) if getattr(args, "catalog", None) else None
-    return VerifyContext(catalog=catalog, algebra=args.type)
+    return VerifyContext(algebra=args.type)
 
 
 def _cmd_roots(args) -> int:

@@ -13,23 +13,23 @@ definiteness failure signals a structure-constant bug and is fatal.
 
 Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
-form), and (g_type, k_type, signature) is looked up in a data catalog of real
-form names.  One routine, ``cartan_decomposition``, splits the fixed
-subalgebra of a group gamma (trivial for the whole algebra) under theta,
-reading k and p directly as joint eigenspaces on the compact basis.
-Complexified types are identified on the complex side: gamma and theta
-preserve the compact form, so k + p is a real form of the complex fixed space
-once dim k + dim p equals its dimension (asserted, not assumed).
+form), and (g_type, k_type, signature) is looked up in the one shipped catalog
+of real form names, whose every row a test derives by Cartan's rule.  One
+routine, ``cartan_decomposition``, splits the fixed subalgebra of a group
+gamma (trivial for the whole algebra) under theta, reading k and p directly
+as joint eigenspaces on the compact basis.  Complexified types are
+identified on the complex side: gamma and theta preserve the compact form, so
+k + p is a real form of the complex fixed space once dim k + dim p equals its
+dimension (asserted, not assumed).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
 from .autos import Automorphism, KleinGroup, commutes
@@ -70,8 +70,9 @@ class CompactBasis(BracketTable):
         powers, xs = zip(*self.parts)
         for i, acc in table.row_brackets(xs, xs):
             for j in sorted(acc):
-                what = f"[{self.label(i)}, {self.label(j)}]"
-                self._set(i, j, self.to_compact(acc[j], powers[i] + powers[j], what).items())
+                self._set(i, j, self.to_compact(
+                    acc[j], powers[i] + powers[j], lambda: f"[{self.label(i)}, {self.label(j)}]"
+                ).items())
         self.killing = killing_form(self)
         inertia = symmetric_inertia(self.killing)
         if inertia != (0, self.dim, 0):
@@ -102,14 +103,15 @@ class CompactBasis(BracketTable):
             return "v" + str(self.table.rs.roots[i - self.npos].coords)
         return f"w{i - 2 * self.npos + 1}"
 
-    def to_compact(self, x: dict, e: int, what: str) -> dict:
+    def to_compact(self, x: dict, e: int, what: Callable[[], str]) -> dict:
         """Compact coordinates of sqrt(-1)^e * x for a rational Chevalley vector x.
 
         A compact vector has coefficients z on X_a and -conj(z) on X_{-a} and
         an imaginary one on each h_i.  So for even e, x must be antisymmetric
         on every pair X_a, X_{-a} and vanish on the Cartan; for odd e it must
-        be symmetric on every pair.  Otherwise RealFormError names what and
-        the first Chevalley basis vector where this fails.
+        be symmetric on every pair.  Otherwise RealFormError names what() and
+        the first Chevalley basis vector where this fails; what is called only
+        then, since most callers convert thousands of vectors that pass.
         """
         rank, npos = self.rank, self.npos
         odd = e % 2
@@ -127,7 +129,7 @@ class CompactBasis(BracketTable):
                 ok = j - npos in x
             if not ok:
                 raise RealFormError(
-                    f"{what} is not in the compact form (at {self.table.basis_label(j)})"
+                    f"{what()} is not in the compact form (at {self.table.basis_label(j)})"
                 )
         return out
 
@@ -149,7 +151,7 @@ def compact_matrix_cols(cb: CompactBasis, auto: Automorphism) -> Tuple[dict, ...
     image leaves the compact form.
     """
     return tuple(
-        cb.to_compact(auto.apply(x), e, f"{auto.descriptor} applied to {cb.label(i)}")
+        cb.to_compact(auto.apply(x), e, lambda: f"{auto.descriptor} applied to {cb.label(i)}")
         for i, (e, x) in enumerate(cb.parts)
     )
 
@@ -187,7 +189,6 @@ class Catalog:
             if key in self._by_key and self._by_key[key] != r.name:
                 raise ValueError(f"ambiguous catalog rows for {key}")
             self._by_key[key] = r.name
-        self._validate_so_rows()
 
     def lookup(self, g_type: str, k_type: str, k_dim: int, p_dim: int) -> str:
         key = (g_type, k_type, k_dim, p_dim)
@@ -199,100 +200,19 @@ class Catalog:
                 f"signature=({k_dim},{p_dim})"
             ) from None
 
-    def _validate_so_rows(self) -> None:
-        # so(p,q) rows must satisfy dim = (p+q)(p+q-1)/2 and k = so(p)+so(q)
-        pat = re.compile(r"^so\((\d+)(?:,(\d+))?\)(\+u\(1\))?$")
-        for r in self.rows:
-            m = pat.match(r.name)
-            if not m:
-                continue
-            p = int(m.group(1))
-            q = int(m.group(2)) if m.group(2) else 0
-            extra = 1 if m.group(3) else 0
-            n = p + q
-            if r.k_dim + r.p_dim != n * (n - 1) // 2 + extra:
-                raise ValueError(f"catalog row {r.name}: dimension mismatch")
-            if r.k_dim != p * (p - 1) // 2 + q * (q - 1) // 2 + extra:
-                raise ValueError(
-                    f"catalog row {r.name}: k dimension mismatch "
-                    f"(so({p})+so({q}) has dim {p*(p-1)//2 + q*(q-1)//2 + extra})"
-                )
-            summands: List[Tuple[str, int]] = []
-            center = extra
-            for m_part in (p, q):
-                s, c = _so_type(m_part)
-                summands += s
-                center += c
-            expect = str(ReductiveType.make(summands, center))
-            if r.k_type != expect:
-                raise ValueError(
-                    f"catalog row {r.name}: k_type {r.k_type} != so(p)+so(q) = {expect}"
-                )
 
+def load_catalog() -> Catalog:
+    """The shipped catalog, kleinfour.data/realform_catalog.json.
 
-def _so_type(n: int) -> Tuple[List[Tuple[str, int]], int]:
-    if n <= 1:
-        return [], 0
-    if n == 2:
-        return [], 1
-    if n == 3:
-        return [("A", 1)], 0
-    if n == 4:
-        return [("A", 1), ("A", 1)], 0
-    if n == 5:
-        return [("B", 2)], 0
-    if n == 6:
-        return [("A", 3)], 0
-    return ([("D", n // 2)], 0) if n % 2 == 0 else ([("B", (n - 1) // 2)], 0)
-
-
-class CatalogError(ValueError):
-    """A catalog file does not follow the catalog schema."""
-
-
-def load_catalog(path: Optional[str] = None) -> Catalog:
-    """Load the shipped catalog, or one from an explicit JSON path.
-
-    The schema is checked as the file is read: an object whose "real_forms"
-    is a list of rows, each with string fields "g", "k" and "name" and a
-    "signature" of two non-negative JSON integers.  CatalogError names the
-    file and the first field that is missing or malformed.
+    Each of its "real_forms" rows has strings "g", "k" and "name" and a
+    "signature" [dim k, dim p].  tests/test_realform.py derives every row's
+    name from its key by Cartan's rule.
     """
-    if path is None:
-        source = "kleinfour.data/realform_catalog.json"
-        data = json.loads(
-            resources.files("kleinfour.data").joinpath("realform_catalog.json").read_text()
-        )
-    else:
-        source = path
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CatalogError(f"catalog {source}: not JSON: {exc}") from None
-
-    def field(obj, key, where, ok, want):
-        if not isinstance(obj, dict) or key not in obj:
-            raise CatalogError(f"catalog {source}: missing field {where}")
-        if not ok(obj[key]):
-            raise CatalogError(f"catalog {source}: field {where} must be {want}, got {obj[key]!r}")
-        return obj[key]
-
-    def is_signature(x):  # type(), not isinstance(): JSON true is a bool, an int to isinstance
-        return isinstance(x, list) and len(x) == 2 and all(type(n) is int and n >= 0 for n in x)
-
-    def is_str(x):
-        return isinstance(x, str)
-
-    rows = []
-    forms = field(data, "real_forms", "real_forms", lambda x: isinstance(x, list), "a list")
-    for n, r in enumerate(forms):
-        g, k, name = [field(r, key, f"real_forms[{n}].{key}", is_str, "a string")
-                      for key in ("g", "k", "name")]
-        sig = field(r, "signature", f"real_forms[{n}].signature", is_signature,
-                    "a list of two non-negative JSON integers")
-        rows.append(CatalogRow(g, k, sig[0], sig[1], name))
-    return Catalog(rows)
+    data = json.loads(
+        resources.files("kleinfour.data").joinpath("realform_catalog.json").read_text()
+    )
+    return Catalog(CatalogRow(r["g"], r["k"], *r["signature"], r["name"])
+                   for r in data["real_forms"])
 
 
 # ---------------------------------------------------------------------------

@@ -479,10 +479,8 @@ def _step(claim, computed, expected, provenance) -> Step:
 class VerifyContext:
     """Caches the E6 tables and derived objects across scenarios."""
 
-    def __init__(self, catalog: Optional[Catalog] = None, algebra: str = "E6"):
+    def __init__(self, algebra: str = "E6"):
         self.algebra = algebra
-        if catalog is not None:
-            self.catalog = catalog
 
     @cached_property
     def rs(self):

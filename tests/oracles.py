@@ -13,7 +13,8 @@ lexicographic closure check with its own exact elimination, the dimension
 of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
 basis pairs and triples.  ``pairing`` reads only a root system's Cartan
-matrix.
+matrix.  ``cartan_real_form_name`` names a real form from its (complex type,
+compact type, signature) key by Cartan's rule, from type labels alone.
 """
 
 from fractions import Fraction
@@ -499,3 +500,74 @@ def chevalley_reference(rs):
             elif s in index:
                 put(rank + k1, rank + k2, ((rank + index[s], nconst[(a, b)]),))
     return adj, nconst, extraspecial
+
+
+# -- real-form names by Cartan's rule ----------------------------------------------
+
+EXCEPTIONAL_DIMS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
+
+
+def _simple_dim(letter, n):
+    if letter == "A":
+        return n * (n + 2)
+    if letter in "BC":
+        return n * (2 * n + 1)
+    if letter == "D":
+        return n * (2 * n - 1)
+    return EXCEPTIONAL_DIMS[(letter, n)]
+
+
+def _parse_type(text):
+    """(sorted simple summands as (letter, rank), center dim) of a label such as D4+2u(1)."""
+    simple, center = [], 0
+    for part in text.split("+"):
+        if part.endswith("u(1)"):
+            center += int(part[:-4] or 1)
+        else:
+            simple.append((part[0], int(part[1:])))
+    return sorted(simple), center
+
+
+def _so_type(m):
+    """(simple summands, center dim) of so(m), by the low-rank isomorphisms."""
+    if m < 2:
+        return [], 0
+    low = {2: ([], 1), 3: ([("A", 1)], 0), 4: ([("A", 1), ("A", 1)], 0), 5: ([("B", 2)], 0),
+           6: ([("A", 3)], 0)}
+    return low.get(m, ([("D", m // 2) if m % 2 == 0 else ("B", m // 2)], 0))
+
+
+def cartan_real_form_name(g_type, k_type, k_dim, p_dim):
+    """The real form with complex type g_type, maximal compact type k_type and
+    signature (k_dim, p_dim) by Cartan's rule, or None where the rule names none.
+
+    g_type is one simple type plus a center of c dimensions, taken to lie in
+    k, which adds "+u(1)" c times; dim k + dim p must be dim g.  An exceptional
+    type is named by its letter and rank with the index dim p - dim k of its
+    simple part, as in e6(-14) (Helgason ch. X, Table V; Knapp App. C).  B_n
+    and D_n are named so(p,q) (so(N) when q = 0) with p >= q, p + q = N the
+    dimension of the standard representation and dim so(p) + dim so(q) =
+    dim k - c, which must have exactly one solution, and k_type must then be
+    so(p) + so(q) with the c central u(1).  A_n and C_n are outside the rule.
+    """
+    simple, center = _parse_type(g_type)
+    if len(simple) != 1:
+        return None
+    (letter, n), = simple
+    if k_dim + p_dim != _simple_dim(letter, n) + center:
+        return None
+    suffix = "+u(1)" * center
+    if (letter, n) in EXCEPTIONAL_DIMS:
+        return f"{letter.lower()}{n}({p_dim - (k_dim - center)}){suffix}"
+    if letter not in "BD":
+        return None
+    N = 2 * n + 1 if letter == "B" else 2 * n
+    solutions = [(p, N - p) for p in range(N - N // 2, N + 1)
+                 if p * (p - 1) // 2 + (N - p) * (N - p - 1) // 2 == k_dim - center]
+    if len(solutions) != 1:
+        return None
+    (p, q), = solutions
+    (sp, cp), (sq, cq) = _so_type(p), _so_type(q)
+    if _parse_type(k_type) != (sorted(sp + sq), cp + cq + center):
+        return None
+    return (f"so({p},{q})" if q else f"so({p})") + suffix

@@ -77,8 +77,8 @@ def test_golden_mismatch_fails(tmp_path):
 @pytest.mark.parametrize("command", [["roots"], ["fixed", "--auto", "omega"],
                                      ["identify", "--auto", "omega"]])
 def test_catalog_is_an_unrecognized_argument_where_no_work_reads_it(command):
-    """--catalog belongs to realform, search and verify only; elsewhere it is a
-    usage error (exit 2), not a failure to read a file the command never uses."""
+    """No command takes --catalog (the real-form catalog is the shipped one):
+    it is a usage error (exit 2), not a failure to read a file."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -148,6 +148,10 @@ def test_torus_coefficients_are_ascii_integers(descriptor):
     ["search", "--type", "A2", "--classes", "sigma3,sigma2", "--target", "B4"],
     # arguments that no parser takes
     pytest.param(["roots", "--type", "A1", "--catalog", "missing.json"], id="roots-unrecognized"),
+    pytest.param(["realform", "--theta", "omega", "--catalog", "x.json"], id="realform-catalog"),
+    pytest.param(["search", "--classes", "sigma3,sigma2", "--target", "B4", "--catalog", "x.json"],
+                 id="search-catalog"),
+    pytest.param(["verify", "all", "--catalog", "x.json"], id="verify-catalog"),
     pytest.param(["fixed", "--auto", "omega", "--nope"], id="fixed-unrecognized"),
 ], ids=lambda argv: argv[0])
 def test_checks_after_parsing_print_the_subcommand_usage(argv):
@@ -260,6 +264,17 @@ def test_catalog_miss_message_is_plain():
     }
 
 
+def test_exhausted_search_is_failure_exit_1():
+    """No pair of sigma1 involutions fixes all of E6: the search runs out of
+    tuples, exit 1 with one JSON object."""
+    code, out, err = run_cli(["search", "--classes", "sigma1,sigma1", "--target", "E6"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "SearchExhausted",
+        "message": "no configuration with classes ['sigma1', 'sigma1'] and fixed type E6",
+    }
+
+
 def test_torus_descriptor_that_is_the_identity_is_failure_exit_1():
     """torus:1 on A1 passes the grammar but names the identity: exit 1 with one JSON object."""
     code, out, err = run_cli(["fixed", "--type", "A1", "--auto", "torus:1"])
@@ -276,19 +291,6 @@ TYPES = [f"{letter}{rank}" for letter, ranks in (
     ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(3, 9)),
     ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))) for rank in ranks]
 BAD_TYPES = ["E5", "A0", "Z3", "E", "B1", "D2", "A\u0663", "e 6", ""]
-MALFORMED_CATALOGS = {
-    "not_json.json": "{",
-    "list.json": "[]",
-    "forms_not_a_list.json": '{"real_forms": 3}',
-    "row_missing_fields.json": '{"real_forms": [{"g": "E6"}]}',
-    "bool_signature.json": '{"real_forms": [{"g": "E6", "k": "F4", "signature": [true, 26],'
-                           ' "name": "e6(-26)"}]}',
-    "ambiguous.json": '{"real_forms": [{"g": "A1", "k": "A1", "signature": [3, 0], "name": "x"},'
-                      ' {"g": "A1", "k": "A1", "signature": [3, 0], "name": "y"}]}',
-    "bad_so_row.json": '{"real_forms": [{"g": "B2", "k": "A1", "signature": [3, 7],'
-                       ' "name": "so(3,2)"}]}',
-    "empty.json": '{"real_forms": []}',
-}
 
 
 @pytest.fixture(scope="module")
@@ -298,17 +300,6 @@ def golden_dirs(tmp_path_factory):
     wrong = tmp_path_factory.mktemp("golden")
     (wrong / "roots_A1.txt").write_text("not the real thing\n", encoding="utf-8")
     return {str(REPO / "golden"): ["A2", "E6"], str(wrong): ["A1"]}
-
-
-@pytest.fixture(scope="module")
-def catalogs(tmp_path_factory):
-    """Paths of malformed catalogs, of a directory and of a missing file."""
-    root = tmp_path_factory.mktemp("catalogs")
-    for name, text in MALFORMED_CATALOGS.items():
-        (root / name).write_text(text, encoding="utf-8")
-    (root / "latin1.json").write_bytes(b'{"real_forms": "\xe9"}')
-    return [str(root / name) for name in [*MALFORMED_CATALOGS, "latin1.json", "missing.json"]] + [
-        str(root)]
 
 
 def _descriptor(draw, rank, bad):
@@ -328,17 +319,19 @@ COMMANDS = ["roots", "fixed", "identify", "realform", "search", "verify"]
 
 
 @st.composite
-def cli_arguments(draw, command, catalogs, golden_dirs):
+def cli_arguments(draw, command, golden_dirs):
     """An argument list for cli.main from the CLI grammar, with at most one
-    part (the fault) drawn from outside it.  search and verify take E6 only
-    with a bad catalog, which fails the request early: in reading it, or at
-    the first name looked up in the empty one.  Their E6 outputs are pinned
-    byte for byte by the golden files and the benchmark's expected outputs,
-    and other types are usage errors.  A roots --golden-dir takes a type
-    whose files the directory holds, so that both a match and a mismatch
-    are drawn."""
-    fault = draw(st.sampled_from([None, None, "type", "arguments", "format", "catalog"]))
+    part (the fault) drawn from outside it.  search takes E6 only with
+    classes whose tuples never reach the target (sigma1,sigma1 -> E6), a
+    search that exhausts in about 0.3 s: exit 1.  verify on E6 has no cheap
+    exit-1 input, so it takes other types only.  Other types are usage
+    errors for both, and their E6 outputs are pinned byte for byte by the
+    golden files and the benchmark's expected outputs.  A roots --golden-dir
+    takes a type whose files the directory holds, so that both a match and
+    a mismatch are drawn."""
+    fault = draw(st.sampled_from([None, None, "type", "arguments", "format"]))
     bad, golden = fault == "arguments", None
+    exhausted = command == "search" and draw(st.booleans())
     if fault == "type":
         label, rank = draw(st.sampled_from(BAD_TYPES)), 2
     else:
@@ -348,7 +341,7 @@ def cli_arguments(draw, command, catalogs, golden_dirs):
         if golden:
             types = golden_dirs[golden]
         elif command in ("search", "verify"):
-            types = ["E6"] if fault == "catalog" else [t for t in TYPES if t != "E6"]
+            types = ["E6"] if exhausted else [t for t in TYPES if t != "E6"]
         else:
             types = TYPES
         label = draw(st.sampled_from(types))
@@ -365,6 +358,8 @@ def cli_arguments(draw, command, catalogs, golden_dirs):
         flags = ["--theta" if command == "realform" and n == 0 else "--auto"
                  for n in range(len(descs))]
         argv += [x for f, d in zip(flags, descs) for x in (f, d)]
+    elif exhausted and not bad:
+        argv += ["--classes", "sigma1,sigma1", "--target", draw(st.sampled_from(["E6", "E6:78"]))]
     elif command == "search":
         argv += ["--classes", draw(st.sampled_from(["sigma1", "sigma9,sigma2"] if bad else
                                                    ["sigma3,sigma2", "sigma2,sigma2,sigma1"])),
@@ -373,8 +368,6 @@ def cli_arguments(draw, command, catalogs, golden_dirs):
         argv += [draw(st.sampled_from(["nope"] if bad else ["all", "census"]))]
     argv += (["--format", "xml"] if fault == "format"
              else draw(st.sampled_from([[], ["--format", "json"]])))
-    if fault == "catalog":
-        argv += ["--catalog", draw(st.sampled_from(catalogs))]
     return argv
 
 
@@ -393,10 +386,10 @@ def _outcome(argv):
 @settings(derandomize=True, database=None, deadline=None, max_examples=15,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_cli_contract_holds_for_generated_arguments(catalogs, golden_dirs, command, data):
+def test_cli_contract_holds_for_generated_arguments(golden_dirs, command, data):
     """Exit 0, 1 or 2 and no traceback; exit 1 is exactly one JSON object
     with error and message on stderr; the same arguments give the same bytes."""
-    argv = data.draw(cli_arguments(command, catalogs, golden_dirs))
+    argv = data.draw(cli_arguments(command, golden_dirs))
     code, out, err = _outcome(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err, argv

@@ -24,7 +24,6 @@ from kleinfour.exactq import (
 )
 from kleinfour.identify import fixed_subalgebra, subalgebra_from_vectors
 from kleinfour.realform import (
-    CatalogError,
     CatalogMissError,
     RealFormError,
     cartan_decomposition,
@@ -37,7 +36,7 @@ from kleinfour.realform import (
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext
-from oracles import jacobi_defect, killing_reference, pairing
+from oracles import cartan_real_form_name, jacobi_defect, killing_reference, pairing
 
 
 # -- compact form -----------------------------------------------------------------
@@ -102,8 +101,8 @@ def test_f4_compact_form_builds():
 def test_to_compact_reads_back_the_basis(e6_compact):
     cb = e6_compact
     for i, (e, x) in enumerate(cb.parts):
-        assert cb.to_compact(x, e, cb.label(i)) == {i: 1}
-        assert cb.to_compact(x, e + 2, cb.label(i)) == {i: -1}
+        assert cb.to_compact(x, e, lambda: cb.label(i)) == {i: 1}
+        assert cb.to_compact(x, e + 2, lambda: cb.label(i)) == {i: -1}
 
 
 def test_to_compact_rejects_vectors_outside_the_compact_form(e6_compact):
@@ -111,9 +110,25 @@ def test_to_compact_rejects_vectors_outside_the_compact_form(e6_compact):
     x_a = {cb.rank: 1}  # X_a of the first positive root, without X_{-a}
     for e in (0, 1):
         with pytest.raises(RealFormError, match=r"X_a alone .*x\+\[0,0,0,0,0,1\]"):
-            cb.to_compact(x_a, e, "X_a alone")
+            cb.to_compact(x_a, e, lambda: "X_a alone")
     with pytest.raises(RealFormError, match=r"real h1 .*\(at h1\)"):
-        cb.to_compact({0: 1}, 0, "real h1")
+        cb.to_compact({0: 1}, 0, lambda: "real h1")
+
+
+def test_compact_form_failure_names_the_bracket_pair(monkeypatch):
+    """A bracket that leaves the compact form is named by its pair of compact
+    basis vectors, and the Chevalley vector where it leaves."""
+    t = chevalley_table(build_root_system(cartan_matrix("A1")))
+    real = t.row_brackets
+
+    def corrupted(xs, ys):  # [u, v] gains an X_a without its X_{-a}
+        for i, acc in real(xs, ys):
+            yield i, ({**acc, 1: {**acc[1], t.rank: 1}} if i == 0 else acc)
+
+    monkeypatch.setattr(t, "row_brackets", corrupted)
+    with pytest.raises(RealFormError) as err:
+        compact_form(t)
+    assert str(err.value) == "[u(1,), v(1,)] is not in the compact form (at x+[1])"
 
 
 # -- automorphisms in compact coordinates ---------------------------------------------
@@ -149,8 +164,10 @@ def test_unipotent_conjugate_fails_compactness(e6, e6_compact):
     moved = _unipotent_conjugate(e6, (0, 0, 0, 1, 0, 0), sigma)
     assert moved.order == 2
     assert moved != sigma
-    with pytest.raises(RealFormError):
+    with pytest.raises(RealFormError) as err:
         compact_matrix_cols(e6_compact, moved)
+    assert str(err.value) == ("unipotent-conjugate applied to u(0, 0, 0, 0, 1, 0) is not in "
+                              "the compact form (at x+[0,0,0,1,1,0])")
 
 
 # -- Cartan decompositions --------------------------------------------------------------
@@ -389,70 +406,67 @@ def test_catalog_so_consistency_and_miss(catalog):
     assert catalog.lookup("B4", "D4", 28, 8) == "so(8,1)"
 
 
-def test_catalog_rejects_inconsistent_so_row(tmp_path):
-    import json
-
-    bad = {
-        "real_forms": [
-            {"g": "B4", "k": "D4", "signature": [27, 9], "name": "so(8,1)"}
-        ]
-    }
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(bad))
-    with pytest.raises(ValueError, match="k dimension mismatch"):
-        load_catalog(str(p))
+def test_every_catalog_name_follows_from_its_key_by_cartans_rule():
+    """Each of the 22 shipped rows, whose keys are distinct, is named as
+    Cartan's rule names its (g_type, k_type, signature) key."""
+    rows = load_catalog().rows
+    keys = [(r.g_type, r.k_type, r.k_dim, r.p_dim) for r in rows]
+    assert len(rows) == len(set(keys)) == 22
+    assert [cartan_real_form_name(*key) for key in keys] == [r.name for r in rows]
 
 
-_ROW = {"g": "B4", "k": "D4", "signature": [28, 8], "name": "so(8,1)"}
-
-
-@pytest.mark.parametrize("data, field", [
-    ({"rows": [_ROW]}, "missing field real_forms"),
-    ({"real_forms": _ROW}, "field real_forms must be a list"),
-    ({"real_forms": [{k: v for k, v in _ROW.items() if k != "g"}]}, "missing field real_forms[0].g"),
-    ({"real_forms": [_ROW, {k: v for k, v in _ROW.items() if k != "k"}]},
-     "missing field real_forms[1].k"),
-    ({"real_forms": [{k: v for k, v in _ROW.items() if k != "name"}]},
-     "missing field real_forms[0].name"),
-    ({"real_forms": [{k: v for k, v in _ROW.items() if k != "signature"}]},
-     "missing field real_forms[0].signature"),
-    ({"real_forms": [dict(_ROW, signature=["1_0", 8])]}, "field real_forms[0].signature must be"),
-    ({"real_forms": [dict(_ROW, signature=[28, "\u0663"])]}, "field real_forms[0].signature must be"),
-    ({"real_forms": [dict(_ROW, signature=[True, 8])]}, "field real_forms[0].signature must be"),
-    ({"real_forms": [dict(_ROW, signature=[28])]}, "field real_forms[0].signature must be"),
-    ({"real_forms": [dict(_ROW, name=7)]}, "field real_forms[0].name must be a string"),
+@pytest.mark.parametrize("key, name", [
+    (("E6", "D5+u(1)", 46, 32), "e6(-15)"),  # the index of e6(-14) off by one
+    (("B4", "D4", 27, 9), "so(8,1)"),        # k dim 27 with the same total
+    (("B4", "D4", 27, 8), "so(8,1)"),        # k dim 27 alone
+    (("B4", "B4", 28, 8), "so(8,1)"),        # k type not so(8)+so(1)
+    (("D5+u(1)", "B4", 36, 10), "so(9,1)+u(1)"),  # the center in p, not k
 ])
-def test_catalog_schema_is_checked_on_load(tmp_path, data, field):
-    import json
-
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(data))
-    with pytest.raises(CatalogError) as err:
-        load_catalog(str(p))
-    assert str(err.value).startswith(f"catalog {p}: {field}")
+def test_cartans_rule_rejects_a_wrong_row(key, name):
+    assert cartan_real_form_name(*key) != name
 
 
-def test_a_catalog_that_is_not_json_names_the_file(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text('{"real_forms": [')
-    with pytest.raises(CatalogError) as err:
-        load_catalog(str(p))
-    assert str(err.value).startswith(f"catalog {p}: not JSON: ")
+# One committed split per catalog row that a certified split reaches: the
+# whole algebra of E6, F4, B4 and D5, and the Gamma-fixed D5+u(1) in E6.
+REALIZED = {
+    "e6(-78)": ("E6", "identity", ()),
+    "e6(2)": ("E6", "torus:0,1,0,0,0,0", ()),
+    "e6(-14)": ("E6", "torus:1,0,0,0,0,1", ()),
+    "e6(-26)": ("E6", "omega", ()),
+    "e6(6)": ("E6", "omega*torus:0,1,0,0,0,0", ()),
+    "f4(-52)": ("F4", "identity", ()),
+    "f4(4)": ("F4", "torus:0,1,0,0", ()),
+    "f4(-20)": ("F4", "torus:0,0,0,1", ()),
+    "so(9)": ("B4", "identity", ()),
+    "so(8,1)": ("B4", "torus:1,0,1,0", ()),
+    "so(5,4)": ("B4", "torus:0,0,1,0", ()),
+    "so(10)": ("D5", "identity", ()),
+    "so(9,1)": ("D5", "omega", ()),
+    "so(8,2)": ("D5", "torus:0,1,0,0,1", ()),
+    "so(7,3)": ("D5", "omega*torus:0,0,0,0,1", ()),
+    "so(6,4)": ("D5", "torus:0,0,0,0,1", ()),
+    "so(5,5)": ("D5", "omega*torus:0,0,1,0,0", ()),
+    "so(10)+u(1)": ("E6", "identity", ("torus:1,0,0,0,0,1",)),
+    "so(8,2)+u(1)": ("E6", "torus:1,0,0,0,0,1", ("torus:0,0,1,0,1,0",)),
+}
+# so(7,2) and so(6,3) need an involution of B4 by a coweight outside the
+# coroot lattice, which no torus: descriptor writes.  so(9,1)+u(1) would need
+# a theta in Aut(E6) that is outer on D5 and fixes the center of a D5+u(1);
+# none exists.  The 27 D5 subsystems of E6 are one Weyl orbit, so W(E6)
+# normalizes each by W(D5) alone (51840 / 27 = 1920): an inner theta is inner
+# on D5, and an outer one acts on the Cartan as -w with w in W(D5), which
+# negates the center, as omega's split, (36, 10) with k = B4, shows.
+UNREALIZED = {"so(7,2)", "so(6,3)", "so(9,1)+u(1)"}
 
 
-def test_a_malformed_catalog_exits_1_naming_file_and_field(tmp_path):
-    import contextlib
-    import io
-    import json
-
-    from kleinfour.cli import main
-
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"real_forms": [dict(_ROW, signature=["1_0", 8])]}))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["realform", "--type", "B4", "--catalog", str(p), "--theta", "torus:1,0,0,0"])
-    assert code == 1
-    report = json.loads(err.getvalue())
-    assert report["error"] == "CatalogError"
-    assert report["message"].startswith(f"catalog {p}: field real_forms[0].signature")
+def test_each_reachable_catalog_row_comes_out_of_a_certified_split(ctx):
+    rows = {r.name: r for r in load_catalog().rows}
+    assert set(REALIZED) == set(rows) - UNREALIZED and len(REALIZED) == 19
+    contexts = {"E6": ctx}
+    for name, (label, theta, gamma) in REALIZED.items():
+        c = contexts.setdefault(label, VerifyContext(algebra=label))
+        d = cartan_decomposition(c.cb, c.automorphism(theta), c.catalog,
+                                 [c.automorphism(g) for g in gamma])
+        r = rows[name]
+        assert (d.g_type, d.k_type, d.k_dim, d.p_dim, d.name) == (
+            r.g_type, r.k_type, r.k_dim, r.p_dim, r.name)

@@ -105,8 +105,8 @@ def _census_batches(ctx, census, monkeypatch):
         return certify(table, batch)
 
     monkeypatch.setattr(verify, "certify_batch", recording)
-    fresh = VerifyContext(catalog=ctx.catalog)
-    fresh.__dict__.update(table=ctx.table, cb=ctx.cb)
+    fresh = VerifyContext()
+    fresh.__dict__.update(table=ctx.table, cb=ctx.cb, catalog=ctx.catalog)
     assert verify.involution_census(fresh) == census
     return batches
 
@@ -679,11 +679,23 @@ def test_so9_klein_pinned(ctx):
     )
 
 
-def test_context_uses_the_catalog_it_is_given():
-    from kleinfour.realform import load_catalog
+def test_the_catalog_is_loaded_once_per_context(monkeypatch):
+    """A cold run_all on a fresh context reads the shipped catalog once, and so
+    does one realform request: every split reads it from its context."""
+    import contextlib
+    import io
 
-    given = load_catalog()
-    assert verify.VerifyContext(catalog=given).catalog is given
+    from kleinfour import cli, realform
+
+    calls = []
+    load = realform.load_catalog
+    for module in (realform, verify):
+        monkeypatch.setattr(module, "load_catalog", lambda: calls.append(1) or load())
+    assert all(r.passed for r in run_all(VerifyContext()))
+    assert len(calls) == 1
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["realform", "--theta", "torus:1,0,0,0,0,1"]) == 0
+    assert "name e6(-14)" in out.getvalue() and len(calls) == 2
 
 
 def test_context_builds_omega_once_for_twists(monkeypatch):
