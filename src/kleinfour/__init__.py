@@ -34,7 +34,6 @@ from .identify import (
     match_cartan,
 )
 from .realform import (
-    Catalog,
     CatalogMissError,
     CompactBasis,
     RealFormDescriptor,

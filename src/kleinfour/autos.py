@@ -56,10 +56,10 @@ class Automorphism:
     """Certified algebra automorphism in the canonical basis.
 
     ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
-    when the certificate found a signed permutation, else None, as for any
-    object built outside make_automorphisms.  Instances are created by
-    make_automorphisms only (make_automorphism is a batch of one) and are
-    immutable afterwards.
+    when the certificate found a signed permutation, else None.  Instances
+    come from make_automorphisms (make_automorphism is a batch of one), and
+    omega_automorphism re-wraps one, with its cols, order and pi, under the
+    descriptor "omega"; all are immutable afterwards.
     """
 
     __slots__ = ("table", "cols", "order", "descriptor", "pi", "_trace")
@@ -415,7 +415,10 @@ def omega_automorphism(table: StructureTable) -> Automorphism:
         sym = [p for p in diagram_symmetries(table.rs.cartan)
                if p != tuple(range(n)) and all(p[p[i]] == i for i in range(n))]
         if len(sym) != 1:
-            raise ValueError(f"expected exactly one nontrivial diagram involution, found {len(sym)}")
+            from .identify import match_cartan  # identify imports this module
+            raise ValueError("omega is not defined on %s%d: it has %d nontrivial diagram "
+                             "involutions, not exactly one"
+                             % (*match_cartan(table.rs.cartan), len(sym)))
         a = diagram_automorphism(table, sym[0])
         table.omega = Automorphism(table, a.cols, a.order, "omega", a.pi)
     return table.omega

@@ -207,7 +207,7 @@ def _cmd_realform(args) -> int:
     gens = [ctx.automorphism(d) for d in args.auto]
     if len(gens) == 2:
         make_klein(*gens)  # the Klein four axioms, each with its own message
-    desc = cartan_decomposition(ctx.cb, theta, ctx.catalog, gens)
+    desc = cartan_decomposition(ctx.cb, theta, gens)
     payload = {
         "theta": desc.theta,
         "fixed_of": list(desc.fixed_of),

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
 from .autos import Automorphism, KleinGroup, commutes
@@ -169,50 +169,18 @@ def _restricted_inertia(cb: CompactBasis, span: SpanSolver) -> Tuple[int, int, i
 # Catalog of real form names
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogRow:
-    g_type: str
-    k_type: str
-    k_dim: int
-    p_dim: int
-    name: str
-
-
-class Catalog:
-    """Lookup (g_type, k_type, signature) -> canonical real form name."""
-
-    def __init__(self, rows: Sequence[CatalogRow]):
-        self.rows = tuple(rows)
-        self._by_key: Dict[Tuple[str, str, int, int], str] = {}
-        for r in self.rows:
-            key = (r.g_type, r.k_type, r.k_dim, r.p_dim)
-            if key in self._by_key and self._by_key[key] != r.name:
-                raise ValueError(f"ambiguous catalog rows for {key}")
-            self._by_key[key] = r.name
-
-    def lookup(self, g_type: str, k_type: str, k_dim: int, p_dim: int) -> str:
-        key = (g_type, k_type, k_dim, p_dim)
-        try:
-            return self._by_key[key]
-        except KeyError:
-            raise CatalogMissError(
-                f"no real form catalogued for g_type={g_type}, k_type={k_type}, "
-                f"signature=({k_dim},{p_dim})"
-            ) from None
-
-
-def load_catalog() -> Catalog:
-    """The shipped catalog, kleinfour.data/realform_catalog.json.
+def load_catalog() -> Dict[Tuple[str, str, int, int], str]:
+    """The shipped catalog, kleinfour.data/realform_catalog.json, as
+    {(g_type, k_type, dim k, dim p): name}.
 
     Each of its "real_forms" rows has strings "g", "k" and "name" and a
     "signature" [dim k, dim p].  tests/test_realform.py derives every row's
-    name from its key by Cartan's rule.
+    name from its key by Cartan's rule and checks that the keys are distinct.
     """
     data = json.loads(
         resources.files("kleinfour.data").joinpath("realform_catalog.json").read_text()
     )
-    return Catalog(CatalogRow(r["g"], r["k"], *r["signature"], r["name"])
-                   for r in data["real_forms"])
+    return {(r["g"], r["k"], *r["signature"]): r["name"] for r in data["real_forms"]}
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +217,6 @@ def _check_theta(theta: Automorphism, others: Sequence[Automorphism]) -> None:
 def cartan_decomposition(
     cb: CompactBasis,
     theta: Automorphism,
-    catalog: Optional[Catalog] = None,
     gamma: Sequence[Automorphism] = (),
 ) -> RealFormDescriptor:
     """Split the gamma-fixed compact subalgebra under theta and name its real form.
@@ -267,8 +234,6 @@ def cartan_decomposition(
     space, whose real dimension is at most the complex one, so the fill
     check makes k + p all of it.
     """
-    if catalog is None:
-        catalog = load_catalog()
     gens = list(gamma)
     _check_theta(theta, gens)
     gcols = [compact_matrix_cols(cb, g) for g in gens]
@@ -296,22 +261,16 @@ def cartan_decomposition(
             f"complex fixed space of gamma+theta has dim {k_complex.dim}, "
             f"compact k-part has {kpart.dim}"
         )
-    k_type = identify_type(k_complex)
-    name = catalog.lookup(str(g_type), str(k_type), kpart.dim, ppart.dim)
-    return RealFormDescriptor(
-        theta.descriptor,
-        tuple(g.descriptor for g in gens),
-        str(g_type),
-        str(k_type),
-        kpart.dim,
-        ppart.dim,
-        name,
-    )
+    key = (str(g_type), str(identify_type(k_complex)), kpart.dim, ppart.dim)
+    try:
+        name = load_catalog()[key]
+    except KeyError:
+        raise CatalogMissError("no real form catalogued for g_type=%s, k_type=%s, "
+                               "signature=(%d,%d)" % key) from None
+    return RealFormDescriptor(theta.descriptor, tuple(g.descriptor for g in gens), *key, name)
 
 
-def real_fixed_subalgebra(
-    cb: CompactBasis, gamma, theta: Automorphism, catalog: Optional[Catalog] = None
-) -> RealFormDescriptor:
+def real_fixed_subalgebra(cb: CompactBasis, gamma, theta: Automorphism) -> RealFormDescriptor:
     """Real form of the gamma-fixed subalgebra inside the theta real form.
 
     gamma is a KleinGroup or a single Automorphism (the rank-1 degenerate
@@ -323,7 +282,7 @@ def real_fixed_subalgebra(
         gens = [gamma]
     else:
         raise TypeError("gamma must be a KleinGroup or a single Automorphism")
-    return cartan_decomposition(cb, theta, catalog, gens)
+    return cartan_decomposition(cb, theta, gens)
 
 
 def holomorphic_flags(

@@ -69,14 +69,7 @@ from .autos import (
     weyl_lift,
 )
 from .identify import Subalgebra, fixed_subalgebra, identify_type, type_dim
-from .realform import (
-    Catalog,
-    cartan_decomposition,
-    compact_form,
-    holomorphic_flags,
-    load_catalog,
-    real_fixed_subalgebra,
-)
+from .realform import cartan_decomposition, compact_form, holomorphic_flags, real_fixed_subalgebra
 from .rootsys import build_root_system, cartan_matrix, chevalley_table
 
 CLASS_INVARIANTS: Dict[str, Tuple[int, str]] = {
@@ -247,7 +240,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
     realform_names: Dict[str, str] = {}
 
     def classify(t):
-        split = cartan_decomposition(ctx.cb, t[0], ctx.catalog)
+        split = cartan_decomposition(ctx.cb, t[0])
         label = _class_label(t[0], split.k_dim, split.k_type)
         realform_names.setdefault(label, split.name)
         return label, split.k_dim, split.k_type
@@ -495,10 +488,6 @@ class VerifyContext:
         return compact_form(self.table)
 
     @cached_property
-    def catalog(self) -> Catalog:
-        return load_catalog()
-
-    @cached_property
     def census(self) -> Census:
         return involution_census(self)
 
@@ -556,7 +545,7 @@ def verify_census(ctx: VerifyContext) -> Report:
 def verify_so82_fixed_form(ctx: VerifyContext) -> Report:
     _, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
-    desc = real_fixed_subalgebra(ctx.cb, b, theta, ctx.catalog)
+    desc = real_fixed_subalgebra(ctx.cb, b, theta)
     steps = [
         _step("b class", labels.get(b), "sigma2", "structural"),
         _step("theta class", labels.get(theta), "sigma2", "structural"),
@@ -575,7 +564,7 @@ def verify_so81_klein_pair(ctx: VerifyContext) -> Report:
     a, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
     # the split identifies the complex fixed algebras of <a,b> and <a,b,theta>
-    desc = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta, ctx.catalog)
+    desc = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta)
     s_bt = fixed_subalgebra(ctx.table, [b, theta])
     steps = [
         _step("so(9) Klein search nonempty", bool(so9.a), True, "reference"),
@@ -623,9 +612,7 @@ SCENARIOS = {
 }
 
 
-def run_all(ctx: Optional[VerifyContext] = None) -> List[Report]:
-    if ctx is None:
-        ctx = VerifyContext()
+def run_all(ctx: VerifyContext) -> List[Report]:
     return [SCENARIOS[name](ctx) for name in ("census", "so82", "so81", "holomorphic")]
 
 

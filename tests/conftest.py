@@ -30,11 +30,6 @@ def e6_compact(ctx):
 
 
 @pytest.fixture(scope="session")
-def catalog(ctx):
-    return ctx.catalog
-
-
-@pytest.fixture(scope="session")
 def census(ctx):
     return ctx.census
 

@@ -285,6 +285,18 @@ def test_torus_descriptor_that_is_the_identity_is_failure_exit_1():
     }
 
 
+def test_omega_on_a_type_without_one_diagram_involution_is_failure_exit_1():
+    """D4 has three nontrivial diagram involutions: the message names the type
+    and the count, exit 1 with one JSON object."""
+    code, out, err = run_cli(["identify", "--type", "D4", "--auto", "omega"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "omega is not defined on D4: it has 3 nontrivial diagram involutions, "
+                   "not exactly one",
+    }
+
+
 # -- the CLI contract under generated arguments ---------------------------------
 
 TYPES = [f"{letter}{rank}" for letter, ranks in (

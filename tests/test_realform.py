@@ -1,4 +1,8 @@
+import json
+import re
 from fractions import Fraction
+from importlib import resources
+from operator import mul
 
 import pytest
 
@@ -172,8 +176,8 @@ def test_unipotent_conjugate_fails_compactness(e6, e6_compact):
 
 # -- Cartan decompositions --------------------------------------------------------------
 
-def test_identity_theta_gives_compact_form(e6, e6_compact, catalog):
-    d = cartan_decomposition(e6_compact, parse_descriptor(e6, "identity"), catalog)
+def test_identity_theta_gives_compact_form(e6, e6_compact):
+    d = cartan_decomposition(e6_compact, parse_descriptor(e6, "identity"))
     assert d.signature == (78, 0)
     assert d.name == "e6(-78)"
 
@@ -185,7 +189,7 @@ def _split_cases(ctx):
             ("so82", theta, [b]), ("so81", theta, [a, b])]
 
 
-def _captured_split(cb, theta, gamma, catalog, monkeypatch):
+def _captured_split(cb, theta, gamma, monkeypatch):
     """The (rows, pivots) of each span the split eliminates, in order, and its
     result (None on a catalog miss: the spans are made before the name is
     looked up)."""
@@ -193,7 +197,7 @@ def _captured_split(cb, theta, gamma, catalog, monkeypatch):
     real_rref = realform.rref
     monkeypatch.setattr(realform, "rref", lambda vs: made.append(real_rref(vs)) or made[-1])
     try:
-        d = cartan_decomposition(cb, theta, catalog, gamma)
+        d = cartan_decomposition(cb, theta, gamma)
     except CatalogMissError:
         d = None
     monkeypatch.undo()
@@ -207,7 +211,7 @@ def test_split_eliminates_only_k_and_p(ctx, case, dims, monkeypatch):
     Subalgebra: k and p are plain spans."""
     (theta, gamma), = [(t, g) for label, t, g in _split_cases(ctx) if label == case]
     assert not any(hasattr(realform, name) for name in ("Subalgebra", "subalgebra_from_vectors"))
-    made, d = _captured_split(ctx.cb, theta, gamma, ctx.catalog, monkeypatch)
+    made, d = _captured_split(ctx.cb, theta, gamma, monkeypatch)
     assert [len(rows) for rows, _ in made] == dims == [d.k_dim, d.p_dim]
 
 
@@ -243,7 +247,7 @@ def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch)
         cases.append((other.cb, other.automorphism(theta), [other.automorphism(g) for g in gamma]))
     assert len(cases) == 11
     for cb, theta, gamma in cases:
-        made, _ = _captured_split(cb, theta, gamma, load_catalog(), monkeypatch)
+        made, _ = _captured_split(cb, theta, gamma, monkeypatch)
         assert [(tuple(rows), tuple(pivots)) for rows, pivots in made] == [
             (s.rows, s.pivots) for s in _split_by_the_compact_fixed_algebra(cb, theta, gamma)]
 
@@ -261,29 +265,29 @@ def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
 
     monkeypatch.setattr(realform, "joint_eigenspace", dropping)
     with pytest.raises(RealFormError, match=r"dim k 30 \+ dim p 15 != dim 46 of gamma's"):
-        cartan_decomposition(ctx.cb, theta, ctx.catalog, gamma)
+        cartan_decomposition(ctx.cb, theta, gamma)
 
 
-def test_sigma2_gives_e6_minus_14(e6, e6_compact, catalog):
+def test_sigma2_gives_e6_minus_14(e6, e6_compact):
     theta = torus_involution(e6, (1, 0, 0, 0, 0, 1))
-    d = cartan_decomposition(e6_compact, theta, catalog)
+    d = cartan_decomposition(e6_compact, theta)
     assert d.signature == (46, 32)
     assert d.k_type == "D5+u(1)"
     assert d.name == "e6(-14)"
 
 
-def test_omega_gives_e6_minus_26(e6, e6_compact, catalog):
-    d = cartan_decomposition(e6_compact, omega_automorphism(e6), catalog)
+def test_omega_gives_e6_minus_26(e6, e6_compact):
+    d = cartan_decomposition(e6_compact, omega_automorphism(e6))
     assert d.signature == (52, 26)
     assert d.k_type == "F4"
     assert d.name == "e6(-26)"
 
 
-def test_decomposition_rejects_higher_order(e6, e6_compact, catalog):
+def test_decomposition_rejects_higher_order(e6, e6_compact):
     w = weyl_lift(e6, 0)
     assert w.order == 4
     with pytest.raises(RealFormError):
-        cartan_decomposition(e6_compact, w, catalog)
+        cartan_decomposition(e6_compact, w)
 
 
 # -- real fixed subalgebras ---------------------------------------------------------------
@@ -293,7 +297,7 @@ def test_klein_pair_names_so_8_1(ctx):
     a = ctx.automorphism(cfg.a)
     b = ctx.automorphism(cfg.b)
     theta = ctx.automorphism(cfg.theta)
-    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta, ctx.catalog)
+    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta)
     assert d.g_type == "B4"
     assert d.k_type == "D4"
     assert d.signature == (28, 8)
@@ -304,7 +308,7 @@ def test_rank_one_gamma_names_so_8_2_plus_u1(ctx):
     cfg = ctx.rank3
     b = ctx.automorphism(cfg.b)
     theta = ctx.automorphism(cfg.theta)
-    d = real_fixed_subalgebra(ctx.cb, b, theta, ctx.catalog)
+    d = real_fixed_subalgebra(ctx.cb, b, theta)
     assert d.g_type == "D5+u(1)"
     assert d.k_type == "D4+2u(1)"
     assert d.signature == (30, 16)
@@ -315,7 +319,7 @@ def test_gamma_containing_theta_gives_compact_result(ctx):
     cfg = ctx.rank3
     a = ctx.automorphism(cfg.a)
     b = ctx.automorphism(cfg.b)
-    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), b, ctx.catalog)
+    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), b)
     assert d.signature == (36, 0)  # p-part vanishes: theta lies in gamma
     assert d.name == "so(9)"
 
@@ -329,7 +333,7 @@ def test_noncommuting_gamma_rejected(ctx, e6):
     moved = _unipotent_conjugate(e6, (0, 0, 1, 1, 0, 0), sigma)
     assert not commutes(moved, theta)
     with pytest.raises(RealFormError, match="commute"):
-        real_fixed_subalgebra(ctx.cb, moved, theta, ctx.catalog)
+        real_fixed_subalgebra(ctx.cb, moved, theta)
 
 
 # -- holomorphic type ----------------------------------------------------------------------
@@ -400,19 +404,25 @@ def test_non_hermitian_theta_rejected(ctx, e6):
 
 # -- catalog ----------------------------------------------------------------------------------
 
-def test_catalog_so_consistency_and_miss(catalog):
-    with pytest.raises(CatalogMissError):
-        catalog.lookup("E6", "D5+u(1)", 45, 33)
-    assert catalog.lookup("B4", "D4", 28, 8) == "so(8,1)"
+def test_catalog_so_consistency_and_miss():
+    """The catalog names so(8,1) by its key, and a split whose key has no row
+    (A2 under omega, the split form sl(3,R)) raises the miss naming that key."""
+    assert load_catalog()[("B4", "D4", 28, 8)] == "so(8,1)"
+    a2 = VerifyContext(algebra="A2")
+    with pytest.raises(CatalogMissError, match=re.escape(
+            "no real form catalogued for g_type=A2, k_type=A1, signature=(3,5)")):
+        cartan_decomposition(a2.cb, a2.automorphism("omega"))
 
 
 def test_every_catalog_name_follows_from_its_key_by_cartans_rule():
     """Each of the 22 shipped rows, whose keys are distinct, is named as
-    Cartan's rule names its (g_type, k_type, signature) key."""
-    rows = load_catalog().rows
-    keys = [(r.g_type, r.k_type, r.k_dim, r.p_dim) for r in rows]
-    assert len(rows) == len(set(keys)) == 22
-    assert [cartan_real_form_name(*key) for key in keys] == [r.name for r in rows]
+    Cartan's rule names its (g_type, k_type, signature) key, and load_catalog
+    maps each key to its name."""
+    data = resources.files("kleinfour.data").joinpath("realform_catalog.json").read_text()
+    rows = [((r["g"], r["k"], *r["signature"]), r["name"]) for r in json.loads(data)["real_forms"]]
+    assert len(rows) == len(set(key for key, _ in rows)) == 22
+    assert [cartan_real_form_name(*key) for key, _ in rows] == [name for _, name in rows]
+    assert load_catalog() == dict(rows)
 
 
 @pytest.mark.parametrize("key, name", [
@@ -426,8 +436,26 @@ def test_cartans_rule_rejects_a_wrong_row(key, name):
     assert cartan_real_form_name(*key) != name
 
 
-# One committed split per catalog row that a certified split reaches: the
-# whole algebra of E6, F4, B4 and D5, and the Gamma-fixed D5+u(1) in E6.
+def _automorphism(c, descriptor):
+    """c.automorphism(descriptor), or for "grading:b1,...,bl" the coweight
+    grading: the identity on the Cartan, and (-1)^(sum_j b_j m_j(alpha)) on
+    x_alpha for alpha = sum_j m_j alpha_j, certified by make_automorphism.  A
+    coweight outside the coroot lattice gives an involution that no torus:
+    descriptor writes."""
+    if not descriptor.startswith("grading:"):
+        return c.automorphism(descriptor)
+    b = [int(x) for x in descriptor[len("grading:"):].split(",")]
+    rank = c.table.rank
+    cols = [{i: 1} for i in range(rank)]
+    cols += [{rank + k: -1 if sum(map(mul, b, r.coords)) % 2 else 1}
+             for k, r in enumerate(c.rs.roots)]
+    return make_automorphism(c.table, cols, descriptor)
+
+
+# One committed split per catalog row: the whole algebra of E6, F4, B4 and D5,
+# the Gamma-fixed D5+u(1) in E6, and the Gamma-fixed D5+u(1) in D6, whose
+# so(9,1)+u(1) no split inside E6 prints (an outer theta there negates the
+# center of D5+u(1)).
 REALIZED = {
     "e6(-78)": ("E6", "identity", ()),
     "e6(2)": ("E6", "torus:0,1,0,0,0,0", ()),
@@ -439,6 +467,8 @@ REALIZED = {
     "f4(-20)": ("F4", "torus:0,0,0,1", ()),
     "so(9)": ("B4", "identity", ()),
     "so(8,1)": ("B4", "torus:1,0,1,0", ()),
+    "so(7,2)": ("B4", "grading:0,0,1,1", ()),
+    "so(6,3)": ("B4", "grading:0,0,1,0", ()),
     "so(5,4)": ("B4", "torus:0,0,1,0", ()),
     "so(10)": ("D5", "identity", ()),
     "so(9,1)": ("D5", "omega", ()),
@@ -447,26 +477,17 @@ REALIZED = {
     "so(6,4)": ("D5", "torus:0,0,0,0,1", ()),
     "so(5,5)": ("D5", "omega*torus:0,0,1,0,0", ()),
     "so(10)+u(1)": ("E6", "identity", ("torus:1,0,0,0,0,1",)),
+    "so(9,1)+u(1)": ("D6", "omega", ("grading:1,0,0,0,0,0",)),
     "so(8,2)+u(1)": ("E6", "torus:1,0,0,0,0,1", ("torus:0,0,1,0,1,0",)),
 }
-# so(7,2) and so(6,3) need an involution of B4 by a coweight outside the
-# coroot lattice, which no torus: descriptor writes.  so(9,1)+u(1) would need
-# a theta in Aut(E6) that is outer on D5 and fixes the center of a D5+u(1);
-# none exists.  The 27 D5 subsystems of E6 are one Weyl orbit, so W(E6)
-# normalizes each by W(D5) alone (51840 / 27 = 1920): an inner theta is inner
-# on D5, and an outer one acts on the Cartan as -w with w in W(D5), which
-# negates the center, as omega's split, (36, 10) with k = B4, shows.
-UNREALIZED = {"so(7,2)", "so(6,3)", "so(9,1)+u(1)"}
 
 
 def test_each_reachable_catalog_row_comes_out_of_a_certified_split(ctx):
-    rows = {r.name: r for r in load_catalog().rows}
-    assert set(REALIZED) == set(rows) - UNREALIZED and len(REALIZED) == 19
+    keys = {name: key for key, name in load_catalog().items()}
+    assert set(REALIZED) == set(keys) and len(REALIZED) == 22
     contexts = {"E6": ctx}
     for name, (label, theta, gamma) in REALIZED.items():
         c = contexts.setdefault(label, VerifyContext(algebra=label))
-        d = cartan_decomposition(c.cb, c.automorphism(theta), c.catalog,
-                                 [c.automorphism(g) for g in gamma])
-        r = rows[name]
-        assert (d.g_type, d.k_type, d.k_dim, d.p_dim, d.name) == (
-            r.g_type, r.k_type, r.k_dim, r.p_dim, r.name)
+        d = cartan_decomposition(c.cb, _automorphism(c, theta),
+                                 [_automorphism(c, g) for g in gamma])
+        assert ((d.g_type, d.k_type, d.k_dim, d.p_dim), d.name) == (keys[name], name)

@@ -106,7 +106,7 @@ def _census_batches(ctx, census, monkeypatch):
 
     monkeypatch.setattr(verify, "certify_batch", recording)
     fresh = VerifyContext()
-    fresh.__dict__.update(table=ctx.table, cb=ctx.cb, catalog=ctx.catalog)
+    fresh.__dict__.update(table=ctx.table, cb=ctx.cb)
     assert verify.involution_census(fresh) == census
     return batches
 
@@ -677,25 +677,6 @@ def test_so9_klein_pinned(ctx):
         {"a": "sigma3", "b": "sigma2", "ab": "sigma3"},
         12,
     )
-
-
-def test_the_catalog_is_loaded_once_per_context(monkeypatch):
-    """A cold run_all on a fresh context reads the shipped catalog once, and so
-    does one realform request: every split reads it from its context."""
-    import contextlib
-    import io
-
-    from kleinfour import cli, realform
-
-    calls = []
-    load = realform.load_catalog
-    for module in (realform, verify):
-        monkeypatch.setattr(module, "load_catalog", lambda: calls.append(1) or load())
-    assert all(r.passed for r in run_all(VerifyContext()))
-    assert len(calls) == 1
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli.main(["realform", "--theta", "torus:1,0,0,0,0,1"]) == 0
-    assert "name e6(-14)" in out.getvalue() and len(calls) == 2
 
 
 def test_context_builds_omega_once_for_twists(monkeypatch):
