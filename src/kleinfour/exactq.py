@@ -17,17 +17,18 @@ to integers once; elimination cross-multiplies rows in the fraction-free
 manner of Bareiss (Math. Comp. 1968) and divides each result by its content
 gcd, so entries stay small integers and no Fraction is built until the
 output, where each row is divided by its pivot once.  ``rref``, ``rank`` and
-``kernel`` are its public entry points; ``joint_eigenspace`` and
-``span_kernel`` build their sparse rows and call ``kernel``.  Inertia is a
-sparse symmetric congruence elimination that reads the signs of the pivots;
-eigenvalues are never approximated.
+``kernel`` are its public entry points; ``span_kernel`` builds its sparse
+rows and calls ``kernel``, and so does ``joint_eigenspace`` unless its maps
+are signed permutations, whose fixed space it reads off their orbits with
+no elimination.  Inertia is a sparse symmetric congruence elimination that
+reads the signs of the pivots; eigenvalues are never approximated.
 
 The shared primitives over sparse vectors are ``axpy``/``lincomb``
 (accumulation that drops cancelled entries), ``joint_eigenspace`` (kernel of
-the stacked A - lambda*I of maps given by sparse columns), ``span_kernel``
-(kernel of a linear map restricted to a span) and ``SpanSolver`` (membership
-in the span of an RREF basis).  The sparse bracket table built on them is
-``rootsys.BracketTable``.
+the stacked A - lambda*I of maps given by sparse columns; orbit vectors for
+signed permutations and lambda = 1), ``span_kernel`` (kernel of a linear map
+restricted to a span) and ``SpanSolver`` (membership in the span of an RREF
+basis).  The sparse bracket table built on them is ``rootsys.BracketTable``.
 """
 
 from __future__ import annotations
@@ -270,9 +271,13 @@ def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[di
 
     Each map is given by its sparse columns (``cols[j]`` is the image of basis
     vector j), so the result spans the vectors that every map sends to eigen
-    times themselves.  The sparse rows of each A - eigen*I are read straight
-    off the columns.
+    times themselves.  For eigen 1 and signed permutations it is read off
+    their orbits (``_orbit_eigenspace``); otherwise the sparse rows of each
+    A - eigen*I are read straight off the columns and stacked for ``kernel``.
     """
+    orbits = _orbit_eigenspace(dim, maps) if as_num(eigen) == 1 else None
+    if orbits is not None:
+        return orbits
     stacked: List[dict] = []
     for cols in maps:
         rows: List[dict] = [{} for _ in range(dim)]
@@ -283,6 +288,40 @@ def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[di
             row[r] = row.get(r, 0) - eigen
         stacked.extend(rows)
     return kernel(stacked, dim)
+
+
+def _orbit_eigenspace(dim: int, maps: Sequence[Sequence[dict]]):
+    """Joint +1 eigenspace of signed permutations A e_k = s e_pi(k), or None.
+
+    None unless each column is one int entry +-1 and each map's columns reach
+    every row.  A fixed v has v[pi(k)] = s v[k]: each orbit of the group the
+    maps generate gives one vector (none if its signs contradict), walked from
+    and scaled to 1 on its largest index, as in the kernel's echelon basis.
+    """
+    edges: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
+    for cols in maps:
+        if {r for col in cols for r in col} != set(range(dim)):
+            return None
+        for k, col in enumerate(cols):
+            (r, s), = col.items() if len(col) == 1 else [(0, 0)]
+            if type(s) is not int or s * s != 1:
+                return None
+            edges[k].append((r, s))
+    sign: Dict[int, int] = {}
+    basis = []
+    for top in reversed(range(dim)):
+        if top in sign:
+            continue
+        sign[top], orbit, ok = 1, [top], True
+        for k in orbit:  # grows while it is walked
+            for r, s in edges[k]:
+                if r not in sign:
+                    sign[r] = s * sign[k]
+                    orbit.append(r)
+                ok = ok and sign[r] == s * sign[k]
+        if ok:
+            basis.append({k: sign[k] for k in sorted(orbit)})
+    return basis[::-1]
 
 
 def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
@@ -305,22 +344,24 @@ def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:
 class SpanSolver:
     """Membership queries against a fixed RREF row basis.
 
-    Rows are kept sparse ({column: value}).  An RREF row is zero on every
-    other pivot column, so reducing a vector touches only the rows whose
-    pivots are among its own keys, and a query costs O(nnz of the vector x
-    nnz of the touched rows).  ``dim`` is the dimension of the span.
+    Rows are kept sparse ({column: value}).  ``residual`` maps each pivot c
+    to the terms of N(e_c) = e_c - row_c; N fixes every other basis vector,
+    and an RREF row is zero on every other pivot column, so N vanishes
+    exactly on the span.  A query costs O(nnz of the vector x nnz of the
+    rows it touches).  ``dim`` is the dimension of the span.
     """
 
-    __slots__ = ("dim", "rows", "pivots", "_by_pivot")
+    __slots__ = ("dim", "rows", "pivots", "residual")
 
     def __init__(self, rref_rows: Sequence[dict], pivots: Sequence[int]):
         self.rows: Tuple[dict, ...] = tuple(rref_rows)
         self.pivots: Tuple[int, ...] = tuple(pivots)
         self.dim = len(self.rows)
-        self._by_pivot = dict(zip(self.pivots, self.rows))
+        self.residual = {c: tuple((m, -x) for m, x in row.items() if m != c)
+                         for c, row in zip(self.pivots, self.rows)}
 
     def contains(self, vec: dict) -> bool:
-        v = dict(vec)
-        for c in [c for c in vec if c in self._by_pivot]:
-            axpy(v, -vec[c], self._by_pivot[c].items())
-        return not v
+        out: dict = {}
+        for c, x in vec.items():
+            axpy(out, x, self.residual.get(c, ((c, 1),)))
+        return not out

@@ -1,10 +1,11 @@
 """Fixed-point subalgebras and reductive type identification.
 
 A subalgebra is held as an echelon-normalized (RREF) basis in the canonical
-coordinates of its ambient structure table, bracket-closed by construction.
-Identification decomposes it under the fixed part t of the ambient Cartan;
-closure makes it the sum of its t-weight spaces, so the centralizer of t has
-the dimension the nonzero weights leave.  It reads off the weight root
+coordinates of its ambient structure table, bracket-closed by construction
+(the closure walk ``first_escape`` sums each bracket's residual against the
+span).  Identification decomposes it under the fixed part t of the ambient
+Cartan; closure makes it the sum of its t-weight spaces, so the centralizer
+of t has the dimension the nonzero weights leave.  It reads off the weight root
 system, recovers Cartan integers from actual coroot brackets
 2*mu([e,f])/nu([e,f]), and matches components against the finite-type catalog
 by exhaustive permutation (fine at rank <= 8).
@@ -74,12 +75,14 @@ def first_escape(table: BracketTable, xs: SpanSolver, ys: SpanSolver,
     the bracket.  The first row i with an escape is reported with its least
     escaping j.  When xs is ys only pairs i < j are bracketed, since the
     bracket is antisymmetric and vanishes on the diagonal.
+
+    w is in target exactly when target's residual N has N(w) = 0, so the walk
+    sums N of each bracket, and most terms of a closed span vanish early.
     """
-    for i, acc in table.row_brackets(xs.rows, ys.rows):
-        for j in sorted(acc):
-            w = acc[j]
-            if w and not target.contains(w):
-                return i, j
+    for i, acc in table.row_brackets(xs.rows, ys.rows, target.residual):
+        bad = [j for j, w in acc.items() if w]
+        if bad:
+            return i, min(bad)
     return None
 
 

@@ -17,7 +17,8 @@ form), and (g_type, k_type, signature) is looked up in the one shipped catalog
 of real form names, whose every row a test derives by Cartan's rule.  One
 routine, ``cartan_decomposition``, splits the fixed subalgebra of a group
 gamma (trivial for the whole algebra) under theta, reading k and p directly
-as joint eigenspaces on the compact basis.  Complexified types are
+as joint eigenspaces on the compact basis (for signed permutations, orbit
+vectors of one or two entries).  Complexified types are
 identified on the complex side: gamma and theta preserve the compact form, so
 k + p is a real form of the complex fixed space once dim k + dim p equals its
 dimension (asserted, not assumed).
@@ -157,12 +158,15 @@ def compact_matrix_cols(cb: CompactBasis, auto: Automorphism) -> Tuple[dict, ...
 
 
 def _restricted_inertia(cb: CompactBasis, span: SpanSolver) -> Tuple[int, int, int]:
-    """Inertia of the Killing form on span, from the Gram matrix of its rows."""
+    """Inertia of the Killing form on span, from the Gram matrix of its rows;
+    Gram row r is the sparse combination row_r B of the transposed rows."""
     B = cb.killing
-    xB = [lincomb(x.values(), (B[i] for i in x)) for x in span.rows]
-    G = [{k: sum(xb.get(j, 0) * v for j, v in y.items()) for k, y in enumerate(span.rows)}
-         for xb in xB]
-    return symmetric_inertia(G)
+    cols: Dict[int, dict] = {}  # the transposed rows: column j -> {s: rows[s][j]}
+    for s, y in enumerate(span.rows):
+        for j, v in y.items():
+            cols.setdefault(j, {})[s] = v
+    xB = (lincomb(x.values(), (B[i] for i in x)) for x in span.rows)
+    return symmetric_inertia([lincomb(xb.values(), (cols.get(j, {}) for j in xb)) for xb in xB])
 
 
 # ---------------------------------------------------------------------------

@@ -345,18 +345,46 @@ class BracketTable:
                     axpy(out, a * b, terms)
         return out
 
-    def row_brackets(self, xs: Sequence[dict], ys: Sequence[dict]):
+    def row_brackets(self, xs: Sequence[dict], ys: Sequence[dict], residual=None):
         """Yield (i, acc) with acc[j] = [xs[i], ys[j]] for every j (j > i if xs is ys).
 
         All j are accumulated at once from the nonzero brackets [e_k, e_l], k
         in supp(xs[i]) and l in supp(ys[j]).  A j reached by none is absent
         and brackets to zero; a reached j may hold an empty vector.
+
+        ``residual`` maps basis indices c to the terms of N(e_c), for a linear
+        N fixing every other e_m; acc[j] is then N([xs[i], ys[j]]).  Each
+        [e_k, e_l] the walk can reach goes through N once, and zeros are dropped.
         """
         adj = self._adj
         at: List[List[Tuple[int, object]]] = [[] for _ in range(self.dim)]  # (j, ys[j][l]) at l
         for j, y in enumerate(ys):
             for l, b in y.items():
                 at[l].append((j, b))
+        if residual is not None:
+            reduced = {}
+            for k in {k for x in xs for k in x}:
+                reduced[k] = row = {}
+                for l, terms in adj[k].items():
+                    if not at[l]:
+                        continue
+                    # most brackets have one term, N(t e_r) = t N(e_r): with a dict
+                    # and axpy for each, this walk was no faster than testing whole
+                    # brackets with SpanSolver.contains (2-core host, Python 3.11)
+                    if len(terms) == 1:
+                        (r, t), = terms
+                        nr = residual.get(r)
+                        if nr is None:
+                            row[l] = terms
+                        elif nr:
+                            row[l] = tuple((m, t * u) for m, u in nr)
+                        continue
+                    nk: dict = {}
+                    for r, t in terms:
+                        axpy(nk, t, residual.get(r, ((r, 1),)))
+                    if nk:
+                        row[l] = tuple(nk.items())
+            adj = reduced
         for i, x in enumerate(xs):
             low = i + 1 if xs is ys else 0  # antisymmetric, zero on the diagonal
             acc: Dict[int, dict] = defaultdict(dict)

@@ -9,7 +9,9 @@ derived separately, so agreement with the library is a genuine cross-check.
 Cartan data and rebuilds the Chevalley table on coordinate tuples.
 The references at the end read a bracket table only through its
 ``pair_bracket``: the generic all-pairs homomorphism check, the
-lexicographic closure check with its own exact elimination, the dimension
+lexicographic closure check with its own exact elimination (and, beside it,
+the closure walk that tests whole brackets with ``SpanSolver.contains``,
+which reads the table's ``row_brackets``), the dimension
 of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
 basis pairs and triples.  ``pairing`` reads only a root system's Cartan
@@ -272,6 +274,23 @@ def first_escape_reference(table, xs, ys, target):
     for i, x in enumerate(xs):
         for j in range(i + 1 if xs is ys else 0, len(ys)):
             if _reduce(echelon, _bracket(pb, x, ys[j])):
+                return i, j
+    return None
+
+
+def first_escape_by_membership(table, xs, ys, target):
+    """First (i, least j) with [xs row i, ys row j] outside target, or None,
+    by testing each whole bracket for membership.
+
+    The closure walk as it was before it accumulated residuals: xs, ys and
+    target are SpanSolvers, every [xs row i, ys row j] comes whole from
+    table.row_brackets, and target.contains decides membership.  Only pairs
+    i < j when xs is ys.
+    """
+    for i, acc in table.row_brackets(xs.rows, ys.rows):
+        for j in sorted(acc):
+            w = acc[j]
+            if w and not target.contains(w):
                 return i, j
     return None
 

@@ -152,9 +152,28 @@ def column_maps(draw):
     return dim, eigen, maps
 
 
+@st.composite
+def signed_permutation_maps(draw):
+    """(dim, 1, maps): each map sends e_j to +-e_pi(j).  Two or three random
+    permutations rarely commute, and an orbit whose edge signs contradict
+    each other (a cycle with sign product -1) has no fixed vector."""
+    dim = draw(st.integers(1, 6))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(dim)))
+        maps.append([{perm[j]: draw(st.sampled_from([1, -1]))} for j in range(dim)])
+    return dim, 1, maps
+
+
 @PROPS
-@given(column_maps())
+@given(st.one_of(column_maps(), signed_permutation_maps()))
+# (0 1) and (1 2) do not commute; their one orbit has the fixed vector (-1, -1, 1)
+@example((3, 1, [[{1: 1}, {0: 1}, {2: 1}], [{0: 1}, {2: -1}, {1: -1}]]))
+# the orbit {0, 1} contradicts itself, e_2 -> -e_2 too; only e_3 is fixed
+@example((4, 1, [[{1: 1}, {0: -1}, {2: -1}, {3: 1}]]))
 def test_joint_eigenspace_matches_stacked_nullspace(dim_eigen_maps):
+    """Equal lists, not only spans: the orbit route of signed permutations
+    returns the elimination's echelon basis, vector for vector."""
     dim, eigen, maps = dim_eigen_maps
     blocks = []
     for cols in maps:
@@ -163,6 +182,8 @@ def test_joint_eigenspace_matches_stacked_nullspace(dim_eigen_maps):
     stacked = sympy.Matrix.vstack(*blocks)
     got = joint_eigenspace(dim, maps, eigen)
     assert _dense(got, dim) == [_frac(v) for v in stacked.nullspace()]
+    eliminated = kernel(_rows(map(_frac, stacked.tolist())), dim)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in eliminated]
 
 
 def _sign_changes(coeffs):

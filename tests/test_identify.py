@@ -11,6 +11,7 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
+from kleinfour import identify, realform
 from kleinfour.exactq import SpanSolver, joint_eigenspace, rref
 from kleinfour.identify import (
     IdentifyError,
@@ -26,7 +27,14 @@ from kleinfour.identify import (
 )
 from kleinfour.realform import compact_form, compact_matrix_cols
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from oracles import centralizer_dim, classify_even_subsystem, first_escape_reference, pairing
+from kleinfour.verify import VerifyContext, run_all
+from oracles import (
+    centralizer_dim,
+    classify_even_subsystem,
+    first_escape_by_membership,
+    first_escape_reference,
+    pairing,
+)
 
 
 # -- fixed subalgebras ----------------------------------------------------------
@@ -108,6 +116,34 @@ def test_first_escape_matches_the_lexicographic_reference():
                 seen["first" if got == (0, 1 if xs is ys else 0) else "later"] += 1
     # the spans reach all three outcomes, so the order of the scan is pinned
     assert min(seen.values()) >= 20, seen
+
+
+def test_residual_walk_matches_the_membership_walk(monkeypatch):
+    """On every closure and split call of a cold verify all, and on each of
+    those calls with its target's middle row removed, first_escape gives the
+    pair of the walk that tests whole brackets for membership."""
+    calls = []
+
+    def recording(table, xs, ys, target):
+        calls.append((table, xs, ys, target))
+        return first_escape(table, xs, ys, target)
+
+    monkeypatch.setattr(identify, "first_escape", recording)
+    monkeypatch.setattr(realform, "first_escape", recording)
+    run_all(VerifyContext())
+    monkeypatch.undo()
+    assert len(calls) == 33
+    escapes = 0
+    for table, xs, ys, target in calls:
+        assert first_escape(table, xs, ys, target) is None
+        assert first_escape_by_membership(table, xs, ys, target) is None
+        t = target.dim // 2
+        fewer = SpanSolver(target.rows[:t] + target.rows[t + 1:],
+                           target.pivots[:t] + target.pivots[t + 1:])
+        got = first_escape(table, xs, ys, fewer)
+        assert got == first_escape_by_membership(table, xs, ys, fewer)
+        escapes += got is not None
+    assert escapes >= 30
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 0.0])

@@ -3,8 +3,11 @@ import re
 from fractions import Fraction
 from importlib import resources
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from kleinfour.autos import (
     Automorphism,
@@ -16,11 +19,12 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour import realform
+from kleinfour import exactq, realform
 from kleinfour.exactq import (
     SpanSolver,
     axpy,
     joint_eigenspace,
+    kernel,
     lincomb,
     rref,
     span_kernel,
@@ -39,7 +43,7 @@ from kleinfour.realform import (
     real_fixed_subalgebra,
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from kleinfour.verify import VerifyContext
+from kleinfour.verify import VerifyContext, run_all
 from oracles import cartan_real_form_name, jacobi_defect, killing_reference, pairing
 
 
@@ -239,7 +243,10 @@ OTHER_TYPE_SPLITS = [("G2", "torus:1,0", []), ("G2", "torus:1,0", ["torus:0,1"])
 def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch):
     """On the four census representatives, so82, so81 and splits on G2, F4 and
     E7, the split's k and p have the rows and pivots of the route through the
-    compact fixed algebra."""
+    compact fixed algebra, and of the elimination route: the stacked kernel
+    that joint_eigenspace takes when the orbits of signed permutations are
+    not read.  Every theta and gamma here is a signed permutation on the
+    compact basis, so the split itself runs no kernel."""
     cases = [(ctx.cb, r.automorphism, []) for r in census.rows if r.provenance == "generic"]
     cases += [(ctx.cb, theta, gamma) for _, theta, gamma in _split_cases(ctx)[1:]]
     for label, theta, gamma in OTHER_TYPE_SPLITS:
@@ -247,9 +254,14 @@ def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch)
         cases.append((other.cb, other.automorphism(theta), [other.automorphism(g) for g in gamma]))
     assert len(cases) == 11
     for cb, theta, gamma in cases:
+        kernels = []
+        monkeypatch.setattr(exactq, "kernel", lambda *a: kernels.append(1) or kernel(*a))
         made, _ = _captured_split(cb, theta, gamma, monkeypatch)
+        assert not kernels
         assert [(tuple(rows), tuple(pivots)) for rows, pivots in made] == [
             (s.rows, s.pivots) for s in _split_by_the_compact_fixed_algebra(cb, theta, gamma)]
+        monkeypatch.setattr(exactq, "_orbit_eigenspace", lambda dim, maps: None)
+        assert _captured_split(cb, theta, gamma, monkeypatch)[0] == made
 
 
 def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
@@ -266,6 +278,45 @@ def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
     monkeypatch.setattr(realform, "joint_eigenspace", dropping)
     with pytest.raises(RealFormError, match=r"dim k 30 \+ dim p 15 != dim 46 of gamma's"):
         cartan_decomposition(ctx.cb, theta, gamma)
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _dense_gram_inertia(rows, killing, dim):
+    """(n_pos, n_neg, n_zero) of the dense Gram X B X^T by sympy: a symmetric
+    matrix has real eigenvalues, so Descartes' rule on its characteristic
+    polynomial counts their signs exactly."""
+    X, B = (DomainMatrix.from_Matrix(sympy.Matrix([[r.get(j, 0) for j in range(dim)]
+                                                   for r in m])) for m in (rows, killing))
+    coeffs = (X * B * X.transpose()).charpoly()  # highest degree first
+    n = len(rows)
+    zero = n - max(k for k, c in enumerate(coeffs) if c != 0)
+    neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
+    return _sign_changes(coeffs), neg, zero
+
+
+def test_restricted_inertia_matches_the_dense_gram(monkeypatch):
+    """On the 12 k and p spans of a cold verify all, the sparse Gram's inertia
+    is sympy's inertia of the dense Gram; with one diagonal sign of the
+    Killing form flipped, on the first pivot of the span, both change."""
+    spans = []
+    real = realform._restricted_inertia
+    monkeypatch.setattr(realform, "_restricted_inertia",
+                        lambda cb, span: spans.append((cb, span)) or real(cb, span))
+    run_all(VerifyContext())
+    monkeypatch.undo()
+    assert len(spans) == 12
+    for cb, span in spans:
+        got = real(cb, span)
+        assert got == _dense_gram_inertia(span.rows, cb.killing, cb.dim) == (0, span.dim, 0)
+        c = span.pivots[0]
+        flipped = [dict(row) for row in cb.killing]
+        flipped[c][c] = -flipped[c][c]
+        got = real(SimpleNamespace(killing=flipped), span)
+        assert got == _dense_gram_inertia(span.rows, flipped, cb.dim) != (0, span.dim, 0)
 
 
 def test_sigma2_gives_e6_minus_14(e6, e6_compact):

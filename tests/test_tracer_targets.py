@@ -14,7 +14,8 @@ from pathlib import Path
 import kleinfour.cli  # loads every module the tracer patches
 from kleinfour import verify
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER = REPO / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -39,13 +40,18 @@ def test_every_traced_name_is_a_callable_of_that_name():
 
 
 def test_every_traced_exactq_function_runs_on_a_request(capsys):
+    """``verify holomorphic`` reaches all four: the center of k(theta) is
+    cut out by ``kernel``, while every fixed space it builds is one of signed
+    permutations, read off orbits with no elimination."""
     tracer = _tracer()
     tr = tracer.Tracer(time.perf_counter)
     tr.install()
     try:
-        assert kleinfour.cli.main(["identify", "--type", "A2", "--auto", "torus:1,0"]) == 0
+        assert kleinfour.cli.main(["verify", "holomorphic"]) == 0
     finally:
         tr.uninstall()
-    assert capsys.readouterr().out == "A1+u(1)\n"
+    out = capsys.readouterr().out
+    assert out.startswith("[PASS] holomorphic\n")
+    assert (REPO / "golden" / "verify_all.txt").read_text().endswith(out)
     for name in tracer.TARGETS["exactq"]:
         assert tr.counts[f"exactq.{name}.calls"] > 0, f"exactq.{name} is never called"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kleinfour import autos, verify
+from kleinfour import autos, exactq, verify
 from kleinfour.autos import (
     CertificationError,
     commutes,
@@ -744,6 +744,27 @@ def test_verify_all_matches_golden(ctx):
     text = "".join(r.render_text() + "\n" for r in reports)
     assert text == (golden / "verify_all.txt").read_text(encoding="utf-8")
     assert reports_to_json(reports) + "\n" == (golden / "verify_all.json").read_text(encoding="utf-8")
+
+
+def test_cold_verify_all_eliminations_are_pinned(monkeypatch):
+    """A cold verify all runs exactly 50 eliminations (exactq._echelon), 9 of
+    them through exactq.kernel, all for center_of.  Fixed spaces of signed
+    permutations are read off orbits; a change that sends them back to the
+    stacked kernel, or adds eliminations elsewhere, moves these counts."""
+    counts = {"_echelon": 0, "kernel": 0}
+
+    def counting(name):
+        real = getattr(exactq, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(exactq, name, counting(name))
+    run_all(VerifyContext())
+    assert counts == {"_echelon": 50, "kernel": 9}
 
 
 def test_reports_json_schema(ctx):
