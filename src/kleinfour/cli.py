@@ -139,20 +139,20 @@ def _context(args) -> VerifyContext:
 def _cmd_roots(args) -> int:
     ctx = _context(args)
     rs = ctx.rs
-    payload = {"root_system": root_system_to_jsonable(rs)}
-    lines = [f"type {args.type}: {len(rs.roots)} roots, {rs.npos} positive"]
-    for i, r in enumerate(rs.roots):
-        coords = ",".join(str(c) for c in r.coords)
-        lines.append(f"{i:3d}  height {r.height:3d}  [{coords}]")
-    if args.table:
-        payload["structure_table"] = structure_table_to_jsonable(ctx.table)
-        nz = sum(len(terms) for _, _, terms in ctx.table.brackets())
-        lines.append(f"structure table: dim {ctx.table.dim}, {nz} stored bracket terms")
-    rendered = (
-        json.dumps(payload, indent=2, sort_keys=True)
-        if args.format == "json"
-        else "\n".join(lines)
-    )
+    if args.format == "json":
+        payload = {"root_system": root_system_to_jsonable(rs)}
+        if args.table:
+            payload["structure_table"] = structure_table_to_jsonable(ctx.table)
+        rendered = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        lines = [f"type {args.type}: {len(rs.roots)} roots, {rs.npos} positive"]
+        for i, r in enumerate(rs.roots):
+            coords = ",".join(str(c) for c in r.coords)
+            lines.append(f"{i:3d}  height {r.height:3d}  [{coords}]")
+        if args.table:
+            nz = sum(len(terms) for _, _, terms in ctx.table.brackets())
+            lines.append(f"structure table: dim {ctx.table.dim}, {nz} stored bracket terms")
+        rendered = "\n".join(lines)
     if args.golden_dir:
         suffix = "json" if args.format == "json" else "txt"
         name = f"roots_{args.type}{'_table' if args.table else ''}.{suffix}"

@@ -12,11 +12,12 @@ follow the extraspecial-pair construction on root indices: positive roots are
 ordered by height, then lexicographic coordinates, the extraspecial pair of
 each non-simple positive root gets the positive sign, and every other constant
 is forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the
-three- and four-root relations.  One pass over the unordered root pairs
-a < b computes N(a,b) once, asserts |N| = p+1 for both orders (p the largest
-k with b - k*a a root, and with a and b swapped) and stores both brackets
-[x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a]; ``n_constant`` reads N back from
-that one store.
+three- and four-root relations.  Each positive triple a + b = g gives the
+constants of all six of its sign variants at once, by the 3-cycle rule;
+every pair is checked against |N| = p+1 in both orders (p the largest k with
+b - k*a a root, and with a and b swapped), and both brackets
+[x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a] are stored; ``n_constant`` reads N
+back from that one store.
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
@@ -40,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, eq, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactq import axpy, symmetric_inertia
@@ -436,10 +437,21 @@ class BracketTable:
         to have support {perm(k)} and entries sigma_k c_k with sigma_k = +-1
         (else every member fails), and s_i s_j s_k = sigma_k: one XOR for all
         members.  As perm is a bijection, nonzero pairs then map onto the
-        nonzero pairs, so a pair that brackets to zero stays zero.
+        nonzero pairs, so a pair that brackets to zero stays zero.  When perm
+        is the identity, as for every torus grading, each bracket is its own
+        image, so only the XOR is left to run for each of its terms.
         """
         adj = self._adj
         bad = 0
+        if all(map(eq, perm, range(self.dim))):
+            for i, row in enumerate(adj):
+                bi = bits[i]
+                for j, terms in row.items():
+                    if j > i:
+                        bij = bi ^ bits[j]
+                        for k, _ in terms:
+                            bad |= bij ^ bits[k]
+            return bad
         for i, row in enumerate(adj):
             image_row, bi = adj[perm[i]], bits[i]
             for j, terms in row.items():
@@ -481,25 +493,20 @@ class StructureTable(BracketTable):
         """Constants and brackets on root indices; -a is a +- npos."""
         rs, rank, npos = self.rs, self.rank, self.npos
         cs, keys, at, norms = [r.coords for r in rs.roots], rs.keys, rs.key_index, rs.norms
-        special: Dict[Tuple[int, int], int] = {}  # N(a, b) for positive a, b, both orders
+        adj, string_down = self._adj, rs.string_down
+        # x[a][b] = [x_a, x_b] for the roots b with a + b a root or 0, in the
+        # order found; the rows go into _adj sorted at the end
+        x: List[Dict[int, Tuple[Tuple[int, int], ...]]] = [{} for _ in keys]
 
         def n(a: int, b: int) -> int:
-            """N(a, b) for root indices whose sum is a root."""
-            if a < npos and b < npos:
-                return special[(a, b)]
-            if a >= npos and b >= npos:
-                return -special[(a - npos, b - npos)]
-            if a >= npos:
-                return -n(b, a)
-            g = at[keys[a] + keys[b]]
-            if g < npos:
-                val, rem = divmod(-norms[g] * special[(b - npos, g)], norms[a])
-            else:
-                val, rem = divmod(norms[g] * special[(g - npos, a)], norms[b])
-            if rem:
-                raise ArithmeticError(f"non-integral constant for {cs[a]}, {cs[b]}")
-            return val
+            """N(a, b) for root indices whose sum is a root, once stored."""
+            return x[a][b][0][1]
 
+        # [x_a, x_-a] = H_a
+        for a in range(npos):
+            h = tuple((i, c) for i, c in enumerate(rs.coroot(a)) if c)
+            x[a][a + npos] = h
+            x[a + npos][a] = tuple((i, -c) for i, c in h)
         # special pairs, height-major; roots 0..rank-1 are the simple roots
         for g in range(rank, npos):
             kg = keys[g]
@@ -510,47 +517,57 @@ class StructureTable(BracketTable):
             p, down = 1, keys[eb] - keys[ea]
             while down in at:
                 p, down = p + 1, down - keys[ea]
-            special[(ea, eb)], special[(eb, ea)] = p, -p
-            for a, b in pairs[1:]:
-                # N(a,b) = (t1/|d1|^2 + t2/|d2|^2) |g|^2 / N(ea,eb) as num/den
-                num, den = 0, 1
-                d1 = at.get(keys[eb] - keys[a])
-                if d1 is not None:
-                    num, den = n(eb, a + npos) * n(ea, b + npos), norms[d1]
-                d2 = at.get(keys[ea] - keys[a])
-                if d2 is not None:
-                    num = num * norms[d2] + n(a + npos, ea) * n(eb, b + npos) * den
-                    den *= norms[d2]
-                val, rem = divmod(num * norms[g], den * special[(ea, eb)])
+            for a, b in pairs:
+                v = p
+                if a != ea:
+                    # N(a,b) = (t1/|d1|^2 + t2/|d2|^2) |g|^2 / N(ea,eb) as num/den;
+                    # each N read here is a sign variant of a triple summing to
+                    # a root of lower height than g, so it is stored
+                    num, den = 0, 1
+                    d1 = at.get(keys[eb] - keys[a])
+                    if d1 is not None:
+                        num, den = n(eb, a + npos) * n(ea, b + npos), norms[d1]
+                    d2 = at.get(keys[ea] - keys[a])
+                    if d2 is not None:
+                        num = num * norms[d2] + n(a + npos, ea) * n(eb, b + npos) * den
+                        den *= norms[d2]
+                    v, rem = divmod(num * norms[g], den * p)
+                    if rem:
+                        raise ArithmeticError(f"non-integral constant at {cs[a]} + {cs[b]} = {cs[g]}")
+                # a + b - g = 0: the 3-cycle rule N(a,b)/|g|^2 = N(b,-g)/|a|^2 =
+                # N(-g,a)/|b|^2 and N(-u,-w) = -N(u,w) give the other five sign
+                # variants from v: (a,b) -> g: v, (-a,-b) -> -g: -v,
+                # (b,-g) -> -a: s = v|a|^2/|g|^2, (a,-g) -> -b: -t with
+                # t = v|b|^2/|g|^2, (g,-b) -> a: s and (g,-a) -> b: -t
+                ng = g + npos
+                s, rem = divmod(v * norms[a], norms[g])
                 if rem:
-                    raise ArithmeticError(f"non-integral constant at {cs[a]} + {cs[b]} = {cs[g]}")
-                special[(a, b)], special[(b, a)] = val, -val
-
-        adj, string_down = self._adj, rs.string_down
+                    raise ArithmeticError(f"non-integral constant for {cs[b]}, {cs[ng]}")
+                t, rem = divmod(v * norms[b], norms[g])
+                if rem:
+                    raise ArithmeticError(f"non-integral constant for {cs[ng]}, {cs[a]}")
+                na, nb = a + npos, b + npos
+                for u, w, c, val in ((a, b, g, v), (na, nb, ng, -v), (b, ng, na, s),
+                                     (a, ng, nb, -t), (g, nb, a, s), (g, na, b, -t)):
+                    # |N| = p + 1 for both orders; nonzero by the check, and off
+                    # the diagonal: 2a is never a root
+                    if not string_down(u, w) == string_down(w, u) == abs(val) - 1:
+                        u, w = (u, w) if string_down(u, w) != abs(val) - 1 else (w, u)
+                        raise ArithmeticError(
+                            f"|N{cs[u]},{cs[w]}| = {abs(val)} != p+1 = {string_down(u, w) + 1}")
+                    x[u][w] = ((rank + c, val),)
+                    x[w][u] = ((rank + c, -val),)
         # [h_i, x_a] = <a, alpha_i^vee> x_a
         for k, ps in enumerate(rs.pairings):
             for i, p in enumerate(ps):
                 if p:
                     adj[i][rank + k] = ((rank + k, p),)
                     adj[rank + k][i] = ((rank + k, -p),)
-        # one pass over unordered pairs a < b with a + b a root or 0 (sum key
-        # 0 gives -1): N once, |N| = p + 1 checked for both orders, and both
-        # brackets stored; at a + b = 0 the coroot
-        sums = {**at, 0: -1}
-        for a, ka in enumerate(keys):
-            for b in [b for b in range(a + 1, len(keys)) if ka + keys[b] in sums]:
-                g = sums[ka + keys[b]]
-                if g < 0:
-                    self._set(rank + a, rank + b, enumerate(rs.coroot(a)))
-                    continue
-                val = n(a, b)
-                if not string_down(a, b) == string_down(b, a) == abs(val) - 1:
-                    x, y = (a, b) if string_down(a, b) != abs(val) - 1 else (b, a)
-                    raise ArithmeticError(
-                        f"|N{cs[x]},{cs[y]}| = {abs(val)} != p+1 = {string_down(x, y) + 1}")
-                # nonzero by the check, and off the diagonal: 2a is never a root
-                adj[rank + a][rank + b] = ((rank + g, val),)
-                adj[rank + b][rank + a] = ((rank + g, -val),)
+        # then the partners of x_a, in ascending order like the h_i before them
+        for a, row in enumerate(x):
+            out = adj[rank + a]
+            for b in sorted(row):
+                out[rank + b] = row[b]
 
     def n_constant(self, a: int, b: int) -> int:
         """N(a,b) for root indices, read from [x_a, x_b] = N(a,b) x_{a+b}.

@@ -771,6 +771,50 @@ def test_e7_torus_gradings_certify_in_one_batch():
         assert first_homomorphism_defect(table, a.cols) is None, a.descriptor
 
 
+@pytest.mark.parametrize("label", ["E6", "E7"])
+def test_identity_pi_loop_agrees_with_the_generic_walk(monkeypatch, label):
+    # every nontrivial torus grading, plus one member with the sign of one root
+    # vector flipped, as one batch.  w∘A is a homomorphism iff A is, for an
+    # automorphism w; the w-twisted batch shares w's pi, so the generic pi walk
+    # must read there the verdicts the identity-pi loop reads on the gradings.
+    # w is the Chevalley involution (h -> -h, x_a -> -x_-a), and omega on E6
+    table = chevalley_table(build_root_system(cartan_matrix(label)))
+    r, n = table.rank, table.npos
+    batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=r)][1:]
+    flipped = [dict(c) for c in batch[0][0]]
+    flipped[r + 3] = {r + 3: -flipped[r + 3][r + 3]}
+    batch.append((flipped, "flipped"))
+    full, flagged = (1 << len(batch)) - 1, 1 << (len(batch) - 1)
+    chevalley = [{i: -1} for i in range(r)] + [{r + (k + n) % (2 * n): -1} for k in range(2 * n)]
+    twists = [make_automorphism(table, chevalley, "chevalley")]
+    twists += [omega_automorphism(table)] if label == "E6" else []
+
+    def flags(members):
+        pis = [_signed_permutation(cols) for cols in members]
+        assert len({pi[0] for pi in pis}) == 1
+        bits = [sum((s < 0) << m for m, s in enumerate(signs)) for signs in zip(*(pi[1] for pi in pis))]
+        return table.signed_permutation_flags(pis[0][0], bits, full), bits
+
+    assert flags([cols for cols, _ in batch])[0] == flagged
+    for w in twists:
+        twisted, bits = flags([compose_cols(w.cols, cols) for cols, _ in batch])
+        assert twisted == flagged, w.descriptor
+        # so the twisted batch took the generic walk: read by the identity
+        # loop, its bits (every h_i negated) would flag every member
+        assert table.signed_permutation_flags(tuple(range(table.dim)), bits, full) == full
+    walked = []
+    generic = BracketTable.homomorphism_defect
+    monkeypatch.setattr(BracketTable, "homomorphism_defect",
+                        lambda self, c: walked.append(c) or generic(self, c))
+    got = make_automorphisms(table, batch)
+    monkeypatch.undo()
+    assert walked == [tuple(flipped)]
+    assert all(isinstance(a, Automorphism) for a in got[:-1])
+    i, j = first_homomorphism_defect(table, flipped)
+    assert str(got[-1]) == (f"flipped: homomorphism fails at basis pair "
+                            f"({table.basis_label(i)}, {table.basis_label(j)})")
+
+
 def test_certification_rejects_non_invertible(e6):
     cols = [{0: 1} for _ in range(e6.dim)]
     with pytest.raises(CertificationError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kleinfour
+from kleinfour import cli
 from kleinfour.autos import parse_descriptor
 from kleinfour.cli import main
 from kleinfour.verify import VerifyContext
@@ -57,6 +58,27 @@ def test_table_golden_comparison_matches():
                             "--golden-dir", str(REPO / "golden")])
     assert code == 0
     assert "golden match" in out
+
+
+def test_text_roots_never_build_the_json_payload(monkeypatch):
+    text = [["roots", "--type", "E8", "--table"], ["roots", "--type", "E6"],
+            ["roots", "--type", "E6", "--table"]]
+    as_json = ["roots", "--type", "E6", "--table", "--format", "json"]
+    before = [run_cli(argv) for argv in text]
+    assert [out for _, out, _ in before[1:]] == [
+        (REPO / "golden" / name).read_text(encoding="utf-8")
+        for name in ("roots_E6.txt", "roots_E6_table.txt")]
+
+    def refuse(*_):
+        raise AssertionError("a text request built the JSON payload")
+
+    for name in ("root_system_to_jsonable", "structure_table_to_jsonable"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert [run_cli(argv) for argv in text] == before
+    assert run_cli(as_json)[0] == 1  # the patched builders are the ones JSON calls
+    monkeypatch.undo()
+    assert run_cli(as_json) == (
+        0, (REPO / "golden" / "roots_E6_table.json").read_text(encoding="utf-8"), "")
 
 
 def test_type_label_is_normalised():

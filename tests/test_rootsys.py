@@ -269,6 +269,21 @@ def test_magnitude_certificate_checks_the_reversed_order(monkeypatch, label):
         chevalley_table(rs)
 
 
+@pytest.mark.parametrize("label, calls", [("G2", 60), ("F4", 816), ("E6", 1440), ("E7", 4032),
+                                          ("E8", 13440)])
+def test_magnitude_certificate_walks_each_ordered_root_sum_once(monkeypatch, label, calls):
+    # a work pin: |N| = p+1 reads string_down once for each ordered pair whose
+    # sum is a root, so two calls for each such unordered pair, and no fewer
+    rs = build_root_system(cartan_matrix(label))
+    seen = []
+    string_down = RootSystem.string_down
+    monkeypatch.setattr(RootSystem, "string_down",
+                        lambda self, a, b: seen.append((a, b)) or string_down(self, a, b))
+    chevalley_table(rs)
+    assert len(seen) == calls
+    assert sorted(seen) == [(a, b) for a, b, s in ordered_root_pairs(rs) if rs.is_root(s)]
+
+
 def test_root_lookups_reject_coordinates_off_the_root_set(e6_rs):
     # (65, -1, 0, 0, 0, 0) has the key of the simple root (1, 0, 0, 0, 0, 0)
     for coords in ((65, -1, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0,) * 6):
