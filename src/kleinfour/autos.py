@@ -38,7 +38,7 @@ from operator import eq, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactq import as_num, axpy
-from .rootsys import StructureTable
+from .rootsys import StructureTable, cartan_isomorphisms
 
 Cols = Tuple[Dict[int, object], ...]
 Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
@@ -356,15 +356,9 @@ def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
 
 
 def diagram_symmetries(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """All permutations p of simple roots with A[p(i)][p(j)] = A[i][j]."""
-    from itertools import permutations
-
-    n = len(cartan)
-    out = []
-    for p in permutations(range(n)):
-        if all(cartan[p[i]][p[j]] == cartan[i][j] for i in range(n) for j in range(n)):
-            out.append(p)
-    return out
+    """All permutations p of simple roots with A[p(i)][p(j)] = A[i][j], in
+    lexicographic order; found by ``rootsys.cartan_isomorphisms``."""
+    return sorted(cartan_isomorphisms(cartan, cartan))
 
 
 def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorphism:

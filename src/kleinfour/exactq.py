@@ -21,7 +21,8 @@ output, where each row is divided by its pivot once.  ``rref``, ``rank`` and
 rows and calls ``kernel``, and so does ``joint_eigenspace`` unless its maps
 are signed permutations, whose fixed space it reads off their orbits with
 no elimination.  Inertia is a sparse symmetric congruence elimination that
-reads the signs of the pivots; eigenvalues are never approximated.
+reads the signs of the pivots, on ints until a division is inexact;
+eigenvalues are never approximated.
 
 The shared primitives over sparse vectors are ``axpy``/``lincomb``
 (accumulation that drops cancelled entries), ``joint_eigenspace`` (kernel of
@@ -133,8 +134,8 @@ def _echelon(rows: Iterable) -> Dict[int, dict]:
     return pivots
 
 
-def _quotient(x: int, p: int):
-    """x / p as an int when exact, else as a Fraction."""
+def _quotient(x, p):
+    """x / p for ints or Fractions: an int when it is one, else a Fraction."""
     return x // p if x % p == 0 else Fraction(x, p)
 
 
@@ -198,14 +199,12 @@ def symmetric_inertia(rows: Sequence[dict]) -> Tuple[int, int, int]:
     of the pivots give the inertia exactly.  A pivot on a nonzero diagonal
     entry updates only the Schur complement over its row's nonzeros; when
     every remaining diagonal entry is zero, the congruence e_i += e_j turns
-    an off-diagonal a[i][j] into the pivot 2*a[i][j].
+    an off-diagonal a[i][j] into the pivot 2*a[i][j].  Int entries stay ints:
+    each Schur multiplier -a[i][p]/a[p][p] is an int when the division is
+    exact and a Fraction otherwise.
     """
-    a: Dict[int, Dict[int, Fraction]] = {}
-    for i, row in enumerate(rows):
-        a[i] = {}
-        for j, x in row.items():
-            if as_num(x):
-                a[i][j] = Fraction(x)
+    a: Dict[int, dict] = {i: {j: v for j, x in row.items() if (v := as_num(x))}
+                          for i, row in enumerate(rows)}
     for i, row in a.items():
         for j, x in row.items():
             if j not in a or a[j].get(i) != x:
@@ -238,7 +237,7 @@ def symmetric_inertia(rows: Sequence[dict]) -> Tuple[int, int, int]:
         for i, x in row.items():
             ai = a[i]
             del ai[p]
-            axpy(ai, -x / d, row.items())
+            axpy(ai, _quotient(-x, d), row.items())
     return pos, neg, len(a)
 
 

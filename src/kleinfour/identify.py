@@ -8,7 +8,8 @@ Cartan; closure makes it the sum of its t-weight spaces, so the centralizer
 of t has the dimension the nonzero weights leave.  It reads off the weight root
 system, recovers Cartan integers from actual coroot brackets
 2*mu([e,f])/nu([e,f]), and matches components against the finite-type catalog
-by exhaustive permutation (fine at rank <= 8).
+by a backtracking walk over the Dynkin diagram (``rootsys.cartan_isomorphisms``)
+that places each node against those already placed.
 
 Weights are integer tuples: each toral basis row is scaled to a primitive
 integer row, a positive rescaling of each weight coordinate that changes
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
 from .autos import Automorphism
-from .rootsys import BracketTable, StructureTable, validate_cartan
+from .rootsys import BracketTable, StructureTable, cartan_isomorphisms, validate_cartan
 
 Coords = Tuple[int, ...]
 
@@ -230,9 +230,8 @@ def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
         C = cartan_matrix(f"{letter}{r}")
         if sorted(tuple(sorted(row)) for row in C) != sig:
             continue
-        for p in permutations(range(n)):
-            if all(A[p[i]][p[j]] == C[i][j] for i in range(n) for j in range(n)):
-                return (letter, r)
+        if next(cartan_isomorphisms(A, C), None) is not None:
+            return (letter, r)
     raise IdentifyError(f"no finite-type match for Cartan matrix {A}")
 
 
@@ -240,21 +239,25 @@ def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
 # Weight decomposition and type identification
 # ---------------------------------------------------------------------------
 
-def _intersect_with_coords(s: Subalgebra, coordset: frozenset) -> List[dict]:
-    """Basis of {v in s : support(v) within coordset}, via the RREF pivots.
+def _intersect_by_class(s: Subalgebra, cls_of: dict) -> Dict:
+    """Basis of {v in s : support(v) within class c} for each class c.
 
+    cls_of maps a coordinate to its class; unmapped coordinates are in none.
     In RREF every pivot column is zero in all other rows, so any member
-    supported inside coordset is a combination of rows whose pivot lies in
-    coordset; the kernel of the projection onto the other coordinates cleans
-    up tails that stick out.
+    supported inside a class is a combination of rows whose pivot lies in
+    it; one pass hands each row to its pivot's class, and the kernel of the
+    projection onto the other coordinates cleans up tails that stick out.
+    Classes come in sorted order, and a class that no pivot lies in, whose
+    basis is empty, is left out.
     """
-    cand = [row for r, row in zip(s.pivots, s.rows) if r in coordset]
-    outside = [{j: x for j, x in row.items() if j not in coordset} for row in cand]
-    return span_kernel(cand, outside)
-
-
-def _cartan_part(s: Subalgebra) -> List[dict]:
-    return _intersect_with_coords(s, frozenset(range(s.table.rank)))
+    cands: Dict = {}
+    for piv, row in zip(s.pivots, s.rows):
+        c = cls_of.get(piv)
+        if c is not None:
+            cands.setdefault(c, []).append(row)
+    return {c: span_kernel(cand, [{j: x for j, x in row.items() if cls_of.get(j) != c}
+                                  for row in cand])
+            for c, cand in sorted(cands.items())}
 
 
 def _int_row(h: dict, n: int) -> List[int]:
@@ -275,7 +278,7 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     table = s.table
     rs = table.rs
     rank_amb = table.rank
-    toral = _cartan_part(s)
+    toral = _intersect_by_class(s, dict.fromkeys(range(rank_amb), 0)).get(0, [])
     t_dim = len(toral)
     if s.dim == 0:
         return ReductiveType.make([], 0)
@@ -287,8 +290,8 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         mu = tuple(sum(map(mul, h, p)) for h in rows)
         if any(mu):
             classes.setdefault(mu, []).append(ridx)
-    parts = {mu: _intersect_with_coords(s, frozenset(rank_amb + r for r in ridxs))
-             for mu, ridxs in sorted(classes.items())}
+    parts = _intersect_by_class(s, {rank_amb + r: mu for mu, ridxs in classes.items()
+                                    for r in ridxs})
     cdim = s.dim - sum(map(len, parts.values()))
     if cdim != t_dim:
         raise IdentifyError(
@@ -373,7 +376,8 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         summands.append(match_cartan(sub))
 
     # accounting invariants
-    if rank(dict(enumerate(mu)) for mu in weights) != n:
+    # rank(M) = rank(M^T): t_dim rows, one column per weight
+    if rank(dict(enumerate(col)) for col in zip(*weights)) != n:
         raise IdentifyError("weight lattice rank disagrees with the simple system")
     center_dim = t_dim - n
     out = ReductiveType.make(summands, center_dim)

@@ -25,7 +25,8 @@ of the nonzero brackets and one walk over it, ``row_brackets``, behind the
 generic homomorphism certificate and the closure check; the certificate of
 signed permutations (``signed_permutation_flags``) and ``killing_form`` read
 the same store.  Positive definiteness of a symmetrized Cartan matrix is read
-from ``exactq.symmetric_inertia``.
+from ``exactq.symmetric_inertia``; ``cartan_isomorphisms`` is the one walk
+over relabelings of Cartan matrices, behind type matching and diagram symmetries.
 
 Conventions, fixed once and used everywhere:
   - cartan[i][j] = <alpha_i, alpha_j^vee>  (column j carries the coroot)
@@ -175,14 +176,60 @@ def validate_cartan(A: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
             if i != j and (x == 0) != (A[j][i] == 0):
                 raise CartanMatrixError(f"zero pattern not symmetric at ({i},{j})")
     L = _symmetrizer(A)
-    # positive definiteness of the symmetrization S[i][j] = A[i][j] * L[j]
-    inertia = symmetric_inertia([{j: x * L[j] for j, x in enumerate(row)} for row in A])
+    # positive definiteness of the integer symmetrization S[i][j] = A[i][j] * L[j],
+    # L scaled by a positive integer, which leaves the inertia unchanged
+    IL = _integer_lengths(L)
+    inertia = symmetric_inertia([{j: x * IL[j] for j, x in enumerate(row) if x} for row in A])
     if inertia != (n, 0, 0):
         raise CartanMatrixError(
             f"symmetrized matrix not positive definite (inertia {inertia}); "
             "not a finite-type Cartan matrix"
         )
     return L
+
+
+def _integer_lengths(L: Sequence[Fraction]) -> Tuple[int, ...]:
+    """The lengths L scaled by the lcm of their denominators."""
+    scale = lcm(*(x.denominator for x in L))
+    return tuple(int(x * scale) for x in L)
+
+
+def cartan_isomorphisms(A: Sequence[Sequence[int]],
+                        C: Sequence[Sequence[int]]) -> Iterator[Tuple[int, ...]]:
+    """Every permutation p with A[p[i]][p[j]] == C[i][j], for n x n A and C.
+
+    C's nodes are placed in breadth-first order, one component after another;
+    each goes to an unused node of A whose entries against every node placed
+    so far match C's in both directions, and the walk backtracks when no node
+    fits.  Each p passes the full entrywise check before it is yielded.
+    """
+    n = len(C)
+    order: List[int] = []
+    k = 0
+    for start in range(n):
+        if start not in order:
+            order.append(start)
+        while k < len(order):
+            order += [w for w in range(n) if C[order[k]][w] and w not in order]
+            k += 1
+    p: List[int] = [0] * n
+    used = [False] * n
+
+    def place(k: int) -> Iterator[Tuple[int, ...]]:
+        if k == n:
+            if all(A[p[i]][p[j]] == C[i][j] for i in range(n) for j in range(n)):
+                yield tuple(p)
+            return
+        v = order[k]
+        for u in range(n):
+            p[v] = u  # checked against itself too, for the diagonal
+            if not used[u] and all(A[u][p[w]] == C[v][w] and A[p[w]][u] == C[w][v]
+                                   for w in order[:k + 1]):
+                used[u] = True
+                yield from place(k + 1)
+                used[u] = False
+
+    return place(0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +271,7 @@ class RootSystem:
         self.key_index: Dict[int, int] = {k: i for i, k in enumerate(self.keys)}
         ps = [p for _, (_, p) in pos]
         self.pairings: Tuple[Tuple[int, ...], ...] = tuple(ps + [tuple(-x for x in p) for p in ps])
-        scale = lcm(*(x.denominator for x in lengths))
-        self._ilengths = tuple(int(x * scale) for x in lengths)
+        self._ilengths = _integer_lengths(lengths)
         # (a, a) = sum_i m_i (a, alpha_i) = sum_i m_i L_i <a, alpha_i^vee> = (-a, -a)
         norms = [sum(map(mul, r.coords, map(mul, self._ilengths, p))) for r, p in zip(roots, ps)]
         self.norms: Tuple[int, ...] = tuple(norms + norms)

@@ -15,13 +15,15 @@ which reads the table's ``row_brackets``), the dimension
 of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
 basis pairs and triples.  ``pairing`` reads only a root system's Cartan
-matrix.  ``cartan_real_form_name`` names a real form from its (complex type,
-compact type, signature) key by Cartan's rule, from type labels alone.
+matrix, and ``cartan_symmetries_by_scan`` only a Cartan matrix, trying all
+n! relabelings.  ``cartan_real_form_name`` names a real form from its
+(complex type, compact type, signature) key by Cartan's rule, from type
+labels alone.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 HALF = Fraction(1, 2)
 
@@ -590,3 +592,11 @@ def cartan_real_form_name(g_type, k_type, k_dim, p_dim):
     if _parse_type(k_type) != (sorted(sp + sq), cp + cq + center):
         return None
     return (f"so({p},{q})" if q else f"so({p})") + suffix
+
+
+def cartan_symmetries_by_scan(cartan):
+    """Every permutation p with A[p[i]][p[j]] == A[i][j], in lexicographic
+    order, by trying all n! of them."""
+    n = len(cartan)
+    return [p for p in permutations(range(n))
+            if all(cartan[p[i]][p[j]] == cartan[i][j] for i in range(n) for j in range(n))]

@@ -34,9 +34,15 @@ from kleinfour.autos import (
     weyl_lift,
 )
 from kleinfour.exactq import as_num, lincomb
-from kleinfour.identify import fixed_subalgebra
+from kleinfour.identify import _catalog_for_rank, fixed_subalgebra
 from kleinfour.rootsys import BracketTable, build_root_system, cartan_matrix, chevalley_table
-from oracles import first_homomorphism_defect, joint_parity_fixed_dim, pairing, pairing_parity_fixed_dim
+from oracles import (
+    cartan_symmetries_by_scan,
+    first_homomorphism_defect,
+    joint_parity_fixed_dim,
+    pairing,
+    pairing_parity_fixed_dim,
+)
 
 
 def fixed_dim(table, auto):
@@ -135,6 +141,24 @@ def test_every_diagram_symmetry_maps_the_generators(e6, label):
         assert a.order == permutation_order(perm)
     # D4's triality: two permutations of order 3
     assert sum(permutation_order(p) == 3 for p in perms) == (2 if label == "D4" else 0)
+
+
+@pytest.mark.parametrize("label", [f"{l}{r}" for n in range(1, 8) for l, r in _catalog_for_rank(n)])
+def test_diagram_symmetries_equal_the_permutation_scan(label):
+    cartan = cartan_matrix(label)
+    assert diagram_symmetries(cartan) == cartan_symmetries_by_scan(cartan)
+
+
+def test_diagram_symmetries_of_a_disconnected_matrix_equal_the_permutation_scan():
+    # A2 + A1 + A1, the two A1 nodes split around A2: four symmetries
+    cartan = [[2, 0, 0, 0], [0, 2, -1, 0], [0, -1, 2, 0], [0, 0, 0, 2]]
+    assert diagram_symmetries(cartan) == cartan_symmetries_by_scan(cartan)
+    assert len(diagram_symmetries(cartan)) == 4
+
+
+def test_rank8_diagram_symmetry_groups():
+    sizes = {t: len(diagram_symmetries(cartan_matrix(t))) for t in ("A8", "B8", "C8", "D8", "E8")}
+    assert sizes == {"A8": 2, "B8": 1, "C8": 1, "D8": 2, "E8": 1}
 
 
 def test_non_symmetry_permutation_rejected(e6):

@@ -319,6 +319,19 @@ def test_omega_on_a_type_without_one_diagram_involution_is_failure_exit_1():
     }
 
 
+@pytest.mark.parametrize("argv", [["fixed", "--type", "E8", "--auto", "omega"],
+                                  ["identify", "--type", "E7", "--auto", "omega"]])
+def test_omega_on_a_type_without_a_diagram_symmetry_is_failure_exit_1(argv):
+    """E7 and E8 have no nontrivial diagram symmetry at all: exit 1 with one JSON object."""
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": f"omega is not defined on {argv[2]}: it has 0 nontrivial diagram "
+                   "involutions, not exactly one",
+    }
+
+
 # -- the CLI contract under generated arguments ---------------------------------
 
 TYPES = [f"{letter}{rank}" for letter, ranks in (

@@ -55,7 +55,7 @@ def row_lists(draw):
 
 
 @st.composite
-def symmetric_matrices(draw, max_n=6):
+def symmetric_matrices(draw, max_n=6, entries=scalars):
     n = draw(st.integers(1, max_n))
     # a zero diagonal forces the row+column congruence branch of the inertia
     zero_diagonal = draw(st.booleans())
@@ -63,7 +63,7 @@ def symmetric_matrices(draw, max_n=6):
     for i in range(n):
         for j in range(i, n):
             if i != j or not zero_diagonal:
-                a[i][j] = a[j][i] = draw(scalars)
+                a[i][j] = a[j][i] = draw(entries)
     return a
 
 
@@ -191,17 +191,36 @@ def _sign_changes(coeffs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-@PROPS
-@given(symmetric_matrices())
-def test_inertia_matches_descartes_count_of_characteristic_polynomial(rows):
+def _descartes_inertia(rows):
     # a symmetric matrix has only real eigenvalues, so Descartes' rule of signs
     # counts the positive (and, on p(-x), the negative) roots exactly
     coeffs = _sym(rows).charpoly().all_coeffs()  # highest degree first
     n = len(rows)
     zero = n - max(k for k, c in enumerate(coeffs) if c != 0)
-    pos = _sign_changes(coeffs)
     neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
-    assert symmetric_inertia(_rows(rows)) == (pos, neg, zero)
+    return _sign_changes(coeffs), neg, zero
+
+
+@PROPS
+@given(symmetric_matrices())
+def test_inertia_matches_descartes_count_of_characteristic_polynomial(rows):
+    assert symmetric_inertia(_rows(rows)) == _descartes_inertia(rows)
+
+
+@PROPS
+@given(st.sampled_from([
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    scalars,
+]).flatmap(lambda entries: symmetric_matrices(entries=entries)))
+# all-zero diagonals: ints that divide exactly, ints that do not, and Fractions
+@example([[0, 2, 4], [2, 0, 6], [4, 6, 0]])
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+@example([[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, Fraction(-3, 4)], [1, Fraction(-3, 4), 0]])
+def test_inertia_of_ints_fractions_and_both_matches_descartes_count(rows):
+    """Int entries stay ints through exact Schur quotients; the signs are
+    those of the characteristic polynomial whatever the entries' types."""
+    assert symmetric_inertia(_rows(rows)) == _descartes_inertia(rows)
 
 
 sparse_vectors = st.dictionaries(

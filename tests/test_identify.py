@@ -16,6 +16,7 @@ from kleinfour.exactq import SpanSolver, joint_eigenspace, rref
 from kleinfour.identify import (
     IdentifyError,
     ReductiveType,
+    _catalog_for_rank,
     center_of,
     first_escape,
     fixed_subalgebra,
@@ -26,7 +27,7 @@ from kleinfour.identify import (
     type_dim,
 )
 from kleinfour.realform import compact_form, compact_matrix_cols
-from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
+from kleinfour.rootsys import build_root_system, cartan_isomorphisms, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext, run_all
 from oracles import (
     centralizer_dim,
@@ -393,6 +394,46 @@ def test_match_d3_is_a3():
 def test_match_rejects_unknown():
     with pytest.raises(Exception):
         match_cartan([[2, -1], [-4, 2]])  # not finite type
+
+
+def _relabel(C, p):
+    """The matrix A with A[i][j] = C[p[i]][p[j]]."""
+    return [[C[p[i]][p[j]] for j in range(len(C))] for i in range(len(C))]
+
+
+@pytest.mark.parametrize("label", ["C2", "D3"] + [f"{l}{r}" for n in range(1, 9)
+                                                  for l, r in _catalog_for_rank(n)])
+def test_match_reads_seeded_relabelings(label):
+    C = cartan_matrix(label)
+    want = {"C2": ("B", 2), "D3": ("A", 3)}.get(label, (label[0], int(label[1:])))
+    rng = random.Random(label)
+    for _ in range(5):
+        assert match_cartan(_relabel(C, rng.sample(range(len(C)), len(C)))) == want
+
+
+def test_match_undoes_a_first_placement_on_the_branch_node():
+    # the walk places E6's node 0, an end node, first and tries A's node 0,
+    # the branch node, before any other
+    C = cartan_matrix("E6")
+    degree = [sum(1 for j in range(6) if j != i and C[i][j]) for i in range(6)]
+    branch = degree.index(3)
+    assert degree[0] == 1
+    A = _relabel(C, [branch] + [i for i in range(6) if i != branch])
+    assert match_cartan(A) == ("E", 6)
+    isos = list(cartan_isomorphisms(A, C))
+    assert len(isos) == 2 and all(p[0] != 0 for p in isos)
+
+
+def test_walk_tells_b4_from_c4_in_every_relabeling():
+    # B4 and C4 are transposes, so a match read in one direction only can
+    # confuse them; the catalog's row-signature filter is not used here
+    B4, C4 = cartan_matrix("B4"), cartan_matrix("C4")
+    rng = random.Random(4)
+    for _ in range(10):
+        p = rng.sample(range(4), 4)
+        assert list(cartan_isomorphisms(_relabel(C4, p), B4)) == []
+        assert list(cartan_isomorphisms(_relabel(B4, p), C4)) == []
+        assert len(list(cartan_isomorphisms(_relabel(B4, p), B4))) == 1
 
 
 def test_folded_cartan_inside_omega_fixed_is_f4(e6):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import json
 import tracemalloc
 
@@ -15,6 +16,7 @@ from kleinfour.rootsys import (
     killing_form,
     root_system_to_jsonable,
     structure_table_to_jsonable,
+    validate_cartan,
 )
 from oracles import (
     chevalley_reference,
@@ -157,6 +159,23 @@ def test_rejects_non_finite_type():
         build_root_system([[2, -1], [-5, 2]])  # indefinite
     with pytest.raises(CartanMatrixError):
         build_root_system([[2, 1], [1, 2]])  # positive off-diagonal
+
+
+def test_validate_cartan_rejects_affine_a2_and_a_non_symmetrizable_matrix():
+    with pytest.raises(CartanMatrixError) as err:
+        validate_cartan([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2~
+    assert str(err.value) == ("symmetrized matrix not positive definite (inertia (2, 0, 1)); "
+                              "not a finite-type Cartan matrix")
+    with pytest.raises(CartanMatrixError, match="^matrix is not symmetrizable$"):
+        validate_cartan([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
+@pytest.mark.parametrize("label", ["B3", "C4", "F4", "G2"])
+def test_validate_cartan_returns_the_lengths_of_the_short_and_long_roots(label):
+    # L_i = (a_i, a_i)/2 with the short roots at 1
+    L = validate_cartan(cartan_matrix(label))
+    assert all(isinstance(x, Fraction) for x in L)
+    assert sorted(set(L)) == [1, 3 if label == "G2" else 2]
 
 
 # -- Chevalley table -----------------------------------------------------------
