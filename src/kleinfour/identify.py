@@ -7,9 +7,10 @@ span).  Identification decomposes it under the fixed part t of the ambient
 Cartan; closure makes it the sum of its t-weight spaces, so the centralizer
 of t has the dimension the nonzero weights leave.  It reads off the weight root
 system, recovers Cartan integers from actual coroot brackets
-2*mu([e,f])/nu([e,f]), and matches components against the finite-type catalog
-by a backtracking walk over the Dynkin diagram (``rootsys.cartan_isomorphisms``)
-that places each node against those already placed.
+2*mu([e,f])/nu([e,f]), and matches each Dynkin component
+(``rootsys.dynkin_components``), at any rank, against the finite-type catalog
+by a backtracking walk (``rootsys.cartan_isomorphisms``) that places each
+node against those already placed.
 
 Weights are integer tuples: each toral basis row is scaled to a primitive
 integer row, a positive rescaling of each weight coordinate that changes
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
 from .autos import Automorphism
-from .rootsys import BracketTable, StructureTable, cartan_isomorphisms, validate_cartan
+from .rootsys import (BracketTable, StructureTable, cartan_isomorphisms, cartan_matrix,
+                      dynkin_components, validate_cartan)
 
 Coords = Tuple[int, ...]
 
@@ -219,14 +221,9 @@ def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
     B2 is reported for the rank-2 double-bond matrix (C2 is the same type)
     and A3 for the D3 presentation; first match in catalog order A..G wins.
     """
-    from .rootsys import cartan_matrix
-
     validate_cartan(A)
-    n = len(A)
-    if n > 8:
-        raise IdentifyError(f"rank {n} exceeds the matching catalog (rank <= 8)")
     sig = sorted(tuple(sorted(row)) for row in A)
-    for letter, r in _catalog_for_rank(n):
+    for letter, r in _catalog_for_rank(len(A)):
         C = cartan_matrix(f"{letter}{r}")
         if sorted(tuple(sorted(row)) for row in C) != sig:
             continue
@@ -316,14 +313,17 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     if not weights:
         return ReductiveType.make([], t_dim)
 
-    # provably generic positivity functional; simple = positive, not a sum of two
+    # provably generic positivity functional.  A positive root that is not simple
+    # is a simple root plus a positive root, both of smaller fval, so in fval
+    # order mu is simple when mu - nu is positive for no simple nu found before
     M = 1 + max(abs(e) for mu in weights for e in mu)
     fval = {mu: sum(e * M**i for i, e in enumerate(mu)) for mu in weights}
     if any(v == 0 for v in fval.values()):
         raise IdentifyError("positivity functional vanished on a weight")
-    positive = [mu for mu in weights if fval[mu] > 0]
-    sums = {tuple(map(add, a, b)) for i, a in enumerate(positive) for b in positive[i:]}
-    simple = [mu for mu in positive if mu not in sums]
+    simple: List[Coords] = []
+    for mu in sorted((mu for mu in weights if fval[mu] > 0), key=fval.get):
+        if not any(fval.get(tuple(map(sub, mu, nu)), 0) > 0 for nu in simple):
+            simple.append(mu)
 
     # Cartan integers 2 mu(h)/nu(h) from coroot brackets h = [e_nu, f_nu],
     # each as an integer row (the ratio ignores the scale)
@@ -352,30 +352,11 @@ def identify_type(s: Subalgebra) -> ReductiveType:
             row.append(val)
         C.append(row)
 
-    # split into connected components and match each
-    n = len(simple)
-    comp_of = [-1] * n
-    comps: List[List[int]] = []
-    for start in range(n):
-        if comp_of[start] >= 0:
-            continue
-        comp = [start]
-        comp_of[start] = len(comps)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in range(n):
-                if comp_of[y] < 0 and C[x][y] != 0:
-                    comp_of[y] = len(comps)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    summands = []
-    for comp in comps:
-        sub = [[C[i][j] for j in comp] for i in comp]
-        summands.append(match_cartan(sub))
+    summands = [match_cartan([[C[i][j] for j in comp] for i in comp])
+                for comp in dynkin_components(C)]
 
     # accounting invariants
+    n = len(simple)
     # rank(M) = rank(M^T): t_dim rows, one column per weight
     if rank(dict(enumerate(col)) for col in zip(*weights)) != n:
         raise IdentifyError("weight lattice rank disagrees with the simple system")

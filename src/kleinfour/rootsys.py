@@ -24,9 +24,10 @@ Chevalley table here and the compact form in ``realform``.  It has one store
 of the nonzero brackets and one walk over it, ``row_brackets``, behind the
 generic homomorphism certificate and the closure check; the certificate of
 signed permutations (``signed_permutation_flags``) and ``killing_form`` read
-the same store.  Positive definiteness of a symmetrized Cartan matrix is read
-from ``exactq.symmetric_inertia``; ``cartan_isomorphisms`` is the one walk
-over relabelings of Cartan matrices, behind type matching and diagram symmetries.
+the same store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
+``validate_cartan`` carries integer root lengths along it and reads positive
+definiteness from ``exactq.symmetric_inertia``, and ``cartan_isomorphisms``
+places nodes in its order, behind type matching and diagram symmetries.
 
 Conventions, fixed once and used everywhere:
   - cartan[i][j] = <alpha_i, alpha_j^vee>  (column j carries the coroot)
@@ -40,8 +41,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import add, eq, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -132,31 +131,45 @@ def cartan_matrix(label: str) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(r) for r in A)
 
 
-def _symmetrizer(A: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
-    """Lengths L_i = (a_i, a_i)/2 with A[i][j] * L_j = A[j][i] * L_i, min 1."""
-    n = len(A)
-    L: List[Optional[Fraction]] = [None] * n
-    for start in range(n):
-        if L[start] is not None:
-            continue
-        L[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j or A[i][j] == 0:
-                    continue
-                want = L[i] * Fraction(A[j][i], A[i][j])
-                if L[j] is None:
-                    L[j] = want
-                    stack.append(j)
-                elif L[j] != want:
-                    raise CartanMatrixError("matrix is not symmetrizable")
-    lo = min(L)  # type: ignore[type-var]
-    return tuple(x / lo for x in L)  # type: ignore[operator]
+def dynkin_components(A: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The connected components of A's Dynkin diagram (i ~ j when A[i][j] != 0).
+
+    Each is in breadth-first order from its least node, so every node after
+    the first has an earlier neighbour; components come in order of least node.
+    """
+    comps: List[List[int]] = []
+    for start in range(len(A)):
+        if all(start not in c for c in comps):
+            comp = [start]
+            for i in comp:  # grows while it is read
+                comp += [j for j in range(len(A)) if A[i][j] and j not in comp]
+            comps.append(comp)
+    return comps
 
 
-def validate_cartan(A: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
+def _symmetrizer(A: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Integer lengths L_i = (a_i, a_i)/2 with A[i][j] * L_j = A[j][i] * L_i.
+
+    Each component starts at 1, and each node after its first is set from an
+    earlier neighbour, an inexact quotient scaling the nodes placed so far.
+    On a finite type a quotient is inexact only as L_i / d with d = 2 or 3
+    not dividing L_i, so each component stays primitive, its shortest roots at 1.
+    """
+    L = [0] * len(A)
+    for comp in dynkin_components(A):
+        L[comp[0]] = 1
+        for k, j in enumerate(comp[1:], 1):
+            i = next(i for i in comp[:k] if A[i][j])
+            if A[j][i] * L[i] % A[i][j]:
+                for w in comp[:k]:
+                    L[w] *= abs(A[i][j])
+            L[j] = A[j][i] * L[i] // A[i][j]
+    if any(x * L[j] != A[j][i] * L[i] for i, row in enumerate(A) for j, x in enumerate(row)):
+        raise CartanMatrixError("matrix is not symmetrizable")
+    return tuple(L)
+
+
+def validate_cartan(A: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     """Check finite-type axioms; return the symmetrizer lengths.
 
     Rejects with a diagnostic naming the failed axiom: integrality, diagonal,
@@ -176,22 +189,14 @@ def validate_cartan(A: Sequence[Sequence[int]]) -> Tuple[Fraction, ...]:
             if i != j and (x == 0) != (A[j][i] == 0):
                 raise CartanMatrixError(f"zero pattern not symmetric at ({i},{j})")
     L = _symmetrizer(A)
-    # positive definiteness of the integer symmetrization S[i][j] = A[i][j] * L[j],
-    # L scaled by a positive integer, which leaves the inertia unchanged
-    IL = _integer_lengths(L)
-    inertia = symmetric_inertia([{j: x * IL[j] for j, x in enumerate(row) if x} for row in A])
+    # positive definiteness of the integer symmetrization S[i][j] = A[i][j] * L[j]
+    inertia = symmetric_inertia([{j: x * L[j] for j, x in enumerate(row) if x} for row in A])
     if inertia != (n, 0, 0):
         raise CartanMatrixError(
             f"symmetrized matrix not positive definite (inertia {inertia}); "
             "not a finite-type Cartan matrix"
         )
     return L
-
-
-def _integer_lengths(L: Sequence[Fraction]) -> Tuple[int, ...]:
-    """The lengths L scaled by the lcm of their denominators."""
-    scale = lcm(*(x.denominator for x in L))
-    return tuple(int(x * scale) for x in L)
 
 
 def cartan_isomorphisms(A: Sequence[Sequence[int]],
@@ -204,14 +209,7 @@ def cartan_isomorphisms(A: Sequence[Sequence[int]],
     fits.  Each p passes the full entrywise check before it is yielded.
     """
     n = len(C)
-    order: List[int] = []
-    k = 0
-    for start in range(n):
-        if start not in order:
-            order.append(start)
-        while k < len(order):
-            order += [w for w in range(n) if C[order[k]][w] and w not in order]
-            k += 1
+    order = [v for comp in dynkin_components(C) for v in comp]
     p: List[int] = [0] * n
     used = [False] * n
 
@@ -250,8 +248,9 @@ class RootSystem:
     ``keys[k]`` is the key of roots[k], ``key_index`` maps it back to k; it
     is injective for coefficients below 32 in absolute value, and those of a
     root or a sum of two roots are at most 12.  ``norms[k]`` is the integer
-    (roots[k], roots[k]) up to one factor common to all roots.  ``simple[i]``
-    is the index of alpha_i, and simple[i] + npos that of -alpha_i.
+    (roots[k], roots[k]) up to one factor per component (``validate_cartan``'s
+    ``lengths``).  ``simple[i]`` is the index of alpha_i, and simple[i] + npos
+    that of -alpha_i.
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]]):
@@ -271,9 +270,8 @@ class RootSystem:
         self.key_index: Dict[int, int] = {k: i for i, k in enumerate(self.keys)}
         ps = [p for _, (_, p) in pos]
         self.pairings: Tuple[Tuple[int, ...], ...] = tuple(ps + [tuple(-x for x in p) for p in ps])
-        self._ilengths = _integer_lengths(lengths)
         # (a, a) = sum_i m_i (a, alpha_i) = sum_i m_i L_i <a, alpha_i^vee> = (-a, -a)
-        norms = [sum(map(mul, r.coords, map(mul, self._ilengths, p))) for r, p in zip(roots, ps)]
+        norms = [sum(map(mul, r.coords, map(mul, lengths, p))) for r, p in zip(roots, ps)]
         self.norms: Tuple[int, ...] = tuple(norms + norms)
 
     def _close_positive_roots(self) -> Dict[int, Tuple[Coords, Tuple[int, ...]]]:
@@ -308,7 +306,7 @@ class RootSystem:
         """H_alpha of roots[k] as an integer combination of the simple coroots."""
         norm, coords = self.norms[k], self.roots[k].coords
         out = []
-        for m, L in zip(coords, self._ilengths):
+        for m, L in zip(coords, self.lengths):
             c, rem = divmod(2 * m * L, norm)
             if rem:
                 raise ArithmeticError(f"non-integral coroot coefficient for {coords}")

@@ -18,7 +18,9 @@ basis pairs and triples.  ``pairing`` reads only a root system's Cartan
 matrix, and ``cartan_symmetries_by_scan`` only a Cartan matrix, trying all
 n! relabelings.  ``cartan_real_form_name`` names a real form from its
 (complex type, compact type, signature) key by Cartan's rule, from type
-labels alone.
+labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
+the fixed type of a torus involution on any simple type from the rank, root
+count and long-root count of each component of its even roots.
 """
 
 from fractions import Fraction
@@ -600,3 +602,119 @@ def cartan_symmetries_by_scan(cartan):
     n = len(cartan)
     return [p for p in permutations(range(n))
             if all(cartan[p[i]][p[j]] == cartan[i][j] for i in range(n) for j in range(n))]
+
+
+# -- the even-root subsystem of a torus involution, on any simple type ------------
+
+@lru_cache(maxsize=None)
+def positive_roots(cartan):
+    """(m, k, p, long) for each positive root of the simple type with Cartan
+    matrix cartan, a tuple of tuples.
+
+    m are the root's coordinates over the simple roots, k those of its coroot
+    over the simple coroots, p its pairings <m, alpha_i^vee>.  Every root is
+    w(alpha_i) with coroot w(alpha_i^vee), so both close together from
+    (e_i, e_i) under the simple reflections s_i(m) = m - <m, alpha_i^vee> e_i
+    and s_i(k) = k - <alpha_i, k> e_i.  long says (m, m) = (t, t) for the
+    highest root t: from g^vee = 2g/(g, g), k_i (g, g) = m_i (alpha_i, alpha_i),
+    so (m, m)/(t, t) = m_i k'_i / (k_i m'_i) on any i where m is supported,
+    (m', k') those of t.
+    """
+    n = len(cartan)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    found = {e: (e, row) for e, row in zip(unit, cartan)}  # m: (k, p)
+    frontier = list(found)
+    while frontier:
+        new = []
+        for m in frontier:
+            k, p = found[m]
+            for i in range(n):
+                sm = m[:i] + (m[i] - p[i],) + m[i + 1:]
+                if sm not in found:
+                    b = sum(cartan[i][j] * k[j] for j in range(n))  # <alpha_i, k>
+                    found[sm] = (k[:i] + (k[i] - b,) + k[i + 1:],
+                                 tuple(x - p[i] * a for x, a in zip(p, cartan[i])))
+                    new.append(sm)
+        frontier = new
+    pos = [m for m in found if sum(m) > 0]
+    t = max(pos, key=sum)
+    kt = found[t][0]
+    out = []
+    for m in pos:
+        (k, p), i = found[m], next(i for i, x in enumerate(m) if x)
+        out.append((m, k, p, m[i] * kt[i] == k[i] * t[i]))
+    return tuple(out)
+
+
+def _integer_rank(vectors):
+    """Rank over the rationals of integer vectors, by fraction-free elimination."""
+    basis = []  # (pivot, row): later rows are 0 at the pivots of earlier ones
+    for v in vectors:
+        for p, row in basis:
+            if v[p]:
+                v = [x * row[p] - y * v[p] for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            basis.append((p, v))
+    return len(basis)
+
+
+def _simple_type(rank, count, long_count):
+    """(letter, rank) of the irreducible root system with these counts; A3 for
+    D3 and B2 for C2, as the library prints them."""
+    if long_count == count:
+        if count == rank * (rank + 1):
+            return "A", rank
+        if count == 2 * rank * (rank - 1):
+            return "D", rank
+        if (rank, count) in ((6, 72), (7, 126), (8, 240)):
+            return "E", rank
+    elif count == 2 * rank * rank:
+        if long_count == 2 * rank * (rank - 1):
+            return "B", rank
+        if long_count == 2 * rank:
+            return "C", rank
+    elif (rank, count, long_count) in ((4, 48, 24), (2, 12, 6)):
+        return ("F", 4) if rank == 4 else ("G", 2)
+    raise AssertionError(f"no irreducible root system of rank {rank} with {count} roots, "
+                         f"{long_count} long")
+
+
+def torus_parity_type(cartan, bits):
+    """(type label, dim) of the fixed algebra of exp(pi i ad H_c), c = bits, on
+    the simple type with Cartan matrix cartan; None when every root is fixed.
+
+    The fixed algebra is the Cartan plus the roots E with alpha(H_c) =
+    sum_i c_i <alpha, alpha_i^vee> even (Kac, ch. 8).  E splits into
+    irreducible components by non-orthogonality, <b, g^vee> != 0; each is
+    named by its rank, its root count and its long-root count (all of them
+    when it has no root long in the algebra), and the center is the rank of
+    the algebra minus that of E.
+    """
+    n = len(cartan)
+    pos = positive_roots(tuple(map(tuple, cartan)))
+    even = [r for r in pos if sum(b * x for b, x in zip(bits, r[2])) % 2 == 0]
+    if len(even) == len(pos):
+        return None
+    summands, rest = [], even
+    while rest:
+        comp, rest = rest[:1], rest[1:]
+        for _, _, p, _ in comp:  # grows while it is read
+            near, rest = _split(rest, lambda g: sum(x * y for x, y in zip(p, g[1])))
+            comp += near
+        count, nlong = 2 * len(comp), 2 * sum(r[3] for r in comp)
+        summands.append(_simple_type(_integer_rank(r[0] for r in comp), count, nlong or count))
+    center = n - sum(r for _, r in summands)
+    summands.sort(key=lambda s: (-_simple_dim(*s), s[0], -s[1]))
+    parts = [f"{l}{r}" for l, r in summands]
+    if center:
+        parts.append(f"{center if center > 1 else ''}u(1)")
+    return "+".join(parts) or "0", n + 2 * len(even)
+
+
+def _split(xs, test):
+    """(the xs that pass test, the others), each in order."""
+    out = ([], [])
+    for x in xs:
+        out[not test(x)].append(x)
+    return out

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,9 @@ import kleinfour
 from kleinfour import cli
 from kleinfour.autos import parse_descriptor
 from kleinfour.cli import main
+from kleinfour.rootsys import cartan_matrix
 from kleinfour.verify import VerifyContext
+from oracles import torus_parity_type
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -320,9 +324,11 @@ def test_omega_on_a_type_without_one_diagram_involution_is_failure_exit_1():
 
 
 @pytest.mark.parametrize("argv", [["fixed", "--type", "E8", "--auto", "omega"],
-                                  ["identify", "--type", "E7", "--auto", "omega"]])
+                                  ["identify", "--type", "E7", "--auto", "omega"],
+                                  ["fixed", "--type", "B12", "--auto", "omega"]])
 def test_omega_on_a_type_without_a_diagram_symmetry_is_failure_exit_1(argv):
-    """E7 and E8 have no nontrivial diagram symmetry at all: exit 1 with one JSON object."""
+    """E7, E8 and B12 have no nontrivial diagram symmetry at all: exit 1 with
+    one JSON object whose message names the type, above rank 8 too."""
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert json.loads(err) == {
@@ -330,6 +336,58 @@ def test_omega_on_a_type_without_a_diagram_symmetry_is_failure_exit_1(argv):
         "message": f"omega is not defined on {argv[2]}: it has 0 nontrivial diagram "
                    "involutions, not exactly one",
     }
+
+
+# -- fixed and identify against the parity oracle ---------------------------------
+
+PARITY_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+                "D4", "D5", "F4", "G2"]
+
+
+def _check_against_the_parity_oracle(monkeypatch, label, requests):
+    """Each (c, commands) of requests: the commands on torus:c agree with
+    oracles.torus_parity_type on type, dim (fixed) and exit code.  One
+    context and one parser serve every request, so the table and the
+    argparse tree are built once per type."""
+    ctx, parser = VerifyContext(label), cli._make_parser()
+    monkeypatch.setattr(cli, "_context", lambda args: ctx)
+    monkeypatch.setattr(cli, "_make_parser", lambda: parser)
+    cartan = cartan_matrix(label)
+    for bits, commands in requests:
+        desc = "torus:" + ",".join(map(str, bits))
+        expected = torus_parity_type(cartan, bits)
+        for command in commands:
+            code, out, err = run_cli([command, "--type", label, "--auto", desc, "--format", "json"])
+            if expected is None:
+                message = f"the torus factor of descriptor {desc!r} is the identity of {label}"
+                assert (code, out, json.loads(err)) == (
+                    1, "", {"error": "ValueError", "message": message}), (command, desc)
+                continue
+            assert (code, err) == (0, ""), (command, desc, err)
+            got = json.loads(out)
+            assert got["type"] == expected[0], (command, desc)
+            if command == "fixed":
+                assert got["dim"] == str(expected[1]), desc
+
+
+@pytest.mark.parametrize("label", PARITY_TYPES)
+def test_fixed_and_identify_match_the_parity_oracle_on_every_torus_involution(monkeypatch, label):
+    _check_against_the_parity_oracle(monkeypatch, label, [
+        (c, ("fixed", "identify")) for c in itertools.product((0, 1), repeat=int(label[1:]))
+        if any(c)])
+
+
+@pytest.mark.parametrize("label", [f"{letter}{n}" for n in (12, 16) for letter in "ABCD"])
+def test_fixed_and_identify_match_the_parity_oracle_at_ranks_12_and_16(monkeypatch, label):
+    """fixed on the first and the last unit vector (on B the last is the
+    identity) and on one seeded c; identify, the same pipeline with a shorter
+    report, on the seeded c only, which keeps the suite within its time
+    budget (a rank-16 request takes 50-150 ms)."""
+    n = int(label[1:])
+    unit = lambda i: tuple(int(j == i) for j in range(n))
+    draw = tuple(random.Random(label).randrange(2) for _ in range(n - 1)) + (1,)
+    _check_against_the_parity_oracle(monkeypatch, label, [
+        (unit(0), ("fixed",)), (unit(n - 1), ("fixed",)), (draw, ("fixed", "identify"))])
 
 
 # -- the CLI contract under generated arguments ---------------------------------

@@ -401,7 +401,7 @@ def _relabel(C, p):
     return [[C[p[i]][p[j]] for j in range(len(C))] for i in range(len(C))]
 
 
-@pytest.mark.parametrize("label", ["C2", "D3"] + [f"{l}{r}" for n in range(1, 9)
+@pytest.mark.parametrize("label", ["C2", "D3"] + [f"{l}{r}" for n in (*range(1, 9), 12, 16)
                                                   for l, r in _catalog_for_rank(n)])
 def test_match_reads_seeded_relabelings(label):
     C = cartan_matrix(label)

@@ -1,6 +1,7 @@
-from fractions import Fraction
 import json
+import random
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -174,8 +175,47 @@ def test_validate_cartan_rejects_affine_a2_and_a_non_symmetrizable_matrix():
 def test_validate_cartan_returns_the_lengths_of_the_short_and_long_roots(label):
     # L_i = (a_i, a_i)/2 with the short roots at 1
     L = validate_cartan(cartan_matrix(label))
-    assert all(isinstance(x, Fraction) for x in L)
+    assert all(isinstance(x, int) for x in L)
     assert sorted(set(L)) == [1, 3 if label == "G2" else 2]
+
+
+CATALOG_FAMILIES = {letter: [f"{letter}{n}" for n in range(low, MAX_RANK + 1)]
+                    for letter, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))}
+CATALOG_FAMILIES["EFG"] = ["E6", "E7", "E8", "F4", "G2"]
+
+
+def _relabel(A, p):
+    return [[A[p[i]][p[j]] for j in range(len(p))] for i in range(len(p))]
+
+
+def _direct_sum(A, B):
+    n, m = len(A), len(B)
+    return [list(row) + [0] * m for row in A] + [[0] * n + list(row) for row in B]
+
+
+@pytest.mark.parametrize("family", CATALOG_FAMILIES)
+def test_lengths_are_primitive_integers_that_symmetrize_and_follow_relabelings(family):
+    """Every catalog type up to MAX_RANK, a seeded relabeling of it and its
+    direct sum with B2 (whose lengths 2, 1 stay 2, 1 beside any type): positive
+    ints, gcd 1 on each component, A[i][j] L[j] == A[j][i] L[i], and the
+    relabeling permutes them."""
+    for label in CATALOG_FAMILIES[family]:
+        A = cartan_matrix(label)
+        n = len(A)
+        p = random.Random(label).sample(range(n), n)
+        cases = [(A, [range(n)]), (_relabel(A, p), [range(n)]),
+                 (_direct_sum(A, cartan_matrix("B2")), [range(n), range(n, n + 2)])]
+        lengths = []
+        for M, comps in cases:
+            L = validate_cartan(M)
+            assert all(type(x) is int and x > 0 for x in L), (label, M)
+            assert all(gcd(*(L[i] for i in comp)) == 1 for comp in comps), (label, M)
+            assert all(M[i][j] * L[j] == M[j][i] * L[i]
+                       for i in range(len(M)) for j in range(len(M))), (label, M)
+            lengths.append(L)
+        L, relabeled, summed = lengths
+        assert relabeled == tuple(L[q] for q in p), label
+        assert summed == L + (2, 1), label
 
 
 # -- Chevalley table -----------------------------------------------------------
