@@ -29,7 +29,6 @@ composed signed permutation gets its pi again from the shape certificate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
@@ -447,8 +446,7 @@ def commutes(a: Automorphism, b: Automorphism) -> bool:
     return _pi_compose(a.pi, b.pi) == _pi_compose(b.pi, a.pi)
 
 
-@dataclass(frozen=True)
-class KleinGroup:
+class KleinGroup(NamedTuple):
     """A Klein four subgroup given by two commuting involutions."""
 
     generators: Tuple[Automorphism, Automorphism]

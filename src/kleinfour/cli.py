@@ -6,6 +6,9 @@ computation failure, 2 usage errors, among them every --auto or --theta
 descriptor that autos.read_descriptor rejects: one outside the grammar, or a
 torus factor whose coefficient count is not the rank of --type.
 A golden mismatch is a failure (exit 1); golden files change only under --bless.
+Each request is its own process, so it builds the top-level parser and only
+the subparser its first argument names; -h, no arguments and an unknown
+subcommand get the whole tree, which prints the same help and usage text.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .autos import make_klein, read_descriptor
 from .identify import fixed_subalgebra, identify_type, type_dim
@@ -79,7 +82,8 @@ def _target(text: str) -> str:
     return target
 
 
-def _make_parser() -> argparse.ArgumentParser:
+def _make_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser argv[0] names, or all of them if it names none."""
     p = argparse.ArgumentParser(
         prog="kleinfour",
         description="Exact verification of involution and Klein-four structure on E6.",
@@ -88,39 +92,36 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--type", type=_type_label, default="E6",
                         help="algebra type label (default E6)")
     common.add_argument("--format", choices=("text", "json"), default="text")
+    auto = dict(action="append", default=[])
+    commands = {  # name: (help, [(argument, options)]) beside --type and --format
+        "roots": ("list the root system in canonical order", [
+            ("--table", dict(action="store_true",
+                             help="also emit the structure table serialization")),
+            ("--golden-dir", dict(help="compare output against golden files in this directory")),
+            ("--bless", dict(action="store_true",
+                             help="rewrite golden files instead of comparing"))]),
+        "fixed": ("fixed-point subalgebra of automorphisms", [
+            ("--auto", dict(auto, required=True, help="automorphism descriptor (repeatable)"))]),
+        "identify": ("reductive type of the fixed subalgebra",
+                     [("--auto", dict(auto, required=True))]),
+        "realform": ("Cartan decomposition / real fixed form", [
+            ("--theta", dict(required=True, help="Cartan involution descriptor")),
+            ("--auto", dict(auto, help="fixed-group generator descriptors (0, 1 or 2)"))]),
+        "search": ("search commuting involution configurations", [
+            ("--classes", dict(type=_class_labels, required=True,
+                               help="comma-separated class labels, e.g. sigma3,sigma2")),
+            ("--target", dict(type=_target, required=True,
+                              help="required joint fixed type, e.g. B4 or B4:36"))]),
+        "verify": ("run verification scenarios",
+                   [("scenario", dict(choices=("all",) + tuple(sorted(SCENARIOS))))]),
+    }
     sub = p.add_subparsers(dest="command", required=True)
-
-    roots = sub.add_parser("roots", parents=[common],
-                           help="list the root system in canonical order")
-    roots.add_argument("--table", action="store_true",
-                       help="also emit the structure table serialization")
-    roots.add_argument("--golden-dir", default=None,
-                       help="compare output against golden files in this directory")
-    roots.add_argument("--bless", action="store_true",
-                       help="rewrite golden files instead of comparing")
-
-    fixed = sub.add_parser("fixed", parents=[common], help="fixed-point subalgebra of automorphisms")
-    fixed.add_argument("--auto", action="append", default=[], required=True,
-                       help="automorphism descriptor (repeatable)")
-
-    ident = sub.add_parser("identify", parents=[common], help="reductive type of the fixed subalgebra")
-    ident.add_argument("--auto", action="append", default=[], required=True)
-
-    real = sub.add_parser("realform", parents=[common], help="Cartan decomposition / real fixed form")
-    real.add_argument("--theta", required=True, help="Cartan involution descriptor")
-    real.add_argument("--auto", action="append", default=[],
-                      help="fixed-group generator descriptors (0, 1 or 2)")
-
-    search = sub.add_parser("search", parents=[common], help="search commuting involution configurations")
-    search.add_argument("--classes", type=_class_labels, required=True,
-                        help="comma-separated class labels, e.g. sigma3,sigma2")
-    search.add_argument("--target", type=_target, required=True,
-                        help="required joint fixed type, e.g. B4 or B4:36")
-
-    verify = sub.add_parser("verify", parents=[common], help="run verification scenarios")
-    verify.add_argument("scenario", choices=("all",) + tuple(sorted(SCENARIOS)))
-    for command in sub.choices.values():  # main's checks print the subcommand's usage
-        command.set_defaults(usage_error=command.error)
+    for name in argv[:1] if argv and argv[0] in commands else commands:
+        help_line, arguments = commands[name]
+        command = sub.add_parser(name, parents=[common], help=help_line)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(usage_error=command.error)  # main's checks print its usage
     return p
 
 
@@ -175,30 +176,22 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_fixed(args) -> int:
+    """fixed and identify: one pipeline, identify printing only the type."""
     ctx = _context(args)
     autos = [ctx.automorphism(d) for d in args.auto]
+    descriptors = [a.descriptor for a in autos]
     s = fixed_subalgebra(ctx.table, autos)
     ty = identify_type(s)
+    if args.command == "identify":
+        _emit(args, {"automorphisms": descriptors, "type": str(ty)}, [str(ty)])
+        return EXIT_OK
     payload = {
-        "automorphisms": [a.descriptor for a in autos],
+        "automorphisms": descriptors,
         "dim": str(s.dim),
         "type": str(ty),
         "pivots": [str(p) for p in s.pivots],
     }
-    _emit(args, payload, [
-        f"fixed({', '.join(a.descriptor for a in autos)})",
-        f"dim {s.dim}",
-        f"type {ty}",
-    ])
-    return EXIT_OK
-
-
-def _cmd_identify(args) -> int:
-    ctx = _context(args)
-    autos = [ctx.automorphism(d) for d in args.auto]
-    ty = identify_type(fixed_subalgebra(ctx.table, autos))
-    payload = {"automorphisms": [a.descriptor for a in autos], "type": str(ty)}
-    _emit(args, payload, [str(ty)])
+    _emit(args, payload, [f"fixed({', '.join(descriptors)})", f"dim {s.dim}", f"type {ty}"])
     return EXIT_OK
 
 
@@ -260,7 +253,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args, extra = _make_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = _make_parser(argv).parse_known_args(argv)
     error = args.usage_error
     if extra:
         error(f"unrecognized arguments: {' '.join(extra)}")
@@ -279,7 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "roots": _cmd_roots,
         "fixed": _cmd_fixed,
-        "identify": _cmd_identify,
+        "identify": _cmd_fixed,
         "realform": _cmd_realform,
         "search": _cmd_search,
         "verify": _cmd_verify,

@@ -25,9 +25,8 @@ weight, and its sign is that of the last nonzero coordinate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from operator import mul, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul, neg, sub
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
 from .autos import Automorphism
@@ -142,8 +141,7 @@ def simple_root_count(letter: str, rank: int) -> int:
     return v[rank] if isinstance(v, dict) else v(rank)
 
 
-@dataclass(frozen=True)
-class ReductiveType:
+class ReductiveType(NamedTuple):
     """Multiset of simple summands plus an abelian center dimension."""
 
     summands: Tuple[Tuple[str, int], ...]
@@ -280,11 +278,11 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     if s.dim == 0:
         return ReductiveType.make([], 0)
 
-    # weights: restrictions of ambient roots to the integer toral rows
+    # weights: ambient roots restricted to the integer toral rows; roots[npos + k] = -roots[k]
     rows = [_int_row(h, rank_amb) for h in toral]
+    pos = list(zip(*[[sum(map(mul, h, p)) for p in rs.pairings[:rs.npos]] for h in rows]))
     classes: Dict[Coords, List[int]] = {}
-    for ridx, p in enumerate(rs.pairings):
-        mu = tuple(sum(map(mul, h, p)) for h in rows)
+    for ridx, mu in enumerate(pos + [tuple(map(neg, mu)) for mu in pos]):
         if any(mu):
             classes.setdefault(mu, []).append(ridx)
     parts = _intersect_by_class(s, {rank_amb + r: mu for mu, ridxs in classes.items()
@@ -317,7 +315,8 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     # is a simple root plus a positive root, both of smaller fval, so in fval
     # order mu is simple when mu - nu is positive for no simple nu found before
     M = 1 + max(abs(e) for mu in weights for e in mu)
-    fval = {mu: sum(e * M**i for i, e in enumerate(mu)) for mu in weights}
+    powers = [M**i for i in range(t_dim)]
+    fval = {mu: sum(map(mul, mu, powers)) for mu in weights}
     if any(v == 0 for v in fval.values()):
         raise IdentifyError("positivity functional vanished on a weight")
     simple: List[Coords] = []

@@ -27,10 +27,9 @@ dimension (asserted, not assumed).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from functools import cached_property
-from importlib import resources
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
 from .autos import Automorphism, KleinGroup, commutes
@@ -174,16 +173,16 @@ def _restricted_inertia(cb: CompactBasis, span: SpanSolver) -> Tuple[int, int, i
 # ---------------------------------------------------------------------------
 
 def load_catalog() -> Dict[Tuple[str, str, int, int], str]:
-    """The shipped catalog, kleinfour.data/realform_catalog.json, as
+    """The shipped catalog, data/realform_catalog.json beside this module, as
     {(g_type, k_type, dim k, dim p): name}.
 
     Each of its "real_forms" rows has strings "g", "k" and "name" and a
     "signature" [dim k, dim p].  tests/test_realform.py derives every row's
     name from its key by Cartan's rule and checks that the keys are distinct.
     """
-    data = json.loads(
-        resources.files("kleinfour.data").joinpath("realform_catalog.json").read_text()
-    )
+    with open(os.path.join(os.path.dirname(__file__), "data", "realform_catalog.json"),
+              encoding="utf-8") as fh:
+        data = json.load(fh)
     return {(r["g"], r["k"], *r["signature"]): r["name"] for r in data["real_forms"]}
 
 
@@ -191,8 +190,7 @@ def load_catalog() -> Dict[Tuple[str, str, int, int], str]:
 # Descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RealFormDescriptor:
+class RealFormDescriptor(NamedTuple):
     """A Cartan decomposition k + p with identified types and catalog name."""
 
     theta: str                      # descriptor of the Cartan involution

@@ -40,9 +40,8 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import add, eq, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactq import axpy, symmetric_inertia
 
@@ -234,8 +233,7 @@ def cartan_isomorphisms(A: Sequence[Sequence[int]],
 # Root systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     coords: Coords
     height: int
 

@@ -43,10 +43,9 @@ and its fixed subalgebra must have exactly the character dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .autos import (
     Automorphism,
@@ -121,23 +120,60 @@ def check_class_labels(class_labels: Sequence[str]) -> None:
 # Census
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusRow:
+class _Record:
+    """A frozen record: its fields are the class annotations in order, given
+    by position or keyword or else the class body's default.  == and hash
+    leave out the fields in ``_uncompared``, repr those in ``_unshown``."""
+
+    _uncompared = _unshown = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = type(self).__annotations__
+        values = {f: getattr(type(self), f) for f in fields if hasattr(type(self), f)}
+        values.update(zip(fields, args), **kwargs)
+        if len(args) > len(fields) or values.keys() != fields.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        self.__dict__.update((f, values[f]) for f in fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(v for f, v in vars(self).items() if f not in self._uncompared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in vars(self).items() if f not in self._unshown)
+        return f"{type(self).__name__}({shown})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**vars(self), **changes})
+
+
+class CensusRow(_Record):
     descriptor: str
     kind: str  # "inner" | "outer"
     fixed_dim: int
     fixed_type: str
     label: str
     trace_identity_ok: bool
-    automorphism: Automorphism = field(compare=False, repr=False)
+    automorphism: Automorphism
     # how the row was labelled: "generic" (classified from its real-form split), or
     # (g, x): conjugate by g of the census row with descriptor x, certified
     # by row∘g == g∘x.  Not part of the row's value.
-    provenance: Union[str, Tuple[str, str]] = field(default="generic", compare=False)
+    provenance: Union[str, Tuple[str, str]] = "generic"
+    _uncompared = ("automorphism", "provenance")
+    _unshown = ("automorphism",)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Record):
     rows: Tuple[CensusRow, ...]
     inner_counts: Dict[str, int]
     outer_counts: Dict[str, int]
@@ -145,7 +181,8 @@ class Census:
     twist_candidates: int
     twist_involutions: int
     # the certified (g, g^-1) the census walked with; the so(9) gate reuses them
-    conjugators: Sequence[Tuple[Automorphism, Cols]] = field(default=(), compare=False, repr=False)
+    conjugators: Sequence[Tuple[Automorphism, Cols]] = ()
+    _uncompared = _unshown = ("conjugators",)
 
 
 def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Tuple[Automorphism, Cols], ...]:
@@ -266,8 +303,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
 # Configuration searches
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Record):
     """Named automorphisms realizing a searched-for subgroup, with provenance;
     ``automorphisms`` holds the certified a, b[, theta] in that order."""
 
@@ -276,7 +312,8 @@ class Configuration:
     theta: Optional[str]
     labels: Dict[str, str]
     provenance: Dict[str, object]
-    automorphisms: Tuple[Automorphism, ...] = field(compare=False, repr=False)
+    automorphisms: Tuple[Automorphism, ...]
+    _uncompared = _unshown = ("automorphisms",)
 
 
 def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:
@@ -405,8 +442,7 @@ def search_configuration(
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     claim: str
     computed: object
     expected: object  # None marks a reported-only value
@@ -414,8 +450,7 @@ class Step:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     scenario: str
     steps: Tuple[Step, ...]
 

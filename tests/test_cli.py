@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -17,7 +18,7 @@ from kleinfour.autos import parse_descriptor
 from kleinfour.cli import main
 from kleinfour.rootsys import cartan_matrix
 from kleinfour.verify import VerifyContext
-from oracles import torus_parity_type
+from oracles import pairing_parity_fixed_dim, torus_parity_type
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -351,7 +352,7 @@ def _check_against_the_parity_oracle(monkeypatch, label, requests):
     argparse tree are built once per type."""
     ctx, parser = VerifyContext(label), cli._make_parser()
     monkeypatch.setattr(cli, "_context", lambda args: ctx)
-    monkeypatch.setattr(cli, "_make_parser", lambda: parser)
+    monkeypatch.setattr(cli, "_make_parser", lambda argv=None: parser)
     cartan = cartan_matrix(label)
     for bits, commands in requests:
         desc = "torus:" + ",".join(map(str, bits))
@@ -388,6 +389,16 @@ def test_fixed_and_identify_match_the_parity_oracle_at_ranks_12_and_16(monkeypat
     draw = tuple(random.Random(label).randrange(2) for _ in range(n - 1)) + (1,)
     _check_against_the_parity_oracle(monkeypatch, label, [
         (unit(0), ("fixed",)), (unit(n - 1), ("fixed",)), (draw, ("fixed", "identify"))])
+
+
+def test_fixed_and_identify_match_the_parity_oracle_on_every_e6_torus_involution(monkeypatch):
+    """All 63 nonzero c on E6.  The parity oracle's dimension agrees with the
+    8-coordinate parity count here, and its type with the 8-coordinate
+    subsystem oracle in test_identify's census test."""
+    cs = [c for c in itertools.product((0, 1), repeat=6) if any(c)]
+    for c in cs:
+        assert torus_parity_type(cartan_matrix("E6"), c)[1] == pairing_parity_fixed_dim(c), c
+    _check_against_the_parity_oracle(monkeypatch, "E6", [(c, ("fixed", "identify")) for c in cs])
 
 
 # -- the CLI contract under generated arguments ---------------------------------
@@ -547,3 +558,54 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "2 roots" in proc.stdout
+
+
+# -- the per-process floor: what a request imports and which parser it builds ----
+
+HEAVY_MODULES = ("dataclasses", "inspect", "importlib.resources", "pathlib", "tempfile")
+
+
+def test_importing_the_cli_loads_verify_but_no_dataclasses_or_resources():
+    """A request process imports kleinfour.cli, and with it kleinfour.verify
+    (the benchmark reads it from sys.modules), but not the stdlib stacks the
+    package no longer needs: dataclasses with inspect, and importlib.resources
+    with pathlib and tempfile."""
+    src = str(Path(kleinfour.__file__).resolve().parent.parent)
+    code = ("import kleinfour.cli, sys; "
+            f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules), "
+            "'kleinfour.verify' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[] True\n")
+
+
+def _subcommands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_a_request_builds_only_the_subparser_it_names():
+    for name in COMMANDS:
+        assert _subcommands(cli._make_parser([name, "--type", "A2"])) == [name]
+    for argv in (None, [], ["-h"], ["bogus"], ["--type", "E6"], ["Fixed"]):
+        assert _subcommands(cli._make_parser(argv)) == COMMANDS, argv
+
+
+PARSER_REQUESTS = [
+    ["-h"], [], ["bogus", "--type", "E6"], ["--format", "json", "fixed"],
+    *([name, "-h"] for name in COMMANDS),
+    ["roots", "--type", "E5"], ["fixed"], ["identify", "--auto"], ["realform", "--auto", "omega"],
+    ["search", "--classes", "sigma9", "--target", "B4"], ["verify", "nope"],
+    ["roots", "--nope"], ["verify", "all", "--type", "A2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_REQUESTS, ids=lambda a: " ".join(a) or "(none)")
+def test_one_subparser_prints_what_the_full_tree_prints(monkeypatch, argv):
+    """Help, usage errors and exit codes are byte-identical whether main builds
+    the subparser argv names or the whole tree."""
+    one = _outcome(argv)
+    build = cli._make_parser
+    monkeypatch.setattr(cli, "_make_parser", lambda argv=None: build())
+    assert _outcome(argv) == one
+    assert one[0] in (0, 2) and one[1] + one[2]

@@ -35,6 +35,7 @@ from oracles import (
     first_escape_by_membership,
     first_escape_reference,
     pairing,
+    torus_parity_type,
 )
 
 
@@ -219,7 +220,8 @@ def test_torus_classes_match_subsystem_oracle(e6):
 
 
 def test_census_inner_types_match_subsystem_oracle(census):
-    """Every inner census row agrees with the 8-coordinate classification."""
+    """Every inner census row agrees with the 8-coordinate classification,
+    and so does the type-generic parity oracle on the same c."""
     inner = [row for row in census.rows if row.kind == "inner"]
     assert len(inner) == 63
     for row in inner:
@@ -227,6 +229,7 @@ def test_census_inner_types_match_subsystem_oracle(census):
         labels, center = classify_even_subsystem(bits)
         expected = ReductiveType.make([(l[0], int(l[1:])) for l in labels], center)
         assert row.fixed_type == str(expected), row.descriptor
+        assert torus_parity_type(cartan_matrix("E6"), bits)[0] == str(expected), row.descriptor
 
 
 def test_weight_root_counts_match_root_systems(e6):

@@ -1,0 +1,92 @@
+"""The package's frozen records keep the value semantics of frozen dataclasses.
+
+Root, KleinGroup, ReductiveType, RealFormDescriptor, Step and Report are
+NamedTuples; CensusRow, Census and Configuration leave some fields out of
+equality and hashing (and some of those out of repr too), as the dataclass
+fields with compare=False and repr=False did.
+"""
+
+import pytest
+
+from kleinfour.autos import KleinGroup
+from kleinfour.identify import ReductiveType
+from kleinfour.realform import RealFormDescriptor
+from kleinfour.rootsys import Root
+from kleinfour.verify import Census, CensusRow, Configuration, Report, Step
+
+# each record class with the fields that == and hash ignore
+UNCOMPARED = {
+    Root: set(),
+    KleinGroup: set(),
+    ReductiveType: set(),
+    RealFormDescriptor: set(),
+    Step: set(),
+    Report: set(),
+    CensusRow: {"automorphism", "provenance"},
+    Census: {"conjugators"},
+    Configuration: {"automorphisms"},
+}
+
+
+def _fields(cls):
+    return list(cls.__annotations__)
+
+
+def _record(cls):
+    """A record with a distinct hashable stand-in in every field."""
+    return cls(*(f"{name}-value" for name in _fields(cls)))
+
+
+@pytest.mark.parametrize("cls", list(UNCOMPARED), ids=lambda c: c.__name__)
+def test_equality_and_hash_ignore_exactly_the_uncompared_fields(cls):
+    record = _record(cls)
+    assert record == _record(cls) and hash(record) == hash(_record(cls))
+    for name in _fields(cls):
+        other = record._replace(**{name: "changed"})
+        assert getattr(other, name) == "changed"
+        if name in UNCOMPARED[cls]:
+            assert other == record and hash(other) == hash(record), name
+        else:
+            assert other != record and not other == record, name
+
+
+@pytest.mark.parametrize("cls", list(UNCOMPARED), ids=lambda c: c.__name__)
+def test_records_are_frozen(cls):
+    record = _record(cls)
+    for name in _fields(cls) + ["not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, "changed")
+    assert record == _record(cls)
+
+
+def test_repr_is_the_dataclass_text_without_the_unshown_fields():
+    """The texts a frozen dataclass printed for these records."""
+    assert repr(Root((1, 0, -1), 0)) == "Root(coords=(1, 0, -1), height=0)"
+    assert repr(ReductiveType.make([("A", 1), ("D", 5)], 1)) == (
+        "ReductiveType(summands=(('D', 5), ('A', 1)), center_dim=1)")
+    assert repr(Step("signature", [30, 16], [30, 16], "derived", True)) == (
+        "Step(claim='signature', computed=[30, 16], expected=[30, 16], "
+        "provenance='derived', passed=True)")
+    row = CensusRow("torus:0,1,0,0,0,0", "inner", 38, "A5+A1", "sigma1", True, object(),
+                    ("torus:1,0,0,0,0,0", "torus:0,0,1,0,0,0"))
+    assert repr(row) == (
+        "CensusRow(descriptor='torus:0,1,0,0,0,0', kind='inner', fixed_dim=38, "
+        "fixed_type='A5+A1', label='sigma1', trace_identity_ok=True, "
+        "provenance=('torus:1,0,0,0,0,0', 'torus:0,0,1,0,0,0'))")
+    assert repr(Census((), {}, {}, {}, 64, 16, ("x",))) == (
+        "Census(rows=(), inner_counts={}, outer_counts={}, realform_names={}, "
+        "twist_candidates=64, twist_involutions=16)")
+    assert "automorphisms" not in repr(_record(Configuration))
+
+
+def test_census_rows_default_to_generic_provenance_and_reject_bad_fields():
+    row = CensusRow("d", "inner", 38, "A5+A1", "sigma1", True, automorphism=None)
+    assert row.provenance == "generic"
+    for args, kwargs in (((), {}), (tuple(range(9)), {}), (tuple(range(8)), {"extra": 1})):
+        with pytest.raises(TypeError):
+            CensusRow(*args, **kwargs)
+
+
+def test_census_of_the_shipped_context_is_equal_to_its_copy_without_conjugators(census):
+    assert census.conjugators
+    assert census._replace(conjugators=()) == census

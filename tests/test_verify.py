@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -472,7 +471,7 @@ def test_so9_pairs_match_the_generic_classifier(ctx):
 
 def test_so9_klein_without_conjugators_is_all_generic(ctx, census, monkeypatch):
     g = ctx.so9_klein
-    monkeypatch.setitem(ctx.__dict__, "census", dataclasses.replace(census, conjugators=()))
+    monkeypatch.setitem(ctx.__dict__, "census", census._replace(conjugators=()))
     plain = find_so9_klein(ctx)
     how = plain.provenance["pairs"]
     assert len(how) == 12 and set(how.values()) == {"generic"}
@@ -840,9 +839,9 @@ def test_census_labels_match_by_columns_not_by_name(ctx, rank3):
 
 def test_so82_reads_the_class_of_b_from_the_census(ctx, census, rank3, monkeypatch):
     """b's census row relabelled: the b class step shows the census's label and fails."""
-    rows = tuple(dataclasses.replace(r, label="sigma1") if r.descriptor == rank3.b else r
+    rows = tuple(r._replace(label="sigma1") if r.descriptor == rank3.b else r
                  for r in census.rows)
-    monkeypatch.setitem(ctx.__dict__, "census", dataclasses.replace(census, rows=rows))
+    monkeypatch.setitem(ctx.__dict__, "census", census._replace(rows=rows))
     monkeypatch.delitem(ctx.__dict__, "census_labels", raising=False)
     report = verify_so82_fixed_form(ctx)
     steps = _claims(report)
