@@ -1,6 +1,6 @@
 """Automorphisms of a Chevalley-basis Lie algebra, with mandatory certificates.
 
-Every constructor funnels through make_automorphisms (make_automorphism is a
+Every constructor funnels through certify_batch (make_automorphism is a
 batch of one), which verifies the homomorphism property [Au, Av] = A[u, v] on
 all basis pairs and computes the order before the object exists.  Nothing
 downstream ever touches an uncertified matrix; sign mistakes in the
@@ -34,10 +34,10 @@ from functools import lru_cache, reduce
 from itertools import compress
 from math import lcm
 from operator import eq, itemgetter, mul
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactq import as_num, axpy
-from .rootsys import StructureTable, cartan_isomorphisms
+from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
 
 Cols = Tuple[Dict[int, object], ...]
 Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
@@ -56,7 +56,7 @@ class Automorphism:
 
     ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
     when the certificate found a signed permutation, else None.  Instances
-    come from make_automorphisms (make_automorphism is a batch of one), and
+    come from certify_batch (make_automorphism is a batch of one), and
     omega_automorphism re-wraps one, with its cols, order and pi, under the
     descriptor "omega"; all are immutable afterwards.
     """
@@ -227,18 +227,19 @@ def _signed_permutation(cols: Cols) -> Optional[Pi]:
     return (perm, signs) if set(perm) == set(range(len(cols))) and _SIGNS.issuperset(signs) else None
 
 
-def make_automorphisms(
+def certify_batch(
     table: StructureTable, batch: Iterable[Tuple[Sequence[dict], str]]
-) -> List[Union[Automorphism, CertificationError]]:
+) -> List[Automorphism]:
     """Certify and wrap candidates given as (sparse columns, descriptor).
 
-    Entry n of the result is the n-th candidate's automorphism, or the
-    CertificationError that make_automorphism would raise for it.  Signed
-    permutations that share one pi share one ``table.signed_permutation_flags``
-    walk and keep pi and their signs; a member it flags, and every other
-    shape, runs the generic ``table.homomorphism_defect``, which names the
-    first failing pair; the order is certified per member.  The batch is read
-    once, so a generator's columns can be freed as soon as they are copied.
+    Signed permutations that share one pi share one
+    ``table.signed_permutation_flags`` walk and keep pi and their signs; a
+    member it flags, and every other shape, runs the generic
+    ``table.homomorphism_defect``, which names the first failing pair; the
+    order is certified per member.  Members are certified in order, and the
+    first that fails raises the CertificationError make_automorphism raises
+    for it alone.  The batch is read once, so a generator's columns can be
+    freed as soon as they are copied.
     """
     dim = table.dim
     descriptors: List[str] = []
@@ -258,13 +259,8 @@ def make_automorphisms(
             bits = [b | (s < 0) << m for b, s in zip(bits, pis[n][1])]
         flags = table.signed_permutation_flags(perm, bits, (1 << len(members)) - 1)
         generic.update(n for m, n in enumerate(members) if flags >> m & 1)
-    out: List[Union[Automorphism, CertificationError]] = []
-    for n, (descriptor, cc) in enumerate(zip(descriptors, cleaned)):
-        try:
-            out.append(_certify(table, cc, descriptor, n in generic, pis[n]))
-        except CertificationError as exc:
-            out.append(exc)
-    return out
+    return [_certify(table, cc, descriptor, n in generic, pis[n])
+            for n, (descriptor, cc) in enumerate(zip(descriptors, cleaned))]
 
 
 def _cycle_order(a: Pi) -> int:
@@ -303,18 +299,6 @@ def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic
     if order > _ORDER_CAP:
         raise CertificationError(f"{descriptor}: order exceeds cap {_ORDER_CAP}")
     return Automorphism(table, cc, order, descriptor, pi)
-
-
-def certify_batch(
-    table: StructureTable, batch: Iterable[Tuple[Sequence[dict], str]]
-) -> List[Automorphism]:
-    """make_automorphisms on batch; the first candidate that fails raises its
-    CertificationError."""
-    out = make_automorphisms(table, batch)
-    for got in out:
-        if isinstance(got, CertificationError):
-            raise got
-    return out
 
 
 def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
@@ -408,7 +392,6 @@ def omega_automorphism(table: StructureTable) -> Automorphism:
         sym = [p for p in diagram_symmetries(table.rs.cartan)
                if p != tuple(range(n)) and all(p[p[i]] == i for i in range(n))]
         if len(sym) != 1:
-            from .identify import match_cartan  # identify imports this module
             raise ValueError("omega is not defined on %s%d: it has %d nontrivial diagram "
                              "involutions, not exactly one"
                              % (*match_cartan(table.rs.cartan), len(sym)))
@@ -561,7 +544,6 @@ def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
         return omega_automorphism(table) if omega else identity_automorphism(table)
     tor = torus_involution(table, c)
     if tor.is_identity() and any(x % 2 for x in c):  # odd coefficients that no root sees
-        from .identify import match_cartan  # identify imports this module
         raise ValueError("the torus factor of descriptor %r is the identity of %s%d"
                          % (text, *match_cartan(table.rs.cartan)))
     return compose(omega_automorphism(table), tor) if omega else tor

@@ -25,9 +25,9 @@ reads the signs of the pivots, on ints until a division is inexact;
 eigenvalues are never approximated.
 
 The shared primitives over sparse vectors are ``axpy``/``lincomb``
-(accumulation that drops cancelled entries), ``joint_eigenspace`` (kernel of
-the stacked A - lambda*I of maps given by sparse columns; orbit vectors for
-signed permutations and lambda = 1), ``span_kernel`` (kernel of a linear map
+(accumulation that drops cancelled entries), ``joint_eigenspace`` (the joint
+fixed space, kernel of the stacked A - I of maps given by sparse columns;
+orbit vectors for signed permutations), ``span_kernel`` (kernel of a linear map
 restricted to a span) and ``SpanSolver`` (membership in the span of an RREF
 basis).  The sparse bracket table built on them is ``rootsys.BracketTable``.
 """
@@ -265,16 +265,16 @@ def lincomb(coeffs: Iterable, vecs: Iterable[dict]) -> dict:
     return acc
 
 
-def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[dict]:
-    """Kernel basis of the stacked (A - eigen*I) over every map A.
+def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]]) -> List[dict]:
+    """Kernel basis of the stacked A - I over every map A: the joint fixed space.
 
     Each map is given by its sparse columns (``cols[j]`` is the image of basis
-    vector j), so the result spans the vectors that every map sends to eigen
-    times themselves.  For eigen 1 and signed permutations it is read off
-    their orbits (``_orbit_eigenspace``); otherwise the sparse rows of each
-    A - eigen*I are read straight off the columns and stacked for ``kernel``.
+    vector j), so the result spans the vectors that every map fixes.  For
+    signed permutations it is read off their orbits (``_orbit_eigenspace``);
+    otherwise the sparse rows of each A - I are read straight off the columns
+    and stacked for ``kernel``.
     """
-    orbits = _orbit_eigenspace(dim, maps) if as_num(eigen) == 1 else None
+    orbits = _orbit_eigenspace(dim, maps)
     if orbits is not None:
         return orbits
     stacked: List[dict] = []
@@ -284,7 +284,7 @@ def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]], eigen) -> List[di
             for r, v in col.items():
                 rows[r][j] = v
         for r, row in enumerate(rows):
-            row[r] = row.get(r, 0) - eigen
+            row[r] = row.get(r, 0) - 1
         stacked.extend(rows)
     return kernel(stacked, dim)
 

@@ -9,8 +9,9 @@ of t has the dimension the nonzero weights leave.  It reads off the weight root
 system, recovers Cartan integers from actual coroot brackets
 2*mu([e,f])/nu([e,f]), and matches each Dynkin component
 (``rootsys.dynkin_components``), at any rank, against the finite-type catalog
-by a backtracking walk (``rootsys.cartan_isomorphisms``) that places each
-node against those already placed.
+with ``rootsys.match_cartan``.  Accounting closes it: the simple weights have
+the lattice rank of all weights, and the type's dimension and root count
+(simple_dim(l, n) - n per summand) are the subalgebra's.
 
 Weights are integer tuples: each toral basis row is scaled to a primitive
 integer row, a positive rescaling of each weight coordinate that changes
@@ -30,8 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
 from .autos import Automorphism
-from .rootsys import (BracketTable, StructureTable, cartan_isomorphisms, cartan_matrix,
-                      dynkin_components, validate_cartan)
+from .rootsys import BracketTable, StructureTable, _catalog_for_rank, dynkin_components, match_cartan
 
 Coords = Tuple[int, ...]
 
@@ -101,7 +101,7 @@ def fixed_subalgebra(table: StructureTable, autos: Sequence[Automorphism]) -> Su
             raise IdentifyError("automorphism acts on a different algebra")
     if not autos:  # the unit rows are already in RREF
         return Subalgebra(table, [{i: 1} for i in range(dim)], range(dim))
-    vecs = joint_eigenspace(dim, [a.cols for a in autos], 1)
+    vecs = joint_eigenspace(dim, [a.cols for a in autos])
     return subalgebra_from_vectors(table, vecs)
 
 
@@ -126,18 +126,9 @@ _SIMPLE_DIM = {"A": lambda n: n * (n + 2), "B": lambda n: n * (2 * n + 1),
                "C": lambda n: n * (2 * n + 1), "D": lambda n: n * (2 * n - 1),
                "E": {6: 78, 7: 133, 8: 248}, "F": {4: 52}, "G": {2: 14}}
 
-_SIMPLE_ROOT_COUNT = {"A": lambda n: n * (n + 1), "B": lambda n: 2 * n * n,
-                      "C": lambda n: 2 * n * n, "D": lambda n: 2 * n * (n - 1),
-                      "E": {6: 72, 7: 126, 8: 240}, "F": {4: 48}, "G": {2: 12}}
-
 
 def simple_dim(letter: str, rank: int) -> int:
     v = _SIMPLE_DIM[letter]
-    return v[rank] if isinstance(v, dict) else v(rank)
-
-
-def simple_root_count(letter: str, rank: int) -> int:
-    v = _SIMPLE_ROOT_COUNT[letter]
     return v[rank] if isinstance(v, dict) else v(rank)
 
 
@@ -190,44 +181,6 @@ def type_dim(label: str) -> int:
     if str(ty) != label:
         raise ValueError(f"type label {label!r} is not in canonical form; use {str(ty)!r}")
     return ty.dim()
-
-
-# ---------------------------------------------------------------------------
-# Cartan matrix matching
-# ---------------------------------------------------------------------------
-
-def _catalog_for_rank(n: int) -> List[Tuple[str, int]]:
-    out: List[Tuple[str, int]] = [("A", n)]
-    if n >= 2:
-        out.append(("B", n))
-    if n >= 3:
-        out.append(("C", n))
-    if n >= 4:
-        out.append(("D", n))
-    if n in (6, 7, 8):
-        out.append(("E", n))
-    if n == 4:
-        out.append(("F", 4))
-    if n == 2:
-        out.append(("G", 2))
-    return out
-
-
-def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
-    """Simple type label of a Cartan matrix, up to simultaneous permutation.
-
-    B2 is reported for the rank-2 double-bond matrix (C2 is the same type)
-    and A3 for the D3 presentation; first match in catalog order A..G wins.
-    """
-    validate_cartan(A)
-    sig = sorted(tuple(sorted(row)) for row in A)
-    for letter, r in _catalog_for_rank(len(A)):
-        C = cartan_matrix(f"{letter}{r}")
-        if sorted(tuple(sorted(row)) for row in C) != sig:
-            continue
-        if next(cartan_isomorphisms(A, C), None) is not None:
-            return (letter, r)
-    raise IdentifyError(f"no finite-type match for Cartan matrix {A}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +309,9 @@ def identify_type(s: Subalgebra) -> ReductiveType:
 
     # accounting invariants
     n = len(simple)
-    # rank(M) = rank(M^T): t_dim rows, one column per weight
-    if rank(dict(enumerate(col)) for col in zip(*weights)) != n:
+    # the simple weights span every weight: the loop above writes each other
+    # positive one as a positive weight plus an earlier simple one
+    if rank(dict(enumerate(mu)) for mu in simple) != n:
         raise IdentifyError("weight lattice rank disagrees with the simple system")
     center_dim = t_dim - n
     out = ReductiveType.make(summands, center_dim)
@@ -365,6 +319,6 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         raise IdentifyError(
             f"dimension accounting failed: {out} has dim {out.dim()}, subalgebra has {s.dim}"
         )
-    if sum(simple_root_count(l, r) for l, r in out.summands) != len(weights):
+    if sum(simple_dim(l, r) - r for l, r in out.summands) != len(weights):
         raise IdentifyError("root-count accounting failed")
     return out

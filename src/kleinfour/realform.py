@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
@@ -172,6 +172,7 @@ def _restricted_inertia(cb: CompactBasis, span: SpanSolver) -> Tuple[int, int, i
 # Catalog of real form names
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def load_catalog() -> Dict[Tuple[str, str, int, int], str]:
     """The shipped catalog, data/realform_catalog.json beside this module, as
     {(g_type, k_type, dim k, dim p): name}.
@@ -179,6 +180,7 @@ def load_catalog() -> Dict[Tuple[str, str, int, int], str]:
     Each of its "real_forms" rows has strings "g", "k" and "name" and a
     "signature" [dim k, dim p].  tests/test_realform.py derives every row's
     name from its key by Cartan's rule and checks that the keys are distinct.
+    The file is read once per process; callers only read the dict.
     """
     with open(os.path.join(os.path.dirname(__file__), "data", "realform_catalog.json"),
               encoding="utf-8") as fh:
@@ -241,7 +243,7 @@ def cartan_decomposition(
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
     minus = tuple({i: -c for i, c in col.items()} for col in tcols)
-    kpart, ppart = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols], 1)))
+    kpart, ppart = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols])))
                     for cols in (tcols, minus))
     g_complex = fixed_subalgebra(cb.table, gens)
     if kpart.dim + ppart.dim != g_complex.dim:

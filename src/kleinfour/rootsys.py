@@ -27,7 +27,8 @@ signed permutations (``signed_permutation_flags``) and ``killing_form`` read
 the same store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
 ``validate_cartan`` carries integer root lengths along it and reads positive
 definiteness from ``exactq.symmetric_inertia``, and ``cartan_isomorphisms``
-places nodes in its order, behind type matching and diagram symmetries.
+places nodes in its order, a backtracking walk behind diagram symmetries and
+``match_cartan``, which names a connected Cartan matrix's simple type.
 
 Conventions, fixed once and used everywhere:
   - cartan[i][j] = <alpha_i, alpha_j^vee>  (column j carries the coroot)
@@ -227,6 +228,40 @@ def cartan_isomorphisms(A: Sequence[Sequence[int]],
                 used[u] = False
 
     return place(0)
+
+
+def _catalog_for_rank(n: int) -> List[Tuple[str, int]]:
+    out: List[Tuple[str, int]] = [("A", n)]
+    if n >= 2:
+        out.append(("B", n))
+    if n >= 3:
+        out.append(("C", n))
+    if n >= 4:
+        out.append(("D", n))
+    if n in (6, 7, 8):
+        out.append(("E", n))
+    if n == 4:
+        out.append(("F", 4))
+    if n == 2:
+        out.append(("G", 2))
+    return out
+
+
+def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
+    """Simple type label of a Cartan matrix, up to simultaneous permutation.
+
+    B2 is reported for the rank-2 double-bond matrix (C2 is the same type)
+    and A3 for the D3 presentation; first match in catalog order A..G wins.
+    """
+    validate_cartan(A)
+    sig = sorted(tuple(sorted(row)) for row in A)
+    for letter, r in _catalog_for_rank(len(A)):
+        C = cartan_matrix(f"{letter}{r}")
+        if sorted(tuple(sorted(row)) for row in C) != sig:
+            continue
+        if next(cartan_isomorphisms(A, C), None) is not None:
+            return (letter, r)
+    raise CartanMatrixError(f"no finite-type match for Cartan matrix {A}")
 
 
 # ---------------------------------------------------------------------------

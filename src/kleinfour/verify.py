@@ -121,16 +121,21 @@ def check_class_labels(class_labels: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 
 class _Record:
-    """A frozen record: its fields are the class annotations in order, given
-    by position or keyword or else the class body's default.  == and hash
-    leave out the fields in ``_uncompared``, repr those in ``_unshown``."""
+    """A frozen record: its fields are the class annotations in order, each
+    given by position or keyword (not both) or else the class body's default.
+    == and hash leave out the fields in ``_uncompared``, repr those in
+    ``_unshown``."""
 
     _uncompared = _unshown = ()
 
     def __init__(self, *args, **kwargs) -> None:
         fields = type(self).__annotations__
+        given = dict(zip(fields, args))
+        twice = [f for f in given if f in kwargs]
+        if twice:
+            raise TypeError(f"{type(self).__name__} got multiple values for field {twice[0]!r}")
         values = {f: getattr(type(self), f) for f in fields if hasattr(type(self), f)}
-        values.update(zip(fields, args), **kwargs)
+        values.update(given, **kwargs)
         if len(args) > len(fields) or values.keys() != fields.keys():
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
         self.__dict__.update((f, values[f]) for f in fields)

@@ -134,11 +134,11 @@ def classify_even_subsystem(bits):
     Returns (sorted component labels, center dim): components are classified
     as A/D/E from their Dynkin graph (all subsystems here are simply laced).
     """
-    roots = e6_roots_8d()
+    # each root's pairings with SIMPLE_8D are computed once, by _root_pairings
     even = [
         r
-        for r in roots
-        if int(sum(bits[i] * dot(r, SIMPLE_8D[i]) for i in range(6))) % 2 == 0
+        for r, ps in zip(e6_roots_8d(), _root_pairings())
+        if sum(b * p for b, p in zip(bits, ps)) % 2 == 0
     ]
     coords = {r: simple_coordinates(r) for r in even}
     pos = [r for r in even if sum(coords[r]) > 0]

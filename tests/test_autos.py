@@ -15,6 +15,7 @@ from kleinfour.autos import (
     CertificationError,
     _exp_ad_cols,
     _signed_permutation,
+    certify_batch,
     commutes,
     compose,
     compose_cols,
@@ -25,7 +26,6 @@ from kleinfour.autos import (
     inverse_cols,
     joint_fixed_dim,
     make_automorphism,
-    make_automorphisms,
     make_klein,
     omega_automorphism,
     parse_descriptor,
@@ -34,8 +34,9 @@ from kleinfour.autos import (
     weyl_lift,
 )
 from kleinfour.exactq import as_num, lincomb
-from kleinfour.identify import _catalog_for_rank, fixed_subalgebra
-from kleinfour.rootsys import BracketTable, build_root_system, cartan_matrix, chevalley_table
+from kleinfour.identify import fixed_subalgebra
+from kleinfour.rootsys import (BracketTable, _catalog_for_rank, build_root_system, cartan_matrix,
+                               chevalley_table)
 from oracles import (
     cartan_symmetries_by_scan,
     first_homomorphism_defect,
@@ -478,13 +479,12 @@ def test_joint_fixed_dim_of_torus_tuples_matches_joint_parity_oracle(ctx):
 
 def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):
     """An entry 3 on the diagonal cannot reach a pi rule: a hand-built copy never
-    gets a pi, and make_automorphisms rejects the columns."""
+    gets a pi, and certify_batch rejects the columns."""
     torus = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     cols = [{j: 3 if j == 10 else s} for j, s in enumerate(torus.pi[1])]
     assert _forged(e6, cols, "forged").pi is None
-    (got,) = make_automorphisms(e6, [(cols, "forged")])
-    assert isinstance(got, CertificationError)
-    assert str(got).startswith("forged: homomorphism fails at basis pair")
+    with pytest.raises(CertificationError, match="^forged: homomorphism fails at basis pair"):
+        certify_batch(e6, [(cols, "forged")])
 
 
 def test_fixed_plus_antifixed_fills_algebra(e6):
@@ -713,13 +713,15 @@ def shape_bases(ctx):
     }
 
 
-def _batch_verdicts(table, candidates):
-    """The homomorphism message of each member of one make_automorphisms batch."""
-    out = []
-    for got in make_automorphisms(table, [(cols, "candidate") for cols in candidates]):
-        message = str(got) if isinstance(got, CertificationError) else ""
-        out.append(message if "homomorphism fails" in message else None)
-    return out
+def _batch_verdict(table, intact, cols):
+    """The homomorphism message of cols certified in one batch between two
+    intact members, or None."""
+    batch = [(intact, "intact"), (cols, "candidate"), (intact, "intact")]
+    try:
+        certify_batch(table, batch)
+    except CertificationError as exc:
+        return str(exc) if "homomorphism fails" in str(exc) else None
+    return None
 
 
 @pytest.mark.parametrize("base", ["E6 torus", "E6 omega-twist", "A5 omega-twist", "D4 triality"])
@@ -743,40 +745,44 @@ def test_shape_and_batch_paths_agree_with_the_reference_certifier(shape_bases, m
             candidates.append(cols)
     expected = [_reference_verdict(table, cols) for cols in candidates]
     assert [_homomorphism_verdict(table, cols) for cols in candidates] == expected
-    walked = []
     generic = BracketTable.homomorphism_defect
-    monkeypatch.setattr(BracketTable, "homomorphism_defect",
-                        lambda self, c: walked.append(list(c)) or generic(self, c))
-    assert _batch_verdicts(table, [good.cols] + candidates) == [None] + expected
-    assert walked == candidates
+    for cols, want in zip(candidates, expected):
+        walked = []
+        monkeypatch.setattr(BracketTable, "homomorphism_defect",
+                            lambda self, c: walked.append(list(c)) or generic(self, c))
+        assert _batch_verdict(table, good.cols, cols) == want
+        assert walked == [cols]
     if base == "D4 triality":
-        assert make_automorphisms(table, [(good.cols, "t")])[0].order == 3
+        assert certify_batch(table, [(good.cols, "t")])[0].order == 3
 
 
 @pytest.mark.parametrize("corrupt", [_flip, _swap, _magnitude_two])
 def test_batch_isolates_a_corrupted_member(ctx, monkeypatch, corrupt):
     table = ctx.table
     batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=table.rank)]
-    bad = 37
-    cols = [dict(c) for c in batch[bad][0]]
+    cols = [dict(c) for c in batch[37][0]]
     corrupt(cols, table.rank + 2, table.rank + 9)
-    batch[bad] = (cols, "corrupted")
     walked = []
     generic = BracketTable.homomorphism_defect
     monkeypatch.setattr(BracketTable, "homomorphism_defect",
                         lambda self, c: walked.append(c) or generic(self, c))
-    got = make_automorphisms(table, batch)
-    monkeypatch.undo()
+    # the corrupted copy is certified last, after every intact member
+    with pytest.raises(CertificationError) as err:
+        certify_batch(table, batch + [(cols, "corrupted")])
     assert walked == [tuple(cols)]  # only the corrupted member ran the generic walk
+    got = certify_batch(table, batch)
+    monkeypatch.undo()
+    assert walked == [tuple(cols)]
+    with pytest.raises(CertificationError) as single_err:
+        make_automorphism(table, cols, "corrupted")
     i, j = first_homomorphism_defect(table, cols)
-    assert isinstance(got[bad], CertificationError)
-    assert str(got[bad]) == (f"corrupted: homomorphism fails at basis pair "
-                             f"({table.basis_label(i)}, {table.basis_label(j)})")
-    for n, (a, (cols, descriptor)) in enumerate(zip(got, batch)):
-        if n != bad:
-            single = make_automorphism(table, cols, descriptor)
-            assert (a.cols, a.order, a.pi, a.descriptor) == (
-                single.cols, single.order, single.pi, single.descriptor), descriptor
+    assert str(err.value) == str(single_err.value) == (
+        f"corrupted: homomorphism fails at basis pair "
+        f"({table.basis_label(i)}, {table.basis_label(j)})")
+    for a, (cols, descriptor) in zip(got, batch):
+        single = make_automorphism(table, cols, descriptor)
+        assert (a.cols, a.order, a.pi, a.descriptor) == (
+            single.cols, single.order, single.pi, single.descriptor), descriptor
 
 
 def test_e7_torus_gradings_certify_in_one_batch():
@@ -784,7 +790,7 @@ def test_e7_torus_gradings_certify_in_one_batch():
     # and the other 126 give 63 distinct involutions
     table = chevalley_table(build_root_system(cartan_matrix("E7")))
     batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=7)][1:]
-    got = make_automorphisms(table, batch)
+    got = certify_batch(table, batch)
     for a, (cols, descriptor) in zip(got, batch):
         single = make_automorphism(table, cols, descriptor)
         assert (a.cols, a.order, a.pi, a.descriptor) == (
@@ -830,13 +836,13 @@ def test_identity_pi_loop_agrees_with_the_generic_walk(monkeypatch, label):
     generic = BracketTable.homomorphism_defect
     monkeypatch.setattr(BracketTable, "homomorphism_defect",
                         lambda self, c: walked.append(c) or generic(self, c))
-    got = make_automorphisms(table, batch)
+    with pytest.raises(CertificationError) as err:  # flipped is the last member
+        certify_batch(table, batch)
     monkeypatch.undo()
     assert walked == [tuple(flipped)]
-    assert all(isinstance(a, Automorphism) for a in got[:-1])
     i, j = first_homomorphism_defect(table, flipped)
-    assert str(got[-1]) == (f"flipped: homomorphism fails at basis pair "
-                            f"({table.basis_label(i)}, {table.basis_label(j)})")
+    assert str(err.value) == (f"flipped: homomorphism fails at basis pair "
+                              f"({table.basis_label(i)}, {table.basis_label(j)})")
 
 
 def test_certification_rejects_non_invertible(e6):
@@ -891,8 +897,8 @@ def test_cycle_orders_match_the_composing_loop(e6):
     a5 = chevalley_table(build_root_system(cartan_matrix("A5")))
     d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
     e7 = chevalley_table(build_root_system(cartan_matrix("E7")))
-    e7_tori = make_automorphisms(e7, [torus_columns(e7, bits)
-                                      for bits in itertools.product((0, 1), repeat=7)][1:])
+    e7_tori = certify_batch(e7, [torus_columns(e7, bits)
+                                 for bits in itertools.product((0, 1), repeat=7)][1:])
     autos_built = tori + twists + e7_tori
     autos_built += [omega_automorphism(a5), diagram_automorphism(d4, (2, 1, 3, 0))]
     assert len(autos_built) == 64 + 64 + 127 + 2

@@ -164,7 +164,7 @@ def test_sparse_kernel_builders_reject_floats():
     with pytest.raises(TypeError, match="exact scalar"):
         span_kernel([{0: 1}, {1: 1}], [{0: 0.5}, {0: 1}])
     with pytest.raises(TypeError, match="exact scalar"):
-        joint_eigenspace(2, [[{0: 1}, {1: 1}]], 0.5)
+        joint_eigenspace(2, [[{0: 0.5}, {1: 1}]])
 
 
 def test_rref_fraction_entries_normalise_to_int_when_integral():

@@ -137,24 +137,23 @@ def test_span_kernel_spans_sympy_nullspace(rows, ambient):
 
 @st.composite
 def column_maps(draw):
-    """(dim, eigen, maps): each map is eigen*I plus a perturbation with many
-    zero columns, so the joint eigenspace is often nonzero."""
+    """(dim, maps): each map is I plus a perturbation with many zero columns,
+    so the joint fixed space is often nonzero."""
     dim = draw(st.integers(1, 5))
-    eigen = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
     maps = []
     for _ in range(draw(st.integers(1, 3))):
         cols = []
         for j in range(dim):
             col = {r: draw(scalars) for r in range(dim)} if draw(st.booleans()) else {}
-            col[j] = col.get(j, 0) + eigen
+            col[j] = col.get(j, 0) + 1
             cols.append({r: x for r, x in col.items() if x})
         maps.append(cols)
-    return dim, eigen, maps
+    return dim, maps
 
 
 @st.composite
 def signed_permutation_maps(draw):
-    """(dim, 1, maps): each map sends e_j to +-e_pi(j).  Two or three random
+    """(dim, maps): each map sends e_j to +-e_pi(j).  Two or three random
     permutations rarely commute, and an orbit whose edge signs contradict
     each other (a cycle with sign product -1) has no fixed vector."""
     dim = draw(st.integers(1, 6))
@@ -162,25 +161,25 @@ def signed_permutation_maps(draw):
     for _ in range(draw(st.integers(1, 3))):
         perm = draw(st.permutations(range(dim)))
         maps.append([{perm[j]: draw(st.sampled_from([1, -1]))} for j in range(dim)])
-    return dim, 1, maps
+    return dim, maps
 
 
 @PROPS
 @given(st.one_of(column_maps(), signed_permutation_maps()))
 # (0 1) and (1 2) do not commute; their one orbit has the fixed vector (-1, -1, 1)
-@example((3, 1, [[{1: 1}, {0: 1}, {2: 1}], [{0: 1}, {2: -1}, {1: -1}]]))
+@example((3, [[{1: 1}, {0: 1}, {2: 1}], [{0: 1}, {2: -1}, {1: -1}]]))
 # the orbit {0, 1} contradicts itself, e_2 -> -e_2 too; only e_3 is fixed
-@example((4, 1, [[{1: 1}, {0: -1}, {2: -1}, {3: 1}]]))
-def test_joint_eigenspace_matches_stacked_nullspace(dim_eigen_maps):
+@example((4, [[{1: 1}, {0: -1}, {2: -1}, {3: 1}]]))
+def test_joint_eigenspace_matches_stacked_nullspace(dim_maps):
     """Equal lists, not only spans: the orbit route of signed permutations
     returns the elimination's echelon basis, vector for vector."""
-    dim, eigen, maps = dim_eigen_maps
+    dim, maps = dim_maps
     blocks = []
     for cols in maps:
         dense = [[cols[j].get(r, 0) for j in range(dim)] for r in range(dim)]
-        blocks.append(_sym(dense) - _sym([[eigen]])[0, 0] * sympy.eye(dim))
+        blocks.append(_sym(dense) - sympy.eye(dim))
     stacked = sympy.Matrix.vstack(*blocks)
-    got = joint_eigenspace(dim, maps, eigen)
+    got = joint_eigenspace(dim, maps)
     assert _dense(got, dim) == [_frac(v) for v in stacked.nullspace()]
     eliminated = kernel(_rows(map(_frac, stacked.tolist())), dim)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in eliminated]

@@ -16,18 +16,17 @@ from kleinfour.exactq import SpanSolver, joint_eigenspace, rref
 from kleinfour.identify import (
     IdentifyError,
     ReductiveType,
-    _catalog_for_rank,
     center_of,
     first_escape,
     fixed_subalgebra,
     identify_type,
-    match_cartan,
-    simple_root_count,
+    simple_dim,
     subalgebra_from_vectors,
     type_dim,
 )
 from kleinfour.realform import compact_form, compact_matrix_cols
-from kleinfour.rootsys import build_root_system, cartan_isomorphisms, cartan_matrix, chevalley_table
+from kleinfour.rootsys import (_catalog_for_rank, build_root_system, cartan_isomorphisms,
+                               cartan_matrix, chevalley_table, match_cartan)
 from kleinfour.verify import VerifyContext, run_all
 from oracles import (
     centralizer_dim,
@@ -93,7 +92,7 @@ def _random_span(rng, table, chevalley):
     vectors added; mostly not bracket-closed."""
     a = torus_involution(chevalley, [rng.randint(0, 1) for _ in range(chevalley.rank)])
     cols = a.cols if table is chevalley else compact_matrix_cols(table, a)
-    vecs = [v for v in joint_eigenspace(table.dim, [cols], 1) if rng.random() < 0.8]
+    vecs = [v for v in joint_eigenspace(table.dim, [cols]) if rng.random() < 0.8]
     for _ in range(rng.randint(0, 2)):
         support = rng.sample(range(table.dim), rng.randint(1, 3))
         vecs.append({k: rng.choice((-2, -1, 1, 3)) for k in support})
@@ -243,7 +242,7 @@ def test_weight_root_counts_match_root_systems(e6):
         )
         assert total == s.dim - 6  # weights = everything outside the Cartan
         for l, n in ty.summands:
-            assert simple_root_count(l, n) == len(
+            assert simple_dim(l, n) - n == len(
                 build_root_system(cartan_matrix(f"{l}{n}")).roots
             )
 

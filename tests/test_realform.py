@@ -224,7 +224,7 @@ def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
     and -1 eigenspaces on its rows by span_kernel."""
     tcols = compact_matrix_cols(cb, theta)
     fixed = subalgebra_from_vectors(
-        cb, joint_eigenspace(cb.dim, [compact_matrix_cols(cb, g) for g in gamma], 1))
+        cb, joint_eigenspace(cb.dim, [compact_matrix_cols(cb, g) for g in gamma]))
 
     def part(eigen):
         images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
@@ -270,9 +270,9 @@ def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
     (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
     real, calls = realform.joint_eigenspace, []
 
-    def dropping(dim, maps, eigen):
+    def dropping(dim, maps):
         calls.append(1)
-        vecs = real(dim, maps, eigen)
+        vecs = real(dim, maps)
         return vecs[:-1] if len(calls) == 2 else vecs
 
     monkeypatch.setattr(realform, "joint_eigenspace", dropping)

@@ -85,6 +85,10 @@ def test_census_rows_default_to_generic_provenance_and_reject_bad_fields():
     for args, kwargs in (((), {}), (tuple(range(9)), {}), (tuple(range(8)), {"extra": 1})):
         with pytest.raises(TypeError):
             CensusRow(*args, **kwargs)
+    with pytest.raises(TypeError, match="multiple values for field 'descriptor'"):
+        CensusRow("d", "inner", 38, "A5+A1", "sigma1", True, None, descriptor="x")
+    with pytest.raises(TypeError, match="multiple values for field 'rows'"):
+        Census((), {}, {}, {}, 64, 16, rows=(1,))
 
 
 def test_census_of_the_shipped_context_is_equal_to_its_copy_without_conjugators(census):
