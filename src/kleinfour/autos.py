@@ -3,9 +3,14 @@
 Every constructor funnels through certify_batch (make_automorphism is a
 batch of one), which verifies the homomorphism property [Au, Av] = A[u, v] on
 all basis pairs and computes the order before the object exists.  Nothing
-downstream ever touches an uncertified matrix; sign mistakes in the
-diagram-automorphism extension are the dominant bug risk and this is the
-firewall.
+downstream ever touches an uncertified matrix.
+
+Torus involutions, diagram automorphisms and the Weyl lifts of simple
+reflections are built by one rule, _root_map_columns: the permutation of
+root indices that a lattice map induces, and signs on the simple root
+vectors, extended to every root through x_{a+b} = [x_a, x_b] / N(a, b).
+Sign mistakes in that extension are the dominant bug risk, and the
+certificate is the firewall.
 
 The homomorphism check takes one of two paths, chosen by the columns' shape.
 A signed permutation A e_j = s_j e_pi(j) (one entry +-1 per column, distinct
@@ -29,14 +34,13 @@ composed signed permutation gets its pi again from the shape certificate.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
 from math import lcm
 from operator import eq, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactq import as_num, axpy
+from .exactq import as_num
 from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
 
 Cols = Tuple[Dict[int, object], ...]
@@ -314,19 +318,41 @@ def identity_automorphism(table: StructureTable) -> Automorphism:
 
 
 # ---------------------------------------------------------------------------
-# Torus involutions and diagram automorphisms
+# Constructed automorphisms: a root map and simple-root signs
 # ---------------------------------------------------------------------------
 
+def _root_map_columns(table: StructureTable, img: Sequence[int], signs: Sequence[int]) -> List[dict]:
+    """Uncertified columns of the automorphism x_{alpha_i} -> signs[i] x_{img(alpha_i)}.
+
+    img[k] is the index of the root that a lattice map sends roots[k] to.
+    The signs extend to each non-simple positive root g with extraspecial
+    pair (a, b) through x_g = [x_a, x_b] / N(a, b), so that
+    eps_g = eps_a eps_b N(img a, img b) / N(a, b) in height order.  x_{-g}
+    takes the sign of x_g, since h_g = [x_g, x_{-g}] goes to h_{img g}, and
+    h_i goes to the coroot of img(alpha_i).
+    """
+    rs, rank, npos, n = table.rs, table.rank, table.npos, table.n_constant
+    eps = [1] * npos
+    for s, e in zip(rs.simple, signs):
+        eps[s] = e
+    for g, (a, b) in table.extraspecial.items():  # height order: a, b precede g
+        v, rem = divmod(eps[a] * eps[b] * n(img[a], img[b]), n(a, b))
+        if rem or abs(v) != 1:
+            raise CertificationError(f"extension sign is not a unit at {rs.roots[g].coords}")
+        eps[g] = v
+    cols = [{j: c for j, c in enumerate(rs.coroot(img[s])) if c} for s in rs.simple]
+    return cols + [{rank + m: eps[k % npos]} for k, m in enumerate(img)]
+
+
 def torus_columns(table: StructureTable, c: Sequence[int]) -> Tuple[List[dict], str]:
-    """Uncertified columns and descriptor of torus_involution(table, c)."""
-    rs = table.rs
+    """Uncertified columns and descriptor of torus_involution(table, c): the
+    identity root map, and the sign (-1)^<alpha_j, sum c_i alpha_i^vee> on x_{alpha_j}."""
     if len(c) != table.rank:
         raise ValueError(f"coefficient vector must have length {table.rank}")
     bits = tuple(x % 2 for x in c)
-    cols: List[dict] = [{i: 1} for i in range(table.rank)]
-    for k, pairs in enumerate(rs.pairings):
-        cols.append({table.rank + k: -1 if sum(map(mul, bits, pairs)) % 2 else 1})
-    return cols, "torus:" + ",".join(str(b) for b in bits)
+    signs = [-1 if sum(map(mul, bits, row)) % 2 else 1 for row in table.rs.cartan]
+    cols = _root_map_columns(table, range(len(table.rs.roots)), signs)
+    return cols, "torus:" + ",".join(map(str, bits))
 
 
 def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
@@ -345,15 +371,9 @@ def diagram_symmetries(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]
 
 
 def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorphism:
-    """Automorphism induced by a Dynkin-diagram symmetry.
-
-    On generators: h_i -> h_{perm(i)}, x_{+-alpha_i} -> x_{+-alpha_{perm(i)}}.
-    Root vectors of non-simple roots are extended recursively through
-    x_{a+b} = [x_a, x_b] / N(a, b), using the extraspecial decomposition of
-    each positive root; the mirrored decomposition is used for negatives, so
-    the sign on x_{-g} equals the sign on x_g.  The recursion runs on root
-    indices and reads N from the table's one bracket store.
-    """
+    """Automorphism induced by a Dynkin-diagram symmetry: the root map of perm,
+    with the sign +1 on every x_{alpha_i}, so h_i -> h_{perm(i)} and
+    x_{+-alpha_i} -> x_{+-alpha_{perm(i)}}."""
     rs = table.rs
     rank = table.rank
     perm = tuple(perm)
@@ -365,23 +385,11 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
         for j in range(rank)
     ):
         raise ValueError("permutation is not a Cartan-matrix symmetry")
-
     # the key is additive, so the image of a root is sum_i m_i key(alpha_perm(i))
     place = [rs.keys[rs.simple[p]] for p in perm]
     img = [rs.key_index[sum(map(mul, r.coords, place))] for r in rs.roots]
-    eps = [1] * rs.npos  # simple roots keep the sign +1
-    for g, (a, b) in table.extraspecial.items():  # height order: a, b precede g
-        v = Fraction(eps[a] * eps[b] * table.n_constant(img[a], img[b]), table.n_constant(a, b))
-        if v.denominator != 1 or abs(v) != 1:
-            raise CertificationError(
-                f"diagram extension sign is not a unit at {rs.roots[g].coords}"
-            )
-        eps[g] = int(v)
-
-    cols: List[dict] = [{perm[i]: 1} for i in range(rank)]
-    cols += [{rank + m: eps[k % rs.npos]} for k, m in enumerate(img)]
     desc = "diagram:" + ",".join(str(p + 1) for p in perm)
-    return make_automorphism(table, cols, desc)
+    return make_automorphism(table, _root_map_columns(table, img, [1] * rank), desc)
 
 
 def omega_automorphism(table: StructureTable) -> Automorphism:
@@ -461,39 +469,29 @@ def make_klein(a: Automorphism, b: Automorphism) -> KleinGroup:
 # Weyl-group lifts
 # ---------------------------------------------------------------------------
 
-def _exp_ad_cols(table: StructureTable, x: dict) -> Cols:
-    """exp(ad x) for nilpotent x, column by column; terminates exactly."""
-    cols = []
-    for j in range(table.dim):
-        total = {j: Fraction(1)}
-        term: dict = {j: Fraction(1)}
-        k = 1
-        while term:
-            nxt = table.bracket(x, term)
-            term = {r: Fraction(v, k) for r, v in nxt.items()}
-            axpy(total, 1, term.items())
-            k += 1
-            if k > 30:
-                raise CertificationError("ad x is not nilpotent")
-        cols.append(_clean(total))
-    return tuple(cols)
-
-
 def weyl_lift(table: StructureTable, i: int) -> Automorphism:
-    """Inner lift of the simple reflection s_i.
-
-    exp(ad x_{a_i}) exp(ad -x_{-a_i}) exp(ad x_{a_i}); permutes root spaces by
-    s_i up to sign and acts on the Cartan by the reflection.
+    """Inner lift n_i = exp(ad x_{a_i}) exp(ad -x_{-a_i}) exp(ad x_{a_i}) of the
+    simple reflection s_i: the root map s_i(b) = b - <b, a_i^vee> a_i, with
+    the sign -1 on x_{a_i}.  For j != i, x_{a_j} is the lowest vector of its
+    a_i-string, which n_i sends to (ad x_{a_i})^q / q! of it, q = -<a_j, a_i^vee>;
+    its sign is that of the product of N(a_i, a_j + k a_i), k < q, whose
+    absolute values multiply to q! (Carter, Simple Groups of Lie Type, 6.4).
     """
     rs = table.rs
     if not 0 <= i < table.rank:
         raise ValueError(f"simple index out of range: {i}")
-    xp = {table.rank + rs.simple[i]: 1}
-    xm = {table.rank + rs.simple[i] + rs.npos: -1}
-    e_plus = _exp_ad_cols(table, xp)
-    e_minus = _exp_ad_cols(table, xm)
-    cols = compose_cols(e_plus, compose_cols(e_minus, e_plus))
-    return make_automorphism(table, cols, f"weyl:{i + 1}")
+    a = rs.simple[i]
+    step = rs.keys[a]
+    img = [rs.key_index[key - p[i] * step] for key, p in zip(rs.keys, rs.pairings)]
+    signs = []
+    for j, s in enumerate(rs.simple):
+        sign, key = 1, rs.keys[s]
+        for _ in range(-rs.cartan[j][i]):  # no steps for j == i, where it is 2
+            if table.n_constant(a, rs.key_index[key]) < 0:
+                sign = -sign
+            key += step
+        signs.append(-1 if j == i else sign)
+    return make_automorphism(table, _root_map_columns(table, img, signs), f"weyl:{i + 1}")
 
 
 def inverse_cols(w: Automorphism) -> Cols:

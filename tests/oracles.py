@@ -8,9 +8,9 @@ derived separately, so agreement with the library is a genuine cross-check.
 ``chevalley_reference`` reads a ``RootSystem`` instance for its roots and
 Cartan data and rebuilds the Chevalley table on coordinate tuples.
 The references at the end read a bracket table only through its
-``pair_bracket``: the generic all-pairs homomorphism check, the
-lexicographic closure check with its own exact elimination (and, beside it,
-the closure walk that tests whole brackets with ``SpanSolver.contains``,
+``pair_bracket``: exp(ad x) as its power series, the generic all-pairs
+homomorphism check, the lexicographic closure check with its own exact
+elimination (and, beside it, the closure walk that tests whole brackets with ``SpanSolver.contains``,
 which reads the table's ``row_brackets``), the dimension
 of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
@@ -242,6 +242,27 @@ def first_homomorphism_defect(table, cols):
             if _bracket(pb, cols[i], cols[j]) != rhs:
                 return i, j
     return None
+
+
+def exp_ad_cols(table, x):
+    """exp(ad x) for a nilpotent x, column by column, every entry a Fraction.
+
+    x is a sparse vector with int or Fraction coefficients.  Column j is the
+    series sum_k (ad x)^k e_j / k!, each bracket expanded through
+    table.pair_bracket; it stops at the first zero term.
+    """
+    pb = table.pair_bracket
+    cols = []
+    for j in range(table.dim):
+        total, term, k = {j: Fraction(1)}, {j: Fraction(1)}, 1
+        while term:
+            if k > table.dim:  # (ad x)^dim is zero for a nilpotent x
+                raise ValueError("ad x is not nilpotent")
+            term = {r: Fraction(v, k) for r, v in _bracket(pb, x, term).items()}
+            _add_scaled(total, 1, term.items())
+            k += 1
+        cols.append(total)
+    return tuple(cols)
 
 
 def _reduce(echelon, vec):

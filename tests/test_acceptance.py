@@ -169,7 +169,7 @@ def test_criterion_8_property_suites(ctx, census, rank3):
     ok = ok and samples >= 20
     # bracket closure of every scenario fixed-space output (verified on build,
     # re-run here explicitly on the three scenario subalgebras)
-    from kleinfour.identify import Subalgebra, subalgebra_from_vectors
+    from kleinfour.identify import subalgebra_from_vectors
 
     for descs in ([rank3.a, rank3.b], [rank3.b, rank3.theta], [rank3.a, rank3.b, rank3.theta]):
         autos = [ctx.automorphism(d) for d in descs]

@@ -13,7 +13,6 @@ from kleinfour import autos
 from kleinfour.autos import (
     Automorphism,
     CertificationError,
-    _exp_ad_cols,
     _signed_permutation,
     certify_batch,
     commutes,
@@ -39,6 +38,7 @@ from kleinfour.rootsys import (BracketTable, _catalog_for_rank, build_root_syste
                                chevalley_table)
 from oracles import (
     cartan_symmetries_by_scan,
+    exp_ad_cols,
     first_homomorphism_defect,
     joint_parity_fixed_dim,
     pairing,
@@ -83,6 +83,24 @@ def test_torus_parity_oracle_random_sample(e6):
         if not any(bits):
             continue
         assert fixed_dim(e6, torus_involution(e6, bits)) == pairing_parity_fixed_dim(bits)
+
+
+@pytest.mark.parametrize("label", ["A5", "E7", "E8", "B12"])
+def test_torus_columns_are_the_direct_character(label):
+    """torus:c fixes every h_i and gives every x_b, not only the simple ones,
+    the sign (-1)^<b, sum c_i alpha_i^vee>, the pairing read from the Cartan
+    matrix alone."""
+    table = chevalley_table(build_root_system(cartan_matrix(label)))
+    rs, r = table.rs, table.rank
+    rng = random.Random(7)
+    for _ in range(16):
+        c = [rng.randint(-3, 3) for _ in range(r)]
+        cols, descriptor = torus_columns(table, c)
+        assert descriptor == "torus:" + ",".join(str(x % 2) for x in c)
+        assert cols[:r] == [{i: 1} for i in range(r)]
+        for k, root in enumerate(rs.roots):
+            odd = sum(x * pairing(rs, root.coords, i) for i, x in enumerate(c)) % 2
+            assert cols[r + k] == {r + k: -1 if odd else 1}, (label, c, root.coords)
 
 
 # -- diagram automorphisms -----------------------------------------------------
@@ -396,10 +414,9 @@ def test_compose_cols_normalises_fraction_entries_only(e6):
     hash as the product normalised entry by entry."""
     plus, minus = (0, 0, 1, 0, 0, 0), (0, 0, -1, 0, 0, 0)
     x_plus = {6 + e6.rs.index(plus): Fraction(1)}
-    as_fractions = lambda cols: tuple({r: Fraction(v) for r, v in c.items()} for c in cols)
-    e_plus = as_fractions(_exp_ad_cols(e6, x_plus))
-    e_minus = as_fractions(_exp_ad_cols(e6, {6 + e6.rs.index(minus): Fraction(-1)}))
-    e_half = _exp_ad_cols(e6, {k: v / 2 for k, v in x_plus.items()})
+    e_plus = exp_ad_cols(e6, x_plus)
+    e_minus = exp_ad_cols(e6, {6 + e6.rs.index(minus): Fraction(-1)})
+    e_half = exp_ad_cols(e6, {k: v / 2 for k, v in x_plus.items()})
     for a, b in ((e_plus, e_minus), (e_minus, e_plus), (e_minus, e_half)):
         got = compose_cols(a, b)
         ref = _reference_compose(a, b)
@@ -618,6 +635,28 @@ def test_weyl_lifts_pass_the_reference_certifier(lift_tables, label):
         assert first_homomorphism_defect(table, weyl_lift(table, i).cols) is None
 
 
+@pytest.mark.parametrize("label", ("A1", "D4") + _LIFT_TYPES)
+def test_weyl_lifts_equal_the_exponential_product(lift_tables, label):
+    """weyl_lift(table, i) is exp(ad x_{a_i}) exp(ad -x_{-a_i}) exp(ad x_{a_i}),
+    each factor the oracle's power series, column for column; its certified
+    order is the order of that product, and only A1's lift (h -> -h,
+    x_a -> -x_{-a}) is a signed permutation with a pi."""
+    table = lift_tables.get(label) or chevalley_table(build_root_system(cartan_matrix(label)))
+    rs, r = table.rs, table.rank
+    ident = tuple({j: 1} for j in range(table.dim))
+    for i in range(r):
+        e_plus = exp_ad_cols(table, {r + rs.simple[i]: 1})
+        e_minus = exp_ad_cols(table, {r + rs.simple[i] + rs.npos: -1})
+        product = compose_cols(e_plus, compose_cols(e_minus, e_plus))
+        lift = weyl_lift(table, i)
+        assert lift.cols == product, (label, i)
+        power, order = product, 1
+        while power != ident:
+            power, order = compose_cols(product, power), order + 1
+        assert lift.order == order, (label, i)
+        assert (lift.pi is None) == (label != "A1"), (label, i)
+
+
 @pytest.fixture(scope="module")
 def cross_check_bases(ctx, lift_tables):
     """Certified automorphisms to corrupt: monomial, Weyl-lift and dense columns."""
@@ -626,7 +665,7 @@ def cross_check_bases(ctx, lift_tables):
     # exp(ad x) torus exp(-ad x) for a root vector x that torus negates: an
     # involution whose root-vector columns have up to three entries
     k = t.rank + t.rs.index((0, 0, 0, 1, 0, 0))
-    conj = compose_cols(_exp_ad_cols(t, {k: 1}), compose_cols(torus.cols, _exp_ad_cols(t, {k: -1})))
+    conj = compose_cols(exp_ad_cols(t, {k: 1}), compose_cols(torus.cols, exp_ad_cols(t, {k: -1})))
     out = {
         "torus": torus,
         "omega-twist": ctx.automorphism("omega*torus:0,0,1,0,1,0"),

@@ -1,6 +1,5 @@
 import json
 import re
-from fractions import Fraction
 from importlib import resources
 from operator import mul
 from types import SimpleNamespace
@@ -10,7 +9,6 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from kleinfour.autos import (
-    Automorphism,
     compose_cols,
     make_automorphism,
     make_klein,
@@ -30,7 +28,7 @@ from kleinfour.exactq import (
     span_kernel,
     symmetric_inertia,
 )
-from kleinfour.identify import fixed_subalgebra, subalgebra_from_vectors
+from kleinfour.identify import subalgebra_from_vectors
 from kleinfour.realform import (
     CatalogMissError,
     RealFormError,
@@ -44,7 +42,7 @@ from kleinfour.realform import (
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext, run_all
-from oracles import cartan_real_form_name, jacobi_defect, killing_reference, pairing
+from oracles import cartan_real_form_name, exp_ad_cols, jacobi_defect, killing_reference, pairing
 
 
 # -- compact form -----------------------------------------------------------------
@@ -157,12 +155,10 @@ def test_weyl_lift_preserves_compact_form(e6, e6_compact):
 def _unipotent_conjugate(table, root_coords, sigma):
     """exp(ad x_a) sigma exp(-ad x_a): certified, but moves the compact form
     whenever a pairs oddly with sigma's torus vector."""
-    from kleinfour.autos import _exp_ad_cols
-
     rs = table.rs
     x = {6 + rs.index(root_coords): 1}
-    e_cols = _exp_ad_cols(table, x)
-    e_inv = _exp_ad_cols(table, {k: -v for k, v in x.items()})
+    e_cols = exp_ad_cols(table, x)
+    e_inv = exp_ad_cols(table, {k: -v for k, v in x.items()})
     cols = compose_cols(e_cols, compose_cols(sigma.cols, e_inv))
     return make_automorphism(table, cols, "unipotent-conjugate")
 

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from kleinfour.exactq import rank as mat_rank, symmetric_inertia
+from kleinfour.exactq import rank as mat_rank
 from kleinfour.rootsys import (
     MAX_RANK,
     BracketTable,
