@@ -14,7 +14,7 @@ certificate is the firewall.
 
 The homomorphism check takes one of two paths, chosen by the columns' shape.
 A signed permutation A e_j = s_j e_pi(j) (one entry +-1 per column, distinct
-targets) is checked by one lookup per nonzero bracket
+targets; ``exactq.signed_permutation``) is checked by one lookup per nonzero bracket
 (``BracketTable.signed_permutation_flags``), and the members of a batch that
 share one pi share one walk, with a bit per member.  Any other shape, and any
 member the walk flags, takes the generic walk
@@ -40,14 +40,13 @@ from math import lcm
 from operator import eq, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactq import as_num
+from .exactq import as_num, signed_permutation
 from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
 
 Cols = Tuple[Dict[int, object], ...]
 Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
 
 _ORDER_CAP = 60
-_SIGNS = frozenset((1, -1))
 _INT = re.compile(r"-?[0-9]+")  # int() would also take "_", spaces and non-ASCII digits
 
 
@@ -222,15 +221,6 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
     return reduce(add_generator, gens, CharacterSum()).dim
 
 
-def _signed_permutation(cols: Cols) -> Optional[Pi]:
-    """(pi, signs) when every column j is {pi(j): +-1} and pi is a bijection, else None."""
-    if not all(len(col) == 1 for col in cols):
-        return None
-    perm = tuple(target for col in cols for target in col)
-    signs = tuple(e for col in cols for e in col.values())
-    return (perm, signs) if set(perm) == set(range(len(cols))) and _SIGNS.issuperset(signs) else None
-
-
 def certify_batch(
     table: StructureTable, batch: Iterable[Tuple[Sequence[dict], str]]
 ) -> List[Automorphism]:
@@ -251,7 +241,7 @@ def certify_batch(
     for cols, descriptor in batch:
         descriptors.append(descriptor)
         cleaned.append(tuple(map(_clean, cols)) if len(cols) == dim else None)
-    pis = [None if cc is None else _signed_permutation(cc) for cc in cleaned]
+    pis = [None if cc is None else signed_permutation(cc) for cc in cleaned]
     by_perm: Dict[Tuple[int, ...], List[int]] = {}
     for n, pi in enumerate(pis):
         if pi is not None:
@@ -437,15 +427,9 @@ def commutes(a: Automorphism, b: Automorphism) -> bool:
     return _pi_compose(a.pi, b.pi) == _pi_compose(b.pi, a.pi)
 
 
-class KleinGroup(NamedTuple):
-    """A Klein four subgroup given by two commuting involutions."""
-
-    generators: Tuple[Automorphism, Automorphism]
-    elements: Tuple[Automorphism, ...]  # (identity, a, b, ab)
-
-
-def make_klein(a: Automorphism, b: Automorphism) -> KleinGroup:
-    """Validate the Klein four axioms; report the first violated one."""
+def make_klein(a: Automorphism, b: Automorphism) -> Automorphism:
+    """The certified product ab of generators of a Klein four group <a, b>,
+    after its axioms are validated; the first violated one is reported."""
     if a.table is not b.table:
         raise ValueError("generators live on different algebras")
     if not a.is_involution():
@@ -461,8 +445,7 @@ def make_klein(a: Automorphism, b: Automorphism) -> KleinGroup:
         raise ValueError("product of generators is the identity")
     if not ab.is_involution():
         raise ValueError("product of generators is not an involution")
-    ident = identity_automorphism(a.table)
-    return KleinGroup((a, b), (ident, a, b, ab))
+    return ab
 
 
 # ---------------------------------------------------------------------------

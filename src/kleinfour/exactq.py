@@ -27,9 +27,10 @@ eigenvalues are never approximated.
 The shared primitives over sparse vectors are ``axpy``/``lincomb``
 (accumulation that drops cancelled entries), ``joint_eigenspace`` (the joint
 fixed space, kernel of the stacked A - I of maps given by sparse columns;
-orbit vectors for signed permutations), ``span_kernel`` (kernel of a linear map
-restricted to a span) and ``SpanSolver`` (membership in the span of an RREF
-basis).  The sparse bracket table built on them is ``rootsys.BracketTable``.
+orbit vectors for the signed permutations ``signed_permutation`` recognizes,
+for it and the automorphism certificate), ``span_kernel`` (kernel of a linear
+map restricted to a span) and ``SpanSolver`` (membership in the span of an
+RREF basis).  The sparse bracket table built on them is ``rootsys.BracketTable``.
 """
 
 from __future__ import annotations
@@ -289,23 +290,34 @@ def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]]) -> List[dict]:
     return kernel(stacked, dim)
 
 
+def signed_permutation(cols: Sequence[dict]):
+    """(pi, signs) when every column j is {pi(j): s_j}, s_j an int +-1, and pi
+    is a bijection of range(len(cols)); else None.  One pass over the columns."""
+    perm, signs = [], []
+    for col in cols:
+        (r, s), = col.items() if len(col) == 1 else [(0, 0)]
+        if type(s) is not int or s * s != 1:
+            return None
+        perm.append(r)
+        signs.append(s)
+    return (tuple(perm), tuple(signs)) if set(perm) == set(range(len(cols))) else None
+
+
 def _orbit_eigenspace(dim: int, maps: Sequence[Sequence[dict]]):
     """Joint +1 eigenspace of signed permutations A e_k = s e_pi(k), or None.
 
-    None unless each column is one int entry +-1 and each map's columns reach
-    every row.  A fixed v has v[pi(k)] = s v[k]: each orbit of the group the
-    maps generate gives one vector (none if its signs contradict), walked from
-    and scaled to 1 on its largest index, as in the kernel's echelon basis.
+    None unless ``signed_permutation`` recognizes every map.  A fixed v has
+    v[pi(k)] = s v[k]: each orbit of the group the maps generate gives one
+    vector (none if its signs contradict), walked from and scaled to 1 on its
+    largest index, as in the kernel's echelon basis.
     """
     edges: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
     for cols in maps:
-        if {r for col in cols for r in col} != set(range(dim)):
+        pi = signed_permutation(cols) if len(cols) == dim else None
+        if pi is None:
             return None
-        for k, col in enumerate(cols):
-            (r, s), = col.items() if len(col) == 1 else [(0, 0)]
-            if type(s) is not int or s * s != 1:
-                return None
-            edges[k].append((r, s))
+        for k, edge in enumerate(zip(*pi)):
+            edges[k].append(edge)
     sign: Dict[int, int] = {}
     basis = []
     for top in reversed(range(dim)):

@@ -114,7 +114,8 @@ def center_of(s: Subalgebra) -> Subalgebra:
     """
     cur: List[dict] = list(s.rows)
     for target in s.rows:
-        cur = span_kernel(cur, [s.table.bracket(v, target) for v in cur])
+        acc = next(s.table.row_brackets([target], cur))[1]  # acc[j] = [target, cur[j]]
+        cur = span_kernel(cur, [acc.get(j, {}) for j in range(len(cur))])
     return subalgebra_from_vectors(s.table, cur)
 
 
@@ -283,7 +284,7 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     for mu in simple:
         e = weight_vecs[mu]
         f = weight_vecs[tuple(-x for x in mu)]
-        h = table.bracket(e, f)
+        h = next(table.row_brackets([e], [f]))[1].get(0, {})
         if not h or any(j >= rank_amb for j in h):
             raise IdentifyError(f"coroot bracket escapes the Cartan at weight {mu}")
         coroot_elts.append(_int_row(h, rank_amb))

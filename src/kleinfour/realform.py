@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
-from .autos import Automorphism, KleinGroup, commutes
+from .autos import Automorphism, commutes
 from .identify import ReductiveType, center_of, first_escape, fixed_subalgebra, identify_type
 from .rootsys import BracketTable, StructureTable, killing_form
 
@@ -274,19 +274,11 @@ def cartan_decomposition(
     return RealFormDescriptor(theta.descriptor, tuple(g.descriptor for g in gens), *key, name)
 
 
-def real_fixed_subalgebra(cb: CompactBasis, gamma, theta: Automorphism) -> RealFormDescriptor:
-    """Real form of the gamma-fixed subalgebra inside the theta real form.
-
-    gamma is a KleinGroup or a single Automorphism (the rank-1 degenerate
-    case); the split and its certificates are those of cartan_decomposition.
-    """
-    if isinstance(gamma, KleinGroup):
-        gens = list(gamma.generators)
-    elif isinstance(gamma, Automorphism):
-        gens = [gamma]
-    else:
-        raise TypeError("gamma must be a KleinGroup or a single Automorphism")
-    return cartan_decomposition(cb, theta, gens)
+def real_fixed_subalgebra(cb: CompactBasis, gamma: Sequence[Automorphism],
+                          theta: Automorphism) -> RealFormDescriptor:
+    """Real form of the fixed subalgebra of the generators gamma inside the
+    theta real form: cartan_decomposition, with its split and certificates."""
+    return cartan_decomposition(cb, theta, gamma)
 
 
 def holomorphic_flags(

@@ -22,9 +22,10 @@ back from that one store.
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
 of the nonzero brackets and one walk over it, ``row_brackets``, behind the
-generic homomorphism certificate and the closure check; the certificate of
-signed permutations (``signed_permutation_flags``) and ``killing_form`` read
-the same store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
+generic homomorphism certificate, the closure check and every bracket of two
+vectors (``identify``'s center and coroots); the certificate of signed
+permutations (``signed_permutation_flags``) and ``killing_form`` read the same
+store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
 ``validate_cartan`` carries integer root lengths along it and reads positive
 definiteness from ``exactq.symmetric_inertia``, and ``cartan_isomorphisms``
 places nodes in its order, a backtracking walk behind diagram symmetries and
@@ -252,8 +253,9 @@ def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
 
     B2 is reported for the rank-2 double-bond matrix (C2 is the same type)
     and A3 for the D3 presentation; first match in catalog order A..G wins.
+    A match passes the entrywise check against a catalog matrix, so it is
+    valid; any other A, finite type or not, raises "no finite-type match".
     """
-    validate_cartan(A)
     sig = sorted(tuple(sorted(row)) for row in A)
     for letter, r in _catalog_for_rank(len(A)):
         C = cartan_matrix(f"{letter}{r}")
@@ -411,17 +413,6 @@ class BracketTable:
     def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
         """[e_i, e_j] as a sparse coefficient tuple."""
         return self._adj[i].get(j, ())
-
-    def bracket(self, u: dict, v: dict) -> dict:
-        """Bracket of two sparse vectors {basis index: coefficient}."""
-        out: dict = {}
-        for i, a in u.items():
-            row = self._adj[i]
-            for j, b in v.items():
-                terms = row.get(j)
-                if terms:
-                    axpy(out, a * b, terms)
-        return out
 
     def row_brackets(self, xs: Sequence[dict], ys: Sequence[dict], residual=None):
         """Yield (i, acc) with acc[j] = [xs[i], ys[j]] for every j (j > i if xs is ys).

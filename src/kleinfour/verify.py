@@ -52,7 +52,6 @@ from .autos import (
     CertificationError,
     Cols,
     CharacterSum,
-    _apply_cols,
     _diagonal,
     add_generator,
     certify_batch,
@@ -217,7 +216,7 @@ def _fingerprint_index(tuples, gens: Sequence[int]) -> Dict[tuple, int]:
 def _conjugate_key(g: Automorphism, g_inv_gens: Sequence[dict], xs) -> tuple:
     """The fingerprint of (g x_i g^-1) on the generators whose columns of g^-1
     are g_inv_gens, read off the columns of g and x_i (no product is built)."""
-    images = lambda x: [_apply_cols(g.cols, _apply_cols(x.cols, c)) for c in g_inv_gens]
+    images = lambda x: compose_cols(g.cols, compose_cols(x.cols, g_inv_gens))
     return sum((_fingerprint(images(x), range(len(g_inv_gens))) for x in xs), ())
 
 
@@ -375,8 +374,8 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     table = ctx.table
     found = []  # (pair, character dim, the product ab of the first pair only)
     for _, pair, dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0):
-        klein = make_klein(*pair)
-        found.append((tuple(pair), dim, None if found else klein.elements[3]))
+        ab = make_klein(*pair)
+        found.append((tuple(pair), dim, None if found else ab))
     if not found:
         raise SearchExhausted("no commuting (sigma3, sigma2) pair found")
     labels = _label_by_conjugacy(
@@ -585,7 +584,7 @@ def verify_census(ctx: VerifyContext) -> Report:
 def verify_so82_fixed_form(ctx: VerifyContext) -> Report:
     _, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
-    desc = real_fixed_subalgebra(ctx.cb, b, theta)
+    desc = real_fixed_subalgebra(ctx.cb, [b], theta)
     steps = [
         _step("b class", labels.get(b), "sigma2", "structural"),
         _step("theta class", labels.get(theta), "sigma2", "structural"),
@@ -604,7 +603,8 @@ def verify_so81_klein_pair(ctx: VerifyContext) -> Report:
     a, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
     # the split identifies the complex fixed algebras of <a,b> and <a,b,theta>
-    desc = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta)
+    make_klein(a, b)
+    desc = real_fixed_subalgebra(ctx.cb, (a, b), theta)
     s_bt = fixed_subalgebra(ctx.table, [b, theta])
     steps = [
         _step("so(9) Klein search nonempty", bool(so9.a), True, "reference"),

@@ -82,7 +82,7 @@ def test_criterion_5_so82_fixed_form(ctx, rank3):
     b = ctx.automorphism(rank3.b)
     theta = ctx.automorphism(rank3.theta)
     ok = classify_involution(ctx.table, compose(b, theta)) == "sigma2"
-    d = real_fixed_subalgebra(ctx.cb, b, theta)
+    d = real_fixed_subalgebra(ctx.cb, [b], theta)
     ok = ok and d.g_type == "D5+u(1)"
     ok = ok and d.signature == (30, 16)
     ok = ok and d.name == "so(8,2)+u(1)"
@@ -95,7 +95,8 @@ def test_criterion_6_so81_klein_pair_and_verify_all_time(ctx, rank3):
     a = ctx.automorphism(rank3.a)
     b = ctx.automorphism(rank3.b)
     theta = ctx.automorphism(rank3.theta)
-    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta)
+    make_klein(a, b)
+    d = real_fixed_subalgebra(ctx.cb, (a, b), theta)
     ok = d.g_type == "B4" and d.k_type == "D4"
     ok = ok and d.signature == (28, 8) and d.name == "so(8,1)"
     t0 = time.monotonic()

@@ -569,18 +569,23 @@ def test_importing_the_cli_loads_verify_but_no_dataclasses_or_resources():
     """A request process imports kleinfour.cli, and with it kleinfour.verify
     (the benchmark reads it from sys.modules), but not the stdlib stacks the
     package no longer needs: dataclasses with inspect, and importlib.resources
-    with pathlib and tempfile.  The package itself loads no submodule, and
+    with pathlib and tempfile.  The package itself loads no submodule,
+    kleinfour.exactq loads no other, kleinfour.rootsys loads only exactq, and
     kleinfour.autos does not load kleinfour.identify."""
     src = str(Path(kleinfour.__file__).resolve().parent.parent)
     code = ("import sys, kleinfour; "
-            "print(sorted(m for m in sys.modules if m.startswith('kleinfour.'))); "
+            "ours = lambda: sorted(m for m in sys.modules if m.startswith('kleinfour.')); "
+            "print(ours()); import kleinfour.exactq; print(ours()); "
+            "import kleinfour.rootsys; print(ours()); "
             "import kleinfour.autos; print('kleinfour.identify' in sys.modules); "
             "import kleinfour.cli; "
             f"print(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules), "
             "'kleinfour.verify' in sys.modules)")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\nFalse\n[] True\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        0, "", "[]\n['kleinfour.exactq']\n['kleinfour.exactq', 'kleinfour.rootsys']\n"
+        "False\n[] True\n")
 
 
 def _subcommands(parser):

@@ -8,6 +8,7 @@ from kleinfour.exactq import (
     kernel,
     rank,
     rref,
+    signed_permutation,
     symmetric_inertia,
     SpanSolver,
     span_kernel,
@@ -143,6 +144,19 @@ def test_span_solver_membership():
     assert solver.contains({0: 1, 1: 1, 2: 5})
     assert not solver.contains({2: 1})
     assert not solver.contains({0: 1, 1: 1, 2: 4})  # both pivots, tail -1 on column 2
+
+
+def test_signed_permutation_takes_only_int_units_on_a_bijection():
+    assert signed_permutation([{1: -1}, {2: 1}, {0: 1}]) == ((1, 2, 0), (-1, 1, 1))
+    assert signed_permutation([]) == ((), ())
+    for cols in ([{1: 1}, {1: -1}],  # two columns on one target
+                 [{0: 1}, {2: 1}],  # a target outside range(len(cols))
+                 [{0: 2}, {1: 1}],  # magnitude two
+                 [{0: Fraction(1)}, {1: 1}],  # a Fraction, not an int
+                 [{0: 1.0}, {1: 1}],  # a float
+                 [{0: 1, 1: 1}, {1: 1}],  # two entries
+                 [{}, {1: 1}]):  # an empty column
+        assert signed_permutation(cols) is None, cols
 
 
 def test_matrix_no_floats_rejected():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from functools import lru_cache
@@ -25,8 +26,8 @@ from kleinfour.identify import (
     type_dim,
 )
 from kleinfour.realform import compact_form, compact_matrix_cols
-from kleinfour.rootsys import (_catalog_for_rank, build_root_system, cartan_isomorphisms,
-                               cartan_matrix, chevalley_table, match_cartan)
+from kleinfour.rootsys import (CartanMatrixError, _catalog_for_rank, build_root_system,
+                               cartan_isomorphisms, cartan_matrix, chevalley_table, match_cartan)
 from kleinfour.verify import VerifyContext, run_all
 from oracles import (
     centralizer_dim,
@@ -173,6 +174,20 @@ def test_center_of_abelian_is_itself(e6):
     cartan = [{i: 1} for i in range(6)]
     s = subalgebra_from_vectors(e6, cartan)
     assert center_of(s).dim == 6
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "B4", "C4", "F4"])
+def test_center_of_torus_fixed_counts_the_oracle_u1(label):
+    # every nonzero c: the center of the fixed algebra of exp(pi i ad H_c) has
+    # the dimension of the u(1) part that oracles.torus_parity_type names
+    t, cartan = sweep_table(label), cartan_matrix(label)
+    for bits in itertools.product((0, 1), repeat=t.rank):
+        expected = torus_parity_type(cartan, bits) if any(bits) else None
+        if expected is None:
+            continue
+        last = expected[0].split("+")[-1]
+        u1 = int(last[:-len("u(1)")] or 1) if last.endswith("u(1)") else 0
+        assert center_of(fixed_subalgebra(t, [torus_involution(t, bits)])).dim == u1, bits
 
 
 # -- identify_type ------------------------------------------------------------------
@@ -393,9 +408,22 @@ def test_match_d3_is_a3():
     assert match_cartan(cartan_matrix("D3")) == ("A", 3)
 
 
+NOT_FINITE = [
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2~
+    [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],  # not symmetrizable
+    [[2, -1], [-4, 2]],  # twisted affine A2^(2)
+    [[2, -3], [-3, 2]],  # hyperbolic
+]
+
+
 def test_match_rejects_unknown():
-    with pytest.raises(Exception):
-        match_cartan([[2, -1], [-4, 2]])  # not finite type
+    # the catalog walk alone rejects each, as given and relabeled: no axiom
+    # of validate_cartan runs first to name another reason
+    for A in NOT_FINITE:
+        rng = random.Random(str(A))
+        for p in [range(len(A))] + [rng.sample(range(len(A)), len(A)) for _ in range(5)]:
+            with pytest.raises(CartanMatrixError, match="^no finite-type match for Cartan matrix "):
+                match_cartan(_relabel(A, p))
 
 
 def _relabel(C, p):

@@ -344,7 +344,8 @@ def test_klein_pair_names_so_8_1(ctx):
     a = ctx.automorphism(cfg.a)
     b = ctx.automorphism(cfg.b)
     theta = ctx.automorphism(cfg.theta)
-    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), theta)
+    make_klein(a, b)
+    d = real_fixed_subalgebra(ctx.cb, (a, b), theta)
     assert d.g_type == "B4"
     assert d.k_type == "D4"
     assert d.signature == (28, 8)
@@ -355,7 +356,7 @@ def test_rank_one_gamma_names_so_8_2_plus_u1(ctx):
     cfg = ctx.rank3
     b = ctx.automorphism(cfg.b)
     theta = ctx.automorphism(cfg.theta)
-    d = real_fixed_subalgebra(ctx.cb, b, theta)
+    d = real_fixed_subalgebra(ctx.cb, [b], theta)
     assert d.g_type == "D5+u(1)"
     assert d.k_type == "D4+2u(1)"
     assert d.signature == (30, 16)
@@ -366,7 +367,8 @@ def test_gamma_containing_theta_gives_compact_result(ctx):
     cfg = ctx.rank3
     a = ctx.automorphism(cfg.a)
     b = ctx.automorphism(cfg.b)
-    d = real_fixed_subalgebra(ctx.cb, make_klein(a, b), b)
+    make_klein(a, b)
+    d = real_fixed_subalgebra(ctx.cb, (a, b), b)
     assert d.signature == (36, 0)  # p-part vanishes: theta lies in gamma
     assert d.name == "so(9)"
 
@@ -380,7 +382,7 @@ def test_noncommuting_gamma_rejected(ctx, e6):
     moved = _unipotent_conjugate(e6, (0, 0, 1, 1, 0, 0), sigma)
     assert not commutes(moved, theta)
     with pytest.raises(RealFormError, match="commute"):
-        real_fixed_subalgebra(ctx.cb, moved, theta)
+        real_fixed_subalgebra(ctx.cb, [moved], theta)
 
 
 # -- holomorphic type ----------------------------------------------------------------------

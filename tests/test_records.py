@@ -1,6 +1,6 @@
 """The package's frozen records keep the value semantics of frozen dataclasses.
 
-Root, KleinGroup, ReductiveType, RealFormDescriptor, Step and Report are
+Root, ReductiveType, RealFormDescriptor, Step and Report are
 NamedTuples; CensusRow, Census and Configuration leave some fields out of
 equality and hashing (and some of those out of repr too), as the dataclass
 fields with compare=False and repr=False did.
@@ -8,7 +8,6 @@ fields with compare=False and repr=False did.
 
 import pytest
 
-from kleinfour.autos import KleinGroup
 from kleinfour.identify import ReductiveType
 from kleinfour.realform import RealFormDescriptor
 from kleinfour.rootsys import Root
@@ -17,7 +16,6 @@ from kleinfour.verify import Census, CensusRow, Configuration, Report, Step
 # each record class with the fields that == and hash ignore
 UNCOMPARED = {
     Root: set(),
-    KleinGroup: set(),
     ReductiveType: set(),
     RealFormDescriptor: set(),
     Step: set(),

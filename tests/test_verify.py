@@ -796,7 +796,7 @@ def test_census_labels_match_the_generic_classifier(ctx, rank3):
     equals the generic route, classify_involution."""
     a, b, theta = (ctx.automorphism(d) for d in (rank3.a, rank3.b, rank3.theta))
     so9 = ctx.so9_klein
-    ab = make_klein(ctx.automorphism(so9.a), ctx.automorphism(so9.b)).elements[3]
+    ab = make_klein(ctx.automorphism(so9.a), ctx.automorphism(so9.b))
     for x in (a, b, theta, compose(b, theta), ab):
         assert ctx.census_labels.get(x) == classify_involution(ctx.table, x), x.descriptor
     assert so9.labels["ab"] == classify_involution(ctx.table, ab)
@@ -860,7 +860,7 @@ def test_scenario_steps_fail_on_a_census_miss(ctx, rank3, monkeypatch):
 
 def test_so9_klein_raises_when_its_product_is_no_census_row(ctx, census, monkeypatch):
     so9 = ctx.so9_klein
-    ab = make_klein(ctx.automorphism(so9.a), ctx.automorphism(so9.b)).elements[3]
+    ab = make_klein(ctx.automorphism(so9.a), ctx.automorphism(so9.b))
     index = {x: lab for x, lab in ctx.census_labels.items() if x != ab}
     assert len(index) == len(ctx.census_labels) - 1
     monkeypatch.setitem(ctx.__dict__, "census_labels", index)
