@@ -10,8 +10,9 @@ system, recovers Cartan integers from actual coroot brackets
 2*mu([e,f])/nu([e,f]), and matches each Dynkin component
 (``rootsys.dynkin_components``), at any rank, against the finite-type catalog
 with ``rootsys.match_cartan``.  Accounting closes it: the simple weights have
-the lattice rank of all weights, and the type's dimension and root count
-(simple_dim(l, n) - n per summand) are the subalgebra's.
+the lattice rank of all weights, and the type's dimension is the subalgebra's
+(which, with the centralizer's dimension, makes its root count the number of
+weights).
 
 Weights are integer tuples: each toral basis row is scaled to a primitive
 integer row, a positive rescaling of each weight coordinate that changes
@@ -320,6 +321,4 @@ def identify_type(s: Subalgebra) -> ReductiveType:
         raise IdentifyError(
             f"dimension accounting failed: {out} has dim {out.dim()}, subalgebra has {s.dim}"
         )
-    if sum(simple_dim(l, r) - r for l, r in out.summands) != len(weights):
-        raise IdentifyError("root-count accounting failed")
     return out

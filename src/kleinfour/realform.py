@@ -8,8 +8,10 @@ table, not derived by hand: each basis vector is sqrt(-1)^e times a Chevalley
 vector, so its brackets are Chevalley brackets, read back into compact
 coordinates by the one map ``CompactBasis.to_compact``, which rejects any
 result outside the compact form.  The same map gives automorphisms their
-compact columns.  The Killing form must come out negative definite -- a
-definiteness failure signals a structure-constant bug and is fatal.
+compact columns.  The Killing form is a trace, so it is traced once on the
+Chevalley table and carried to this basis through the same sqrt(-1)^e x; it
+must come out real and negative definite -- a failure signals a
+structure-constant bug and is fatal.
 
 Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
@@ -73,7 +75,25 @@ class CompactBasis(BracketTable):
                 self._set(i, j, self.to_compact(
                     acc[j], powers[i] + powers[j], lambda: f"[{self.label(i)}, {self.label(j)}]"
                 ).items())
-        self.killing = killing_form(self)
+        # the Killing form is a trace, so it is the Chevalley one carried through
+        # parts: B(i, j) = sqrt(-1)^(e_i + e_j) sum x_i[p] x_j[q] B(p, q), which must
+        # vanish when e_i + e_j is odd; holders[q] lists the (j, x_j[q]), two at most
+        holders: List[List[Tuple[int, int]]] = [[] for _ in range(table.dim)]
+        for j, x in enumerate(xs):
+            for q, c in x.items():
+                holders[q].append((j, c))
+        B, self.killing = killing_form(table), []
+        for i, x in enumerate(xs):
+            acc: Dict[int, int] = {}
+            for p, a in x.items():
+                for q, b in B[p].items():
+                    for j, c in holders[q]:
+                        acc[j] = acc.get(j, 0) + a * b * c
+            odd = next((j for j in acc if acc[j] and (powers[i] + powers[j]) % 2), None)
+            if odd is not None:
+                raise RealFormError(f"B({self.label(i)}, {self.label(odd)}) is not real")
+            self.killing.append({j: acc[j] if powers[i] + powers[j] == 0 else -acc[j]
+                                 for j in sorted(acc) if acc[j]})
         inertia = symmetric_inertia(self.killing)
         if inertia != (0, self.dim, 0):
             raise RealFormError(

@@ -255,7 +255,12 @@ def match_cartan(A: Sequence[Sequence[int]]) -> Tuple[str, int]:
     and A3 for the D3 presentation; first match in catalog order A..G wins.
     A match passes the entrywise check against a catalog matrix, so it is
     valid; any other A, finite type or not, raises "no finite-type match".
+    A non-int entry is rejected first, in validate_cartan's words.
     """
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if not isinstance(x, int):
+                raise CartanMatrixError(f"entry ({i},{j}) is not an integer")
     sig = sorted(tuple(sorted(row)) for row in A)
     for letter, r in _catalog_for_rank(len(A)):
         C = cartan_matrix(f"{letter}{r}")
@@ -398,13 +403,13 @@ class BracketTable:
 
     def _set(self, i: int, j: int, terms) -> None:
         """Record [e_i, e_j] = terms (either order), dropping zero terms."""
-        terms = tuple((k, c) for k, c in terms if c)
+        terms = tuple([(k, c) for k, c in terms if c])
         if not terms:
             return
         if i == j:
             raise ValueError(f"nonzero diagonal bracket [e_{i}, e_{i}]")
         self._adj[i][j] = terms
-        self._adj[j][i] = tuple((k, -c) for k, c in terms)
+        self._adj[j][i] = tuple([(k, -c) for k, c in terms])
 
     def brackets(self) -> Iterator[Tuple[int, int, Tuple[Tuple[int, int], ...]]]:
         """(i, j, [e_i, e_j]) for every nonzero bracket with i < j, in index order."""

@@ -143,6 +143,18 @@ def test_realform_command():
     assert "signature (52, 26)" in out
 
 
+def test_realform_on_a_klein_four_fixed_algebra():
+    """The two-generator split of README's example, and generators that do not commute."""
+    theta = ["realform", "--theta", "torus:1,0,0,0,0,1", "--auto", "omega"]
+    assert run_cli(theta + ["--auto", "torus:0,0,1,0,1,0"]) == (0, "\n".join([
+        "theta torus:1,0,0,0,0,1 on fixed(omega, torus:0,0,1,0,1,0)", "g_type B4",
+        "k_type D4", "signature (28, 8)", "name so(8,1)", ""]), "")
+    code, out, err = run_cli(theta + ["--auto", "torus:1,0,0,0,0,0"])
+    assert (code, out) == (1, "")
+    assert err == ('{"error": "ValueError", "message": '
+                   '"generators omega, torus:1,0,0,0,0,0 do not commute"}\n')
+
+
 def test_bad_descriptor_is_usage_error_exit_2():
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):

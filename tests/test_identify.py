@@ -426,6 +426,15 @@ def test_match_rejects_unknown():
                 match_cartan(_relabel(A, p))
 
 
+@pytest.mark.parametrize("A, at", [([[2.0, -1], [-1, 2]], "(0,0)"),
+                                   ([[2, -1], ["-1", 2]], "(1,0)")])
+def test_match_rejects_a_non_int_entry_first(A, at):
+    # a float equal to a catalog entry would pass the == match, and a str
+    # would fail the row-signature sort with TypeError
+    with pytest.raises(CartanMatrixError, match=f"^{re.escape(f'entry {at} is not an integer')}$"):
+        match_cartan(A)
+
+
 def _relabel(C, p):
     """The matrix A with A[i][j] = C[p[i]][p[j]]."""
     return [[C[p[i]][p[j]] for j in range(len(C))] for i in range(len(C))]

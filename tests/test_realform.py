@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from importlib import resources
@@ -54,12 +55,36 @@ def test_a1_compact_form_is_su2():
     assert symmetric_inertia(cb.killing) == (0, 3, 0)
 
 
+def test_a1_table_with_a_negated_coroot_bracket_fails_the_inertia_check():
+    # [x_a, x_-a] = -h_a in both orders: every compact bracket still passes
+    # to_compact, but the Killing form has the wrong signs
+    t = copy.copy(chevalley_table(build_root_system(cartan_matrix("A1"))))
+    t._adj = [dict(row) for row in t._adj]
+    for i, j in ((1, 2), (2, 1)):
+        t._adj[i][j] = tuple((k, -c) for k, c in t._adj[i][j])
+    with pytest.raises(RealFormError, match=re.escape(
+            "Killing form of the compact basis has inertia (2, 1, 0), expected (0, 3, 0);")):
+        compact_form(t)
+
+
+def test_a_chevalley_killing_form_that_pairs_odd_and_even_phases_is_not_real(monkeypatch):
+    # B(h, x_a) = 1 makes B(u_a, w) = sqrt(-1) (B(x_a, h) - B(x_-a, h)) imaginary
+    t = chevalley_table(build_root_system(cartan_matrix("A1")))
+    B = [dict(row) for row in realform.killing_form(t)]
+    B[0][1] = B[1][0] = 1
+    monkeypatch.setattr(realform, "killing_form", lambda table: B)
+    with pytest.raises(RealFormError, match=re.escape("B(u(1,), w1) is not real")):
+        compact_form(t)
+
+
 def test_e6_compact_inertia_negative_definite(e6_compact):
     assert symmetric_inertia(e6_compact.killing) == (0, 78, 0)
 
 
-@pytest.mark.parametrize("label", ["G2", "B3", "C3", "E6"])
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4", "D5", "E6", "E7"])
 def test_compact_killing_matches_the_all_pairs_trace(e6_compact, label):
+    # cb.killing is the Chevalley trace carried through cb.parts; the
+    # reference traces the compact store itself, pair by pair
     cb = e6_compact if label == "E6" else compact_form(
         chevalley_table(build_root_system(cartan_matrix(label)))
     )
