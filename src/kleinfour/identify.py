@@ -230,8 +230,6 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     rank_amb = table.rank
     toral = _intersect_by_class(s, dict.fromkeys(range(rank_amb), 0)).get(0, [])
     t_dim = len(toral)
-    if s.dim == 0:
-        return ReductiveType.make([], 0)
 
     # weights: ambient roots restricted to the integer toral rows; roots[npos + k] = -roots[k]
     rows = [_int_row(h, rank_amb) for h in toral]
@@ -266,14 +264,13 @@ def identify_type(s: Subalgebra) -> ReductiveType:
     if not weights:
         return ReductiveType.make([], t_dim)
 
-    # provably generic positivity functional.  A positive root that is not simple
-    # is a simple root plus a positive root, both of smaller fval, so in fval
-    # order mu is simple when mu - nu is positive for no simple nu found before
+    # provably generic positivity functional, nonzero on every weight as its top
+    # term outweighs the rest (M^i > (M-1)(M^(i-1)+...+1)).  A positive root that
+    # is not simple is a simple root plus a positive root, both of smaller fval, so
+    # in fval order mu is simple when mu - nu is positive for no simple nu found before
     M = 1 + max(abs(e) for mu in weights for e in mu)
     powers = [M**i for i in range(t_dim)]
     fval = {mu: sum(map(mul, mu, powers)) for mu in weights}
-    if any(v == 0 for v in fval.values()):
-        raise IdentifyError("positivity functional vanished on a weight")
     simple: List[Coords] = []
     for mu in sorted((mu for mu in weights if fval[mu] > 0), key=fval.get):
         if not any(fval.get(tuple(map(sub, mu, nu)), 0) > 0 for nu in simple):

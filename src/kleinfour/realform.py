@@ -253,10 +253,10 @@ def cartan_decomposition(
     or 2 and commutes with gamma, both preserve the compact form, dim k +
     dim p is the dimension of the complex fixed algebra of gamma, [k,k] in
     k, [k,p] in p, [p,p] in k, the Killing form is negative definite on k
-    and on p, and the complex fixed algebra of gamma+theta, which gives k's
-    type, has dim k.  k and p meet in 0 inside the compact gamma-fixed
-    space, whose real dimension is at most the complex one, so the fill
-    check makes k + p all of it.
+    and on p.  k and p meet in 0 in the compact gamma-fixed space, of real
+    dimension at most the complex one, so the fill check makes k + p all of it
+    and dim k = dim k_C, the complex fixed algebra of gamma+theta that gives
+    k's type (as dim p <= dim p_C and theta splits the space into k_C + p_C).
     """
     gens = list(gamma)
     _check_theta(theta, gens)
@@ -279,13 +279,8 @@ def cartan_decomposition(
             raise RealFormError(f"Killing form on {name} is not negative definite")
 
     g_type = identify_type(g_complex) if gens else cb.complex_type
-    k_complex = fixed_subalgebra(cb.table, gens + [theta])
-    if k_complex.dim != kpart.dim:
-        raise RealFormError(
-            f"complex fixed space of gamma+theta has dim {k_complex.dim}, "
-            f"compact k-part has {kpart.dim}"
-        )
-    key = (str(g_type), str(identify_type(k_complex)), kpart.dim, ppart.dim)
+    k_type = identify_type(fixed_subalgebra(cb.table, gens + [theta]))
+    key = (str(g_type), str(k_type), kpart.dim, ppart.dim)
     try:
         name = load_catalog()[key]
     except KeyError:

@@ -363,34 +363,34 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     """First Klein group <a, b> with a sigma3-class, b sigma2-class, fixed B4.
 
-    Every commuting candidate pair must pass make_klein, have character
-    dimension 36 and be labelled B4 by _label_by_conjugacy with the census's
-    conjugators: one pair per orbit is identified from its fixed subalgebra,
-    whose dimension must equal its character dimension, and the others are
-    certified conjugate to it.  The count of gated pairs and each pair's
-    provenance are recorded; the first pair's product ab, certified by
-    make_klein, takes the class of its census row (CensusError if none).
+    Every commuting candidate pair must have character dimension 36 and be
+    labelled B4 by _label_by_conjugacy with the census's conjugators: one
+    pair per orbit is identified from its fixed subalgebra, whose dimension
+    must equal its character dimension, and the others are certified
+    conjugate to it.  Every such pair is two commuting census involutions of
+    different classes, so it would pass make_klein, which runs on the first
+    pair only: its product ab takes the class of its census row (CensusError
+    if none).  The count of gated pairs and each pair's provenance are recorded.
     """
     table = ctx.table
-    found = []  # (pair, character dim, the product ab of the first pair only)
-    for _, pair, dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0):
-        ab = make_klein(*pair)
-        found.append((tuple(pair), dim, None if found else ab))
+    found = [(tuple(pair), dim)
+             for _, pair, dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0)]
     if not found:
         raise SearchExhausted("no commuting (sigma3, sigma2) pair found")
     labels = _label_by_conjugacy(
-        table, [pair for pair, _, _ in found], ctx.census.conjugators,
+        table, [pair for pair, _ in found], ctx.census.conjugators,
         lambda pair: str(identify_type(_gated_fixed(table, pair, joint_fixed_dim(pair)))))
-    for ((a, b), dim, _), (ty, _) in zip(found, labels):
+    for ((a, b), dim), (ty, _) in zip(found, labels):
         if dim != 36 or ty != "B4":
             raise SearchExhausted(
                 f"pair ({a.descriptor}, {b.descriptor}) has fixed type {ty} "
                 f"dim {dim}; the unique-class claim is falsified"
             )
-    (a, b), _, ab = found[0]
+    (a, b), _ = found[0]
+    ab = make_klein(a, b)
     if ab not in ctx.census_labels:
         raise CensusError(f"product {ab.descriptor} of the first pair is no census row")
-    pairs = {(x.descriptor, y.descriptor): how for ((x, y), _, _), (_, how) in zip(found, labels)}
+    pairs = {(x.descriptor, y.descriptor): how for ((x, y), _), (_, how) in zip(found, labels)}
     return Configuration(a.descriptor, b.descriptor, None,
                          {"a": "sigma3", "b": "sigma2", "ab": ctx.census_labels[ab]},
                          {"search": "so9-klein", "pairs_gated": len(found), "pairs": pairs}, (a, b))
@@ -603,7 +603,6 @@ def verify_so81_klein_pair(ctx: VerifyContext) -> Report:
     a, b, theta = ctx.rank3.automorphisms
     labels = ctx.census_labels
     # the split identifies the complex fixed algebras of <a,b> and <a,b,theta>
-    make_klein(a, b)
     desc = real_fixed_subalgebra(ctx.cb, (a, b), theta)
     s_bt = fixed_subalgebra(ctx.table, [b, theta])
     steps = [

@@ -57,7 +57,7 @@ def test_torus_zero_is_identity(e6):
 
 
 def test_torus_wrong_length_rejected(e6):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coefficient vector must have length 6$"):
         torus_involution(e6, [1, 0])
 
 
@@ -180,8 +180,10 @@ def test_rank8_diagram_symmetry_groups():
 
 
 def test_non_symmetry_permutation_rejected(e6):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^permutation is not a Cartan-matrix symmetry$"):
         diagram_automorphism(e6, (1, 0, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="^not a permutation of the simple roots$"):
+        diagram_automorphism(e6, (0, 0, 2, 3, 4, 5))
 
 
 # -- composition ---------------------------------------------------------------
@@ -224,6 +226,14 @@ def test_klein_rejects_non_involution(e6):
     t = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="involution"):
         make_klein(identity_automorphism(e6), t)
+
+
+@pytest.mark.parametrize("op", [compose, commutes, conjugate, make_klein])
+def test_automorphisms_of_different_algebras_are_rejected(e6, op):
+    a5 = chevalley_table(build_root_system(cartan_matrix("A5")))
+    x, y = torus_involution(e6, (1, 0, 0, 0, 0, 1)), torus_involution(a5, (1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="live on different algebras$"):
+        op(x, y)
 
 
 def test_any_two_torus_involutions_commute(e6):
@@ -368,6 +378,12 @@ def test_a1_lift_negates_cartan():
     assert w.cols[0] == {0: -1}
 
 
+@pytest.mark.parametrize("i", [6, -1])
+def test_weyl_lift_rejects_an_index_out_of_range(e6, i):
+    with pytest.raises(ValueError, match=f"^simple index out of range: {i}$"):
+        weyl_lift(e6, i)
+
+
 def test_lift_squared_acts_as_identity_on_cartan(e6):
     for i in (0, 3):
         w = weyl_lift(e6, i)
@@ -457,7 +473,7 @@ def test_joint_fixed_dim_rejects_other_orders(e6):
     assert w.order == 4
     with pytest.raises(ValueError, match="order 4"):
         joint_fixed_dim([torus_involution(e6, (1, 0, 0, 0, 0, 1)), w])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^joint_fixed_dim needs at least one generator$"):
         joint_fixed_dim([])
 
 
@@ -886,6 +902,25 @@ def test_certification_rejects_non_invertible(e6):
     cols = [{0: 1} for _ in range(e6.dim)]
     with pytest.raises(CertificationError):
         make_automorphism(e6, cols, "rank-one")
+
+
+def test_certification_rejects_a_missing_column(e6):
+    cols = torus_involution(e6, (0, 1, 0, 0, 0, 0)).cols
+    with pytest.raises(CertificationError, match="^short: expected 78 columns$"):
+        make_automorphism(e6, cols[:-1], "short")
+
+
+def test_a_non_unit_extension_sign_fails_the_certificate():
+    """alpha_1 <-> -alpha_1 on A2 is no lattice map: x_{a1+a2} gets the sign
+    N(-a1, a2) / N(a1, a2) = 0, which _root_map_columns does not check, and
+    the homomorphism certificate rejects the columns."""
+    t = chevalley_table(build_root_system(cartan_matrix("A2")))
+    a, npos = t.rs.simple[0], t.npos
+    img = list(range(len(t.rs.roots)))
+    img[a], img[a + npos] = a + npos, a
+    with pytest.raises(CertificationError,
+                       match=re.escape("bad: homomorphism fails at basis pair (h1, x+[0,1])")):
+        make_automorphism(t, autos._root_map_columns(t, img, [1, 1]), "bad")
 
 
 # -- descriptors -------------------------------------------------------------------

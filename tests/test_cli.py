@@ -155,6 +155,20 @@ def test_realform_on_a_klein_four_fixed_algebra():
                    '"generators omega, torus:1,0,0,0,0,0 do not commute"}\n')
 
 
+@pytest.mark.parametrize("gens, message", [
+    (["torus:0,0,1,0,1,0", "omega*torus:1,0,0,0,0,0"],
+     "generator omega*torus:1,0,0,0,0,0 is not an involution"),
+    (["torus:0,0,1,0,1,0"] * 2, "generators are equal; the product would be the identity"),
+], ids=["order-4", "equal"])
+def test_realform_rejects_generators_that_break_a_klein_axiom(gens, message):
+    argv = ["realform", "--theta", "torus:1,0,0,0,0,1"]
+    for g in gens:
+        argv += ["--auto", g]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_bad_descriptor_is_usage_error_exit_2():
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):

@@ -68,6 +68,12 @@ def test_uncertified_rejected(e6):
         fixed_subalgebra(e6, [object()])
 
 
+def test_automorphism_of_another_algebra_rejected(e6):
+    a5 = chevalley_table(build_root_system(cartan_matrix("A5")))
+    with pytest.raises(IdentifyError, match="^automorphism acts on a different algebra$"):
+        fixed_subalgebra(e6, [torus_involution(a5, (1, 0, 0, 0, 0))])
+
+
 def test_fixed_subalgebra_closure_is_verified(e6):
     # the constructor re-checks closure; a non-closed span must be rejected
     rs = e6.rs
@@ -159,7 +165,8 @@ def test_subalgebra_from_float_vectors_rejected(e6, scale):
 # -- center -----------------------------------------------------------------------
 
 def test_center_of_simple_algebra_is_zero(e6):
-    assert center_of(fixed_subalgebra(e6, [])).dim == 0
+    z = center_of(fixed_subalgebra(e6, []))
+    assert z.dim == 0 and str(identify_type(z)) == "0"
 
 
 def test_center_of_sigma2_fixed_is_one_dimensional(e6):
@@ -337,6 +344,19 @@ def test_identify_rejects_borel_as_not_negation_stable(e6):
     with pytest.raises(IdentifyError, match="negation-stable") as err:
         identify_type(s)
     assert re.fullmatch(r"weight set is not negation-stable at \(-?\d+(, -?\d+)*\)", str(err.value))
+
+
+@pytest.mark.parametrize("roots, message", [
+    ([(0, 1), (-1, 0), (-1, -1)], "weight multiplicity 2 > 1 at (-1,)"),
+    ([(0, 1), (1, 1)], "coroot bracket escapes the Cartan at weight (1,)"),
+], ids=["multiplicity", "coroot"])
+def test_identify_names_the_weight_check_a_closed_a2_span_fails(roots, message):
+    """h_1 and root vectors of A2: closed spans in which h_1 is maximal toral."""
+    table = sweep_table("A2")
+    s = subalgebra_from_vectors(table, [{0: 1}] + [{table.rank + table.rs.index(r): 1}
+                                                   for r in roots])
+    with pytest.raises(IdentifyError, match=f"^{re.escape(message)}$"):
+        identify_type(s)
 
 
 # -- type sweep over the catalog ---------------------------------------------------

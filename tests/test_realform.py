@@ -287,18 +287,22 @@ def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch)
 
 def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
     """k + p must fill the complex fixed space of gamma: drop one vector of p
-    (the split's second eigenspace) and the split fails naming all three dims."""
+    (the split's second eigenspace) and the split fails naming all three dims.
+    Dropping one of k fails the same check, which is what makes dim k the
+    dimension of its complexification."""
     (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
-    real, calls = realform.joint_eigenspace, []
+    real = realform.joint_eigenspace
+    for short, dims in ((2, r"dim k 30 \+ dim p 15"), (1, r"dim k 29 \+ dim p 16")):
+        calls = []
 
-    def dropping(dim, maps):
-        calls.append(1)
-        vecs = real(dim, maps)
-        return vecs[:-1] if len(calls) == 2 else vecs
+        def dropping(dim, maps):
+            calls.append(1)
+            vecs = real(dim, maps)
+            return vecs[:-1] if len(calls) == short else vecs
 
-    monkeypatch.setattr(realform, "joint_eigenspace", dropping)
-    with pytest.raises(RealFormError, match=r"dim k 30 \+ dim p 15 != dim 46 of gamma's"):
-        cartan_decomposition(ctx.cb, theta, gamma)
+        monkeypatch.setattr(realform, "joint_eigenspace", dropping)
+        with pytest.raises(RealFormError, match=dims + r" != dim 46 of gamma's"):
+            cartan_decomposition(ctx.cb, theta, gamma)
 
 
 def _sign_changes(coeffs):

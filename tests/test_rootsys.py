@@ -162,6 +162,18 @@ def test_rejects_non_finite_type():
         build_root_system([[2, 1], [1, 2]])  # positive off-diagonal
 
 
+@pytest.mark.parametrize("A, message", [
+    ([[2, -1]], r"^matrix is not square$"),
+    ([[2.0, -1], [-1, 2]], r"^entry \(0,0\) is not an integer$"),
+    ([[3, -1], [-1, 2]], r"^diagonal entry \(0,0\) = 3 != 2$"),
+    ([[2, 1], [1, 2]], r"^off-diagonal entry \(0,1\) = 1 > 0$"),
+    ([[2, 0], [-1, 2]], r"^zero pattern not symmetric at \(0,1\)$"),
+], ids=["not-square", "float", "diagonal", "positive", "zero-pattern"])
+def test_root_system_names_the_axiom_a_matrix_breaks(A, message):
+    with pytest.raises(CartanMatrixError, match=message):
+        RootSystem(A)
+
+
 def test_validate_cartan_rejects_affine_a2_and_a_non_symmetrizable_matrix():
     with pytest.raises(CartanMatrixError) as err:
         validate_cartan([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2~

@@ -57,7 +57,7 @@ def test_classify_the_named_representatives(e6):
 def test_classify_rejects_identity(e6):
     from kleinfour.autos import identity_automorphism
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^identity is not a nonidentity involution$"):
         classify_involution(e6, identity_automorphism(e6))
 
 
@@ -413,6 +413,23 @@ def test_so9_klein_found_with_b4_gate(ctx):
     assert g7.provenance["pairs_gated"] >= 1
     s = fixed_subalgebra(ctx.table, [ctx.automorphism(g7.a), ctx.automorphism(g7.b)])
     assert (s.dim, str(identify_type(s))) == (36, "B4")
+
+
+def test_so9_klein_exhausted_without_sigma3_rows(ctx, census, monkeypatch):
+    rows = tuple(r for r in census.rows if r.label != "sigma3")
+    monkeypatch.setitem(ctx.__dict__, "census", census._replace(rows=rows))
+    with pytest.raises(SearchExhausted, match=r"^no commuting \(sigma3, sigma2\) pair found$"):
+        find_so9_klein(ctx)
+
+
+def test_every_gated_so9_pair_is_a_klein_pair(ctx, census):
+    """find_so9_klein calls make_klein on its first pair only: every pair it
+    gates passes the axioms, and each product is an involution of the census."""
+    pairs = _so9_pairs(ctx).values()
+    assert len(pairs) == ctx.so9_klein.provenance["pairs_gated"] == 12
+    for a, b in pairs:
+        ab = make_klein(a, b)
+        assert ab.order == 2 and ab in ctx.census_labels
 
 
 def test_so9_klein_deterministic(ctx):
