@@ -59,9 +59,8 @@ class Automorphism:
 
     ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
     when the certificate found a signed permutation, else None.  Instances
-    come from certify_batch (make_automorphism is a batch of one), and
-    omega_automorphism re-wraps one, with its cols, order and pi, under the
-    descriptor "omega"; all are immutable afterwards.
+    come only from certify_batch (make_automorphism is a batch of one) and
+    are immutable afterwards.
     """
 
     __slots__ = ("table", "cols", "order", "descriptor", "pi", "_trace")
@@ -301,10 +300,8 @@ def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: s
 
 
 def identity_automorphism(table: StructureTable) -> Automorphism:
-    """The identity of table, certified on the first call and kept on the table."""
-    if table.identity is None:
-        table.identity = make_automorphism(table, [{j: 1} for j in range(table.dim)], "identity")
-    return table.identity
+    """The identity of table, certified."""
+    return make_automorphism(table, [{j: 1} for j in range(table.dim)], "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +355,18 @@ def diagram_symmetries(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]
     return sorted(cartan_isomorphisms(cartan, cartan))
 
 
+def _diagram_columns(table: StructureTable, perm: Sequence[int]) -> List[dict]:
+    """Uncertified columns of the diagram symmetry perm: its root map, with the
+    sign +1 on every x_{alpha_i}."""
+    rs = table.rs
+    # the key is additive, so the image of a root is sum_i m_i key(alpha_perm(i))
+    place = [rs.keys[rs.simple[p]] for p in perm]
+    img = [rs.key_index[sum(map(mul, r.coords, place))] for r in rs.roots]
+    return _root_map_columns(table, img, [1] * table.rank)
+
+
 def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorphism:
-    """Automorphism induced by a Dynkin-diagram symmetry: the root map of perm,
-    with the sign +1 on every x_{alpha_i}, so h_i -> h_{perm(i)} and
+    """Automorphism induced by a Dynkin-diagram symmetry: h_i -> h_{perm(i)} and
     x_{+-alpha_i} -> x_{+-alpha_{perm(i)}}."""
     rs = table.rs
     rank = table.rank
@@ -373,27 +379,21 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
         for j in range(rank)
     ):
         raise ValueError("permutation is not a Cartan-matrix symmetry")
-    # the key is additive, so the image of a root is sum_i m_i key(alpha_perm(i))
-    place = [rs.keys[rs.simple[p]] for p in perm]
-    img = [rs.key_index[sum(map(mul, r.coords, place))] for r in rs.roots]
     desc = "diagram:" + ",".join(str(p + 1) for p in perm)
-    return make_automorphism(table, _root_map_columns(table, img, [1] * rank), desc)
+    return make_automorphism(table, _diagram_columns(table, perm), desc)
 
 
 def omega_automorphism(table: StructureTable) -> Automorphism:
-    """The unique nontrivial involutive diagram automorphism, when it exists;
-    certified on the first call and kept on the table."""
-    if table.omega is None:
-        n = table.rank
-        sym = [p for p in diagram_symmetries(table.rs.cartan)
-               if p != tuple(range(n)) and all(p[p[i]] == i for i in range(n))]
-        if len(sym) != 1:
-            raise ValueError("omega is not defined on %s%d: it has %d nontrivial diagram "
-                             "involutions, not exactly one"
-                             % (*match_cartan(table.rs.cartan), len(sym)))
-        a = diagram_automorphism(table, sym[0])
-        table.omega = Automorphism(table, a.cols, a.order, "omega", a.pi)
-    return table.omega
+    """The unique nontrivial involutive diagram automorphism, when it exists,
+    certified under the descriptor "omega"."""
+    n = table.rank
+    sym = [p for p in diagram_symmetries(table.rs.cartan)
+           if p != tuple(range(n)) and all(p[p[i]] == i for i in range(n))]
+    if len(sym) != 1:
+        raise ValueError("omega is not defined on %s%d: it has %d nontrivial diagram "
+                         "involutions, not exactly one"
+                         % (*match_cartan(table.rs.cartan), len(sym)))
+    return make_automorphism(table, _diagram_columns(table, sym[0]), "omega")
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +425,8 @@ def commutes(a: Automorphism, b: Automorphism) -> bool:
     return _pi_compose(a.pi, b.pi) == _pi_compose(b.pi, a.pi)
 
 
-def make_klein(a: Automorphism, b: Automorphism) -> Automorphism:
-    """The certified product ab of generators of a Klein four group <a, b>,
-    after its axioms are validated; the first violated one is reported.  ab
-    needs no check: (ab)^2 = a^2 b^2 = 1, and ab = 1 would make b = a."""
+def check_klein(a: Automorphism, b: Automorphism) -> None:
+    """The Klein four axioms for <a, b>; ValueError names the first violated one."""
     if a.table is not b.table:
         raise ValueError("generators live on different algebras")
     if not a.is_involution():
@@ -439,6 +437,12 @@ def make_klein(a: Automorphism, b: Automorphism) -> Automorphism:
         raise ValueError(f"generators {a.descriptor}, {b.descriptor} do not commute")
     if a == b:
         raise ValueError("generators are equal; the product would be the identity")
+
+
+def make_klein(a: Automorphism, b: Automorphism) -> Automorphism:
+    """The certified product ab, after check_klein.  ab needs no check of its
+    own: (ab)^2 = a^2 b^2 = 1, and ab = 1 would make b = a."""
+    check_klein(a, b)
     return compose(a, b)
 
 

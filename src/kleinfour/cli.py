@@ -5,7 +5,8 @@ give byte-identical output.  Exit codes: 0 all passed, 1 verification or
 computation failure, 2 usage errors, among them every --auto or --theta
 descriptor that autos.read_descriptor rejects: one outside the grammar, or a
 torus factor whose coefficient count is not the rank of --type.
-A golden mismatch is a failure (exit 1); golden files change only under --bless.
+A golden mismatch is a failure (exit 1); a golden file is the roots output
+itself, so `kleinfour roots ... > golden/<name>` regenerates it.
 Each request is its own process, so it builds the top-level parser and only
 the subparser its first argument names; -h, no arguments and an unknown
 subcommand get the whole tree, which prints the same help and usage text.
@@ -19,7 +20,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .autos import make_klein, read_descriptor
+from .autos import check_klein, read_descriptor
 from .identify import fixed_subalgebra, identify_type, type_dim
 from .realform import cartan_decomposition
 from .rootsys import (
@@ -93,35 +94,33 @@ def _make_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
                         help="algebra type label (default E6)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     auto = dict(action="append", default=[])
-    commands = {  # name: (help, [(argument, options)]) beside --type and --format
-        "roots": ("list the root system in canonical order", [
+    commands = {  # name: (help, handler, [(argument, options)]) beside --type and --format
+        "roots": ("list the root system in canonical order", _cmd_roots, [
             ("--table", dict(action="store_true",
                              help="also emit the structure table serialization")),
-            ("--golden-dir", dict(help="compare output against golden files in this directory")),
-            ("--bless", dict(action="store_true",
-                             help="rewrite golden files instead of comparing"))]),
-        "fixed": ("fixed-point subalgebra of automorphisms", [
+            ("--golden-dir", dict(help="compare output against golden files in this directory"))]),
+        "fixed": ("fixed-point subalgebra of automorphisms", _cmd_fixed, [
             ("--auto", dict(auto, required=True, help="automorphism descriptor (repeatable)"))]),
-        "identify": ("reductive type of the fixed subalgebra",
+        "identify": ("reductive type of the fixed subalgebra", _cmd_fixed,
                      [("--auto", dict(auto, required=True))]),
-        "realform": ("Cartan decomposition / real fixed form", [
+        "realform": ("Cartan decomposition / real fixed form", _cmd_realform, [
             ("--theta", dict(required=True, help="Cartan involution descriptor")),
             ("--auto", dict(auto, help="fixed-group generator descriptors (0, 1 or 2)"))]),
-        "search": ("search commuting involution configurations", [
+        "search": ("search commuting involution configurations", _cmd_search, [
             ("--classes", dict(type=_class_labels, required=True,
                                help="comma-separated class labels, e.g. sigma3,sigma2")),
             ("--target", dict(type=_target, required=True,
                               help="required joint fixed type, e.g. B4 or B4:36"))]),
-        "verify": ("run verification scenarios",
+        "verify": ("run verification scenarios", _cmd_verify,
                    [("scenario", dict(choices=("all",) + tuple(sorted(SCENARIOS))))]),
     }
     sub = p.add_subparsers(dest="command", required=True)
     for name in argv[:1] if argv and argv[0] in commands else commands:
-        help_line, arguments = commands[name]
+        help_line, handler, arguments = commands[name]
         command = sub.add_parser(name, parents=[common], help=help_line)
         for flag, options in arguments:
             command.add_argument(flag, **options)
-        command.set_defaults(usage_error=command.error)  # main's checks print its usage
+        command.set_defaults(handler=handler, usage_error=command.error)  # errors print its usage
     return p
 
 
@@ -158,12 +157,6 @@ def _cmd_roots(args) -> int:
         suffix = "json" if args.format == "json" else "txt"
         name = f"roots_{args.type}{'_table' if args.table else ''}.{suffix}"
         path = os.path.join(args.golden_dir, name)
-        if args.bless:
-            os.makedirs(args.golden_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
-            print(f"blessed {path}")
-            return EXIT_OK
         with open(path, "r", encoding="utf-8") as fh:
             golden = fh.read()
         if golden != rendered + "\n":
@@ -199,18 +192,19 @@ def _cmd_realform(args) -> int:
     theta = ctx.automorphism(args.theta)
     gens = [ctx.automorphism(d) for d in args.auto]
     if len(gens) == 2:
-        make_klein(*gens)  # the Klein four axioms, each with its own message
+        check_klein(*gens)  # the Klein four axioms, each with its own message
     desc = cartan_decomposition(ctx.cb, theta, gens)
+    fixed_of = [g.descriptor for g in gens]
     payload = {
-        "theta": desc.theta,
-        "fixed_of": list(desc.fixed_of),
+        "theta": theta.descriptor,
+        "fixed_of": fixed_of,
         "g_type": desc.g_type,
         "k_type": desc.k_type,
         "signature": [str(desc.k_dim), str(desc.p_dim)],
         "name": desc.name,
     }
     _emit(args, payload, [
-        f"theta {desc.theta}" + (f" on fixed({', '.join(desc.fixed_of)})" if desc.fixed_of else ""),
+        f"theta {theta.descriptor}" + (f" on fixed({', '.join(fixed_of)})" if fixed_of else ""),
         f"g_type {desc.g_type}",
         f"k_type {desc.k_type}",
         f"signature ({desc.k_dim}, {desc.p_dim})",
@@ -267,18 +261,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             read_descriptor(text, int(args.type[1:]))
         except ValueError as exc:
             error(str(exc))
-    if args.command == "roots" and args.bless and not args.golden_dir:
-        error("--bless needs --golden-dir")
-    handlers = {
-        "roots": _cmd_roots,
-        "fixed": _cmd_fixed,
-        "identify": _cmd_fixed,
-        "realform": _cmd_realform,
-        "search": _cmd_search,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BrokenPipeError:
         return EXIT_FAIL
     except Exception as exc:  # computation failures -> structured report, exit 1

@@ -215,8 +215,6 @@ def load_catalog() -> Dict[Tuple[str, str, int, int], str]:
 class RealFormDescriptor(NamedTuple):
     """A Cartan decomposition k + p with identified types and catalog name."""
 
-    theta: str                      # descriptor of the Cartan involution
-    fixed_of: Tuple[str, ...]       # descriptors of the fixed group (empty: whole algebra)
     g_type: str
     k_type: str
     k_dim: int
@@ -286,7 +284,7 @@ def cartan_decomposition(
     except KeyError:
         raise CatalogMissError("no real form catalogued for g_type=%s, k_type=%s, "
                                "signature=(%d,%d)" % key) from None
-    return RealFormDescriptor(theta.descriptor, tuple(g.descriptor for g in gens), *key, name)
+    return RealFormDescriptor(*key, name)
 
 
 def real_fixed_subalgebra(cb: CompactBasis, gamma: Sequence[Automorphism],

@@ -558,8 +558,6 @@ class StructureTable(BracketTable):
         self.rank = rs.rank
         self.npos = rs.npos
         self.extraspecial: Dict[int, Tuple[int, int]] = {}
-        self.identity = None  # the certified identity, kept by autos.identity_automorphism
-        self.omega = None  # the certified omega, kept by autos.omega_automorphism
         self._fill()
 
     def _fill(self) -> None:

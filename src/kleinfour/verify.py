@@ -652,7 +652,7 @@ SCENARIOS = {
 
 
 def run_all(ctx: VerifyContext) -> List[Report]:
-    return [SCENARIOS[name](ctx) for name in ("census", "so82", "so81", "holomorphic")]
+    return [scenario(ctx) for scenario in SCENARIOS.values()]
 
 
 def reports_to_json(reports: Sequence[Report]) -> str:

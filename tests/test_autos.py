@@ -1004,11 +1004,15 @@ def test_cycle_order_above_the_cap_raises_the_composing_message():
     assert messages == [f"synthetic: order exceeds cap {autos._ORDER_CAP}"] * 2
 
 
-def test_identity_is_certified_once_per_table_and_freed_with_it():
+def test_parsing_keeps_nothing_on_the_table_and_the_identity_is_freed_with_it():
     table = chevalley_table(build_root_system(cartan_matrix("A2")))
+    before = dict(vars(table))
     ident = identity_automorphism(table)
-    assert identity_automorphism(table) is ident and ident.is_identity()
-    assert parse_descriptor(table, "identity") is parse_descriptor(table, "id") is ident
+    assert ident.is_identity()
+    assert parse_descriptor(table, "identity") == parse_descriptor(table, "id") == ident
+    for text in ("omega", "omega*torus:1,0"):
+        parse_descriptor(table, text)
+    assert vars(table) == before
     # Automorphism has no weakref slot; it holds its table, so the table
     # being collected means no live reference to the identity remains
     ref = weakref.ref(table)

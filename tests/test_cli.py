@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import kleinfour
-from kleinfour import cli
+from kleinfour import autos, cli
 from kleinfour.autos import parse_descriptor
 from kleinfour.cli import main
 from kleinfour.rootsys import cartan_matrix
@@ -114,11 +114,17 @@ def test_catalog_is_an_unrecognized_argument_where_no_work_reads_it(command):
     assert "unrecognized arguments: --catalog missing.json" in err.getvalue()
 
 
-def test_bless_writes_then_matches(tmp_path):
-    code, out, _ = run_cli(["roots", "--type", "A2", "--golden-dir", str(tmp_path), "--bless"])
-    assert code == 0 and "blessed" in out
-    code, out, _ = run_cli(["roots", "--type", "A2", "--golden-dir", str(tmp_path)])
-    assert code == 0 and "golden match" in out
+@pytest.mark.parametrize("flags, name", [([], "roots_A2.txt"),
+                                         (["--table", "--format", "json"], "roots_A2_table.json")])
+def test_roots_stdout_is_the_golden_file_it_matches(tmp_path, flags, name):
+    """A golden file is the roots output itself, so writing stdout to it
+    regenerates it."""
+    argv = ["roots", "--type", "A2"] + flags
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    path = tmp_path / name
+    path.write_text(out, encoding="utf-8")
+    assert run_cli(argv + ["--golden-dir", str(tmp_path)]) == (0, f"golden match: {path}\n", "")
 
 
 def test_fixed_command():
@@ -167,6 +173,26 @@ def test_realform_rejects_generators_that_break_a_klein_axiom(gens, message):
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and json.loads(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("first, certified", [("omega", 3), ("omega*torus:0,0,0,0,0,0", 5)])
+def test_realform_checks_the_klein_axioms_without_certifying_the_product(
+        monkeypatch, first, certified):
+    """The certified members are theta, each generator and, for a twist, its
+    omega and torus factors: check_klein builds no product ab."""
+    sizes = []
+    certify = autos.certify_batch
+
+    def counting(table, batch):
+        batch = list(batch)
+        sizes.append(len(batch))
+        return certify(table, batch)
+
+    monkeypatch.setattr(autos, "certify_batch", counting)
+    argv = ["realform", "--theta", "torus:1,0,0,0,0,1", "--auto", first,
+            "--auto", "torus:0,0,1,0,1,0"]
+    assert run_cli(argv)[0] == 0
+    assert sum(sizes) == certified
 
 
 def test_bad_descriptor_is_usage_error_exit_2():
@@ -235,7 +261,8 @@ def test_usage_error_is_exit_2():
       "--auto", "torus:0,1,0,0,0,0", "--auto", "torus:0,0,1,0,0,0"], "at most two --auto"),
     (["search", "--classes", "sigma3,sigma2", "--target", "foo"], "malformed type label 'foo'"),
     (["search", "--classes", "sigma3,sigma2", "--target", "B4:30"], "B4 has dimension 36, not 30"),
-    (["roots", "--type", "A2", "--bless"], "--bless needs --golden-dir"),
+    (["roots", "--type", "A2", "--golden-dir", "golden", "--bless"],
+     "unrecognized arguments: --bless"),
     # digits outside ASCII [0-9]: an Arabic-Indic six, a superscript two,
     # and an Arabic-Indic 36
     (["roots", "--type", "E\u0666"], "malformed type label 'E\u0666'"),
@@ -477,7 +504,7 @@ def cli_arguments(draw, command, golden_dirs):
     if fault == "type":
         label, rank = draw(st.sampled_from(BAD_TYPES)), 2
     else:
-        # never --bless with a directory: that would rewrite golden/
+        # a bad roots request is --bless, which no parser takes, with no directory
         if command == "roots" and not bad:
             golden = draw(st.sampled_from([*golden_dirs, None]))
         if golden:

@@ -305,6 +305,30 @@ def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
             cartan_decomposition(ctx.cb, theta, gamma)
 
 
+def _a2_split():
+    """A fresh A2 compact table, never the session's, and theta = torus:1,0."""
+    t = chevalley_table(build_root_system(cartan_matrix("A2")))
+    return compact_form(t), parse_descriptor(t, "torus:1,0")
+
+
+def test_split_rejects_a_bracket_of_k_that_escapes_k():
+    """[w1, w2] = u_0 tampered into the table: w1 and w2 lie in k, and u_0,
+    whose root alpha_2 pairs oddly with alpha_1^vee, in p."""
+    cb, theta = _a2_split()
+    cb._set(cb.w(0), cb.w(1), [(cb.u(0), 1)])
+    with pytest.raises(RealFormError) as exc:
+        cartan_decomposition(cb, theta)
+    assert str(exc.value) == "[k,k] escapes k"
+
+
+def test_split_rejects_a_killing_form_that_is_not_negative_definite_on_k():
+    cb, theta = _a2_split()
+    cb.killing[cb.w(0)][cb.w(0)] *= -1  # w1 lies in k
+    with pytest.raises(RealFormError) as exc:
+        cartan_decomposition(cb, theta)
+    assert str(exc.value) == "Killing form on k is not negative definite"
+
+
 def _sign_changes(coeffs):
     signs = [c > 0 for c in coeffs if c != 0]
     return sum(a != b for a, b in zip(signs, signs[1:]))

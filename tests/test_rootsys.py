@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from kleinfour import rootsys
 from kleinfour.exactq import rank as mat_rank
 from kleinfour.rootsys import (
     MAX_RANK,
@@ -344,6 +345,45 @@ def test_magnitude_certificate_checks_the_reversed_order(monkeypatch, label):
                         lambda self, a, b: string_down(self, a, b) + (a > b))
     with pytest.raises(ArithmeticError, match=r"p\+1"):
         chevalley_table(rs)
+
+
+def test_root_closure_stops_at_the_finite_type_cap(monkeypatch):
+    """Affine A1, let past validate_cartan, has a root string without end."""
+    monkeypatch.setattr(rootsys, "validate_cartan", lambda cartan: (1, 1))
+    with pytest.raises(CartanMatrixError) as exc:
+        RootSystem([[2, -2], [-2, 2]])
+    assert str(exc.value) == "root set does not close; not finite type"
+
+
+@pytest.mark.parametrize("k, norm, message", [
+    (0, 3, "non-integral coroot coefficient for (0, 0, 1)"),
+    (0, 1, "non-integral constant for (0, 1, 0), (0, -1, -1)"),
+    (1, 1, "non-integral constant for (0, -1, -1), (0, 0, 1)"),
+])
+def test_a_wrong_root_norm_fails_an_integrality_check(k, norm, message):
+    """A3 (norms 2) with the norm of roots[k] and of its negative changed: the
+    coroot of (0,0,1), or one of the two quotients that give the sign variants
+    of N((0,0,1), (0,1,0)) = 1 from it, is not an integer."""
+    rs = build_root_system(cartan_matrix("A3"))
+    rs.norms = tuple(norm if j % rs.npos == k else n for j, n in enumerate(rs.norms))
+    with pytest.raises(ArithmeticError) as exc:
+        chevalley_table(rs)
+    assert str(exc.value) == message
+
+
+def test_root_strings_one_step_too_long_fail_the_integrality_check():
+    """A3's highest root is (0,0,1) + (1,1,0), its extraspecial pair, and
+    (1,0,0) + (0,1,1).  With key_index claiming the six nonroots ±(1,1,-1),
+    ±(2,2,1) and ±(1,1,2), the string of each sign variant of the extraspecial
+    pair is one step longer, so that pair gets N = 2 and passes |N| = p+1, and
+    the other pair's N comes out as 1/2."""
+    rs = build_root_system(cartan_matrix("A3"))
+    for c in ((1, 1, -1), (2, 2, 1), (1, 1, 2)):
+        for sign in (1, -1):
+            rs.key_index[rs.key(tuple(sign * x for x in c))] = -1
+    with pytest.raises(ArithmeticError) as exc:
+        chevalley_table(rs)
+    assert str(exc.value) == "non-integral constant at (1, 0, 0) + (0, 1, 1) = (1, 1, 1)"
 
 
 @pytest.mark.parametrize("label, calls", [("G2", 60), ("F4", 816), ("E6", 1440), ("E7", 4032),

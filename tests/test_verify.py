@@ -694,17 +694,13 @@ def test_so9_klein_pinned(ctx):
     )
 
 
-def test_context_builds_omega_once_for_twists(monkeypatch):
-    """Three twists parsed on one table build omega once, and each is omega∘t."""
-    ctx = verify.VerifyContext()
-    built = []
-    diagram = autos.diagram_automorphism
-    monkeypatch.setattr(autos, "diagram_automorphism",
-                        lambda table, perm: built.append(perm) or diagram(table, perm))
+def test_context_twists_are_omega_after_their_torus_factor(ctx):
+    """Each twist parsed on the context's table is omega∘t, omega the diagram
+    automorphism of E6's one nontrivial diagram symmetry."""
+    (perm,) = [p for p in autos.diagram_symmetries(ctx.table.rs.cartan) if p != tuple(range(6))]
+    omega = autos.diagram_automorphism(ctx.table, perm).cols
     twists = ["omega*torus:0,1,0,0,0,0", "omega*torus:1,0,0,0,0,1", "omega*torus:0,0,0,0,0,0"]
     got = [ctx.automorphism(d) for d in twists]
-    assert len(built) == 1 and ctx.automorphism("omega") is ctx.table.omega
-    omega = diagram(ctx.table, built[0]).cols
     for d, a in zip(twists, got):
         bits = [int(c) for c in d[len("omega*torus:"):].split(",")]
         assert (a.descriptor, a.order) == (d, 2)
