@@ -383,9 +383,9 @@ def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorp
     return make_automorphism(table, _diagram_columns(table, perm), desc)
 
 
-def omega_automorphism(table: StructureTable) -> Automorphism:
-    """The unique nontrivial involutive diagram automorphism, when it exists,
-    certified under the descriptor "omega"."""
+def _omega_columns(table: StructureTable) -> List[dict]:
+    """Uncertified columns of the unique nontrivial involutive diagram
+    symmetry; ValueError when there is not exactly one."""
     n = table.rank
     sym = [p for p in diagram_symmetries(table.rs.cartan)
            if p != tuple(range(n)) and all(p[p[i]] == i for i in range(n))]
@@ -393,7 +393,13 @@ def omega_automorphism(table: StructureTable) -> Automorphism:
         raise ValueError("omega is not defined on %s%d: it has %d nontrivial diagram "
                          "involutions, not exactly one"
                          % (*match_cartan(table.rs.cartan), len(sym)))
-    return make_automorphism(table, _diagram_columns(table, sym[0]), "omega")
+    return _diagram_columns(table, sym[0])
+
+
+def omega_automorphism(table: StructureTable) -> Automorphism:
+    """The unique nontrivial involutive diagram automorphism, when it exists,
+    certified under the descriptor "omega"."""
+    return make_automorphism(table, _omega_columns(table), "omega")
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +523,17 @@ def read_descriptor(text: str, rank: int) -> Tuple[bool, Optional[List[int]]]:
 
 
 def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
-    """The certified automorphism named by a descriptor (read_descriptor's grammar)."""
+    """The certified automorphism named by a descriptor (read_descriptor's grammar).
+    A twist omega*torus:c is certified once, as the product of the uncertified
+    columns of its two factors."""
     omega, c = read_descriptor(text, table.rank)
     if c is None:
         return omega_automorphism(table) if omega else identity_automorphism(table)
-    tor = torus_involution(table, c)
-    if tor.is_identity() and any(x % 2 for x in c):  # odd coefficients that no root sees
+    cols, desc = torus_columns(table, c)
+    # odd coefficients that no root sees
+    if any(x % 2 for x in c) and all(col == {j: 1} for j, col in enumerate(cols)):
         raise ValueError("the torus factor of descriptor %r is the identity of %s%d"
                          % (text, *match_cartan(table.rs.cartan)))
-    return compose(omega_automorphism(table), tor) if omega else tor
+    if omega:
+        cols, desc = compose_cols(_omega_columns(table), cols), "omega*" + desc
+    return make_automorphism(table, cols, desc)

@@ -23,7 +23,11 @@ Searches run over the census: the full torus 2-group (63 nonzero classes) and
 the 64 twisted products omega*torus(c), keeping the twists that square to the
 identity.  One enumerator (_commuting_tuples) walks the pairwise commuting
 tuples of distinct census involutions, one per requested class, depth first in
-census order, so identical inputs find identical first configurations.
+census order, so identical inputs find identical first configurations.  Each
+level carries, for every later class, the census rows still eligible
+(distinct from every chosen generator and commuting with each); choosing a
+generator narrows those lists by it once, lazily, so a commutation is tested
+once per chosen generator and prefix, not again for every deeper candidate.
 
 Both per-tuple gates are exact and need no elimination: commutation
 (autos.commutes, by pi and signs on census rows) and the character dimension
@@ -44,8 +48,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import islice, product
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .autos import (
     Automorphism,
@@ -331,33 +335,60 @@ def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:
     return s
 
 
+class _Eligible:
+    """The census rows of ``source`` that are not ``x`` and commute with it, in
+    source order.  They are read lazily and kept, so every walk over them
+    shares one pass: a row is tested against x once, when a walk first
+    reaches it, and a row no walk reaches is never tested."""
+
+    def __init__(self, source: Iterable[CensusRow], x: Automorphism):
+        self._rows = (r for r in source if r.automorphism is not x and commutes(x, r.automorphism))
+        self._kept: List[CensusRow] = []
+
+    def __iter__(self):
+        kept, i = self._kept, 0
+        while True:
+            if i == len(kept):
+                row = next(self._rows, None)
+                if row is None:
+                    return
+                kept.append(row)
+            yield kept[i]
+            i += 1
+
+
 def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: int):
     """Pairwise commuting tuples of distinct census involutions, one per class.
 
     Yields (descriptors, automorphisms, joint_fixed_dim) in census order,
     depth first; each prefix keeps its character sum (autos.add_generator).
-    Where two consecutive classes are equal, their census positions increase,
-    so a set is yielded once, in the order that comes first.  A partial tuple
-    whose character dimension is below ``floor`` is not extended: fixed
-    spaces only shrink as generators are added, so none of its extensions
-    reaches ``floor`` either.
+    Each level holds, for itself and every later class, the census rows still
+    eligible: distinct from every chosen generator and commuting with each,
+    in census order.  Choosing x narrows the later lists by x once, lazily
+    (_Eligible), so a row is tested against each chosen generator once per
+    prefix, earlier generators first, and only when a walk reaches it.
+    Where two consecutive classes are equal, the next level reads the rows
+    after x in x's own list, so census positions increase and a set is
+    yielded once, in the order that comes first.  A partial tuple whose
+    character dimension is below ``floor`` is not extended: fixed spaces
+    only shrink as generators are added, so none of its extensions reaches
+    ``floor`` either.
     """
-    pools = [[r for r in ctx.census.rows if r.label == lab] for lab in class_labels]
-
-    def extend(descs: List[str], chars: CharacterSum, start: int):
+    def extend(descs: List[str], chars: CharacterSum, cands: list):
         k = len(descs)
-        for n, row in enumerate(pools[k][start:], start):
+        for i, row in enumerate(cands[0]):
             x = row.automorphism
-            # "is", not "in": "in" would compare the columns (Automorphism.__eq__)
-            if any(x is c for c in chars.gens) or not all(commutes(c, x) for c in chars.gens):
-                continue
             chosen, more = descs + [row.descriptor], add_generator(chars, x)
-            if len(chosen) == len(pools):
+            if len(chosen) == len(class_labels):
                 yield chosen, list(more.gens), more.dim
             elif more.dim >= floor:
-                yield from extend(chosen, more, n + 1 if class_labels[k + 1] == class_labels[k] else 0)
+                later = cands[1:]
+                if class_labels[k + 1] == class_labels[k]:
+                    later[0] = islice(cands[0], i + 1, None)
+                yield from extend(chosen, more, [_Eligible(c, x) for c in later])
 
-    yield from extend([], CharacterSum(), 0)
+    pools = [[r for r in ctx.census.rows if r.label == lab] for lab in class_labels]
+    yield from extend([], CharacterSum(), pools)
 
 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:

@@ -952,6 +952,32 @@ def test_torus_factor_that_is_the_identity_raises(label, text):
     assert parse_descriptor(table, "torus:" + ",".join(["2"] + ["0"] * (table.rank - 1))).is_identity()
 
 
+def test_a_twist_is_certified_once_as_the_product_of_its_factors(e6, monkeypatch):
+    """omega*torus:c composes the uncertified columns of omega and the torus
+    factor and certifies the product alone: on all 64 E6 twists (some of
+    order 4) the columns, order, pi and descriptor of compose(omega, torus),
+    each from one certify_batch member: neither factor is certified."""
+    om = omega_automorphism(e6)
+    want = {bits: compose(om, torus_involution(e6, bits))
+            for bits in itertools.product((0, 1), repeat=6)}
+    sizes = []
+    certify = autos.certify_batch
+
+    def counting(table, batch):
+        batch = list(batch)
+        sizes.append(len(batch))
+        return certify(table, batch)
+
+    monkeypatch.setattr(autos, "certify_batch", counting)
+    for bits, w in want.items():
+        # coefficients are read mod 2, and the descriptor names the bits
+        text = "omega*torus:" + ",".join(str(b + 2 * (i == 0)) for i, b in enumerate(bits))
+        a = parse_descriptor(e6, text)
+        assert (a.cols, a.order, a.pi, a.descriptor) == (w.cols, w.order, w.pi, w.descriptor)
+    assert sizes == [1] * 64
+    assert {w.order for w in want.values()} == {2, 4}
+
+
 # -- orders of signed permutations and the identity --------------------------------
 
 def _pi_of(cols):

@@ -359,6 +359,22 @@ def test_identify_names_the_weight_check_a_closed_a2_span_fails(roots, message):
         identify_type(s)
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (-1, -2, "degenerate coroot at weight (-2, 1)"),
+    (-3, -2, "non-integral Cartan pairing at ((1, 1), (-2, 1))"),
+    (-2, -1, "dimension accounting failed: B2 has dim 10, subalgebra has 8"),
+], ids=["degenerate", "non-integral", "accounting"])
+def test_identify_names_the_pairing_check_a_tampered_a2_coroot_fails(a, b, message):
+    """A2 with [x_alpha, x_-alpha] = a h_1 + b h_2 for alpha = roots[1] = (1, 0),
+    in both orders: the span stays closed and h_1, h_2 stay maximal toral, but
+    the coroot of the simple weight (-2, 1) is wrong."""
+    table = chevalley_table(build_root_system(cartan_matrix("A2")))
+    assert table.rs.roots[1].coords == (1, 0)
+    table._set(table.rank + 1, table.rank + table.npos + 1, ((0, a), (1, b)))
+    with pytest.raises(IdentifyError, match=f"^{re.escape(message)}$"):
+        identify_type(fixed_subalgebra(table, []))
+
+
 # -- type sweep over the catalog ---------------------------------------------------
 
 SWEEP = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "C2", "C3", "C4",

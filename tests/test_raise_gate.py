@@ -20,7 +20,7 @@ def test_the_gate_names_each_kind_of_bad_row(tmp_path):
     text = raise_gate.TABLE.read_text(encoding="utf-8").splitlines()
     rows = [r.rsplit(" | ", 1) for r in text if r.strip() and not r.startswith("#")]
     key = {k.split(" | ")[1]: k for k, _ in rows if k.startswith("autos | ")}
-    new = {key["omega_automorphism"]: "maybe",
+    new = {key["_omega_columns"]: "maybe",
            key["weyl_lift"]: "tests/test_autos.py::test_no_such_test"}
     gone = "autos | make_klein | ValueError | product of generators is | implied: (ab)^2 = 1"
     table = tmp_path / "raises.txt"

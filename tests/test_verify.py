@@ -656,6 +656,82 @@ def test_generic_search_results_pinned(ctx, classes, target, expected):
     assert got == expected
 
 
+SEARCH_MENU = [(classes, target) for classes, target, _ in SEARCH_PINS[:5]]
+
+
+def _enumeration_oracle(ctx, labels, floor):
+    """(descriptors, dim) of every tuple the enumerator must yield, in order:
+    itertools.product over the census pools in census order, keeping rows
+    that are distinct and pairwise commuting, with increasing positions
+    within equal consecutive classes, and dropping a tuple when a proper
+    prefix has character dimension below floor."""
+    pools = [[r for r in ctx.census.rows if r.label == lab] for lab in labels]
+    dims = {}
+
+    def dim(rows):
+        key = tuple(map(id, rows))
+        if key not in dims:
+            dims[key] = joint_fixed_dim([r.automorphism for r in rows])
+        return dims[key]
+
+    out = []
+    for idx in product(*(range(len(p)) for p in pools)):
+        rows = [p[i] for p, i in zip(pools, idx)]
+        if any(labels[k] == labels[k + 1] and idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
+            continue
+        if len(set(map(id, rows))) < len(rows) or not all(
+                commutes(x.automorphism, y.automorphism) for x, y in combinations(rows, 2)):
+            continue
+        if any(dim(rows[:k]) < floor for k in range(1, len(rows))):
+            continue
+        out.append(([r.descriptor for r in rows], dim(rows)))
+    return out
+
+
+@pytest.mark.parametrize("labels, floor", [
+    *[(labels, 0) for labels, _ in SEARCH_MENU],
+    *[(labels, type_dim(target)) for labels, target in SEARCH_MENU],
+    (["sigma3", "sigma2", "sigma2"], 0), (["sigma3", "sigma2", "sigma2"], type_dim("D4")),
+    (["sigma4", "sigma4", "sigma2"], 0),
+    # sigma4 pairs fix 16 or 20 dimensions, so floor 20 prunes some prefixes
+    (["sigma4", "sigma4", "sigma2"], 20),
+    # a class repeated after another: x must leave the later sigma2 list
+    (["sigma2", "sigma4", "sigma2"], 0),
+], ids=lambda v: ",".join(v) if isinstance(v, list) else str(v))
+def test_enumerator_yields_the_oracle_sequence_in_order(ctx, labels, floor):
+    """First match in census order wins, so the order is part of the contract:
+    the enumerator yields exactly the oracle's sequence of descriptors and
+    dims, and its automorphisms are the rows the descriptors name."""
+    by_desc = {r.descriptor: r.automorphism for r in ctx.census.rows}
+    got = []
+    for descs, autos, dim in verify._commuting_tuples(ctx, labels, floor):
+        assert all(a is by_desc[d] for d, a in zip(descs, autos))
+        got.append((descs, dim))
+    assert got == _enumeration_oracle(ctx, labels, floor)
+
+
+@pytest.mark.parametrize("labels, target, calls",
+                         [(*menu, calls) for menu, calls in zip(SEARCH_MENU, (9, 4, 48, 324, 396))],
+                         ids=lambda v: ",".join(v) if isinstance(v, list) else str(v))
+def test_search_tests_each_commutation_once_per_chosen_generator(ctx, monkeypatch, labels, target,
+                                                                   calls):
+    # a work pin: a row is tested against x once for each prefix that ends in
+    # x.  The exhaustion tests the 27 sigma2 and 36 sigma1 rows against each
+    # of the 4 sigma3 rows, and the 36 commuting (sigma2, sigma1) pairs once
+    # under each: 108 + 144 + 144 = 396, where re-testing every candidate
+    # against every chosen generator at each prefix makes 684.  The early
+    # hits and the two-class exhaustions make the calls of that re-test.
+    ctx.census
+    seen = []
+    real = verify.commutes
+    monkeypatch.setattr(verify, "commutes", lambda a, b: seen.append((a, b)) or real(a, b))
+    try:
+        search_configuration(ctx, labels, target)
+    except SearchExhausted:
+        pass
+    assert len(seen) == calls
+
+
 def test_census_searches_compose_no_columns(ctx, census, monkeypatch):
     """Searches over census rows run on pi rules: neither compose_cols nor a
     column of the generic commutation test, for every pinned search, all-torus
