@@ -24,20 +24,22 @@ signed permutation's order is the lcm over pi's cycles of their length L, or
 of 2L where the signs around the cycle multiply to -1; every other order is
 found by composing powers.
 
-A certified signed permutation keeps its pi and signs (``Automorphism.pi``);
-its cycle order, commutation and the character sums of joint_fixed_dim take
-O(dim) rules on them, and diagonal matrices (pi the identity) commute.
-Composition, trace and inverse take the column rules, the reference, and a
-composed signed permutation gets its pi again from the shape certificate.
+A certified signed permutation keeps its pi and signs (``Automorphism.pi``)
+and whether pi is the identity (``diag``); its cycle order and commutation
+take O(dim) rules on them, and diagonal matrices commute.  The character
+sums of joint_fixed_dim keep products as pi and bitsets of the -1 signs and
+of pi's fixed points (_masks): a diagonal generator flips a product's signs
+by one XOR, and a trace is a popcount.  Composition, trace and inverse take
+the column rules, the reference, and a composed signed permutation gets its
+pi again from the shape certificate.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from itertools import compress
 from math import lcm
-from operator import eq, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactq import as_num, signed_permutation
@@ -45,6 +47,7 @@ from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
 
 Cols = Tuple[Dict[int, object], ...]
 Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
+Masks = Tuple[Tuple[int, ...], int, int, int]  # (pi, neg, fix, nfix): see _masks
 
 _ORDER_CAP = 60
 _INT = re.compile(r"-?[0-9]+")  # int() would also take "_", spaces and non-ASCII digits
@@ -58,12 +61,13 @@ class Automorphism:
     """Certified algebra automorphism in the canonical basis.
 
     ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
-    when the certificate found a signed permutation, else None.  Instances
-    come only from certify_batch (make_automorphism is a batch of one) and
-    are immutable afterwards.
+    when the certificate found a signed permutation, else None, and ``diag``
+    says that pi is the identity.  Instances come only from certify_batch
+    (make_automorphism is a batch of one) and are immutable afterwards but
+    for the masks of pi, kept on first use.
     """
 
-    __slots__ = ("table", "cols", "order", "descriptor", "pi", "_trace")
+    __slots__ = ("table", "cols", "order", "descriptor", "pi", "diag", "_trace", "_masks")
 
     def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str,
                  pi: Optional[Pi] = None):
@@ -72,7 +76,15 @@ class Automorphism:
         self.order = order
         self.descriptor = descriptor
         self.pi = pi
+        self.diag = pi is not None and pi[0] == tuple(range(len(pi[0])))
         self._trace = _cols_trace(cols)
+        self._masks = None
+
+    def masks(self) -> Masks:
+        """_masks(pi), computed on first use."""
+        if self._masks is None:
+            self._masks = _masks(self.pi)
+        return self._masks
 
     def apply(self, vec: dict) -> dict:
         return _apply_cols(self.cols, vec)
@@ -146,36 +158,45 @@ def _cols_trace(cols: Cols):
 def _pi_compose(a: Pi, b: Pi) -> Pi:
     """(pi, signs) of a∘b: e_j goes to s_b(j) s_a(pi_b(j)) e_pi_a(pi_b(j))."""
     (pa, sa), (pb, sb) = a, b
-    if _diagonal(b):
-        return pa, tuple(map(mul, sb, sa))
     at = itemgetter(*pb)  # a tuple of pi_b's images, as dim > 1
     return at(pa), tuple(map(mul, sb, at(sa)))
 
 
-def _pi_trace(a: Pi):
+@lru_cache(maxsize=64)  # a search meets few pi: products of its generators' pi
+def _fixed_mask(perm: Tuple[int, ...]) -> int:
+    return sum(1 << j for j, p in enumerate(perm) if p == j)
+
+
+def _masks(a: Pi) -> Masks:
+    """(pi, neg, fix, nfix) of a: bit j of neg is set where signs[j] = -1, bit j
+    of fix where pi[j] = j, and nfix counts the bits of fix."""
+    fix = _fixed_mask(a[0])
+    return a[0], sum(1 << j for j, s in enumerate(a[1]) if s < 0), fix, fix.bit_count()
+
+
+def _mask_compose(p: Masks, g: Masks) -> Masks:
+    """The masks of p∘g: pi_p∘pi_g, and bit j of neg is bit j of g's neg
+    flipped by bit pi_g(j) of p's."""
+    at = itemgetter(*g[0])
+    perm, bits = at(p[0]), format(p[1], f"0{len(g[0])}b")[::-1]  # bits[j]: bit j
+    fix = _fixed_mask(perm)
+    return perm, g[1] ^ int("".join(at(bits))[::-1], 2), fix, fix.bit_count()
+
+
+def _mask_trace(neg: int, fix: int, nfix: int) -> int:
     """The sum of the signs at the fixed points of pi."""
-    perm, signs = a
-    return sum(signs) if _diagonal(a) else sum(compress(signs, map(eq, perm, range(len(perm)))))
+    return nfix - 2 * (neg & fix).bit_count()
 
 
-def _pi_cols(a: Pi) -> Cols:
-    return tuple({p: s} for p, s in zip(*a))
-
-
-@lru_cache(maxsize=None)
-def _identity_perm(dim: int) -> Tuple[int, ...]:
-    return tuple(range(dim))
-
-
-def _diagonal(a: Optional[Pi]) -> bool:
-    """a is a signed permutation whose pi is the identity: a diagonal matrix."""
-    return a is not None and a[0] == _identity_perm(len(a[0]))
+def _mask_cols(m: Masks) -> Cols:
+    return tuple({p: -1 if m[1] >> j & 1 else 1} for j, p in enumerate(m[0]))
 
 
 class CharacterSum(NamedTuple):
     """sum over subsets S of gens of tr(prod of S), the empty one included, and
     dim = total / 2^k; prods holds the products of the nonempty subsets, as
-    (pi, signs) while every generator has them, else as columns."""
+    masks (_masks) while every generator is a signed permutation, else as
+    columns, and is empty once the last generator is added."""
 
     gens: Tuple[Automorphism, ...] = ()
     total: int = 0
@@ -183,28 +204,35 @@ class CharacterSum(NamedTuple):
     prods: tuple = ()
 
 
-def add_generator(chars: CharacterSum, g: Automorphism) -> CharacterSum:
-    """chars extended by g: g's trace plus tr(p∘g) for each kept product p, and
-    the products extended by g.  A generator of order other than 1 or 2 is
-    rejected, and a sum not divisible by 2^k raises."""
+def add_generator(chars: CharacterSum, g: Automorphism, last: bool = False) -> CharacterSum:
+    """chars extended by g: g's trace plus tr(p∘g) for each kept product p, and,
+    unless g is the last generator, the products extended by g.  On masks, a
+    diagonal g keeps pi_p and flips p's signs by one XOR, and at the last
+    level only the traces are read; any other g composes by _mask_compose.
+    A generator of order other than 1 or 2 is rejected, and a sum not
+    divisible by 2^k raises."""
     if g.order not in (1, 2):
         raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
     was_pi = all(h.pi is not None for h in chars.gens)
-    pi, prods = was_pi and g.pi is not None, list(chars.prods)
+    pi, prods = was_pi and g.pi is not None, chars.prods
     if was_pi and not pi:
-        prods = [_pi_cols(p) for p in prods]
-    x = g.pi if pi else g.cols
-    new = [(_pi_compose if pi else compose_cols)(p, x) for p in prods]
+        prods = [_mask_cols(p) for p in prods]
+    x = (g.masks() if pi else g.cols) if prods or not last else None  # a lone last g: its trace
+    if pi and g.diag:
+        traces = [_mask_trace(neg ^ x[1], fix, nfix) for _, neg, fix, nfix in prods]
+        new = [] if last else [(perm, neg ^ x[1], fix, nfix) for perm, neg, fix, nfix in prods]
+    else:
+        new = [(_mask_compose if pi else compose_cols)(p, x) for p in prods]
+        traces = [_mask_trace(*p[1:]) if pi else _cols_trace(p) for p in new]
     gens = chars.gens + (g,)
-    total = (chars.total if chars.gens else g.table.dim) + g.trace() + sum(
-        map(_pi_trace if pi else _cols_trace, new))
+    total = (chars.total if chars.gens else g.table.dim) + g.trace() + sum(traces)
     den = 2 ** len(gens)
     if total % den:
         raise CertificationError(
             f"character sum {total} of {', '.join(h.descriptor for h in gens)} "
             f"is not divisible by {den}"
         )
-    return CharacterSum(gens, total, int(total) // den, tuple(prods + new + [x]))
+    return CharacterSum(gens, total, int(total) // den, () if last else (*prods, *new, x))
 
 
 def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
@@ -217,7 +245,7 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
     """
     if not gens:
         raise ValueError("joint_fixed_dim needs at least one generator")
-    return reduce(add_generator, gens, CharacterSum()).dim
+    return add_generator(reduce(add_generator, gens[:-1], CharacterSum()), gens[-1], True).dim
 
 
 def certify_batch(
@@ -424,10 +452,10 @@ def commutes(a: Automorphism, b: Automorphism) -> bool:
         raise ValueError("automorphisms live on different algebras")
     if a.pi is None or b.pi is None:
         return products_equal(a.cols, b.cols, b.cols, a.cols)
-    if _diagonal(b.pi):
+    if b.diag:
         a, b = b, a
-    if _diagonal(a.pi):  # the products agree at j exactly when d_pi(j) == d_j
-        return _diagonal(b.pi) or itemgetter(*b.pi[0])(a.pi[1]) == a.pi[1]
+    if a.diag:  # the products agree at j exactly when d_pi(j) == d_j
+        return b.diag or itemgetter(*b.pi[0])(a.pi[1]) == a.pi[1]
     return _pi_compose(a.pi, b.pi) == _pi_compose(b.pi, a.pi)
 
 

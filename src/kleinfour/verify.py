@@ -30,10 +30,12 @@ generator narrows those lists by it once, lazily, so a commutation is tested
 once per chosen generator and prefix, not again for every deeper candidate.
 
 Both per-tuple gates are exact and need no elimination: commutation
-(autos.commutes, by pi and signs on census rows) and the character dimension
-(autos.joint_fixed_dim).  For pairwise commuting involutions g_1..g_k the
-joint fixed space has dimension 2^-k * sum over subsets S of tr(prod of S),
-and the enumerator keeps each prefix's sum (autos.add_generator).  Fixed
+(autos.commutes, by pi and signs on census rows, by diag flags on two torus
+rows) and the character dimension (autos.joint_fixed_dim).  For pairwise
+commuting involutions g_1..g_k the joint fixed space has dimension
+2^-k * sum over subsets S of tr(prod of S), and the enumerator keeps each
+prefix's sum (autos.add_generator), whose products are bitsets: a torus
+row, diagonal, flips their signs by one XOR each.  Fixed
 spaces only shrink as generators are added, so a partial tuple whose
 character dimension is below its floor (the target dimension of a search)
 is not extended, and a tuple whose character dimension differs from the
@@ -56,7 +58,6 @@ from .autos import (
     CertificationError,
     Cols,
     CharacterSum,
-    _diagonal,
     add_generator,
     certify_batch,
     commutes,
@@ -251,7 +252,7 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
             n = stack.pop()
             xs = tuples[n]
             for g, g_inv_gens in conjugators:
-                if _diagonal(g.pi) and all(_diagonal(x.pi) for x in xs):
+                if g.diag and all(x.diag for x in xs):
                     continue  # diagonal matrices commute: g x g^-1 is x
                 m = index.get(_conjugate_key(g, g_inv_gens, xs))
                 if m is None or labels[m] is not None:
@@ -378,8 +379,9 @@ def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: 
         k = len(descs)
         for i, row in enumerate(cands[0]):
             x = row.automorphism
-            chosen, more = descs + [row.descriptor], add_generator(chars, x)
-            if len(chosen) == len(class_labels):
+            chosen, last = descs + [row.descriptor], k + 1 == len(class_labels)
+            more = add_generator(chars, x, last)
+            if last:
                 yield chosen, list(more.gens), more.dim
             elif more.dim >= floor:
                 later = cands[1:]

@@ -303,14 +303,15 @@ def _column_copy(a):
 
 
 def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
-    """Each pi rule gives what the column rule gives: the product, its trace
-    and commutes on every ordered pair of census rows, the trace and the cycle
-    order on every row and on signed permutations of order 3 and 4; compose
-    hands the product's pi on through the shape certificate.  The inverse,
-    a column rule, composes with each of these and with the six Weyl lifts and
-    the conjugated involution to the unit columns.  The lifts and the
-    conjugate have no pi, so they check that the column path is taken against
-    the rows."""
+    """Each pi rule gives what the column rule gives: the product by pi and
+    signs and by masks (with the one-XOR rule when the right factor is
+    diagonal), its mask trace and commutes on every ordered pair of census
+    rows, the mask trace and the cycle order on every row and on signed
+    permutations of order 3 and 4; compose hands the product's pi on through
+    the shape certificate.  The inverse, a column rule, composes with each of
+    these and with the six Weyl lifts and the conjugated involution to the
+    unit columns.  The lifts and the conjugate have no pi, so they check that
+    the column path is taken against the rows."""
     rows = [r.automorphism for r in ctx.census.rows]
     dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
     assert all(a.pi is not None for a in rows) and all(w.pi is None for w in dense)
@@ -326,12 +327,16 @@ def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
         assert a.trace() == col_trace, a
         assert compose_cols(a.cols, inverse_cols(a)) == tuple({j: 1} for j in range(len(a.cols))), a
         if a.pi is not None:
-            assert autos._pi_trace(a.pi) == col_trace, a
+            assert autos._mask_trace(*autos._masks(a.pi)[1:]) == col_trace, a
             assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
     for a, b in itertools.product(rows, rows):
         pi, ab = autos._pi_compose(a.pi, b.pi), compose_cols(a.cols, b.cols)
-        assert autos._pi_cols(pi) == ab, (a, b)
-        assert autos._pi_trace(pi) == sum(col.get(j, 0) for j, col in enumerate(ab)), (a, b)
+        masks = autos._mask_compose(a.masks(), b.masks())
+        assert masks == autos._masks(pi) and autos._mask_cols(masks) == ab, (a, b)
+        if b.diag:
+            perm, neg, fix, nfix = a.masks()
+            assert masks == (perm, neg ^ b.masks()[1], fix, nfix), (a, b)
+        assert autos._mask_trace(*masks[1:]) == sum(col.get(j, 0) for j, col in enumerate(ab)), (a, b)
         assert commutes(a, b) == commutes(copies[id(a)], copies[id(b)]), (a, b)
     rng = random.Random(29)
     for a, b in [(rng.choice(rows), rng.choice(rows)) for _ in range(6)]:
@@ -496,7 +501,9 @@ def _bits(descriptor):
 def test_joint_fixed_dim_of_torus_tuples_matches_joint_parity_oracle(ctx):
     """The count of jointly fixed basis vectors equals the parity count of
     the oracle and the generic trace formula on every pair of torus rows and
-    on a seeded sample of triples."""
+    on a seeded sample of triples, with every generator on the mask path and
+    on the column path, and for the triples on the mask path until the last
+    generator, which takes the products to columns."""
     tori = _census_autos(ctx, "inner")
     rng = random.Random(23)
     tuples = list(itertools.combinations(tori, 2)) + [tuple(rng.sample(tori, 3)) for _ in range(200)]
@@ -506,6 +513,8 @@ def test_joint_fixed_dim_of_torus_tuples_matches_joint_parity_oracle(ctx):
         assert all(g.pi is None for g in generic)
         want = joint_parity_fixed_dim([_bits(g.descriptor) for g in gens])
         assert joint_fixed_dim(gens) == joint_fixed_dim(generic) == want, gens
+        if len(gens) == 3:  # the three kept products turn into columns
+            assert joint_fixed_dim(list(gens[:2]) + generic[2:]) == want, gens
 
 
 def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):

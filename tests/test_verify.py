@@ -352,13 +352,19 @@ def test_character_dim_matches_fixed_subalgebra(ctx, labels):
 
 
 @pytest.mark.parametrize("labels, count", [(["sigma3", "sigma2", "sigma1"], 144),
-                                           (["sigma2", "sigma2", "sigma2"], 2925)],
-                         ids=["sigma3,sigma2,sigma1", "sigma2,sigma2,sigma2"])
+                                           (["sigma2", "sigma2", "sigma2"], 2925),
+                                           (["sigma2", "sigma3", "sigma4"], 144),
+                                           (["sigma3", "sigma4", "sigma4"], 264)],
+                         ids=["sigma3,sigma2,sigma1", "sigma2,sigma2,sigma2",
+                              "sigma2,sigma3,sigma4", "sigma3,sigma4,sigma4"])
 def test_enumerator_dims_match_column_character_sums(ctx, labels, count):
     """The whole enumeration at floor 0: each tuple's dim is the character sum
     computed from scratch on the columns, so a prefix state left stale by
-    backtracking would show.  Pair products are kept by identity only to keep
-    the test short; each is a column-path product."""
+    backtracking would show.  The class orders take each mask rule at each
+    level: diagonal generators after a twist, twists after a diagonal one
+    (the last composing with a product of twists), and twists alone.  Pair
+    products are kept by identity only to keep the test short; each is a
+    column-path product."""
     pair_traces, pair_prods = {}, {}
     product_trace = lambda a, b: sum(v * a[k].get(j, 0) for j, col in enumerate(b)
                                      for k, v in col.items())
@@ -730,6 +736,32 @@ def test_search_tests_each_commutation_once_per_chosen_generator(ctx, monkeypatc
     except SearchExhausted:
         pass
     assert len(seen) == calls
+
+
+def test_b3_exhaustion_flips_signs_and_keeps_no_last_level_product(ctx, monkeypatch):
+    """A work pin: in the (sigma3, sigma2, sigma1) -> B3 exhaustion every
+    generator after the first is diagonal, so no product is composed, by pi
+    and signs or by masks, and none of the 144 last-level character sums
+    keeps a product."""
+    ctx.census
+    composed, kept = [], []
+    for name in ("_pi_compose", "_mask_compose"):
+        real = getattr(autos, name)
+        monkeypatch.setattr(autos, name, lambda *args, _real=real, _name=name:
+                            composed.append(_name) or _real(*args))
+    real_add = verify.add_generator
+
+    def counting(*args):
+        more = real_add(*args)
+        if len(more.gens) == 3:
+            kept.append(len(more.prods))
+        return more
+
+    monkeypatch.setattr(verify, "add_generator", counting)
+    with pytest.raises(SearchExhausted):
+        search_configuration(ctx, ["sigma3", "sigma2", "sigma1"], "B3")
+    assert composed == []
+    assert kept == [0] * 144
 
 
 def test_census_searches_compose_no_columns(ctx, census, monkeypatch):
