@@ -92,9 +92,6 @@ class Automorphism:
     def trace(self):
         return self._trace
 
-    def is_identity(self) -> bool:
-        return self.order == 1
-
     def is_involution(self) -> bool:
         return self.order == 2
 
@@ -391,24 +388,6 @@ def _diagram_columns(table: StructureTable, perm: Sequence[int]) -> List[dict]:
     place = [rs.keys[rs.simple[p]] for p in perm]
     img = [rs.key_index[sum(map(mul, r.coords, place))] for r in rs.roots]
     return _root_map_columns(table, img, [1] * table.rank)
-
-
-def diagram_automorphism(table: StructureTable, perm: Sequence[int]) -> Automorphism:
-    """Automorphism induced by a Dynkin-diagram symmetry: h_i -> h_{perm(i)} and
-    x_{+-alpha_i} -> x_{+-alpha_{perm(i)}}."""
-    rs = table.rs
-    rank = table.rank
-    perm = tuple(perm)
-    if sorted(perm) != list(range(rank)):
-        raise ValueError("not a permutation of the simple roots")
-    if any(
-        rs.cartan[perm[i]][perm[j]] != rs.cartan[i][j]
-        for i in range(rank)
-        for j in range(rank)
-    ):
-        raise ValueError("permutation is not a Cartan-matrix symmetry")
-    desc = "diagram:" + ",".join(str(p + 1) for p in perm)
-    return make_automorphism(table, _diagram_columns(table, perm), desc)
 
 
 def _omega_columns(table: StructureTable) -> List[dict]:

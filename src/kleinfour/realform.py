@@ -5,13 +5,13 @@ The compact form is held in the rational basis
 for positive roots a; sqrt(-1) lives only in the basis labels, never in an
 entry.  Structure constants in this basis are carried over from the Chevalley
 table, not derived by hand: each basis vector is sqrt(-1)^e times a Chevalley
-vector, so its brackets are Chevalley brackets, read back into compact
-coordinates by the one map ``CompactBasis.to_compact``, which rejects any
-result outside the compact form.  The same map gives automorphisms their
-compact columns.  The Killing form is a trace, so it is traced once on the
-Chevalley table and carried to this basis through the same sqrt(-1)^e x; it
-must come out real and negative definite -- a failure signals a
-structure-constant bug and is fatal.
+vector, so its brackets are sums of Chevalley brackets, read from the rows of
+X_a and X_{-a} and taken back into compact coordinates by the one map
+``CompactBasis.to_compact``, which rejects any result outside the compact
+form.  The same map gives automorphisms their compact columns.  The Killing
+form is a trace, so it is traced once on the Chevalley table and carried to
+this basis through the same sqrt(-1)^e x; it must come out real and negative
+definite -- a failure signals a structure-constant bug and is fatal.
 
 Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
@@ -70,11 +70,7 @@ class CompactBasis(BracketTable):
             + [(1, {i: 1}) for i in range(rank)]
         )
         powers, xs = zip(*self.parts)
-        for i, acc in table.row_brackets(xs, xs):
-            for j in sorted(acc):
-                self._set(i, j, self.to_compact(
-                    acc[j], powers[i] + powers[j], lambda: f"[{self.label(i)}, {self.label(j)}]"
-                ).items())
+        self._fill(table._adj)
         # the Killing form is a trace, so it is the Chevalley one carried through
         # parts: B(i, j) = sqrt(-1)^(e_i + e_j) sum x_i[p] x_j[q] B(p, q), which must
         # vanish when e_i + e_j is odd; holders[q] lists the (j, x_j[q]), two at most
@@ -100,6 +96,48 @@ class CompactBasis(BracketTable):
                 f"Killing form of the compact basis has inertia {inertia}, "
                 f"expected (0, {self.dim}, 0); structure constants are wrong"
             )
+
+    def _fill(self, tadj: Sequence[dict]) -> None:
+        """[e_i, e_j], i < j, from the Chevalley rows of x_a and x_-a, each
+        through to_compact, stored in both orders and ascending.
+
+        For each partner b of a (a key of either row), four lookups give
+        n = [x_a, x_b], [x_a, x_-b], [x_-a, x_b], [x_-a, x_-b]; with
+        e_i = x_a + s x_-a, e_j = x_b + t x_-b, [e_i, e_j] = n1 + t n2 + s n3 +
+        st n4, summed in the order of ``row_brackets``.  [x_+-a, h_m] give the
+        w_m entries, as the partner b = npos + m.  Row u_a takes [u_a, u_b] for
+        b > a, then [u_a, v_b] and [u_a, w_m]; the rows v_a follow them all.
+        """
+        rank, npos, adj, to_compact = self.rank, self.npos, self._adj, self.to_compact
+        ublocks, vblocks = [], []  # (i, j - b, e, t, s, [(b, n)]), row by row
+        for a in range(npos):
+            xa, xna = tadj[rank + a], tadj[rank + npos + a]
+            ns = [(b, (xa.get(rank + b, ()), xa.get(rank + npos + b, ()),
+                       xna.get(rank + b, ()), xna.get(rank + npos + b, ())))
+                  for b in sorted({(l - rank) % npos for row in (xa, xna) for l in row if l >= rank})]
+            ws = [(npos + m, (xa.get(m, ()), (), xna.get(m, ()), ()))
+                  for m in sorted({l for row in (xa, xna) for l in row if l < rank})]
+            up = [p for p in ns if p[0] > a]
+            ublocks += [(a, 0, 0, -1, -1, up), (a, npos, 1, 1, -1, ns + ws)]
+            vblocks.append((npos + a, npos, 2, 1, 1, up + ws))
+
+        def what() -> str:  # the bracket at hand, named only when it fails
+            return f"[{self.label(i)}, {self.label(j)}]"
+
+        for i, j0, e, t, s, pairs in ublocks + vblocks:
+            for b, (n1, n2, n3, n4) in pairs:
+                j = j0 + b
+                acc = dict(n1)
+                for r, c in n2:
+                    acc[r] = acc.get(r, 0) + t * c
+                for r, c in n3:
+                    acc[r] = acc.get(r, 0) + s * c
+                for r, c in n4:
+                    acc[r] = acc.get(r, 0) + s * t * c
+                terms = tuple(to_compact(acc, e, what).items())
+                adj[i][j] = terms
+                adj[j][i] = (((terms[0][0], -terms[0][1]),) if len(terms) == 1
+                             else tuple([(k, -c) for k, c in terms]))
 
     @cached_property
     def complex_type(self) -> ReductiveType:
@@ -136,15 +174,16 @@ class CompactBasis(BracketTable):
         rank, npos = self.rank, self.npos
         odd = e % 2
         sign = -1 if e % 4 >= 2 else 1
+        # h_j goes to w_j = 2 npos + j, X_a (j = rank + a) to u_a = a or v_a = npos + a
+        shift = npos * odd - rank
         out: dict = {}
         for j, c in x.items():
             if j < rank:
                 ok = odd
-                out[self.w(j)] = sign * c
+                out[j + 2 * npos] = sign * c
             elif j < rank + npos:
                 ok = x.get(j + npos, 0) == (c if odd else -c)
-                k = j - rank
-                out[self.v(k) if odd else self.u(k)] = sign * c
+                out[j + shift] = sign * c
             else:
                 ok = j - npos in x
             if not ok:

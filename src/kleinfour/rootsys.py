@@ -12,12 +12,13 @@ follow the extraspecial-pair construction on root indices: positive roots are
 ordered by height, then lexicographic coordinates, the extraspecial pair of
 each non-simple positive root gets the positive sign, and every other constant
 is forced by antisymmetry, the negation rule N(-a,-b) = -N(a,b), and the
-three- and four-root relations.  Each positive triple a + b = g gives the
-constants of all six of its sign variants at once, by the 3-cycle rule;
+three- and four-root relations.  The pairs a < b of each g = a + b have
+ht(a) <= ht(g)/2, so only those a are looked up.  Each positive triple gives
+the constants of all six of its sign variants at once, by the 3-cycle rule;
 every pair is checked against |N| = p+1 in both orders (p the largest k with
-b - k*a a root, and with a and b swapped), and both brackets
-[x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a] are stored; ``n_constant`` reads N
-back from that one store.
+b - k*a a root, and with a and b swapped, walked on the keys), and both
+brackets [x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a] are stored;
+``n_constant`` reads N back from that one store.
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table here and the compact form in ``realform``.  It has one store
@@ -367,16 +368,6 @@ class RootSystem:
             raise KeyError(coords)
         return k
 
-    def string_down(self, a: int, b: int) -> int:
-        """p = max k such that roots[b] - k*roots[a] is a root."""
-        step = self.keys[a]
-        cur = self.keys[b] - step
-        k = 0
-        while cur in self.key_index:
-            k += 1
-            cur -= step
-        return k
-
 
 def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     """Construct the full root system; rejects non-finite-type input."""
@@ -393,27 +384,18 @@ class BracketTable:
     ``_adj[i][j]`` is [e_i, e_j] as a tuple of (index, coefficient) terms,
     stored for both orders (the (j, i) entry is the negated tuple) and only
     when nonzero, so ``_adj[i]`` lists exactly the basis vectors with a
-    nonzero bracket against e_i.  It is the one store; ``brackets`` lists
-    its i < j half.  No diagonal bracket is ever stored.
+    nonzero bracket against e_i, in ascending order.  It is the one store;
+    ``brackets`` lists its i < j half.  No diagonal bracket is ever stored.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._adj: List[Dict[int, Tuple[Tuple[int, int], ...]]] = [{} for _ in range(dim)]
 
-    def _set(self, i: int, j: int, terms) -> None:
-        """Record [e_i, e_j] = terms (either order), dropping zero terms."""
-        terms = tuple([(k, c) for k, c in terms if c])
-        if not terms:
-            return
-        if i == j:
-            raise ValueError(f"nonzero diagonal bracket [e_{i}, e_{i}]")
-        self._adj[i][j] = terms
-        self._adj[j][i] = tuple([(k, -c) for k, c in terms])
-
     def brackets(self) -> Iterator[Tuple[int, int, Tuple[Tuple[int, int], ...]]]:
         """(i, j, [e_i, e_j]) for every nonzero bracket with i < j, in index order."""
-        return ((i, j, row[j]) for i, row in enumerate(self._adj) for j in sorted(row) if j > i)
+        return ((i, j, terms) for i, row in enumerate(self._adj)
+                for j, terms in row.items() if j > i)
 
     def pair_bracket(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
         """[e_i, e_j] as a sparse coefficient tuple."""
@@ -564,7 +546,7 @@ class StructureTable(BracketTable):
         """Constants and brackets on root indices; -a is a +- npos."""
         rs, rank, npos = self.rs, self.rank, self.npos
         cs, keys, at, norms = [r.coords for r in rs.roots], rs.keys, rs.key_index, rs.norms
-        adj, string_down = self._adj, rs.string_down
+        hts, adj = [r.height for r in rs.roots], self._adj
         # x[a][b] = [x_a, x_b] for the roots b with a + b a root or 0, in the
         # order found; the rows go into _adj sorted at the end
         x: List[Dict[int, Tuple[Tuple[int, int], ...]]] = [{} for _ in keys]
@@ -578,13 +560,17 @@ class StructureTable(BracketTable):
             h = tuple((i, c) for i, c in enumerate(rs.coroot(a)) if c)
             x[a][a + npos] = h
             x[a + npos][a] = tuple((i, -c) for i, c in h)
-        # special pairs, height-major; roots 0..rank-1 are the simple roots
+        # special pairs, height-major; roots 0..rank-1 are the simple roots, and
+        # the first `half` roots those of height <= ht(g)/2
+        half = 0
         for g in range(rank, npos):
             kg = keys[g]
-            pairs = [(a, b) for a in range(g) for b in (at.get(kg - keys[a], -1),) if a < b < npos]
+            while 2 * hts[half] <= hts[g]:
+                half += 1
+            pairs = [(a, b) for a in range(half) if (b := at.get(kg - keys[a], -1)) > a]
             ea, eb = pairs[0]  # extraspecial: minimal first member
             self.extraspecial[g] = (ea, eb)
-            # p + 1 by its own walk: the |N| = p + 1 check reads rs.string_down
+            # p + 1 by its own walk, apart from the check's
             p, down = 1, keys[eb] - keys[ea]
             while down in at:
                 p, down = p + 1, down - keys[ea]
@@ -620,12 +606,20 @@ class StructureTable(BracketTable):
                 na, nb = a + npos, b + npos
                 for u, w, c, val in ((a, b, g, v), (na, nb, ng, -v), (b, ng, na, s),
                                      (a, ng, nb, -t), (g, nb, a, s), (g, na, b, -t)):
-                    # |N| = p + 1 for both orders; nonzero by the check, and off
-                    # the diagonal: 2a is never a root
-                    if not string_down(u, w) == string_down(w, u) == abs(val) - 1:
-                        u, w = (u, w) if string_down(u, w) != abs(val) - 1 else (w, u)
+                    # |N| = p + 1 for both orders (pw roots w - u, w - 2u, ...,
+                    # pu roots u - w, ...); nonzero by the check, and off the
+                    # diagonal: 2a is never a root
+                    ku, kw = keys[u], keys[w]
+                    pw, down = 0, kw - ku
+                    while down in at:
+                        pw, down = pw + 1, down - ku
+                    pu, down = 0, ku - kw
+                    while down in at:
+                        pu, down = pu + 1, down - kw
+                    if not pw == pu == abs(val) - 1:
+                        u, w, pw = (u, w, pw) if pw != abs(val) - 1 else (w, u, pu)
                         raise ArithmeticError(
-                            f"|N{cs[u]},{cs[w]}| = {abs(val)} != p+1 = {string_down(u, w) + 1}")
+                            f"|N{cs[u]},{cs[w]}| = {abs(val)} != p+1 = {pw + 1}")
                     x[u][w] = ((rank + c, val),)
                     x[w][u] = ((rank + c, -val),)
         # [h_i, x_a] = <a, alpha_i^vee> x_a
@@ -674,18 +668,18 @@ def killing_form(t: BracketTable) -> List[Dict[int, int]]:
     """
     adj = t._adj
     # into[c][m] lists (j, [e_j, e_c]_m) over the nonzero terms
-    into: List[Dict[int, List[Tuple[int, int]]]] = [defaultdict(list) for _ in range(t.dim)]
+    into: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(t.dim)]
     for j, row in enumerate(adj):
         for c, terms in row.items():
             for m, v in terms:
-                into[c][m].append((j, v))
+                into[c].setdefault(m, []).append((j, v))
     B: List[Dict[int, int]] = []
     for row in adj:
-        acc: Dict[int, int] = defaultdict(int)
+        acc: Dict[int, int] = {}
         for m, terms in row.items():
             for c, w in terms:
                 for j, v in into[c].get(m, ()):
-                    acc[j] += w * v
+                    acc[j] = acc.get(j, 0) + w * v
         B.append({j: acc[j] for j in sorted(acc) if acc[j]})
     return B
 

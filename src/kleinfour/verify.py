@@ -162,9 +162,6 @@ class _Record:
         shown = ", ".join(f"{f}={v!r}" for f, v in vars(self).items() if f not in self._unshown)
         return f"{type(self).__name__}({shown})"
 
-    def _replace(self, **changes):
-        return type(self)(**{**vars(self), **changes})
-
 
 class CensusRow(_Record):
     descriptor: str

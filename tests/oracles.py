@@ -23,11 +23,16 @@ the fixed type of a torus involution on any simple type from the rank, root
 count and long-root count of each component of its even roots.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 HALF = Fraction(1, 2)
+
+# the types the library is checked on against the tuple-keyed oracles
+REFERENCE_TYPES = ["A1", "A2", "B2", "G2", "B3", "C3", "C4", "D4", "D5",
+                   "B5", "F4", "A5", "E6", "E7", "E8"]
 
 # Simple roots in the standard 8-coordinate realization, numbered so that the
 # branch node is alpha_4 and the diagram involution swaps 1<->6, 3<->5.
@@ -544,6 +549,71 @@ def chevalley_reference(rs):
             elif s in index:
                 put(rank + k1, rank + k2, ((rank + index[s], nconst[(a, b)]),))
     return adj, nconst, extraspecial
+
+
+def compact_reference(cb):
+    """(adj, killing) of a compact form by the generic route its build took
+    before it read the Chevalley rows.
+
+    One ``row_brackets`` walk brackets every pair of cb.parts on the Chevalley
+    table; each bracket sqrt(-1)^(e_i + e_j) x is read back into compact
+    coordinates (h_m to w_m, X_a to u_a for even e and to v_a for odd e, the
+    sign -1 when e is 2 mod 4), checked to be compact, and stored for both
+    orders with its zero terms dropped.  The Killing form is the Chevalley
+    trace, taken with ``defaultdict`` accumulators, carried through parts.
+    Reads cb.table (its _adj and row_brackets), cb.parts, cb.rank and cb.npos.
+    """
+    table, rank, npos = cb.table, cb.rank, cb.npos
+    powers, xs = zip(*cb.parts)
+
+    def to_compact(x, e):
+        out = {}
+        for j, c in x.items():
+            if j < rank:
+                assert e % 2, (x, e)
+                out[2 * npos + j] = -c if e % 4 >= 2 else c
+            elif j < rank + npos:
+                assert x.get(j + npos, 0) == (c if e % 2 else -c), (x, e)
+                out[j - rank + npos * (e % 2)] = -c if e % 4 >= 2 else c
+            else:
+                assert j - npos in x, (x, e)
+        return out
+
+    adj = [{} for _ in range(cb.dim)]
+    for i, acc in table.row_brackets(xs, xs):
+        for j in sorted(acc):
+            terms = tuple((k, c) for k, c in to_compact(acc[j], powers[i] + powers[j]).items() if c)
+            if terms:
+                adj[i][j] = terms
+                adj[j][i] = tuple((k, -c) for k, c in terms)
+    into = [defaultdict(list) for _ in range(table.dim)]
+    for j, row in enumerate(table._adj):
+        for c, terms in row.items():
+            for m, v in terms:
+                into[c][m].append((j, v))
+    B = []
+    for row in table._adj:
+        acc = defaultdict(int)
+        for m, terms in row.items():
+            for c, w in terms:
+                for j, v in into[c].get(m, ()):
+                    acc[j] += w * v
+        B.append({j: acc[j] for j in sorted(acc) if acc[j]})
+    holders = [[] for _ in range(table.dim)]
+    for j, x in enumerate(xs):
+        for q, c in x.items():
+            holders[q].append((j, c))
+    killing = []
+    for i, x in enumerate(xs):
+        acc = defaultdict(int)
+        for p, a in x.items():
+            for q, b in B[p].items():
+                for j, c in holders[q]:
+                    acc[j] += a * b * c
+        assert not any(acc[j] and (powers[i] + powers[j]) % 2 for j in acc), i
+        killing.append({j: acc[j] if powers[i] + powers[j] == 0 else -acc[j]
+                        for j in sorted(acc) if acc[j]})
+    return adj, killing
 
 
 # -- real-form names by Cartan's rule ----------------------------------------------

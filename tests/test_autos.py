@@ -18,7 +18,6 @@ from kleinfour.autos import (
     compose,
     compose_cols,
     conjugate,
-    diagram_automorphism,
     diagram_symmetries,
     identity_automorphism,
     inverse_cols,
@@ -35,6 +34,7 @@ from kleinfour.exactq import as_num, lincomb, signed_permutation
 from kleinfour.identify import fixed_subalgebra
 from kleinfour.rootsys import (BracketTable, _catalog_for_rank, build_root_system, cartan_matrix,
                                chevalley_table)
+from helpers import diagram_automorphism
 from oracles import (
     cartan_symmetries_by_scan,
     exp_ad_cols,
@@ -53,7 +53,7 @@ def fixed_dim(table, auto):
 
 def test_torus_zero_is_identity(e6):
     a = torus_involution(e6, [0] * 6)
-    assert a.is_identity()
+    assert a.order == 1
 
 
 def test_torus_wrong_length_rejected(e6):
@@ -106,7 +106,7 @@ def test_torus_columns_are_the_direct_character(label):
 
 def test_identity_permutation_gives_identity(e6):
     a = diagram_automorphism(e6, (0, 1, 2, 3, 4, 5))
-    assert a.is_identity()
+    assert a.order == 1
 
 
 def test_omega_involution_with_f4_fixed_dim(e6):
@@ -115,7 +115,7 @@ def test_omega_involution_with_f4_fixed_dim(e6):
     assert fixed_dim(e6, om) == 52
     # omega squared is the identity matrix
     sq = compose(om, om)
-    assert sq.is_identity()
+    assert sq.order == 1
 
 
 def test_omega_generator_images(e6):
@@ -177,13 +177,6 @@ def test_diagram_symmetries_of_a_disconnected_matrix_equal_the_permutation_scan(
 def test_rank8_diagram_symmetry_groups():
     sizes = {t: len(diagram_symmetries(cartan_matrix(t))) for t in ("A8", "B8", "C8", "D8", "E8")}
     assert sizes == {"A8": 2, "B8": 1, "C8": 1, "D8": 2, "E8": 1}
-
-
-def test_non_symmetry_permutation_rejected(e6):
-    with pytest.raises(ValueError, match="^permutation is not a Cartan-matrix symmetry$"):
-        diagram_automorphism(e6, (1, 0, 2, 3, 4, 5))
-    with pytest.raises(ValueError, match="^not a permutation of the simple roots$"):
-        diagram_automorphism(e6, (0, 0, 2, 3, 4, 5))
 
 
 # -- composition ---------------------------------------------------------------
@@ -857,8 +850,8 @@ def test_e7_torus_gradings_certify_in_one_batch():
         single = make_automorphism(table, cols, descriptor)
         assert (a.cols, a.order, a.pi, a.descriptor) == (
             single.cols, single.order, single.pi, single.descriptor), descriptor
-    assert sum(a.is_identity() for a in got) == 1
-    assert len({tuple(tuple(c.items()) for c in a.cols) for a in got if not a.is_identity()}) == 63
+    assert sum(a.order == 1 for a in got) == 1
+    assert len({tuple(tuple(c.items()) for c in a.cols) for a in got if a.order != 1}) == 63
     for a in random.Random(127).sample(got, 3):
         assert first_homomorphism_defect(table, a.cols) is None, a.descriptor
 
@@ -938,7 +931,7 @@ def test_parse_descriptor_roundtrip(e6):
     a = parse_descriptor(e6, "omega*torus:0,0,1,0,1,0")
     assert a.order == 2
     assert parse_descriptor(e6, "torus:0,1,0,0,0,0").descriptor == "torus:0,1,0,0,0,0"
-    assert parse_descriptor(e6, "identity").is_identity()
+    assert parse_descriptor(e6, "identity").order == 1
     with pytest.raises(ValueError):
         parse_descriptor(e6, "bogus:1")
     with pytest.raises(ValueError):
@@ -954,11 +947,11 @@ def test_torus_factor_that_is_the_identity_raises(label, text):
     error naming the descriptor and the type, with or without omega; all-even
     coefficients still name the identity on purpose."""
     table = chevalley_table(build_root_system(cartan_matrix(label)))
-    assert torus_involution(table, [int(x) for x in text[6:].split(",")]).is_identity()
+    assert torus_involution(table, [int(x) for x in text[6:].split(",")]).order == 1
     for desc in [text] + ["omega*" + text] * (label == "A5"):
         with pytest.raises(ValueError, match=f"'{re.escape(desc)}' is the identity of {label}$"):
             parse_descriptor(table, desc)
-    assert parse_descriptor(table, "torus:" + ",".join(["2"] + ["0"] * (table.rank - 1))).is_identity()
+    assert parse_descriptor(table, "torus:" + ",".join(["2"] + ["0"] * (table.rank - 1))).order == 1
 
 
 def test_a_twist_is_certified_once_as_the_product_of_its_factors(e6, monkeypatch):
@@ -1043,7 +1036,7 @@ def test_parsing_keeps_nothing_on_the_table_and_the_identity_is_freed_with_it():
     table = chevalley_table(build_root_system(cartan_matrix("A2")))
     before = dict(vars(table))
     ident = identity_automorphism(table)
-    assert ident.is_identity()
+    assert ident.order == 1
     assert parse_descriptor(table, "identity") == parse_descriptor(table, "id") == ident
     for text in ("omega", "omega*torus:1,0"):
         parse_descriptor(table, text)

@@ -29,6 +29,7 @@ from kleinfour.realform import compact_form, compact_matrix_cols
 from kleinfour.rootsys import (CartanMatrixError, _catalog_for_rank, build_root_system,
                                cartan_isomorphisms, cartan_matrix, chevalley_table, match_cartan)
 from kleinfour.verify import VerifyContext, run_all
+from helpers import set_bracket
 from oracles import (
     centralizer_dim,
     classify_even_subsystem,
@@ -370,7 +371,7 @@ def test_identify_names_the_pairing_check_a_tampered_a2_coroot_fails(a, b, messa
     the coroot of the simple weight (-2, 1) is wrong."""
     table = chevalley_table(build_root_system(cartan_matrix("A2")))
     assert table.rs.roots[1].coords == (1, 0)
-    table._set(table.rank + 1, table.rank + table.npos + 1, ((0, a), (1, b)))
+    set_bracket(table, table.rank + 1, table.rank + table.npos + 1, ((0, a), (1, b)))
     with pytest.raises(IdentifyError, match=f"^{re.escape(message)}$"):
         identify_type(fixed_subalgebra(table, []))
 

@@ -43,7 +43,9 @@ from kleinfour.realform import (
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext, run_all
-from oracles import cartan_real_form_name, exp_ad_cols, jacobi_defect, killing_reference, pairing
+from helpers import set_bracket
+from oracles import (REFERENCE_TYPES, cartan_real_form_name, compact_reference, exp_ad_cols,
+                     jacobi_defect, killing_reference, pairing)
 
 
 # -- compact form -----------------------------------------------------------------
@@ -92,6 +94,18 @@ def test_compact_killing_matches_the_all_pairs_trace(e6_compact, label):
     assert [list(r.items()) for r in cb.killing] == [
         list(r.items()) for r in killing_reference(cb)
     ]
+
+
+@pytest.mark.parametrize("label", [label for label in REFERENCE_TYPES if label not in ("E7", "E8")])
+def test_compact_table_and_killing_match_the_row_brackets_route(e6_compact, label):
+    # item for item, in key and term order, against the route through one
+    # row_brackets walk over parts; tests/table_cross_check.py runs E7 and E8
+    cb = e6_compact if label == "E6" else compact_form(
+        chevalley_table(build_root_system(cartan_matrix(label)))
+    )
+    adj, killing = compact_reference(cb)
+    assert [list(r.items()) for r in cb._adj] == [list(r.items()) for r in adj]
+    assert [list(r.items()) for r in cb.killing] == [list(r.items()) for r in killing]
 
 
 def test_w_bracket_u_proportional_to_v(e6_compact):
@@ -146,17 +160,12 @@ def test_to_compact_rejects_vectors_outside_the_compact_form(e6_compact):
         cb.to_compact({0: 1}, 0, lambda: "real h1")
 
 
-def test_compact_form_failure_names_the_bracket_pair(monkeypatch):
+def test_compact_form_failure_names_the_bracket_pair():
     """A bracket that leaves the compact form is named by its pair of compact
-    basis vectors, and the Chevalley vector where it leaves."""
+    basis vectors, and the Chevalley vector where it leaves: A1 with
+    [X_a, X_-a] = h + X_a gives [u, v] = 2 h + 2 X_a, an X_a without its X_-a."""
     t = chevalley_table(build_root_system(cartan_matrix("A1")))
-    real = t.row_brackets
-
-    def corrupted(xs, ys):  # [u, v] gains an X_a without its X_{-a}
-        for i, acc in real(xs, ys):
-            yield i, ({**acc, 1: {**acc[1], t.rank: 1}} if i == 0 else acc)
-
-    monkeypatch.setattr(t, "row_brackets", corrupted)
+    set_bracket(t, 1, 2, ((0, 1), (1, 1)))
     with pytest.raises(RealFormError) as err:
         compact_form(t)
     assert str(err.value) == "[u(1,), v(1,)] is not in the compact form (at x+[1])"
@@ -315,7 +324,7 @@ def test_split_rejects_a_bracket_of_k_that_escapes_k():
     """[w1, w2] = u_0 tampered into the table: w1 and w2 lie in k, and u_0,
     whose root alpha_2 pairs oddly with alpha_1^vee, in p."""
     cb, theta = _a2_split()
-    cb._set(cb.w(0), cb.w(1), [(cb.u(0), 1)])
+    set_bracket(cb, cb.w(0), cb.w(1), [(cb.u(0), 1)])
     with pytest.raises(RealFormError) as exc:
         cartan_decomposition(cb, theta)
     assert str(exc.value) == "[k,k] escapes k"

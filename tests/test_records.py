@@ -12,6 +12,7 @@ from kleinfour.identify import ReductiveType
 from kleinfour.realform import RealFormDescriptor
 from kleinfour.rootsys import Root
 from kleinfour.verify import Census, CensusRow, Configuration, Report, Step
+from helpers import replaced
 
 # each record class with the fields that == and hash ignore
 UNCOMPARED = {
@@ -40,7 +41,7 @@ def test_equality_and_hash_ignore_exactly_the_uncompared_fields(cls):
     record = _record(cls)
     assert record == _record(cls) and hash(record) == hash(_record(cls))
     for name in _fields(cls):
-        other = record._replace(**{name: "changed"})
+        other = replaced(record, **{name: "changed"})
         assert getattr(other, name) == "changed"
         if name in UNCOMPARED[cls]:
             assert other == record and hash(other) == hash(record), name
@@ -91,4 +92,4 @@ def test_census_rows_default_to_generic_provenance_and_reject_bad_fields():
 
 def test_census_of_the_shipped_context_is_equal_to_its_copy_without_conjugators(census):
     assert census.conjugators
-    assert census._replace(conjugators=()) == census
+    assert replaced(census, conjugators=()) == census

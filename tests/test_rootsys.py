@@ -20,7 +20,9 @@ from kleinfour.rootsys import (
     structure_table_to_jsonable,
     validate_cartan,
 )
+from helpers import set_bracket, string_down
 from oracles import (
+    REFERENCE_TYPES,
     chevalley_reference,
     e6_roots_8d,
     jacobi_defect,
@@ -32,11 +34,6 @@ from oracles import (
     verify_antisymmetry,
     verify_jacobi,
 )
-
-
-# the types the library is checked on against the tuple-keyed oracles
-REFERENCE_TYPES = ["A1", "A2", "B2", "G2", "B3", "C3", "C4", "D4", "D5",
-                   "B5", "F4", "A5", "E6", "E7", "E8"]
 
 
 def ordered_root_pairs(rs):
@@ -102,7 +99,7 @@ def test_root_strings_unbroken(e6_rs):
         for ib, b in enumerate(roots):
             if b in (a, tuple(-x for x in a)):
                 continue
-            p = e6_rs.string_down(ia, ib)
+            p = string_down(e6_rs, ia, ib)
             # walk upward to the top of the a-string through b
             q = 0
             cur = tuple(x + y for x, y in zip(b, a))
@@ -248,28 +245,31 @@ def _bracket(t, u, v):
 
 def test_bracket_table_stores_each_pair_once_for_both_orders():
     t = BracketTable(3)
-    t._set(2, 0, [(1, 3), (2, 0)])
+    set_bracket(t, 2, 0, [(1, 3), (2, 0)])
     assert list(t.brackets()) == [(0, 2, ((1, -3),))]
     assert t.pair_bracket(0, 2) == ((1, -3),)
     assert t.pair_bracket(2, 0) == ((1, 3),)
     assert t.pair_bracket(0, 1) == ()
     assert _bracket(t, {0: 1, 1: 5}, {2: 2}) == {1: -6}
     assert _bracket(t, {2: 2}, {0: 1, 1: 5}) == {1: 6}
+    assert t.pair_bracket(1, 1) == () and _bracket(t, {1: 1}, {1: 1}) == {}
     assert verify_antisymmetry(t)
-    t._adj[2][0] = ((1, 4),)  # one half edited behind _set's back
+    t._adj[2][0] = ((1, 4),)  # one half edited alone
+    assert not verify_antisymmetry(t)
+    t._adj[2][0] = ((1, 3),)
+    t._adj[1][1] = ((0, 2),)  # a diagonal bracket
     assert not verify_antisymmetry(t)
 
 
-def test_bracket_table_rejects_a_diagonal_bracket():
-    t = BracketTable(3)
-    t._set(1, 1, [(0, 0)])  # a zero bracket stores nothing
-    with pytest.raises(ValueError, match="diagonal"):
-        t._set(1, 1, [(0, 2)])
-    assert t.pair_bracket(1, 1) == ()
-    assert _bracket(t, {1: 1}, {1: 1}) == {}
-    assert verify_antisymmetry(t)
-    t._adj[1][1] = ((0, 2),)
-    assert not verify_antisymmetry(t)
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+def test_every_row_is_stored_ascending(label, e6_compact):
+    """brackets() reads each row in stored order, so both builds store every
+    row ascending: the Chevalley table and the compact form."""
+    t = chevalley_table(build_root_system(cartan_matrix(label)))
+    for table in [t] + [e6_compact] * (label == "E6"):
+        assert all(list(row) == sorted(row) for row in table._adj), label
+    assert [(i, j) for i, j, _ in t.brackets()] == sorted(
+        (i, j) for i, row in enumerate(t._adj) for j in row if i < j)
 
 
 def constants_on_root_sums(t):
@@ -324,27 +324,39 @@ def test_table_matches_the_tuple_keyed_reference(label):
     ]
 
 
-@pytest.mark.parametrize("label", ["G2", "E6"])
-def test_magnitude_certificate_runs_on_every_pair(monkeypatch, label):
+def _lengthened_string_message(label, forward):
+    """The |N| = p+1 raise of label's table when key_index claims the nonroot
+    just past one root string, so that string is one step longer.
+
+    The string is that of the pair (b, -g) of the first triple a + b = g,
+    forward, or (-g, b), reversed; the reversed string keeps its length.
+    Returns the raise's message and the one expected for that pair."""
+    t = chevalley_table(build_root_system(cartan_matrix(label)))
+    g = t.rank  # the first non-simple root, so its triple is checked first
+    _, b = t.extraspecial[g]
+    u, w = (b, g + t.npos) if forward else (g + t.npos, b)
     rs = build_root_system(cartan_matrix(label))
-    # the extraspecial constants walk their own root strings, so a wrong
-    # string_down can only show in the |N| = p+1 check of the pair loop
-    string_down = RootSystem.string_down
-    monkeypatch.setattr(RootSystem, "string_down", lambda self, a, b: string_down(self, a, b) + 1)
-    with pytest.raises(ArithmeticError, match=r"p\+1"):
+    rs.key_index[rs.keys[w] - (string_down(rs, u, w) + 1) * rs.keys[u]] = -1
+    with pytest.raises(ArithmeticError) as exc:
         chevalley_table(rs)
+    n, cs = abs(t.n_constant(u, w)), [r.coords for r in rs.roots]
+    return str(exc.value), f"|N{cs[u]},{cs[w]}| = {n} != p+1 = {n + 1}"
 
 
 @pytest.mark.parametrize("label", ["G2", "E6"])
-def test_magnitude_certificate_checks_the_reversed_order(monkeypatch, label):
-    rs = build_root_system(cartan_matrix(label))
-    # N is computed once per unordered pair; a string_down that is wrong only
-    # when its first root index is the larger must still fail the check
-    string_down = RootSystem.string_down
-    monkeypatch.setattr(RootSystem, "string_down",
-                        lambda self, a, b: string_down(self, a, b) + (a > b))
-    with pytest.raises(ArithmeticError, match=r"p\+1"):
-        chevalley_table(rs)
+def test_magnitude_certificate_runs_on_every_pair(label):
+    # (b, -g) is not the extraspecial pair, whose constant walks its own
+    # string, so a string one step too long can only show in the |N| = p+1 check
+    got, want = _lengthened_string_message(label, forward=True)
+    assert got == want
+
+
+@pytest.mark.parametrize("label", ["G2", "E6"])
+def test_magnitude_certificate_checks_the_reversed_order(label):
+    # N is computed once per unordered pair; a string that is wrong only in
+    # the reversed order must still fail the check, which names that order
+    got, want = _lengthened_string_message(label, forward=False)
+    assert got == want
 
 
 def test_root_closure_stops_at_the_finite_type_cap(monkeypatch):
@@ -386,19 +398,35 @@ def test_root_strings_one_step_too_long_fail_the_integrality_check():
     assert str(exc.value) == "non-integral constant at (1, 0, 0) + (0, 1, 1) = (1, 1, 1)"
 
 
+class _MembershipLog(dict):
+    """A key_index that logs every key tested with ``in``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tested = []
+
+    def __contains__(self, key):
+        self.tested.append(key)
+        return super().__contains__(key)
+
+
 @pytest.mark.parametrize("label, calls", [("G2", 60), ("F4", 816), ("E6", 1440), ("E7", 4032),
                                           ("E8", 13440)])
-def test_magnitude_certificate_walks_each_ordered_root_sum_once(monkeypatch, label, calls):
-    # a work pin: |N| = p+1 reads string_down once for each ordered pair whose
-    # sum is a root, so two calls for each such unordered pair, and no fewer
+def test_magnitude_certificate_walks_each_ordered_root_sum_once(label, calls):
+    # a work pin: the |N| = p+1 check walks the string of each of the `calls`
+    # ordered pairs (u, w) whose sum is a root once, testing the p roots
+    # w - u, ..., w - pu and the nonroot below them; each extraspecial pair
+    # walks its own string once more, and no other key is tested
     rs = build_root_system(cartan_matrix(label))
-    seen = []
-    string_down = RootSystem.string_down
-    monkeypatch.setattr(RootSystem, "string_down",
-                        lambda self, a, b: seen.append((a, b)) or string_down(self, a, b))
-    chevalley_table(rs)
-    assert len(seen) == calls
-    assert sorted(seen) == [(a, b) for a, b, s in ordered_root_pairs(rs) if rs.is_root(s)]
+    rs.key_index = log = _MembershipLog(rs.key_index)
+    t = chevalley_table(rs)
+    tested = list(log.tested)
+    walks = [(a, b) for a, b, s in ordered_root_pairs(rs) if rs.is_root(s)]
+    assert len(walks) == calls
+    walks += t.extraspecial.values()
+    keys = rs.keys
+    assert sorted(tested) == sorted(keys[w] - k * keys[u] for u, w in walks
+                                    for k in range(1, string_down(rs, u, w) + 2))
 
 
 def test_root_lookups_reject_coordinates_off_the_root_set(e6_rs):

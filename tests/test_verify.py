@@ -40,6 +40,7 @@ from kleinfour.verify import (
     verify_so81_klein_pair,
 )
 from kleinfour.rootsys import BracketTable
+from helpers import diagram_automorphism, replaced
 from oracles import first_homomorphism_defect, torus_census_buckets
 
 
@@ -423,7 +424,7 @@ def test_so9_klein_found_with_b4_gate(ctx):
 
 def test_so9_klein_exhausted_without_sigma3_rows(ctx, census, monkeypatch):
     rows = tuple(r for r in census.rows if r.label != "sigma3")
-    monkeypatch.setitem(ctx.__dict__, "census", census._replace(rows=rows))
+    monkeypatch.setitem(ctx.__dict__, "census", replaced(census, rows=rows))
     with pytest.raises(SearchExhausted, match=r"^no commuting \(sigma3, sigma2\) pair found$"):
         find_so9_klein(ctx)
 
@@ -493,7 +494,7 @@ def test_so9_pairs_match_the_generic_classifier(ctx):
 
 def test_so9_klein_without_conjugators_is_all_generic(ctx, census, monkeypatch):
     g = ctx.so9_klein
-    monkeypatch.setitem(ctx.__dict__, "census", census._replace(conjugators=()))
+    monkeypatch.setitem(ctx.__dict__, "census", replaced(census, conjugators=()))
     plain = find_so9_klein(ctx)
     how = plain.provenance["pairs"]
     assert len(how) == 12 and set(how.values()) == {"generic"}
@@ -806,7 +807,7 @@ def test_context_twists_are_omega_after_their_torus_factor(ctx):
     """Each twist parsed on the context's table is omega∘t, omega the diagram
     automorphism of E6's one nontrivial diagram symmetry."""
     (perm,) = [p for p in autos.diagram_symmetries(ctx.table.rs.cartan) if p != tuple(range(6))]
-    omega = autos.diagram_automorphism(ctx.table, perm).cols
+    omega = diagram_automorphism(ctx.table, perm).cols
     twists = ["omega*torus:0,1,0,0,0,0", "omega*torus:1,0,0,0,0,1", "omega*torus:0,0,0,0,0,0"]
     got = [ctx.automorphism(d) for d in twists]
     for d, a in zip(twists, got):
@@ -959,9 +960,9 @@ def test_census_labels_match_by_columns_not_by_name(ctx, rank3):
 
 def test_so82_reads_the_class_of_b_from_the_census(ctx, census, rank3, monkeypatch):
     """b's census row relabelled: the b class step shows the census's label and fails."""
-    rows = tuple(r._replace(label="sigma1") if r.descriptor == rank3.b else r
+    rows = tuple(replaced(r, label="sigma1") if r.descriptor == rank3.b else r
                  for r in census.rows)
-    monkeypatch.setitem(ctx.__dict__, "census", census._replace(rows=rows))
+    monkeypatch.setitem(ctx.__dict__, "census", replaced(census, rows=rows))
     monkeypatch.delitem(ctx.__dict__, "census_labels", raising=False)
     report = verify_so82_fixed_form(ctx)
     steps = _claims(report)
