@@ -144,16 +144,6 @@ class CompactBasis(BracketTable):
         """Reductive type of the whole complex algebra, identified once."""
         return identify_type(fixed_subalgebra(self.table, []))
 
-    # index helpers
-    def u(self, k: int) -> int:
-        return k
-
-    def v(self, k: int) -> int:
-        return self.npos + k
-
-    def w(self, i: int) -> int:
-        return 2 * self.npos + i
-
     def label(self, i: int) -> str:
         if i < self.npos:
             return "u" + str(self.table.rs.roots[i].coords)

@@ -5,9 +5,9 @@ comes out of the Cartan matrix alone; each positive root carries its pairings
 with the simple coroots, and the up-step a + alpha_i adds row i of the Cartan
 matrix to them.  Inside this module a root is named by
 its index in ``RootSystem.roots``; coordinate tuples appear only at the edges
-(``index``, ``is_root``, ``key``, basis labels, error messages, JSON).  Each
-root has the integer key sum_i m_i 64^i, so a sum or difference of roots is
-one integer addition and one dict lookup.  The structure constants N(a,b)
+(basis labels, error messages, JSON).  Each root has the integer key
+sum_i m_i 64^i, so a sum or difference of roots is one integer addition and
+one dict lookup.  The structure constants N(a,b)
 follow the extraspecial-pair construction on root indices: positive roots are
 ordered by height, then lexicographic coordinates, the extraspecial pair of
 each non-simple positive root gets the positive sign, and every other constant
@@ -212,24 +212,26 @@ def cartan_isomorphisms(A: Sequence[Sequence[int]],
     """
     n = len(C)
     order = [v for comp in dynkin_components(C) for v in comp]
-    p: List[int] = [0] * n
-    used = [False] * n
+    return _place(A, C, order, [0] * n, [False] * n, 0)
 
-    def place(k: int) -> Iterator[Tuple[int, ...]]:
-        if k == n:
-            if all(A[p[i]][p[j]] == C[i][j] for i in range(n) for j in range(n)):
-                yield tuple(p)
-            return
-        v = order[k]
-        for u in range(n):
-            p[v] = u  # checked against itself too, for the diagonal
-            if not used[u] and all(A[u][p[w]] == C[v][w] and A[p[w]][u] == C[w][v]
-                                   for w in order[:k + 1]):
-                used[u] = True
-                yield from place(k + 1)
-                used[u] = False
 
-    return place(0)
+def _place(A, C, order: List[int], p: List[int], used: List[bool],
+           k: int) -> Iterator[Tuple[int, ...]]:
+    """The relabelings that extend p on order[:k], placing order[k] next;
+    used marks the nodes of A that p takes."""
+    n = len(C)
+    if k == n:
+        if all(A[p[i]][p[j]] == C[i][j] for i in range(n) for j in range(n)):
+            yield tuple(p)
+        return
+    v = order[k]
+    for u in range(n):
+        p[v] = u  # checked against itself too, for the diagonal
+        if not used[u] and all(A[u][p[w]] == C[v][w] and A[p[w]][u] == C[w][v]
+                               for w in order[:k + 1]):
+            used[u] = True
+            yield from _place(A, C, order, p, used, k + 1)
+            used[u] = False
 
 
 def _catalog_for_rank(n: int) -> List[Tuple[str, int]]:
@@ -353,20 +355,6 @@ class RootSystem:
                 raise ArithmeticError(f"non-integral coroot coefficient for {coords}")
             out.append(c)
         return tuple(out)
-
-    def key(self, coords: Coords) -> int:
-        """sum_i m_i 64^i."""
-        return sum(map(mul, coords, self._place))
-
-    def is_root(self, coords: Coords) -> bool:
-        k = self.key_index.get(self.key(coords))
-        return k is not None and self.roots[k].coords == coords
-
-    def index(self, coords: Coords) -> int:
-        k = self.key_index.get(self.key(coords))
-        if k is None or self.roots[k].coords != coords:
-            raise KeyError(coords)
-        return k
 
 
 def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:

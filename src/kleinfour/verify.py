@@ -26,8 +26,8 @@ tuples of distinct census involutions, one per requested class, depth first in
 census order, so identical inputs find identical first configurations.  Each
 level carries, for every later class, the census rows still eligible
 (distinct from every chosen generator and commuting with each); choosing a
-generator narrows those lists by it once, lazily, so a commutation is tested
-once per chosen generator and prefix, not again for every deeper candidate.
+generator filters those lists by it once, so a commutation is tested once per
+chosen generator and prefix, not again for every deeper candidate.
 
 Both per-tuple gates are exact and need no elimination: commutation
 (autos.commutes, by pi and signs on census rows, by diag flags on two torus
@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import islice, product
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .autos import (
     Automorphism,
@@ -333,61 +333,44 @@ def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:
     return s
 
 
-class _Eligible:
-    """The census rows of ``source`` that are not ``x`` and commute with it, in
-    source order.  They are read lazily and kept, so every walk over them
-    shares one pass: a row is tested against x once, when a walk first
-    reaches it, and a row no walk reaches is never tested."""
-
-    def __init__(self, source: Iterable[CensusRow], x: Automorphism):
-        self._rows = (r for r in source if r.automorphism is not x and commutes(x, r.automorphism))
-        self._kept: List[CensusRow] = []
-
-    def __iter__(self):
-        kept, i = self._kept, 0
-        while True:
-            if i == len(kept):
-                row = next(self._rows, None)
-                if row is None:
-                    return
-                kept.append(row)
-            yield kept[i]
-            i += 1
-
-
 def _commuting_tuples(ctx: "VerifyContext", class_labels: Sequence[str], floor: int):
     """Pairwise commuting tuples of distinct census involutions, one per class.
 
-    Yields (descriptors, automorphisms, joint_fixed_dim) in census order,
-    depth first; each prefix keeps its character sum (autos.add_generator).
-    Each level holds, for itself and every later class, the census rows still
-    eligible: distinct from every chosen generator and commuting with each,
-    in census order.  Choosing x narrows the later lists by x once, lazily
-    (_Eligible), so a row is tested against each chosen generator once per
-    prefix, earlier generators first, and only when a walk reaches it.
-    Where two consecutive classes are equal, the next level reads the rows
-    after x in x's own list, so census positions increase and a set is
-    yielded once, in the order that comes first.  A partial tuple whose
-    character dimension is below ``floor`` is not extended: fixed spaces
-    only shrink as generators are added, so none of its extensions reaches
-    ``floor`` either.
+    Yields (automorphisms, joint_fixed_dim), depth first in census order
+    (_extend).
     """
-    def extend(descs: List[str], chars: CharacterSum, cands: list):
-        k = len(descs)
-        for i, row in enumerate(cands[0]):
-            x = row.automorphism
-            chosen, last = descs + [row.descriptor], k + 1 == len(class_labels)
-            more = add_generator(chars, x, last)
-            if last:
-                yield chosen, list(more.gens), more.dim
-            elif more.dim >= floor:
-                later = cands[1:]
-                if class_labels[k + 1] == class_labels[k]:
-                    later[0] = islice(cands[0], i + 1, None)
-                yield from extend(chosen, more, [_Eligible(c, x) for c in later])
-
     pools = [[r for r in ctx.census.rows if r.label == lab] for lab in class_labels]
-    yield from extend([], CharacterSum(), pools)
+    return _extend(class_labels, floor, CharacterSum(), pools)
+
+
+def _extend(class_labels: Sequence[str], floor: int, chars: CharacterSum, cands: list):
+    """The tuples that extend the prefix chars.gens, from cands: for the next
+    class and every later one, the census rows still eligible (distinct from
+    every chosen generator and commuting with each), in census order.
+
+    Each prefix keeps its character sum (autos.add_generator).  Choosing x
+    filters each later list by x once, so a row is tested against each
+    chosen generator once per prefix, earlier generators first.  Where two
+    consecutive classes are equal, the next list is the rows after x in x's
+    own list, so census positions increase and a set is yielded once, in
+    the order that comes first.  A partial tuple whose character dimension
+    is below ``floor`` is not extended: fixed spaces only shrink as
+    generators are added, so none of its extensions reaches ``floor`` either.
+    """
+    k = len(chars.gens)
+    last = k + 1 == len(class_labels)
+    for i, row in enumerate(cands[0]):
+        x = row.automorphism
+        more = add_generator(chars, x, last)
+        if last:
+            yield more.gens, more.dim
+        elif more.dim >= floor:
+            later = cands[1:]
+            if class_labels[k + 1] == class_labels[k]:
+                later[0] = cands[0][i + 1:]
+            later = [[r for r in c if r.automorphism is not x and commutes(x, r.automorphism)]
+                     for c in later]
+            yield from _extend(class_labels, floor, more, later)
 
 
 def find_so9_klein(ctx: "VerifyContext") -> Configuration:
@@ -403,8 +386,7 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     if none).  The count of gated pairs and each pair's provenance are recorded.
     """
     table = ctx.table
-    found = [(tuple(pair), dim)
-             for _, pair, dim in _commuting_tuples(ctx, ["sigma3", "sigma2"], 0)]
+    found = list(_commuting_tuples(ctx, ["sigma3", "sigma2"], 0))
     if not found:
         raise SearchExhausted("no commuting (sigma3, sigma2) pair found")
     labels = _label_by_conjugacy(
@@ -454,7 +436,7 @@ def search_configuration(
     """
     check_class_labels(class_labels)
     want = type_dim(target_type)
-    for found, autos, dim in _commuting_tuples(ctx, class_labels, want):
+    for autos, dim in _commuting_tuples(ctx, class_labels, want):
         if dim == want and str(identify_type(_gated_fixed(ctx.table, autos, dim))) == target_type:
             break
     else:
@@ -462,13 +444,13 @@ def search_configuration(
             f"no configuration with classes {list(class_labels)} and fixed type {target_type}"
         )
     return Configuration(
-        a=found[0],
-        b=found[1],
-        theta=found[2] if len(found) == 3 else None,
+        a=autos[0].descriptor,
+        b=autos[1].descriptor,
+        theta=autos[2].descriptor if len(autos) == 3 else None,
         labels=dict(zip(("a", "b", "theta"), class_labels)),
         provenance={"search": "generic", "classes": ",".join(class_labels),
                     "target": target_type},
-        automorphisms=tuple(autos),
+        automorphisms=autos,
     )
 
 

@@ -2,7 +2,8 @@
 
 ``set_bracket`` writes one bracket into a table's store, both orders, as a
 corrupting test wants it; ``string_down`` walks a root string on the root
-system's keys; ``diagram_automorphism`` certifies the automorphism of any
+system's keys; ``root_key`` and ``root_index`` find a root by its
+coordinates; ``diagram_automorphism`` certifies the automorphism of any
 Dynkin-diagram symmetry (the library builds only omega's); ``replaced`` copies
 a frozen record with some fields changed.
 """
@@ -27,6 +28,19 @@ def string_down(rs, a, b):
     while cur in rs.key_index:
         k, cur = k + 1, cur - rs.keys[a]
     return k
+
+
+def root_key(rs, coords):
+    """sum_i m_i 64^i, the key by which rs.key_index finds a root."""
+    return sum(m * p for m, p in zip(coords, rs._place))
+
+
+def root_index(rs, coords):
+    """The index of the root with these coordinates, or None if none has them:
+    keys collide off the root set, so the root found by the key must have
+    exactly these coordinates."""
+    k = rs.key_index.get(root_key(rs, coords))
+    return k if k is not None and rs.roots[k].coords == tuple(coords) else None
 
 
 def diagram_automorphism(table, perm):

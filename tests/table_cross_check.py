@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
+from helpers import root_index  # noqa: E402
 from oracles import chevalley_reference, compact_reference  # noqa: E402
 
 
@@ -27,7 +28,8 @@ def chevalley_differs(label):
     rs = build_root_system(cartan_matrix(label))
     t = chevalley_table(rs)
     adj, _, extraspecial = chevalley_reference(rs)
-    special = [(rs.index(g), (rs.index(a), rs.index(b))) for g, (a, b) in extraspecial.items()]
+    special = [(root_index(rs, g), (root_index(rs, a), root_index(rs, b)))
+               for g, (a, b) in extraspecial.items()]
     return rows(t._adj) != rows(adj) or list(t.extraspecial.items()) != special
 
 

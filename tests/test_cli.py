@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -597,6 +599,33 @@ def test_three_class_search_prints_theta():
         "theta = torus:1,0,0,0,0,1\n"
         'labels: {"a": "sigma3", "b": "sigma2", "theta": "sigma2"}\n'
     )
+
+
+def test_requests_leave_no_cyclic_garbage_of_the_package():
+    """A recursive closure is a function-cell cycle that only the cycle
+    collector frees.  After a warm-up, the garbage of a B3 exhaustion, an
+    identify request and verify census holds no function of the package and
+    no cell that refers to one (argparse's own cycles are the standard
+    library's)."""
+    requests = [["search", "--classes", "sigma3,sigma2,sigma1", "--target", "B3"],
+                ["identify", "--auto", "torus:1,0,0,0,0,0"], ["verify", "census"]]
+    ours = lambda f: isinstance(f, types.FunctionType) and str(f.__module__).startswith("kleinfour")
+    for argv in requests:
+        run_cli(argv)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        codes = [run_cli(argv)[0] for argv in requests]
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert codes == [1, 0, 0]
+    functions = [f.__qualname__ for f in garbage if ours(f)]
+    cells = [c for c in garbage
+             if isinstance(c, types.CellType) and any(map(ours, gc.get_referents(c)))]
+    assert (functions, cells) == ([], [])
 
 
 def test_entry_point_subprocess():

@@ -29,7 +29,7 @@ from kleinfour.realform import compact_form, compact_matrix_cols
 from kleinfour.rootsys import (CartanMatrixError, _catalog_for_rank, build_root_system,
                                cartan_isomorphisms, cartan_matrix, chevalley_table, match_cartan)
 from kleinfour.verify import VerifyContext, run_all
-from helpers import set_bracket
+from helpers import root_index, set_bracket
 from oracles import (
     centralizer_dim,
     classify_even_subsystem,
@@ -78,8 +78,8 @@ def test_automorphism_of_another_algebra_rejected(e6):
 def test_fixed_subalgebra_closure_is_verified(e6):
     # the constructor re-checks closure; a non-closed span must be rejected
     rs = e6.rs
-    x_a = {6 + rs.index((1, 0, 0, 0, 0, 0)): 1}
-    x_b = {6 + rs.index((0, 0, 1, 0, 0, 0)): 1}
+    x_a = {6 + root_index(rs, (1, 0, 0, 0, 0, 0)): 1}
+    x_b = {6 + root_index(rs, (0, 0, 1, 0, 0, 0)): 1}
     with pytest.raises(IdentifyError, match="closed"):
         subalgebra_from_vectors(e6, [x_a, x_b])
 
@@ -299,7 +299,7 @@ def test_identify_fails_loudly_without_maximal_toral_part(label, cartan, root, t
     # is zero, and span{h1 + 2h2, x_a1} on A2, where a1(h1 + 2h2) = 2 - 2 = 0;
     # identification must refuse rather than guess
     table = sweep_table(label)
-    s = subalgebra_from_vectors(table, cartan + [{table.rank + table.rs.index(root): 1}])
+    s = subalgebra_from_vectors(table, cartan + [{table.rank + root_index(table.rs, root): 1}])
     with pytest.raises(IdentifyError) as err:
         identify_type(s)
     assert str(err.value) == _maximal_toral_message(t_dim, cdim)
@@ -354,7 +354,7 @@ def test_identify_rejects_borel_as_not_negation_stable(e6):
 def test_identify_names_the_weight_check_a_closed_a2_span_fails(roots, message):
     """h_1 and root vectors of A2: closed spans in which h_1 is maximal toral."""
     table = sweep_table("A2")
-    s = subalgebra_from_vectors(table, [{0: 1}] + [{table.rank + table.rs.index(r): 1}
+    s = subalgebra_from_vectors(table, [{0: 1}] + [{table.rank + root_index(table.rs, r): 1}
                                                    for r in roots])
     with pytest.raises(IdentifyError, match=f"^{re.escape(message)}$"):
         identify_type(s)
@@ -498,6 +498,16 @@ def test_match_undoes_a_first_placement_on_the_branch_node():
     assert match_cartan(A) == ("E", 6)
     isos = list(cartan_isomorphisms(A, C))
     assert len(isos) == 2 and all(p[0] != 0 for p in isos)
+
+
+@pytest.mark.parametrize("label, walk", [
+    ("D4", [(0, 1, 2, 3), (0, 1, 3, 2), (2, 1, 0, 3), (2, 1, 3, 0), (3, 1, 0, 2), (3, 1, 2, 0)]),
+    ("E6", [(0, 1, 2, 3, 4, 5), (5, 1, 4, 3, 2, 0)]),
+])
+def test_walk_yields_the_diagram_symmetries_in_placement_order(label, walk):
+    # literal and unsorted: the order in which the walk yields is pinned
+    C = cartan_matrix(label)
+    assert list(cartan_isomorphisms(C, C)) == walk
 
 
 def test_walk_tells_b4_from_c4_in_every_relabeling():

@@ -345,7 +345,8 @@ def test_character_dim_matches_fixed_subalgebra(ctx, labels):
     label_of = {r.descriptor: r.label for r in ctx.census.rows}
     tuples = list(islice(verify._commuting_tuples(ctx, labels, 0), 3))
     assert tuples, labels
-    for descs, autos, dim in tuples:
+    for autos, dim in tuples:
+        descs = [a.descriptor for a in autos]
         assert [label_of[d] for d in descs] == labels
         assert len(set(descs)) == len(descs)
         assert all(commutes(x, y) for x, y in combinations(autos, 2))
@@ -378,7 +379,7 @@ def test_enumerator_dims_match_column_character_sums(ctx, labels, count):
         return key
 
     seen = 0
-    for _, (a, b, c), dim in verify._commuting_tuples(ctx, labels, 0):
+    for (a, b, c), dim in verify._commuting_tuples(ctx, labels, 0):
         total = ctx.table.dim + sum(sum(col.get(j, 0) for j, col in enumerate(x.cols))
                                     for x in (a, b, c))
         total += sum(pair_traces[pair(x, y)] for x, y in ((a, b), (a, c), (b, c)))
@@ -397,7 +398,8 @@ def test_enumerator_yields_each_commuting_set_once(ctx, labels):
     pools = [[r.automorphism for r in ctx.census.rows if r.label == lab] for lab in labels]
     sets = {frozenset(a.descriptor for a in t) for t in product(*pools)
             if len(set(map(id, t))) == len(t) and all(commutes(x, y) for x, y in combinations(t, 2))}
-    yielded = [frozenset(d) for d, _, _ in verify._commuting_tuples(ctx, labels, 0)]
+    yielded = [frozenset(a.descriptor for a in t)
+               for t, _ in verify._commuting_tuples(ctx, labels, 0)]
     assert len(yielded) == len(set(yielded)) == len(sets)
     assert set(yielded) == sets
 
@@ -446,7 +448,8 @@ def test_so9_klein_deterministic(ctx):
 
 def _so9_pairs(ctx):
     """Descriptor pair -> automorphism pair of every gated (sigma3, sigma2) pair."""
-    return {tuple(d): tuple(p) for d, p, _ in verify._commuting_tuples(ctx, ["sigma3", "sigma2"], 0)}
+    return {(a.descriptor, b.descriptor): (a, b)
+            for (a, b), _ in verify._commuting_tuples(ctx, ["sigma3", "sigma2"], 0)}
 
 
 def _so9_roots(how):
@@ -584,8 +587,8 @@ def test_so9_klein_falsified_when_a_labelled_pair_has_another_character_dim(ctx,
     real = verify._commuting_tuples
 
     def shifted(*args):
-        for descs, gens, dim in real(*args):
-            yield descs, gens, dim - 1 if tuple(descs) == (da, db) else dim
+        for gens, dim in real(*args):
+            yield gens, dim - 1 if tuple(a.descriptor for a in gens) == (da, db) else dim
 
     monkeypatch.setattr(verify, "_commuting_tuples", shifted)
     with pytest.raises(SearchExhausted, match=re.escape(
@@ -707,27 +710,31 @@ def _enumeration_oracle(ctx, labels, floor):
 ], ids=lambda v: ",".join(v) if isinstance(v, list) else str(v))
 def test_enumerator_yields_the_oracle_sequence_in_order(ctx, labels, floor):
     """First match in census order wins, so the order is part of the contract:
-    the enumerator yields exactly the oracle's sequence of descriptors and
-    dims, and its automorphisms are the rows the descriptors name."""
+    the enumerator yields exactly the oracle's sequence of census rows and
+    dims, as the rows' certified automorphisms."""
     by_desc = {r.descriptor: r.automorphism for r in ctx.census.rows}
     got = []
-    for descs, autos, dim in verify._commuting_tuples(ctx, labels, floor):
+    for autos, dim in verify._commuting_tuples(ctx, labels, floor):
+        descs = [a.descriptor for a in autos]
         assert all(a is by_desc[d] for d, a in zip(descs, autos))
         got.append((descs, dim))
     assert got == _enumeration_oracle(ctx, labels, floor)
 
 
 @pytest.mark.parametrize("labels, target, calls",
-                         [(*menu, calls) for menu, calls in zip(SEARCH_MENU, (9, 4, 48, 324, 396))],
+                         [(*menu, calls) for menu, calls in zip(SEARCH_MENU, (26, 36, 48, 324, 396))],
                          ids=lambda v: ",".join(v) if isinstance(v, list) else str(v))
 def test_search_tests_each_commutation_once_per_chosen_generator(ctx, monkeypatch, labels, target,
                                                                    calls):
-    # a work pin: a row is tested against x once for each prefix that ends in
-    # x.  The exhaustion tests the 27 sigma2 and 36 sigma1 rows against each
-    # of the 4 sigma3 rows, and the 36 commuting (sigma2, sigma1) pairs once
-    # under each: 108 + 144 + 144 = 396, where re-testing every candidate
-    # against every chosen generator at each prefix makes 684.  The early
-    # hits and the two-class exhaustions make the calls of that re-test.
+    # a work pin: choosing x filters each later list by x once per prefix
+    # that ends in x, whole, before the first candidate is extended.  The
+    # exhaustion tests the 27 sigma2 and 36 sigma1 rows against each of the 4
+    # sigma3 rows, and the 36 commuting (sigma2, sigma1) pairs once under
+    # each: 108 + 144 + 144 = 396, where re-testing every candidate against
+    # every chosen generator at each prefix makes 684.  An early hit pays for
+    # the whole later list of each generator it chose: the first sigma2 is
+    # tested against the 26 after it, and the first sigma3 against the 36
+    # sigma1 rows.
     ctx.census
     seen = []
     real = verify.commutes
