@@ -150,7 +150,8 @@ def _cmd_roots(args) -> int:
             coords = ",".join(str(c) for c in r.coords)
             lines.append(f"{i:3d}  height {r.height:3d}  [{coords}]")
         if args.table:
-            nz = sum(len(terms) for _, _, terms in ctx.table.brackets())
+            # the store holds each bracket in both orders, with as many terms
+            nz = sum(len(terms) for row in ctx.table._adj for terms in row.values()) // 2
             lines.append(f"structure table: dim {ctx.table.dim}, {nz} stored bracket terms")
         rendered = "\n".join(lines)
     if args.golden_dir:

@@ -1,17 +1,18 @@
 """Compact real form, Cartan decompositions, real forms of fixed algebras.
 
-The compact form is held in the rational basis
+The compact form u is held in the rational basis
     u_a = X_a - X_{-a},   v_a = sqrt(-1)(X_a + X_{-a}),   w_i = sqrt(-1) h_i
 for positive roots a; sqrt(-1) lives only in the basis labels, never in an
-entry.  Structure constants in this basis are carried over from the Chevalley
-table, not derived by hand: each basis vector is sqrt(-1)^e times a Chevalley
-vector, so its brackets are sums of Chevalley brackets, read from the rows of
-X_a and X_{-a} and taken back into compact coordinates by the one map
-``CompactBasis.to_compact``, which rejects any result outside the compact
-form.  The same map gives automorphisms their compact columns.  The Killing
-form is a trace, so it is traced once on the Chevalley table and carried to
-this basis through the same sqrt(-1)^e x; it must come out real and negative
-definite -- a failure signals a structure-constant bug and is fatal.
+entry.  u is the fixed set of omega_0 o (complex conjugation), with omega_0:
+X_a -> -X_{-a}, h_i -> -h_i the Chevalley involution (Knapp, Lie Groups
+Beyond an Introduction, VI.1), so u is closed under the bracket once omega_0
+is certified as an automorphism: N(-a,-b) = -N(a,b) on every pair, with the
+[X_a, X_{-a}] relations.  Its brackets are never tabulated.  The one map
+``CompactBasis.to_compact`` gives automorphisms their compact columns and
+rejects any image outside the compact form.  The Killing form is a trace, so
+it is traced once on the Chevalley table and carried to this basis through
+the same sqrt(-1)^e x; it must come out real and negative definite -- a
+failure signals a structure-constant bug and is fatal.
 
 Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
@@ -20,10 +21,9 @@ of real form names, whose every row a test derives by Cartan's rule.  One
 routine, ``cartan_decomposition``, splits the fixed subalgebra of a group
 gamma (trivial for the whole algebra) under theta, reading k and p directly
 as joint eigenspaces on the compact basis (for signed permutations, orbit
-vectors of one or two entries).  Complexified types are
-identified on the complex side: gamma and theta preserve the compact form, so
-k + p is a real form of the complex fixed space once dim k + dim p equals its
-dimension (asserted, not assumed).
+vectors of one or two entries); their relations are walked on the
+Chevalley table over k_C and p_C, which they span, and where complexified
+types are identified.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactq import SpanSolver, joint_eigenspace, lincomb, rref, symmetric_inertia
-from .autos import Automorphism, commutes
+from .autos import Automorphism, commutes, make_automorphism
 from .identify import ReductiveType, center_of, first_escape, fixed_subalgebra, identify_type
-from .rootsys import BracketTable, StructureTable, killing_form
+from .rootsys import StructureTable, killing_form
 
 
 class RealFormError(Exception):
@@ -51,8 +51,8 @@ class CatalogMissError(LookupError):
 # Compact form
 # ---------------------------------------------------------------------------
 
-class CompactBasis(BracketTable):
-    """Rational structure table of the compact real form.
+class CompactBasis:
+    """The compact real form in its rational basis, with its Killing form.
 
     Basis indices: 0..npos-1 are u_a, npos..2npos-1 are v_a (positive roots in
     canonical order), 2npos..2npos+rank-1 are w_i.  ``parts[i] = (e, x)``
@@ -60,17 +60,20 @@ class CompactBasis(BracketTable):
     """
 
     def __init__(self, table: StructureTable):
-        super().__init__(2 * table.rs.npos + table.rank)
         self.table = table
         self.rank = rank = table.rank
         self.npos = npos = table.rs.npos
+        self.dim = 2 * npos + rank
         self.parts: Tuple[Tuple[int, dict], ...] = tuple(
             [(0, {rank + k: 1, rank + npos + k: -1}) for k in range(npos)]
             + [(1, {rank + k: 1, rank + npos + k: 1}) for k in range(npos)]
             + [(1, {i: 1}) for i in range(rank)]
         )
         powers, xs = zip(*self.parts)
-        self._fill(table._adj)
+        # omega_0, a signed permutation of order 2, certified in one walk
+        make_automorphism(table, [{i: -1} for i in range(rank)]
+                          + [{rank + (k + npos) % (2 * npos): -1} for k in range(2 * npos)],
+                          "chevalley-involution")
         # the Killing form is a trace, so it is the Chevalley one carried through
         # parts: B(i, j) = sqrt(-1)^(e_i + e_j) sum x_i[p] x_j[q] B(p, q), which must
         # vanish when e_i + e_j is odd; holders[q] lists the (j, x_j[q]), two at most
@@ -97,48 +100,6 @@ class CompactBasis(BracketTable):
                 f"expected (0, {self.dim}, 0); structure constants are wrong"
             )
 
-    def _fill(self, tadj: Sequence[dict]) -> None:
-        """[e_i, e_j], i < j, from the Chevalley rows of x_a and x_-a, each
-        through to_compact, stored in both orders and ascending.
-
-        For each partner b of a (a key of either row), four lookups give
-        n = [x_a, x_b], [x_a, x_-b], [x_-a, x_b], [x_-a, x_-b]; with
-        e_i = x_a + s x_-a, e_j = x_b + t x_-b, [e_i, e_j] = n1 + t n2 + s n3 +
-        st n4, summed in the order of ``row_brackets``.  [x_+-a, h_m] give the
-        w_m entries, as the partner b = npos + m.  Row u_a takes [u_a, u_b] for
-        b > a, then [u_a, v_b] and [u_a, w_m]; the rows v_a follow them all.
-        """
-        rank, npos, adj, to_compact = self.rank, self.npos, self._adj, self.to_compact
-        ublocks, vblocks = [], []  # (i, j - b, e, t, s, [(b, n)]), row by row
-        for a in range(npos):
-            xa, xna = tadj[rank + a], tadj[rank + npos + a]
-            ns = [(b, (xa.get(rank + b, ()), xa.get(rank + npos + b, ()),
-                       xna.get(rank + b, ()), xna.get(rank + npos + b, ())))
-                  for b in sorted({(l - rank) % npos for row in (xa, xna) for l in row if l >= rank})]
-            ws = [(npos + m, (xa.get(m, ()), (), xna.get(m, ()), ()))
-                  for m in sorted({l for row in (xa, xna) for l in row if l < rank})]
-            up = [p for p in ns if p[0] > a]
-            ublocks += [(a, 0, 0, -1, -1, up), (a, npos, 1, 1, -1, ns + ws)]
-            vblocks.append((npos + a, npos, 2, 1, 1, up + ws))
-
-        def what() -> str:  # the bracket at hand, named only when it fails
-            return f"[{self.label(i)}, {self.label(j)}]"
-
-        for i, j0, e, t, s, pairs in ublocks + vblocks:
-            for b, (n1, n2, n3, n4) in pairs:
-                j = j0 + b
-                acc = dict(n1)
-                for r, c in n2:
-                    acc[r] = acc.get(r, 0) + t * c
-                for r, c in n3:
-                    acc[r] = acc.get(r, 0) + s * c
-                for r, c in n4:
-                    acc[r] = acc.get(r, 0) + s * t * c
-                terms = tuple(to_compact(acc, e, what).items())
-                adj[i][j] = terms
-                adj[j][i] = (((terms[0][0], -terms[0][1]),) if len(terms) == 1
-                             else tuple([(k, -c) for k, c in terms]))
-
     @cached_property
     def complex_type(self) -> ReductiveType:
         """Reductive type of the whole complex algebra, identified once."""
@@ -159,7 +120,7 @@ class CompactBasis(BracketTable):
         on every pair X_a, X_{-a} and vanish on the Cartan; for odd e it must
         be symmetric on every pair.  Otherwise RealFormError names what() and
         the first Chevalley basis vector where this fails; what is called only
-        then, since most callers convert thousands of vectors that pass.
+        then, since a caller converts every basis vector and most pass.
         """
         rank, npos = self.rank, self.npos
         odd = e % 2
@@ -184,7 +145,7 @@ class CompactBasis(BracketTable):
 
 
 def compact_form(table: StructureTable) -> CompactBasis:
-    """Build the compact real form table; definiteness is verified inside."""
+    """Build the compact real form; closure and definiteness are verified inside."""
     return CompactBasis(table)
 
 
@@ -265,6 +226,10 @@ def _check_theta(theta: Automorphism, others: Sequence[Automorphism]) -> None:
             raise RealFormError(f"{g.descriptor} does not commute with theta = {theta.descriptor}")
 
 
+def _negated(cols: Sequence[dict]) -> Tuple[dict, ...]:
+    return tuple({i: -c for i, c in col.items()} for col in cols)
+
+
 def cartan_decomposition(
     cb: CompactBasis,
     theta: Automorphism,
@@ -273,40 +238,48 @@ def cartan_decomposition(
     """Split the gamma-fixed compact subalgebra under theta and name its real form.
 
     gamma lists the generators of the fixed group; empty means the whole
-    algebra.  k is the joint +1 eigenspace of gamma and theta on the compact
-    basis, p that of gamma and -theta; both are plain spans (SpanSolver),
-    since p is no subalgebra and k's closure is the [k,k] relation below.
-    The noncompact real form is k + sqrt(-1) p.  Verified: theta has order 1
-    or 2 and commutes with gamma, both preserve the compact form, dim k +
-    dim p is the dimension of the complex fixed algebra of gamma, [k,k] in
-    k, [k,p] in p, [p,p] in k, the Killing form is negative definite on k
-    and on p.  k and p meet in 0 in the compact gamma-fixed space, of real
-    dimension at most the complex one, so the fill check makes k + p all of it
-    and dim k = dim k_C, the complex fixed algebra of gamma+theta that gives
-    k's type (as dim p <= dim p_C and theta splits the space into k_C + p_C).
+    algebra.  k and p are the joint eigenspaces of gamma and +-theta on the
+    compact basis, plain spans (SpanSolver); k_C and p_C those on the
+    Chevalley basis, k_C being the fixed subalgebra that gives k's type.  The
+    noncompact real form is k + sqrt(-1) p.  Verified: theta has order 1 or 2
+    and commutes with gamma, both preserve u, dim k + dim p is the dimension
+    of gamma's complex fixed algebra, dim k_C = dim k, dim p_C = dim p,
+    [k_C,k_C] in k_C (the closure walk of ``fixed_subalgebra``), [k_C,p_C] in
+    p_C, [p_C,p_C] in k_C, and the Killing form is negative definite on k and p.
+
+    Hence [k,k] in k, [k,p] in p and [p,p] in k.  gamma and theta act on u by
+    their compact columns, so the complex span of k lies in k_C; it has
+    dimension dim k = dim k_C, as u meets sqrt(-1) u in 0, so it is k_C, and
+    x + sqrt(-1) y in u with x, y in k has y = 0: u & k_C = k, and likewise
+    u & p_C = p.  u is closed, omega_0 being certified, so [k,p] lies in
+    u & [k_C,p_C], inside u & p_C = p, and so on.
     """
     gens = list(gamma)
     _check_theta(theta, gens)
     gcols = [compact_matrix_cols(cb, g) for g in gens]
     tcols = compact_matrix_cols(cb, theta)
-    minus = tuple({i: -c for i, c in col.items()} for col in tcols)
     kpart, ppart = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols])))
-                    for cols in (tcols, minus))
-    g_complex = fixed_subalgebra(cb.table, gens)
+                    for cols in (tcols, _negated(tcols)))
+    table = cb.table
+    g_complex = fixed_subalgebra(table, gens)
     if kpart.dim + ppart.dim != g_complex.dim:
         raise RealFormError(f"theta does not split the fixed algebra: dim k {kpart.dim} + dim p "
                             f"{ppart.dim} != dim {g_complex.dim} of gamma's complex fixed space")
-    for xs, ys, into, what in ((kpart, kpart, kpart, "[k,k] escapes k"),
-                               (kpart, ppart, ppart, "[k,p] escapes p"),
-                               (ppart, ppart, kpart, "[p,p] escapes k")):
-        if first_escape(cb, xs, ys, into):
-            raise RealFormError(what)
-    for span, name in ((kpart, "k"), (ppart, "p")):
+    k_complex = fixed_subalgebra(table, gens + [theta])
+    p_complex = SpanSolver(*rref(joint_eigenspace(
+        table.dim, [g.cols for g in gens] + [_negated(theta.cols)])))
+    for span, cspan, name in ((kpart, k_complex, "k"), (ppart, p_complex, "p")):
+        if cspan.dim != span.dim:
+            raise RealFormError(f"dim {name}_C {cspan.dim} != dim {name} {span.dim}")
         if _restricted_inertia(cb, span) != (0, span.dim, 0):
             raise RealFormError(f"Killing form on {name} is not negative definite")
+    for xs, ys, into, what in ((k_complex, p_complex, p_complex, "[k,p] escapes p"),
+                               (p_complex, p_complex, k_complex, "[p,p] escapes k")):
+        if first_escape(table, xs, ys, into):
+            raise RealFormError(what)
 
     g_type = identify_type(g_complex) if gens else cb.complex_type
-    k_type = identify_type(fixed_subalgebra(cb.table, gens + [theta]))
+    k_type = identify_type(k_complex)
     key = (str(g_type), str(k_type), kpart.dim, ppart.dim)
     try:
         name = load_catalog()[key]

@@ -5,10 +5,20 @@ corrupting test wants it; ``string_down`` walks a root string on the root
 system's keys; ``root_key`` and ``root_index`` find a root by its
 coordinates; ``diagram_automorphism`` certifies the automorphism of any
 Dynkin-diagram symmetry (the library builds only omega's); ``replaced`` copies
-a frozen record with some fields changed.
+a frozen record with some fields changed.  ``compact_table`` holds the
+brackets of the compact basis, which the library never stores, and ``split_spans``
+captures the four spans of a real-form split, whose relations
+``split_defects`` checks on both the compact and the Chevalley brackets.
 """
 
+from itertools import chain
+
+from kleinfour import realform
 from kleinfour.autos import _diagram_columns, make_automorphism
+from kleinfour.exactq import axpy
+from kleinfour.identify import first_escape
+from kleinfour.rootsys import BracketTable
+from oracles import compact_reference
 
 
 def set_bracket(table, i, j, terms):
@@ -56,3 +66,55 @@ def replaced(record, **changes):
     the given fields changed."""
     fields = type(record).__annotations__
     return type(record)(**{f: changes.get(f, getattr(record, f)) for f in fields})
+
+
+def compact_table(cb):
+    """A BracketTable holding the compact brackets of cb, as
+    ``oracles.compact_reference`` builds them from the Chevalley table."""
+    table = BracketTable(cb.dim)
+    table._adj = compact_reference(cb)[0]
+    return table
+
+
+def split_spans(cb, theta, gamma=()):
+    """(k, p, k_C, p_C) as ``cartan_decomposition(cb, theta, gamma)`` makes
+    them: k and p as its inertia checks get them, k_C and p_C as its [k,p]
+    walk does.  A catalog miss is ignored, since it comes after both."""
+    real, walked = [], []
+    inertia, escape = realform._restricted_inertia, realform.first_escape
+    realform._restricted_inertia = lambda c, span: real.append(span) or inertia(c, span)
+    realform.first_escape = lambda *args: walked.append(args[1:3]) or escape(*args)
+    try:
+        realform.cartan_decomposition(cb, theta, gamma)
+    except realform.CatalogMissError:
+        pass
+    finally:
+        realform._restricted_inertia, realform.first_escape = inertia, escape
+    (k, p), ((k_c, p_c), _) = real, walked
+    return k, p, k_c, p_c
+
+
+def split_defects(cb, theta, gamma=()):
+    """The relations of the split of gamma's fixed algebra under theta that
+    fail, [] when all hold.  [k,k] in k, [k,p] in p and [p,p] in k are walked
+    on ``compact_table(cb)`` over the split's k and p; the closure of k_C and
+    the split's own two walks, [k_C,p_C] in p_C and [p_C,p_C] in k_C, on the
+    Chevalley table over its k_C and p_C.  Each of k and p must span its
+    complexification: the real and the imaginary part of each of its rows in
+    Chevalley coordinates lie in it, and the dimensions are equal."""
+    k, p, k_c, p_c = split_spans(cb, theta, gamma)
+    compact, table = compact_table(cb), cb.table
+    bad = [what for on, xs, ys, into, what in (
+        (compact, k, k, k, "[k,k] in k"), (compact, k, p, p, "[k,p] in p"),
+        (compact, p, p, k, "[p,p] in k"), (table, k_c, k_c, k_c, "[k_C,k_C] in k_C"),
+        (table, k_c, p_c, p_c, "[k_C,p_C] in p_C"), (table, p_c, p_c, k_c, "[p_C,p_C] in k_C"))
+        if first_escape(on, xs, ys, into)]
+    for real, cplx, name in ((k, k_c, "k"), (p, p_c, "p")):
+        parts = [({}, {}) for _ in real.rows]  # sqrt(-1)^e x with e = 0 or 1
+        for row, out in zip(real.rows, parts):
+            for i, c in row.items():
+                e, x = cb.parts[i]
+                axpy(out[e], c, x.items())
+        if cplx.dim != real.dim or not all(map(cplx.contains, chain(*parts))):
+            bad.append(f"{name} spans {name}_C")
+    return bad

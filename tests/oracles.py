@@ -14,9 +14,11 @@ elimination (and, beside it, the closure walk that tests whole brackets with ``S
 which reads the table's ``row_brackets``), the dimension
 of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
-basis pairs and triples.  ``pairing`` reads only a root system's Cartan
-matrix, and ``cartan_symmetries_by_scan`` only a Cartan matrix, trying all
-n! relabelings.  ``cartan_real_form_name`` names a real form from its
+basis pairs and triples; the sparse Jacobi scan, which visits only the
+triples with a nonzero double bracket, also lists the table's
+``brackets()``.  ``pairing`` reads only a root system's Cartan matrix, and
+``cartan_symmetries_by_scan`` only a Cartan matrix, trying all n!
+relabelings.  ``cartan_real_form_name`` names a real form from its
 (complex type, compact type, signature) key by Cartan's rule, from type
 labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
 the fixed type of a torus involution on any simple type from the rank, root
@@ -398,6 +400,40 @@ def jacobi_defect(t):
     return None
 
 
+def sparse_jacobi_defect(t):
+    """jacobi_defect(t), visiting only the triples with a nonzero double bracket.
+
+    [[e_i, e_j], e_k] is the sum of c [e_m, e_k] over the terms c e_m of
+    [e_i, e_j], so it is nonzero only when [e_i, e_j] is and k is a partner
+    of one of its m: some [e_m, e_k] is nonzero.  Every triple i < j < k
+    with a nonzero double bracket among its three is therefore reached from
+    the pair of that double bracket, through m to k, and its Jacobi sum is
+    taken whole; a triple that is never reached has three zero double
+    brackets, so its sum is zero.  Triples with a repeated index hold by
+    antisymmetry, as in jacobi_defect.  The reached triples are checked in
+    lexicographic order, so the first defect is jacobi_defect's.  Reads the
+    table through its brackets() and pair_bracket.
+    """
+    pb = t.pair_bracket
+    pairs = list(t.brackets())
+    partners = defaultdict(set)
+    for i, j, _ in pairs:
+        partners[i].add(j)
+        partners[j].add(i)
+    triples = set()
+    for i, j, terms in pairs:
+        for m, _ in terms:
+            triples.update(tuple(sorted((i, j, k))) for k in partners[m] if k != i and k != j)
+    for i, j, k in sorted(triples):
+        acc = {}
+        for (a, b), c in (((i, j), k), ((j, k), i), ((k, i), j)):  # [[a, b], c]
+            for m, v in pb(a, b):
+                _add_scaled(acc, v, pb(m, c))
+        if acc:
+            return (i, j, k)
+    return None
+
+
 def verify_jacobi(t):
     return jacobi_defect(t) is None
 
@@ -552,8 +588,8 @@ def chevalley_reference(rs):
 
 
 def compact_reference(cb):
-    """(adj, killing) of a compact form by the generic route its build took
-    before it read the Chevalley rows.
+    """(adj, killing) of a compact form: its brackets, which the library
+    never stores, and its Killing form, by a generic route.
 
     One ``row_brackets`` walk brackets every pair of cb.parts on the Chevalley
     table; each bracket sqrt(-1)^(e_i + e_j) x is read back into compact

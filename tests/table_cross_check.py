@@ -1,11 +1,13 @@
-"""Cross-checks of the two table builds at sizes tier-1 leaves out.
+"""Cross-checks of the table builds and the real-form split at sizes tier-1 leaves out.
 
 The Chevalley tables of A16, B16, C16 and D16 against
-``oracles.chevalley_reference`` (store and extraspecial pairs), and the
-compact forms of E7 and E8 against ``oracles.compact_reference`` (store and
-Killing form), item for item and in key and term order.  Run from the
+``oracles.chevalley_reference`` (store and extraspecial pairs), item for item
+and in key and term order; the compact Killing forms of E7 and E8 against
+``oracles.compact_reference``, item for item and in key order; and the splits
+of E7 and E8 under torus:1,0,...,0, whose relations ``helpers.split_defects``
+walks on the compact brackets and on the Chevalley table.  Run from the
 repository root as ``PYTHONPATH=src python tests/table_cross_check.py``; it
-prints one line per type and exits 1 if any differs.
+prints one line per check and exits 1 if any differs.
 """
 
 import sys
@@ -14,9 +16,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
-from helpers import root_index  # noqa: E402
+from helpers import root_index, split_defects  # noqa: E402
 from oracles import chevalley_reference, compact_reference  # noqa: E402
 
 
@@ -33,14 +36,21 @@ def chevalley_differs(label):
     return rows(t._adj) != rows(adj) or list(t.extraspecial.items()) != special
 
 
-def compact_differs(label):
+def killing_differs(label):
     cb = compact_form(chevalley_table(build_root_system(cartan_matrix(label))))
-    adj, killing = compact_reference(cb)
-    return rows(cb._adj) != rows(adj) or rows(cb.killing) != rows(killing)
+    return rows(cb.killing) != rows(compact_reference(cb)[1])
+
+
+def split_differs(label):
+    """The relations that fail in the split under torus:1,0,...,0."""
+    ctx = VerifyContext(algebra=label)
+    theta = "torus:" + ",".join(["1"] + ["0"] * (ctx.table.rank - 1))
+    return split_defects(ctx.cb, ctx.automorphism(theta))
 
 
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
-    ("compact", label, compact_differs) for label in ("E7", "E8")]
+    ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
+    ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")]
 
 
 def main():

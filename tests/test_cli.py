@@ -181,8 +181,8 @@ def test_realform_rejects_generators_that_break_a_klein_axiom(gens, message):
 def test_realform_checks_the_klein_axioms_without_certifying_the_product(
         monkeypatch, first, certified):
     """The certified members are theta and each generator, a twist as one
-    member with no certificate of its omega or torus factor: check_klein
-    builds no product ab."""
+    member with no certificate of its omega or torus factor, and one more,
+    the compact form's Chevalley involution: check_klein builds no product ab."""
     sizes = []
     certify = autos.certify_batch
 
@@ -195,7 +195,7 @@ def test_realform_checks_the_klein_axioms_without_certifying_the_product(
     argv = ["realform", "--theta", "torus:1,0,0,0,0,1", "--auto", first,
             "--auto", "torus:0,0,1,0,1,0"]
     assert run_cli(argv)[0] == 0
-    assert sum(sizes) == certified
+    assert sum(sizes) == certified + 1
 
 
 def test_bad_descriptor_is_usage_error_exit_2():

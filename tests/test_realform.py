@@ -10,6 +10,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from kleinfour.autos import (
+    CertificationError,
     compose_cols,
     make_automorphism,
     make_klein,
@@ -29,7 +30,7 @@ from kleinfour.exactq import (
     span_kernel,
     symmetric_inertia,
 )
-from kleinfour.identify import subalgebra_from_vectors
+from kleinfour.identify import IdentifyError, Subalgebra, subalgebra_from_vectors
 from kleinfour.realform import (
     CatalogMissError,
     RealFormError,
@@ -43,9 +44,9 @@ from kleinfour.realform import (
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext, run_all
-from helpers import root_index, set_bracket
+from helpers import compact_table, root_index, set_bracket, split_defects
 from oracles import (REFERENCE_TYPES, cartan_real_form_name, compact_reference, exp_ad_cols,
-                     jacobi_defect, killing_reference, pairing)
+                     jacobi_defect, killing_reference)
 
 
 # -- compact form -----------------------------------------------------------------
@@ -86,56 +87,35 @@ def test_e6_compact_inertia_negative_definite(e6_compact):
 @pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4", "D5", "E6", "E7"])
 def test_compact_killing_matches_the_all_pairs_trace(e6_compact, label):
     # cb.killing is the Chevalley trace carried through cb.parts; the
-    # reference traces the compact store itself, pair by pair
+    # reference traces the compact brackets of compact_reference, pair by pair
     cb = e6_compact if label == "E6" else compact_form(
         chevalley_table(build_root_system(cartan_matrix(label)))
     )
     # items, not dicts, so the ascending key order is compared as well
     assert [list(r.items()) for r in cb.killing] == [
-        list(r.items()) for r in killing_reference(cb)
+        list(r.items()) for r in killing_reference(compact_table(cb))
     ]
 
 
 @pytest.mark.parametrize("label", [label for label in REFERENCE_TYPES if label not in ("E7", "E8")])
 def test_compact_table_and_killing_match_the_row_brackets_route(e6_compact, label):
-    # item for item, in key and term order, against the route through one
-    # row_brackets walk over parts; tests/table_cross_check.py runs E7 and E8
+    # item for item, in key order, against the Killing form of the route
+    # through one row_brackets walk over parts; tests/table_cross_check.py
+    # runs E7 and E8
     cb = e6_compact if label == "E6" else compact_form(
         chevalley_table(build_root_system(cartan_matrix(label)))
     )
-    adj, killing = compact_reference(cb)
-    assert [list(r.items()) for r in cb._adj] == [list(r.items()) for r in adj]
+    _, killing = compact_reference(cb)
     assert [list(r.items()) for r in cb.killing] == [list(r.items()) for r in killing]
-
-
-def test_w_bracket_u_proportional_to_v(e6_compact):
-    cb = e6_compact
-    rs = cb.table.rs
-    for i in range(6):
-        for k in range(0, cb.npos, 5):
-            terms = cb.pair_bracket(2 * cb.npos + i, k)
-            c = pairing(rs, rs.roots[k].coords, i)
-            if c:
-                assert terms == ((cb.npos + k, c),)
-            else:
-                assert terms == ()
-
-
-def test_compact_table_satisfies_jacobi(e6_compact):
-    assert jacobi_defect(e6_compact) is None
-
-
-def test_compact_brackets_are_integral(e6_compact):
-    for _, _, terms in e6_compact.brackets():
-        for _, c in terms:
-            assert isinstance(c, int)
 
 
 @pytest.mark.parametrize("label", ["G2", "B3", "C3"])
 def test_compact_form_of_multiply_laced_types(label):
-    cb = compact_form(chevalley_table(build_root_system(cartan_matrix(label))))
-    assert all(isinstance(c, int) for _, _, terms in cb.brackets() for _, c in terms)
-    assert jacobi_defect(cb) is None
+    """The compact brackets that the Chevalley tables of G2, B3 and C3 give
+    are integral and satisfy Jacobi."""
+    ct = compact_table(compact_form(chevalley_table(build_root_system(cartan_matrix(label)))))
+    assert all(isinstance(c, int) for _, _, terms in ct.brackets() for _, c in terms)
+    assert jacobi_defect(ct) is None
 
 
 def test_f4_compact_form_builds():
@@ -160,15 +140,38 @@ def test_to_compact_rejects_vectors_outside_the_compact_form(e6_compact):
         cb.to_compact({0: 1}, 0, lambda: "real h1")
 
 
-def test_compact_form_failure_names_the_bracket_pair():
-    """A bracket that leaves the compact form is named by its pair of compact
-    basis vectors, and the Chevalley vector where it leaves: A1 with
-    [X_a, X_-a] = h + X_a gives [u, v] = 2 h + 2 X_a, an X_a without its X_-a."""
-    t = chevalley_table(build_root_system(cartan_matrix("A1")))
-    set_bracket(t, 1, 2, ((0, 1), (1, 1)))
-    with pytest.raises(RealFormError) as err:
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+def test_compact_form_certifies_the_chevalley_involution(label, monkeypatch):
+    """compact_form certifies omega_0: x_a -> -x_-a, h_i -> -h_i, once, as a
+    signed permutation of order 2, on every reference type."""
+    t = chevalley_table(build_root_system(cartan_matrix(label)))
+    made = []
+    real = realform.make_automorphism
+    monkeypatch.setattr(realform, "make_automorphism",
+                        lambda *args: made.append(real(*args)) or made[-1])
+    compact_form(t)
+    (omega0,) = made
+    rank, npos = t.rank, t.npos
+    assert omega0.order == 2 and omega0.pi is not None
+    assert omega0.cols == tuple([{i: -1} for i in range(rank)] + [
+        {rank + (k + npos) % (2 * npos): -1} for k in range(2 * npos)])
+
+
+@pytest.mark.parametrize("order", ["-a,-b", "-b,-a"])
+def test_compact_form_names_the_pair_where_the_chevalley_involution_fails(order):
+    """N(-a,-b) = -N(a,b) is what makes the compact form closed: on A3, with
+    a = alpha_3 and b = alpha_2, the stored [x_-a, x_-b] negated (in both
+    orders) fails omega_0's certificate at the pair (x_a, x_b)."""
+    t = copy.copy(chevalley_table(build_root_system(cartan_matrix("A3"))))
+    t._adj = [dict(row) for row in t._adj]
+    rs, rank, npos = t.rs, t.rank, t.npos
+    a, b = rank + npos + root_index(rs, (0, 0, 1)), rank + npos + root_index(rs, (0, 1, 0))
+    i, j = (a, b) if order == "-a,-b" else (b, a)
+    set_bracket(t, i, j, [(k, -c) for k, c in t._adj[i][j]])
+    with pytest.raises(CertificationError) as err:
         compact_form(t)
-    assert str(err.value) == "[u(1,), v(1,)] is not in the compact form (at x+[1])"
+    assert str(err.value) == ("chevalley-involution: homomorphism fails at basis pair "
+                              "(x+[0,0,1], x+[0,1,0])")
 
 
 # -- automorphisms in compact coordinates ---------------------------------------------
@@ -241,12 +244,13 @@ def _captured_split(cb, theta, gamma, monkeypatch):
 @pytest.mark.parametrize("case, dims", [("whole", [38, 40]), ("so82", [30, 16]),
                                         ("so81", [28, 8])], ids=["whole", "so82", "so81"])
 def test_split_eliminates_only_k_and_p(ctx, case, dims, monkeypatch):
-    """The split eliminates k and then p, nothing else, and builds no
-    Subalgebra: k and p are plain spans."""
+    """The split eliminates k, p and then p_C, p on the Chevalley basis,
+    nothing else (k_C is fixed_subalgebra's), and builds no Subalgebra of
+    its own: k, p and p_C are plain spans."""
     (theta, gamma), = [(t, g) for label, t, g in _split_cases(ctx) if label == case]
     assert not any(hasattr(realform, name) for name in ("Subalgebra", "subalgebra_from_vectors"))
     made, d = _captured_split(ctx.cb, theta, gamma, monkeypatch)
-    assert [len(rows) for rows, _ in made] == dims == [d.k_dim, d.p_dim]
+    assert [len(rows) for rows, _ in made] == dims + dims[1:] == [d.k_dim, d.p_dim, d.p_dim]
 
 
 def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
@@ -254,7 +258,7 @@ def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
     and -1 eigenspaces on its rows by span_kernel."""
     tcols = compact_matrix_cols(cb, theta)
     fixed = subalgebra_from_vectors(
-        cb, joint_eigenspace(cb.dim, [compact_matrix_cols(cb, g) for g in gamma]))
+        compact_table(cb), joint_eigenspace(cb.dim, [compact_matrix_cols(cb, g) for g in gamma]))
 
     def part(eigen):
         images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
@@ -270,28 +274,42 @@ OTHER_TYPE_SPLITS = [("G2", "torus:1,0", []), ("G2", "torus:1,0", ["torus:0,1"])
                      ("E7", "torus:1,0,0,0,0,0,0", [])]
 
 
-def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch):
-    """On the four census representatives, so82, so81 and splits on G2, F4 and
-    E7, the split's k and p have the rows and pivots of the route through the
-    compact fixed algebra, and of the elimination route: the stacked kernel
-    that joint_eigenspace takes when the orbits of signed permutations are
-    not read.  Every theta and gamma here is a signed permutation on the
-    compact basis, so the split itself runs no kernel."""
+def _eleven_splits(ctx, census):
+    """(cb, theta, gamma) of the four census representatives, so82, so81 and
+    the splits on G2, F4 and E7."""
     cases = [(ctx.cb, r.automorphism, []) for r in census.rows if r.provenance == "generic"]
     cases += [(ctx.cb, theta, gamma) for _, theta, gamma in _split_cases(ctx)[1:]]
     for label, theta, gamma in OTHER_TYPE_SPLITS:
         other = VerifyContext(algebra=label)
         cases.append((other.cb, other.automorphism(theta), [other.automorphism(g) for g in gamma]))
     assert len(cases) == 11
-    for cb, theta, gamma in cases:
+    return cases
+
+
+def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch):
+    """On the four census representatives, so82, so81 and splits on G2, F4 and
+    E7, the split's k and p have the rows and pivots of the route through the
+    compact fixed algebra, and k, p and p_C those of the elimination route:
+    the stacked kernel that joint_eigenspace takes when the orbits of signed
+    permutations are not read.  Every theta and gamma here is a signed
+    permutation on the compact basis, so the split itself runs no kernel."""
+    for cb, theta, gamma in _eleven_splits(ctx, census):
         kernels = []
         monkeypatch.setattr(exactq, "kernel", lambda *a: kernels.append(1) or kernel(*a))
         made, _ = _captured_split(cb, theta, gamma, monkeypatch)
-        assert not kernels
-        assert [(tuple(rows), tuple(pivots)) for rows, pivots in made] == [
+        assert not kernels and len(made) == 3
+        assert [(tuple(rows), tuple(pivots)) for rows, pivots in made[:2]] == [
             (s.rows, s.pivots) for s in _split_by_the_compact_fixed_algebra(cb, theta, gamma)]
         monkeypatch.setattr(exactq, "_orbit_eigenspace", lambda dim, maps: None)
         assert _captured_split(cb, theta, gamma, monkeypatch)[0] == made
+
+
+def test_split_relations_hold_on_the_compact_and_the_chevalley_brackets(ctx, census):
+    """On the same eleven splits, [k,k] in k, [k,p] in p and [p,p] in k hold
+    on the compact brackets of compact_reference over the split's k and p,
+    and the split's walks pass over its k_C and p_C, which k and p span."""
+    for cb, theta, gamma in _eleven_splits(ctx, census):
+        assert split_defects(cb, theta, gamma) == [], (theta.descriptor, gamma)
 
 
 def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
@@ -315,19 +333,84 @@ def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
 
 
 def _a2_split():
-    """A fresh A2 compact table, never the session's, and theta = torus:1,0."""
+    """A fresh A2 compact form, never the session's, and theta = torus:1,0.
+    theta fixes h1, h2 and x_+-alpha_1 (k_C) and negates x_+-alpha_2 and
+    x_+-(alpha_1+alpha_2) (p_C), since only alpha_1 pairs evenly with
+    alpha_1^vee."""
     t = chevalley_table(build_root_system(cartan_matrix("A2")))
     return compact_form(t), parse_descriptor(t, "torus:1,0")
 
 
 def test_split_rejects_a_bracket_of_k_that_escapes_k():
-    """[w1, w2] = u_0 tampered into the table: w1 and w2 lie in k, and u_0,
-    whose root alpha_2 pairs oddly with alpha_1^vee, in p."""
+    """[h1, h2] = x_alpha_2 tampered into the Chevalley table after the
+    compact form is built: h1 and h2 lie in k_C and x_alpha_2 in p_C, so the
+    closure walk of k_C, the fixed subalgebra that gives k's type, fails."""
     cb, theta = _a2_split()
-    set_bracket(cb, 2 * cb.npos, 2 * cb.npos + 1, [(0, 1)])
+    set_bracket(cb.table, 0, 1, [(cb.rank + root_index(cb.table.rs, (0, 1)), 1)])
+    with pytest.raises(IdentifyError, match="span is not bracket-closed"):
+        cartan_decomposition(cb, theta)
+
+
+@pytest.mark.parametrize("pair, terms, message", [
+    # [h1, x_alpha_2] = -x_alpha_2 + x_alpha_1 leaves p_C
+    ((0, (0, 1)), [((0, 1), -1), ((1, 0), 1)], "[k,p] escapes p"),
+    # [x_alpha_2, x_alpha_1+alpha_2], zero in A2, = x_alpha_2 leaves k_C
+    (((0, 1), (1, 1)), [((0, 1), 1)], "[p,p] escapes k"),
+], ids=["[k,p]", "[p,p]"])
+def test_split_rejects_a_bracket_that_escapes_its_part(pair, terms, message):
+    """One bracket tampered into the Chevalley table after the compact form
+    is built fails the split's walk on k_C and p_C that reaches it."""
+    cb, theta = _a2_split()
+    t = cb.table
+
+    def index(x):  # a simple coroot by its number, a root by its coordinates
+        return x if isinstance(x, int) else t.rank + root_index(t.rs, x)
+
+    set_bracket(t, *map(index, pair), [(index(x), c) for x, c in terms])
     with pytest.raises(RealFormError) as exc:
         cartan_decomposition(cb, theta)
-    assert str(exc.value) == "[k,k] escapes k"
+    assert str(exc.value) == message
+
+
+def test_split_walks_k_and_p_into_the_whole_of_p(ctx, monkeypatch):
+    """With one row of p_C dropped from the target of the [k,p] walk, so82's
+    split fails that walk: [k_C, p_C] fills p_C."""
+    (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
+    real = realform.first_escape
+
+    def dropping(table, xs, ys, into):
+        if into is ys:  # the [k,p] walk
+            t = into.dim // 2
+            into = SpanSolver(into.rows[:t] + into.rows[t + 1:],
+                              into.pivots[:t] + into.pivots[t + 1:])
+        return real(table, xs, ys, into)
+
+    monkeypatch.setattr(realform, "first_escape", dropping)
+    with pytest.raises(RealFormError) as exc:
+        cartan_decomposition(ctx.cb, theta, gamma)
+    assert str(exc.value) == "[k,p] escapes p"
+
+
+def test_split_checks_the_dimensions_of_k_c_and_p_c(ctx, monkeypatch):
+    """k_C or p_C with one row dropped has a dimension other than that of k or
+    p, and the split names which."""
+    (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
+    fixed, eigen = realform.fixed_subalgebra, realform.joint_eigenspace
+    monkeypatch.setattr(realform, "fixed_subalgebra", lambda table, autos: (
+        Subalgebra(table, *rref(fixed(table, autos).rows[1:])) if theta in autos
+        else fixed(table, autos)))
+    with pytest.raises(RealFormError, match=re.escape("dim k_C 29 != dim k 30")):
+        cartan_decomposition(ctx.cb, theta, gamma)
+    monkeypatch.setattr(realform, "fixed_subalgebra", fixed)
+    calls = []  # k, p, then p_C
+
+    def dropping(dim, maps):
+        calls.append(1)
+        return eigen(dim, maps)[len(calls) == 3:]
+
+    monkeypatch.setattr(realform, "joint_eigenspace", dropping)
+    with pytest.raises(RealFormError, match=re.escape("dim p_C 15 != dim p 16")):
+        cartan_decomposition(ctx.cb, theta, gamma)
 
 
 def test_split_rejects_a_killing_form_that_is_not_negative_definite_on_k():
