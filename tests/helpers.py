@@ -7,18 +7,20 @@ coordinates; ``diagram_automorphism`` certifies the automorphism of any
 Dynkin-diagram symmetry (the library builds only omega's); ``replaced`` copies
 a frozen record with some fields changed.  ``compact_table`` holds the
 brackets of the compact basis, which the library never stores, and ``split_spans``
-captures the four spans of a real-form split, whose relations
-``split_defects`` checks on both the compact and the Chevalley brackets.
+gives the four spans of a real-form split, k and p on the compact basis by
+``oracles.compact_cols`` and k_C and p_C as the split walks them, whose
+relations ``split_defects`` checks on both the compact and the Chevalley
+brackets.
 """
 
 from itertools import chain
 
 from kleinfour import realform
 from kleinfour.autos import _diagram_columns, make_automorphism
-from kleinfour.exactq import axpy
+from kleinfour.exactq import SpanSolver, axpy, joint_eigenspace, rref
 from kleinfour.identify import first_escape
 from kleinfour.rootsys import BracketTable
-from oracles import compact_reference
+from oracles import compact_cols, compact_reference
 
 
 def set_bracket(table, i, j, terms):
@@ -77,20 +79,25 @@ def compact_table(cb):
 
 
 def split_spans(cb, theta, gamma=()):
-    """(k, p, k_C, p_C) as ``cartan_decomposition(cb, theta, gamma)`` makes
-    them: k and p as its inertia checks get them, k_C and p_C as its [k,p]
-    walk does.  A catalog miss is ignored, since it comes after both."""
-    real, walked = [], []
-    inertia, escape = realform._restricted_inertia, realform.first_escape
-    realform._restricted_inertia = lambda c, span: real.append(span) or inertia(c, span)
+    """(k, p, k_C, p_C) of the split of gamma's fixed algebra under theta: k
+    and p the joint eigenspaces of gamma and +-theta on the compact basis, by
+    the columns of ``oracles.compact_cols``; k_C and p_C as the [k,p] walk of
+    ``cartan_decomposition(cb, theta, gamma)`` gets them.  A catalog miss is
+    ignored, since it comes after that walk."""
+    gcols = [compact_cols(cb, g) for g in gamma]
+    tcols = compact_cols(cb, theta)
+    k, p = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols])))
+            for cols in (tcols, tuple({i: -c for i, c in col.items()} for col in tcols)))
+    walked = []
+    escape = realform.first_escape
     realform.first_escape = lambda *args: walked.append(args[1:3]) or escape(*args)
     try:
         realform.cartan_decomposition(cb, theta, gamma)
     except realform.CatalogMissError:
         pass
     finally:
-        realform._restricted_inertia, realform.first_escape = inertia, escape
-    (k, p), ((k_c, p_c), _) = real, walked
+        realform.first_escape = escape
+    (k_c, p_c), _ = walked
     return k, p, k_c, p_c
 
 

@@ -23,6 +23,9 @@ relabelings.  ``cartan_real_form_name`` names a real form from its
 labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
 the fixed type of a torus involution on any simple type from the rank, root
 count and long-root count of each component of its even roots.
+``compact_cols`` gives an automorphism its columns on a compact basis by the
+compactness rule ``to_compact``, column by column, as the library no longer
+does; ``compact_reference`` reads the compact brackets back by the same rule.
 """
 
 from collections import defaultdict
@@ -587,38 +590,55 @@ def chevalley_reference(rs):
     return adj, nconst, extraspecial
 
 
+def to_compact(cb, x, e):
+    """Compact coordinates of sqrt(-1)^e x for a rational Chevalley vector x:
+    h_m goes to w_m, X_a to u_a for even e and to v_a for odd e, with the sign
+    -1 when e is 2 mod 4.  A compact vector has coefficients z on X_a and
+    -conj(z) on X_{-a} and an imaginary one on each h_m, so x must vanish on
+    the Cartan for even e and be antisymmetric (even e) or symmetric (odd e)
+    on every pair X_a, X_{-a}; AssertionError otherwise."""
+    rank, npos = cb.rank, cb.npos
+    out = {}
+    for j, c in x.items():
+        if j < rank:
+            assert e % 2, (x, e)
+            out[2 * npos + j] = -c if e % 4 >= 2 else c
+        elif j < rank + npos:
+            assert x.get(j + npos, 0) == (c if e % 2 else -c), (x, e)
+            out[j - rank + npos * (e % 2)] = -c if e % 4 >= 2 else c
+        else:
+            assert j - npos in x, (x, e)
+    return out
+
+
+def compact_cols(cb, auto):
+    """The columns of auto on the compact basis of cb: basis vector i is
+    sqrt(-1)^e x with x rational, so its image sqrt(-1)^e auto(x) is read
+    back by ``to_compact``; AssertionError if an image leaves the compact
+    form."""
+    return tuple(to_compact(cb, auto.apply(x), e) for e, x in cb.parts)
+
+
 def compact_reference(cb):
     """(adj, killing) of a compact form: its brackets, which the library
     never stores, and its Killing form, by a generic route.
 
     One ``row_brackets`` walk brackets every pair of cb.parts on the Chevalley
     table; each bracket sqrt(-1)^(e_i + e_j) x is read back into compact
-    coordinates (h_m to w_m, X_a to u_a for even e and to v_a for odd e, the
-    sign -1 when e is 2 mod 4), checked to be compact, and stored for both
-    orders with its zero terms dropped.  The Killing form is the Chevalley
-    trace, taken with ``defaultdict`` accumulators, carried through parts.
-    Reads cb.table (its _adj and row_brackets), cb.parts, cb.rank and cb.npos.
+    coordinates by ``to_compact``, which checks that it is compact, and stored
+    for both orders with its zero terms dropped.  The Killing form is the
+    Chevalley trace, taken with ``defaultdict`` accumulators, carried through
+    parts.  Reads cb.table (its _adj and row_brackets), cb.parts, cb.rank and
+    cb.npos.
     """
-    table, rank, npos = cb.table, cb.rank, cb.npos
+    table = cb.table
     powers, xs = zip(*cb.parts)
-
-    def to_compact(x, e):
-        out = {}
-        for j, c in x.items():
-            if j < rank:
-                assert e % 2, (x, e)
-                out[2 * npos + j] = -c if e % 4 >= 2 else c
-            elif j < rank + npos:
-                assert x.get(j + npos, 0) == (c if e % 2 else -c), (x, e)
-                out[j - rank + npos * (e % 2)] = -c if e % 4 >= 2 else c
-            else:
-                assert j - npos in x, (x, e)
-        return out
 
     adj = [{} for _ in range(cb.dim)]
     for i, acc in table.row_brackets(xs, xs):
         for j in sorted(acc):
-            terms = tuple((k, c) for k, c in to_compact(acc[j], powers[i] + powers[j]).items() if c)
+            bracket = to_compact(cb, acc[j], powers[i] + powers[j])
+            terms = tuple((k, c) for k, c in bracket.items() if c)
             if terms:
                 adj[i][j] = terms
                 adj[j][i] = tuple((k, -c) for k, c in terms)

@@ -3,11 +3,14 @@
 The Chevalley tables of A16, B16, C16 and D16 against
 ``oracles.chevalley_reference`` (store and extraspecial pairs), item for item
 and in key and term order; the compact Killing forms of E7 and E8 against
-``oracles.compact_reference``, item for item and in key order; and the splits
+``oracles.compact_reference``, item for item and in key order; the splits
 of E7 and E8 under torus:1,0,...,0, whose relations ``helpers.split_defects``
-walks on the compact brackets and on the Chevalley table.  Run from the
-repository root as ``PYTHONPATH=src python tests/table_cross_check.py``; it
-prints one line per check and exits 1 if any differs.
+walks on the compact brackets, over the k and p that ``oracles.compact_cols``
+gives, and on the Chevalley table; and the Jacobi identity of the Chevalley
+tables of E8, A16, B16, C16 and D16 by ``oracles.sparse_jacobi_defect``.
+Run from the repository root as ``PYTHONPATH=src python
+tests/table_cross_check.py``; it prints one line per check and exits 1 if
+any differs.
 """
 
 import sys
@@ -20,7 +23,7 @@ from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
 from helpers import root_index, split_defects  # noqa: E402
-from oracles import chevalley_reference, compact_reference  # noqa: E402
+from oracles import chevalley_reference, compact_reference, sparse_jacobi_defect  # noqa: E402
 
 
 def rows(adj):
@@ -48,9 +51,15 @@ def split_differs(label):
     return split_defects(ctx.cb, ctx.automorphism(theta))
 
 
+def jacobi_fails(label):
+    """The first basis triple whose Jacobi sum is not zero, or None."""
+    return sparse_jacobi_defect(chevalley_table(build_root_system(cartan_matrix(label))))
+
+
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
     ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
-    ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")]
+    ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")] + [
+    ("jacobi", label, jacobi_fails) for label in ("E8", "A16", "B16", "C16", "D16")]
 
 
 def main():

@@ -25,7 +25,7 @@ from kleinfour.identify import (
     subalgebra_from_vectors,
     type_dim,
 )
-from kleinfour.realform import compact_form, compact_matrix_cols
+from kleinfour.realform import compact_form
 from kleinfour.rootsys import (CartanMatrixError, _catalog_for_rank, build_root_system,
                                cartan_isomorphisms, cartan_matrix, chevalley_table, match_cartan)
 from kleinfour.verify import VerifyContext, run_all
@@ -33,6 +33,7 @@ from helpers import compact_table, root_index, set_bracket
 from oracles import (
     centralizer_dim,
     classify_even_subsystem,
+    compact_cols,
     first_escape_by_membership,
     first_escape_reference,
     pairing,
@@ -102,7 +103,7 @@ def _random_span(rng, table, chevalley, cb):
     """The span of a torus-fixed subalgebra with some rows dropped and random
     vectors added; mostly not bracket-closed."""
     a = torus_involution(chevalley, [rng.randint(0, 1) for _ in range(chevalley.rank)])
-    cols = a.cols if cb is None else compact_matrix_cols(cb, a)
+    cols = a.cols if cb is None else compact_cols(cb, a)
     vecs = [v for v in joint_eigenspace(table.dim, [cols]) if rng.random() < 0.8]
     for _ in range(rng.randint(0, 2)):
         support = rng.sample(range(table.dim), rng.randint(1, 3))

@@ -3,14 +3,12 @@ import json
 import re
 from importlib import resources
 from operator import mul
-from types import SimpleNamespace
 
 import pytest
-import sympy
-from sympy.polys.matrices import DomainMatrix
 
 from kleinfour.autos import (
     CertificationError,
+    commutes,
     compose_cols,
     make_automorphism,
     make_klein,
@@ -36,17 +34,16 @@ from kleinfour.realform import (
     RealFormError,
     cartan_decomposition,
     compact_form,
-    compact_matrix_cols,
     holomorphic_flags,
     is_holomorphic_type,
     load_catalog,
     real_fixed_subalgebra,
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
-from kleinfour.verify import VerifyContext, run_all
-from helpers import compact_table, root_index, set_bracket, split_defects
-from oracles import (REFERENCE_TYPES, cartan_real_form_name, compact_reference, exp_ad_cols,
-                     jacobi_defect, killing_reference)
+from kleinfour.verify import VerifyContext
+from helpers import compact_table, root_index, set_bracket, split_defects, split_spans
+from oracles import (REFERENCE_TYPES, cartan_real_form_name, compact_cols, compact_reference,
+                     exp_ad_cols, jacobi_defect, killing_reference, to_compact)
 
 
 # -- compact form -----------------------------------------------------------------
@@ -59,8 +56,9 @@ def test_a1_compact_form_is_su2():
 
 
 def test_a1_table_with_a_negated_coroot_bracket_fails_the_inertia_check():
-    # [x_a, x_-a] = -h_a in both orders: every compact bracket still passes
-    # to_compact, but the Killing form has the wrong signs
+    # [x_a, x_-a] = -h_a in both orders: every compact bracket is still
+    # compact, but the Killing form has the wrong signs, and this whole-u
+    # inertia is the one definiteness certificate of every split
     t = copy.copy(chevalley_table(build_root_system(cartan_matrix("A1"))))
     t._adj = [dict(row) for row in t._adj]
     for i, j in ((1, 2), (2, 1)):
@@ -124,20 +122,23 @@ def test_f4_compact_form_builds():
 
 
 def test_to_compact_reads_back_the_basis(e6_compact):
+    """The compactness rule of oracles.compact_cols, the reference that the
+    omega_0 gate of the split is checked against, reads each compact basis
+    vector back as itself, and its negative with e + 2."""
     cb = e6_compact
     for i, (e, x) in enumerate(cb.parts):
-        assert cb.to_compact(x, e, lambda: cb.label(i)) == {i: 1}
-        assert cb.to_compact(x, e + 2, lambda: cb.label(i)) == {i: -1}
+        assert to_compact(cb, x, e) == {i: 1}
+        assert to_compact(cb, x, e + 2) == {i: -1}
 
 
 def test_to_compact_rejects_vectors_outside_the_compact_form(e6_compact):
     cb = e6_compact
     x_a = {cb.rank: 1}  # X_a of the first positive root, without X_{-a}
     for e in (0, 1):
-        with pytest.raises(RealFormError, match=r"X_a alone .*x\+\[0,0,0,0,0,1\]"):
-            cb.to_compact(x_a, e, lambda: "X_a alone")
-    with pytest.raises(RealFormError, match=r"real h1 .*\(at h1\)"):
-        cb.to_compact({0: 1}, 0, lambda: "real h1")
+        with pytest.raises(AssertionError):
+            to_compact(cb, x_a, e)
+    with pytest.raises(AssertionError):
+        to_compact(cb, {0: 1}, 0)  # a real h1
 
 
 @pytest.mark.parametrize("label", REFERENCE_TYPES)
@@ -178,14 +179,14 @@ def test_compact_form_names_the_pair_where_the_chevalley_involution_fails(order)
 
 def test_torus_compact_matrix_is_diagonal(e6, e6_compact):
     a = torus_involution(e6, (1, 0, 0, 0, 0, 1))
-    cols = compact_matrix_cols(e6_compact, a)
+    cols = compact_cols(e6_compact, a)
     for j, col in enumerate(cols):
         assert set(col) == {j}
         assert col[j] in (1, -1)
 
 
 def test_weyl_lift_preserves_compact_form(e6, e6_compact):
-    cols = compact_matrix_cols(e6_compact, weyl_lift(e6, 2))
+    cols = compact_cols(e6_compact, weyl_lift(e6, 2))
     assert len(cols) == 78
 
 
@@ -201,14 +202,38 @@ def _unipotent_conjugate(table, root_coords, sigma):
 
 
 def test_unipotent_conjugate_fails_compactness(e6, e6_compact):
+    """A certified involution that moves the compact form is rejected as theta
+    by the split's omega_0 gate, and its compact columns do not exist."""
     sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     moved = _unipotent_conjugate(e6, (0, 0, 0, 1, 0, 0), sigma)
     assert moved.order == 2
     assert moved != sigma
     with pytest.raises(RealFormError) as err:
-        compact_matrix_cols(e6_compact, moved)
-    assert str(err.value) == ("unipotent-conjugate applied to u(0, 0, 0, 0, 1, 0) is not in "
-                              "the compact form (at x+[0,0,0,1,1,0])")
+        cartan_decomposition(e6_compact, moved)
+    assert str(err.value) == "unipotent-conjugate does not preserve the compact form"
+    with pytest.raises(AssertionError):
+        compact_cols(e6_compact, moved)
+
+
+def test_the_omega0_gate_agrees_with_the_compact_columns(e6, e6_compact, census):
+    """An automorphism commutes with omega_0 exactly when oracles.compact_cols
+    reads every column of it back into the compact form: on the 79 census
+    rows, the six Weyl lifts, omega and the two unipotent conjugates, the
+    only ones here that move the compact form."""
+    sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
+    moving = [_unipotent_conjugate(e6, a, sigma) for a in ((0, 0, 0, 1, 0, 0), (0, 0, 1, 1, 0, 0))]
+    autos = ([r.automorphism for r in census.rows] + [weyl_lift(e6, i) for i in range(6)]
+             + [omega_automorphism(e6)] + moving)
+
+    def compact(a):
+        try:
+            compact_cols(e6_compact, a)
+        except AssertionError:
+            return False
+        return True
+
+    verdicts = [(commutes(a, e6_compact.omega0), compact(a)) for a in autos]
+    assert verdicts == [(True, True)] * 86 + [(False, False)] * 2
 
 
 # -- Cartan decompositions --------------------------------------------------------------
@@ -241,24 +266,24 @@ def _captured_split(cb, theta, gamma, monkeypatch):
     return made, d
 
 
-@pytest.mark.parametrize("case, dims", [("whole", [38, 40]), ("so82", [30, 16]),
-                                        ("so81", [28, 8])], ids=["whole", "so82", "so81"])
-def test_split_eliminates_only_k_and_p(ctx, case, dims, monkeypatch):
-    """The split eliminates k, p and then p_C, p on the Chevalley basis,
-    nothing else (k_C is fixed_subalgebra's), and builds no Subalgebra of
-    its own: k, p and p_C are plain spans."""
+@pytest.mark.parametrize("case, dim", [("whole", 40), ("so82", 16), ("so81", 8)],
+                         ids=["whole", "so82", "so81"])
+def test_split_eliminates_only_p_c(ctx, case, dim, monkeypatch):
+    """The split eliminates p_C, p on the Chevalley basis, and nothing else
+    (k_C is fixed_subalgebra's), and builds no Subalgebra of its own: p_C is
+    a plain span."""
     (theta, gamma), = [(t, g) for label, t, g in _split_cases(ctx) if label == case]
     assert not any(hasattr(realform, name) for name in ("Subalgebra", "subalgebra_from_vectors"))
     made, d = _captured_split(ctx.cb, theta, gamma, monkeypatch)
-    assert [len(rows) for rows, _ in made] == dims + dims[1:] == [d.k_dim, d.p_dim, d.p_dim]
+    assert [len(rows) for rows, _ in made] == [dim] == [d.p_dim]
 
 
 def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
     """k and p by a second route: the compact Fix(gamma) first, then theta's +1
     and -1 eigenspaces on its rows by span_kernel."""
-    tcols = compact_matrix_cols(cb, theta)
+    tcols = compact_cols(cb, theta)
     fixed = subalgebra_from_vectors(
-        compact_table(cb), joint_eigenspace(cb.dim, [compact_matrix_cols(cb, g) for g in gamma]))
+        compact_table(cb), joint_eigenspace(cb.dim, [compact_cols(cb, g) for g in gamma]))
 
     def part(eigen):
         images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
@@ -288,17 +313,18 @@ def _eleven_splits(ctx, census):
 
 def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch):
     """On the four census representatives, so82, so81 and splits on G2, F4 and
-    E7, the split's k and p have the rows and pivots of the route through the
-    compact fixed algebra, and k, p and p_C those of the elimination route:
-    the stacked kernel that joint_eigenspace takes when the orbits of signed
-    permutations are not read.  Every theta and gamma here is a signed
-    permutation on the compact basis, so the split itself runs no kernel."""
+    E7, the k and p that helpers.split_spans reads as joint eigenspaces on
+    the compact basis have the rows and pivots of the route through the
+    compact fixed algebra, and the split's p_C those of the elimination
+    route: the stacked kernel that joint_eigenspace takes when the orbits of
+    signed permutations are not read.  Every theta and gamma here is a
+    signed permutation, so the split itself runs no kernel."""
     for cb, theta, gamma in _eleven_splits(ctx, census):
         kernels = []
         monkeypatch.setattr(exactq, "kernel", lambda *a: kernels.append(1) or kernel(*a))
         made, _ = _captured_split(cb, theta, gamma, monkeypatch)
-        assert not kernels and len(made) == 3
-        assert [(tuple(rows), tuple(pivots)) for rows, pivots in made[:2]] == [
+        assert not kernels and len(made) == 1
+        assert [(s.rows, s.pivots) for s in split_spans(cb, theta, gamma)[:2]] == [
             (s.rows, s.pivots) for s in _split_by_the_compact_fixed_algebra(cb, theta, gamma)]
         monkeypatch.setattr(exactq, "_orbit_eigenspace", lambda dim, maps: None)
         assert _captured_split(cb, theta, gamma, monkeypatch)[0] == made
@@ -313,23 +339,26 @@ def test_split_relations_hold_on_the_compact_and_the_chevalley_brackets(ctx, cen
 
 
 def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
-    """k + p must fill the complex fixed space of gamma: drop one vector of p
-    (the split's second eigenspace) and the split fails naming all three dims.
-    Dropping one of k fails the same check, which is what makes dim k the
-    dimension of its complexification."""
+    """k_C + p_C must fill the complex fixed space of gamma: drop the last
+    vector of p_C (the split's one eigenspace) and the split fails naming
+    all three dims."""
     (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
-    real = realform.joint_eigenspace
-    for short, dims in ((2, r"dim k 30 \+ dim p 15"), (1, r"dim k 29 \+ dim p 16")):
-        calls = []
+    eigen = realform.joint_eigenspace
+    monkeypatch.setattr(realform, "joint_eigenspace", lambda dim, maps: eigen(dim, maps)[:-1])
+    with pytest.raises(RealFormError, match=r"dim k 30 \+ dim p 15 != dim 46 of gamma's"):
+        cartan_decomposition(ctx.cb, theta, gamma)
 
-        def dropping(dim, maps):
-            calls.append(1)
-            vecs = real(dim, maps)
-            return vecs[:-1] if len(calls) == short else vecs
 
-        monkeypatch.setattr(realform, "joint_eigenspace", dropping)
-        with pytest.raises(RealFormError, match=dims + r" != dim 46 of gamma's"):
-            cartan_decomposition(ctx.cb, theta, gamma)
+def test_split_checks_the_dimensions_of_k_c_and_p_c(ctx, monkeypatch):
+    """The signature is (dim k_C, dim p_C), and the fill check reads both: k_C
+    with its first row dropped fails it, naming dim k 29."""
+    (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
+    fixed = realform.fixed_subalgebra
+    monkeypatch.setattr(realform, "fixed_subalgebra", lambda table, autos: (
+        Subalgebra(table, *rref(fixed(table, autos).rows[1:])) if theta in autos
+        else fixed(table, autos)))
+    with pytest.raises(RealFormError, match=r"dim k 29 \+ dim p 16 != dim 46 of gamma's"):
+        cartan_decomposition(ctx.cb, theta, gamma)
 
 
 def _a2_split():
@@ -389,75 +418,6 @@ def test_split_walks_k_and_p_into_the_whole_of_p(ctx, monkeypatch):
     with pytest.raises(RealFormError) as exc:
         cartan_decomposition(ctx.cb, theta, gamma)
     assert str(exc.value) == "[k,p] escapes p"
-
-
-def test_split_checks_the_dimensions_of_k_c_and_p_c(ctx, monkeypatch):
-    """k_C or p_C with one row dropped has a dimension other than that of k or
-    p, and the split names which."""
-    (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
-    fixed, eigen = realform.fixed_subalgebra, realform.joint_eigenspace
-    monkeypatch.setattr(realform, "fixed_subalgebra", lambda table, autos: (
-        Subalgebra(table, *rref(fixed(table, autos).rows[1:])) if theta in autos
-        else fixed(table, autos)))
-    with pytest.raises(RealFormError, match=re.escape("dim k_C 29 != dim k 30")):
-        cartan_decomposition(ctx.cb, theta, gamma)
-    monkeypatch.setattr(realform, "fixed_subalgebra", fixed)
-    calls = []  # k, p, then p_C
-
-    def dropping(dim, maps):
-        calls.append(1)
-        return eigen(dim, maps)[len(calls) == 3:]
-
-    monkeypatch.setattr(realform, "joint_eigenspace", dropping)
-    with pytest.raises(RealFormError, match=re.escape("dim p_C 15 != dim p 16")):
-        cartan_decomposition(ctx.cb, theta, gamma)
-
-
-def test_split_rejects_a_killing_form_that_is_not_negative_definite_on_k():
-    cb, theta = _a2_split()
-    cb.killing[2 * cb.npos][2 * cb.npos] *= -1  # w1 lies in k
-    with pytest.raises(RealFormError) as exc:
-        cartan_decomposition(cb, theta)
-    assert str(exc.value) == "Killing form on k is not negative definite"
-
-
-def _sign_changes(coeffs):
-    signs = [c > 0 for c in coeffs if c != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _dense_gram_inertia(rows, killing, dim):
-    """(n_pos, n_neg, n_zero) of the dense Gram X B X^T by sympy: a symmetric
-    matrix has real eigenvalues, so Descartes' rule on its characteristic
-    polynomial counts their signs exactly."""
-    X, B = (DomainMatrix.from_Matrix(sympy.Matrix([[r.get(j, 0) for j in range(dim)]
-                                                   for r in m])) for m in (rows, killing))
-    coeffs = (X * B * X.transpose()).charpoly()  # highest degree first
-    n = len(rows)
-    zero = n - max(k for k, c in enumerate(coeffs) if c != 0)
-    neg = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
-    return _sign_changes(coeffs), neg, zero
-
-
-def test_restricted_inertia_matches_the_dense_gram(monkeypatch):
-    """On the 12 k and p spans of a cold verify all, the sparse Gram's inertia
-    is sympy's inertia of the dense Gram; with one diagonal sign of the
-    Killing form flipped, on the first pivot of the span, both change."""
-    spans = []
-    real = realform._restricted_inertia
-    monkeypatch.setattr(realform, "_restricted_inertia",
-                        lambda cb, span: spans.append((cb, span)) or real(cb, span))
-    run_all(VerifyContext())
-    monkeypatch.undo()
-    assert len(spans) == 12
-    for cb, span in spans:
-        got = real(cb, span)
-        assert got == _dense_gram_inertia(span.rows, cb.killing, cb.dim) == (0, span.dim, 0)
-        c = span.pivots[0]
-        flipped = [dict(row) for row in cb.killing]
-        flipped[c][c] = -flipped[c][c]
-        got = real(SimpleNamespace(killing=flipped), span)
-        assert got == _dense_gram_inertia(span.rows, flipped, cb.dim) != (0, span.dim, 0)
 
 
 def test_sigma2_gives_e6_minus_14(e6, e6_compact):
@@ -685,3 +645,20 @@ def test_each_reachable_catalog_row_comes_out_of_a_certified_split(ctx):
         d = cartan_decomposition(c.cb, _automorphism(c, theta),
                                  [_automorphism(c, g) for g in gamma])
         assert ((d.g_type, d.k_type, d.k_dim, d.p_dim), d.name) == (keys[name], name)
+
+
+def test_the_signature_is_the_dims_of_the_compact_eigenspaces(ctx, census):
+    """The split prints (dim k_C, dim p_C): on the whole-algebra, so82 and so81
+    splits, the four census representatives and the 22 catalog splits above,
+    that is (dim k, dim p) of the joint +-theta eigenspaces of gamma on the
+    compact basis, which helpers.split_spans reads through oracles.compact_cols."""
+    cases = [(ctx.cb, theta, gamma) for _, theta, gamma in _split_cases(ctx)]
+    cases += [(ctx.cb, r.automorphism, []) for r in census.rows if r.provenance == "generic"]
+    contexts = {"E6": ctx}
+    for label, theta, gamma in REALIZED.values():
+        c = contexts.setdefault(label, VerifyContext(algebra=label))
+        cases.append((c.cb, _automorphism(c, theta), [_automorphism(c, g) for g in gamma]))
+    assert len(cases) == 29
+    for cb, theta, gamma in cases:
+        k, p = split_spans(cb, theta, gamma)[:2]
+        assert cartan_decomposition(cb, theta, gamma).signature == (k.dim, p.dim), theta.descriptor

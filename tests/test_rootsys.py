@@ -472,6 +472,28 @@ def test_jacobi_at_ranks_7_and_8(label):
     assert sparse_jacobi_defect(chevalley_table(build_root_system(cartan_matrix(label)))) is None
 
 
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_e7_with_one_forced_sign_negated_fails_jacobi(which):
+    """On E7, negating the stored bracket of one pair of positive roots that is
+    not extraspecial (the first, middle or last such pair, in both orders)
+    makes the sparse scan report a defect.  The mutant models a forced sign
+    gone wrong.  Choosing the sign of an extraspecial pair the other way, with
+    every forced sign rebuilt from it, would pass: any choice of those signs
+    gives a Chevalley basis (Carter, Simple Groups of Lie Type, 4.2), so no
+    identity of the table can single one out."""
+    t = chevalley_table(build_root_system(cartan_matrix("E7")))
+    r, n = t.rank, t.npos
+    special = {(r + a, r + b) for a, b in t.extraspecial.values()}
+    forced = [(i, j, terms) for i, j, terms in t.brackets()
+              if r <= i < r + n and r <= j < r + n and (i, j) not in special]
+    assert len(forced) == 336 - 56
+    i, j, terms = forced[{"first": 0, "middle": len(forced) // 2, "last": -1}[which]]
+    bad = copy.copy(t)
+    bad._adj = [dict(row) for row in t._adj]
+    set_bracket(bad, i, j, [(k, -c) for k, c in terms])
+    assert sparse_jacobi_defect(bad) is not None
+
+
 # -- Killing form --------------------------------------------------------------
 
 def test_killing_a1_value():

@@ -874,11 +874,11 @@ def test_verify_all_matches_golden(ctx):
 
 
 def test_cold_verify_all_eliminations_are_pinned(monkeypatch):
-    """A cold verify all runs exactly 56 eliminations (exactq._echelon), 9 of
-    them through exactq.kernel, all for center_of; each of its 6 real-form
-    splits eliminates k, p and p_C.  Fixed spaces of signed
-    permutations are read off orbits; a change that sends them back to the
-    stacked kernel, or adds eliminations elsewhere, moves these counts."""
+    """A cold verify all runs exactly 44 eliminations (exactq._echelon), 9 of
+    them through exactq.kernel, all for center_of; each of its 6 splits
+    eliminates p_C only.  Fixed spaces of signed permutations are read off
+    orbits; a change that sends them back to the stacked kernel, or adds
+    eliminations elsewhere, moves these counts."""
     counts = {"_echelon": 0, "kernel": 0}
 
     def counting(name):
@@ -892,7 +892,7 @@ def test_cold_verify_all_eliminations_are_pinned(monkeypatch):
     for name in counts:
         monkeypatch.setattr(exactq, name, counting(name))
     run_all(VerifyContext())
-    assert counts == {"_echelon": 56, "kernel": 9}
+    assert counts == {"_echelon": 44, "kernel": 9}
 
 
 def test_reports_json_schema(ctx):
