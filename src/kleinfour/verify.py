@@ -13,11 +13,11 @@ reads it from the representative's real-form split (cartan_decomposition):
 Fix(theta) is the split's k part, and the split also names the real form.
 Every other involution y is certified conjugate to a classified one x,
 y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
-column equality y∘g == g∘x, and takes x's class; each row's dimension is still
-checked against its trace.  The so(9) Klein gate walks its (sigma3, sigma2)
-pairs the same way, with the equality on both factors (_label_by_conjugacy).
-Scenarios read each involution's class from its census row, matched by
-columns (VerifyContext.census_labels), and never reclassify.
+column equality y∘g == g∘x alone, and takes x's class; y is looked up by its
+image of a weighted sum of the generators.  Each row's dimension is checked
+against its trace.  The so(9) Klein gate walks its pairs alike, on both
+factors (_label_by_conjugacy).  Scenarios look each involution's class up by
+columns in the census (VerifyContext.census_labels) and never reclassify.
 
 Searches run over the census: the full torus 2-group (63 nonzero classes) and
 the 64 twisted products omega*torus(c), keeping the twists that square to the
@@ -58,6 +58,7 @@ from .autos import (
     CertificationError,
     Cols,
     CharacterSum,
+    _apply_cols,
     add_generator,
     certify_batch,
     commutes,
@@ -205,21 +206,19 @@ def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Tuple[Automorphis
     return tuple((g, inverse_cols(g)) for g in gens)
 
 
-def _fingerprint(cols, gens: Sequence[int]) -> tuple:
-    """The images of the basis vectors gens, hashable."""
-    return tuple(tuple(sorted(cols[k].items())) for k in gens)
+def _fingerprint(cols, vec: dict) -> tuple:
+    """The image of the sparse vector vec under cols, hashable."""
+    return tuple(sorted(_apply_cols(cols, vec).items()))
 
 
-def _fingerprint_index(tuples, gens: Sequence[int]) -> Dict[tuple, int]:
-    """Position of each tuple, keyed by its factors' fingerprints on gens, concatenated."""
-    return {sum((_fingerprint(a.cols, gens) for a in t), ()): n for n, t in enumerate(tuples)}
+def _fingerprint_index(tuples, vec: dict) -> Dict[tuple, int]:
+    """Position of each tuple, keyed by its factors' fingerprints on vec."""
+    return {tuple(_fingerprint(a.cols, vec) for a in t): n for n, t in enumerate(tuples)}
 
 
-def _conjugate_key(g: Automorphism, g_inv_gens: Sequence[dict], xs) -> tuple:
-    """The fingerprint of (g x_i g^-1) on the generators whose columns of g^-1
-    are g_inv_gens, read off the columns of g and x_i (no product is built)."""
-    images = lambda x: compose_cols(g.cols, compose_cols(x.cols, g_inv_gens))
-    return sum((_fingerprint(images(x), range(len(g_inv_gens))) for x in xs), ())
+def _conjugate_key(g: Automorphism, g_inv_vec: dict, xs) -> tuple:
+    """_fingerprint_index's key of (g x_i g^-1), read off g, x_i and g^-1(vec)."""
+    return tuple(_fingerprint(g.cols, _apply_cols(x.cols, g_inv_vec)) for x in xs)
 
 
 def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
@@ -229,14 +228,15 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
     walked depth first: for a labelled x = (x_1, ..., x_k) and a conjugator
     (g, g^-1), the tuple y = (g x_i g^-1) gets x's label once y_i∘g == g∘x_i
     holds column for column on every factor.  y is looked up by its factors'
-    images of the Chevalley generators x_{+-alpha_i}, which determine an
-    automorphism; a lookup whose column equality fails is no edge.  The
-    provenance is "generic", or (g, the descriptors of x joined by ",").
+    images g(x_i(g^-1 v)) of v = sum_n (n+1) e_n over the generators e_n =
+    x_{+-alpha_i}; a census row sends each e_n to some +-e_m, so its key's
+    magnitudes fix the row, and any other y with that key fails the column
+    equality.  The provenance is "generic", or (g, ",".join(x's descriptors)).
     """
-    rs = table.rs
-    gens = [table.rank + k for s in rs.simple for k in (s, s + rs.npos)]
-    index = _fingerprint_index(tuples, gens)
-    conjugators = [(g, [g_inv[k] for k in gens]) for g, g_inv in conjugators]
+    gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
+    v = {k: n + 1 for n, k in enumerate(gens)}
+    index = _fingerprint_index(tuples, v)
+    conjugators = [(g, _apply_cols(g_inv, v)) for g, g_inv in conjugators]
     labels: List[Optional[tuple]] = [None] * len(tuples)
     left = len(tuples)
     for start, t in enumerate(tuples):
@@ -248,10 +248,10 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
         while stack and left:
             n = stack.pop()
             xs = tuples[n]
-            for g, g_inv_gens in conjugators:
+            for g, g_inv_v in conjugators:
                 if g.diag and all(x.diag for x in xs):
                     continue  # diagonal matrices commute: g x g^-1 is x
-                m = index.get(_conjugate_key(g, g_inv_gens, xs))
+                m = index.get(_conjugate_key(g, g_inv_v, xs))
                 if m is None or labels[m] is not None:
                     continue
                 if not all(products_equal(y.cols, g.cols, g.cols, x.cols)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -196,15 +197,35 @@ def test_census_without_conjugators_is_all_generic(ctx, census, monkeypatch):
     assert plain == census
 
 
+def _walk_indexes(ctx, monkeypatch):
+    """The vector v and the index of the census walk and of the so(9) gate's
+    walk, each recorded from its _fingerprint_index call on a fresh run."""
+    real = verify._fingerprint_index
+    seen = []
+
+    def recording(tuples, vec):
+        seen.append((vec, real(tuples, vec)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify, "_fingerprint_index", recording)
+    verify.involution_census(ctx)
+    find_so9_klein(ctx)
+    monkeypatch.setattr(verify, "_fingerprint_index", real)
+    (v, census_index), (v_so9, so9_index) = seen
+    assert v_so9 == v
+    return v, census_index, so9_index
+
+
 def test_census_walk_skips_diagonal_conjugations(ctx, census, monkeypatch):
     """A torus row conjugated by a simple torus involution is the row itself,
-    so the walk computes 510 fingerprints besides the index's one per row."""
+    so the walk computes 510 keys, one fingerprint each, besides the index's
+    one per row."""
     real = verify._fingerprint
     calls = []
 
-    def counting(cols, gens):
+    def counting(cols, vec):
         calls.append(1)
-        return real(cols, gens)
+        return real(cols, vec)
 
     monkeypatch.setattr(verify, "_fingerprint", counting)
     again = verify.involution_census(ctx)
@@ -214,13 +235,14 @@ def test_census_walk_skips_diagonal_conjugations(ctx, census, monkeypatch):
 
 
 def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, monkeypatch):
-    """The key of g x g^-1, read off the columns of g and x, is the fingerprint
-    of the certified conjugate, factor by factor: for every census row and
-    every gated so(9) pair under each of the 12 conjugators, and for every key
-    the census and so(9) gate walks look up.  The conjugates are the columns
-    autos.conjugate builds, certified in one batch per conjugator."""
+    """The key of g x g^-1, read off the columns of g and x and g^-1(v), is
+    the fingerprint on v of the certified conjugate, factor by factor: for
+    every census row and every gated so(9) pair under each of the 12
+    conjugators, and for every key the census and so(9) gate walks look up.
+    The conjugates are the columns autos.conjugate builds, certified in one
+    batch per conjugator."""
     table = ctx.table
-    gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
+    v, _, _ = _walk_indexes(ctx, monkeypatch)
     rows = [ctx.automorphism(r.descriptor) for r in census.rows]
     assert len(census.conjugators) == 12
     want = {}
@@ -229,21 +251,21 @@ def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, mon
                  for x in rows]
         conj = certify_batch(table, batch)
         for x, y in zip(rows, conj):
-            want[g.descriptor, x.descriptor] = verify._fingerprint(y.cols, gens)
+            want[g.descriptor, x.descriptor] = verify._fingerprint(y.cols, v)
         for n in (0, -1):  # an inner and an outer row through autos.conjugate itself
             assert conjugate(g, rows[n]).cols == conj[n].cols
     tuples = [(x,) for x in rows] + list(_so9_pairs(ctx).values())
     assert len(tuples) == len(rows) + 12
     for g, g_inv in census.conjugators:
-        g_inv_gens = [g_inv[k] for k in gens]
+        g_inv_v = compose_cols(g_inv, [v])[0]
         for xs in tuples:
-            assert verify._conjugate_key(g, g_inv_gens, xs) == sum(
-                (want[g.descriptor, x.descriptor] for x in xs), ()), (g, xs)
+            assert verify._conjugate_key(g, g_inv_v, xs) == tuple(
+                want[g.descriptor, x.descriptor] for x in xs), (g, xs)
     real = verify._conjugate_key
     seen = []
 
-    def recording(g, g_inv_gens, xs):
-        seen.append((g.descriptor, xs, real(g, g_inv_gens, xs)))
+    def recording(g, g_inv_vec, xs):
+        seen.append((g.descriptor, xs, real(g, g_inv_vec, xs)))
         return seen[-1][2]
 
     monkeypatch.setattr(verify, "_conjugate_key", recording)
@@ -253,7 +275,42 @@ def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, mon
     find_so9_klein(ctx)
     assert len(seen) > walked and {len(xs) for _, xs, _ in seen[walked:]} == {2}
     for g, xs, key in seen:
-        assert key == sum((want[g, x.descriptor] for x in xs), ()), (g, xs)
+        assert key == tuple(want[g, x.descriptor] for x in xs), (g, xs)
+
+
+def test_walk_fingerprints_decode_to_the_generator_images(ctx, census, monkeypatch):
+    """The walk's v weights the 12 generators x_{+-alpha_i} by 1..12, and
+    every census row and so(9) factor sends each generator to a signed
+    generator, so each coefficient of its fingerprint decodes by magnitude to
+    one generator's image: the fingerprint fixes the row.  The census index
+    holds one key per row (79) and the so(9) gate's one per gated pair."""
+    table = ctx.table
+    v, census_index, so9_index = _walk_indexes(ctx, monkeypatch)
+    gens = sorted(v, key=v.get)
+    assert [v[k] for k in gens] == list(range(1, 13))
+    assert set(gens) == {table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)}
+    pairs = _so9_pairs(ctx).values()
+    factors = [r.automorphism for r in census.rows] + [x for pair in pairs for x in pair]
+    for a in factors:
+        decoded = {gens[abs(c) - 1]: {k: 1 if c > 0 else -1}
+                   for k, c in verify._fingerprint(a.cols, v)}
+        assert decoded == {k: a.cols[k] for k in gens}, a
+    assert len(census_index) == len(census.rows) == 79
+    assert len(so9_index) == len(pairs) == ctx.so9_klein.provenance["pairs_gated"]
+
+
+def test_walk_provenance_is_pinned(ctx, census):
+    """The walk's edges, which verify all never prints: every census row's
+    provenance and the so(9) gate's pair provenance, in order, hash to pinned
+    values, so a change of key, conjugators or walk order that moves any edge
+    fails here."""
+    rows = [(r.descriptor, r.provenance) for r in census.rows]
+    pairs = list(ctx.so9_klein.provenance["pairs"].items())
+    digest = lambda x: hashlib.sha256(repr(x).encode()).hexdigest()
+    assert (len(rows), digest(rows)) == (
+        79, "caa86ec1bcb681d38e1a36a56f61f6313f92288bf21473485c127f3afb9feb6c")
+    assert (len(pairs), digest(pairs)) == (
+        12, "27d7fbd89758b4540d36ca1f333c82f7041f6c4dd569cfe8d62734059135642e")
 
 
 def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
@@ -273,9 +330,9 @@ def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census
                 hits.append(key)
             return super().get(key, default)
 
-    def poisoned(autos, gens):
+    def poisoned(autos, vec):
         nonlocal z_key
-        index = Spy(real_index(autos, gens))
+        index = Spy(real_index(autos, vec))
         z_key = next(k for k, n in index.items() if n == z)
         index[next(k for k, n in index.items() if n == y)] = z
         return index
@@ -531,9 +588,9 @@ def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monk
                 hits.append(key)
             return super().get(key, default)
 
-    def poisoned(tuples, gens):
+    def poisoned(tuples, vec):
         nonlocal z_key
-        index = Spy(real_index(tuples, gens))
+        index = Spy(real_index(tuples, vec))
         z_key = next(k for k, n in index.items() if n == z)
         index[next(k for k, n in index.items() if n == y)] = z
         return index
