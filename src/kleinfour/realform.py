@@ -9,10 +9,10 @@ Beyond an Introduction, VI.1), so u is closed under the bracket once omega_0
 is certified as an automorphism: N(-a,-b) = -N(a,b) on every pair, with the
 [X_a, X_{-a}] relations.  Its brackets are never tabulated.  An automorphism
 has rational columns, so it commutes with conjugation, and it preserves u
-exactly when it commutes with omega_0.  The Killing form is a trace, so it is
-traced once on the Chevalley table and carried to this basis through the
-same sqrt(-1)^e x; it must come out real and negative definite -- a failure
-signals a structure-constant bug and is fatal.
+exactly when it commutes with omega_0.  The Killing form of u is built from
+npos + rank^2 traces that a root-graded table leaves nonzero (Humphreys, 8.1)
+and must be negative definite -- a failure signals a structure-constant bug
+and is fatal.
 
 Real forms are described by a Cartan involution theta: k is its fixed part,
 p its antifixed part (understood as multiplied by sqrt(-1) in the noncompact
@@ -36,7 +36,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .exactq import SpanSolver, joint_eigenspace, rref, symmetric_inertia
 from .autos import Automorphism, commutes, make_automorphism
 from .identify import ReductiveType, center_of, first_escape, fixed_subalgebra, identify_type
-from .rootsys import StructureTable, killing_form
+from .rootsys import StructureTable
 
 
 class RealFormError(Exception):
@@ -51,6 +51,14 @@ class CatalogMissError(LookupError):
 # Compact form
 # ---------------------------------------------------------------------------
 
+def _trace(adj, i: int, j: int) -> int:
+    """B(e_i, e_j) = tr(ad e_i o ad e_j) on the store adj of a bracket table:
+    the sum of [e_j, e_c]_m [e_i, e_m]_c over the nonzero terms."""
+    row = adj[i]
+    return sum(v * w for c, terms in adj[j].items() for m, v in terms
+               for r, w in row.get(m, ()) if r == c)
+
+
 class CompactBasis:
     """The compact real form in its rational basis, with its Killing form.
 
@@ -59,6 +67,16 @@ class CompactBasis:
     says that basis vector i is sqrt(-1)^e times the Chevalley vector x.
     ``omega0`` is the certified Chevalley involution whose commutants are
     the automorphisms that preserve the compact form.
+
+    ``killing`` is the Gram of the Killing form B on this basis, from npos +
+    rank^2 traces on the Chevalley table: row u_a is {u_a: -2 B(x_a, x_-a)},
+    row v_a the same on v_a, row w_i is {w_j: -B(h_i, h_j)} over its nonzeros.
+    It equals the all-pairs trace carried to this basis, item for item:
+    ``StructureTable._fill`` stores a root-graded table ([x_a, x_b] in
+    g_{a+b}, h of weight 0), so ad e o ad f shifts weights by wt(e) + wt(f)
+    and B(e, f) = 0 unless wt(e) + wt(f) = 0; B(x_-a, x_a) = B(x_a, x_-a),
+    the trace being symmetric, so B(u_a, v_a) = 0; and sqrt(-1)^2 = -1 gives
+    the signs.  It must be negative definite (Knapp, VI.1).
     """
 
     def __init__(self, table: StructureTable):
@@ -71,31 +89,17 @@ class CompactBasis:
             + [(1, {rank + k: 1, rank + npos + k: 1}) for k in range(npos)]
             + [(1, {i: 1}) for i in range(rank)]
         )
-        powers, xs = zip(*self.parts)
         # omega_0, a signed permutation of order 2, certified in one walk
         self.omega0 = make_automorphism(
             table, [{i: -1} for i in range(rank)]
             + [{rank + (k + npos) % (2 * npos): -1} for k in range(2 * npos)],
             "chevalley-involution")
-        # the Killing form is a trace, so it is the Chevalley one carried through
-        # parts: B(i, j) = sqrt(-1)^(e_i + e_j) sum x_i[p] x_j[q] B(p, q), which must
-        # vanish when e_i + e_j is odd; holders[q] lists the (j, x_j[q]), two at most
-        holders: List[List[Tuple[int, int]]] = [[] for _ in range(table.dim)]
-        for j, x in enumerate(xs):
-            for q, c in x.items():
-                holders[q].append((j, c))
-        B, self.killing = killing_form(table), []
-        for i, x in enumerate(xs):
-            acc: Dict[int, int] = {}
-            for p, a in x.items():
-                for q, b in B[p].items():
-                    for j, c in holders[q]:
-                        acc[j] = acc.get(j, 0) + a * b * c
-            odd = next((j for j in acc if acc[j] and (powers[i] + powers[j]) % 2), None)
-            if odd is not None:
-                raise RealFormError(f"B({self.label(i)}, {self.label(odd)}) is not real")
-            self.killing.append({j: acc[j] if powers[i] + powers[j] == 0 else -acc[j]
-                                 for j in sorted(acc) if acc[j]})
+        adj = table._adj
+        pairs = [-2 * _trace(adj, rank + k, rank + npos + k) for k in range(npos)]
+        self.killing: List[Dict[int, int]] = [{i: b} for i, b in enumerate(pairs + pairs)]
+        for i in range(rank):
+            row = (-_trace(adj, i, j) for j in range(rank))
+            self.killing.append({2 * npos + j: b for j, b in enumerate(row) if b})
         inertia = symmetric_inertia(self.killing)
         if inertia != (0, self.dim, 0):
             raise RealFormError(
@@ -107,13 +111,6 @@ class CompactBasis:
     def complex_type(self) -> ReductiveType:
         """Reductive type of the whole complex algebra, identified once."""
         return identify_type(fixed_subalgebra(self.table, []))
-
-    def label(self, i: int) -> str:
-        if i < self.npos:
-            return "u" + str(self.table.rs.roots[i].coords)
-        if i < 2 * self.npos:
-            return "v" + str(self.table.rs.roots[i - self.npos].coords)
-        return f"w{i - 2 * self.npos + 1}"
 
 
 def compact_form(table: StructureTable) -> CompactBasis:

@@ -1,4 +1,4 @@
-"""Root systems from Cartan matrices, Chevalley bases, Killing forms.
+"""Root systems from Cartan matrices and Chevalley bases.
 
 Roots are built by height induction over root strings, so the closed root set
 comes out of the Cartan matrix alone; each positive root carries its pairings
@@ -21,12 +21,12 @@ brackets [x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a] are stored;
 ``n_constant`` reads N back from that one store.
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
-Chevalley table here and the compact form in ``realform``.  It has one store
-of the nonzero brackets and one walk over it, ``row_brackets``, behind the
-generic homomorphism certificate, the closure check and every bracket of two
-vectors (``identify``'s center and coroots); the certificate of signed
-permutations (``signed_permutation_flags``) and ``killing_form`` read the same
-store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
+Chevalley table.  It has one store of the nonzero brackets and one walk over
+it, ``row_brackets``, behind the generic homomorphism certificate, the
+closure check and every bracket of two vectors (``identify``'s center and
+coroots); the certificate of signed permutations
+(``signed_permutation_flags``) and ``realform``'s Killing traces read the
+same store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
 ``validate_cartan`` carries integer root lengths along it and reads positive
 definiteness from ``exactq.symmetric_inertia``, and ``cartan_isomorphisms``
 places nodes in its order, a backtracking walk behind diagram symmetries and
@@ -643,33 +643,6 @@ class StructureTable(BracketTable):
 def chevalley_table(rs: RootSystem) -> StructureTable:
     """Integer Chevalley structure table with the extraspecial sign convention."""
     return StructureTable(rs)
-
-
-# ---------------------------------------------------------------------------
-# Killing form and structural scans
-# ---------------------------------------------------------------------------
-
-def killing_form(t: BracketTable) -> List[Dict[int, int]]:
-    """Sparse rows of B(e_i, e_j) = tr(ad e_i o ad e_j), keys ascending.
-
-    The trace is the sum of [e_i, e_m]_c [e_j, e_c]_m over the nonzero terms.
-    """
-    adj = t._adj
-    # into[c][m] lists (j, [e_j, e_c]_m) over the nonzero terms
-    into: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(t.dim)]
-    for j, row in enumerate(adj):
-        for c, terms in row.items():
-            for m, v in terms:
-                into[c].setdefault(m, []).append((j, v))
-    B: List[Dict[int, int]] = []
-    for row in adj:
-        acc: Dict[int, int] = {}
-        for m, terms in row.items():
-            for c, w in terms:
-                for j, v in into[c].get(m, ()):
-                    acc[j] = acc.get(j, 0) + w * v
-        B.append({j: acc[j] for j in sorted(acc) if acc[j]})
-    return B
 
 
 # ---------------------------------------------------------------------------

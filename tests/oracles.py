@@ -16,9 +16,10 @@ of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
 basis pairs and triples; the sparse Jacobi scan, which visits only the
 triples with a nonzero double bracket, also lists the table's
-``brackets()``.  ``pairing`` reads only a root system's Cartan matrix, and
-``cartan_symmetries_by_scan`` only a Cartan matrix, trying all n!
-relabelings.  ``cartan_real_form_name`` names a real form from its
+``brackets()``, and the grading check reads every stored term of its
+``_adj`` with the root keys of its ``rs``.  ``pairing`` reads only a root
+system's Cartan matrix, and ``cartan_symmetries_by_scan`` only a Cartan
+matrix, trying all n! relabelings.  ``cartan_real_form_name`` names a real form from its
 (complex type, compact type, signature) key by Cartan's rule, from type
 labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
 the fixed type of a torus involution on any simple type from the rank, root
@@ -434,6 +435,26 @@ def sparse_jacobi_defect(t):
                 _add_scaled(acc, v, pb(m, c))
         if acc:
             return (i, j, k)
+    return None
+
+
+def grading_defect(t):
+    """The first stored term (i, j, k) of [e_i, e_j] = ... + c e_k whose weight
+    is not wt(e_i) + wt(e_j), or None.
+
+    The weights are read off root keys: wt(x_a) is t.rs.keys[a], the sum of
+    the coordinates of a weighted by powers of 64, and wt(h_i) is 0.  Keys
+    add as the roots do, so a table passes exactly when [x_a, x_b] is a
+    multiple of x_{a+b}, [x_a, x_-a] and [h_i, h_j] lie in the Cartan and
+    [h_i, x_a] is a multiple of x_a.  Every stored term is read, in both
+    orders, from the store t._adj itself.
+    """
+    wt = [0] * t.rank + list(t.rs.keys)
+    for i, row in enumerate(t._adj):
+        for j, terms in row.items():
+            for k, _ in terms:
+                if wt[k] != wt[i] + wt[j]:
+                    return (i, j, k)
     return None
 
 

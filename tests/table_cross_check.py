@@ -7,7 +7,10 @@ and in key and term order; the compact Killing forms of E7 and E8 against
 of E7 and E8 under torus:1,0,...,0, whose relations ``helpers.split_defects``
 walks on the compact brackets, over the k and p that ``oracles.compact_cols``
 gives, and on the Chevalley table; and the Jacobi identity of the Chevalley
-tables of E8, A16, B16, C16 and D16 by ``oracles.sparse_jacobi_defect``.
+tables of E8, A16, B16, C16 and D16 by ``oracles.sparse_jacobi_defect``, and
+their root grading, the premise of the compact Killing form's blocks, by
+``oracles.grading_defect``.  Each Chevalley table is built once, and the
+first check that reads it is timed with its build.
 Run from the repository root as ``PYTHONPATH=src python
 tests/table_cross_check.py``; it prints one line per check and exits 1 if
 any differs.
@@ -15,6 +18,7 @@ any differs.
 
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -23,16 +27,22 @@ from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
 from helpers import root_index, split_defects  # noqa: E402
-from oracles import chevalley_reference, compact_reference, sparse_jacobi_defect  # noqa: E402
+from oracles import (chevalley_reference, compact_reference, grading_defect,  # noqa: E402
+                     sparse_jacobi_defect)
 
 
 def rows(adj):
     return [list(row.items()) for row in adj]
 
 
+@lru_cache(maxsize=None)
+def table(label):
+    return chevalley_table(build_root_system(cartan_matrix(label)))
+
+
 def chevalley_differs(label):
-    rs = build_root_system(cartan_matrix(label))
-    t = chevalley_table(rs)
+    t = table(label)
+    rs = t.rs
     adj, _, extraspecial = chevalley_reference(rs)
     special = [(root_index(rs, g), (root_index(rs, a), root_index(rs, b)))
                for g, (a, b) in extraspecial.items()]
@@ -40,7 +50,7 @@ def chevalley_differs(label):
 
 
 def killing_differs(label):
-    cb = compact_form(chevalley_table(build_root_system(cartan_matrix(label))))
+    cb = compact_form(table(label))
     return rows(cb.killing) != rows(compact_reference(cb)[1])
 
 
@@ -53,13 +63,19 @@ def split_differs(label):
 
 def jacobi_fails(label):
     """The first basis triple whose Jacobi sum is not zero, or None."""
-    return sparse_jacobi_defect(chevalley_table(build_root_system(cartan_matrix(label))))
+    return sparse_jacobi_defect(table(label))
+
+
+def grading_fails(label):
+    """The first stored term off the root grading, or None."""
+    return grading_defect(table(label))
 
 
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
     ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
     ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")] + [
-    ("jacobi", label, jacobi_fails) for label in ("E8", "A16", "B16", "C16", "D16")]
+    ("jacobi", label, jacobi_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
+    ("grading", label, grading_fails) for label in ("E8", "A16", "B16", "C16", "D16")]
 
 
 def main():

