@@ -57,7 +57,7 @@ def _type_label(text: str) -> str:
 
 
 def _class_labels(text: str) -> List[str]:
-    labels = [x.strip() for x in text.split(",") if x.strip()]
+    labels = [x.strip() for x in text.split(",")]
     try:
         check_class_labels(labels)
     except ValueError as exc:

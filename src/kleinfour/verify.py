@@ -125,46 +125,7 @@ def check_class_labels(class_labels: Sequence[str]) -> None:
 # Census
 # ---------------------------------------------------------------------------
 
-class _Record:
-    """A frozen record: its fields are the class annotations in order, each
-    given by position or keyword (not both) or else the class body's default.
-    == and hash leave out the fields in ``_uncompared``, repr those in
-    ``_unshown``."""
-
-    _uncompared = _unshown = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        fields = type(self).__annotations__
-        given = dict(zip(fields, args))
-        twice = [f for f in given if f in kwargs]
-        if twice:
-            raise TypeError(f"{type(self).__name__} got multiple values for field {twice[0]!r}")
-        values = {f: getattr(type(self), f) for f in fields if hasattr(type(self), f)}
-        values.update(given, **kwargs)
-        if len(args) > len(fields) or values.keys() != fields.keys():
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        self.__dict__.update((f, values[f]) for f in fields)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return tuple(v for f, v in vars(self).items() if f not in self._uncompared)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={v!r}" for f, v in vars(self).items() if f not in self._unshown)
-        return f"{type(self).__name__}({shown})"
-
-
-class CensusRow(_Record):
+class CensusRow(NamedTuple):
     descriptor: str
     kind: str  # "inner" | "outer"
     fixed_dim: int
@@ -174,13 +135,11 @@ class CensusRow(_Record):
     automorphism: Automorphism
     # how the row was labelled: "generic" (classified from its real-form split), or
     # (g, x): conjugate by g of the census row with descriptor x, certified
-    # by row∘g == g∘x.  Not part of the row's value.
+    # by row∘g == g∘x
     provenance: Union[str, Tuple[str, str]] = "generic"
-    _uncompared = ("automorphism", "provenance")
-    _unshown = ("automorphism",)
 
 
-class Census(_Record):
+class Census(NamedTuple):
     rows: Tuple[CensusRow, ...]
     inner_counts: Dict[str, int]
     outer_counts: Dict[str, int]
@@ -189,7 +148,6 @@ class Census(_Record):
     twist_involutions: int
     # the certified (g, g^-1) the census walked with; the so(9) gate reuses them
     conjugators: Sequence[Tuple[Automorphism, Cols]] = ()
-    _uncompared = _unshown = ("conjugators",)
 
 
 def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Tuple[Automorphism, Cols], ...]:
@@ -309,7 +267,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
 # Configuration searches
 # ---------------------------------------------------------------------------
 
-class Configuration(_Record):
+class Configuration(NamedTuple):
     """Named automorphisms realizing a searched-for subgroup, with provenance;
     ``automorphisms`` holds the certified a, b[, theta] in that order."""
 
@@ -319,7 +277,6 @@ class Configuration(_Record):
     labels: Dict[str, str]
     provenance: Dict[str, object]
     automorphisms: Tuple[Automorphism, ...]
-    _uncompared = _unshown = ("automorphisms",)
 
 
 def _gated_fixed(table, autos: Sequence[Automorphism], dim: int) -> Subalgebra:

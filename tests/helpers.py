@@ -4,13 +4,12 @@
 corrupting test wants it; ``string_down`` walks a root string on the root
 system's keys; ``root_key`` and ``root_index`` find a root by its
 coordinates; ``diagram_automorphism`` certifies the automorphism of any
-Dynkin-diagram symmetry (the library builds only omega's); ``replaced`` copies
-a frozen record with some fields changed.  ``compact_table`` holds the
-brackets of the compact basis, which the library never stores, and ``split_spans``
-gives the four spans of a real-form split, k and p on the compact basis by
-``oracles.compact_cols`` and k_C and p_C as the split walks them, whose
-relations ``split_defects`` checks on both the compact and the Chevalley
-brackets.
+Dynkin-diagram symmetry (the library builds only omega's).  ``compact_table``
+holds the brackets of the compact basis, which the library never stores, and
+``split_spans`` gives the four spans of a real-form split, k and p on the
+compact basis by ``oracles.compact_cols`` and k_C and p_C as the split walks
+them, whose relations ``split_defects`` checks on both the compact and the
+Chevalley brackets.
 """
 
 from itertools import chain
@@ -61,13 +60,6 @@ def diagram_automorphism(table, perm):
     x_{+-alpha_i} -> x_{+-alpha_perm(i)}."""
     return make_automorphism(table, _diagram_columns(table, perm),
                              "diagram:" + ",".join(str(p + 1) for p in perm))
-
-
-def replaced(record, **changes):
-    """A copy of the frozen record (a NamedTuple or a ``verify`` record) with
-    the given fields changed."""
-    fields = type(record).__annotations__
-    return type(record)(**{f: changes.get(f, getattr(record, f)) for f in fields})
 
 
 def compact_table(cb):

@@ -17,8 +17,10 @@ all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
 basis pairs and triples; the sparse Jacobi scan, which visits only the
 triples with a nonzero double bracket, also lists the table's
 ``brackets()``, and the grading check reads every stored term of its
-``_adj`` with the root keys of its ``rs``.  ``pairing`` reads only a root
-system's Cartan matrix, and ``cartan_symmetries_by_scan`` only a Cartan
+``_adj`` with the root keys of its ``rs``.  ``cocycle_defect`` reads the same
+store and only the roots and Cartan matrix of its ``rs``, and rebuilds every
+bracket of a simply-laced type from Kac's sign cocycle.  ``pairing`` reads
+only a root system's Cartan matrix, and ``cartan_symmetries_by_scan`` only a Cartan
 matrix, trying all n! relabelings.  ``cartan_real_form_name`` names a real form from its
 (complex type, compact type, signature) key by Cartan's rule, from type
 labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
@@ -456,6 +458,83 @@ def grading_defect(t):
                 if wt[k] != wt[i] + wt[j]:
                     return (i, j, k)
     return None
+
+
+def cocycle_defect(t):
+    """The basis pairs (i, j), i < j, where the simply-laced Chevalley table t
+    differs from Kac's lattice construction, in index order; [] if none.
+
+    Kac, Infinite-dimensional Lie algebras, 7.8 (after Frenkel and Kac):
+    with m(a) the simple-root coordinates of a and M upper triangular, 1 on
+    the diagonal and at each joined i < j, eps(a, b) = (-1)^(m(a)^T M m(b))
+    is bimultiplicative with eps(a, a) = -1 on roots, and h + sum C E_a with
+    [h_i, E_a] = <a, alpha_i^vee> E_a, [E_a, E_-a] = eps(a, -a) h_a and
+    [E_a, E_b] = eps(a, b) E_{a+b} when a + b is a root (0 when it is not
+    a root or 0) is the simple algebra of the type.  Any two Chevalley bases
+    on one Cartan differ by signs x_a = s_a E_a (Carter, Simple Groups of Lie
+    Type, 4.2).  The signs are read off t: s = 1 on the simple roots; for
+    each other positive g, in height order, s_g = N(a, b) eps(a, b) s_a s_b
+    on the first stored pair (a, b) of positive roots with a + b = g (the
+    extraspecial pair, as t lists roots); and s_-a = eps(a, -a) s_a, so that
+    [x_a, x_-a] = h_a.  Every bracket of t, in both orders, is then compared
+    with that basis's, so no entry off this tree is taken on trust.
+
+    [] therefore proves that t is the table of a Chevalley basis of the
+    algebra.  Any other entry is reported where it stands: a coefficient
+    other than +-1 between root vectors, a term off the root grading, a
+    missing or extra bracket, a wrong [h_i, x_a] or [x_a, x_-a] (no choice
+    of s moves them), and a wrong sign on a pair off the tree.  A wrong sign
+    on a tree pair (a, b) flips s_g, and is reported at the entries with
+    x_g or x_-g that it then contradicts, such as [x_g, x_-b] = +-x_a, not
+    at (a, b) itself.  What it cannot see: a consistent re-choice of signs,
+    which is a Chevalley basis again, so the library's convention that N is
+    positive on extraspecial pairs is left to ``chevalley_reference``; a
+    root missing from both rs.roots and the table, since the roots and the
+    Cartan matrix are read from t.rs; and every type that is not simply
+    laced (ValueError).
+    """
+    rs, rank, adj = t.rs, t.rank, t._adj
+    A = rs.cartan
+    if any(A[i][j] not in (0, -1) for i in range(rank) for j in range(rank) if i != j):
+        raise ValueError("cocycle_defect needs a simply-laced type")
+    cs = [r.coords for r in rs.roots]
+    keys = [sum(m * 64 ** i for i, m in enumerate(c)) for c in cs]
+    index = {k: a for a, k in enumerate(keys)}
+    # bit i of lo[a] is m_i(a) mod 2, bit i of up[a] is (M m(a))_i mod 2
+    lo = [sum((m & 1) << i for i, m in enumerate(c)) for c in cs]
+    up = [sum((sum(c[j] for j in range(i, rank) if j == i or A[i][j]) & 1) << i
+              for i in range(rank)) for c in cs]
+
+    def eps(a, b):
+        return -1 if (lo[a] & up[b]).bit_count() & 1 else 1
+
+    pos = sorted((a for a, c in enumerate(cs) if min(c) >= 0), key=lambda a: sum(cs[a]))
+    s = [1] * len(cs)
+    for n, g in enumerate(pos):
+        for a in pos[:n]:
+            b = index.get(keys[g] - keys[a])
+            terms = adj[rank + a].get(rank + b, ()) if b is not None else ()
+            if len(terms) == 1 and terms[0][0] == rank + g:
+                s[g] = (1 if terms[0][1] > 0 else -1) * eps(a, b) * s[a] * s[b]
+                break
+    for a in pos:
+        na = index[-keys[a]]
+        s[na] = eps(a, na) * s[a]
+    want = [{} for _ in adj]
+    for a, ka in enumerate(keys):
+        i = rank + a
+        for k in range(rank):
+            p = sum(A[j][k] * m for j, m in enumerate(cs[a]))  # <a, alpha_k^vee>
+            if p:
+                want[k][i], want[i][k] = {i: p}, {i: -p}
+        for b, kb in enumerate(keys):
+            g = index.get(ka + kb)
+            if ka + kb == 0:
+                want[i][rank + b] = {k: m for k, m in enumerate(cs[a]) if m}
+            elif g is not None:
+                want[i][rank + b] = {rank + g: eps(a, b) * s[a] * s[b] * s[g]}
+    return sorted({(min(i, j), max(i, j)) for i, (w, row) in enumerate(zip(want, adj))
+                   for j in w.keys() | row.keys() if w.get(j) != dict(row.get(j, ()))})
 
 
 def verify_jacobi(t):

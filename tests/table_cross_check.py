@@ -9,8 +9,10 @@ walks on the compact brackets, over the k and p that ``oracles.compact_cols``
 gives, and on the Chevalley table; and the Jacobi identity of the Chevalley
 tables of E8, A16, B16, C16 and D16 by ``oracles.sparse_jacobi_defect``, and
 their root grading, the premise of the compact Killing form's blocks, by
-``oracles.grading_defect``.  Each Chevalley table is built once, and the
-first check that reads it is timed with its build.
+``oracles.grading_defect``; and the whole Chevalley tables of A31 and D32,
+every entry, against Kac's lattice construction by ``oracles.cocycle_defect``.
+Each Chevalley table is built once, and the first check that reads it is
+timed with its build.
 Run from the repository root as ``PYTHONPATH=src python
 tests/table_cross_check.py``; it prints one line per check and exits 1 if
 any differs.
@@ -27,8 +29,8 @@ from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
 from helpers import root_index, split_defects  # noqa: E402
-from oracles import (chevalley_reference, compact_reference, grading_defect,  # noqa: E402
-                     sparse_jacobi_defect)
+from oracles import (chevalley_reference, cocycle_defect, compact_reference,  # noqa: E402
+                     grading_defect, sparse_jacobi_defect)
 
 
 def rows(adj):
@@ -71,11 +73,17 @@ def grading_fails(label):
     return grading_defect(table(label))
 
 
+def cocycle_fails(label):
+    """The basis pairs whose bracket is not the lattice construction's."""
+    return cocycle_defect(table(label))
+
+
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
     ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
     ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")] + [
     ("jacobi", label, jacobi_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
-    ("grading", label, grading_fails) for label in ("E8", "A16", "B16", "C16", "D16")]
+    ("grading", label, grading_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
+    ("cocycle", label, cocycle_fails) for label in ("A31", "D32")]
 
 
 def main():

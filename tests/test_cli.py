@@ -282,6 +282,11 @@ def test_usage_error_is_exit_2():
     (["roots", "--type", "F3"], "F requires rank 4"),
     (["roots", "--type", "G3"], "G requires rank 2"),
     (["roots", "--type", "Z4"], "unknown type letter 'Z'"),
+    # an empty item of --classes is a class label that names no class, like
+    # sigma9 above, wherever it stands
+    (["search", "--classes", "sigma3,,sigma2", "--target", "B4"], "unknown class label ''"),
+    (["search", "--classes", "sigma3,sigma2,", "--target", "B4"], "unknown class label ''"),
+    (["search", "--classes", ",sigma3,sigma2", "--target", "B4"], "unknown class label ''"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()
@@ -289,6 +294,10 @@ def test_bad_input_is_usage_error_exit_2(args, message):
         main(args)
     assert exc.value.code == 2
     assert message in err.getvalue()
+
+
+def test_spaces_around_a_class_label_are_allowed():
+    assert cli._class_labels(" sigma3 ,sigma2\t") == ["sigma3", "sigma2"]
 
 
 @pytest.mark.parametrize("args", [

@@ -42,8 +42,9 @@ from kleinfour.realform import (
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext
 from helpers import compact_table, root_index, set_bracket, split_defects, split_spans
-from oracles import (REFERENCE_TYPES, cartan_real_form_name, compact_cols, compact_reference,
-                     exp_ad_cols, jacobi_defect, killing_reference, to_compact)
+from oracles import (REFERENCE_TYPES, cartan_real_form_name, cocycle_defect, compact_cols,
+                     compact_reference, exp_ad_cols, jacobi_defect, killing_reference,
+                     sparse_jacobi_defect, to_compact)
 
 
 # -- compact form -----------------------------------------------------------------
@@ -74,7 +75,8 @@ def test_a_negated_non_simple_coroot_bracket_fails_the_inertia_check(label, coor
     # [x_a, x_-a] = -h_a in both orders for a non-simple root a moves B(x_a, x_-a)
     # by -8 (A2 and B2: 6 to -2, G2: 8 to 0), so u_a and v_a leave the negative
     # cone; where B(x_a, x_-a) > 8, as on every root of E6 (24 to 16), the
-    # Gram stays definite and only a Jacobi scan sees the change
+    # Gram stays definite and only a Jacobi scan or the cocycle oracle sees the
+    # change (test_e6_with_a_negated_coroot_bracket_passes_the_inertia_check)
     t = copy.copy(chevalley_table(build_root_system(cartan_matrix(label))))
     t._adj = [dict(row) for row in t._adj]
     i = t.rank + root_index(t.rs, coords)
@@ -83,6 +85,22 @@ def test_a_negated_non_simple_coroot_bracket_fails_the_inertia_check(label, coor
             f"Killing form of the compact basis has inertia {inertia}, "
             f"expected (0, {t.rank + 2 * t.npos}, 0);")):
         compact_form(t)
+
+
+def test_e6_with_a_negated_coroot_bracket_passes_the_inertia_check():
+    """A limit of the definiteness certificate: on E6, [x_a, x_-a] = -h_a in
+    both orders for the highest root a = roots[35] moves B(x_a, x_-a) only
+    from 24 to 16, so compact_form raises nothing and its Gram keeps inertia
+    (0, 78, 0).  No certificate in src reads that bracket again; the sparse
+    Jacobi scan reports the triple (10, 40, 77), and the cocycle oracle the
+    negated pair itself."""
+    t = copy.copy(chevalley_table(build_root_system(cartan_matrix("E6"))))
+    t._adj = [dict(row) for row in t._adj]
+    i = t.rank + 35
+    set_bracket(t, i, i + t.npos, [(k, -c) for k, c in t._adj[i][i + t.npos]])
+    assert symmetric_inertia(compact_form(t).killing) == (0, 78, 0)
+    assert sparse_jacobi_defect(t) == (10, 40, 77)
+    assert cocycle_defect(t) == [(i, i + t.npos)] == [(41, 77)]
 
 
 def test_e6_compact_inertia_negative_definite(e6_compact):

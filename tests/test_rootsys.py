@@ -24,6 +24,7 @@ from helpers import root_index, root_key, set_bracket, string_down
 from oracles import (
     REFERENCE_TYPES,
     chevalley_reference,
+    cocycle_defect,
     e6_roots_8d,
     grading_defect,
     jacobi_defect,
@@ -472,15 +473,10 @@ def test_jacobi_at_ranks_7_and_8(label):
     assert sparse_jacobi_defect(chevalley_table(build_root_system(cartan_matrix(label)))) is None
 
 
-@pytest.mark.parametrize("which", ["first", "middle", "last"])
-def test_e7_with_one_forced_sign_negated_fails_jacobi(which):
-    """On E7, negating the stored bracket of one pair of positive roots that is
-    not extraspecial (the first, middle or last such pair, in both orders)
-    makes the sparse scan report a defect.  The mutant models a forced sign
-    gone wrong.  Choosing the sign of an extraspecial pair the other way, with
-    every forced sign rebuilt from it, would pass: any choice of those signs
-    gives a Chevalley basis (Carter, Simple Groups of Lie Type, 4.2), so no
-    identity of the table can single one out."""
+def _e7_with_one_forced_sign_negated(which):
+    """The E7 table with the stored bracket of one pair of positive roots that
+    is not extraspecial (the first, middle or last such pair) negated in both
+    orders, and that pair of basis indices."""
     t = chevalley_table(build_root_system(cartan_matrix("E7")))
     r, n = t.rank, t.npos
     special = {(r + a, r + b) for a, b in t.extraspecial.values()}
@@ -491,7 +487,59 @@ def test_e7_with_one_forced_sign_negated_fails_jacobi(which):
     bad = copy.copy(t)
     bad._adj = [dict(row) for row in t._adj]
     set_bracket(bad, i, j, [(k, -c) for k, c in terms])
+    return bad, (i, j)
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_e7_with_one_forced_sign_negated_fails_jacobi(which):
+    """On E7, negating the stored bracket of one pair of positive roots that is
+    not extraspecial (the first, middle or last such pair, in both orders)
+    makes the sparse scan report a defect.  The mutant models a forced sign
+    gone wrong.  Choosing the sign of an extraspecial pair the other way, with
+    every forced sign rebuilt from it, would pass: any choice of those signs
+    gives a Chevalley basis (Carter, Simple Groups of Lie Type, 4.2), so no
+    identity of the table can single one out."""
+    bad, _ = _e7_with_one_forced_sign_negated(which)
     assert sparse_jacobi_defect(bad) is not None
+
+
+@pytest.mark.parametrize("label", [label for label in REFERENCE_TYPES if label[0] in "ADE"] + [
+    "D16"])
+def test_every_simply_laced_table_is_the_cocycle_table_up_to_signs(e6, label):
+    """The whole table, every entry in both orders, against Kac's lattice
+    construction: the simply-laced reference types and D16 (A31 and D32 are
+    in tests/table_cross_check.py)."""
+    t = e6 if label == "E6" else chevalley_table(build_root_system(cartan_matrix(label)))
+    assert cocycle_defect(t) == []
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_e7_with_one_forced_sign_negated_fails_the_cocycle_oracle(which):
+    """The forced-sign mutants of the Jacobi test above are reported at the
+    negated pair and nowhere else: that pair is off the tree the signs are
+    read along.  What the oracle cannot catch is a consistent re-choice of
+    signs, x_a -> s_a x_a with s_-a = s_a, which is a Chevalley basis again."""
+    bad, pair = _e7_with_one_forced_sign_negated(which)
+    assert cocycle_defect(bad) == [pair]
+
+
+def test_e7_with_an_extraspecial_sign_flipped_fails_the_cocycle_oracle():
+    """The extraspecial pair of the highest root negated in both orders, with
+    no forced sign rebuilt: the tree absorbs the flip into the sign of the
+    highest root, so it is reported at the entries that then disagree, not
+    at the pair itself."""
+    t = copy.copy(chevalley_table(build_root_system(cartan_matrix("E7"))))
+    t._adj = [dict(row) for row in t._adj]
+    a, b = t.extraspecial[t.npos - 1]
+    i, j = t.rank + a, t.rank + b
+    set_bracket(t, i, j, [(k, -c) for k, c in t._adj[i][j]])
+    report = cocycle_defect(t)
+    assert len(report) == 95 and (i, j) not in report
+
+
+def test_the_cocycle_oracle_rejects_a_multiply_laced_type():
+    with pytest.raises(ValueError, match="simply-laced"):
+        cocycle_defect(chevalley_table(build_root_system(cartan_matrix("B2"))))
 
 
 # -- Killing form --------------------------------------------------------------
