@@ -246,6 +246,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+def _origin(exc: BaseException) -> dict:
+    """The module ("layer") and function ("check") of the innermost kleinfour frame exc passed."""
+    where, tb = {}, exc.__traceback__
+    while tb:
+        module = getattr(tb.tb_frame.f_globals.get("__spec__"), "name", "")
+        if module.startswith("kleinfour."):
+            where = {"layer": module[len("kleinfour."):], "check": tb.tb_frame.f_code.co_name}
+        tb = tb.tb_next
+    return where
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args, extra = _make_parser(argv).parse_known_args(argv)
@@ -267,12 +278,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         return EXIT_FAIL
     except Exception as exc:  # computation failures -> structured report, exit 1
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
-            ),
-            file=sys.stderr,
-        )
+        report = {"error": type(exc).__name__, "message": str(exc), **_origin(exc)}
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return EXIT_FAIL
 
 

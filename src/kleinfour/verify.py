@@ -14,9 +14,11 @@ Fix(theta) is the split's k part, and the split also names the real form.
 Every other involution y is certified conjugate to a classified one x,
 y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
 column equality y∘g == g∘x alone, and takes x's class; y is looked up by its
-image of a weighted sum of the generators.  Each row's dimension is checked
-against its trace.  The so(9) Klein gate walks its pairs alike, on both
-factors (_label_by_conjugacy).  Scenarios look each involution's class up by
+image of a weighted sum of the generators.  Both read x and y by their
+certified pi and signs: column j of g∘x is s_x(j) g_{pi_x(j)}, a column of g,
+and y∘g moves g's entries by pi_y.  Each row's dimension is checked against
+its trace.  The so(9) Klein gate walks its pairs alike, on both factors
+(_label_by_conjugacy).  Scenarios look each involution's class up by
 columns in the census (VerifyContext.census_labels) and never reclassify.
 
 Searches run over the census: the full torus 2-group (63 nonzero classes) and
@@ -58,6 +60,7 @@ from .autos import (
     CertificationError,
     Cols,
     CharacterSum,
+    Pi,
     _apply_cols,
     add_generator,
     certify_batch,
@@ -68,7 +71,6 @@ from .autos import (
     joint_fixed_dim,
     make_klein,
     parse_descriptor,
-    products_equal,
     torus_columns,
     weyl_lift,
 )
@@ -175,8 +177,17 @@ def _fingerprint_index(tuples, vec: dict) -> Dict[tuple, int]:
 
 
 def _conjugate_key(g: Automorphism, g_inv_vec: dict, xs) -> tuple:
-    """_fingerprint_index's key of (g x_i g^-1), read off g, x_i and g^-1(vec)."""
-    return tuple(_fingerprint(g.cols, _apply_cols(x.cols, g_inv_vec)) for x in xs)
+    """_fingerprint_index's key of (g x_i g^-1), read off g, x_i's pi and signs and g^-1(vec)."""
+    return tuple(_fingerprint(g.cols, {pi[k]: signs[k] * c for k, c in g_inv_vec.items()})
+                 for pi, signs in (x.pi for x in xs))
+
+
+def _conjugates(y: Pi, g: Cols, x: Pi) -> bool:
+    """y∘g == g∘x for signed permutations x and y, by pi and signs, one
+    column at a time up to the first difference (see the module docstring)."""
+    (py, sy), (px, sx) = y, x
+    return all({py[k]: s * sy[k] * c for k, c in col.items()} == g[p]
+               for col, p, s in zip(g, px, sx))
 
 
 def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
@@ -185,11 +196,14 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
     The first unlabelled tuple is classified by classify and its orbit is
     walked depth first: for a labelled x = (x_1, ..., x_k) and a conjugator
     (g, g^-1), the tuple y = (g x_i g^-1) gets x's label once y_i∘g == g∘x_i
-    holds column for column on every factor.  y is looked up by its factors'
-    images g(x_i(g^-1 v)) of v = sum_n (n+1) e_n over the generators e_n =
-    x_{+-alpha_i}; a census row sends each e_n to some +-e_m, so its key's
-    magnitudes fix the row, and any other y with that key fails the column
-    equality.  The provenance is "generic", or (g, ",".join(x's descriptors)).
+    holds column for column on every factor (_conjugates).  y is looked up by
+    its factors' images g(x_i(g^-1 v)) of v = sum_n (n+1) e_n over the
+    generators e_n = x_{+-alpha_i}; a census row sends each e_n to some
+    +-e_m, so its key's magnitudes fix the row, and any other y with that
+    key fails the column equality.  Both read every factor by its pi, with
+    no column route: each is a census row, certified a signed permutation
+    (torus rows diagonal, twists omega∘t).  The provenance is "generic", or
+    (g, ",".join(x's descriptors)).
     """
     gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
     v = {k: n + 1 for n, k in enumerate(gens)}
@@ -212,8 +226,7 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
                 m = index.get(_conjugate_key(g, g_inv_v, xs))
                 if m is None or labels[m] is not None:
                     continue
-                if not all(products_equal(y.cols, g.cols, g.cols, x.cols)
-                           for y, x in zip(tuples[m], xs)):
+                if not all(_conjugates(y.pi, g.cols, x.pi) for y, x in zip(tuples[m], xs)):
                     continue
                 labels[m] = (labels[n][0], (g.descriptor, ",".join(x.descriptor for x in xs)))
                 left -= 1

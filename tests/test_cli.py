@@ -20,6 +20,7 @@ from kleinfour.autos import parse_descriptor
 from kleinfour.cli import main
 from kleinfour.rootsys import cartan_matrix
 from kleinfour.verify import VerifyContext
+import raise_gate
 from oracles import pairing_parity_fixed_dim, torus_parity_type
 
 REPO = Path(__file__).resolve().parent.parent
@@ -99,7 +100,7 @@ def test_golden_mismatch_fails(tmp_path):
     (tmp_path / "roots_A1.txt").write_text("not the real thing\n")
     code, out, err = run_cli(["roots", "--type", "A1", "--golden-dir", str(tmp_path)])
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "GoldenMismatchError",
+    assert json.loads(err) == {"error": "GoldenMismatchError", "layer": "cli", "check": "_cmd_roots",
                                "message": f"golden mismatch against {tmp_path / 'roots_A1.txt'}"}
 
 
@@ -159,8 +160,8 @@ def test_realform_on_a_klein_four_fixed_algebra():
         "k_type D4", "signature (28, 8)", "name so(8,1)", ""]), "")
     code, out, err = run_cli(theta + ["--auto", "torus:1,0,0,0,0,0"])
     assert (code, out) == (1, "")
-    assert err == ('{"error": "ValueError", "message": '
-                   '"generators omega, torus:1,0,0,0,0,0 do not commute"}\n')
+    assert err == ('{"check": "check_klein", "error": "ValueError", "layer": "autos", '
+                   '"message": "generators omega, torus:1,0,0,0,0,0 do not commute"}\n')
 
 
 @pytest.mark.parametrize("gens, message", [
@@ -174,7 +175,8 @@ def test_realform_rejects_generators_that_break_a_klein_axiom(gens, message):
         argv += ["--auto", g]
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and json.loads(err) == {"error": "ValueError", "message": message}
+    assert err.count("\n") == 1 and json.loads(err) == {
+        "error": "ValueError", "layer": "autos", "check": "check_klein", "message": message}
 
 
 @pytest.mark.parametrize("first, certified", [("omega", 3), ("omega*torus:0,0,0,0,0,0", 3)])
@@ -252,41 +254,63 @@ def test_usage_error_is_exit_2():
 
 
 @pytest.mark.parametrize("args, message", [
-    (["roots", "--type", "E"], "malformed type label 'E'"),
-    (["roots", "--type", "A0"], "rank must be at least 1"),
-    (["search", "--classes", "sigma3,sigma2", "--target", "B4:x"], "must be a whole number"),
-    (["search", "--classes", "sigma3", "--target", "B4"], "2 or 3 generator classes"),
-    (["search", "--classes", "sigma3,sigma9", "--target", "B4"], "unknown class label 'sigma9'"),
-    (["search", "--type", "E7", "--classes", "sigma3,sigma2", "--target", "B4"],
-     "supports only --type E6"),
-    (["verify", "census", "--type", "A2"], "supports only --type E6"),
-    (["realform", "--theta", "omega", "--auto", "torus:1,0,0,0,0,1",
-      "--auto", "torus:0,1,0,0,0,0", "--auto", "torus:0,0,1,0,0,0"], "at most two --auto"),
-    (["search", "--classes", "sigma3,sigma2", "--target", "foo"], "malformed type label 'foo'"),
-    (["search", "--classes", "sigma3,sigma2", "--target", "B4:30"], "B4 has dimension 36, not 30"),
-    (["roots", "--type", "A2", "--golden-dir", "golden", "--bless"],
-     "unrecognized arguments: --bless"),
+    pytest.param(["roots", "--type", "E"], "malformed type label 'E'",
+                 id="args0-malformed type label 'E'"),
+    pytest.param(["roots", "--type", "A0"], "rank must be at least 1",
+                 id="args1-rank must be at least 1"),
+    pytest.param(["search", "--classes", "sigma3,sigma2", "--target", "B4:x"],
+                 "must be a whole number", id="args2-must be a whole number"),
+    pytest.param(["search", "--classes", "sigma3", "--target", "B4"],
+                 "2 or 3 generator classes", id="args3-2 or 3 generator classes"),
+    pytest.param(["search", "--classes", "sigma3,sigma9", "--target", "B4"],
+                 "unknown class label 'sigma9'", id="args4-unknown class label 'sigma9'"),
+    pytest.param(["search", "--type", "E7", "--classes", "sigma3,sigma2", "--target", "B4"],
+                 "supports only --type E6", id="args5-supports only --type E6"),
+    pytest.param(["verify", "census", "--type", "A2"], "supports only --type E6",
+                 id="args6-supports only --type E6"),
+    pytest.param(["realform", "--theta", "omega", "--auto", "torus:1,0,0,0,0,1",
+                  "--auto", "torus:0,1,0,0,0,0", "--auto", "torus:0,0,1,0,0,0"],
+                 "at most two --auto", id="args7-at most two --auto"),
+    pytest.param(["search", "--classes", "sigma3,sigma2", "--target", "foo"],
+                 "malformed type label 'foo'", id="args8-malformed type label 'foo'"),
+    pytest.param(["search", "--classes", "sigma3,sigma2", "--target", "B4:30"],
+                 "B4 has dimension 36, not 30", id="args9-B4 has dimension 36, not 30"),
+    pytest.param(["roots", "--type", "A2", "--golden-dir", "golden", "--bless"],
+                 "unrecognized arguments: --bless", id="args10-unrecognized arguments: --bless"),
     # digits outside ASCII [0-9]: an Arabic-Indic six, a superscript two,
     # and an Arabic-Indic 36
-    (["roots", "--type", "E\u0666"], "malformed type label 'E\u0666'"),
-    (["roots", "--type", "A\u00b2"], "malformed type label 'A\u00b2'"),
-    (["search", "--classes", "sigma3,sigma2", "--target", "B4:\u0663\u0666"],
-     "must be a whole number"),
+    pytest.param(["roots", "--type", "E\u0666"], "malformed type label 'E\u0666'",
+                 id="args11-malformed type label 'E\u0666'"),
+    pytest.param(["roots", "--type", "A\u00b2"], "malformed type label 'A\u00b2'",
+                 id="args12-malformed type label 'A\u00b2'"),
+    pytest.param(["search", "--classes", "sigma3,sigma2", "--target", "B4:\u0663\u0666"],
+                 "must be a whole number", id="args13-must be a whole number"),
     # above rootsys.MAX_RANK: rejected before any matrix is built
-    (["roots", "--type", "A1000"], "rank must be at most 32"),
+    pytest.param(["roots", "--type", "A1000"], "rank must be at most 32",
+                 id="args14-rank must be at most 32"),
     # each letter's rank rule, and a letter that names no type
-    (["roots", "--type", "B1"], "B requires rank >= 2"),
-    (["roots", "--type", "C1"], "C requires rank >= 2"),
-    (["roots", "--type", "D2"], "D requires rank >= 3"),
-    (["roots", "--type", "E5"], "E requires rank 6, 7 or 8"),
-    (["roots", "--type", "F3"], "F requires rank 4"),
-    (["roots", "--type", "G3"], "G requires rank 2"),
-    (["roots", "--type", "Z4"], "unknown type letter 'Z'"),
+    pytest.param(["roots", "--type", "B1"], "B requires rank >= 2",
+                 id="args15-B requires rank >= 2"),
+    pytest.param(["roots", "--type", "C1"], "C requires rank >= 2",
+                 id="args16-C requires rank >= 2"),
+    pytest.param(["roots", "--type", "D2"], "D requires rank >= 3",
+                 id="args17-D requires rank >= 3"),
+    pytest.param(["roots", "--type", "E5"], "E requires rank 6, 7 or 8",
+                 id="args18-E requires rank 6, 7 or 8"),
+    pytest.param(["roots", "--type", "F3"], "F requires rank 4",
+                 id="args19-F requires rank 4"),
+    pytest.param(["roots", "--type", "G3"], "G requires rank 2",
+                 id="args20-G requires rank 2"),
+    pytest.param(["roots", "--type", "Z4"], "unknown type letter 'Z'",
+                 id="args21-unknown type letter 'Z'"),
     # an empty item of --classes is a class label that names no class, like
     # sigma9 above, wherever it stands
-    (["search", "--classes", "sigma3,,sigma2", "--target", "B4"], "unknown class label ''"),
-    (["search", "--classes", "sigma3,sigma2,", "--target", "B4"], "unknown class label ''"),
-    (["search", "--classes", ",sigma3,sigma2", "--target", "B4"], "unknown class label ''"),
+    pytest.param(["search", "--classes", "sigma3,,sigma2", "--target", "B4"],
+                 "unknown class label ''", id="args22-unknown class label ''"),
+    pytest.param(["search", "--classes", "sigma3,sigma2,", "--target", "B4"],
+                 "unknown class label ''", id="args23-unknown class label ''"),
+    pytest.param(["search", "--classes", ",sigma3,sigma2", "--target", "B4"],
+                 "unknown class label ''", id="args24-unknown class label ''"),
 ])
 def test_bad_input_is_usage_error_exit_2(args, message):
     err = io.StringIO()
@@ -347,11 +371,12 @@ def test_rejected_descriptor_exits_2_with_the_reader_message(args):
 
 
 def test_catalog_miss_message_is_plain():
-    """A CatalogMissError's message is its text, not the repr KeyError gives."""
+    """A CatalogMissError's message is its text, not the repr KeyError gives,
+    and the object names the split that found no catalogue row."""
     code, out, err = run_cli(["realform", "--type", "A2", "--theta", "torus:1,0"])
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "CatalogMissError",
+        "error": "CatalogMissError", "layer": "realform", "check": "cartan_decomposition",
         "message": "no real form catalogued for g_type=A2, k_type=A1+u(1), signature=(4,4)",
     }
 
@@ -362,7 +387,7 @@ def test_exhausted_search_is_failure_exit_1():
     code, out, err = run_cli(["search", "--classes", "sigma1,sigma1", "--target", "E6"])
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "SearchExhausted",
+        "error": "SearchExhausted", "layer": "verify", "check": "search_configuration",
         "message": "no configuration with classes ['sigma1', 'sigma1'] and fixed type E6",
     }
 
@@ -372,7 +397,7 @@ def test_torus_descriptor_that_is_the_identity_is_failure_exit_1():
     code, out, err = run_cli(["fixed", "--type", "A1", "--auto", "torus:1"])
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "ValueError",
+        "error": "ValueError", "layer": "autos", "check": "parse_descriptor",
         "message": "the torus factor of descriptor 'torus:1' is the identity of A1",
     }
 
@@ -383,7 +408,7 @@ def test_omega_on_a_type_without_one_diagram_involution_is_failure_exit_1():
     code, out, err = run_cli(["identify", "--type", "D4", "--auto", "omega"])
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "ValueError",
+        "error": "ValueError", "layer": "autos", "check": "_omega_columns",
         "message": "omega is not defined on D4: it has 3 nontrivial diagram involutions, "
                    "not exactly one",
     }
@@ -398,10 +423,58 @@ def test_omega_on_a_type_without_a_diagram_symmetry_is_failure_exit_1(argv):
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
     assert json.loads(err) == {
-        "error": "ValueError",
+        "error": "ValueError", "layer": "autos", "check": "_omega_columns",
         "message": f"omega is not defined on {argv[2]}: it has 0 nontrivial diagram "
                    "involutions, not exactly one",
     }
+
+
+# A request that runs each raise of tests/raises.txt whose named test goes
+# through cli.main: a failure (exit 1) per row, a usage error (exit 2) per
+# (module, function), since argparse reports those before any work runs.
+FAILURE_REQUESTS = {
+    ("autos", "_omega_columns", "ValueError", "omega is not defined"):
+        ["identify", "--type", "D4", "--auto", "omega"],
+    ("autos", "check_klein", "ValueError", "generator {b.descriptor} is not"):
+        ["realform", "--theta", "torus:1,0,0,0,0,1", "--auto", "torus:0,0,1,0,1,0",
+         "--auto", "omega*torus:1,0,0,0,0,0"],
+    ("autos", "check_klein", "ValueError", "generators {a.descriptor}, {b.descriptor} do"):
+        ["realform", "--theta", "torus:1,0,0,0,0,1", "--auto", "omega",
+         "--auto", "torus:1,0,0,0,0,0"],
+    ("cli", "_cmd_roots", "GoldenMismatchError", "golden mismatch against {path}"):
+        ["roots", "--type", "A1", "--golden-dir", "{tmp}"],
+    ("realform", "cartan_decomposition", "CatalogMissError", "no real form catalogued"):
+        ["realform", "--type", "A2", "--theta", "torus:1,0"],
+}
+USAGE_REQUESTS = {
+    ("autos", "read_descriptor"): ["fixed", "--auto", "omega*omega"],
+    ("cli", "_type_label"): ["roots", "--type", "E5"],
+    ("cli", "_class_labels"): ["search", "--classes", "sigma9,sigma2", "--target", "B4"],
+    ("cli", "_target"): ["search", "--classes", "sigma3,sigma2", "--target", "B4:30"],
+    ("rootsys", "cartan_matrix"): ["roots", "--type", "Z4"],
+    ("verify", "check_class_labels"): ["search", "--classes", "sigma3", "--target", "B4"],
+}
+
+
+def test_failure_object_names_the_layer_and_check_of_its_raise(tmp_path):
+    """Every raises.txt row whose test is in this file: a failure's JSON
+    object names the row's module as its layer and the row's function as its
+    check; a usage error exits 2 with no object."""
+    (tmp_path / "roots_A1.txt").write_text("not the real thing\n")
+    rows = [key for key, _, _, entry in raise_gate.paired()[0]
+            if entry.startswith("tests/test_cli.py::")]
+    assert set(FAILURE_REQUESTS) <= set(rows)
+    for module, function, error, words in rows:
+        argv = FAILURE_REQUESTS.get((module, function, error, words))
+        if argv is None:
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+                main(USAGE_REQUESTS[module, function])
+            assert exc.value.code == 2, (module, function)
+            continue
+        code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
+        report = json.loads(err)
+        assert (code, out, report["error"]) == (1, "", error), argv
+        assert (report["layer"], report["check"]) == (module, function.rpartition(".")[2])
 
 
 # -- fixed and identify against the parity oracle ---------------------------------
@@ -427,7 +500,8 @@ def _check_against_the_parity_oracle(monkeypatch, label, requests):
             if expected is None:
                 message = f"the torus factor of descriptor {desc!r} is the identity of {label}"
                 assert (code, out, json.loads(err)) == (
-                    1, "", {"error": "ValueError", "message": message}), (command, desc)
+                    1, "", {"error": "ValueError", "layer": "autos", "check": "parse_descriptor",
+                            "message": message}), (command, desc)
                 continue
             assert (code, err) == (0, ""), (command, desc, err)
             got = json.loads(out)
@@ -569,14 +643,15 @@ def _outcome(argv):
 @given(data=st.data())
 def test_cli_contract_holds_for_generated_arguments(golden_dirs, command, data):
     """Exit 0, 1 or 2 and no traceback; exit 1 is exactly one JSON object
-    with error and message on stderr; the same arguments give the same bytes."""
+    with error, message, layer and check on stderr; the same arguments give
+    the same bytes."""
     argv = data.draw(cli_arguments(command, golden_dirs))
     code, out, err = _outcome(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err, argv
     if code == 1:
         report = json.loads(err)
-        assert isinstance(report, dict) and {"error", "message"} <= set(report), argv
+        assert isinstance(report, dict) and set(report) == {"error", "message", "layer", "check"}, argv
     assert _outcome(argv) == (code, out, err), argv
 
 

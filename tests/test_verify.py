@@ -306,6 +306,37 @@ def test_walk_fingerprints_decode_to_the_generator_images(ctx, census, monkeypat
     assert len(so9_index) == len(pairs) == ctx.so9_klein.provenance["pairs_gated"]
 
 
+def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, census, monkeypatch):
+    """The walk's edge rule, y∘g == g∘x read off the pi and signs of x and y,
+    agrees with autos.products_equal on the columns, for each of the 12
+    conjugators and every census row x: True on the row y that the walk key
+    finds, if any, and False on another row with y's pi (another torus row
+    for an inner x, another twist for an outer x).  Every factor the walks
+    see, each census row and each gated so(9) factor, is a signed
+    permutation."""
+    pairs = _so9_pairs(ctx).values()
+    assert all(r.automorphism.pi is not None for r in census.rows)
+    assert all(x.pi is not None for pair in pairs for x in pair)
+    rows = [r.automorphism for r in census.rows]
+    v, index, _ = _walk_indexes(ctx, monkeypatch)
+    same_pi, found = {}, 0
+    for a in rows:
+        same_pi.setdefault(a.pi[0], []).append(a)
+    for g, g_inv in census.conjugators:
+        g_inv_v = compose_cols(g_inv, [v])[0]
+        for x in rows:
+            m = index.get(verify._conjugate_key(g, g_inv_v, (x,)))
+            if m is None:  # g x g^-1 is no census row
+                continue
+            found += 1
+            y = rows[m]
+            z = next(a for a in same_pi[y.pi[0]] if a is not y)
+            for other, want in ((y, True), (z, False)):
+                assert verify._conjugates(other.pi, g.cols, x.pi) is want, (g, x, other)
+                assert autos.products_equal(other.cols, g.cols, g.cols, x.cols) is want
+    assert found == 79 * 12 - 64  # 64 Weyl conjugates of twists are no census row
+
+
 def test_walk_provenance_is_pinned(ctx, census):
     """The walk's edges, which verify all never prints: every census row's
     provenance and the so(9) gate's pair provenance, in order, hash to pinned
@@ -586,7 +617,7 @@ def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monk
     y, z = next((m, n) for m, n in product(range(1, len(keys)), repeat=2)
                 if from_first(m) and not from_first(n) and keys[n][shared] == keys[m][shared])
     real_index = verify._fingerprint_index
-    real_equal = verify.products_equal
+    real_equal = verify._conjugates
     hits, equalities = [], []
 
     class Spy(dict):
@@ -602,13 +633,13 @@ def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monk
         index[next(k for k, n in index.items() if n == y)] = z
         return index
 
-    def recording(*cols):
-        equalities.append(real_equal(*cols))
+    def recording(y, g, x):
+        equalities.append(real_equal(y, g, x))
         return equalities[-1]
 
     z_key = None
     monkeypatch.setattr(verify, "_fingerprint_index", poisoned)
-    monkeypatch.setattr(verify, "products_equal", recording)
+    monkeypatch.setattr(verify, "_conjugates", recording)
     got = find_so9_klein(ctx)
     assert hits  # the walk looked up y's fingerprint and found z
     assert False in equalities  # z failed the column equality
