@@ -24,14 +24,14 @@ signed permutation's order is the lcm over pi's cycles of their length L, or
 of 2L where the signs around the cycle multiply to -1; every other order is
 found by composing powers.
 
-A certified signed permutation keeps its pi and signs (``Automorphism.pi``)
-and whether pi is the identity (``diag``); its cycle order and commutation
-take O(dim) rules on them, and diagonal matrices commute.  The character
-sums of joint_fixed_dim keep products as pi and bitsets of the -1 signs and
-of pi's fixed points (_masks): a diagonal generator flips a product's signs
-by one XOR, and a trace is a popcount.  Composition, trace and inverse take
-the column rules, the reference, and a composed signed permutation gets its
-pi again from the shape certificate.
+A certified signed permutation keeps its pi and signs (``Automorphism.pi``),
+whether pi is the identity (``diag``) and pi with bitsets of the -1 signs
+and of pi's fixed points (``masks``); its cycle order and commutation take
+O(dim) rules on them, and diagonal matrices commute.  The character sums of
+joint_fixed_dim take signed permutations only and read every trace, a
+popcount, off masks: a diagonal generator flips a product's signs by one
+XOR.  Composition and inverse take the column rules, the reference, and a
+composed signed permutation gets its pi again from the shape certificate.
 """
 
 from __future__ import annotations
@@ -61,13 +61,13 @@ class Automorphism:
     """Certified algebra automorphism in the canonical basis.
 
     ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
-    when the certificate found a signed permutation, else None, and ``diag``
-    says that pi is the identity.  Instances come only from certify_batch
-    (make_automorphism is a batch of one) and are immutable afterwards but
-    for the masks of pi, kept on first use.
+    when the certificate found a signed permutation, else None; ``diag``
+    says that pi is the identity, and ``masks`` is _masks(pi), set with pi,
+    else None.  Instances come only from certify_batch (make_automorphism
+    is a batch of one) and are immutable afterwards.
     """
 
-    __slots__ = ("table", "cols", "order", "descriptor", "pi", "diag", "_trace", "_masks")
+    __slots__ = ("table", "cols", "order", "descriptor", "pi", "diag", "masks")
 
     def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str,
                  pi: Optional[Pi] = None):
@@ -77,20 +77,10 @@ class Automorphism:
         self.descriptor = descriptor
         self.pi = pi
         self.diag = pi is not None and pi[0] == tuple(range(len(pi[0])))
-        self._trace = _cols_trace(cols)
-        self._masks = None
-
-    def masks(self) -> Masks:
-        """_masks(pi), computed on first use."""
-        if self._masks is None:
-            self._masks = _masks(self.pi)
-        return self._masks
+        self.masks = None if pi is None else _masks(pi)
 
     def apply(self, vec: dict) -> dict:
         return _apply_cols(self.cols, vec)
-
-    def trace(self):
-        return self._trace
 
     def is_involution(self) -> bool:
         return self.order == 2
@@ -148,10 +138,6 @@ def products_equal(a: Cols, b: Cols, c: Cols, d: Cols) -> bool:
     return all(_apply_cols(a, x) == _apply_cols(c, y) for x, y in zip(b, d))
 
 
-def _cols_trace(cols: Cols):
-    return as_num(sum(col.get(j, 0) for j, col in enumerate(cols)))
-
-
 def _pi_compose(a: Pi, b: Pi) -> Pi:
     """(pi, signs) of a∘b: e_j goes to s_b(j) s_a(pi_b(j)) e_pi_a(pi_b(j))."""
     (pa, sa), (pb, sb) = a, b
@@ -185,15 +171,10 @@ def _mask_trace(neg: int, fix: int, nfix: int) -> int:
     return nfix - 2 * (neg & fix).bit_count()
 
 
-def _mask_cols(m: Masks) -> Cols:
-    return tuple({p: -1 if m[1] >> j & 1 else 1} for j, p in enumerate(m[0]))
-
-
 class CharacterSum(NamedTuple):
     """sum over subsets S of gens of tr(prod of S), the empty one included, and
-    dim = total / 2^k; prods holds the products of the nonempty subsets, as
-    masks (_masks) while every generator is a signed permutation, else as
-    columns, and is empty once the last generator is added."""
+    dim = total / 2^k; prods holds the masks (_masks) of the products of the
+    nonempty subsets, and is empty once the last generator is added."""
 
     gens: Tuple[Automorphism, ...] = ()
     total: int = 0
@@ -202,34 +183,33 @@ class CharacterSum(NamedTuple):
 
 
 def add_generator(chars: CharacterSum, g: Automorphism, last: bool = False) -> CharacterSum:
-    """chars extended by g: g's trace plus tr(p∘g) for each kept product p, and,
-    unless g is the last generator, the products extended by g.  On masks, a
-    diagonal g keeps pi_p and flips p's signs by one XOR, and at the last
-    level only the traces are read; any other g composes by _mask_compose.
-    A generator of order other than 1 or 2 is rejected, and a sum not
-    divisible by 2^k raises."""
+    """chars extended by the signed permutation g: g's trace plus tr(p∘g) for
+    each kept product p, every trace read off masks, and, unless g is the
+    last generator, the products extended by g.  A diagonal g keeps pi_p and
+    flips p's signs by one XOR, and at the last level only the traces are
+    read; any other g composes by _mask_compose.  A generator of order other
+    than 1 or 2 is rejected, then one without pi, and a sum not divisible by
+    2^k raises."""
     if g.order not in (1, 2):
         raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
-    was_pi = all(h.pi is not None for h in chars.gens)
-    pi, prods = was_pi and g.pi is not None, chars.prods
-    if was_pi and not pi:
-        prods = [_mask_cols(p) for p in prods]
-    x = (g.masks() if pi else g.cols) if prods or not last else None  # a lone last g: its trace
-    if pi and g.diag:
+    if g.masks is None:
+        raise ValueError(f"{g.descriptor} is not a signed permutation")
+    x, prods = g.masks, chars.prods
+    if g.diag:
         traces = [_mask_trace(neg ^ x[1], fix, nfix) for _, neg, fix, nfix in prods]
         new = [] if last else [(perm, neg ^ x[1], fix, nfix) for perm, neg, fix, nfix in prods]
     else:
-        new = [(_mask_compose if pi else compose_cols)(p, x) for p in prods]
-        traces = [_mask_trace(*p[1:]) if pi else _cols_trace(p) for p in new]
+        new = [_mask_compose(p, x) for p in prods]
+        traces = [_mask_trace(*p[1:]) for p in new]
     gens = chars.gens + (g,)
-    total = (chars.total if chars.gens else g.table.dim) + g.trace() + sum(traces)
+    total = (chars.total if chars.gens else g.table.dim) + _mask_trace(*x[1:]) + sum(traces)
     den = 2 ** len(gens)
     if total % den:
         raise CertificationError(
             f"character sum {total} of {', '.join(h.descriptor for h in gens)} "
             f"is not divisible by {den}"
         )
-    return CharacterSum(gens, total, int(total) // den, () if last else (*prods, *new, x))
+    return CharacterSum(gens, total, total // den, () if last else (*prods, *new, x))
 
 
 def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
@@ -237,8 +217,9 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
 
     The sum is the trace of the projection prod (1 + g_i)/2 onto the joint
     fixed space, so the value is exact for pairwise commuting generators of
-    order 1 or 2; commutation is the caller's to check.  It is add_generator
-    folded over gens from the empty tuple.
+    order 1 or 2; commutation is the caller's to check.  Every generator must
+    be a signed permutation (its pi set); fixed_subalgebra takes any shape.
+    It is add_generator folded over gens from the empty tuple.
     """
     if not gens:
         raise ValueError("joint_fixed_dim needs at least one generator")

@@ -87,17 +87,10 @@ def _clear(row: dict, c: int, prow: dict) -> dict:
     Integer cross-multiplication, so nothing is divided; cancelled entries
     are removed, and row is updated in place when p is 1.
     """
-    f = row[c]
-    p = prow[c]
+    f, p = row[c], prow[c]
     if p != 1:
         row = {j: p * x for j, x in row.items()}
-    for j, x in prow.items():
-        v = row.get(j, 0) - f * x
-        if v:
-            row[j] = v
-        else:
-            del row[j]
-    return row
+    return axpy(row, -f, prow.items())
 
 
 def _echelon(rows: Iterable) -> Dict[int, dict]:

@@ -60,8 +60,9 @@ class CartanMatrixError(ValueError):
 # ---------------------------------------------------------------------------
 
 # Largest rank cartan_matrix accepts.  The largest tables, B32 and C32 (dim
-# 2080), build in about 1.3 s and 77 MB peak RSS (2-core host, Python 3.11);
-# their stored brackets grow as the cube of the rank (B16: 33,936, B32: 267,536).
+# 2080), build in 0.56-0.58 s and 0.56-0.68 s, each with 82 MB peak RSS, in
+# its own process (three runs each, 2-core host, Python 3.11); their stored
+# brackets grow as the cube of the rank (B16: 33,936, B32: 267,536).
 MAX_RANK = 32
 
 
@@ -432,8 +433,11 @@ class BracketTable:
         for i, x in enumerate(xs):
             low = i + 1 if xs is ys else 0  # antisymmetric, zero on the diagonal
             acc: Dict[int, dict] = defaultdict(dict)
-            # inline, not exactq.axpy, here and in homomorphism_defect: calling
-            # axpy for the certificate's right-hand side alone cost it 15 %
+            # inline, not exactq.axpy, here and in homomorphism_defect: axpy
+            # made this walk over the six E6 Weyl lifts 3.26 -> 3.42 ms (it
+            # runs 141 times in a cold `verify all`) and their certificates,
+            # on the right-hand side alone, 5.43 -> 5.73 ms (best of 40, 2-core
+            # host, Python 3.11)
             for k, a in x.items():
                 for l, terms in adj[k].items():
                     for j, b in at[l]:

@@ -24,8 +24,8 @@ only a root system's Cartan matrix, and ``cartan_symmetries_by_scan`` only a Car
 matrix, trying all n! relabelings.  ``cartan_real_form_name`` names a real form from its
 (complex type, compact type, signature) key by Cartan's rule, from type
 labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
-the fixed type of a torus involution on any simple type from the rank, root
-count and long-root count of each component of its even roots.
+the fixed type of a group of torus involutions on any simple type from the
+rank, root count and long-root count of each component of its even roots.
 ``compact_cols`` gives an automorphism its columns on a compact basis by the
 compactness rule ``to_compact``, column by column, as the library no longer
 does; ``compact_reference`` reads the compact brackets back by the same rule.
@@ -927,12 +927,15 @@ def _simple_type(rank, count, long_count):
                          f"{long_count} long")
 
 
-def torus_parity_type(cartan, bits):
-    """(type label, dim) of the fixed algebra of exp(pi i ad H_c), c = bits, on
-    the simple type with Cartan matrix cartan; None when every root is fixed.
+def torus_parity_type(cartan, *bit_vectors):
+    """(type label, dim) of the fixed algebra of the group that the involutions
+    exp(pi i ad H_c), c in bit_vectors, generate on the simple type with
+    Cartan matrix cartan; None when every root is fixed.
 
     The fixed algebra is the Cartan plus the roots E with alpha(H_c) =
-    sum_i c_i <alpha, alpha_i^vee> even (Kac, ch. 8).  E splits into
+    sum_i c_i <alpha, alpha_i^vee> even for every c (Kac, ch. 8): a root
+    vector is fixed by the group exactly when each generator fixes it, so
+    the dimension is the rank plus twice the positive roots in E.  E splits into
     irreducible components by non-orthogonality, <b, g^vee> != 0; each is
     named by its rank, its root count and its long-root count (all of them
     when it has no root long in the algebra), and the center is the rank of
@@ -940,7 +943,8 @@ def torus_parity_type(cartan, bits):
     """
     n = len(cartan)
     pos = positive_roots(tuple(map(tuple, cartan)))
-    even = [r for r in pos if sum(b * x for b, x in zip(bits, r[2])) % 2 == 0]
+    even = [r for r in pos
+            if all(sum(b * x for b, x in zip(bits, r[2])) % 2 == 0 for bits in bit_vectors)]
     if len(even) == len(pos):
         return None
     summands, rest = [], even

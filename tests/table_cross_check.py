@@ -10,7 +10,9 @@ gives, and on the Chevalley table; and the Jacobi identity of the Chevalley
 tables of E8, A16, B16, C16 and D16 by ``oracles.sparse_jacobi_defect``, and
 their root grading, the premise of the compact Killing form's blocks, by
 ``oracles.grading_defect``; and the whole Chevalley tables of A31 and D32,
-every entry, against Kac's lattice construction by ``oracles.cocycle_defect``.
+every entry, against Kac's lattice construction by ``oracles.cocycle_defect``;
+and ``autos.joint_fixed_dim`` of seeded triples of torus involutions on B16,
+C16 and D16 against the joint-parity dimension of ``oracles.torus_parity_type``.
 Each Chevalley table is built once, and the first check that reads it is
 timed with its build.
 Run from the repository root as ``PYTHONPATH=src python
@@ -18,6 +20,7 @@ tests/table_cross_check.py``; it prints one line per check and exits 1 if
 any differs.
 """
 
+import random
 import sys
 import time
 from functools import lru_cache
@@ -25,12 +28,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from kleinfour.autos import joint_fixed_dim, torus_involution  # noqa: E402
 from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
 from helpers import root_index, split_defects  # noqa: E402
 from oracles import (chevalley_reference, cocycle_defect, compact_reference,  # noqa: E402
-                     grading_defect, sparse_jacobi_defect)
+                     grading_defect, sparse_jacobi_defect, torus_parity_type)
 
 
 def rows(adj):
@@ -78,12 +82,28 @@ def cocycle_fails(label):
     return cocycle_defect(table(label))
 
 
+def torus_triples_differ(label, count=30):
+    """The seeded triples of parity vectors whose character dimension
+    is not the oracle's."""
+    t, rng = table(label), random.Random(label)
+    triples = [[tuple(rng.randrange(2) for _ in range(t.rank)) for _ in range(3)]
+               for _ in range(count)]
+    bad = []
+    for triple in triples:
+        expected = torus_parity_type(t.rs.cartan, *triple)
+        got = joint_fixed_dim([torus_involution(t, c) for c in triple])
+        if got != (t.dim if expected is None else expected[1]):
+            bad.append(triple)
+    return bad
+
+
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
     ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
     ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")] + [
     ("jacobi", label, jacobi_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
     ("grading", label, grading_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
-    ("cocycle", label, cocycle_fails) for label in ("A31", "D32")]
+    ("cocycle", label, cocycle_fails) for label in ("A31", "D32")] + [
+    ("torus triples", label, torus_triples_differ) for label in ("B16", "C16", "D16")]
 
 
 def main():

@@ -4,6 +4,7 @@ import random
 import re
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     joint_parity_fixed_dim,
     pairing,
     pairing_parity_fixed_dim,
+    torus_parity_type,
 )
 
 
@@ -295,19 +297,24 @@ def _column_copy(a):
     return Automorphism(a.table, a.cols, a.order, a.descriptor)
 
 
+def _mask_cols(m):
+    """The columns of the signed permutation with masks m."""
+    return tuple({p: -1 if m[1] >> j & 1 else 1} for j, p in enumerate(m[0]))
+
+
 def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
     """Each pi rule gives what the column rule gives: the product by pi and
     signs and by masks (with the one-XOR rule when the right factor is
     diagonal), its mask trace and commutes on every ordered pair of census
-    rows, the mask trace and the cycle order on every row and on signed
-    permutations of order 3 and 4; compose hands the product's pi on through
-    the shape certificate.  The inverse, a column rule, composes with each of
-    these and with the six Weyl lifts and the conjugated involution to the
-    unit columns.  The lifts and the conjugate have no pi, so they check that
-    the column path is taken against the rows."""
+    rows, the masks, the mask trace and the cycle order on every row and on
+    signed permutations of order 3 and 4; compose hands the product's pi on
+    through the shape certificate.  The inverse, a column rule, composes with
+    each of these and with the six Weyl lifts and the conjugated involution
+    to the unit columns.  The lifts and the conjugate have no pi and no
+    masks, so they check that the column path is taken against the rows."""
     rows = [r.automorphism for r in ctx.census.rows]
     dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
-    assert all(a.pi is not None for a in rows) and all(w.pi is None for w in dense)
+    assert all(a.pi is not None for a in rows) and all(w.pi is w.masks is None for w in dense)
     copies = {id(a): _column_copy(a) for a in rows}
     # signed permutations of order 3 and 4, whose inverse is not themselves
     d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
@@ -316,19 +323,19 @@ def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
     higher += [t for t in (compose(om, torus_involution(ctx.table, c)) for c in tori) if t.order == 4]
     assert {a.order for a in higher} == {3, 4}
     for a in rows + dense + higher:
-        col_trace = sum(col.get(j, 0) for j, col in enumerate(a.cols))
-        assert a.trace() == col_trace, a
         assert compose_cols(a.cols, inverse_cols(a)) == tuple({j: 1} for j in range(len(a.cols))), a
         if a.pi is not None:
-            assert autos._mask_trace(*autos._masks(a.pi)[1:]) == col_trace, a
+            assert a.masks == autos._masks(a.pi) and _mask_cols(a.masks) == a.cols, a
+            col_trace = sum(col.get(j, 0) for j, col in enumerate(a.cols))
+            assert autos._mask_trace(*a.masks[1:]) == col_trace, a
             assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
     for a, b in itertools.product(rows, rows):
         pi, ab = autos._pi_compose(a.pi, b.pi), compose_cols(a.cols, b.cols)
-        masks = autos._mask_compose(a.masks(), b.masks())
-        assert masks == autos._masks(pi) and autos._mask_cols(masks) == ab, (a, b)
+        masks = autos._mask_compose(a.masks, b.masks)
+        assert masks == autos._masks(pi) and _mask_cols(masks) == ab, (a, b)
         if b.diag:
-            perm, neg, fix, nfix = a.masks()
-            assert masks == (perm, neg ^ b.masks()[1], fix, nfix), (a, b)
+            perm, neg, fix, nfix = a.masks
+            assert masks == (perm, neg ^ b.masks[1], fix, nfix), (a, b)
         assert autos._mask_trace(*masks[1:]) == sum(col.get(j, 0) for j, col in enumerate(ab)), (a, b)
         assert commutes(a, b) == commutes(copies[id(a)], copies[id(b)]), (a, b)
     rng = random.Random(29)
@@ -457,7 +464,7 @@ def test_inverse_cols_from_the_certified_order(e6):
 def test_trace_identity_for_involutions(e6):
     for bits in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 1, 1, 0, 0, 0)):
         a = torus_involution(e6, bits)
-        assert 2 * fixed_dim(e6, a) == e6.dim + a.trace()
+        assert 2 * fixed_dim(e6, a) == e6.dim + sum(col.get(j, 0) for j, col in enumerate(a.cols))
 
 
 def test_joint_fixed_dim_of_one_generator(e6):
@@ -475,15 +482,24 @@ def test_joint_fixed_dim_rejects_other_orders(e6):
         joint_fixed_dim([])
 
 
-def test_joint_fixed_dim_checks_divisibility(e6):
-    from kleinfour.autos import Automorphism
+def test_joint_fixed_dim_rejects_a_generator_without_pi(e6):
+    """The Weyl conjugate of omega is a certified involution with no pi: the
+    character sum rejects it, and fixed_subalgebra still gives omega's 52."""
+    conj = conjugate(weyl_lift(e6, 0), omega_automorphism(e6))
+    assert conj.order == 2 and conj.pi is conj.masks is None
+    with pytest.raises(ValueError, match=r"^conj\(weyl:1,omega\) is not a signed permutation$"):
+        joint_fixed_dim([torus_involution(e6, (0, 1, 0, 0, 0, 0)), conj])
+    assert fixed_dim(e6, conj) == 52
 
+
+def test_joint_fixed_dim_checks_divisibility(e6):
     # built around make_automorphism on purpose: an odd trace cannot come
-    # from a certified involution, so only a forged one reaches the check
-    good = torus_involution(e6, (0, 1, 0, 0, 0, 0))
-    cols = tuple({} if j == 0 else c for j, c in enumerate(good.cols))
-    forged = Automorphism(e6, cols, 2, "forged")
-    with pytest.raises(CertificationError, match="not divisible by 2"):
+    # from a certified involution, so only a forged one reaches the check.
+    # A 3-cycle on three basis indices fixes 75 of E6's 78, so the sum is odd
+    perm = (1, 2, 0) + tuple(range(3, e6.dim))
+    cols = tuple({p: 1} for p in perm)
+    forged = Automorphism(e6, cols, 2, "forged", (perm, (1,) * e6.dim))
+    with pytest.raises(CertificationError, match="^character sum 153 of forged is not divisible by 2$"):
         joint_fixed_dim([forged])
 
 
@@ -492,22 +508,57 @@ def _bits(descriptor):
 
 
 def test_joint_fixed_dim_of_torus_tuples_matches_joint_parity_oracle(ctx):
-    """The count of jointly fixed basis vectors equals the parity count of
-    the oracle and the generic trace formula on every pair of torus rows and
-    on a seeded sample of triples, with every generator on the mask path and
-    on the column path, and for the triples on the mask path until the last
-    generator, which takes the products to columns."""
+    """The character formula on masks equals the parity count of the oracle
+    on every pair of torus rows and on a seeded sample of triples."""
     tori = _census_autos(ctx, "inner")
     rng = random.Random(23)
     tuples = list(itertools.combinations(tori, 2)) + [tuple(rng.sample(tori, 3)) for _ in range(200)]
     for gens in tuples:
-        # a hand-built copy has no pi, so it takes the column path
-        generic = [Automorphism(g.table, g.cols, g.order, g.descriptor) for g in gens]
-        assert all(g.pi is None for g in generic)
         want = joint_parity_fixed_dim([_bits(g.descriptor) for g in gens])
-        assert joint_fixed_dim(gens) == joint_fixed_dim(generic) == want, gens
-        if len(gens) == 3:  # the three kept products turn into columns
-            assert joint_fixed_dim(list(gens[:2]) + generic[2:]) == want, gens
+        assert joint_fixed_dim(gens) == want, gens
+
+
+@lru_cache(maxsize=None)
+def _type_table(label):
+    return chevalley_table(build_root_system(cartan_matrix(label)))
+
+
+@pytest.mark.parametrize("label", ["A5", "D5", "B4", "C4", "F4", "G2", "E7", "E8"])
+def test_joint_fixed_dim_of_torus_groups_matches_the_parity_oracle_on_every_type(label):
+    """The character formula on masks equals the rank plus twice the positive
+    roots even on every parity vector (oracles.torus_parity_type): on every
+    pair of distinct nonzero vectors up to rank 6, and on seeded triples of
+    E7 and E8."""
+    table, cartan = _type_table(label), cartan_matrix(label)
+    vectors = [c for c in itertools.product((0, 1), repeat=table.rank) if any(c)]
+    if table.rank <= 6:
+        groups = list(itertools.combinations(vectors, 2))
+    else:
+        rng = random.Random(label)
+        groups = [rng.sample(vectors, 3) for _ in range(100 if label == "E7" else 60)]
+    tori = {c: torus_involution(table, c) for c in set().union(*groups)}
+    for group in groups:
+        expected = torus_parity_type(cartan, *group)  # None: the group is trivial
+        got = joint_fixed_dim([tori[c] for c in group])
+        assert got == (table.dim if expected is None else expected[1]), group
+
+
+@pytest.mark.parametrize("label", ["A5", "D5"])
+def test_joint_fixed_dim_of_twist_torus_pairs_matches_fixed_subalgebra(label):
+    """Every commuting pair of an involutive twist omega∘t and a torus
+    involution, in both orders: a torus generator second flips the twist's
+    signs by the XOR, a twist second composes by _mask_compose, and both
+    give the dimension of the fixed subalgebra."""
+    table = _type_table(label)
+    om = omega_automorphism(table)
+    tori = list(dict.fromkeys(torus_involution(table, c)
+                              for c in itertools.product((0, 1), repeat=table.rank)))
+    twists = [w for w in dict.fromkeys(compose(om, t) for t in tori) if w.order == 2]
+    pairs = [(w, t) for w in twists for t in tori if commutes(w, t)]
+    assert len(pairs) == {"A5": 16, "D5": 256}[label]
+    for w, t in pairs:
+        want = fixed_subalgebra(table, [w, t]).dim
+        assert joint_fixed_dim([w, t]) == joint_fixed_dim([t, w]) == want, (w, t)
 
 
 def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):
