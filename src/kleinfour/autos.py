@@ -1,37 +1,32 @@
 """Automorphisms of a Chevalley-basis Lie algebra, with mandatory certificates.
 
-Every constructor funnels through certify_batch (make_automorphism is a
-batch of one), which verifies the homomorphism property [Au, Av] = A[u, v] on
-all basis pairs and computes the order before the object exists.  Nothing
-downstream ever touches an uncertified matrix.
+Every automorphism the package builds keeps the Cartan subalgebra and sends
+each root vector to plus or minus a root vector, so it is a root map
+(img, eta): a permutation img of the root indices and signs eta on them,
+x_a -> eta[a] x_img(a), with h_i -> H_img(alpha_i), the coroot of the image
+of the simple root (Humphreys, Lie Algebras, 14.2).  Every constructor hands
+its root map to certify_batch (make_automorphism is a batch of one).  There
+one certificate, ``StructureTable.root_map_defects``, walks the stored root
+pairs with one lookup each, and its docstring proves that this covers every
+basis pair; the order is the lcm over img's cycles of their length L, or of
+2L where the signs around the cycle multiply to -1.  Both run before the
+object exists, so nothing downstream ever touches an uncertified map.
 
-Torus involutions, diagram automorphisms and the Weyl lifts of simple
-reflections are built by one rule, _root_map_columns: the permutation of
-root indices that a lattice map induces, and signs on the simple root
-vectors, extended to every root through x_{a+b} = [x_a, x_b] / N(a, b).
-Sign mistakes in that extension are the dominant bug risk, and the
-certificate is the firewall.
+Torus involutions read their signs off the pairings.  Diagram automorphisms
+and the Weyl lifts of simple reflections take the img of a lattice map and
+signs on the simple root vectors, extended to every root through
+x_{a+b} = [x_a, x_b] / N(a, b) (_root_map).  Sign mistakes in that extension
+are the dominant bug risk, and the certificate is the firewall.
 
-The homomorphism check takes one of two paths, chosen by the columns' shape.
-A signed permutation A e_j = s_j e_pi(j) (one entry +-1 per column, distinct
-targets; ``exactq.signed_permutation``) is checked by one lookup per nonzero bracket
-(``BracketTable.signed_permutation_flags``), and the members of a batch that
-share one pi share one walk, with a bit per member.  Any other shape, and any
-member the walk flags, takes the generic walk
-(``BracketTable.homomorphism_defect``), which names the first failing pair,
-so a rejected candidate's message does not depend on the path.  A certified
-signed permutation's order is the lcm over pi's cycles of their length L, or
-of 2L where the signs around the cycle multiply to -1; every other order is
-found by composing powers.
-
-A certified signed permutation keeps its pi and signs (``Automorphism.pi``),
-whether pi is the identity (``diag``) and pi with bitsets of the -1 signs
-and of pi's fixed points (``masks``); its cycle order and commutation take
-O(dim) rules on them, and diagonal matrices commute.  The character sums of
-joint_fixed_dim take signed permutations only and read every trace, a
-popcount, off masks: a diagonal generator flips a product's signs by one
-XOR.  Composition and inverse take the column rules, the reference, and a
-composed signed permutation gets its pi again from the shape certificate.
+Composition, inverse and commutation are rules on root indices, and the
+members of a batch that share one img share one walk, with a bit per member.
+Certification derives the columns (``Automorphism.cols``) and, where img
+sends every simple root to plus or minus a simple root, the signed
+permutation of the basis (``pi``), whether img is the identity (``diag``)
+and pi with bitsets of the -1 signs and of pi's fixed points (``masks``).
+The character sums of joint_fixed_dim take signed permutations only and
+read every trace, a popcount, off masks: a diagonal generator flips a
+product's signs by one XOR.
 """
 
 from __future__ import annotations
@@ -42,10 +37,11 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactq import as_num, signed_permutation
+from .exactq import as_num
 from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
 
-Cols = Tuple[Dict[int, object], ...]
+Cols = Tuple[Dict[int, int], ...]
+RootMap = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (img, eta): x_a -> eta[a] x_img[a]
 Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
 Masks = Tuple[Tuple[int, ...], int, int, int]  # (pi, neg, fix, nfix): see _masks
 
@@ -58,26 +54,33 @@ class CertificationError(Exception):
 
 
 class Automorphism:
-    """Certified algebra automorphism in the canonical basis.
+    """Certified algebra automorphism x_a -> eta[a] x_img[a], h_i -> H_img(alpha_i).
 
-    ``cols[j]`` is the sparse image of basis vector j.  ``pi`` is (pi, signs)
-    when the certificate found a signed permutation, else None; ``diag``
-    says that pi is the identity, and ``masks`` is _masks(pi), set with pi,
-    else None.  Instances come only from certify_batch (make_automorphism
-    is a batch of one) and are immutable afterwards.
+    ``img`` and ``eta`` are tuples on the root indices, and ``cols[j]`` is
+    the sparse image of basis vector j.  ``pi`` is (pi, signs) on the basis
+    indices where img sends every simple root to +- a simple root, so that
+    each column is one entry +-1, else None; ``diag`` says that img is the
+    identity, and ``masks`` is _masks(pi), set with pi, else None.
+    Instances come only from certify_batch (make_automorphism is a batch of
+    one) and are immutable afterwards.
     """
 
-    __slots__ = ("table", "cols", "order", "descriptor", "pi", "diag", "masks")
+    __slots__ = ("table", "img", "eta", "order", "descriptor", "cols", "pi", "diag", "masks")
 
-    def __init__(self, table: StructureTable, cols: Cols, order: int, descriptor: str,
-                 pi: Optional[Pi] = None):
-        self.table = table
-        self.cols = cols
-        self.order = order
-        self.descriptor = descriptor
-        self.pi = pi
-        self.diag = pi is not None and pi[0] == tuple(range(len(pi[0])))
-        self.masks = None if pi is None else _masks(pi)
+    def __init__(self, table: StructureTable, img: Tuple[int, ...], eta: Tuple[int, ...],
+                 order: int, descriptor: str):
+        rs, rank, npos = table.rs, table.rank, table.npos
+        self.table, self.img, self.eta = table, img, eta
+        self.order, self.descriptor = order, descriptor
+        hs = [img[s] for s in rs.simple]
+        self.cols: Cols = tuple([{j: c for j, c in enumerate(rs.coroot(k)) if c} for k in hs]
+                                + [{rank + m: s} for m, s in zip(img, eta)])
+        self.pi: Optional[Pi] = None
+        if all(k % npos < rank for k in hs):  # img alpha_i = +-alpha_p, p = rank-1-(k % npos)
+            self.pi = (tuple(rank - 1 - k % npos for k in hs) + tuple(rank + m for m in img),
+                       tuple(1 if k < npos else -1 for k in hs) + eta)
+        self.diag = img == tuple(range(len(img)))
+        self.masks = None if self.pi is None else _masks(self.pi)
 
     def apply(self, vec: dict) -> dict:
         return _apply_cols(self.cols, vec)
@@ -89,29 +92,20 @@ class Automorphism:
         return (
             isinstance(other, Automorphism)
             and self.table is other.table
-            and self.cols == other.cols
+            and self.img == other.img
+            and self.eta == other.eta
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(sorted(c.items())) for c in self.cols))
+        return hash((self.img, self.eta))
 
     def __repr__(self) -> str:
         return f"Automorphism({self.descriptor!r}, order={self.order})"
 
 
-def _clean(vec) -> dict:
-    """A copy of the sparse vector without zero entries, scalars normalised."""
-    vec = dict(vec)
-    for v in vec.values():  # a copy of nonzero ints is already clean
-        if type(v) is not int or not v:
-            return {k: as_num(v) for k, v in vec.items() if v}
-    return vec
-
-
 def _apply_cols(a: Cols, col: dict) -> dict:
-    """The sparse vector a(col): column j of a∘b when col is b's column j."""
-    # inline, not exactq.lincomb: this is the inner loop of every composition
-    # and of the generic commutes(), and the call overhead slowed searches
+    """The sparse vector a(col)."""
+    # inline, not exactq.lincomb: the census walk runs this for every key
     acc: dict = {}
     for k, v in col.items():
         for r, w in a[k].items():
@@ -121,28 +115,25 @@ def _apply_cols(a: Cols, col: dict) -> dict:
             else:
                 acc.pop(r, None)
     # acc has no zeros; only a Fraction entry can need normalising (a loop,
-    # not any(): this check runs once per column of every product)
+    # not any(): this check runs once per vector)
     for v in acc.values():
         if type(v) is not int:
             return {r: as_num(x) for r, x in acc.items()}
     return acc
 
 
-def compose_cols(a: Cols, b: Cols) -> Cols:
-    """Columns of a∘b (apply b first)."""
-    return tuple(_apply_cols(a, col) for col in b)
+def _compose(a: RootMap, b: RootMap) -> RootMap:
+    """(img, eta) of a∘b: x_r goes to eta_b(r) eta_a(img_b(r)) x_img_a(img_b(r))."""
+    (ia, ea), (ib, eb) = a, b
+    at = itemgetter(*ib)  # a tuple of img_b's images, as there are at least two roots
+    return at(ia), tuple(map(mul, eb, at(ea)))
 
 
-def products_equal(a: Cols, b: Cols, c: Cols, d: Cols) -> bool:
-    """a∘b == c∘d, compared one column at a time up to the first difference."""
-    return all(_apply_cols(a, x) == _apply_cols(c, y) for x, y in zip(b, d))
-
-
-def _pi_compose(a: Pi, b: Pi) -> Pi:
-    """(pi, signs) of a∘b: e_j goes to s_b(j) s_a(pi_b(j)) e_pi_a(pi_b(j))."""
-    (pa, sa), (pb, sb) = a, b
-    at = itemgetter(*pb)  # a tuple of pi_b's images, as dim > 1
-    return at(pa), tuple(map(mul, sb, at(sa)))
+def _inverse(a: RootMap) -> RootMap:
+    """(img, eta) of a^-1: x_img(k) goes back to eta[k] x_k, as eta[k] = +-1."""
+    img, eta = a
+    inv = sorted(range(len(img)), key=img.__getitem__)  # inv[img[k]] = k
+    return tuple(inv), itemgetter(*inv)(eta)
 
 
 @lru_cache(maxsize=64)  # a search meets few pi: products of its generators' pi
@@ -218,8 +209,8 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
     The sum is the trace of the projection prod (1 + g_i)/2 onto the joint
     fixed space, so the value is exact for pairwise commuting generators of
     order 1 or 2; commutation is the caller's to check.  Every generator must
-    be a signed permutation (its pi set); fixed_subalgebra takes any shape.
-    It is add_generator folded over gens from the empty tuple.
+    be a signed permutation (its pi set); fixed_subalgebra takes any
+    automorphism.  It is add_generator folded over gens from the empty tuple.
     """
     if not gens:
         raise ValueError("joint_fixed_dim needs at least one generator")
@@ -227,43 +218,31 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
 
 
 def certify_batch(
-    table: StructureTable, batch: Iterable[Tuple[Sequence[dict], str]]
+    table: StructureTable, batch: Iterable[Tuple[RootMap, str]]
 ) -> List[Automorphism]:
-    """Certify and wrap candidates given as (sparse columns, descriptor).
+    """Certify and wrap candidates given as ((img, eta), descriptor).
 
-    Signed permutations that share one pi share one
-    ``table.signed_permutation_flags`` walk and keep pi and their signs; a
-    member it flags, and every other shape, runs the generic
-    ``table.homomorphism_defect``, which names the first failing pair; the
-    order is certified per member.  Members are certified in order, and the
-    first that fails raises the CertificationError make_automorphism raises
-    for it alone.  The batch is read once, so a generator's columns can be
-    freed as soon as they are copied.
+    The members that share one img share one ``table.root_map_defects``
+    walk, which names each member's first failing basis pair; the order comes
+    from img's signed cycles (_cycle_order).  Members are certified in order,
+    and the first that fails raises the CertificationError make_automorphism
+    raises for it alone.
     """
-    dim = table.dim
-    descriptors: List[str] = []
-    cleaned: List[Optional[Cols]] = []
-    for cols, descriptor in batch:
-        descriptors.append(descriptor)
-        cleaned.append(tuple(map(_clean, cols)) if len(cols) == dim else None)
-    pis = [None if cc is None else signed_permutation(cc) for cc in cleaned]
-    by_perm: Dict[Tuple[int, ...], List[int]] = {}
-    for n, pi in enumerate(pis):
-        if pi is not None:
-            by_perm.setdefault(pi[0], []).append(n)
-    generic = set(range(len(cleaned))).difference(*by_perm.values())
-    for perm, members in by_perm.items():
-        bits = [0] * dim
-        for m, n in enumerate(members):
-            bits = [b | (s < 0) << m for b, s in zip(bits, pis[n][1])]
-        flags = table.signed_permutation_flags(perm, bits, (1 << len(members)) - 1)
-        generic.update(n for m, n in enumerate(members) if flags >> m & 1)
-    return [_certify(table, cc, descriptor, n in generic, pis[n])
-            for n, (descriptor, cc) in enumerate(zip(descriptors, cleaned))]
+    n = len(table.rs.roots)
+    maps = [(tuple(img), tuple(eta), descriptor) for (img, eta), descriptor in batch]
+    by_img: Dict[Tuple[int, ...], List[int]] = {}
+    for m, (img, eta, _) in enumerate(maps):
+        if len(eta) == n and sorted(img) == list(range(n)) and set(map(type, eta)) <= {int}:
+            by_img.setdefault(img, []).append(m)
+    pairs: List[Optional[Tuple[int, ...]]] = [()] * len(maps)  # (): no permutation of the roots
+    for img, members in by_img.items():
+        for m, pair in zip(members, table.root_map_defects(img, [maps[m][1] for m in members])):
+            pairs[m] = pair
+    return [_certify(table, *m, pair) for m, pair in zip(maps, pairs)]
 
 
-def _cycle_order(a: Pi) -> int:
-    """Order of the signed permutation (pi, signs), from pi's cycles."""
+def _cycle_order(a: RootMap) -> int:
+    """Order of the root map (img, eta), from img's cycles."""
     perm, signs = a
     order, seen = 1, [False] * len(perm)
     for j in range(len(perm)):
@@ -276,74 +255,65 @@ def _cycle_order(a: Pi) -> int:
     return order
 
 
-def _composed_order(cols: Cols) -> int:
-    """Order of cols by composing powers until the identity; _ORDER_CAP + 1 past the cap."""
-    power, order = cols, 1
-    while order <= _ORDER_CAP and any(col != {j: 1} for j, col in enumerate(power)):
-        power, order = compose_cols(cols, power), order + 1
-    return order
-
-
-def _certify(table: StructureTable, cc: Optional[Cols], descriptor: str, generic: bool,
-             pi: Optional[Pi]) -> Automorphism:
-    if cc is None:
-        raise CertificationError(f"{descriptor}: expected {table.dim} columns")
-    defect = table.homomorphism_defect(cc) if generic else None
-    if defect:
+def _certify(table: StructureTable, img: Tuple[int, ...], eta: Tuple[int, ...], descriptor: str,
+             pair: Optional[Tuple[int, ...]]) -> Automorphism:
+    if pair == ():
+        n = len(table.rs.roots)
+        raise CertificationError(f"{descriptor}: expected a permutation of the {n} "
+                                 f"root indices and {n} integer signs")
+    if pair:
         raise CertificationError(
             f"{descriptor}: homomorphism fails at basis pair "
-            f"({table.basis_label(defect[0])}, {table.basis_label(defect[1])})"
+            f"({table.basis_label(pair[0])}, {table.basis_label(pair[1])})"
         )
-    order = _composed_order(cc) if generic else _cycle_order(pi)
+    order = _cycle_order((img, eta))
     if order > _ORDER_CAP:
         raise CertificationError(f"{descriptor}: order exceeds cap {_ORDER_CAP}")
-    return Automorphism(table, cc, order, descriptor, pi)
+    return Automorphism(table, img, eta, order, descriptor)
 
 
-def make_automorphism(table: StructureTable, cols: Sequence[dict], descriptor: str) -> Automorphism:
-    """Certify and wrap one candidate: a batch of one."""
-    return certify_batch(table, [(cols, descriptor)])[0]
+def make_automorphism(table: StructureTable, root_map: RootMap, descriptor: str) -> Automorphism:
+    """Certify and wrap one root map (img, eta): a batch of one."""
+    return certify_batch(table, [(root_map, descriptor)])[0]
 
 
 def identity_automorphism(table: StructureTable) -> Automorphism:
     """The identity of table, certified."""
-    return make_automorphism(table, [{j: 1} for j in range(table.dim)], "identity")
+    n = len(table.rs.roots)
+    return make_automorphism(table, (range(n), (1,) * n), "identity")
 
 
 # ---------------------------------------------------------------------------
 # Constructed automorphisms: a root map and simple-root signs
 # ---------------------------------------------------------------------------
 
-def _root_map_columns(table: StructureTable, img: Sequence[int], signs: Sequence[int]) -> List[dict]:
-    """Uncertified columns of the automorphism x_{alpha_i} -> signs[i] x_{img(alpha_i)}.
+def _root_map(table: StructureTable, img: Sequence[int], signs: Sequence[int]) -> RootMap:
+    """Uncertified root map of the automorphism x_{alpha_i} -> signs[i] x_{img(alpha_i)}.
 
     img[k] is the index of the root that a lattice map sends roots[k] to.
     The signs extend to each non-simple positive root g with extraspecial
     pair (a, b) through x_g = [x_a, x_b] / N(a, b), so that
     eps_g = eps_a eps_b N(img a, img b) / N(a, b) in height order.  x_{-g}
-    takes the sign of x_g, since h_g = [x_g, x_{-g}] goes to h_{img g}, and
-    h_i goes to the coroot of img(alpha_i).  The certificate rejects an inexact
-    or non-unit quotient.
+    takes the sign of x_g, since h_g = [x_g, x_{-g}] goes to h_{img g}.  The
+    certificate rejects an inexact or non-unit quotient.
     """
-    rs, rank, npos, n = table.rs, table.rank, table.npos, table.n_constant
+    rs, npos, n = table.rs, table.npos, table.n_constant
     eps = [1] * npos
     for s, e in zip(rs.simple, signs):
         eps[s] = e
     for g, (a, b) in table.extraspecial.items():  # height order: a, b precede g
         eps[g] = eps[a] * eps[b] * n(img[a], img[b]) // n(a, b)
-    cols = [{j: c for j, c in enumerate(rs.coroot(img[s])) if c} for s in rs.simple]
-    return cols + [{rank + m: eps[k % npos]} for k, m in enumerate(img)]
+    return tuple(img), tuple(eps + eps)
 
 
-def torus_columns(table: StructureTable, c: Sequence[int]) -> Tuple[List[dict], str]:
-    """Uncertified columns and descriptor of torus_involution(table, c): the
-    identity root map, and the sign (-1)^<alpha_j, sum c_i alpha_i^vee> on x_{alpha_j}."""
+def torus_columns(table: StructureTable, c: Sequence[int]) -> Tuple[RootMap, str]:
+    """Uncertified root map and descriptor of torus_involution(table, c): the
+    identity img, and the sign (-1)^<b, sum c_i alpha_i^vee> on each x_b."""
     if len(c) != table.rank:
         raise ValueError(f"coefficient vector must have length {table.rank}")
     bits = tuple(x % 2 for x in c)
-    signs = [-1 if sum(map(mul, bits, row)) % 2 else 1 for row in table.rs.cartan]
-    cols = _root_map_columns(table, range(len(table.rs.roots)), signs)
-    return cols, "torus:" + ",".join(map(str, bits))
+    eta = tuple(-1 if sum(map(mul, bits, p)) % 2 else 1 for p in table.rs.pairings)
+    return (range(len(eta)), eta), "torus:" + ",".join(map(str, bits))
 
 
 def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
@@ -361,18 +331,18 @@ def diagram_symmetries(cartan: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]
     return sorted(cartan_isomorphisms(cartan, cartan))
 
 
-def _diagram_columns(table: StructureTable, perm: Sequence[int]) -> List[dict]:
-    """Uncertified columns of the diagram symmetry perm: its root map, with the
+def _diagram_map(table: StructureTable, perm: Sequence[int]) -> RootMap:
+    """Uncertified root map of the diagram symmetry perm: its img, with the
     sign +1 on every x_{alpha_i}."""
     rs = table.rs
     # the key is additive, so the image of a root is sum_i m_i key(alpha_perm(i))
     place = [rs.keys[rs.simple[p]] for p in perm]
     img = [rs.key_index[sum(map(mul, r.coords, place))] for r in rs.roots]
-    return _root_map_columns(table, img, [1] * table.rank)
+    return _root_map(table, img, [1] * table.rank)
 
 
-def _omega_columns(table: StructureTable) -> List[dict]:
-    """Uncertified columns of the unique nontrivial involutive diagram
+def _omega_columns(table: StructureTable) -> RootMap:
+    """Uncertified root map of the unique nontrivial involutive diagram
     symmetry; ValueError when there is not exactly one."""
     n = table.rank
     sym = [p for p in diagram_symmetries(table.rs.cartan)
@@ -381,7 +351,7 @@ def _omega_columns(table: StructureTable) -> List[dict]:
         raise ValueError("omega is not defined on %s%d: it has %d nontrivial diagram "
                          "involutions, not exactly one"
                          % (*match_cartan(table.rs.cartan), len(sym)))
-    return _diagram_columns(table, sym[0])
+    return _diagram_map(table, sym[0])
 
 
 def omega_automorphism(table: StructureTable) -> Automorphism:
@@ -398,25 +368,22 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     """a∘b, re-certified from scratch."""
     if a.table is not b.table:
         raise ValueError("automorphisms live on different algebras")
-    return make_automorphism(a.table, compose_cols(a.cols, b.cols), f"{a.descriptor}*{b.descriptor}")
+    return make_automorphism(a.table, _compose((a.img, a.eta), (b.img, b.eta)),
+                             f"{a.descriptor}*{b.descriptor}")
 
 
 def commutes(a: Automorphism, b: Automorphism) -> bool:
-    """a∘b == b∘a, exactly.
-
-    Two signed permutations compare their products by pi and signs, O(dim)
-    with no columns, and two diagonal ones commute at once.  Otherwise the
-    products are compared one column at a time up to the first difference.
-    """
+    """a∘b == b∘a, exactly: the two products' root maps are equal, and two
+    diagonal maps commute at once.  Both products act on the Cartan through
+    their img, so the root maps decide."""
     if a.table is not b.table:
         raise ValueError("automorphisms live on different algebras")
-    if a.pi is None or b.pi is None:
-        return products_equal(a.cols, b.cols, b.cols, a.cols)
     if b.diag:
         a, b = b, a
-    if a.diag:  # the products agree at j exactly when d_pi(j) == d_j
-        return b.diag or itemgetter(*b.pi[0])(a.pi[1]) == a.pi[1]
-    return _pi_compose(a.pi, b.pi) == _pi_compose(b.pi, a.pi)
+    if a.diag:  # the products agree at r exactly when eta_a(img_b(r)) == eta_a(r)
+        return b.diag or itemgetter(*b.img)(a.eta) == a.eta
+    x, y = (a.img, a.eta), (b.img, b.eta)
+    return _compose(x, y) == _compose(y, x)
 
 
 def check_klein(a: Automorphism, b: Automorphism) -> None:
@@ -466,23 +433,16 @@ def weyl_lift(table: StructureTable, i: int) -> Automorphism:
                 sign = -sign
             key += step
         signs.append(-1 if j == i else sign)
-    return make_automorphism(table, _root_map_columns(table, img, signs), f"weyl:{i + 1}")
-
-
-def inverse_cols(w: Automorphism) -> Cols:
-    """Columns of w^{-1}, w^(order - 1) from the certified order of w."""
-    inv = w.cols
-    for _ in range(w.order - 2):
-        inv = compose_cols(w.cols, inv)
-    return inv
+    return make_automorphism(table, _root_map(table, img, signs), f"weyl:{i + 1}")
 
 
 def conjugate(w: Automorphism, a: Automorphism) -> Automorphism:
-    """w a w^{-1}, re-certified; the inverse comes from the certified order of w."""
+    """w a w^{-1}, re-certified; the inverse is the root-index rule _inverse."""
     if w.table is not a.table:
         raise ValueError("automorphisms live on different algebras")
-    cols = compose_cols(w.cols, compose_cols(a.cols, inverse_cols(w)))
-    return make_automorphism(w.table, cols, f"conj({w.descriptor},{a.descriptor})")
+    x = (w.img, w.eta)
+    root_map = _compose(x, _compose((a.img, a.eta), _inverse(x)))
+    return make_automorphism(w.table, root_map, f"conj({w.descriptor},{a.descriptor})")
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +473,15 @@ def read_descriptor(text: str, rank: int) -> Tuple[bool, Optional[List[int]]]:
 def parse_descriptor(table: StructureTable, text: str) -> Automorphism:
     """The certified automorphism named by a descriptor (read_descriptor's grammar).
     A twist omega*torus:c is certified once, as the product of the uncertified
-    columns of its two factors."""
+    root maps of its two factors."""
     omega, c = read_descriptor(text, table.rank)
     if c is None:
         return omega_automorphism(table) if omega else identity_automorphism(table)
-    cols, desc = torus_columns(table, c)
+    root_map, desc = torus_columns(table, c)
     # odd coefficients that no root sees
-    if any(x % 2 for x in c) and all(col == {j: 1} for j, col in enumerate(cols)):
+    if any(x % 2 for x in c) and -1 not in root_map[1]:
         raise ValueError("the torus factor of descriptor %r is the identity of %s%d"
                          % (text, *match_cartan(table.rs.cartan)))
     if omega:
-        cols, desc = compose_cols(_omega_columns(table), cols), "omega*" + desc
-    return make_automorphism(table, cols, desc)
+        root_map, desc = _compose(_omega_columns(table), root_map), "omega*" + desc
+    return make_automorphism(table, root_map, desc)

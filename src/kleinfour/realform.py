@@ -89,11 +89,10 @@ class CompactBasis:
             + [(1, {rank + k: 1, rank + npos + k: 1}) for k in range(npos)]
             + [(1, {i: 1}) for i in range(rank)]
         )
-        # omega_0, a signed permutation of order 2, certified in one walk
+        # omega_0: the root map a -> -a with every sign -1, certified in one walk
+        n = 2 * npos
         self.omega0 = make_automorphism(
-            table, [{i: -1} for i in range(rank)]
-            + [{rank + (k + npos) % (2 * npos): -1} for k in range(2 * npos)],
-            "chevalley-involution")
+            table, (tuple((k + npos) % n for k in range(n)), (-1,) * n), "chevalley-involution")
         adj = table._adj
         pairs = [-2 * _trace(adj, rank + k, rank + npos + k) for k in range(npos)]
         self.killing: List[Dict[int, int]] = [{i: b} for i, b in enumerate(pairs + pairs)]
@@ -182,8 +181,10 @@ def cartan_decomposition(
     the Chevalley basis, k_C being the fixed subalgebra that gives k's type
     and p_C a plain span (SpanSolver).  The noncompact real form is
     k + sqrt(-1) p.  Verified: theta has order 1 or 2 and commutes with
-    gamma, gamma and theta commute with omega_0, dim k_C + dim p_C is the
-    dimension of gamma's complex fixed algebra, [k_C,k_C] in k_C (the closure
+    gamma, gamma and theta commute with omega_0 (every certified root map
+    does, its certificate forcing w(-a) = -w(a) and eta_-a = eta_a; the
+    gate guards that premise), dim k_C + dim p_C is the dimension of
+    gamma's complex fixed algebra, [k_C,k_C] in k_C (the closure
     walk of ``fixed_subalgebra``), [k_C,p_C] in p_C and [p_C,p_C] in k_C.
 
     Hence k = u & k_C and p = u & p_C satisfy [k,k] in k, [k,p] in p and

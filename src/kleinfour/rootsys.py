@@ -22,11 +22,12 @@ brackets [x_a, x_b] = N(a,b) x_{a+b} = -[x_b, x_a] are stored;
 
 ``BracketTable`` is the one sparse antisymmetric bracket, inherited by the
 Chevalley table.  It has one store of the nonzero brackets and one walk over
-it, ``row_brackets``, behind the generic homomorphism certificate, the
-closure check and every bracket of two vectors (``identify``'s center and
-coroots); the certificate of signed permutations
-(``signed_permutation_flags``) and ``realform``'s Killing traces read the
-same store.  ``dynkin_components`` is the one walk over a Dynkin diagram:
+it, ``row_brackets``, behind the closure check and every bracket of two
+vectors (``identify``'s center and coroots); ``realform``'s Killing traces
+read the same store.  ``StructureTable.root_map_defects`` is the one
+certificate of automorphisms: it checks a root map x_a -> eta_a x_w(a) with
+one lookup per stored root pair, and its docstring proves that this covers
+every basis pair.  ``dynkin_components`` is the one walk over a Dynkin diagram:
 ``validate_cartan`` carries integer root lengths along it and reads positive
 definiteness from ``exactq.symmetric_inertia``, and ``cartan_isomorphisms``
 places nodes in its order, a backtracking walk behind diagram symmetries and
@@ -433,10 +434,8 @@ class BracketTable:
         for i, x in enumerate(xs):
             low = i + 1 if xs is ys else 0  # antisymmetric, zero on the diagonal
             acc: Dict[int, dict] = defaultdict(dict)
-            # inline, not exactq.axpy, here and in homomorphism_defect: axpy
-            # made this walk over the six E6 Weyl lifts 3.26 -> 3.42 ms (it
-            # runs 141 times in a cold `verify all`) and their certificates,
-            # on the right-hand side alone, 5.43 -> 5.73 ms (best of 40, 2-core
+            # inline, not exactq.axpy: axpy made this walk over the columns
+            # of the six E6 Weyl lifts 3.26 -> 3.42 ms (best of 40, 2-core
             # host, Python 3.11)
             for k, a in x.items():
                 for l, terms in adj[k].items():
@@ -451,71 +450,6 @@ class BracketTable:
                                 else:
                                     del out[r]
             yield i, acc
-
-    def homomorphism_defect(self, cols: Sequence[dict]) -> Optional[Tuple[int, int]]:
-        """First basis pair (i, j), i < j, with [A e_i, A e_j] != A [e_i, e_j], or None.
-
-        cols[j] = A e_j has no zero entries.  Pairs i < j suffice, by
-        antisymmetry.  A j reached neither by ``row_brackets`` nor by the
-        nonzero brackets of e_i is zero on both sides.
-        """
-        for i, diff in self.row_brackets(cols, cols):
-            for j, terms in self._adj[i].items():
-                if j > i:
-                    out = diff[j]
-                    for k, c in terms:
-                        for r, t in cols[k].items():
-                            nv = out.get(r, 0) - c * t
-                            if nv:
-                                out[r] = nv
-                            else:
-                                del out[r]
-            bad = [j for j, out in diff.items() if out]
-            if bad:
-                return i, min(bad)
-        return None
-
-    def signed_permutation_flags(self, perm: Sequence[int], bits: Sequence[int], full: int) -> int:
-        """Mask of the members of a batch A e_j = s_j e_perm(j) that are no homomorphism.
-
-        perm, a bijection of the basis indices, is shared by the batch; bit m
-        of bits[j] is set when member m has s_j = -1; full has a bit per member.
-        Each nonzero [e_i, e_j] = sum c_k e_k, i < j, needs [e_perm(i), e_perm(j)]
-        to have support {perm(k)} and entries sigma_k c_k with sigma_k = +-1
-        (else every member fails), and s_i s_j s_k = sigma_k: one XOR for all
-        members.  As perm is a bijection, nonzero pairs then map onto the
-        nonzero pairs, so a pair that brackets to zero stays zero.  When perm
-        is the identity, as for every torus grading, each bracket is its own
-        image, so only the XOR is left to run for each of its terms.
-        """
-        adj = self._adj
-        bad = 0
-        if all(map(eq, perm, range(self.dim))):
-            for i, row in enumerate(adj):
-                bi = bits[i]
-                for j, terms in row.items():
-                    if j > i:
-                        bij = bi ^ bits[j]
-                        for k, _ in terms:
-                            bad |= bij ^ bits[k]
-            return bad
-        for i, row in enumerate(adj):
-            image_row, bi = adj[perm[i]], bits[i]
-            for j, terms in row.items():
-                if j > i:
-                    image = image_row.get(perm[j], ())
-                    if len(image) != len(terms):
-                        return full
-                    bij, image = bi ^ bits[j], dict(image)
-                    for k, c in terms:
-                        d = image.get(perm[k])
-                        if d == c:
-                            bad |= bij ^ bits[k]
-                        elif d == -c:
-                            bad |= bij ^ bits[k] ^ full
-                        else:
-                            return full
-        return bad
 
 
 class StructureTable(BracketTable):
@@ -634,6 +568,88 @@ class StructureTable(BracketTable):
         """
         terms = self._adj[self.rank + a].get(self.rank + b)
         return terms[0][1] if terms and terms[0][0] >= self.rank else 0
+
+    def root_map_defects(self, img: Sequence[int],
+                         etas: Sequence[Sequence[int]]) -> List[Optional[Tuple[int, int]]]:
+        """For each eta in etas, the first basis pair (i, j), i < j, at which
+        x_a -> eta[a] x_w(a), h_i -> H_w(alpha_i) with w = img is no
+        homomorphism, or None where it is one.
+
+        img, a permutation of the root indices, is shared; each eta holds ints.
+        The checks, in this order, name these pairs:
+          1. w(-a) = -w(a), at (x_a, x_-a);
+          2. <w alpha_i, (w alpha_j)^vee> = <alpha_i, alpha_j^vee>, at (h_j, x_alpha_i);
+          3. eta_a eta_-a = 1, at (x_a, x_-a);
+          4. for each stored [x_a, x_b] = N(a, b) x_c, in basis order, one
+             lookup finds [x_wa, x_wb] = N' x_wc with N' = +-N(a, b), so
+             w(a + b) = wa + wb, and eta_a eta_b N' = eta_c N(a, b) holds.
+        Each member's signs are one bit, so check 4 costs a member one XOR per
+        pair, and for the identity img, as for every torus grading, only the
+        XOR is left.
+
+        They cover every basis pair.  By check 4 on the extraspecial pairs
+        and check 1, w is the restriction of a linear map W of the root
+        lattice, and W permutes the roots, as w does; so W(a + b) = wa + wb is
+        a root or zero exactly when a + b is, and a pair that brackets to zero
+        stays zero.  <wb, (w alpha_i)^vee> is additive in b, so check 2 holds
+        for every root b: that is [h_i, x_b].  [h_i, h_j] = 0 on both sides.
+        [x_a, x_-a] = H_a holds for simple a by check 3 and the image of h_i;
+        for g = a + b with (a, b) extraspecial, Jacobi writes [[x_a, x_b],
+        x_-g] through [x_a, x_-a], [x_b, x_-b] and brackets check 4 covers, so
+        it holds by induction on height.
+        """
+        rs, rank, npos, adj = self.rs, self.rank, self.npos, self._adj
+        out: List[Optional[Tuple[int, int]]] = [None] * len(etas)
+        full, bad = (1 << len(etas)) - 1, 0
+
+        def fail(f: int, i: int, j: int) -> bool:
+            """Name (i, j) for the members in f not failed yet; True once all have."""
+            nonlocal bad
+            for m in range(len(out)):
+                if (f & ~bad) >> m & 1:
+                    out[m] = (i, j)
+            bad |= f
+            return bad == full
+
+        for a in range(npos):
+            if img[a + npos] != (img[a] + npos) % (2 * npos):
+                fail(full, rank + a, rank + a + npos)
+                return out
+        cor = [rs.coroot(img[s]) for s in rs.simple]
+        for j, c in enumerate(cor):
+            for i, s in enumerate(rs.simple):
+                if sum(map(mul, rs.pairings[img[s]], c)) != rs.cartan[i][j]:
+                    fail(full, j, rank + s)
+                    return out
+        for m, eta in enumerate(etas):
+            if eta[:npos] != eta[npos:] or not {1, -1}.issuperset(eta):
+                k = next(k for k in range(npos) if eta[k] * eta[k + npos] != 1)
+                fail(1 << m, rank + k, rank + k + npos)
+        if bad == full:
+            return out
+        bits = [0] * rank + [sum((s < 0) << m for m, s in enumerate(col)) for col in zip(*etas)]
+        if all(map(eq, img, range(2 * npos))):
+            for i in range(rank, self.dim):
+                bi = bits[i]
+                for j, terms in adj[i].items():
+                    if j > i:  # for [x_a, x_-a], an h term with bit 0: check 3 again
+                        f = bi ^ bits[j] ^ bits[terms[0][0]]
+                        if f and fail(f, i, j):
+                            return out
+            return out
+        perm = [*range(rank), *(rank + m for m in img)]
+        for i in range(rank, self.dim):
+            image_row, bi = adj[perm[i]], bits[i]
+            for j, terms in adj[i].items():
+                k, c = terms[0]
+                if j > i and k >= rank:  # [x_a, x_-a] is checks 1 and 3
+                    d = image_row.get(perm[j], ((0, 0),))[0]
+                    f = bi ^ bits[j] ^ bits[k]
+                    if d != (perm[k], c):
+                        f = f ^ full if d == (perm[k], -c) else full
+                    if f and fail(f, i, j):
+                        return out
+        return out
 
     def basis_label(self, i: int) -> str:
         if i < self.rank:

@@ -32,7 +32,7 @@ generator filters those lists by it once, so a commutation is tested once per
 chosen generator and prefix, not again for every deeper candidate.
 
 Both per-tuple gates are exact and need no elimination: commutation
-(autos.commutes, by pi and signs on census rows, by diag flags on two torus
+(autos.commutes, by root maps on census rows, by diag flags on two torus
 rows) and the character dimension (autos.joint_fixed_dim).  For pairwise
 commuting involutions g_1..g_k the joint fixed space has dimension
 2^-k * sum over subsets S of tr(prod of S), and the enumerator keeps each
@@ -62,12 +62,11 @@ from .autos import (
     CharacterSum,
     Pi,
     _apply_cols,
+    _compose,
     add_generator,
     certify_batch,
     commutes,
     compose,
-    compose_cols,
-    inverse_cols,
     joint_fixed_dim,
     make_klein,
     parse_descriptor,
@@ -148,22 +147,20 @@ class Census(NamedTuple):
     realform_names: Dict[str, str]
     twist_candidates: int
     twist_involutions: int
-    # the certified (g, g^-1) the census walked with; the so(9) gate reuses them
-    conjugators: Sequence[Tuple[Automorphism, Cols]] = ()
+    # the certified g the census walked with; the so(9) gate reuses them
+    conjugators: Sequence[Automorphism] = ()
 
 
-def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Tuple[Automorphism, Cols], ...]:
-    """Certified inner automorphisms the census conjugates by, with inverses.
+def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Automorphism, ...]:
+    """Certified inner automorphisms the census conjugates by.
 
     The Weyl lifts of the simple reflections and the simple torus involutions,
     read from tori, the census's batch of all torus involutions in bit order
-    (bit i alone set is entry 2^(rank-1-i)); each inverse comes from the
-    certified order.
+    (bit i alone set is entry 2^(rank-1-i)).
     """
     rank = table.rank
     gens = [weyl_lift(table, i) for i in range(rank)]
-    gens += [tori[2 ** (rank - 1 - i)] for i in range(rank)]
-    return tuple((g, inverse_cols(g)) for g in gens)
+    return tuple(gens + [tori[2 ** (rank - 1 - i)] for i in range(rank)])
 
 
 def _fingerprint(cols, vec: dict) -> tuple:
@@ -195,9 +192,9 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
 
     The first unlabelled tuple is classified by classify and its orbit is
     walked depth first: for a labelled x = (x_1, ..., x_k) and a conjugator
-    (g, g^-1), the tuple y = (g x_i g^-1) gets x's label once y_i∘g == g∘x_i
-    holds column for column on every factor (_conjugates).  y is looked up by
-    its factors' images g(x_i(g^-1 v)) of v = sum_n (n+1) e_n over the
+    g, the tuple y = (g x_i g^-1) gets x's label once y_i∘g == g∘x_i holds
+    column for column on every factor (_conjugates).  y is looked up by its
+    factors' images g(x_i(g^-1 v)) of v = sum_n (n+1) e_n over the
     generators e_n = x_{+-alpha_i}; a census row sends each e_n to some
     +-e_m, so its key's magnitudes fix the row, and any other y with that
     key fails the column equality.  Both read every factor by its pi, with
@@ -208,7 +205,10 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
     gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
     v = {k: n + 1 for n, k in enumerate(gens)}
     index = _fingerprint_index(tuples, v)
-    conjugators = [(g, _apply_cols(g_inv, v)) for g, g_inv in conjugators]
+    # g^-1(v): g sends x_k to eta_k x_img(k), and v is a sum of root vectors
+    conjugators = [(g, {table.rank + k: g.eta[k] * v[table.rank + m]
+                        for k, m in enumerate(g.img) if table.rank + m in v})
+                   for g in conjugators]
     labels: List[Optional[tuple]] = [None] * len(tuples)
     left = len(tuples)
     for start, t in enumerate(tuples):
@@ -243,12 +243,12 @@ def involution_census(ctx: "VerifyContext") -> Census:
     """
     table = ctx.table
     omega = ctx.automorphism("omega")
-    # all 64 torus columns, torus:0,...,0 (the identity) first, as one batch
+    # all 64 torus root maps, torus:0,...,0 (the identity) first, as one batch
     tori = certify_batch(table, (torus_columns(table, bits)
                                  for bits in product((0, 1), repeat=table.rank)))
     # omega∘t squares to the identity exactly when t commutes with omega (both
     # have order <= 2); a twist of order above 2 is not certified
-    twists = ((compose_cols(omega.cols, t.cols), "omega*" + t.descriptor)
+    twists = ((_compose((omega.img, omega.eta), (t.img, t.eta)), "omega*" + t.descriptor)
               for t in tori if commutes(omega, t))
 
     realform_names: Dict[str, str] = {}
@@ -259,7 +259,6 @@ def involution_census(ctx: "VerifyContext") -> Census:
         realform_names.setdefault(label, split.name)
         return label, split.k_dim, split.k_type
 
-    # generators: a batch drops each candidate's columns once it has copied them
     found = [("inner", a) for a in tori[1:]]
     found += [("outer", a) for a in certify_batch(table, twists)]
     conjugators = _conjugators(table, tori)
@@ -514,7 +513,7 @@ class VerifyContext:
 
     @cached_property
     def census_labels(self) -> Dict[Automorphism, str]:
-        """Class label of each census row, keyed by its certified columns."""
+        """Class label of each census row, keyed by its certified root map."""
         return {r.automorphism: r.label for r in self.census.rows}
 
     @cached_property

@@ -4,7 +4,12 @@
 corrupting test wants it; ``string_down`` walks a root string on the root
 system's keys; ``root_key`` and ``root_index`` find a root by its
 coordinates; ``diagram_automorphism`` certifies the automorphism of any
-Dynkin-diagram symmetry (the library builds only omega's).  ``compact_table``
+Dynkin-diagram symmetry (the library builds only omega's), and
+``root_map_cols`` expands a root map, certified or not, into the columns
+x_a -> eta[a] x_img[a], h_i -> H_img(alpha_i) that the reference
+certifier reads.  ``constructed`` builds every kind of automorphism the
+library constructs, and ``constructed_kind_defects`` checks each against
+the references, with ``composed_order`` the order by composing columns.  ``compact_table``
 holds the brackets of the compact basis, which the library never stores, and
 ``split_spans`` gives the four spans of a real-form split, k and p on the
 compact basis by ``oracles.compact_cols`` and k_C and p_C as the split walks
@@ -14,12 +19,18 @@ Chevalley brackets.
 
 from itertools import chain
 
+import itertools
+import random
+
 from kleinfour import realform
-from kleinfour.autos import _diagram_columns, make_automorphism
-from kleinfour.exactq import SpanSolver, axpy, joint_eigenspace, rref
+from kleinfour.autos import (_ORDER_CAP, _diagram_map, compose, conjugate, identity_automorphism,
+                             make_automorphism, omega_automorphism, parse_descriptor,
+                             torus_involution, weyl_lift)
+from kleinfour.exactq import SpanSolver, axpy, joint_eigenspace, rref, signed_permutation
 from kleinfour.identify import first_escape
 from kleinfour.rootsys import BracketTable
-from oracles import compact_cols, compact_reference
+from oracles import (compact_cols, compact_reference, compose_cols, exp_ad_cols,
+                     first_homomorphism_defect)
 
 
 def set_bracket(table, i, j, terms):
@@ -58,8 +69,76 @@ def diagram_automorphism(table, perm):
     """The certified automorphism of the diagram symmetry perm (a relabeling
     of the simple roots that keeps the Cartan matrix): h_i -> h_perm(i) and
     x_{+-alpha_i} -> x_{+-alpha_perm(i)}."""
-    return make_automorphism(table, _diagram_columns(table, perm),
+    return make_automorphism(table, _diagram_map(table, perm),
                              "diagram:" + ",".join(str(p + 1) for p in perm))
+
+
+def root_map_cols(table, root_map):
+    """The columns of x_a -> eta[a] x_img[a], h_i -> H_img(alpha_i) for
+    root_map = (img, eta), zero entries dropped."""
+    img, eta = root_map
+    rs, rank = table.rs, table.rank
+    cols = [{j: c for j, c in enumerate(rs.coroot(img[s])) if c} for s in rs.simple]
+    return tuple(cols + [{rank + m: s} if s else {} for m, s in zip(img, eta)])
+
+
+def composed_order(cols, cap=_ORDER_CAP):
+    """The order of cols by composing powers until the unit columns; cap + 1 past the cap."""
+    unit = tuple({j: 1} for j in range(len(cols)))
+    power, order = tuple(cols), 1
+    while order <= cap and power != unit:
+        power, order = compose_cols(cols, power), order + 1
+    return order
+
+
+def constructed(table, cb):
+    """(kind, automorphism) of each constructed kind on table: the identity,
+    the torus involutions of every nonzero vector up to rank 6 and of 40
+    seeded ones above, omega and its involutive twists where omega is
+    defined, every Weyl lift, omega_0 (cb.omega0), one compose and one
+    conjugate."""
+    r = table.rank
+    vectors = [c for c in itertools.product((0, 1), repeat=r) if any(c)]
+    if r > 6:
+        vectors = random.Random(r).sample(vectors, 40)
+    out = [("identity", identity_automorphism(table))]
+    out += [("torus", torus_involution(table, c)) for c in vectors]
+    try:
+        out.append(("omega", omega_automorphism(table)))
+    except ValueError:
+        pass
+    else:
+        # a nonzero vector of order 1 names no twist (parse_descriptor's raise)
+        tori = (torus_involution(table, c) for c in itertools.product((0, 1), repeat=r))
+        twists = (parse_descriptor(table, "omega*" + t.descriptor) for t in tori
+                  if t.order == 2 or t.descriptor == "torus:" + ",".join("0" * r))
+        out += [("twist", w) for w in twists if w.order == 2]
+    lifts = [weyl_lift(table, i) for i in range(r)]
+    out += [("weyl", w) for w in lifts] + [("omega0", cb.omega0)]
+    t = torus_involution(table, (1,) + (0,) * (r - 1))
+    out += [("compose", compose(lifts[0], t)), ("conjugate", conjugate(lifts[-1], out[-2][1]))]
+    return out
+
+
+def constructed_kind_defects(table, built):
+    """The descriptors of the automorphisms in built (``constructed``) whose
+    columns fail the reference certifier, whose pi is not the signed
+    permutation of their columns, whose order is not the composed-power
+    order, or, for a Weyl lift, whose columns are not the product of the
+    oracle's exp(ad) factors."""
+    rs, r = table.rs, table.rank
+    bad = []
+    for kind, a in built:
+        ok = (first_homomorphism_defect(table, a.cols) is None
+              and a.pi == signed_permutation(a.cols) and a.order == composed_order(a.cols))
+        if kind == "weyl":
+            i = int(a.descriptor[len("weyl:"):]) - 1
+            e_plus = exp_ad_cols(table, {r + rs.simple[i]: 1})
+            e_minus = exp_ad_cols(table, {r + rs.simple[i] + rs.npos: -1})
+            ok = ok and a.cols == compose_cols(e_plus, compose_cols(e_minus, e_plus))
+        if not ok:
+            bad.append(a.descriptor)
+    return bad
 
 
 def compact_table(cb):
@@ -76,8 +155,8 @@ def split_spans(cb, theta, gamma=()):
     the columns of ``oracles.compact_cols``; k_C and p_C as the [k,p] walk of
     ``cartan_decomposition(cb, theta, gamma)`` gets them.  A catalog miss is
     ignored, since it comes after that walk."""
-    gcols = [compact_cols(cb, g) for g in gamma]
-    tcols = compact_cols(cb, theta)
+    gcols = [compact_cols(cb, g.cols) for g in gamma]
+    tcols = compact_cols(cb, theta.cols)
     k, p = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols])))
             for cols in (tcols, tuple({i: -c for i, c in col.items()} for col in tcols)))
     walked = []

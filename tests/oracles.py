@@ -9,8 +9,8 @@ derived separately, so agreement with the library is a genuine cross-check.
 Cartan data and rebuilds the Chevalley table on coordinate tuples.
 The references at the end read a bracket table only through its
 ``pair_bracket``: exp(ad x) as its power series, the generic all-pairs
-homomorphism check, the lexicographic closure check with its own exact
-elimination (and, beside it, the closure walk that tests whole brackets with ``SpanSolver.contains``,
+homomorphism check and its check of one pair, the lexicographic closure
+check with its own exact elimination (and, beside it, the closure walk that tests whole brackets with ``SpanSolver.contains``,
 which reads the table's ``row_brackets``), the dimension
 of a centralizer by the same elimination, the Killing form as a trace over
 all pairs, and the antisymmetry, Jacobi and ad-invariance scans over all
@@ -26,9 +26,10 @@ matrix, trying all n! relabelings.  ``cartan_real_form_name`` names a real form 
 labels alone.  ``torus_parity_type`` reads only a Cartan matrix: it names
 the fixed type of a group of torus involutions on any simple type from the
 rank, root count and long-root count of each component of its even roots.
-``compact_cols`` gives an automorphism its columns on a compact basis by the
-compactness rule ``to_compact``, column by column, as the library no longer
-does; ``compact_reference`` reads the compact brackets back by the same rule.
+``compose_cols`` multiplies sparse columns entry by entry, and
+``compact_cols`` gives the columns of a map, certified or not, on a compact
+basis by the compactness rule ``to_compact``, column by column, as the
+library no longer does; ``compact_reference`` reads the compact brackets back by the same rule.
 """
 
 from collections import defaultdict
@@ -238,6 +239,17 @@ def _bracket(pb, u, v):
     return out
 
 
+def homomorphism_fails_at(table, cols, i, j):
+    """[A e_i, A e_j] != A [e_i, e_j] for the sparse columns cols[k] = A e_k,
+    both sides expanded through table.pair_bracket."""
+    pb = table.pair_bracket
+    cols = [{k: v for k, v in c.items() if v} for c in cols]
+    rhs = {}
+    for k, c in pb(i, j):
+        _add_scaled(rhs, c, cols[k].items())
+    return _bracket(pb, cols[i], cols[j]) != rhs
+
+
 def first_homomorphism_defect(table, cols):
     """First basis pair (i, j), i < j, with [A e_i, A e_j] != A [e_i, e_j], or None.
 
@@ -255,6 +267,19 @@ def first_homomorphism_defect(table, cols):
             if _bracket(pb, cols[i], cols[j]) != rhs:
                 return i, j
     return None
+
+
+def apply_cols(cols, vec):
+    """The sparse vector A vec for the columns cols[k] = A e_k, zeros dropped."""
+    out = {}
+    for k, v in vec.items():
+        _add_scaled(out, v, cols[k].items())
+    return out
+
+
+def compose_cols(a, b):
+    """The columns of a∘b (b applied first), each expanded by apply_cols."""
+    return tuple(apply_cols(a, col) for col in b)
 
 
 def exp_ad_cols(table, x):
@@ -711,12 +736,12 @@ def to_compact(cb, x, e):
     return out
 
 
-def compact_cols(cb, auto):
-    """The columns of auto on the compact basis of cb: basis vector i is
-    sqrt(-1)^e x with x rational, so its image sqrt(-1)^e auto(x) is read
-    back by ``to_compact``; AssertionError if an image leaves the compact
-    form."""
-    return tuple(to_compact(cb, auto.apply(x), e) for e, x in cb.parts)
+def compact_cols(cb, cols):
+    """The columns on the compact basis of cb of the map with Chevalley
+    columns cols: basis vector i is sqrt(-1)^e x with x rational, so its
+    image sqrt(-1)^e A(x) is read back by ``to_compact``; AssertionError if
+    an image leaves the compact form."""
+    return tuple(to_compact(cb, apply_cols(cols, x), e) for e, x in cb.parts)
 
 
 def compact_reference(cb):

@@ -12,7 +12,13 @@ their root grading, the premise of the compact Killing form's blocks, by
 ``oracles.grading_defect``; and the whole Chevalley tables of A31 and D32,
 every entry, against Kac's lattice construction by ``oracles.cocycle_defect``;
 and ``autos.joint_fixed_dim`` of seeded triples of torus involutions on B16,
-C16 and D16 against the joint-parity dimension of ``oracles.torus_parity_type``.
+C16 and D16 against the joint-parity dimension of ``oracles.torus_parity_type``;
+and every constructed kind of automorphism on E7 and E8 against its
+references (``helpers.constructed_kind_defects``); and the lookup
+certificate ``StructureTable.root_map_defects`` against
+``oracles.first_homomorphism_defect`` on every Weyl lift, on omega where it
+is defined and on omega_0 of E8, A16, B16, C16 and D16, and on one Weyl lift
+of each with the sign of x_+-a flipped, a its middle non-simple root.
 Each Chevalley table is built once, and the first check that reads it is
 timed with its build.
 Run from the repository root as ``PYTHONPATH=src python
@@ -28,13 +34,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kleinfour.autos import joint_fixed_dim, torus_involution  # noqa: E402
+from kleinfour.autos import (joint_fixed_dim, omega_automorphism, torus_involution,  # noqa: E402
+                             weyl_lift)
 from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
-from helpers import root_index, split_defects  # noqa: E402
+from helpers import (constructed, constructed_kind_defects, root_index,  # noqa: E402
+                     root_map_cols, split_defects)
 from oracles import (chevalley_reference, cocycle_defect, compact_reference,  # noqa: E402
-                     grading_defect, sparse_jacobi_defect, torus_parity_type)
+                     first_homomorphism_defect, grading_defect, homomorphism_fails_at,
+                     sparse_jacobi_defect, torus_parity_type)
 
 
 def rows(adj):
@@ -97,13 +106,45 @@ def torus_triples_differ(label, count=30):
     return bad
 
 
+def constructed_kinds_differ(label):
+    """The constructed automorphisms that differ from their references."""
+    t = table(label)
+    return constructed_kind_defects(t, constructed(t, compact_form(t)))
+
+
+def certificate_differs(label):
+    """The maps on which the lookup certificate and the all-pairs reference
+    disagree: each Weyl lift, omega where defined and omega_0 must pass both,
+    and the first lift with the sign of x_+-a flipped, for the middle
+    non-simple root a, must fail both at the pair the certificate names."""
+    t = table(label)
+    maps = [weyl_lift(t, i) for i in range(t.rank)] + [compact_form(t).omega0]
+    try:
+        maps.append(omega_automorphism(t))
+    except ValueError:
+        pass
+    bad = [a.descriptor for a in maps
+           if t.root_map_defects(a.img, [a.eta]) != [None]
+           or first_homomorphism_defect(t, a.cols) is not None]
+    k = (t.rank + t.npos) // 2
+    eta = list(maps[0].eta)
+    eta[k], eta[k + t.npos] = -eta[k], -eta[k + t.npos]
+    (pair,), cols = t.root_map_defects(maps[0].img, [eta]), root_map_cols(t, (maps[0].img, eta))
+    if pair is None or not homomorphism_fails_at(t, cols, *pair):
+        bad.append("flipped " + maps[0].descriptor)
+    return bad
+
+
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
     ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
     ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")] + [
     ("jacobi", label, jacobi_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
     ("grading", label, grading_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
     ("cocycle", label, cocycle_fails) for label in ("A31", "D32")] + [
-    ("torus triples", label, torus_triples_differ) for label in ("B16", "C16", "D16")]
+    ("torus triples", label, torus_triples_differ) for label in ("B16", "C16", "D16")] + [
+    ("constructed kinds", label, constructed_kinds_differ) for label in ("E7", "E8")] + [
+    ("root-map certificate", label, certificate_differs)
+    for label in ("E8", "A16", "B16", "C16", "D16")]
 
 
 def main():

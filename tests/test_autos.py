@@ -5,7 +5,6 @@ import re
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +16,9 @@ from kleinfour.autos import (
     certify_batch,
     commutes,
     compose,
-    compose_cols,
     conjugate,
     diagram_symmetries,
     identity_automorphism,
-    inverse_cols,
     joint_fixed_dim,
     make_automorphism,
     make_klein,
@@ -31,15 +28,20 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour.exactq import as_num, lincomb, signed_permutation
+from kleinfour.exactq import signed_permutation
 from kleinfour.identify import fixed_subalgebra
-from kleinfour.rootsys import (BracketTable, _catalog_for_rank, build_root_system, cartan_matrix,
+from kleinfour.verify import VerifyContext
+from kleinfour.rootsys import (StructureTable, _catalog_for_rank, build_root_system, cartan_matrix,
                                chevalley_table)
-from helpers import diagram_automorphism, root_index
+from helpers import (composed_order, constructed, constructed_kind_defects, diagram_automorphism,
+                     root_index, root_map_cols)
 from oracles import (
+    REFERENCE_TYPES,
     cartan_symmetries_by_scan,
+    compose_cols,
     exp_ad_cols,
     first_homomorphism_defect,
+    homomorphism_fails_at,
     joint_parity_fixed_dim,
     pairing,
     pairing_parity_fixed_dim,
@@ -88,20 +90,20 @@ def test_torus_parity_oracle_random_sample(e6):
 
 @pytest.mark.parametrize("label", ["A5", "E7", "E8", "B12"])
 def test_torus_columns_are_the_direct_character(label):
-    """torus:c fixes every h_i and gives every x_b, not only the simple ones,
-    the sign (-1)^<b, sum c_i alpha_i^vee>, the pairing read from the Cartan
-    matrix alone."""
+    """torus:c has the identity img and gives every x_b, not only the simple
+    ones, the sign (-1)^<b, sum c_i alpha_i^vee>, the pairing read from the
+    Cartan matrix alone."""
     table = chevalley_table(build_root_system(cartan_matrix(label)))
     rs, r = table.rs, table.rank
     rng = random.Random(7)
     for _ in range(16):
         c = [rng.randint(-3, 3) for _ in range(r)]
-        cols, descriptor = torus_columns(table, c)
+        (img, eta), descriptor = torus_columns(table, c)
         assert descriptor == "torus:" + ",".join(str(x % 2) for x in c)
-        assert cols[:r] == [{i: 1} for i in range(r)]
+        assert tuple(img) == tuple(range(len(rs.roots)))
         for k, root in enumerate(rs.roots):
             odd = sum(x * pairing(rs, root.coords, i) for i, x in enumerate(c)) % 2
-            assert cols[r + k] == {r + k: -1 if odd else 1}, (label, c, root.coords)
+            assert eta[k] == (-1 if odd else 1), (label, c, root.coords)
 
 
 # -- diagram automorphisms -----------------------------------------------------
@@ -240,7 +242,7 @@ def test_any_two_torus_involutions_commute(e6):
 
 
 def _reference_commutes(a, b):
-    """Both full products, compared whole."""
+    """Both full products of the columns, compared whole."""
     return compose_cols(a.cols, b.cols) == compose_cols(b.cols, a.cols)
 
 
@@ -249,29 +251,32 @@ def _census_autos(ctx, kind):
 
 
 def test_diagonal_is_read_from_the_columns(ctx):
-    """A certified signed permutation keeps the pi and signs of its columns; a
-    diagonal is pi = identity.  Other shapes, and objects built by hand, have
-    neither."""
+    """A certified automorphism whose img sends each simple root to +- a
+    simple root has the pi and signs of its columns; a diagonal is img = the
+    identity.  A Weyl lift has no pi, and an object built by hand from the
+    same root map derives the same pi."""
     ident = tuple(range(78))
     for a in _census_autos(ctx, "inner"):
-        assert a.pi == (ident, tuple(col[j] for j, col in enumerate(a.cols))), a
+        assert a.diag and a.pi == (ident, tuple(col[j] for j, col in enumerate(a.cols))), a
     for a in _census_autos(ctx, "outer") + [omega_automorphism(ctx.table)]:
         perm, signs = a.pi
-        assert a.pi == signed_permutation(a.cols) and perm != ident, a
+        assert a.pi == signed_permutation(a.cols) and perm != ident and not a.diag, a
         assert signs == tuple(col[p] for col, p in zip(a.cols, perm)), a
     assert weyl_lift(ctx.table, 0).pi is None
-    assert identity_automorphism(ctx.table).pi == (ident, (1,) * 78)
+    identity = identity_automorphism(ctx.table)
+    assert identity.pi == (ident, (1,) * 78) and identity.diag
     torus = ctx.automorphism("torus:0,1,0,0,0,0")
-    # the descriptor plays no part in the certificate, and a hand-built copy has no pi
+    # the descriptor plays no part in the certificate
     assert parse_descriptor(ctx.table, "omega").pi == omega_automorphism(ctx.table).pi
-    assert Automorphism(ctx.table, torus.cols, 2, "torus:0,1,0,0,0,0").pi is None
+    copy = Automorphism(ctx.table, torus.img, torus.eta, 2, "copy")
+    assert (copy.pi, copy.masks, copy.cols) == (torus.pi, torus.masks, torus.cols)
 
 
 def test_commutes_matches_full_products(ctx, cross_check_bases):
-    """commutes agrees with the whole products, in both orders, on outer x
-    outer pairs and on Weyl lifts and a conjugated involution (several entries
-    per column) against outer rows (the generic path), on those against torus
-    rows, and on torus x outer pairs (the diagonal path)."""
+    """commutes agrees with the whole column products, in both orders, on
+    outer x outer pairs and on Weyl lifts and a Weyl conjugate of omega (no
+    pi) against outer rows (the root-map rule), on those against torus rows,
+    and on torus x outer pairs (the diagonal tier)."""
     rng = random.Random(17)
     inner, outer = _census_autos(ctx, "inner"), _census_autos(ctx, "outer")
     dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
@@ -292,87 +297,91 @@ def test_commutes_matches_full_products(ctx, cross_check_bases):
         assert seen == outcomes
 
 
-def _column_copy(a):
-    """a built by hand: no pi, so every rule takes the column path."""
-    return Automorphism(a.table, a.cols, a.order, a.descriptor)
-
-
 def _mask_cols(m):
     """The columns of the signed permutation with masks m."""
     return tuple({p: -1 if m[1] >> j & 1 else 1} for j, p in enumerate(m[0]))
 
 
+def _unit(table):
+    return tuple({j: 1} for j in range(table.dim))
+
+
+def _root_map(a):
+    return a.img, a.eta
+
+
 def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
-    """Each pi rule gives what the column rule gives: the product by pi and
-    signs and by masks (with the one-XOR rule when the right factor is
-    diagonal), its mask trace and commutes on every ordered pair of census
-    rows, the masks, the mask trace and the cycle order on every row and on
-    signed permutations of order 3 and 4; compose hands the product's pi on
-    through the shape certificate.  The inverse, a column rule, composes with
-    each of these and with the six Weyl lifts and the conjugated involution
-    to the unit columns.  The lifts and the conjugate have no pi and no
-    masks, so they check that the column path is taken against the rows."""
+    """Each root-index rule gives what the column rule gives: the product of
+    every ordered pair of census rows, by img and eta and by masks (with the
+    one-XOR rule when the right factor is diagonal), its mask trace, and
+    commutes; the masks, the mask trace, the derived pi and the cycle order
+    on every row and on signed permutations of order 3 and 4; compose hands
+    the product's pi on.  The inverse composes with each of these and with
+    the six Weyl lifts and the Weyl conjugate of omega to the identity, and
+    its columns are the inverse's.  The lifts and the conjugate have no pi
+    and no masks."""
+    table = ctx.table
     rows = [r.automorphism for r in ctx.census.rows]
-    dense = [weyl_lift(ctx.table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
+    dense = [weyl_lift(table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
     assert all(a.pi is not None for a in rows) and all(w.pi is w.masks is None for w in dense)
-    copies = {id(a): _column_copy(a) for a in rows}
     # signed permutations of order 3 and 4, whose inverse is not themselves
     d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
-    om, tori = omega_automorphism(ctx.table), itertools.product((0, 1), repeat=6)
+    om, tori = omega_automorphism(table), itertools.product((0, 1), repeat=6)
     higher = [diagram_automorphism(d4, (2, 1, 3, 0))]
-    higher += [t for t in (compose(om, torus_involution(ctx.table, c)) for c in tori) if t.order == 4]
+    higher += [t for t in (compose(om, torus_involution(table, c)) for c in tori) if t.order == 4]
     assert {a.order for a in higher} == {3, 4}
     for a in rows + dense + higher:
-        assert compose_cols(a.cols, inverse_cols(a)) == tuple({j: 1} for j in range(len(a.cols))), a
+        inv, unit = autos._inverse(_root_map(a)), (tuple(range(len(a.img))), (1,) * len(a.img))
+        assert autos._compose(_root_map(a), inv) == autos._compose(inv, _root_map(a)) == unit, a
+        assert compose_cols(a.cols, root_map_cols(a.table, inv)) == _unit(a.table), a
+        assert autos._cycle_order(_root_map(a)) == composed_order(a.cols) == a.order, a
+        assert a.pi == signed_permutation(a.cols), a
         if a.pi is not None:
             assert a.masks == autos._masks(a.pi) and _mask_cols(a.masks) == a.cols, a
             col_trace = sum(col.get(j, 0) for j, col in enumerate(a.cols))
             assert autos._mask_trace(*a.masks[1:]) == col_trace, a
-            assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
     for a, b in itertools.product(rows, rows):
-        pi, ab = autos._pi_compose(a.pi, b.pi), compose_cols(a.cols, b.cols)
+        ab, root_ab = compose_cols(a.cols, b.cols), autos._compose(_root_map(a), _root_map(b))
+        assert root_map_cols(table, root_ab) == ab, (a, b)
         masks = autos._mask_compose(a.masks, b.masks)
-        assert masks == autos._masks(pi) and _mask_cols(masks) == ab, (a, b)
+        assert masks == autos._masks(autos._compose(a.pi, b.pi)) and _mask_cols(masks) == ab
         if b.diag:
             perm, neg, fix, nfix = a.masks
             assert masks == (perm, neg ^ b.masks[1], fix, nfix), (a, b)
         assert autos._mask_trace(*masks[1:]) == sum(col.get(j, 0) for j, col in enumerate(ab)), (a, b)
-        assert commutes(a, b) == commutes(copies[id(a)], copies[id(b)]), (a, b)
+        # root_ba is checked against the columns when (b, a) comes round
+        assert commutes(a, b) == (root_ab == autos._compose(_root_map(b), _root_map(a))), (a, b)
     rng = random.Random(29)
     for a, b in [(rng.choice(rows), rng.choice(rows)) for _ in range(6)]:
-        ab = compose(a, b)  # recertified: a signed-permutation product takes the shape path
-        assert ab.cols == compose_cols(a.cols, b.cols) and ab.pi == autos._pi_compose(a.pi, b.pi)
-    for n, w in enumerate(dense):
+        ab = compose(a, b)
+        assert ab.cols == compose_cols(a.cols, b.cols) and ab.pi == autos._compose(a.pi, b.pi)
+    for w in dense:
         for a in rng.sample(rows, 6):
             for x, y in ((w, a), (a, w)):
                 assert commutes(x, y) == _reference_commutes(x, y)
-                if n < 6:  # a product with the conjugated involution can have infinite order
-                    xy = compose(x, y)
-                    assert xy.cols == compose_cols(x.cols, y.cols) and xy.pi is None
+                xy = compose(x, y)
+                assert xy.cols == compose_cols(x.cols, y.cols) and xy.pi is None
 
 
-def _forged(e6, cols, name):
-    return Automorphism(e6, tuple(cols), 2, name)
+def _forged(table, img, eta, name):
+    return Automorphism(table, tuple(img), tuple(eta), 2, name)
 
 
 def test_commutes_compares_up_to_the_last_column(e6):
-    """Forged pairs whose products differ in the last column only, on the
-    generic path and on the diagonal path, and diagonal entries other than
-    +1 and -1."""
-    n = e6.dim
-    last = [{j: 1} for j in range(n - 1)] + [{n - 1: 1, 0: 1}]
-    swap = [{1: 1}, {0: 1}] + [{j: 1} for j in range(2, n)]
-    signs = [{j: 1} for j in range(n - 1)] + [{n - 1: -1}]
-    weights = [{j: j % 3 + 2} for j in range(n)]
-    scalar = [{j: 3} for j in range(n)]
-    lift = weyl_lift(e6, 3).cols
-    for x, y, want in [(swap, last, False), (signs, last, False), (weights, lift, False),
-                       (scalar, lift, True), (weights, signs, True)]:
-        a, b = _forged(e6, x, "x"), _forged(e6, y, "y")
+    """Forged root maps whose products differ only at the last two root
+    indices, on the diagonal tier and on the root-map rule, with the column
+    products as the reference."""
+    n = len(e6.rs.roots)
+    ident, swap = list(range(n)), list(range(n - 2)) + [n - 1, n - 2]
+    last, both = [1] * (n - 1) + [-1], [1] * (n - 2) + [-1, -1]
+    for x, y, want in [((swap, [1] * n), (ident, last), False),
+                       ((swap, [1] * n), (ident, both), True),
+                       ((swap, [1] * n), (swap, last), False),
+                       ((swap, [1] * n), (swap, both), True)]:
+        a, b = _forged(e6, *x, "x"), _forged(e6, *y, "y")
         assert _reference_commutes(a, b) == commutes(a, b) == commutes(b, a) == want
-    for x in (swap, signs):
-        ab, ba = compose_cols(x, last), compose_cols(last, x)
-        assert [j for j in range(n) if ab[j] != ba[j]] == [n - 1]
+        ab, ba = autos._compose(_root_map(a), _root_map(b)), autos._compose(_root_map(b), _root_map(a))
+        assert [r for r in range(n) if ab[1][r] != ba[1][r]] == ([] if want else [n - 2, n - 1])
 
 
 # -- Weyl lifts ------------------------------------------------------------------
@@ -419,44 +428,20 @@ def test_conjugation_preserves_fixed_dim(e6):
         assert fixed_dim(e6, c) == 38
 
 
-def _reference_compose(a, b):
-    """a∘b column by column through lincomb, every entry normalised."""
-    return tuple(
-        {r: as_num(v) for r, v in lincomb(col.values(), (a[k] for k in col)).items()}
-        for col in b
-    )
-
-
-def test_compose_cols_normalises_fraction_entries_only(e6):
-    """Products of Fraction columns (the exp(ad) factors of a Weyl lift, with
-    every entry a Fraction) are ints or non-integral Fractions, and equal and
-    hash as the product normalised entry by entry."""
-    plus, minus = (0, 0, 1, 0, 0, 0), (0, 0, -1, 0, 0, 0)
-    x_plus = {6 + root_index(e6.rs, plus): Fraction(1)}
-    e_plus = exp_ad_cols(e6, x_plus)
-    e_minus = exp_ad_cols(e6, {6 + root_index(e6.rs, minus): Fraction(-1)})
-    e_half = exp_ad_cols(e6, {k: v / 2 for k, v in x_plus.items()})
-    for a, b in ((e_plus, e_minus), (e_minus, e_plus), (e_minus, e_half)):
-        got = compose_cols(a, b)
-        ref = _reference_compose(a, b)
-        assert got == ref
-        assert hash(tuple(tuple(sorted(c.items())) for c in got)) == hash(
-            tuple(tuple(sorted(c.items())) for c in ref)
-        )
-        assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
-                   for col in got for v in col.values())
-    assert any(type(v) is Fraction for col in compose_cols(e_minus, e_half) for v in col.values())
-    lift = compose_cols(e_plus, compose_cols(e_minus, e_plus))
-    assert all(type(v) is int for col in lift for v in col.values())
-    assert lift == weyl_lift(e6, 2).cols
-
-
 def test_inverse_cols_from_the_certified_order(e6):
+    """The root-index inverse certifies, composes with w to the identity both
+    ways and is w^(order - 1), by the certified order of w; its columns
+    invert w's."""
+    ident = identity_automorphism(e6)
     for w in (weyl_lift(e6, 0), torus_involution(e6, (0, 1, 0, 0, 0, 0)),
-              omega_automorphism(e6), identity_automorphism(e6)):
-        ident = tuple({j: 1} for j in range(e6.dim))
-        assert compose_cols(w.cols, inverse_cols(w)) == ident
-        assert compose_cols(inverse_cols(w), w.cols) == ident
+              omega_automorphism(e6), ident):
+        inv = make_automorphism(e6, autos._inverse(_root_map(w)), "inverse")
+        assert compose(w, inv) == compose(inv, w) == ident
+        power = ident
+        for _ in range(w.order - 1):
+            power = compose(w, power)
+        assert inv == power
+        assert compose_cols(w.cols, inv.cols) == compose_cols(inv.cols, w.cols) == _unit(e6)
 
 
 # -- certification ---------------------------------------------------------------
@@ -495,10 +480,11 @@ def test_joint_fixed_dim_rejects_a_generator_without_pi(e6):
 def test_joint_fixed_dim_checks_divisibility(e6):
     # built around make_automorphism on purpose: an odd trace cannot come
     # from a certified involution, so only a forged one reaches the check.
-    # A 3-cycle on three basis indices fixes 75 of E6's 78, so the sum is odd
-    perm = (1, 2, 0) + tuple(range(3, e6.dim))
-    cols = tuple({p: 1} for p in perm)
-    forged = Automorphism(e6, cols, 2, "forged", (perm, (1,) * e6.dim))
+    # img a 3-cycle on three non-simple roots: pi fixes 75 of E6's 78 basis
+    # indices, so the sum is odd
+    img = tuple(range(6)) + (7, 8, 6) + tuple(range(9, 72))
+    forged = Automorphism(e6, img, (1,) * 72, 2, "forged")
+    assert forged.pi is not None
     with pytest.raises(CertificationError, match="^character sum 153 of forged is not divisible by 2$"):
         joint_fixed_dim([forged])
 
@@ -562,13 +548,15 @@ def test_joint_fixed_dim_of_twist_torus_pairs_matches_fixed_subalgebra(label):
 
 
 def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):
-    """An entry 3 on the diagonal cannot reach a pi rule: a hand-built copy never
-    gets a pi, and certify_batch rejects the columns."""
+    """A sign 3 cannot reach a pi rule: certify_batch rejects it at (x_a,
+    x_-a), where eta_a eta_-a = 3, and the reference expansion fails there."""
     torus = torus_involution(e6, (0, 1, 0, 0, 0, 0))
-    cols = [{j: 3 if j == 10 else s} for j, s in enumerate(torus.pi[1])]
-    assert _forged(e6, cols, "forged").pi is None
-    with pytest.raises(CertificationError, match="^forged: homomorphism fails at basis pair"):
-        certify_batch(e6, [(cols, "forged")])
+    eta = list(torus.eta)
+    eta[4] = 3  # x_alpha_2, basis index 10
+    with pytest.raises(CertificationError, match=re.escape(
+            "forged: homomorphism fails at basis pair (x+[0,1,0,0,0,0], x-[0,1,0,0,0,0])")):
+        certify_batch(e6, [((torus.img, eta), "forged")])
+    assert homomorphism_fails_at(e6, root_map_cols(e6, (torus.img, eta)), 10, 46)
 
 
 def test_fixed_plus_antifixed_fills_algebra(e6):
@@ -590,41 +578,56 @@ def test_fixed_plus_antifixed_fills_algebra(e6):
             assert len(plus) + len(minus) == 78
 
 
+def _edited(good, edit):
+    img, eta = list(good.img), list(good.eta)
+    edit(img, eta)
+    return img, eta
+
+
 def test_certification_rejects_sign_corruption(e6):
     good = torus_involution(e6, (0, 1, 0, 0, 0, 0))
-    cols = [dict(c) for c in good.cols]
-    # flip one root-vector sign: no longer a homomorphism
-    cols[6] = {k: -v for k, v in cols[6].items()}
+    # flip the sign of x_{+-a} for one root a: no longer a homomorphism
     with pytest.raises(CertificationError):
-        make_automorphism(e6, cols, "corrupted")
+        make_automorphism(e6, _edited(good, _flip_col6), "corrupted")
 
 
-def _flip_col6(cols):
-    cols[6] = {k: -v for k, v in cols[6].items()}
+def _flip_col6(img, eta):
+    """The sign of x_{+-alpha_6} flipped: basis indices 6 and 42 of E6."""
+    eta[0], eta[36] = -eta[0], -eta[36]
 
 
-def _bump(col, row, delta):
-    def edit(cols):
-        cols[col][row] = cols[col].get(row, 0) + delta
+def _flip_root(k):
+    """The sign of x_{+-a} flipped, for the positive E6 root a = roots[k]."""
+    def edit(img, eta):
+        eta[k], eta[k + 36] = -eta[k], -eta[k + 36]
+    return edit
+
+
+def _swap_images(k, m):
+    """The images of x_{+-a} and x_{+-b} swapped, a = roots[k], b = roots[m] of E6."""
+    def edit(img, eta):
+        for u, v in ((k, m), (k + 36, m + 36)):
+            img[u], img[v] = img[v], img[u]
     return edit
 
 
 @pytest.mark.parametrize("descriptor, edit, pair", [
     ("torus:0,1,0,0,0,0", _flip_col6, "(x+[0,0,0,0,0,1], x+[0,0,0,0,1,0])"),
-    ("torus:0,1,0,0,0,0", _bump(20, 20, Fraction(1, 2)), "(x+[0,0,0,0,1,0], x+[0,1,1,1,0,0])"),
-    ("omega*torus:0,0,1,0,1,0", _bump(3, 3, 2), "(h4, x+[0,0,0,0,1,0])"),
-    ("weyl:3", _bump(1, 40, 1), "(h2, h4)"),
-    ("weyl:3", _bump(2, 0, -1), "(h3, x+[0,0,0,1,0,0])"),
+    ("torus:0,1,0,0,0,0", _flip_root(14), "(x+[0,0,0,0,1,0], x+[0,1,1,1,0,0])"),
+    ("omega*torus:0,0,1,0,1,0", _swap_images(0, 1), "(h4, x+[0,0,0,0,1,0])"),
+    ("weyl:3", _flip_root(6), "(x+[0,0,0,0,0,1], x+[0,0,0,0,1,0])"),
+    ("weyl:3", _swap_images(2, 34), "(h3, x+[0,0,0,1,0,0])"),
 ])
 def test_certification_names_first_failing_pair(ctx, descriptor, edit, pair):
-    # the message names the lexicographically first basis pair i < j at which
-    # [A e_i, A e_j] != A [e_i, e_j]
+    # the message names the pair of the first check of root_map_defects that
+    # fails, and the reference expansion of the edited root map fails there
     good = weyl_lift(ctx.table, 2) if descriptor == "weyl:3" else ctx.automorphism(descriptor)
-    cols = [dict(c) for c in good.cols]
-    edit(cols)
+    img, eta = _edited(good, edit)
     with pytest.raises(CertificationError) as err:
-        make_automorphism(ctx.table, cols, "corrupted")
+        make_automorphism(ctx.table, (img, eta), "corrupted")
     assert str(err.value) == f"corrupted: homomorphism fails at basis pair {pair}"
+    (i, j), = ctx.table.root_map_defects(img, [eta])
+    assert homomorphism_fails_at(ctx.table, root_map_cols(ctx.table, (img, eta)), i, j)
 
 
 @pytest.fixture(scope="module")
@@ -639,20 +642,26 @@ def certified(ctx):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(["torus", "omega-twist", "weyl-lift"]),
-    col=st.integers(0, 77),
-    shift=st.one_of(st.just(0), st.integers(1, 77)),
-    delta=st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3)]),
+    k=st.integers(0, 71),
+    shift=st.integers(1, 71),
+    how=st.sampled_from(["sign", "pair sign", "scale", "swap"]),
 )
-def test_certification_rejects_single_entry_corruption(certified, kind, col, shift, delta):
-    # g + d e_row e_col^T = g(1 + u e_col^T) with u != 0; were it an
-    # automorphism, 1 + u e_col^T would fix a codimension-1 subalgebra, which
-    # E6 does not have.  shift 0 changes the diagonal entry.
+def test_certification_rejects_single_entry_corruption(certified, kind, k, shift, how):
+    # one sign flipped (x_a alone, or x_a and x_-a), scaled by 2, or two images
+    # swapped: the map then differs from an automorphism g only on x_{+-a}
+    # (and x_{+-b}), and on E6 some root vector brackets x_a into a third
+    # root, so the quotient by g, and the map, would not be a homomorphism
     good = certified[kind]
-    cols = [dict(c) for c in good.cols]
-    row = (col + shift) % len(cols)
-    cols[col][row] = cols[col].get(row, 0) + delta
+    img, eta = list(good.img), list(good.eta)
+    if how == "swap":
+        m = (k + shift) % 72
+        img[k], img[m] = img[m], img[k]
+    else:
+        eta[k] *= 2 if how == "scale" else -1
+        if how == "pair sign":
+            eta[(k + 36) % 72] *= -1
     with pytest.raises(CertificationError):
-        make_automorphism(good.table, cols, "corrupted")
+        make_automorphism(good.table, (img, eta), "corrupted")
 
 
 # -- cross-check against the generic all-pairs certifier ----------------------
@@ -668,23 +677,20 @@ def lift_tables(e6):
     return out
 
 
-def _homomorphism_verdict(table, cols):
-    """make_automorphism's homomorphism message for cols, or None if it holds."""
+def _check_against_the_reference(table, img, eta):
+    """make_automorphism accepts (img, eta) exactly when the reference finds
+    no failing pair in its columns, and a named pair fails there too."""
+    cols = root_map_cols(table, (img, eta))
     try:
-        make_automorphism(table, cols, "candidate")
-    except CertificationError as err:
-        if "homomorphism fails" in str(err):
-            return str(err)
-    return None
-
-
-def _reference_verdict(table, cols):
-    pair = first_homomorphism_defect(table, cols)
-    if pair is None:
-        return None
-    i, j = pair
-    return (f"candidate: homomorphism fails at basis pair "
-            f"({table.basis_label(i)}, {table.basis_label(j)})")
+        make_automorphism(table, (img, eta), "candidate")
+    except CertificationError:
+        assert first_homomorphism_defect(table, cols) is not None
+        if sorted(img) == list(range(len(img))):
+            (pair,) = table.root_map_defects(img, [eta])
+            assert homomorphism_fails_at(table, cols, *pair), pair
+        return False
+    assert first_homomorphism_defect(table, cols) is None
+    return True
 
 
 def test_census_automorphisms_pass_the_reference_certifier(ctx):
@@ -692,7 +698,7 @@ def test_census_automorphisms_pass_the_reference_certifier(ctx):
     for descriptor in ["torus:" + b for b in bits[1:]] + ["omega*torus:" + b for b in bits]:
         a = ctx.automorphism(descriptor)
         assert first_homomorphism_defect(ctx.table, a.cols) is None, descriptor
-        assert make_automorphism(ctx.table, a.cols, descriptor).order == a.order
+        assert make_automorphism(ctx.table, (a.img, a.eta), descriptor).order == a.order
 
 
 @pytest.mark.parametrize("label", _LIFT_TYPES)
@@ -726,17 +732,13 @@ def test_weyl_lifts_equal_the_exponential_product(lift_tables, label):
 
 @pytest.fixture(scope="module")
 def cross_check_bases(ctx, lift_tables):
-    """Certified automorphisms to corrupt: monomial, Weyl-lift and dense columns."""
+    """Certified automorphisms to corrupt: diagonal, twisted and Weyl-lift root
+    maps, and a Weyl conjugate of omega, an involution without pi."""
     t = ctx.table
-    torus = ctx.automorphism("torus:0,1,0,0,0,0")
-    # exp(ad x) torus exp(-ad x) for a root vector x that torus negates: an
-    # involution whose root-vector columns have up to three entries
-    k = t.rank + root_index(t.rs, (0, 0, 0, 1, 0, 0))
-    conj = compose_cols(exp_ad_cols(t, {k: 1}), compose_cols(torus.cols, exp_ad_cols(t, {k: -1})))
     out = {
-        "torus": torus,
+        "torus": ctx.automorphism("torus:0,1,0,0,0,0"),
         "omega-twist": ctx.automorphism("omega*torus:0,0,1,0,1,0"),
-        "conjugated": make_automorphism(t, conj, "conjugated"),
+        "conjugated": conjugate(weyl_lift(t, 0), omega_automorphism(t)),
     }
     for label in _LIFT_TYPES:
         out["weyl-" + label] = weyl_lift(lift_tables[label], 1)
@@ -745,9 +747,26 @@ def cross_check_bases(ctx, lift_tables):
 
 _edit = st.tuples(
     st.integers(0, 10**4),
-    st.one_of(st.just(0), st.integers(1, 10**4)),
-    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 3), "cancel"]),
+    st.integers(1, 10**4),
+    st.sampled_from(["sign", "pair sign", "swap", "pair swap", "zero"]),
 )
+
+
+def _apply_edit(img, eta, edit):
+    """One edit of the root map (img, eta) in place, at root k and root k + shift."""
+    k, shift, how = edit
+    n = len(img)
+    k, m, neg = k % n, (k + shift) % n, lambda r: (r + n // 2) % n
+    if how in ("sign", "pair sign"):
+        eta[k] = -eta[k]
+        if how == "pair sign":
+            eta[neg(k)] = -eta[neg(k)]
+    elif how == "zero":
+        eta[k] = 0
+    else:
+        img[k], img[m] = img[m], img[k]
+        if how == "pair swap" and neg(k) != m:
+            img[neg(k)], img[neg(m)] = img[neg(m)], img[neg(k)]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -757,51 +776,126 @@ _edit = st.tuples(
     edits=st.lists(_edit, min_size=1, max_size=2),
 )
 def test_certification_agrees_with_reference_certifier(cross_check_bases, kind, edits):
-    # one or two entries changed; "cancel" deletes an existing entry, so a
-    # bracket can vanish on one side of the equation and not on the other
+    # one or two signs flipped or zeroed, or images swapped: the certificate
+    # accepts exactly what the all-pairs reference accepts on the columns,
+    # and the pair it names fails under the reference
     good = cross_check_bases[kind]
-    table = good.table
-    cols = [dict(c) for c in good.cols]
-    for col, shift, delta in edits:
-        col %= table.dim
-        row = (col + shift) % table.dim
-        if delta == "cancel":
-            keys = sorted(cols[col])
-            if keys:
-                del cols[col][keys[shift % len(keys)]]
-        else:
-            cols[col][row] = cols[col].get(row, 0) + delta
-    assert _homomorphism_verdict(table, cols) == _reference_verdict(table, cols)
+    img, eta = list(good.img), list(good.eta)
+    for edit in edits:
+        _apply_edit(img, eta, edit)
+    _check_against_the_reference(good.table, img, eta)
 
 
-# -- shape and batch paths of signed permutations --------------------------------
-
-def _flip(cols, i, j):
-    cols[i] = {k: -v for k, v in cols[i].items()}
-
-
-def _swap(cols, i, j):
-    cols[i], cols[j] = cols[j], cols[i]
-
-
-def _magnitude_two(cols, i, j):
-    cols[i] = {k: 2 * v for k, v in cols[i].items()}
+@pytest.mark.parametrize("label", [label for label in REFERENCE_TYPES if label not in ("E7", "E8")])
+def test_every_constructed_kind_matches_its_independent_reference(ctx, label):
+    """helpers.constructed_kind_defects on each reference type but E7 and E8,
+    which tests/table_cross_check.py runs, finds nothing."""
+    c = ctx if label == "E6" else VerifyContext(label)
+    built = constructed(c.table, c.cb)
+    assert constructed_kind_defects(c.table, built) == []
+    has_omega = label[0] in "ADE" and label not in ("A1", "D4")
+    assert {kind for kind, _ in built} == {"identity", "torus", "weyl", "omega0", "compose",
+                                           "conjugate"} | ({"omega", "twist"} if has_omega else set())
 
 
-def _extra_entry(cols, i, j):
-    cols[i][next(iter(cols[j]))] = 1
+_HEIGHTS = {"first": lambda r, npos: r, "middle": lambda r, npos: (r + npos) // 2,
+            "last": lambda r, npos: npos - 1}  # non-simple positive roots, by height
 
 
-def _same_target(cols, i, j):
-    cols[j] = dict(cols[i])
+def _mutant(e6, kind):
+    """(table, img, eta) of a root map the certificate must reject."""
+    r, npos = e6.rank, e6.npos
+    lift, torus = weyl_lift(e6, 1), torus_involution(e6, (0, 1, 0, 0, 0, 1))
+    if kind in _HEIGHTS:
+        return (e6, *_edited(lift, _flip_root(_HEIGHTS[kind](r, npos))))
+    if kind == "eta_-a != eta_a":
+        eta = list(torus.eta)
+        eta[r + 3] = -eta[r + 3]
+        return e6, list(torus.img), eta
+    if kind == "two images swapped":
+        return (e6, *_edited(lift, _swap_images(r, npos - 2)))
+    if kind == "two images swapped, signs kept":  # only the lookup's target sees it
+        return e6, *_edited(identity_automorphism(e6), _swap_images(8, 9))
+    if kind == "A1+A1 negatives swapped":  # no root pair: only w(-a) = -w(a) sees it
+        a1a1 = chevalley_table(build_root_system([[2, 0], [0, 2]]))
+        return a1a1, [0, 1, 3, 2], [1] * 4
+    b3 = _type_table("B3")  # alpha_1 <-> alpha_3, a long and a short root
+    img = list(range(len(b3.rs.roots)))
+    a1, a3, n = b3.rs.simple[0], b3.rs.simple[2], b3.npos
+    img[a1], img[a3], img[a1 + n], img[a3 + n] = a3, a1, a3 + n, a1 + n
+    return b3, img, [1] * len(img)
 
 
-# (corruption, whether the columns stay a signed permutation)
+@pytest.mark.parametrize("kind", list(_HEIGHTS) + [
+    "eta_-a != eta_a", "two images swapped", "two images swapped, signs kept",
+    "A1+A1 negatives swapped", "B3 non-isometric swap"])
+def test_mutants_of_the_lookup_certificate_name_a_failing_pair(e6, kind):
+    """Each mutant is rejected, and the pair its message names is one where
+    the reference expansion of its columns also fails: the sign of x_+-a
+    flipped in weyl:2, a first, middle or last in height order among the
+    non-simple roots; eta_-a != eta_a in a torus map; the images of two
+    roots swapped in weyl:2, and in the identity, where the signs still
+    agree; the images of -alpha_1 and -alpha_2 swapped on A1+A1, which has
+    no root pair; alpha_1 <-> alpha_3 on B3."""
+    table, img, eta = _mutant(e6, kind)
+    (pair,) = table.root_map_defects(img, [eta])
+    assert not _check_against_the_reference(table, img, eta)
+    with pytest.raises(CertificationError) as err:
+        make_automorphism(table, (img, eta), "mutant")
+    assert str(err.value) == ("mutant: homomorphism fails at basis pair "
+                              f"({table.basis_label(pair[0])}, {table.basis_label(pair[1])})")
+
+
+def test_a_mutant_member_of_a_torus_batch_fails_alone(e6):
+    """One member of the batch of all E6 torus maps with the sign of x_+-a
+    flipped, a first, middle or last in height order among the non-simple
+    roots: the shared walk names it alone, at its own pair, and every other
+    member certifies."""
+    r, npos = e6.rank, e6.npos
+    batch = [torus_columns(e6, bits) for bits in itertools.product((0, 1), repeat=r)]
+    ident = tuple(range(2 * npos))
+    for k in (f(r, npos) for f in _HEIGHTS.values()):
+        etas = [list(eta) for (_, eta), _ in batch]
+        etas[37][k], etas[37][k + npos] = -etas[37][k], -etas[37][k + npos]
+        got = e6.root_map_defects(ident, etas)
+        assert [m for m, pair in enumerate(got) if pair] == [37], k
+        assert got[37] == e6.root_map_defects(ident, [etas[37]])[0]
+        assert homomorphism_fails_at(e6, root_map_cols(e6, (ident, etas[37])), *got[37])
+        members = [((ident, eta), d) for eta, (_, d) in zip(etas, batch)]
+        with pytest.raises(CertificationError, match=re.escape(batch[37][1])):
+            certify_batch(e6, members)
+        assert len(certify_batch(e6, members[:37] + members[38:])) == 63
+
+
+# -- batches of root maps ------------------------------------------------------------
+
+def _flip(img, eta, i, j):
+    eta[i] = -eta[i]
+
+
+def _swap(img, eta, i, j):
+    img[i], img[j] = img[j], img[i]
+
+
+def _magnitude_two(img, eta, i, j):
+    eta[i] *= 2
+
+
+def _pair_flip(img, eta, i, j):
+    n = len(eta) // 2
+    eta[i], eta[(i + n) % (2 * n)] = -eta[i], -eta[(i + n) % (2 * n)]
+
+
+def _same_target(img, eta, i, j):
+    img[j] = img[i]
+
+
+# (corruption, whether img stays a permutation)
 _SHAPE_CORRUPTIONS = [
     (_flip, True),
     (_swap, True),
-    (_magnitude_two, False),
-    (_extra_entry, False),
+    (_magnitude_two, True),
+    (_pair_flip, True),
     (_same_target, False),
 ]
 
@@ -819,76 +913,80 @@ def shape_bases(ctx):
     }
 
 
-def _batch_verdict(table, intact, cols):
-    """The homomorphism message of cols certified in one batch between two
-    intact members, or None."""
-    batch = [(intact, "intact"), (cols, "candidate"), (intact, "intact")]
+def _message(table, batch):
+    """The CertificationError message of certify_batch on batch, or None."""
     try:
         certify_batch(table, batch)
     except CertificationError as exc:
-        return str(exc) if "homomorphism fails" in str(exc) else None
+        return str(exc)
     return None
+
+
+def _recording_walks(monkeypatch):
+    """The (img, number of members) of each root_map_defects walk from now on."""
+    walks = []
+    real = StructureTable.root_map_defects
+    monkeypatch.setattr(StructureTable, "root_map_defects",
+                        lambda self, img, etas: walks.append((img, len(etas))) or real(self, img, etas))
+    return walks
 
 
 @pytest.mark.parametrize("base", ["E6 torus", "E6 omega-twist", "A5 omega-twist", "D4 triality"])
 def test_shape_and_batch_paths_agree_with_the_reference_certifier(shape_bases, monkeypatch, base):
-    # every corruption, alone and inside one batch with the intact columns,
-    # gets the reference verdict and first failing pair; a corruption that
-    # leaves the shape falls back to the generic walk, one that merges two
-    # targets never passes, and the intact member never needs the generic walk
+    # every corruption, alone and inside one batch between two intact
+    # members, gets the same message, and the reference verdict and failing
+    # pair; a member that keeps img shares the intact members' walk, one with
+    # another img has its own, and one whose img is no permutation none
     good = shape_bases[base]
     table = good.table
-    assert signed_permutation(good.cols) is not None
-    r, n, dim = table.rank, table.npos, table.dim
-    candidates = []
-    for corrupt, keeps_shape in _SHAPE_CORRUPTIONS:
-        for i, j in [(0, r), (r + 1, dim - 1), (r + n, 1)]:
-            cols = [dict(c) for c in good.cols]
-            corrupt(cols, i, j)
-            assert (signed_permutation(cols) is not None) == keeps_shape, (corrupt, i, j)
-            if corrupt in (_magnitude_two, _same_target):
-                assert first_homomorphism_defect(table, cols) is not None, (corrupt, i, j)
-            candidates.append(cols)
-    expected = [_reference_verdict(table, cols) for cols in candidates]
-    assert [_homomorphism_verdict(table, cols) for cols in candidates] == expected
-    generic = BracketTable.homomorphism_defect
-    for cols, want in zip(candidates, expected):
-        walked = []
-        monkeypatch.setattr(BracketTable, "homomorphism_defect",
-                            lambda self, c: walked.append(list(c)) or generic(self, c))
-        assert _batch_verdict(table, good.cols, cols) == want
-        assert walked == [cols]
+    npos = table.npos
+    intact = ((good.img, good.eta), "intact")
+    for corrupt, permutes in _SHAPE_CORRUPTIONS:
+        for i, j in [(0, 1), (npos + 1, 2 * npos - 1), (npos - 1, 0)]:
+            img, eta = list(good.img), list(good.eta)
+            corrupt(img, eta, i, j)
+            assert (sorted(img) == list(range(2 * npos))) == permutes, (corrupt, i, j)
+            assert not _check_against_the_reference(table, img, eta), (corrupt, i, j)
+            alone = _message(table, [((img, eta), "candidate")])
+            walks = _recording_walks(monkeypatch)
+            assert _message(table, [intact, ((img, eta), "candidate"), intact]) == alone
+            monkeypatch.undo()
+            if not permutes:
+                assert walks == [(good.img, 2)]
+            elif tuple(img) == good.img:
+                assert walks == [(good.img, 3)]
+            else:
+                assert walks == [(good.img, 2), (tuple(img), 1)]
     if base == "D4 triality":
-        assert certify_batch(table, [(good.cols, "t")])[0].order == 3
+        assert certify_batch(table, [((good.img, good.eta), "t")])[0].order == 3
 
 
 @pytest.mark.parametrize("corrupt", [_flip, _swap, _magnitude_two])
 def test_batch_isolates_a_corrupted_member(ctx, monkeypatch, corrupt):
     table = ctx.table
     batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=table.rank)]
-    cols = [dict(c) for c in batch[37][0]]
-    corrupt(cols, table.rank + 2, table.rank + 9)
-    walked = []
-    generic = BracketTable.homomorphism_defect
-    monkeypatch.setattr(BracketTable, "homomorphism_defect",
-                        lambda self, c: walked.append(c) or generic(self, c))
+    (img, eta), _ = batch[37]
+    img, eta = list(img), list(eta)
+    corrupt(img, eta, 2, 9)
+    walks = _recording_walks(monkeypatch)
     # the corrupted copy is certified last, after every intact member
     with pytest.raises(CertificationError) as err:
-        certify_batch(table, batch + [(cols, "corrupted")])
-    assert walked == [tuple(cols)]  # only the corrupted member ran the generic walk
+        certify_batch(table, batch + [((img, eta), "corrupted")])
+    ident = tuple(range(72))
+    assert walks == ([(ident, 65)] if corrupt is not _swap else [(ident, 64), (tuple(img), 1)])
     got = certify_batch(table, batch)
     monkeypatch.undo()
-    assert walked == [tuple(cols)]
     with pytest.raises(CertificationError) as single_err:
-        make_automorphism(table, cols, "corrupted")
-    i, j = first_homomorphism_defect(table, cols)
+        make_automorphism(table, (img, eta), "corrupted")
+    (pair,) = table.root_map_defects(img, [eta])
+    assert homomorphism_fails_at(table, root_map_cols(table, (img, eta)), *pair)
     assert str(err.value) == str(single_err.value) == (
         f"corrupted: homomorphism fails at basis pair "
-        f"({table.basis_label(i)}, {table.basis_label(j)})")
-    for a, (cols, descriptor) in zip(got, batch):
-        single = make_automorphism(table, cols, descriptor)
-        assert (a.cols, a.order, a.pi, a.descriptor) == (
-            single.cols, single.order, single.pi, single.descriptor), descriptor
+        f"({table.basis_label(pair[0])}, {table.basis_label(pair[1])})")
+    for a, (root_map, descriptor) in zip(got, batch):
+        single = make_automorphism(table, root_map, descriptor)
+        assert (a.img, a.eta, a.order, a.pi, a.descriptor) == (
+            single.img, single.eta, single.order, single.pi, single.descriptor), descriptor
 
 
 def test_e7_torus_gradings_certify_in_one_batch():
@@ -897,83 +995,88 @@ def test_e7_torus_gradings_certify_in_one_batch():
     table = chevalley_table(build_root_system(cartan_matrix("E7")))
     batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=7)][1:]
     got = certify_batch(table, batch)
-    for a, (cols, descriptor) in zip(got, batch):
-        single = make_automorphism(table, cols, descriptor)
+    for a, (root_map, descriptor) in zip(got, batch):
+        single = make_automorphism(table, root_map, descriptor)
         assert (a.cols, a.order, a.pi, a.descriptor) == (
             single.cols, single.order, single.pi, single.descriptor), descriptor
     assert sum(a.order == 1 for a in got) == 1
-    assert len({tuple(tuple(c.items()) for c in a.cols) for a in got if a.order != 1}) == 63
+    assert len({a.eta for a in got if a.order != 1}) == 63
     for a in random.Random(127).sample(got, 3):
         assert first_homomorphism_defect(table, a.cols) is None, a.descriptor
 
 
 @pytest.mark.parametrize("label", ["E6", "E7"])
 def test_identity_pi_loop_agrees_with_the_generic_walk(monkeypatch, label):
-    # every nontrivial torus grading, plus one member with the sign of one root
-    # vector flipped, as one batch.  w∘A is a homomorphism iff A is, for an
-    # automorphism w; the w-twisted batch shares w's pi, so the generic pi walk
-    # must read there the verdicts the identity-pi loop reads on the gradings.
-    # w is the Chevalley involution (h -> -h, x_a -> -x_-a), and omega on E6
+    # every nontrivial torus grading, plus one member with the sign of x_{+-a}
+    # flipped for one root a, as one batch.  w∘A is a homomorphism iff A is,
+    # for an automorphism w; the w-twisted batch shares w's img, so the
+    # lookup walk must read there the verdicts the identity-img loop reads on
+    # the gradings.  w is the Chevalley involution (h -> -h, x_a -> -x_-a),
+    # and omega on E6
     table = chevalley_table(build_root_system(cartan_matrix(label)))
     r, n = table.rank, table.npos
     batch = [torus_columns(table, bits) for bits in itertools.product((0, 1), repeat=r)][1:]
-    flipped = [dict(c) for c in batch[0][0]]
-    flipped[r + 3] = {r + 3: -flipped[r + 3][r + 3]}
-    batch.append((flipped, "flipped"))
-    full, flagged = (1 << len(batch)) - 1, 1 << (len(batch) - 1)
-    chevalley = [{i: -1} for i in range(r)] + [{r + (k + n) % (2 * n): -1} for k in range(2 * n)]
+    flipped = list(batch[0][0][1])
+    flipped[3], flipped[n + 3] = -flipped[3], -flipped[n + 3]
+    batch.append(((batch[0][0][0], flipped), "flipped"))
+    ident = tuple(range(2 * n))
+    etas = [eta for (_, eta), _ in batch]
+    verdicts = table.root_map_defects(ident, etas)
+    assert [pair is None for pair in verdicts] == [True] * (len(batch) - 1) + [False]
+    chevalley = (tuple((k + n) % (2 * n) for k in range(2 * n)), (-1,) * (2 * n))
     twists = [make_automorphism(table, chevalley, "chevalley")]
     twists += [omega_automorphism(table)] if label == "E6" else []
-
-    def flags(members):
-        pis = [signed_permutation(cols) for cols in members]
-        assert len({pi[0] for pi in pis}) == 1
-        bits = [sum((s < 0) << m for m, s in enumerate(signs)) for signs in zip(*(pi[1] for pi in pis))]
-        return table.signed_permutation_flags(pis[0][0], bits, full), bits
-
-    assert flags([cols for cols, _ in batch])[0] == flagged
     for w in twists:
-        twisted, bits = flags([compose_cols(w.cols, cols) for cols, _ in batch])
-        assert twisted == flagged, w.descriptor
-        # so the twisted batch took the generic walk: read by the identity
-        # loop, its bits (every h_i negated) would flag every member
-        assert table.signed_permutation_flags(tuple(range(table.dim)), bits, full) == full
-    walked = []
-    generic = BracketTable.homomorphism_defect
-    monkeypatch.setattr(BracketTable, "homomorphism_defect",
-                        lambda self, c: walked.append(c) or generic(self, c))
+        twisted = [autos._compose((w.img, w.eta), (ident, eta)) for eta in etas]
+        assert {img for img, _ in twisted} == {w.img}
+        got = table.root_map_defects(w.img, [eta for _, eta in twisted])
+        assert [pair is None for pair in got] == [pair is None for pair in verdicts], w.descriptor
+    # read by the identity loop, the Chevalley-twisted signs (every sign
+    # negated) flag every member
+    assert None not in table.root_map_defects(ident, [tuple(-s for s in eta) for eta in etas])
+    walks = _recording_walks(monkeypatch)
     with pytest.raises(CertificationError) as err:  # flipped is the last member
         certify_batch(table, batch)
     monkeypatch.undo()
-    assert walked == [tuple(flipped)]
-    i, j = first_homomorphism_defect(table, flipped)
+    assert walks == [(ident, len(batch))]
+    i, j = verdicts[-1]
+    assert homomorphism_fails_at(table, root_map_cols(table, (ident, flipped)), i, j)
     assert str(err.value) == (f"flipped: homomorphism fails at basis pair "
                               f"({table.basis_label(i)}, {table.basis_label(j)})")
 
 
 def test_certification_rejects_non_invertible(e6):
-    cols = [{0: 1} for _ in range(e6.dim)]
-    with pytest.raises(CertificationError):
-        make_automorphism(e6, cols, "rank-one")
+    with pytest.raises(CertificationError, match="^rank-one: expected a permutation"):
+        make_automorphism(e6, ([0] * 72, (1,) * 72), "rank-one")
 
 
 def test_certification_rejects_a_missing_column(e6):
-    cols = torus_involution(e6, (0, 1, 0, 0, 0, 0)).cols
-    with pytest.raises(CertificationError, match="^short: expected 78 columns$"):
-        make_automorphism(e6, cols[:-1], "short")
+    """A root map one sign short, and one whose signs on x_a and x_-a are
+    the Fractions 2 and 1/2 (product 1, which the sign bits of the walk
+    would not see), are rejected by the shape check of (img, eta)."""
+    torus = torus_involution(e6, (0, 1, 0, 0, 0, 0))
+    fractions = list(torus.eta)
+    fractions[8], fractions[44] = Fraction(2), Fraction(1, 2)
+    for eta in (torus.eta[:-1], fractions):
+        with pytest.raises(CertificationError, match="^short: expected a permutation of the 72 "
+                                                     "root indices and 72 integer signs$"):
+            make_automorphism(e6, (torus.img, eta), "short")
 
 
 def test_a_non_unit_extension_sign_fails_the_certificate():
     """alpha_1 <-> -alpha_1 on A2 is no lattice map: x_{a1+a2} gets the sign
-    N(-a1, a2) / N(a1, a2) = 0, which _root_map_columns does not check, and
-    the homomorphism certificate rejects the columns."""
+    N(-a1, a2) / N(a1, a2) = 0, which _root_map does not check, and the
+    certificate rejects the root map at a pair where its columns fail."""
     t = chevalley_table(build_root_system(cartan_matrix("A2")))
     a, npos = t.rs.simple[0], t.npos
     img = list(range(len(t.rs.roots)))
     img[a], img[a + npos] = a + npos, a
+    root_map = autos._root_map(t, img, [1, 1])
+    assert 0 in root_map[1]
     with pytest.raises(CertificationError,
                        match=re.escape("bad: homomorphism fails at basis pair (h1, x+[0,1])")):
-        make_automorphism(t, autos._root_map_columns(t, img, [1, 1]), "bad")
+        make_automorphism(t, root_map, "bad")
+    assert homomorphism_fails_at(t, root_map_cols(t, root_map), 0, t.rank + t.rs.simple[1])
 
 
 # -- descriptors -------------------------------------------------------------------
@@ -1031,7 +1134,7 @@ def test_a_twist_is_certified_once_as_the_product_of_its_factors(e6, monkeypatch
     assert {w.order for w in want.values()} == {2, 4}
 
 
-# -- orders of signed permutations and the identity --------------------------------
+# -- orders of root maps and the identity ----------------------------------------------
 
 def _pi_of(cols):
     """(pi, signs) of single-entry columns."""
@@ -1041,7 +1144,8 @@ def _pi_of(cols):
 def test_cycle_orders_match_the_composing_loop(e6):
     """The cycle rule gives the composing loop's order on every signed
     permutation the package builds: the E6 tori, all 64 omega-twists (some of
-    order 4), omega on A5, D4 triality and the nontrivial E7 tori."""
+    order 4), omega on A5, D4 triality and the nontrivial E7 tori; on root
+    indices and on the basis alike."""
     om = omega_automorphism(e6)
     tori = [torus_involution(e6, bits) for bits in itertools.product((0, 1), repeat=6)]
     twists = [compose(om, t) for t in tori]
@@ -1055,7 +1159,8 @@ def test_cycle_orders_match_the_composing_loop(e6):
     assert len(autos_built) == 64 + 64 + 127 + 2
     for a in autos_built:
         assert signed_permutation(a.cols) == a.pi, a.descriptor
-        assert autos._cycle_order(a.pi) == autos._composed_order(a.cols) == a.order
+        assert autos._cycle_order(_root_map(a)) == autos._cycle_order(a.pi) == a.order
+        assert composed_order(a.cols) == a.order, a.descriptor
     assert {a.order for a in twists} == {2, 4}
     assert autos_built[-1].order == 3
 
@@ -1063,24 +1168,20 @@ def test_cycle_orders_match_the_composing_loop(e6):
 def test_cycle_order_of_a_cycle_with_sign_product_minus_one():
     # e0 -> e1 -> -e2 -> e0: the third power is -1 on the cycle, the sixth is 1
     cols = ({1: 1}, {2: -1}, {0: 1}, {3: -1}, {4: 1})
-    assert autos._cycle_order(_pi_of(cols)) == 6 == autos._composed_order(cols)
+    assert autos._cycle_order(_pi_of(cols)) == 6 == composed_order(cols)
     assert autos._cycle_order(_pi_of(({1: -1}, {0: -1}))) == 2
 
 
 def test_cycle_order_above_the_cap_raises_the_composing_message():
-    # cycles of lengths 7 and 11: order 77 > _ORDER_CAP; a stub table lets
-    # both order paths run on these 18 columns
+    # a synthetic root map with cycles of lengths 7 and 11: order 77 >
+    # _ORDER_CAP, also by composing its columns; the order check runs on no
+    # table, after a certificate that found no failing pair
     perm = tuple(list(range(1, 7)) + [0] + list(range(8, 18)) + [7])
     cols = tuple({p: 1} for p in perm)
-    assert autos._cycle_order(_pi_of(cols)) == 77
-    assert autos._composed_order(cols) == autos._ORDER_CAP + 1
-    stub = SimpleNamespace(dim=18, homomorphism_defect=lambda cc: None)
-    messages = []
-    for generic in (False, True):
-        with pytest.raises(CertificationError) as exc:
-            autos._certify(stub, cols, "synthetic", generic, _pi_of(cols))
-        messages.append(str(exc.value))
-    assert messages == [f"synthetic: order exceeds cap {autos._ORDER_CAP}"] * 2
+    assert autos._cycle_order((perm, (1,) * 18)) == 77
+    assert composed_order(cols) == autos._ORDER_CAP + 1
+    with pytest.raises(CertificationError, match=f"^synthetic: order exceeds cap {autos._ORDER_CAP}$"):
+        autos._certify(None, perm, (1,) * 18, "synthetic", None)
 
 
 def test_parsing_keeps_nothing_on_the_table_and_the_identity_is_freed_with_it():

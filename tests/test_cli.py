@@ -484,37 +484,56 @@ PARITY_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4"
 
 
 def _check_against_the_parity_oracle(monkeypatch, label, requests):
-    """Each (c, commands) of requests: the commands on torus:c agree with
-    oracles.torus_parity_type on type, dim (fixed) and exit code.  One
-    context and one parser serve every request, so the table and the
-    argparse tree are built once per type."""
+    """Each (vectors, commands) of requests: the commands on one --auto
+    torus:c per c in vectors agree with oracles.torus_parity_type of the
+    group they generate on type, dim (fixed) and exit code; a request with
+    an identity factor exits 1 with parse_descriptor's object for the first
+    one.  One context and one parser serve every request, so the table and
+    the argparse tree are built once per type."""
     ctx, parser = VerifyContext(label), cli._make_parser()
     monkeypatch.setattr(cli, "_context", lambda args: ctx)
     monkeypatch.setattr(cli, "_make_parser", lambda argv=None: parser)
     cartan = cartan_matrix(label)
-    for bits, commands in requests:
-        desc = "torus:" + ",".join(map(str, bits))
-        expected = torus_parity_type(cartan, bits)
+    for vectors, commands in requests:
+        descs = ["torus:" + ",".join(map(str, bits)) for bits in vectors]
+        autos = [a for desc in descs for a in ("--auto", desc)]
+        identity = [d for d, bits in zip(descs, vectors) if torus_parity_type(cartan, bits) is None]
+        expected = torus_parity_type(cartan, *vectors)
         for command in commands:
-            code, out, err = run_cli([command, "--type", label, "--auto", desc, "--format", "json"])
-            if expected is None:
-                message = f"the torus factor of descriptor {desc!r} is the identity of {label}"
+            code, out, err = run_cli([command, "--type", label, *autos, "--format", "json"])
+            if identity:
+                message = f"the torus factor of descriptor {identity[0]!r} is the identity of {label}"
                 assert (code, out, json.loads(err)) == (
                     1, "", {"error": "ValueError", "layer": "autos", "check": "parse_descriptor",
-                            "message": message}), (command, desc)
+                            "message": message}), (command, descs)
                 continue
-            assert (code, err) == (0, ""), (command, desc, err)
+            assert (code, err) == (0, ""), (command, descs, err)
             got = json.loads(out)
-            assert got["type"] == expected[0], (command, desc)
+            assert got["type"] == expected[0], (command, descs)
             if command == "fixed":
-                assert got["dim"] == str(expected[1]), desc
+                assert got["dim"] == str(expected[1]), descs
 
 
 @pytest.mark.parametrize("label", PARITY_TYPES)
 def test_fixed_and_identify_match_the_parity_oracle_on_every_torus_involution(monkeypatch, label):
     _check_against_the_parity_oracle(monkeypatch, label, [
-        (c, ("fixed", "identify")) for c in itertools.product((0, 1), repeat=int(label[1:]))
+        ((c,), ("fixed", "identify")) for c in itertools.product((0, 1), repeat=int(label[1:]))
         if any(c)])
+
+
+@pytest.mark.parametrize("label", ["B4", "C4", "F4", "G2", "A5", "D5"])
+def test_fixed_and_identify_match_the_parity_oracle_on_pairs_of_torus_involutions(monkeypatch,
+                                                                                  label):
+    """Two --auto per request: every pair of distinct nonzero parity vectors
+    on B4, C4, F4 and G2, and 40 seeded pairs on A5 and D5.  A pair with an
+    identity torus factor exits 1 (on B4, C4 and F4 the center makes some
+    nonzero vectors the identity)."""
+    vectors = [c for c in itertools.product((0, 1), repeat=int(label[1:])) if any(c)]
+    pairs = list(itertools.combinations(vectors, 2))
+    if label in ("A5", "D5"):
+        pairs = random.Random(label).sample(pairs, 40)
+    _check_against_the_parity_oracle(monkeypatch, label, [(pair, ("fixed", "identify"))
+                                                          for pair in pairs])
 
 
 @pytest.mark.parametrize("label", [f"{letter}{n}" for n in (12, 16) for letter in "ABCD"])
@@ -527,7 +546,7 @@ def test_fixed_and_identify_match_the_parity_oracle_at_ranks_12_and_16(monkeypat
     unit = lambda i: tuple(int(j == i) for j in range(n))
     draw = tuple(random.Random(label).randrange(2) for _ in range(n - 1)) + (1,)
     _check_against_the_parity_oracle(monkeypatch, label, [
-        (unit(0), ("fixed",)), (unit(n - 1), ("fixed",)), (draw, ("fixed", "identify"))])
+        ((unit(0),), ("fixed",)), ((unit(n - 1),), ("fixed",)), ((draw,), ("fixed", "identify"))])
 
 
 def test_fixed_and_identify_match_the_parity_oracle_on_every_e6_torus_involution(monkeypatch):
@@ -537,7 +556,7 @@ def test_fixed_and_identify_match_the_parity_oracle_on_every_e6_torus_involution
     cs = [c for c in itertools.product((0, 1), repeat=6) if any(c)]
     for c in cs:
         assert torus_parity_type(cartan_matrix("E6"), c)[1] == pairing_parity_fixed_dim(c), c
-    _check_against_the_parity_oracle(monkeypatch, "E6", [(c, ("fixed", "identify")) for c in cs])
+    _check_against_the_parity_oracle(monkeypatch, "E6", [((c,), ("fixed", "identify")) for c in cs])
 
 
 # -- the CLI contract under generated arguments ---------------------------------

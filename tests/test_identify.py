@@ -103,7 +103,7 @@ def _random_span(rng, table, chevalley, cb):
     """The span of a torus-fixed subalgebra with some rows dropped and random
     vectors added; mostly not bracket-closed."""
     a = torus_involution(chevalley, [rng.randint(0, 1) for _ in range(chevalley.rank)])
-    cols = a.cols if cb is None else compact_cols(cb, a)
+    cols = a.cols if cb is None else compact_cols(cb, a.cols)
     vecs = [v for v in joint_eigenspace(table.dim, [cols]) if rng.random() < 0.8]
     for _ in range(rng.randint(0, 2)):
         support = rng.sample(range(table.dim), rng.randint(1, 3))

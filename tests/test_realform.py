@@ -7,9 +7,10 @@ from operator import mul
 import pytest
 
 from kleinfour.autos import (
+    Automorphism,
     CertificationError,
     commutes,
-    compose_cols,
+    conjugate,
     make_automorphism,
     make_klein,
     omega_automorphism,
@@ -43,7 +44,7 @@ from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext
 from helpers import compact_table, root_index, set_bracket, split_defects, split_spans
 from oracles import (REFERENCE_TYPES, cartan_real_form_name, cocycle_defect, compact_cols,
-                     compact_reference, exp_ad_cols, jacobi_defect, killing_reference,
+                     compact_reference, compose_cols, exp_ad_cols, first_homomorphism_defect, jacobi_defect, killing_reference,
                      sparse_jacobi_defect, to_compact)
 
 
@@ -204,60 +205,75 @@ def test_compact_form_names_the_pair_where_the_chevalley_involution_fails(order)
 
 def test_torus_compact_matrix_is_diagonal(e6, e6_compact):
     a = torus_involution(e6, (1, 0, 0, 0, 0, 1))
-    cols = compact_cols(e6_compact, a)
+    cols = compact_cols(e6_compact, a.cols)
     for j, col in enumerate(cols):
         assert set(col) == {j}
         assert col[j] in (1, -1)
 
 
 def test_weyl_lift_preserves_compact_form(e6, e6_compact):
-    cols = compact_cols(e6_compact, weyl_lift(e6, 2))
+    cols = compact_cols(e6_compact, weyl_lift(e6, 2).cols)
     assert len(cols) == 78
 
 
 def _unipotent_conjugate(table, root_coords, sigma):
-    """exp(ad x_a) sigma exp(-ad x_a): certified, but moves the compact form
-    whenever a pairs oddly with sigma's torus vector."""
+    """The columns of exp(ad x_a) sigma exp(-ad x_a): an automorphism, no root
+    map, that moves the compact form whenever a pairs oddly with sigma's
+    torus vector."""
     rs = table.rs
     x = {6 + root_index(rs, root_coords): 1}
     e_cols = exp_ad_cols(table, x)
     e_inv = exp_ad_cols(table, {k: -v for k, v in x.items()})
-    cols = compose_cols(e_cols, compose_cols(sigma.cols, e_inv))
-    return make_automorphism(table, cols, "unipotent-conjugate")
+    return compose_cols(e_cols, compose_cols(sigma.cols, e_inv))
+
+
+def _commutes_with_omega0(cols, cb):
+    return compose_cols(cols, cb.omega0.cols) == compose_cols(cb.omega0.cols, cols)
 
 
 def test_unipotent_conjugate_fails_compactness(e6, e6_compact):
-    """A certified involution that moves the compact form is rejected as theta
-    by the split's omega_0 gate, and its compact columns do not exist."""
+    """An involution that moves the compact form, given by plain columns:
+    it does not commute with omega_0, and its compact columns do not exist."""
     sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     moved = _unipotent_conjugate(e6, (0, 0, 0, 1, 0, 0), sigma)
-    assert moved.order == 2
-    assert moved != sigma
-    with pytest.raises(RealFormError) as err:
-        cartan_decomposition(e6_compact, moved)
-    assert str(err.value) == "unipotent-conjugate does not preserve the compact form"
+    assert compose_cols(moved, moved) == tuple({j: 1} for j in range(e6.dim))
+    assert moved != sigma.cols and first_homomorphism_defect(e6, moved) is None
+    assert not _commutes_with_omega0(moved, e6_compact)
     with pytest.raises(AssertionError):
         compact_cols(e6_compact, moved)
 
 
+def test_the_omega0_gate_rejects_a_forged_root_map_with_eta_minus_a_not_eta_a(e6, e6_compact):
+    """No certified root map fails the split's omega_0 gate (the certificate
+    forces w(-a) = -w(a) and eta_-a = eta_a), so a forged one reaches it: the
+    identity img with the sign -1 on x_a alone, for the first positive root a."""
+    eta = (-1,) + (1,) * 71
+    forged = Automorphism(e6, tuple(range(72)), eta, 2, "forged")
+    assert e6.root_map_defects(forged.img, [eta]) == [(6, 42)]
+    with pytest.raises(RealFormError, match="^forged does not preserve the compact form$"):
+        cartan_decomposition(e6_compact, forged)
+
+
 def test_the_omega0_gate_agrees_with_the_compact_columns(e6, e6_compact, census):
-    """An automorphism commutes with omega_0 exactly when oracles.compact_cols
-    reads every column of it back into the compact form: on the 79 census
-    rows, the six Weyl lifts, omega and the two unipotent conjugates, the
-    only ones here that move the compact form."""
+    """A map commutes with omega_0 exactly when oracles.compact_cols reads
+    every column of it back into the compact form: on the 79 census rows, the
+    six Weyl lifts and omega, certified root maps that all commute with it,
+    and on the columns of the two unipotent conjugates, the only maps here
+    that move the compact form."""
     sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     moving = [_unipotent_conjugate(e6, a, sigma) for a in ((0, 0, 0, 1, 0, 0), (0, 0, 1, 1, 0, 0))]
     autos = ([r.automorphism for r in census.rows] + [weyl_lift(e6, i) for i in range(6)]
-             + [omega_automorphism(e6)] + moving)
+             + [omega_automorphism(e6)])
 
-    def compact(a):
+    def compact(cols):
         try:
-            compact_cols(e6_compact, a)
+            compact_cols(e6_compact, cols)
         except AssertionError:
             return False
         return True
 
-    verdicts = [(commutes(a, e6_compact.omega0), compact(a)) for a in autos]
+    verdicts = [(commutes(a, e6_compact.omega0), compact(a.cols)) for a in autos]
+    verdicts += [(_commutes_with_omega0(cols, e6_compact), compact(cols)) for cols in moving]
     assert verdicts == [(True, True)] * 86 + [(False, False)] * 2
 
 
@@ -306,9 +322,9 @@ def test_split_eliminates_only_p_c(ctx, case, dim, monkeypatch):
 def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
     """k and p by a second route: the compact Fix(gamma) first, then theta's +1
     and -1 eigenspaces on its rows by span_kernel."""
-    tcols = compact_cols(cb, theta)
+    tcols = compact_cols(cb, theta.cols)
     fixed = subalgebra_from_vectors(
-        compact_table(cb), joint_eigenspace(cb.dim, [compact_cols(cb, g) for g in gamma]))
+        compact_table(cb), joint_eigenspace(cb.dim, [compact_cols(cb, g.cols) for g in gamma]))
 
     def part(eigen):
         images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
@@ -507,10 +523,9 @@ def test_noncommuting_gamma_rejected(ctx, e6):
     from kleinfour.autos import commutes
 
     theta = torus_involution(e6, (1, 0, 0, 0, 0, 1))
-    sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
-    # alpha_3 + alpha_4 pairs oddly with both torus vectors
-    moved = _unipotent_conjugate(e6, (0, 0, 1, 1, 0, 0), sigma)
-    assert not commutes(moved, theta)
+    # omega conjugated by the lift of the reflection in alpha_3
+    moved = conjugate(weyl_lift(e6, 2), omega_automorphism(e6))
+    assert moved.order == 2 and not commutes(moved, theta)
     with pytest.raises(RealFormError, match="commute"):
         real_fixed_subalgebra(ctx.cb, [moved], theta)
 
@@ -569,8 +584,7 @@ def test_whole_algebra_is_identified_once_per_compact_basis(ctx, e6, monkeypatch
 
 def test_holomorphic_flags_reject_noncommuting_sigma(ctx, e6):
     theta = torus_involution(e6, (1, 0, 0, 0, 0, 1))
-    sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
-    moved = _unipotent_conjugate(e6, (0, 0, 1, 1, 0, 0), sigma)
+    moved = conjugate(weyl_lift(e6, 2), omega_automorphism(e6))
     with pytest.raises(RealFormError, match="commute"):
         holomorphic_flags(ctx.cb, [theta, moved], theta)
 
@@ -617,18 +631,15 @@ def test_cartans_rule_rejects_a_wrong_row(key, name):
 
 def _automorphism(c, descriptor):
     """c.automorphism(descriptor), or for "grading:b1,...,bl" the coweight
-    grading: the identity on the Cartan, and (-1)^(sum_j b_j m_j(alpha)) on
+    grading: the identity img and the sign (-1)^(sum_j b_j m_j(alpha)) on
     x_alpha for alpha = sum_j m_j alpha_j, certified by make_automorphism.  A
     coweight outside the coroot lattice gives an involution that no torus:
     descriptor writes."""
     if not descriptor.startswith("grading:"):
         return c.automorphism(descriptor)
     b = [int(x) for x in descriptor[len("grading:"):].split(",")]
-    rank = c.table.rank
-    cols = [{i: 1} for i in range(rank)]
-    cols += [{rank + k: -1 if sum(map(mul, b, r.coords)) % 2 else 1}
-             for k, r in enumerate(c.rs.roots)]
-    return make_automorphism(c.table, cols, descriptor)
+    eta = [-1 if sum(map(mul, b, r.coords)) % 2 else 1 for r in c.rs.roots]
+    return make_automorphism(c.table, (range(len(eta)), eta), descriptor)
 
 
 # One committed split per catalog row: the whole algebra of E6, F4, B4 and D5,

@@ -13,7 +13,6 @@ from kleinfour.autos import (
     certify_batch,
     commutes,
     compose,
-    compose_cols,
     conjugate,
     joint_fixed_dim,
     make_automorphism,
@@ -40,9 +39,9 @@ from kleinfour.verify import (
     verify_so82_fixed_form,
     verify_so81_klein_pair,
 )
-from kleinfour.rootsys import BracketTable
+from kleinfour.rootsys import StructureTable
 from helpers import diagram_automorphism
-from oracles import first_homomorphism_defect, torus_census_buckets
+from oracles import apply_cols, compose_cols, first_homomorphism_defect, torus_census_buckets
 
 
 # -- classification -------------------------------------------------------------
@@ -132,17 +131,20 @@ def test_census_certifies_only_the_involutive_twists(ctx, census, monkeypatch):
     assert _census_batches(ctx, census, monkeypatch)[1] == kept
 
 
-def test_census_runs_the_generic_certifier_only_for_the_weyl_lifts(ctx, census, monkeypatch):
-    """The 64 torus columns and the 16 kept twists are certified by their
-    shape, in two batches; the generic walk runs for the 6 Weyl lifts only."""
+def test_census_certifies_in_one_walk_per_root_map(ctx, census, monkeypatch):
+    """omega takes one walk of the certificate; the 64 torus maps share the
+    identity img and the 16 kept twists omega's img, so each batch is one
+    walk; the 6 Weyl lifts take one walk each."""
     table = ctx.table
-    walked = []
-    generic = BracketTable.homomorphism_defect
-    monkeypatch.setattr(BracketTable, "homomorphism_defect",
-                        lambda self, c: walked.append(c) or generic(self, c))
+    walks = []
+    real = StructureTable.root_map_defects
+    monkeypatch.setattr(StructureTable, "root_map_defects",
+                        lambda self, img, etas: walks.append((img, len(etas))) or real(self, img, etas))
     batches = _census_batches(ctx, census, monkeypatch)
     monkeypatch.undo()
-    assert walked == [weyl_lift(table, i).cols for i in range(table.rank)]
+    omega = ctx.automorphism("omega")
+    assert walks == [(omega.img, 1), (tuple(range(72)), 64), (omega.img, 16)] + [
+        (weyl_lift(table, i).img, 1) for i in range(table.rank)]
     assert len(batches) == 2 and len(batches[1]) == 16
     assert batches[0] == ["torus:" + ",".join(map(str, bits))
                           for bits in product((0, 1), repeat=table.rank)]
@@ -175,7 +177,7 @@ def test_census_provenance_edges_lead_to_a_generic_row(census):
     """Each recorded edge (g, x) is a certified conjugation row = g x g^-1 of
     a row of the same class, and following the edges ends at a generic row."""
     by_desc = {r.descriptor: r for r in census.rows}
-    conjugators = {g.descriptor: g for g, _ in census.conjugators}
+    conjugators = {g.descriptor: g for g in census.conjugators}
     for row in census.rows:
         seen = set()
         r = row
@@ -241,30 +243,37 @@ def test_census_walk_skips_diagonal_conjugations(ctx, census, monkeypatch):
     assert len(calls) == len(census.rows) + 510
 
 
+def _inverse_of(g):
+    """The certified inverse of g, by the root-index rule."""
+    return make_automorphism(g.table, autos._inverse((g.img, g.eta)), "inverse")
+
+
 def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, monkeypatch):
     """The key of g x g^-1, read off the columns of g and x and g^-1(v), is
     the fingerprint on v of the certified conjugate, factor by factor: for
     every census row and every gated so(9) pair under each of the 12
     conjugators, and for every key the census and so(9) gate walks look up.
-    The conjugates are the columns autos.conjugate builds, certified in one
-    batch per conjugator."""
+    The conjugates are the root maps autos.conjugate builds, certified in one
+    batch per conjugator; g^-1(v) is read off the certified inverse."""
     table = ctx.table
     v, _, _ = _walk_indexes(ctx, monkeypatch)
     rows = [ctx.automorphism(r.descriptor) for r in census.rows]
     assert len(census.conjugators) == 12
     want = {}
-    for g, g_inv in census.conjugators:
-        batch = [(compose_cols(g.cols, compose_cols(x.cols, g_inv)), f"conj({x.descriptor})")
-                 for x in rows]
+    for g in census.conjugators:
+        gm = (g.img, g.eta)
+        batch = [(autos._compose(gm, autos._compose((x.img, x.eta), autos._inverse(gm))),
+                  f"conj({x.descriptor})") for x in rows]
         conj = certify_batch(table, batch)
         for x, y in zip(rows, conj):
             want[g.descriptor, x.descriptor] = verify._fingerprint(y.cols, v)
+            assert compose_cols(y.cols, g.cols) == compose_cols(g.cols, x.cols), (g, x)
         for n in (0, -1):  # an inner and an outer row through autos.conjugate itself
-            assert conjugate(g, rows[n]).cols == conj[n].cols
+            assert conjugate(g, rows[n]) == conj[n]
     tuples = [(x,) for x in rows] + list(_so9_pairs(ctx).values())
     assert len(tuples) == len(rows) + 12
-    for g, g_inv in census.conjugators:
-        g_inv_v = compose_cols(g_inv, [v])[0]
+    for g in census.conjugators:
+        g_inv_v = _inverse_of(g).apply(v)
         for xs in tuples:
             assert verify._conjugate_key(g, g_inv_v, xs) == tuple(
                 want[g.descriptor, x.descriptor] for x in xs), (g, xs)
@@ -308,7 +317,8 @@ def test_walk_fingerprints_decode_to_the_generator_images(ctx, census, monkeypat
 
 def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, census, monkeypatch):
     """The walk's edge rule, y∘g == g∘x read off the pi and signs of x and y,
-    agrees with autos.products_equal on the columns, for each of the 12
+    agrees with the products of the columns, compared up to the first
+    difference, for each of the 12
     conjugators and every census row x: True on the row y that the walk key
     finds, if any, and False on another row with y's pi (another torus row
     for an inner x, another twist for an outer x).  Every factor the walks
@@ -322,8 +332,8 @@ def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, censu
     same_pi, found = {}, 0
     for a in rows:
         same_pi.setdefault(a.pi[0], []).append(a)
-    for g, g_inv in census.conjugators:
-        g_inv_v = compose_cols(g_inv, [v])[0]
+    for g in census.conjugators:
+        g_inv_v = _inverse_of(g).apply(v)
         for x in rows:
             m = index.get(verify._conjugate_key(g, g_inv_v, (x,)))
             if m is None:  # g x g^-1 is no census row
@@ -333,7 +343,8 @@ def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, censu
             z = next(a for a in same_pi[y.pi[0]] if a is not y)
             for other, want in ((y, True), (z, False)):
                 assert verify._conjugates(other.pi, g.cols, x.pi) is want, (g, x, other)
-                assert autos.products_equal(other.cols, g.cols, g.cols, x.cols) is want
+                assert all(apply_cols(other.cols, a) == apply_cols(g.cols, b)
+                           for a, b in zip(g.cols, x.cols)) is want
     assert found == 79 * 12 - 64  # 64 Weyl conjugates of twists are no census row
 
 
@@ -403,18 +414,18 @@ def test_certify_raises_the_first_failure_of_a_batch(ctx):
     certifies."""
     table = ctx.table
 
-    def flipped(bits, j, descriptor):
-        cols, _ = autos.torus_columns(table, bits)
-        cols[j] = {k: -v for k, v in cols[j].items()}
-        return cols, descriptor
+    def flipped(bits, k, descriptor):
+        (img, eta), _ = autos.torus_columns(table, bits)
+        eta = list(eta)
+        eta[k] = -eta[k]
+        return (img, eta), descriptor
 
     good = autos.torus_columns(table, (1, 0, 0, 0, 0, 0))
-    bad = [flipped((0, 1, 0, 0, 0, 0), table.rank, "bad:1"),
-           flipped((0, 0, 1, 0, 0, 0), table.rank + 5, "bad:2")]
+    bad = [flipped((0, 1, 0, 0, 0, 0), 0, "bad:1"), flipped((0, 0, 1, 0, 0, 0), 5, "bad:2")]
     messages = []
-    for cols, descriptor in bad:
+    for root_map, descriptor in bad:
         with pytest.raises(CertificationError) as exc:
-            autos.make_automorphism(table, cols, descriptor)
+            autos.make_automorphism(table, root_map, descriptor)
         messages.append(str(exc.value))
     assert messages[0] != messages[1]
     with pytest.raises(CertificationError) as exc:
@@ -843,12 +854,12 @@ def test_search_tests_each_commutation_once_per_chosen_generator(ctx, monkeypatc
 
 def test_b3_exhaustion_flips_signs_and_keeps_no_last_level_product(ctx, monkeypatch):
     """A work pin: in the (sigma3, sigma2, sigma1) -> B3 exhaustion every
-    generator after the first is diagonal, so no product is composed, by pi
-    and signs or by masks, and none of the 144 last-level character sums
+    generator after the first is diagonal, so no product is composed, by
+    root maps or by masks, and none of the 144 last-level character sums
     keeps a product."""
     ctx.census
     composed, kept = [], []
-    for name in ("_pi_compose", "_mask_compose"):
+    for name in ("_compose", "_mask_compose"):
         real = getattr(autos, name)
         monkeypatch.setattr(autos, name, lambda *args, _real=real, _name=name:
                             composed.append(_name) or _real(*args))
@@ -868,31 +879,26 @@ def test_b3_exhaustion_flips_signs_and_keeps_no_last_level_product(ctx, monkeypa
 
 
 def test_census_searches_compose_no_columns(ctx, census, monkeypatch):
-    """Searches over census rows run on pi rules: neither compose_cols nor a
-    column of the generic commutation test, for every pinned search, all-torus
-    or with an outer generator.  The counter is live: a Weyl lift has no pi,
-    so its commutation with an outer row composes columns."""
+    """Searches over census rows run on root maps and masks: no column is
+    applied, for every pinned search, all-torus or with an outer generator,
+    and a Weyl lift commutes with an outer row by root maps too.  The
+    counter is live: applying an automorphism applies its columns."""
     from kleinfour.verify import SearchExhausted
 
     lift = weyl_lift(ctx.table, 0)
     outer = next(r.automorphism for r in census.rows if r.kind == "outer")
     calls = []
-    for name in ("compose_cols", "_apply_cols"):
-        real = getattr(autos, name)
-
-        def counting(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(autos, name, counting)
+    real = autos._apply_cols
+    monkeypatch.setattr(autos, "_apply_cols", lambda *args: calls.append(1) or real(*args))
     for classes, target, _ in SEARCH_PINS:
         try:
             search_configuration(ctx, classes, target)
         except SearchExhausted:
             pass
-    assert calls == []
     commutes(lift, outer)
-    assert "_apply_cols" in calls
+    assert calls == []
+    outer.apply({0: 1})
+    assert calls == [1]
 
 
 def test_so9_klein_pinned(ctx):
@@ -1058,7 +1064,7 @@ def test_census_labels_match_by_columns_not_by_name(ctx, rank3):
     weyl = weyl_lift(ctx.table, 0)
     assert labels.get(weyl) is None
     # a certified non-row automorphism named like a row is still no row
-    assert labels.get(make_automorphism(ctx.table, weyl.cols, rank3.b)) is None
+    assert labels.get(make_automorphism(ctx.table, (weyl.img, weyl.eta), rank3.b)) is None
 
 
 def test_so82_reads_the_class_of_b_from_the_census(ctx, census, rank3, monkeypatch):
