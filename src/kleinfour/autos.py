@@ -37,7 +37,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactq import as_num
+from .exactq import as_num, lincomb
 from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
 
 Cols = Tuple[Dict[int, int], ...]
@@ -83,7 +83,9 @@ class Automorphism:
         self.masks = None if self.pi is None else _masks(self.pi)
 
     def apply(self, vec: dict) -> dict:
-        return _apply_cols(self.cols, vec)
+        """The sparse vector self(vec)."""
+        acc = lincomb(vec.values(), (self.cols[k] for k in vec))
+        return {r: as_num(x) for r, x in acc.items()}
 
     def is_involution(self) -> bool:
         return self.order == 2
@@ -101,25 +103,6 @@ class Automorphism:
 
     def __repr__(self) -> str:
         return f"Automorphism({self.descriptor!r}, order={self.order})"
-
-
-def _apply_cols(a: Cols, col: dict) -> dict:
-    """The sparse vector a(col)."""
-    # inline, not exactq.lincomb: the census walk runs this for every key
-    acc: dict = {}
-    for k, v in col.items():
-        for r, w in a[k].items():
-            nv = acc.get(r, 0) + v * w
-            if nv:
-                acc[r] = nv
-            else:
-                acc.pop(r, None)
-    # acc has no zeros; only a Fraction entry can need normalising (a loop,
-    # not any(): this check runs once per vector)
-    for v in acc.values():
-        if type(v) is not int:
-            return {r: as_num(x) for r, x in acc.items()}
-    return acc
 
 
 def _compose(a: RootMap, b: RootMap) -> RootMap:

@@ -13,13 +13,11 @@ reads it from the representative's real-form split (cartan_decomposition):
 Fix(theta) is the split's k part, and the split also names the real form.
 Every other involution y is certified conjugate to a classified one x,
 y = g x g^-1 with g a certified Weyl lift or simple torus involution, by the
-column equality y∘g == g∘x alone, and takes x's class; y is looked up by its
-image of a weighted sum of the generators.  Both read x and y by their
-certified pi and signs: column j of g∘x is s_x(j) g_{pi_x(j)}, a column of g,
-and y∘g moves g's entries by pi_y.  Each row's dimension is checked against
-its trace.  The so(9) Klein gate walks its pairs alike, on both factors
-(_label_by_conjugacy).  Scenarios look each involution's class up by
-columns in the census (VerifyContext.census_labels) and never reclassify.
+root-map equality y∘g == g∘x alone, and takes x's class; y is looked up by
+its root map.  Each row's dimension is checked against its trace.  The
+so(9) Klein gate walks its pairs alike, on both factors
+(_label_by_conjugacy).  Scenarios look each involution's class up by root
+map in the census (VerifyContext.census_labels) and never reclassify.
 
 Searches run over the census: the full torus 2-group (63 nonzero classes) and
 the 64 twisted products omega*torus(c), keeping the twists that square to the
@@ -58,11 +56,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .autos import (
     Automorphism,
     CertificationError,
-    Cols,
     CharacterSum,
-    Pi,
-    _apply_cols,
+    RootMap,
     _compose,
+    _inverse,
     add_generator,
     certify_batch,
     commutes,
@@ -163,52 +160,36 @@ def _conjugators(table, tori: Sequence[Automorphism]) -> Tuple[Automorphism, ...
     return tuple(gens + [tori[2 ** (rank - 1 - i)] for i in range(rank)])
 
 
-def _fingerprint(cols, vec: dict) -> tuple:
-    """The image of the sparse vector vec under cols, hashable."""
-    return tuple(sorted(_apply_cols(cols, vec).items()))
+def _root_map_index(tuples) -> Dict[tuple, int]:
+    """Position of each tuple, keyed by its factors' root maps."""
+    return {tuple((a.img, a.eta) for a in t): n for n, t in enumerate(tuples)}
 
 
-def _fingerprint_index(tuples, vec: dict) -> Dict[tuple, int]:
-    """Position of each tuple, keyed by its factors' fingerprints on vec."""
-    return {tuple(_fingerprint(a.cols, vec) for a in t): n for n, t in enumerate(tuples)}
+def _conjugate_key(g: RootMap, g_inv: RootMap, xs) -> tuple:
+    """_root_map_index's key of (g x_i g^-1), from the root maps of g and g^-1."""
+    return tuple(_compose(g, _compose((x.img, x.eta), g_inv)) for x in xs)
 
 
-def _conjugate_key(g: Automorphism, g_inv_vec: dict, xs) -> tuple:
-    """_fingerprint_index's key of (g x_i g^-1), read off g, x_i's pi and signs and g^-1(vec)."""
-    return tuple(_fingerprint(g.cols, {pi[k]: signs[k] * c for k, c in g_inv_vec.items()})
-                 for pi, signs in (x.pi for x in xs))
+def _conjugates(y: RootMap, g: RootMap, x: RootMap) -> bool:
+    """y∘g == g∘x, on root maps."""
+    return _compose(y, g) == _compose(g, x)
 
 
-def _conjugates(y: Pi, g: Cols, x: Pi) -> bool:
-    """y∘g == g∘x for signed permutations x and y, by pi and signs, one
-    column at a time up to the first difference (see the module docstring)."""
-    (py, sy), (px, sx) = y, x
-    return all({py[k]: s * sy[k] * c for k, c in col.items()} == g[p]
-               for col, p, s in zip(g, px, sx))
-
-
-def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
+def _label_by_conjugacy(tuples, conjugators, classify) -> List[tuple]:
     """(classify(t), provenance) of each tuple t of involutions in tuples.
 
     The first unlabelled tuple is classified by classify and its orbit is
     walked depth first: for a labelled x = (x_1, ..., x_k) and a conjugator
     g, the tuple y = (g x_i g^-1) gets x's label once y_i∘g == g∘x_i holds
-    column for column on every factor (_conjugates).  y is looked up by its
-    factors' images g(x_i(g^-1 v)) of v = sum_n (n+1) e_n over the
-    generators e_n = x_{+-alpha_i}; a census row sends each e_n to some
-    +-e_m, so its key's magnitudes fix the row, and any other y with that
-    key fails the column equality.  Both read every factor by its pi, with
-    no column route: each is a census row, certified a signed permutation
-    (torus rows diagonal, twists omega∘t).  The provenance is "generic", or
+    on the root maps of every factor (_conjugates).  y is looked up by its
+    factors' root maps (_conjugate_key), with g^-1 (autos._inverse) formed
+    once per conjugator; the lookup only proposes y, and the equality
+    decides the edge, so neither a wrong inverse nor a wrong index entry can
+    label a tuple.  The provenance is "generic", or
     (g, ",".join(x's descriptors)).
     """
-    gens = [table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)]
-    v = {k: n + 1 for n, k in enumerate(gens)}
-    index = _fingerprint_index(tuples, v)
-    # g^-1(v): g sends x_k to eta_k x_img(k), and v is a sum of root vectors
-    conjugators = [(g, {table.rank + k: g.eta[k] * v[table.rank + m]
-                        for k, m in enumerate(g.img) if table.rank + m in v})
-                   for g in conjugators]
+    index = _root_map_index(tuples)
+    conjugators = [(g, (g.img, g.eta), _inverse((g.img, g.eta))) for g in conjugators]
     labels: List[Optional[tuple]] = [None] * len(tuples)
     left = len(tuples)
     for start, t in enumerate(tuples):
@@ -220,13 +201,14 @@ def _label_by_conjugacy(table, tuples, conjugators, classify) -> List[tuple]:
         while stack and left:
             n = stack.pop()
             xs = tuples[n]
-            for g, g_inv_v in conjugators:
+            for g, gm, g_inv in conjugators:
                 if g.diag and all(x.diag for x in xs):
-                    continue  # diagonal matrices commute: g x g^-1 is x
-                m = index.get(_conjugate_key(g, g_inv_v, xs))
+                    continue  # diagonal maps commute: g x g^-1 is x
+                m = index.get(_conjugate_key(gm, g_inv, xs))
                 if m is None or labels[m] is not None:
                     continue
-                if not all(_conjugates(y.pi, g.cols, x.pi) for y, x in zip(tuples[m], xs)):
+                if not all(_conjugates((y.img, y.eta), gm, (x.img, x.eta))
+                           for y, x in zip(tuples[m], xs)):
                     continue
                 labels[m] = (labels[n][0], (g.descriptor, ",".join(x.descriptor for x in xs)))
                 left -= 1
@@ -262,7 +244,7 @@ def involution_census(ctx: "VerifyContext") -> Census:
     found = [("inner", a) for a in tori[1:]]
     found += [("outer", a) for a in certify_batch(table, twists)]
     conjugators = _conjugators(table, tori)
-    labels = _label_by_conjugacy(table, [(a,) for _, a in found], conjugators, classify)
+    labels = _label_by_conjugacy([(a,) for _, a in found], conjugators, classify)
 
     rows: List[CensusRow] = []
     counts: Dict[str, Dict[str, int]] = {"inner": {}, "outer": {}}
@@ -359,7 +341,7 @@ def find_so9_klein(ctx: "VerifyContext") -> Configuration:
     if not found:
         raise SearchExhausted("no commuting (sigma3, sigma2) pair found")
     labels = _label_by_conjugacy(
-        table, [pair for pair, _ in found], ctx.census.conjugators,
+        [pair for pair, _ in found], ctx.census.conjugators,
         lambda pair: str(identify_type(_gated_fixed(table, pair, joint_fixed_dim(pair)))))
     for ((a, b), dim), (ty, _) in zip(found, labels):
         if dim != 36 or ty != "B4":
@@ -513,7 +495,8 @@ class VerifyContext:
 
     @cached_property
     def census_labels(self) -> Dict[Automorphism, str]:
-        """Class label of each census row, keyed by its certified root map."""
+        """Class label of each census row, keyed by the row's automorphism: a
+        lookup matches by Automorphism.__eq__, on root maps."""
         return {r.automorphism: r.label for r in self.census.rows}
 
     @cached_property

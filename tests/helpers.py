@@ -14,7 +14,9 @@ holds the brackets of the compact basis, which the library never stores, and
 ``split_spans`` gives the four spans of a real-form split, k and p on the
 compact basis by ``oracles.compact_cols`` and k_C and p_C as the split walks
 them, whose relations ``split_defects`` checks on both the compact and the
-Chevalley brackets.
+Chevalley brackets.  ``torus_walk`` runs the census's conjugacy walk over
+the torus involutions of any type and checks each edge it takes by
+``oracles.compose_cols``.
 """
 
 from itertools import chain
@@ -22,9 +24,10 @@ from itertools import chain
 import itertools
 import random
 
-from kleinfour import realform
-from kleinfour.autos import (_ORDER_CAP, _diagram_map, compose, conjugate, identity_automorphism,
-                             make_automorphism, omega_automorphism, parse_descriptor,
+from kleinfour import realform, verify
+from kleinfour.autos import (_ORDER_CAP, _diagram_map, certify_batch, compose, conjugate,
+                             identity_automorphism, joint_fixed_dim, make_automorphism,
+                             omega_automorphism, parse_descriptor, torus_columns,
                              torus_involution, weyl_lift)
 from kleinfour.exactq import SpanSolver, axpy, joint_eigenspace, rref, signed_permutation
 from kleinfour.identify import first_escape
@@ -196,3 +199,26 @@ def split_defects(cb, theta, gamma=()):
         if cplx.dim != real.dim or not all(map(cplx.contains, chain(*parts))):
             bad.append(f"{name} spans {name}_C")
     return bad
+
+
+def torus_walk(table):
+    """(count, dims, bad) of the census walk, verify._label_by_conjugacy with
+    verify._conjugators and joint_fixed_dim as classifier, over the count
+    nontrivial torus involutions of table, one per root map: the sorted
+    dimensions of the orbit representatives, and the involutions whose edge
+    y∘g == g∘x fails on the columns (oracles.compose_cols) or whose own
+    dimension is not their orbit's."""
+    tori = certify_batch(table, (torus_columns(table, bits)
+                                 for bits in itertools.product((0, 1), repeat=table.rank)))
+    invs = list(dict.fromkeys(a for a in tori if a.order == 2))
+    conjugators = verify._conjugators(table, tori)
+    labels = verify._label_by_conjugacy([(a,) for a in invs], conjugators, joint_fixed_dim)
+    by_desc = {a.descriptor: a for a in invs + list(conjugators)}
+    bad = []
+    for y, (dim, how) in zip(invs, labels):
+        if how != "generic":
+            g, x = by_desc[how[0]], by_desc[how[1]]
+            if (compose_cols(y.cols, g.cols) != compose_cols(g.cols, x.cols)
+                    or joint_fixed_dim([y]) != dim):
+                bad.append(y.descriptor)
+    return len(invs), sorted(dim for dim, how in labels if how == "generic"), bad

@@ -18,7 +18,10 @@ references (``helpers.constructed_kind_defects``); and the lookup
 certificate ``StructureTable.root_map_defects`` against
 ``oracles.first_homomorphism_defect`` on every Weyl lift, on omega where it
 is defined and on omega_0 of E8, A16, B16, C16 and D16, and on one Weyl lift
-of each with the sign of x_+-a flipped, a its middle non-simple root.
+of each with the sign of x_+-a flipped, a its middle non-simple root; and
+the census's conjugacy walk over the 255 nontrivial torus involutions of E8
+(``helpers.torus_walk``): two orbits, of fixed dimensions 120 and 136, and
+every edge taken holds on the columns.
 Each Chevalley table is built once, and the first check that reads it is
 timed with its build.
 Run from the repository root as ``PYTHONPATH=src python
@@ -40,7 +43,7 @@ from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
 from helpers import (constructed, constructed_kind_defects, root_index,  # noqa: E402
-                     root_map_cols, split_defects)
+                     root_map_cols, split_defects, torus_walk)
 from oracles import (chevalley_reference, cocycle_defect, compact_reference,  # noqa: E402
                      first_homomorphism_defect, grading_defect, homomorphism_fails_at,
                      sparse_jacobi_defect, torus_parity_type)
@@ -135,6 +138,12 @@ def certificate_differs(label):
     return bad
 
 
+def torus_walk_differs(label):
+    """The E8 torus walk, unless it has 255 involutions in two orbits of fixed
+    dimensions 120 and 136 and every edge holds on the columns."""
+    return torus_walk(table(label)) != (255, [120, 136], [])
+
+
 CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C16", "D16")] + [
     ("compact killing", label, killing_differs) for label in ("E7", "E8")] + [
     ("split torus:1,0,...,0", label, split_differs) for label in ("E7", "E8")] + [
@@ -144,7 +153,8 @@ CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C
     ("torus triples", label, torus_triples_differ) for label in ("B16", "C16", "D16")] + [
     ("constructed kinds", label, constructed_kinds_differ) for label in ("E7", "E8")] + [
     ("root-map certificate", label, certificate_differs)
-    for label in ("E8", "A16", "B16", "C16", "D16")]
+    for label in ("E8", "A16", "B16", "C16", "D16")] + [
+    ("torus walk", "E8", torus_walk_differs)]
 
 
 def main():

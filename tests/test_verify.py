@@ -10,7 +10,6 @@ import pytest
 from kleinfour import autos, exactq, verify
 from kleinfour.autos import (
     CertificationError,
-    certify_batch,
     commutes,
     compose,
     conjugate,
@@ -39,9 +38,9 @@ from kleinfour.verify import (
     verify_so82_fixed_form,
     verify_so81_klein_pair,
 )
-from kleinfour.rootsys import StructureTable
-from helpers import diagram_automorphism
-from oracles import apply_cols, compose_cols, first_homomorphism_defect, torus_census_buckets
+from kleinfour.rootsys import StructureTable, build_root_system, cartan_matrix, chevalley_table
+from helpers import diagram_automorphism, torus_walk
+from oracles import compose_cols, first_homomorphism_defect, torus_census_buckets
 
 
 # -- classification -------------------------------------------------------------
@@ -207,81 +206,70 @@ def test_census_without_conjugators_is_all_generic(ctx, census, monkeypatch):
 
 
 def _walk_indexes(ctx, monkeypatch):
-    """The vector v and the index of the census walk and of the so(9) gate's
-    walk, each recorded from its _fingerprint_index call on a fresh run."""
-    real = verify._fingerprint_index
+    """The index of the census walk and of the so(9) gate's walk, each
+    recorded from its _root_map_index call on a fresh run."""
+    real = verify._root_map_index
     seen = []
 
-    def recording(tuples, vec):
-        seen.append((vec, real(tuples, vec)))
-        return seen[-1][1]
+    def recording(tuples):
+        seen.append(real(tuples))
+        return seen[-1]
 
-    monkeypatch.setattr(verify, "_fingerprint_index", recording)
+    monkeypatch.setattr(verify, "_root_map_index", recording)
     verify.involution_census(ctx)
     find_so9_klein(ctx)
-    monkeypatch.setattr(verify, "_fingerprint_index", real)
-    (v, census_index), (v_so9, so9_index) = seen
-    assert v_so9 == v
-    return v, census_index, so9_index
+    monkeypatch.setattr(verify, "_root_map_index", real)
+    census_index, so9_index = seen
+    return census_index, so9_index
 
 
 def test_census_walk_skips_diagonal_conjugations(ctx, census, monkeypatch):
     """A torus row conjugated by a simple torus involution is the row itself,
-    so the walk computes 510 keys, one fingerprint each, besides the index's
-    one per row."""
-    real = verify._fingerprint
+    so the walk computes 510 keys, besides the index's one per row (79); the
+    so(9) gate's index holds one per gated pair."""
+    real = verify._conjugate_key
     calls = []
 
-    def counting(cols, vec):
+    def counting(g, g_inv, xs):
         calls.append(1)
-        return real(cols, vec)
+        return real(g, g_inv, xs)
 
-    monkeypatch.setattr(verify, "_fingerprint", counting)
+    monkeypatch.setattr(verify, "_conjugate_key", counting)
     again = verify.involution_census(ctx)
     assert again == census
     assert [r.provenance for r in again.rows] == [r.provenance for r in census.rows]
-    assert len(calls) == len(census.rows) + 510
+    assert len(calls) == 510
+    census_index, so9_index = _walk_indexes(ctx, monkeypatch)
+    assert len(census_index) == len(census.rows) == 79
+    assert len(so9_index) == ctx.so9_klein.provenance["pairs_gated"] == 12
 
 
-def _inverse_of(g):
-    """The certified inverse of g, by the root-index rule."""
-    return make_automorphism(g.table, autos._inverse((g.img, g.eta)), "inverse")
-
-
-def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, monkeypatch):
-    """The key of g x g^-1, read off the columns of g and x and g^-1(v), is
-    the fingerprint on v of the certified conjugate, factor by factor: for
-    every census row and every gated so(9) pair under each of the 12
-    conjugators, and for every key the census and so(9) gate walks look up.
-    The conjugates are the root maps autos.conjugate builds, certified in one
-    batch per conjugator; g^-1(v) is read off the certified inverse."""
-    table = ctx.table
-    v, _, _ = _walk_indexes(ctx, monkeypatch)
-    rows = [ctx.automorphism(r.descriptor) for r in census.rows]
+def test_walk_keys_are_the_root_maps_of_the_certified_conjugates(ctx, census, monkeypatch):
+    """The key of g x g^-1, composed from the root maps of g, x and g^-1, is
+    the root map of the conjugate autos.conjugate certifies, factor by
+    factor: for every census row and every gated so(9) pair under each of the
+    12 conjugators, and for every key the census and so(9) gate walks look up."""
+    rows = [r.automorphism for r in census.rows]
     assert len(census.conjugators) == 12
     want = {}
     for g in census.conjugators:
-        gm = (g.img, g.eta)
-        batch = [(autos._compose(gm, autos._compose((x.img, x.eta), autos._inverse(gm))),
-                  f"conj({x.descriptor})") for x in rows]
-        conj = certify_batch(table, batch)
-        for x, y in zip(rows, conj):
-            want[g.descriptor, x.descriptor] = verify._fingerprint(y.cols, v)
-            assert compose_cols(y.cols, g.cols) == compose_cols(g.cols, x.cols), (g, x)
-        for n in (0, -1):  # an inner and an outer row through autos.conjugate itself
-            assert conjugate(g, rows[n]) == conj[n]
+        for x in rows:
+            y = conjugate(g, x)
+            want[g.descriptor, x.descriptor] = (y.img, y.eta)
     tuples = [(x,) for x in rows] + list(_so9_pairs(ctx).values())
     assert len(tuples) == len(rows) + 12
     for g in census.conjugators:
-        g_inv_v = _inverse_of(g).apply(v)
+        gm = (g.img, g.eta)
+        g_inv = autos._inverse(gm)
         for xs in tuples:
-            assert verify._conjugate_key(g, g_inv_v, xs) == tuple(
+            assert verify._conjugate_key(gm, g_inv, xs) == tuple(
                 want[g.descriptor, x.descriptor] for x in xs), (g, xs)
+    names = {(g.img, g.eta): g.descriptor for g in census.conjugators}
     real = verify._conjugate_key
     seen = []
 
-    def recording(g, g_inv_vec, xs):
-        seen.append((g.descriptor, xs, real(g, g_inv_vec, xs)))
+    def recording(g, g_inv, xs):
+        seen.append((names[g], xs, real(g, g_inv, xs)))
         return seen[-1][2]
 
     monkeypatch.setattr(verify, "_conjugate_key", recording)
@@ -294,58 +282,49 @@ def test_walk_keys_are_fingerprints_of_the_certified_conjugates(ctx, census, mon
         assert key == tuple(want[g, x.descriptor] for x in xs), (g, xs)
 
 
-def test_walk_fingerprints_decode_to_the_generator_images(ctx, census, monkeypatch):
-    """The walk's v weights the 12 generators x_{+-alpha_i} by 1..12, and
-    every census row and so(9) factor sends each generator to a signed
-    generator, so each coefficient of its fingerprint decodes by magnitude to
-    one generator's image: the fingerprint fixes the row.  The census index
-    holds one key per row (79) and the so(9) gate's one per gated pair."""
-    table = ctx.table
-    v, census_index, so9_index = _walk_indexes(ctx, monkeypatch)
-    gens = sorted(v, key=v.get)
-    assert [v[k] for k in gens] == list(range(1, 13))
-    assert set(gens) == {table.rank + k for s in table.rs.simple for k in (s, s + table.rs.npos)}
-    pairs = _so9_pairs(ctx).values()
-    factors = [r.automorphism for r in census.rows] + [x for pair in pairs for x in pair]
-    for a in factors:
-        decoded = {gens[abs(c) - 1]: {k: 1 if c > 0 else -1}
-                   for k, c in verify._fingerprint(a.cols, v)}
-        assert decoded == {k: a.cols[k] for k in gens}, a
-    assert len(census_index) == len(census.rows) == 79
-    assert len(so9_index) == len(pairs) == ctx.so9_klein.provenance["pairs_gated"]
-
-
 def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, census, monkeypatch):
-    """The walk's edge rule, y∘g == g∘x read off the pi and signs of x and y,
-    agrees with the products of the columns, compared up to the first
-    difference, for each of the 12
+    """The walk's edge rule, y∘g == g∘x on root maps, agrees with the
+    products of the columns (oracles.compose_cols) for each of the 12
     conjugators and every census row x: True on the row y that the walk key
-    finds, if any, and False on another row with y's pi (another torus row
-    for an inner x, another twist for an outer x).  Every factor the walks
-    see, each census row and each gated so(9) factor, is a signed
-    permutation."""
-    pairs = _so9_pairs(ctx).values()
-    assert all(r.automorphism.pi is not None for r in census.rows)
-    assert all(x.pi is not None for pair in pairs for x in pair)
+    finds, if any, and False on another row with y's img (another torus row
+    for an inner x, another twist for an outer x)."""
     rows = [r.automorphism for r in census.rows]
-    v, index, _ = _walk_indexes(ctx, monkeypatch)
-    same_pi, found = {}, 0
+    index, _ = _walk_indexes(ctx, monkeypatch)
+    same_img, found = {}, 0
     for a in rows:
-        same_pi.setdefault(a.pi[0], []).append(a)
+        same_img.setdefault(a.img, []).append(a)
     for g in census.conjugators:
-        g_inv_v = _inverse_of(g).apply(v)
+        gm = (g.img, g.eta)
+        g_inv = autos._inverse(gm)
         for x in rows:
-            m = index.get(verify._conjugate_key(g, g_inv_v, (x,)))
+            m = index.get(verify._conjugate_key(gm, g_inv, (x,)))
             if m is None:  # g x g^-1 is no census row
                 continue
             found += 1
             y = rows[m]
-            z = next(a for a in same_pi[y.pi[0]] if a is not y)
+            z = next(a for a in same_img[y.img] if a is not y)
             for other, want in ((y, True), (z, False)):
-                assert verify._conjugates(other.pi, g.cols, x.pi) is want, (g, x, other)
-                assert all(apply_cols(other.cols, a) == apply_cols(g.cols, b)
-                           for a, b in zip(g.cols, x.cols)) is want
+                assert verify._conjugates((other.img, other.eta), gm, (x.img, x.eta)) is want, (
+                    g, x, other)
+                assert (compose_cols(other.cols, g.cols) == compose_cols(g.cols, x.cols)) is want
     assert found == 79 * 12 - 64  # 64 Weyl conjugates of twists are no census row
+
+
+# nontrivial torus involutions, one per root map, and the dimensions of their
+# orbit representatives under the census's conjugators
+TORUS_WALKS = {"A5": (15, [19]), "D5": (15, [21, 29]), "E7": (63, [69]), "B4": (7, [16, 28]),
+               "C4": (7, [20, 24]), "F4": (15, [24, 36]), "G2": (3, [6])}
+
+
+@pytest.mark.parametrize("label", TORUS_WALKS)
+def test_torus_walk_on_types_the_census_never_walks(label):
+    """The walk on root maps runs on other types: over the nontrivial torus
+    involutions, one per root map (on E7, 127 descriptors give 63), under
+    verify._conjugators and classified by joint_fixed_dim, the orbit
+    representatives have the pinned dimensions, and every edge taken holds
+    on the columns (helpers.torus_walk)."""
+    table = chevalley_table(build_root_system(cartan_matrix(label)))
+    assert torus_walk(table) == (*TORUS_WALKS[label], [])
 
 
 def test_walk_provenance_is_pinned(ctx, census):
@@ -363,14 +342,14 @@ def test_walk_provenance_is_pinned(ctx, census):
 
 
 def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census, monkeypatch):
-    """A sigma1 row's fingerprint pointed at a sigma2 row: the walk finds the
-    sigma2 row, its column equality fails, and no edge is taken."""
+    """A sigma1 row's index key pointed at a sigma2 row: the walk finds the
+    sigma2 row, its root-map equality fails, and no edge is taken."""
     rows = census.rows
     start = [n for n, r in enumerate(rows) if r.provenance == "generic"]
     assert rows[start[0]].label == "sigma1"
     y = next(n for n, r in enumerate(rows) if r.label == "sigma1" and n not in start)
     z = next(n for n, r in enumerate(rows) if r.label == "sigma2" and n not in start)
-    real_index = verify._fingerprint_index
+    real_index = verify._root_map_index
     hits = []
 
     class Spy(dict):
@@ -379,19 +358,19 @@ def test_census_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, census
                 hits.append(key)
             return super().get(key, default)
 
-    def poisoned(autos, vec):
+    def poisoned(tuples):
         nonlocal z_key
-        index = Spy(real_index(autos, vec))
+        index = Spy(real_index(tuples))
         z_key = next(k for k, n in index.items() if n == z)
         index[next(k for k, n in index.items() if n == y)] = z
         return index
 
     z_key = None
-    monkeypatch.setattr(verify, "_fingerprint_index", poisoned)
+    monkeypatch.setattr(verify, "_root_map_index", poisoned)
     got = verify.involution_census(ctx)
-    assert hits  # the walk looked up y's fingerprint and found z
+    assert hits  # the walk looked up y's key and found z
     assert _values(got) == _values(census)  # z was not labelled sigma1 through that hit
-    # y is unreachable by fingerprint, so it starts an orbit of its own
+    # y is unreachable by its key, so it starts an orbit of its own
     assert got.rows[y].provenance == "generic"
     by_desc = {r.descriptor: r for r in got.rows}
     if got.rows[z].provenance != "generic":
@@ -613,9 +592,9 @@ def test_so9_klein_without_conjugators_is_all_generic(ctx, census, monkeypatch):
 
 @pytest.mark.parametrize("shared", [0, 1], ids=["same-a", "same-b"])
 def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monkeypatch, shared):
-    """A pair y, labelled from the first representative, has its fingerprint
+    """A pair y, labelled from the first representative, has its index key
     pointed at a pair z that shares one factor with y and is still unlabelled
-    when y is looked up: the walk finds z, the column equality fails on the
+    when y is looked up: the walk finds z, the root-map equality fails on the
     other factor, and no edge is taken."""
     g = ctx.so9_klein
     how = g.provenance["pairs"]
@@ -627,7 +606,7 @@ def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monk
 
     y, z = next((m, n) for m, n in product(range(1, len(keys)), repeat=2)
                 if from_first(m) and not from_first(n) and keys[n][shared] == keys[m][shared])
-    real_index = verify._fingerprint_index
+    real_index = verify._root_map_index
     real_equal = verify._conjugates
     hits, equalities = [], []
 
@@ -637,9 +616,9 @@ def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monk
                 hits.append(key)
             return super().get(key, default)
 
-    def poisoned(tuples, vec):
+    def poisoned(tuples):
         nonlocal z_key
-        index = Spy(real_index(tuples, vec))
+        index = Spy(real_index(tuples))
         z_key = next(k for k, n in index.items() if n == z)
         index[next(k for k, n in index.items() if n == y)] = z
         return index
@@ -649,15 +628,15 @@ def test_so9_gate_rejects_a_fingerprint_hit_that_fails_column_equality(ctx, monk
         return equalities[-1]
 
     z_key = None
-    monkeypatch.setattr(verify, "_fingerprint_index", poisoned)
+    monkeypatch.setattr(verify, "_root_map_index", poisoned)
     monkeypatch.setattr(verify, "_conjugates", recording)
     got = find_so9_klein(ctx)
-    assert hits  # the walk looked up y's fingerprint and found z
-    assert False in equalities  # z failed the column equality
+    assert hits  # the walk looked up y's key and found z
+    assert False in equalities  # z failed the root-map equality
     assert (got.a, got.b, got.labels, got.provenance["pairs_gated"]) == (
         g.a, g.b, g.labels, g.provenance["pairs_gated"])
     got_how = got.provenance["pairs"]
-    # y is unreachable by fingerprint, so it starts an orbit of its own; every
+    # y is unreachable by its key, so it starts an orbit of its own; every
     # edge taken is certified and stays inside its orbit
     assert got_how[keys[y]] == "generic"
     _check_so9_edges(ctx, got_how)
@@ -882,14 +861,15 @@ def test_census_searches_compose_no_columns(ctx, census, monkeypatch):
     """Searches over census rows run on root maps and masks: no column is
     applied, for every pinned search, all-torus or with an outer generator,
     and a Weyl lift commutes with an outer row by root maps too.  The
-    counter is live: applying an automorphism applies its columns."""
+    counter is live: applying an automorphism is counted."""
     from kleinfour.verify import SearchExhausted
 
     lift = weyl_lift(ctx.table, 0)
     outer = next(r.automorphism for r in census.rows if r.kind == "outer")
     calls = []
-    real = autos._apply_cols
-    monkeypatch.setattr(autos, "_apply_cols", lambda *args: calls.append(1) or real(*args))
+    real = autos.Automorphism.apply
+    monkeypatch.setattr(autos.Automorphism, "apply",
+                        lambda *args: calls.append(1) or real(*args))
     for classes, target, _ in SEARCH_PINS:
         try:
             search_configuration(ctx, classes, target)
