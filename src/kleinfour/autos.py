@@ -20,13 +20,11 @@ are the dominant bug risk, and the certificate is the firewall.
 
 Composition, inverse and commutation are rules on root indices, and the
 members of a batch that share one img share one walk, with a bit per member.
-Certification derives the columns (``Automorphism.cols``) and, where img
-sends every simple root to plus or minus a simple root, the signed
-permutation of the basis (``pi``), whether img is the identity (``diag``)
-and pi with bitsets of the -1 signs and of pi's fixed points (``masks``).
-The character sums of joint_fixed_dim take signed permutations only and
-read every trace, a popcount, off masks: a diagonal generator flips a
-product's signs by one XOR.
+Fixed spaces (``eigenspace``) split into the Cartan block, one small
+kernel, and orbit vectors on the root indices.  The character sums of
+joint_fixed_dim read every trace, a popcount plus the Cartan block's trace,
+off bitsets on the root indices (``masks``): a diagonal generator, whose img
+is the identity (``diag``), flips a product's signs by one XOR.
 """
 
 from __future__ import annotations
@@ -34,16 +32,14 @@ from __future__ import annotations
 import re
 from functools import lru_cache, reduce
 from math import lcm
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactq import as_num, lincomb
-from .rootsys import StructureTable, cartan_isomorphisms, match_cartan
+from .exactq import as_num, axpy, kernel
+from .rootsys import RootSystem, StructureTable, cartan_isomorphisms, match_cartan
 
-Cols = Tuple[Dict[int, int], ...]
 RootMap = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (img, eta): x_a -> eta[a] x_img[a]
-Pi = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (pi, signs): A e_j = signs[j] e_pi[j]
-Masks = Tuple[Tuple[int, ...], int, int, int]  # (pi, neg, fix, nfix): see _masks
+Masks = Tuple[Tuple[int, ...], int, int, int]  # (img, neg, fix, base): see _masks
 
 _ORDER_CAP = 60
 _INT = re.compile(r"-?[0-9]+")  # int() would also take "_", spaces and non-ASCII digits
@@ -56,36 +52,30 @@ class CertificationError(Exception):
 class Automorphism:
     """Certified algebra automorphism x_a -> eta[a] x_img[a], h_i -> H_img(alpha_i).
 
-    ``img`` and ``eta`` are tuples on the root indices, and ``cols[j]`` is
-    the sparse image of basis vector j.  ``pi`` is (pi, signs) on the basis
-    indices where img sends every simple root to +- a simple root, so that
-    each column is one entry +-1, else None; ``diag`` says that img is the
-    identity, and ``masks`` is _masks(pi), set with pi, else None.
-    Instances come only from certify_batch (make_automorphism is a batch of
-    one) and are immutable afterwards.
+    ``img`` and ``eta`` are tuples on the root indices; ``diag`` says that
+    img is the identity, and ``masks`` is _masks of the root map.  Instances
+    come only from certify_batch (make_automorphism is a batch of one) and
+    are immutable afterwards.
     """
 
-    __slots__ = ("table", "img", "eta", "order", "descriptor", "cols", "pi", "diag", "masks")
+    __slots__ = ("table", "img", "eta", "order", "descriptor", "diag", "masks")
 
     def __init__(self, table: StructureTable, img: Tuple[int, ...], eta: Tuple[int, ...],
                  order: int, descriptor: str):
-        rs, rank, npos = table.rs, table.rank, table.npos
         self.table, self.img, self.eta = table, img, eta
         self.order, self.descriptor = order, descriptor
-        hs = [img[s] for s in rs.simple]
-        self.cols: Cols = tuple([{j: c for j, c in enumerate(rs.coroot(k)) if c} for k in hs]
-                                + [{rank + m: s} for m, s in zip(img, eta)])
-        self.pi: Optional[Pi] = None
-        if all(k % npos < rank for k in hs):  # img alpha_i = +-alpha_p, p = rank-1-(k % npos)
-            self.pi = (tuple(rank - 1 - k % npos for k in hs) + tuple(rank + m for m in img),
-                       tuple(1 if k < npos else -1 for k in hs) + eta)
         self.diag = img == tuple(range(len(img)))
-        self.masks = None if self.pi is None else _masks(self.pi)
+        self.masks = _masks(table.rs, img, eta)
 
     def apply(self, vec: dict) -> dict:
-        """The sparse vector self(vec)."""
-        acc = lincomb(vec.values(), (self.cols[k] for k in vec))
-        return {r: as_num(x) for r, x in acc.items()}
+        """The sparse vector self(vec), read off the root map."""
+        rs, rank, out = self.table.rs, self.table.rank, {}
+        for j, c in vec.items():
+            if j < rank:
+                axpy(out, c, enumerate(rs.coroot(self.img[rs.simple[j]])))
+            else:
+                axpy(out, c * self.eta[j - rank], ((rank + self.img[j - rank], 1),))
+        return {r: as_num(x) for r, x in out.items()}
 
     def is_involution(self) -> bool:
         return self.order == 2
@@ -119,30 +109,44 @@ def _inverse(a: RootMap) -> RootMap:
     return tuple(inv), itemgetter(*inv)(eta)
 
 
-@lru_cache(maxsize=64)  # a search meets few pi: products of its generators' pi
-def _fixed_mask(perm: Tuple[int, ...]) -> int:
-    return sum(1 << j for j, p in enumerate(perm) if p == j)
+@lru_cache(maxsize=64)  # a search meets few img: products of its generators' img
+def _fixed_mask(img: Tuple[int, ...]) -> int:
+    return sum(1 << k for k, m in enumerate(img) if m == k)
 
 
-def _masks(a: Pi) -> Masks:
-    """(pi, neg, fix, nfix) of a: bit j of neg is set where signs[j] = -1, bit j
-    of fix where pi[j] = j, and nfix counts the bits of fix."""
-    fix = _fixed_mask(a[0])
-    return a[0], sum(1 << j for j, s in enumerate(a[1]) if s < 0), fix, fix.bit_count()
+def _masks(rs: RootSystem, img: Tuple[int, ...], eta: Tuple[int, ...]) -> Masks:
+    """(img, neg, fix, base) of the root map (img, eta): bit k of neg is set
+    where eta[k] = -1 and bit k of fix where img[k] = k, and base, the trace
+    with every sign +1, counts the bits of fix and adds _cartan_trace."""
+    fix = _fixed_mask(img)
+    neg = sum(1 << k for k, s in enumerate(eta) if s < 0)
+    return img, neg, fix, fix.bit_count() + _cartan_trace(rs, img)
 
 
-def _mask_compose(p: Masks, g: Masks) -> Masks:
-    """The masks of p∘g: pi_p∘pi_g, and bit j of neg is bit j of g's neg
-    flipped by bit pi_g(j) of p's."""
+def _cartan_trace(rs: RootSystem, img: Sequence[int]) -> int:
+    """The trace of h_i -> H_img(alpha_i) on the Cartan: sum_i the alpha_i
+    coefficient of img(alpha_i).  The simple root indices are 0..rank-1, so
+    map pairs row s of rs.coeffs with img[s] and stops there.  The map keeps
+    the pairing of roots with coroots, so on h it is the inverse transpose
+    of img's map w of the root lattice, and tr w^-1 = tr w, as w has finite
+    order and an integer trace."""
+    return sum(map(getitem, rs.coeffs, img))
+
+
+def _mask_compose(p: Masks, g: Masks, rs: RootSystem) -> Masks:
+    """The masks of p∘g: img_p∘img_g, and bit k of neg is bit k of g's neg
+    flipped by bit img_g(k) of p's."""
     at = itemgetter(*g[0])
-    perm, bits = at(p[0]), format(p[1], f"0{len(g[0])}b")[::-1]  # bits[j]: bit j
-    fix = _fixed_mask(perm)
-    return perm, g[1] ^ int("".join(at(bits))[::-1], 2), fix, fix.bit_count()
+    # a 1 above p's top bit keeps its zeros, and the slice drops "0b1": bits[k] is bit k
+    img, bits = at(p[0]), bin(p[1] | 1 << len(g[0]))[:2:-1]
+    fix = _fixed_mask(img)
+    neg = g[1] ^ int("".join(at(bits))[::-1], 2)
+    return img, neg, fix, fix.bit_count() + _cartan_trace(rs, img)
 
 
-def _mask_trace(neg: int, fix: int, nfix: int) -> int:
-    """The sum of the signs at the fixed points of pi."""
-    return nfix - 2 * (neg & fix).bit_count()
+def _mask_trace(neg: int, fix: int, base: int) -> int:
+    """The trace: base less twice the -1 signs at the fixed roots."""
+    return base - 2 * (neg & fix).bit_count()
 
 
 class CharacterSum(NamedTuple):
@@ -157,23 +161,20 @@ class CharacterSum(NamedTuple):
 
 
 def add_generator(chars: CharacterSum, g: Automorphism, last: bool = False) -> CharacterSum:
-    """chars extended by the signed permutation g: g's trace plus tr(p∘g) for
-    each kept product p, every trace read off masks, and, unless g is the
-    last generator, the products extended by g.  A diagonal g keeps pi_p and
-    flips p's signs by one XOR, and at the last level only the traces are
-    read; any other g composes by _mask_compose.  A generator of order other
-    than 1 or 2 is rejected, then one without pi, and a sum not divisible by
-    2^k raises."""
+    """chars extended by g: g's trace plus tr(p∘g) for each kept product p,
+    every trace read off masks, and, unless g is the last generator, the
+    products extended by g.  A diagonal g keeps img_p and flips p's signs by
+    one XOR, and at the last level only the traces are read; any other g
+    composes by _mask_compose.  A generator of order other than 1 or 2 is
+    rejected, and a sum not divisible by 2^k raises."""
     if g.order not in (1, 2):
         raise ValueError(f"{g.descriptor} has order {g.order}, not 1 or 2")
-    if g.masks is None:
-        raise ValueError(f"{g.descriptor} is not a signed permutation")
     x, prods = g.masks, chars.prods
     if g.diag:
-        traces = [_mask_trace(neg ^ x[1], fix, nfix) for _, neg, fix, nfix in prods]
-        new = [] if last else [(perm, neg ^ x[1], fix, nfix) for perm, neg, fix, nfix in prods]
+        traces = [_mask_trace(neg ^ x[1], fix, base) for _, neg, fix, base in prods]
+        new = [] if last else [(img, neg ^ x[1], fix, base) for img, neg, fix, base in prods]
     else:
-        new = [_mask_compose(p, x) for p in prods]
+        new = [_mask_compose(p, x, g.table.rs) for p in prods]
         traces = [_mask_trace(*p[1:]) for p in new]
     gens = chars.gens + (g,)
     total = (chars.total if chars.gens else g.table.dim) + _mask_trace(*x[1:]) + sum(traces)
@@ -191,13 +192,47 @@ def joint_fixed_dim(gens: Sequence[Automorphism]) -> int:
 
     The sum is the trace of the projection prod (1 + g_i)/2 onto the joint
     fixed space, so the value is exact for pairwise commuting generators of
-    order 1 or 2; commutation is the caller's to check.  Every generator must
-    be a signed permutation (its pi set); fixed_subalgebra takes any
-    automorphism.  It is add_generator folded over gens from the empty tuple.
+    order 1 or 2; commutation is the caller's to check.  It is add_generator
+    folded over gens from the empty tuple.
     """
     if not gens:
         raise ValueError("joint_fixed_dim needs at least one generator")
     return add_generator(reduce(add_generator, gens[:-1], CharacterSum()), gens[-1], True).dim
+
+
+def eigenspace(pairs: Sequence[Tuple[Automorphism, int]]) -> List[dict]:
+    """Basis of {v : a(v) = e v for every (a, e) in pairs}, e = +-1, on a's table.
+
+    Every root map keeps the Cartan h and permutes the root lines, so the
+    space is its part in h plus its part on the root vectors.  On h, a acts
+    by the matrix W whose column i is the coroot of img(alpha_i), and that
+    part is the kernel of the stacked rank-column rows of W - e.  A v on the
+    root vectors has v[img(k)] = e eta[k] v[k]: each orbit of the root
+    indices under the maps gives one vector (none if its signs contradict),
+    walked from and scaled to 1 on its largest index.  The list is the
+    echelon kernel basis of the stacked A - e over every basis column.
+    """
+    rs = pairs[0][0].table.rs
+    rank, rows = rs.rank, []
+    for a, e in pairs:
+        w = [rs.coroot(a.img[s]) for s in rs.simple]
+        rows += [{i: h[r] - (e if i == r else 0) for i, h in enumerate(w)} for r in range(rank)]
+    edges = list(zip(*([(m, e * s) for m, s in zip(a.img, a.eta)] for a, e in pairs)))
+    sign: Dict[int, int] = {}
+    orbits = []
+    for top in reversed(range(len(edges))):
+        if top in sign:
+            continue
+        sign[top], orbit, ok = 1, [top], True
+        for k in orbit:  # grows while it is walked
+            for m, s in edges[k]:
+                if m not in sign:
+                    sign[m] = s * sign[k]
+                    orbit.append(m)
+                ok = ok and sign[m] == s * sign[k]
+        if ok:
+            orbits.append({rank + k: sign[k] for k in sorted(orbit)})
+    return kernel(rows, rank) + orbits[::-1]
 
 
 def certify_batch(
@@ -300,7 +335,7 @@ def torus_columns(table: StructureTable, c: Sequence[int]) -> Tuple[RootMap, str
 
 
 def torus_involution(table: StructureTable, c: Sequence[int]) -> Automorphism:
-    """exp(pi*sqrt(-1) ad H_c) for H_c = sum c_i H_{alpha_i}, c taken mod 2.
+    """exp(π sqrt(-1) ad H_c) for H_c = sum c_i H_{alpha_i}, c taken mod 2.
 
     Acts as identity on the Cartan and by (-1)^{alpha(H_c)} on each root
     vector; order 1 or 2.

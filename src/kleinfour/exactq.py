@@ -17,20 +17,17 @@ to integers once; elimination cross-multiplies rows in the fraction-free
 manner of Bareiss (Math. Comp. 1968) and divides each result by its content
 gcd, so entries stay small integers and no Fraction is built until the
 output, where each row is divided by its pivot once.  ``rref``, ``rank`` and
-``kernel`` are its public entry points; ``span_kernel`` builds its sparse
-rows and calls ``kernel``, and so does ``joint_eigenspace`` unless its maps
-are signed permutations, whose fixed space it reads off their orbits with
-no elimination.  Inertia is a sparse symmetric congruence elimination that
-reads the signs of the pivots, on ints until a division is inexact;
-eigenvalues are never approximated.
+``kernel`` are its public entry points, and ``span_kernel`` builds its
+sparse rows and calls ``kernel``.  Inertia is a sparse symmetric congruence
+elimination that reads the signs of the pivots, on ints until a division is
+inexact; eigenvalues are never approximated.
 
 The shared primitives over sparse vectors are ``axpy``/``lincomb``
-(accumulation that drops cancelled entries), ``joint_eigenspace`` (the joint
-fixed space, kernel of the stacked A - I of maps given by sparse columns;
-orbit vectors for the signed permutations ``signed_permutation`` recognizes,
-for it and the automorphism certificate), ``span_kernel`` (kernel of a linear
-map restricted to a span) and ``SpanSolver`` (membership in the span of an
-RREF basis).  The sparse bracket table built on them is ``rootsys.BracketTable``.
+(accumulation that drops cancelled entries), ``span_kernel`` (kernel of a
+linear map restricted to a span) and ``SpanSolver`` (membership in the span
+of an RREF basis).  The sparse bracket table built on them is
+``rootsys.BracketTable``, and the fixed spaces of automorphisms are
+``autos.eigenspace``.
 """
 
 from __future__ import annotations
@@ -133,7 +130,7 @@ def _quotient(x, p):
     return x // p if x % p == 0 else Fraction(x, p)
 
 
-def _null_basis(pivots: Dict[int, dict], cols: int) -> List[dict]:
+def _null_basis(pivots: Dict[int, dict], n: int) -> List[dict]:
     """Kernel basis of the echelon rows, one sparse vector per free column.
 
     Each vector has a 1 in its free column and the pivot coordinates solved
@@ -141,7 +138,7 @@ def _null_basis(pivots: Dict[int, dict], cols: int) -> List[dict]:
     off-pivot entries lies in a free column, right of the row's pivot.  Keys
     therefore come out in ascending column order, the free column last.
     """
-    basis: Dict[int, dict] = {free: {} for free in range(cols) if free not in pivots}
+    basis: Dict[int, dict] = {free: {} for free in range(n) if free not in pivots}
     for c in sorted(pivots):
         row = pivots[c]
         p = row[c]
@@ -175,14 +172,14 @@ def rank(rows: Iterable[dict]) -> int:
     return len(_echelon(row.items() for row in rows))
 
 
-def kernel(rows: Iterable[dict], cols: int) -> List[dict]:
-    """Exact null-space basis of sparse rows over cols columns.
+def kernel(rows: Iterable[dict], n: int) -> List[dict]:
+    """Exact null-space basis of sparse rows over n columns.
 
     The basis is echelon-normalized: one sparse vector per free column, with
     a 1 there and the pivot coordinates solved from the RREF, so identical
     inputs yield identical bases.
     """
-    return _null_basis(_echelon(row.items() for row in rows), cols)
+    return _null_basis(_echelon(row.items() for row in rows), n)
 
 
 def symmetric_inertia(rows: Sequence[dict]) -> Tuple[int, int, int]:
@@ -257,75 +254,6 @@ def lincomb(coeffs: Iterable, vecs: Iterable[dict]) -> dict:
         if c:
             axpy(acc, c, v.items())
     return acc
-
-
-def joint_eigenspace(dim: int, maps: Sequence[Sequence[dict]]) -> List[dict]:
-    """Kernel basis of the stacked A - I over every map A: the joint fixed space.
-
-    Each map is given by its sparse columns (``cols[j]`` is the image of basis
-    vector j), so the result spans the vectors that every map fixes.  For
-    signed permutations it is read off their orbits (``_orbit_eigenspace``);
-    otherwise the sparse rows of each A - I are read straight off the columns
-    and stacked for ``kernel``.
-    """
-    orbits = _orbit_eigenspace(dim, maps)
-    if orbits is not None:
-        return orbits
-    stacked: List[dict] = []
-    for cols in maps:
-        rows: List[dict] = [{} for _ in range(dim)]
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                rows[r][j] = v
-        for r, row in enumerate(rows):
-            row[r] = row.get(r, 0) - 1
-        stacked.extend(rows)
-    return kernel(stacked, dim)
-
-
-def signed_permutation(cols: Sequence[dict]):
-    """(pi, signs) when every column j is {pi(j): s_j}, s_j an int +-1, and pi
-    is a bijection of range(len(cols)); else None.  One pass over the columns."""
-    perm, signs = [], []
-    for col in cols:
-        (r, s), = col.items() if len(col) == 1 else [(0, 0)]
-        if type(s) is not int or s * s != 1:
-            return None
-        perm.append(r)
-        signs.append(s)
-    return (tuple(perm), tuple(signs)) if set(perm) == set(range(len(cols))) else None
-
-
-def _orbit_eigenspace(dim: int, maps: Sequence[Sequence[dict]]):
-    """Joint +1 eigenspace of signed permutations A e_k = s e_pi(k), or None.
-
-    None unless ``signed_permutation`` recognizes every map.  A fixed v has
-    v[pi(k)] = s v[k]: each orbit of the group the maps generate gives one
-    vector (none if its signs contradict), walked from and scaled to 1 on its
-    largest index, as in the kernel's echelon basis.
-    """
-    edges: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
-    for cols in maps:
-        pi = signed_permutation(cols) if len(cols) == dim else None
-        if pi is None:
-            return None
-        for k, edge in enumerate(zip(*pi)):
-            edges[k].append(edge)
-    sign: Dict[int, int] = {}
-    basis = []
-    for top in reversed(range(dim)):
-        if top in sign:
-            continue
-        sign[top], orbit, ok = 1, [top], True
-        for k in orbit:  # grows while it is walked
-            for r, s in edges[k]:
-                if r not in sign:
-                    sign[r] = s * sign[k]
-                    orbit.append(r)
-                ok = ok and sign[r] == s * sign[k]
-        if ok:
-            basis.append({k: sign[k] for k in sorted(orbit)})
-    return basis[::-1]
 
 
 def span_kernel(vecs: Sequence[dict], images: Sequence[dict]) -> List[dict]:

@@ -30,8 +30,8 @@ import re
 from operator import mul, neg, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactq import SpanSolver, _primitive, joint_eigenspace, rank, rref, span_kernel
-from .autos import Automorphism
+from .exactq import SpanSolver, _primitive, rank, rref, span_kernel
+from .autos import Automorphism, eigenspace
 from .rootsys import BracketTable, StructureTable, _catalog_for_rank, dynkin_components, match_cartan
 
 Coords = Tuple[int, ...]
@@ -91,19 +91,18 @@ def first_escape(table: BracketTable, xs: SpanSolver, ys: SpanSolver,
 def fixed_subalgebra(table: StructureTable, autos: Sequence[Automorphism]) -> Subalgebra:
     """Joint fixed-point subalgebra of certified automorphisms.
 
-    The empty list yields the whole algebra.  Membership of every pairwise
-    bracket in the span is verified, not assumed.
+    The empty list yields the whole algebra; else the span is the joint +1
+    eigenspace (``autos.eigenspace``), taken to RREF.  Membership of every
+    pairwise bracket in the span is verified, not assumed.
     """
-    dim = table.dim
     for a in autos:
         if not isinstance(a, Automorphism):
             raise IdentifyError("uncertified automorphism rejected")
         if a.table is not table:
             raise IdentifyError("automorphism acts on a different algebra")
     if not autos:  # the unit rows are already in RREF
-        return Subalgebra(table, [{i: 1} for i in range(dim)], range(dim))
-    vecs = joint_eigenspace(dim, [a.cols for a in autos])
-    return subalgebra_from_vectors(table, vecs)
+        return Subalgebra(table, [{i: 1} for i in range(table.dim)], range(table.dim))
+    return subalgebra_from_vectors(table, eigenspace([(a, 1) for a in autos]))
 
 
 def center_of(s: Subalgebra) -> Subalgebra:

@@ -20,10 +20,10 @@ form), and (g_type, k_type, signature) is looked up in the one shipped catalog
 of real form names, whose every row a test derives by Cartan's rule.  One
 routine, ``cartan_decomposition``, splits the fixed subalgebra of a group
 gamma (trivial for the whole algebra) under theta on the Chevalley basis
-alone: k_C and p_C are joint eigenspaces there (for signed permutations,
-orbit vectors of one or two entries), their relations are walked on the
-Chevalley table, and k = u & k_C and p = u & p_C are real forms of them once
-gamma and theta commute with omega_0.
+alone: k_C and p_C are joint eigenspaces there (``autos.eigenspace``: a
+Cartan block and orbit vectors on the root vectors), their relations are
+walked on the Chevalley table, and k = u & k_C and p = u & p_C are real
+forms of them once gamma and theta commute with omega_0.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import os
 from functools import cached_property, lru_cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .exactq import SpanSolver, joint_eigenspace, rref, symmetric_inertia
-from .autos import Automorphism, commutes, make_automorphism
+from .exactq import SpanSolver, rref, symmetric_inertia
+from .autos import Automorphism, commutes, eigenspace, make_automorphism
 from .identify import ReductiveType, center_of, first_escape, fixed_subalgebra, identify_type
 from .rootsys import StructureTable
 
@@ -165,10 +165,6 @@ def _check_theta(theta: Automorphism, others: Sequence[Automorphism]) -> None:
             raise RealFormError(f"{g.descriptor} does not commute with theta = {theta.descriptor}")
 
 
-def _negated(cols: Sequence[dict]) -> Tuple[dict, ...]:
-    return tuple({i: -c for i, c in col.items()} for col in cols)
-
-
 def cartan_decomposition(
     cb: CompactBasis,
     theta: Automorphism,
@@ -205,8 +201,7 @@ def cartan_decomposition(
     table = cb.table
     g_complex = fixed_subalgebra(table, gens)
     k_complex = fixed_subalgebra(table, gens + [theta])
-    p_complex = SpanSolver(*rref(joint_eigenspace(
-        table.dim, [g.cols for g in gens] + [_negated(theta.cols)])))
+    p_complex = SpanSolver(*rref(eigenspace([(g, 1) for g in gens] + [(theta, -1)])))
     if k_complex.dim + p_complex.dim != g_complex.dim:
         raise RealFormError(f"theta does not split the fixed algebra: dim k {k_complex.dim} + "
                             f"dim p {p_complex.dim} != dim {g_complex.dim} of gamma's complex "

@@ -295,7 +295,8 @@ class RootSystem:
     root or a sum of two roots are at most 12.  ``norms[k]`` is the integer
     (roots[k], roots[k]) up to one factor per component (``validate_cartan``'s
     ``lengths``).  ``simple[i]`` is the index of alpha_i, and simple[i] + npos
-    that of -alpha_i.
+    that of -alpha_i; ``coeffs[simple[i]][k]`` is the alpha_i coefficient of
+    roots[k].
     """
 
     def __init__(self, cartan: Sequence[Sequence[int]]):
@@ -311,6 +312,7 @@ class RootSystem:
         self.npos = len(pos)
         # height 1 comes first in lexicographic order: alpha_i is roots[rank-1-i]
         self.simple: Tuple[int, ...] = tuple(range(self.rank - 1, -1, -1))
+        self.coeffs: Tuple[Tuple[int, ...], ...] = tuple(zip(*(r.coords for r in roots)))[::-1]
         self.keys: Tuple[int, ...] = tuple(k for k, _ in pos) + tuple(-k for k, _ in pos)
         self.key_index: Dict[int, int] = {k: i for i, k in enumerate(self.keys)}
         ps = [p for _, (_, p) in pos]

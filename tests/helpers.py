@@ -7,7 +7,9 @@ coordinates; ``diagram_automorphism`` certifies the automorphism of any
 Dynkin-diagram symmetry (the library builds only omega's), and
 ``root_map_cols`` expands a root map, certified or not, into the columns
 x_a -> eta[a] x_img[a], h_i -> H_img(alpha_i) that the reference
-certifier reads.  ``constructed`` builds every kind of automorphism the
+certifier reads, and ``auto_cols`` those of a certified automorphism;
+``stacked_kernel`` is the joint eigenspace of maps given by columns, by one
+elimination.  ``constructed`` builds every kind of automorphism the
 library constructs, and ``constructed_kind_defects`` checks each against
 the references, with ``composed_order`` the order by composing columns.  ``compact_table``
 holds the brackets of the compact basis, which the library never stores, and
@@ -29,7 +31,8 @@ from kleinfour.autos import (_ORDER_CAP, _diagram_map, certify_batch, compose, c
                              identity_automorphism, joint_fixed_dim, make_automorphism,
                              omega_automorphism, parse_descriptor, torus_columns,
                              torus_involution, weyl_lift)
-from kleinfour.exactq import SpanSolver, axpy, joint_eigenspace, rref, signed_permutation
+from kleinfour import autos
+from kleinfour.exactq import SpanSolver, axpy, kernel, rref
 from kleinfour.identify import first_escape
 from kleinfour.rootsys import BracketTable
 from oracles import (compact_cols, compact_reference, compose_cols, exp_ad_cols,
@@ -85,6 +88,29 @@ def root_map_cols(table, root_map):
     return tuple(cols + [{rank + m: s} if s else {} for m, s in zip(img, eta)])
 
 
+def auto_cols(a):
+    """The columns of the certified automorphism a."""
+    return root_map_cols(a.table, (a.img, a.eta))
+
+
+def stacked_kernel(dim, maps):
+    """Kernel of the stacked A - e over the pairs (columns of A, e) in maps:
+    {v : A v = e v for every pair}, by one elimination over dim columns."""
+    rows = []
+    for cols, e in maps:
+        block = [{r: -e} for r in range(dim)]
+        for j, col in enumerate(cols):
+            for r, v in col.items():
+                axpy(block[r], v, ((j, 1),))
+        rows += block
+    return kernel(rows, dim)
+
+
+def column_trace(cols):
+    """The trace of the map with these columns."""
+    return sum(col.get(j, 0) for j, col in enumerate(cols))
+
+
 def composed_order(cols, cap=_ORDER_CAP):
     """The order of cols by composing powers until the unit columns; cap + 1 past the cap."""
     unit = tuple({j: 1} for j in range(len(cols)))
@@ -125,20 +151,22 @@ def constructed(table, cb):
 
 def constructed_kind_defects(table, built):
     """The descriptors of the automorphisms in built (``constructed``) whose
-    columns fail the reference certifier, whose pi is not the signed
-    permutation of their columns, whose order is not the composed-power
+    columns fail the reference certifier, whose trace read off its masks is
+    not the trace of its columns, whose order is not the composed-power
     order, or, for a Weyl lift, whose columns are not the product of the
     oracle's exp(ad) factors."""
     rs, r = table.rs, table.rank
     bad = []
     for kind, a in built:
-        ok = (first_homomorphism_defect(table, a.cols) is None
-              and a.pi == signed_permutation(a.cols) and a.order == composed_order(a.cols))
+        cols = auto_cols(a)
+        ok = (first_homomorphism_defect(table, cols) is None
+              and autos._mask_trace(*a.masks[1:]) == column_trace(cols)
+              and a.order == composed_order(cols))
         if kind == "weyl":
             i = int(a.descriptor[len("weyl:"):]) - 1
             e_plus = exp_ad_cols(table, {r + rs.simple[i]: 1})
             e_minus = exp_ad_cols(table, {r + rs.simple[i] + rs.npos: -1})
-            ok = ok and a.cols == compose_cols(e_plus, compose_cols(e_minus, e_plus))
+            ok = ok and cols == compose_cols(e_plus, compose_cols(e_minus, e_plus))
         if not ok:
             bad.append(a.descriptor)
     return bad
@@ -158,10 +186,9 @@ def split_spans(cb, theta, gamma=()):
     the columns of ``oracles.compact_cols``; k_C and p_C as the [k,p] walk of
     ``cartan_decomposition(cb, theta, gamma)`` gets them.  A catalog miss is
     ignored, since it comes after that walk."""
-    gcols = [compact_cols(cb, g.cols) for g in gamma]
-    tcols = compact_cols(cb, theta.cols)
-    k, p = (SpanSolver(*rref(joint_eigenspace(cb.dim, gcols + [cols])))
-            for cols in (tcols, tuple({i: -c for i, c in col.items()} for col in tcols)))
+    gcols = [(compact_cols(cb, auto_cols(g)), 1) for g in gamma]
+    tcols = compact_cols(cb, auto_cols(theta))
+    k, p = (SpanSolver(*rref(stacked_kernel(cb.dim, gcols + [(tcols, e)]))) for e in (1, -1))
     walked = []
     escape = realform.first_escape
     realform.first_escape = lambda *args: walked.append(args[1:3]) or escape(*args)
@@ -217,8 +244,8 @@ def torus_walk(table):
     bad = []
     for y, (dim, how) in zip(invs, labels):
         if how != "generic":
-            g, x = by_desc[how[0]], by_desc[how[1]]
-            if (compose_cols(y.cols, g.cols) != compose_cols(g.cols, x.cols)
+            g = auto_cols(by_desc[how[0]])
+            if (compose_cols(auto_cols(y), g) != compose_cols(g, auto_cols(by_desc[how[1]]))
                     or joint_fixed_dim([y]) != dim):
                 bad.append(y.descriptor)
     return len(invs), sorted(dim for dim, how in labels if how == "generic"), bad

@@ -13,9 +13,13 @@ their root grading, the premise of the compact Killing form's blocks, by
 every entry, against Kac's lattice construction by ``oracles.cocycle_defect``;
 and ``autos.joint_fixed_dim`` of seeded triples of torus involutions on B16,
 C16 and D16 against the joint-parity dimension of ``oracles.torus_parity_type``;
-and every constructed kind of automorphism on E7 and E8 against its
-references (``helpers.constructed_kind_defects``); and the lookup
-certificate ``StructureTable.root_map_defects`` against
+and, on seeded pairs of a torus involution and a Weyl conjugate of another
+on B16, C16 and D16, ``autos.eigenspace`` for e = +-1 against the stacked
+kernel of their columns (``helpers.stacked_kernel``) and
+``autos.joint_fixed_dim`` against ``identify.fixed_subalgebra``; and every
+constructed kind of automorphism on E7 and E8 against its references
+(``helpers.constructed_kind_defects``); and the lookup certificate
+``StructureTable.root_map_defects`` against
 ``oracles.first_homomorphism_defect`` on every Weyl lift, on omega where it
 is defined and on omega_0 of E8, A16, B16, C16 and D16, and on one Weyl lift
 of each with the sign of x_+-a flipped, a its middle non-simple root; and
@@ -37,13 +41,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kleinfour.autos import (joint_fixed_dim, omega_automorphism, torus_involution,  # noqa: E402
-                             weyl_lift)
+from kleinfour.autos import (conjugate, eigenspace, joint_fixed_dim,  # noqa: E402
+                             omega_automorphism, torus_involution, weyl_lift)
+from kleinfour.identify import fixed_subalgebra  # noqa: E402
 from kleinfour.verify import VerifyContext  # noqa: E402
 from kleinfour.realform import compact_form  # noqa: E402
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table  # noqa: E402
-from helpers import (constructed, constructed_kind_defects, root_index,  # noqa: E402
-                     root_map_cols, split_defects, torus_walk)
+from helpers import (auto_cols, constructed, constructed_kind_defects,  # noqa: E402
+                     root_index, root_map_cols, split_defects, stacked_kernel, torus_walk)
 from oracles import (chevalley_reference, cocycle_defect, compact_reference,  # noqa: E402
                      first_homomorphism_defect, grading_defect, homomorphism_fails_at,
                      sparse_jacobi_defect, torus_parity_type)
@@ -109,6 +114,26 @@ def torus_triples_differ(label, count=30):
     return bad
 
 
+def weyl_conjugates_differ(label, count=4):
+    """The seeded pairs (x, w y w^-1) of torus involutions x, y and a Weyl
+    lift w whose joint eigenspaces for e = +-1, or the second's alone, are
+    not the stacked kernels of their columns, or whose character dimension
+    is not the dimension of their fixed subalgebra."""
+    t, rng = table(label), random.Random(label)
+    bad = []
+    for _ in range(count):
+        x, y = (torus_involution(t, [rng.randrange(2) for _ in range(t.rank)]) for _ in "xy")
+        y = conjugate(weyl_lift(t, rng.randrange(t.rank)), y)
+        for group in ([x, y], [y]):
+            for e in (1, -1):
+                want = stacked_kernel(t.dim, [(auto_cols(a), e) for a in group])
+                if eigenspace([(a, e) for a in group]) != want:
+                    bad.append((x.descriptor, y.descriptor, e))
+        if joint_fixed_dim([x, y]) != fixed_subalgebra(t, [x, y]).dim:
+            bad.append((x.descriptor, y.descriptor))
+    return bad
+
+
 def constructed_kinds_differ(label):
     """The constructed automorphisms that differ from their references."""
     t = table(label)
@@ -128,7 +153,7 @@ def certificate_differs(label):
         pass
     bad = [a.descriptor for a in maps
            if t.root_map_defects(a.img, [a.eta]) != [None]
-           or first_homomorphism_defect(t, a.cols) is not None]
+           or first_homomorphism_defect(t, auto_cols(a)) is not None]
     k = (t.rank + t.npos) // 2
     eta = list(maps[0].eta)
     eta[k], eta[k + t.npos] = -eta[k], -eta[k + t.npos]
@@ -151,6 +176,7 @@ CHECKS = [("chevalley", label, chevalley_differs) for label in ("A16", "B16", "C
     ("grading", label, grading_fails) for label in ("E8", "A16", "B16", "C16", "D16")] + [
     ("cocycle", label, cocycle_fails) for label in ("A31", "D32")] + [
     ("torus triples", label, torus_triples_differ) for label in ("B16", "C16", "D16")] + [
+    ("weyl conjugates", label, weyl_conjugates_differ) for label in ("B16", "C16", "D16")] + [
     ("constructed kinds", label, constructed_kinds_differ) for label in ("E7", "E8")] + [
     ("root-map certificate", label, certificate_differs)
     for label in ("E8", "A16", "B16", "C16", "D16")] + [

@@ -28,15 +28,17 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour.exactq import signed_permutation
 from kleinfour.identify import fixed_subalgebra
+from kleinfour.realform import compact_form
 from kleinfour.verify import VerifyContext
 from kleinfour.rootsys import (StructureTable, _catalog_for_rank, build_root_system, cartan_matrix,
                                chevalley_table)
-from helpers import (composed_order, constructed, constructed_kind_defects, diagram_automorphism,
-                     root_index, root_map_cols)
+from helpers import (auto_cols, column_trace, composed_order, constructed,
+                     constructed_kind_defects, diagram_automorphism, root_index, root_map_cols,
+                     stacked_kernel)
 from oracles import (
     REFERENCE_TYPES,
+    apply_cols,
     cartan_symmetries_by_scan,
     compose_cols,
     exp_ad_cols,
@@ -125,16 +127,16 @@ def test_omega_involution_with_f4_fixed_dim(e6):
 def test_omega_generator_images(e6):
     om = omega_automorphism(e6)
     # h_1 -> h_6, h_2 -> h_2, h_3 -> h_5, h_4 -> h_4 (zero-based columns)
-    assert om.cols[0] == {5: 1}
-    assert om.cols[1] == {1: 1}
-    assert om.cols[2] == {4: 1}
-    assert om.cols[3] == {3: 1}
+    assert auto_cols(om)[0] == {5: 1}
+    assert auto_cols(om)[1] == {1: 1}
+    assert auto_cols(om)[2] == {4: 1}
+    assert auto_cols(om)[3] == {3: 1}
     # simple root vectors map with sign +1
     rs = e6.rs
     for i, j in ((0, 5), (1, 1), (2, 4), (3, 3)):
         src = root_index(rs, tuple(1 if k == i else 0 for k in range(6)))
         dst = root_index(rs, tuple(1 if k == j else 0 for k in range(6)))
-        assert om.cols[6 + src] == {6 + dst: 1}
+        assert auto_cols(om)[6 + src] == {6 + dst: 1}
 
 
 def permutation_order(perm):
@@ -157,9 +159,9 @@ def test_every_diagram_symmetry_maps_the_generators(e6, label):
     for perm in perms:
         a = diagram_automorphism(t, perm)
         for i in range(rank):
-            assert a.cols[i] == {perm[i]: 1}
+            assert auto_cols(a)[i] == {perm[i]: 1}
             for sign in (1, -1):
-                assert a.cols[root_vector(i, sign)] == {root_vector(perm[i], sign): 1}
+                assert auto_cols(a)[root_vector(i, sign)] == {root_vector(perm[i], sign): 1}
         assert a.order == permutation_order(perm)
     # D4's triality: two permutations of order 3
     assert sum(permutation_order(p) == 3 for p in perms) == (2 if label == "D4" else 0)
@@ -243,7 +245,7 @@ def test_any_two_torus_involutions_commute(e6):
 
 def _reference_commutes(a, b):
     """Both full products of the columns, compared whole."""
-    return compose_cols(a.cols, b.cols) == compose_cols(b.cols, a.cols)
+    return compose_cols(auto_cols(a), auto_cols(b)) == compose_cols(auto_cols(b), auto_cols(a))
 
 
 def _census_autos(ctx, kind):
@@ -251,25 +253,21 @@ def _census_autos(ctx, kind):
 
 
 def test_diagonal_is_read_from_the_columns(ctx):
-    """A certified automorphism whose img sends each simple root to +- a
-    simple root has the pi and signs of its columns; a diagonal is img = the
-    identity.  A Weyl lift has no pi, and an object built by hand from the
-    same root map derives the same pi."""
-    ident = tuple(range(78))
-    for a in _census_autos(ctx, "inner"):
-        assert a.diag and a.pi == (ident, tuple(col[j] for j, col in enumerate(a.cols))), a
-    for a in _census_autos(ctx, "outer") + [omega_automorphism(ctx.table)]:
-        perm, signs = a.pi
-        assert a.pi == signed_permutation(a.cols) and perm != ident and not a.diag, a
-        assert signs == tuple(col[p] for col, p in zip(a.cols, perm)), a
-    assert weyl_lift(ctx.table, 0).pi is None
-    identity = identity_automorphism(ctx.table)
-    assert identity.pi == (ident, (1,) * 78) and identity.diag
+    """diag holds exactly where every column is one entry on the diagonal:
+    on the torus rows and the identity, and on no twist, omega or Weyl lift.
+    The masks come from the root map alone: a parse and an object built by
+    hand from the same root map, under another descriptor, have the same."""
+    diagonal = _census_autos(ctx, "inner") + [identity_automorphism(ctx.table)]
+    other = (_census_autos(ctx, "outer") + [omega_automorphism(ctx.table)]
+             + [weyl_lift(ctx.table, i) for i in range(6)])
+    for a in diagonal + other:
+        want = all(set(col) == {j} for j, col in enumerate(auto_cols(a)))
+        assert a.diag == want == (a in diagonal), a
     torus = ctx.automorphism("torus:0,1,0,0,0,0")
     # the descriptor plays no part in the certificate
-    assert parse_descriptor(ctx.table, "omega").pi == omega_automorphism(ctx.table).pi
+    assert parse_descriptor(ctx.table, "omega").masks == omega_automorphism(ctx.table).masks
     copy = Automorphism(ctx.table, torus.img, torus.eta, 2, "copy")
-    assert (copy.pi, copy.masks, copy.cols) == (torus.pi, torus.masks, torus.cols)
+    assert (copy.diag, copy.masks, auto_cols(copy)) == (torus.diag, torus.masks, auto_cols(torus))
 
 
 def test_commutes_matches_full_products(ctx, cross_check_bases):
@@ -297,9 +295,9 @@ def test_commutes_matches_full_products(ctx, cross_check_bases):
         assert seen == outcomes
 
 
-def _mask_cols(m):
-    """The columns of the signed permutation with masks m."""
-    return tuple({p: -1 if m[1] >> j & 1 else 1} for j, p in enumerate(m[0]))
+def _mask_cols(m, rank):
+    """The root-vector columns of the root map with masks m."""
+    return tuple({rank + p: -1 if m[1] >> k & 1 else 1} for k, p in enumerate(m[0]))
 
 
 def _unit(table):
@@ -314,53 +312,52 @@ def test_pi_rules_match_the_column_rules(ctx, cross_check_bases):
     """Each root-index rule gives what the column rule gives: the product of
     every ordered pair of census rows, by img and eta and by masks (with the
     one-XOR rule when the right factor is diagonal), its mask trace, and
-    commutes; the masks, the mask trace, the derived pi and the cycle order
-    on every row and on signed permutations of order 3 and 4; compose hands
-    the product's pi on.  The inverse composes with each of these and with
-    the six Weyl lifts and the Weyl conjugate of omega to the identity, and
-    its columns are the inverse's.  The lifts and the conjugate have no pi
-    and no masks."""
-    table = ctx.table
+    commutes; the masks, their root-vector columns, the mask trace and the
+    cycle order on every row, on the six Weyl lifts and the Weyl conjugate
+    of omega, and on root maps of order 3 and 4; compose hands the
+    product's masks on, Weyl lifts included.  The inverse composes with
+    each of these to the identity, and its columns are the inverse's."""
+    table, rank = ctx.table, ctx.table.rank
     rows = [r.automorphism for r in ctx.census.rows]
     dense = [weyl_lift(table, i) for i in range(6)] + [cross_check_bases["conjugated"]]
-    assert all(a.pi is not None for a in rows) and all(w.pi is w.masks is None for w in dense)
-    # signed permutations of order 3 and 4, whose inverse is not themselves
+    # root maps of order 3 and 4, whose inverse is not themselves
     d4 = chevalley_table(build_root_system(cartan_matrix("D4")))
     om, tori = omega_automorphism(table), itertools.product((0, 1), repeat=6)
     higher = [diagram_automorphism(d4, (2, 1, 3, 0))]
     higher += [t for t in (compose(om, torus_involution(table, c)) for c in tori) if t.order == 4]
     assert {a.order for a in higher} == {3, 4}
+    cols = {}
     for a in rows + dense + higher:
+        cols[a] = c = auto_cols(a)
         inv, unit = autos._inverse(_root_map(a)), (tuple(range(len(a.img))), (1,) * len(a.img))
         assert autos._compose(_root_map(a), inv) == autos._compose(inv, _root_map(a)) == unit, a
-        assert compose_cols(a.cols, root_map_cols(a.table, inv)) == _unit(a.table), a
-        assert autos._cycle_order(_root_map(a)) == composed_order(a.cols) == a.order, a
-        assert a.pi == signed_permutation(a.cols), a
-        if a.pi is not None:
-            assert a.masks == autos._masks(a.pi) and _mask_cols(a.masks) == a.cols, a
-            col_trace = sum(col.get(j, 0) for j, col in enumerate(a.cols))
-            assert autos._mask_trace(*a.masks[1:]) == col_trace, a
+        assert compose_cols(c, root_map_cols(a.table, inv)) == _unit(a.table), a
+        assert autos._cycle_order(_root_map(a)) == composed_order(c) == a.order, a
+        r = a.table.rank
+        assert a.masks == autos._masks(a.table.rs, a.img, a.eta), a
+        assert _mask_cols(a.masks, r) == c[r:], a
+        assert autos._cartan_trace(a.table.rs, a.img) == column_trace(c[:r]), a
+        assert autos._mask_trace(*a.masks[1:]) == column_trace(c), a
     for a, b in itertools.product(rows, rows):
-        ab, root_ab = compose_cols(a.cols, b.cols), autos._compose(_root_map(a), _root_map(b))
+        ab, root_ab = compose_cols(cols[a], cols[b]), autos._compose(_root_map(a), _root_map(b))
         assert root_map_cols(table, root_ab) == ab, (a, b)
-        masks = autos._mask_compose(a.masks, b.masks)
-        assert masks == autos._masks(autos._compose(a.pi, b.pi)) and _mask_cols(masks) == ab
+        masks = autos._mask_compose(a.masks, b.masks, table.rs)
+        assert masks == autos._masks(table.rs, *root_ab) and _mask_cols(masks, rank) == ab[rank:]
         if b.diag:
-            perm, neg, fix, nfix = a.masks
-            assert masks == (perm, neg ^ b.masks[1], fix, nfix), (a, b)
-        assert autos._mask_trace(*masks[1:]) == sum(col.get(j, 0) for j, col in enumerate(ab)), (a, b)
+            img, neg, fix, base = a.masks
+            assert masks == (img, neg ^ b.masks[1], fix, base), (a, b)
+        assert autos._mask_trace(*masks[1:]) == column_trace(ab), (a, b)
         # root_ba is checked against the columns when (b, a) comes round
         assert commutes(a, b) == (root_ab == autos._compose(_root_map(b), _root_map(a))), (a, b)
     rng = random.Random(29)
-    for a, b in [(rng.choice(rows), rng.choice(rows)) for _ in range(6)]:
-        ab = compose(a, b)
-        assert ab.cols == compose_cols(a.cols, b.cols) and ab.pi == autos._compose(a.pi, b.pi)
-    for w in dense:
-        for a in rng.sample(rows, 6):
-            for x, y in ((w, a), (a, w)):
-                assert commutes(x, y) == _reference_commutes(x, y)
-                xy = compose(x, y)
-                assert xy.cols == compose_cols(x.cols, y.cols) and xy.pi is None
+    pairs = [(rng.choice(rows), rng.choice(rows)) for _ in range(6)]
+    pairs += [xy for w in dense for a in rng.sample(rows, 6) for xy in ((w, a), (a, w))]
+    for x, y in pairs:
+        if x in dense or y in dense:
+            assert commutes(x, y) == _reference_commutes(x, y)
+        xy = compose(x, y)
+        assert auto_cols(xy) == compose_cols(cols[x], cols[y])
+        assert xy.masks == autos._mask_compose(x.masks, y.masks, table.rs), (x, y)
 
 
 def _forged(table, img, eta, name):
@@ -389,7 +386,7 @@ def test_commutes_compares_up_to_the_last_column(e6):
 def test_a1_lift_negates_cartan():
     t = chevalley_table(build_root_system(cartan_matrix("A1")))
     w = weyl_lift(t, 0)
-    assert w.cols[0] == {0: -1}
+    assert auto_cols(w)[0] == {0: -1}
 
 
 @pytest.mark.parametrize("i", [6, -1])
@@ -403,7 +400,7 @@ def test_lift_squared_acts_as_identity_on_cartan(e6):
         w = weyl_lift(e6, i)
         sq = compose(w, w)
         for j in range(6):
-            assert sq.cols[j] == {j: 1}
+            assert auto_cols(sq)[j] == {j: 1}
 
 
 def test_lift_permutes_root_spaces_by_reflection(e6):
@@ -411,7 +408,7 @@ def test_lift_permutes_root_spaces_by_reflection(e6):
     i = 1
     w = weyl_lift(e6, i)
     for k, r in enumerate(rs.roots):
-        col = w.cols[6 + k]
+        col = auto_cols(w)[6 + k]
         assert len(col) == 1
         ((target, coeff),) = col.items()
         refl = list(r.coords)
@@ -441,7 +438,8 @@ def test_inverse_cols_from_the_certified_order(e6):
         for _ in range(w.order - 1):
             power = compose(w, power)
         assert inv == power
-        assert compose_cols(w.cols, inv.cols) == compose_cols(inv.cols, w.cols) == _unit(e6)
+        w_cols, inv_cols = auto_cols(w), auto_cols(inv)
+        assert compose_cols(w_cols, inv_cols) == compose_cols(inv_cols, w_cols) == _unit(e6)
 
 
 # -- certification ---------------------------------------------------------------
@@ -449,7 +447,7 @@ def test_inverse_cols_from_the_certified_order(e6):
 def test_trace_identity_for_involutions(e6):
     for bits in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (1, 1, 1, 0, 0, 0)):
         a = torus_involution(e6, bits)
-        assert 2 * fixed_dim(e6, a) == e6.dim + sum(col.get(j, 0) for j, col in enumerate(a.cols))
+        assert 2 * fixed_dim(e6, a) == e6.dim + column_trace(auto_cols(a))
 
 
 def test_joint_fixed_dim_of_one_generator(e6):
@@ -467,24 +465,47 @@ def test_joint_fixed_dim_rejects_other_orders(e6):
         joint_fixed_dim([])
 
 
-def test_joint_fixed_dim_rejects_a_generator_without_pi(e6):
-    """The Weyl conjugate of omega is a certified involution with no pi: the
-    character sum rejects it, and fixed_subalgebra still gives omega's 52."""
+def test_joint_fixed_dim_takes_an_involution_that_is_no_signed_permutation(e6):
+    """The Weyl conjugate of omega is a certified involution whose matrix is
+    no signed permutation of the basis (a Cartan column has two entries);
+    the character sum gives omega's 52, as fixed_subalgebra does."""
     conj = conjugate(weyl_lift(e6, 0), omega_automorphism(e6))
-    assert conj.order == 2 and conj.pi is conj.masks is None
-    with pytest.raises(ValueError, match=r"^conj\(weyl:1,omega\) is not a signed permutation$"):
-        joint_fixed_dim([torus_involution(e6, (0, 1, 0, 0, 0, 0)), conj])
-    assert fixed_dim(e6, conj) == 52
+    assert conj.order == 2 and any(len(col) > 1 for col in auto_cols(conj)[:e6.rank])
+    assert joint_fixed_dim([conj]) == fixed_dim(e6, conj) == 52
+
+
+@pytest.mark.parametrize("label", ["E6", "B4", "C4", "F4", "G2", "D5"])
+def test_joint_fixed_dim_of_weyl_conjugated_pairs_matches_fixed_subalgebra(label):
+    """The character sum gives the dimension of the fixed subalgebra, in both
+    orders, on seeded commuting pairs, not both diagonal, from the torus
+    involutions, omega_0, omega_0 times three of them, omega where it is
+    defined, and the conjugates of all these by one Weyl lift."""
+    table, rng = _type_table(label), random.Random(label)
+    r = table.rank
+    tori = (torus_involution(table, c) for c in itertools.product((0, 1), repeat=r))
+    invs = [t for t in tori if t.order == 2]
+    omega0 = compact_form(table).omega0
+    invs += [omega0] + [compose(omega0, t) for t in rng.sample(invs, 3)]
+    if label in ("E6", "D5"):
+        invs.append(omega_automorphism(table))
+    w = weyl_lift(table, rng.randrange(r))
+    pool = list(dict.fromkeys(invs + [conjugate(w, a) for a in invs]))
+    pairs = [(x, y) for x, y in itertools.combinations(pool, 2)
+             if not (x.diag and y.diag) and commutes(x, y)]
+    assert len(pairs) >= 8
+    for x, y in rng.sample(pairs, min(len(pairs), 24)):
+        want = fixed_subalgebra(table, [x, y]).dim
+        assert joint_fixed_dim([x, y]) == joint_fixed_dim([y, x]) == want, (x, y)
 
 
 def test_joint_fixed_dim_checks_divisibility(e6):
     # built around make_automorphism on purpose: an odd trace cannot come
     # from a certified involution, so only a forged one reaches the check.
-    # img a 3-cycle on three non-simple roots: pi fixes 75 of E6's 78 basis
-    # indices, so the sum is odd
+    # img a 3-cycle on three non-simple roots: it fixes 69 of E6's 72 roots
+    # and every simple one, so its trace 75 and the sum are odd
     img = tuple(range(6)) + (7, 8, 6) + tuple(range(9, 72))
     forged = Automorphism(e6, img, (1,) * 72, 2, "forged")
-    assert forged.pi is not None
+    assert autos._mask_trace(*forged.masks[1:]) == 75
     with pytest.raises(CertificationError, match="^character sum 153 of forged is not divisible by 2$"):
         joint_fixed_dim([forged])
 
@@ -548,7 +569,7 @@ def test_joint_fixed_dim_of_twist_torus_pairs_matches_fixed_subalgebra(label):
 
 
 def test_joint_fixed_dim_rejects_a_diagonal_entry_other_than_a_sign(e6):
-    """A sign 3 cannot reach a pi rule: certify_batch rejects it at (x_a,
+    """A sign 3 cannot reach a mask rule: certify_batch rejects it at (x_a,
     x_-a), where eta_a eta_-a = 3, and the reference expansion fails there."""
     torus = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     eta = list(torus.eta)
@@ -565,7 +586,7 @@ def test_fixed_plus_antifixed_fills_algebra(e6):
     def shifted_rows(a, eigen):
         # sparse rows of A - eigen*I, transposed here from the columns of A
         rows = [{i: -eigen} for i in range(78)]
-        for j, col in enumerate(a.cols):
+        for j, col in enumerate(auto_cols(a)):
             for i, x in col.items():
                 rows[i][j] = rows[i].get(j, 0) + x
         return rows
@@ -697,7 +718,7 @@ def test_census_automorphisms_pass_the_reference_certifier(ctx):
     bits = [",".join(map(str, b)) for b in itertools.product((0, 1), repeat=6)]
     for descriptor in ["torus:" + b for b in bits[1:]] + ["omega*torus:" + b for b in bits]:
         a = ctx.automorphism(descriptor)
-        assert first_homomorphism_defect(ctx.table, a.cols) is None, descriptor
+        assert first_homomorphism_defect(ctx.table, auto_cols(a)) is None, descriptor
         assert make_automorphism(ctx.table, (a.img, a.eta), descriptor).order == a.order
 
 
@@ -705,7 +726,7 @@ def test_census_automorphisms_pass_the_reference_certifier(ctx):
 def test_weyl_lifts_pass_the_reference_certifier(lift_tables, label):
     table = lift_tables[label]
     for i in range(table.rank):
-        assert first_homomorphism_defect(table, weyl_lift(table, i).cols) is None
+        assert first_homomorphism_defect(table, auto_cols(weyl_lift(table, i))) is None
 
 
 @pytest.mark.parametrize("label", ("A1", "D4") + _LIFT_TYPES)
@@ -713,7 +734,7 @@ def test_weyl_lifts_equal_the_exponential_product(lift_tables, label):
     """weyl_lift(table, i) is exp(ad x_{a_i}) exp(ad -x_{-a_i}) exp(ad x_{a_i}),
     each factor the oracle's power series, column for column; its certified
     order is the order of that product, and only A1's lift (h -> -h,
-    x_a -> -x_{-a}) is a signed permutation with a pi."""
+    x_a -> -x_{-a}) is a signed permutation of the basis."""
     table = lift_tables.get(label) or chevalley_table(build_root_system(cartan_matrix(label)))
     rs, r = table.rs, table.rank
     ident = tuple({j: 1} for j in range(table.dim))
@@ -722,12 +743,13 @@ def test_weyl_lifts_equal_the_exponential_product(lift_tables, label):
         e_minus = exp_ad_cols(table, {r + rs.simple[i] + rs.npos: -1})
         product = compose_cols(e_plus, compose_cols(e_minus, e_plus))
         lift = weyl_lift(table, i)
-        assert lift.cols == product, (label, i)
+        assert auto_cols(lift) == product, (label, i)
         power, order = product, 1
         while power != ident:
             power, order = compose_cols(product, power), order + 1
         assert lift.order == order, (label, i)
-        assert (lift.pi is None) == (label != "A1"), (label, i)
+        signed = all(len(col) == 1 for col in product)
+        assert signed == (label == "A1"), (label, i)
 
 
 @pytest.fixture(scope="module")
@@ -796,6 +818,45 @@ def test_every_constructed_kind_matches_its_independent_reference(ctx, label):
     has_omega = label[0] in "ADE" and label not in ("A1", "D4")
     assert {kind for kind, _ in built} == {"identity", "torus", "weyl", "omega0", "compose",
                                            "conjugate"} | ({"omega", "twist"} if has_omega else set())
+
+
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+def test_eigenspace_matches_the_stacked_kernel_of_the_columns(ctx, label):
+    """autos.eigenspace gives, vector for vector, the echelon basis of one
+    elimination over every basis column (helpers.stacked_kernel on the
+    columns of root_map_cols): for e = +-1 on every constructed automorphism
+    (helpers.constructed) and on the conjugates of its non-diagonal ones by
+    a Weyl lift, singly, and in seeded pairs and triples with seeded signs,
+    whose maps need not commute."""
+    c = ctx if label == "E6" else VerifyContext(label)
+    table, rng = c.table, random.Random(label)
+    built = [a for _, a in constructed(table, c.cb)]
+    lifts = [weyl_lift(table, i) for i in range(table.rank)]
+    built += [conjugate(rng.choice(lifts), a) for a in built if not a.diag]
+    cols = [auto_cols(a) for a in built]
+    groups = [[(m, e)] for m in range(len(built)) for e in (1, -1)]
+    groups += [[(m, rng.choice((1, -1))) for m in rng.sample(range(len(built)), k)]
+               for k in (2, 3) for _ in range(20)]
+    for group in groups:
+        want = stacked_kernel(table.dim, [(cols[m], e) for m, e in group])
+        got = autos.eigenspace([(built[m], e) for m, e in group])
+        assert got == want, [(built[m].descriptor, e) for m, e in group]
+
+
+@pytest.mark.parametrize("label", ["E6", "B3", "G2"])
+def test_apply_reads_the_root_map_as_the_columns_do(ctx, label):
+    """Automorphism.apply equals oracles.apply_cols on the columns, on every
+    basis vector and on a seeded sparse vector with Fraction entries, for
+    every constructed automorphism (helpers.constructed)."""
+    c = ctx if label == "E6" else VerifyContext(label)
+    table, rng = c.table, random.Random(label)
+    for _, a in constructed(table, c.cb):
+        cols = auto_cols(a)
+        vecs = [{j: 1} for j in range(table.dim)]
+        vecs.append({j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for j in rng.sample(range(table.dim), 8)})
+        for vec in vecs:
+            assert a.apply(vec) == apply_cols(cols, vec), (a, vec)
 
 
 _HEIGHTS = {"first": lambda r, npos: r, "middle": lambda r, npos: (r + npos) // 2,
@@ -985,8 +1046,8 @@ def test_batch_isolates_a_corrupted_member(ctx, monkeypatch, corrupt):
         f"({table.basis_label(pair[0])}, {table.basis_label(pair[1])})")
     for a, (root_map, descriptor) in zip(got, batch):
         single = make_automorphism(table, root_map, descriptor)
-        assert (a.img, a.eta, a.order, a.pi, a.descriptor) == (
-            single.img, single.eta, single.order, single.pi, single.descriptor), descriptor
+        assert (a.img, a.eta, a.order, a.masks, a.descriptor) == (
+            single.img, single.eta, single.order, single.masks, single.descriptor), descriptor
 
 
 def test_e7_torus_gradings_certify_in_one_batch():
@@ -997,12 +1058,12 @@ def test_e7_torus_gradings_certify_in_one_batch():
     got = certify_batch(table, batch)
     for a, (root_map, descriptor) in zip(got, batch):
         single = make_automorphism(table, root_map, descriptor)
-        assert (a.cols, a.order, a.pi, a.descriptor) == (
-            single.cols, single.order, single.pi, single.descriptor), descriptor
+        assert (auto_cols(a), a.order, a.masks, a.descriptor) == (
+            auto_cols(single), single.order, single.masks, single.descriptor), descriptor
     assert sum(a.order == 1 for a in got) == 1
     assert len({a.eta for a in got if a.order != 1}) == 63
     for a in random.Random(127).sample(got, 3):
-        assert first_homomorphism_defect(table, a.cols) is None, a.descriptor
+        assert first_homomorphism_defect(table, auto_cols(a)) is None, a.descriptor
 
 
 @pytest.mark.parametrize("label", ["E6", "E7"])
@@ -1129,7 +1190,8 @@ def test_a_twist_is_certified_once_as_the_product_of_its_factors(e6, monkeypatch
         # coefficients are read mod 2, and the descriptor names the bits
         text = "omega*torus:" + ",".join(str(b + 2 * (i == 0)) for i, b in enumerate(bits))
         a = parse_descriptor(e6, text)
-        assert (a.cols, a.order, a.pi, a.descriptor) == (w.cols, w.order, w.pi, w.descriptor)
+        assert (auto_cols(a), a.order, a.masks, a.descriptor) == (
+            auto_cols(w), w.order, w.masks, w.descriptor)
     assert sizes == [1] * 64
     assert {w.order for w in want.values()} == {2, 4}
 
@@ -1158,9 +1220,10 @@ def test_cycle_orders_match_the_composing_loop(e6):
     autos_built += [omega_automorphism(a5), diagram_automorphism(d4, (2, 1, 3, 0))]
     assert len(autos_built) == 64 + 64 + 127 + 2
     for a in autos_built:
-        assert signed_permutation(a.cols) == a.pi, a.descriptor
-        assert autos._cycle_order(_root_map(a)) == autos._cycle_order(a.pi) == a.order
-        assert composed_order(a.cols) == a.order, a.descriptor
+        cols = auto_cols(a)
+        assert all(len(col) == 1 for col in cols), a.descriptor
+        assert autos._cycle_order(_root_map(a)) == autos._cycle_order(_pi_of(cols)) == a.order
+        assert composed_order(cols) == a.order, a.descriptor
     assert {a.order for a in twists} == {2, 4}
     assert autos_built[-1].order == 3
 

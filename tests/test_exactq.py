@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from kleinfour.exactq import (
-    joint_eigenspace,
     kernel,
     rank,
     rref,
-    signed_permutation,
     symmetric_inertia,
     SpanSolver,
     span_kernel,
@@ -146,19 +144,6 @@ def test_span_solver_membership():
     assert not solver.contains({0: 1, 1: 1, 2: 4})  # both pivots, tail -1 on column 2
 
 
-def test_signed_permutation_takes_only_int_units_on_a_bijection():
-    assert signed_permutation([{1: -1}, {2: 1}, {0: 1}]) == ((1, 2, 0), (-1, 1, 1))
-    assert signed_permutation([]) == ((), ())
-    for cols in ([{1: 1}, {1: -1}],  # two columns on one target
-                 [{0: 1}, {2: 1}],  # a target outside range(len(cols))
-                 [{0: 2}, {1: 1}],  # magnitude two
-                 [{0: Fraction(1)}, {1: 1}],  # a Fraction, not an int
-                 [{0: 1.0}, {1: 1}],  # a float
-                 [{0: 1, 1: 1}, {1: 1}],  # two entries
-                 [{}, {1: 1}]):  # an empty column
-        assert signed_permutation(cols) is None, cols
-
-
 def test_matrix_no_floats_rejected():
     # without an explicit check, Fraction(x) would accept a float silently
     with pytest.raises(TypeError, match="exact scalar"):
@@ -177,8 +162,6 @@ def test_rref_rejects_floats(rows):
 def test_sparse_kernel_builders_reject_floats():
     with pytest.raises(TypeError, match="exact scalar"):
         span_kernel([{0: 1}, {1: 1}], [{0: 0.5}, {0: 1}])
-    with pytest.raises(TypeError, match="exact scalar"):
-        joint_eigenspace(2, [[{0: 0.5}, {1: 1}]])
 
 
 def test_rref_fraction_entries_normalise_to_int_when_integral():

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from kleinfour.exactq import (
     _echelon,
     axpy,
-    joint_eigenspace,
     kernel,
     lincomb,
     rank,
@@ -133,56 +132,6 @@ def test_span_kernel_spans_sympy_nullspace(rows, ambient):
         dense = [sum(c * v.get(j, 0) for c, v in zip(combo, vecs)) for j in range(ambient)]
         expected.append({j: x for j, x in enumerate(dense) if x})
     assert span_kernel(vecs, images) == expected
-
-
-@st.composite
-def column_maps(draw):
-    """(dim, maps): each map is I plus a perturbation with many zero columns,
-    so the joint fixed space is often nonzero."""
-    dim = draw(st.integers(1, 5))
-    maps = []
-    for _ in range(draw(st.integers(1, 3))):
-        cols = []
-        for j in range(dim):
-            col = {r: draw(scalars) for r in range(dim)} if draw(st.booleans()) else {}
-            col[j] = col.get(j, 0) + 1
-            cols.append({r: x for r, x in col.items() if x})
-        maps.append(cols)
-    return dim, maps
-
-
-@st.composite
-def signed_permutation_maps(draw):
-    """(dim, maps): each map sends e_j to +-e_pi(j).  Two or three random
-    permutations rarely commute, and an orbit whose edge signs contradict
-    each other (a cycle with sign product -1) has no fixed vector."""
-    dim = draw(st.integers(1, 6))
-    maps = []
-    for _ in range(draw(st.integers(1, 3))):
-        perm = draw(st.permutations(range(dim)))
-        maps.append([{perm[j]: draw(st.sampled_from([1, -1]))} for j in range(dim)])
-    return dim, maps
-
-
-@PROPS
-@given(st.one_of(column_maps(), signed_permutation_maps()))
-# (0 1) and (1 2) do not commute; their one orbit has the fixed vector (-1, -1, 1)
-@example((3, [[{1: 1}, {0: 1}, {2: 1}], [{0: 1}, {2: -1}, {1: -1}]]))
-# the orbit {0, 1} contradicts itself, e_2 -> -e_2 too; only e_3 is fixed
-@example((4, [[{1: 1}, {0: -1}, {2: -1}, {3: 1}]]))
-def test_joint_eigenspace_matches_stacked_nullspace(dim_maps):
-    """Equal lists, not only spans: the orbit route of signed permutations
-    returns the elimination's echelon basis, vector for vector."""
-    dim, maps = dim_maps
-    blocks = []
-    for cols in maps:
-        dense = [[cols[j].get(r, 0) for j in range(dim)] for r in range(dim)]
-        blocks.append(_sym(dense) - sympy.eye(dim))
-    stacked = sympy.Matrix.vstack(*blocks)
-    got = joint_eigenspace(dim, maps)
-    assert _dense(got, dim) == [_frac(v) for v in stacked.nullspace()]
-    eliminated = kernel(_rows(map(_frac, stacked.tolist())), dim)
-    assert [list(v.items()) for v in got] == [list(v.items()) for v in eliminated]
 
 
 def _sign_changes(coeffs):

@@ -13,7 +13,7 @@ from kleinfour.autos import (
     weyl_lift,
 )
 from kleinfour import identify, realform
-from kleinfour.exactq import SpanSolver, joint_eigenspace, rref
+from kleinfour.exactq import SpanSolver, rref
 from kleinfour.identify import (
     IdentifyError,
     ReductiveType,
@@ -29,7 +29,7 @@ from kleinfour.realform import compact_form
 from kleinfour.rootsys import (CartanMatrixError, _catalog_for_rank, build_root_system,
                                cartan_isomorphisms, cartan_matrix, chevalley_table, match_cartan)
 from kleinfour.verify import VerifyContext, run_all
-from helpers import compact_table, root_index, set_bracket
+from helpers import auto_cols, compact_table, root_index, set_bracket, stacked_kernel
 from oracles import (
     centralizer_dim,
     classify_even_subsystem,
@@ -103,8 +103,8 @@ def _random_span(rng, table, chevalley, cb):
     """The span of a torus-fixed subalgebra with some rows dropped and random
     vectors added; mostly not bracket-closed."""
     a = torus_involution(chevalley, [rng.randint(0, 1) for _ in range(chevalley.rank)])
-    cols = a.cols if cb is None else compact_cols(cb, a.cols)
-    vecs = [v for v in joint_eigenspace(table.dim, [cols]) if rng.random() < 0.8]
+    cols = auto_cols(a) if cb is None else compact_cols(cb, auto_cols(a))
+    vecs = [v for v in stacked_kernel(table.dim, [(cols, 1)]) if rng.random() < 0.8]
     for _ in range(rng.randint(0, 2)):
         support = rng.sample(range(table.dim), rng.randint(1, 3))
         vecs.append({k: rng.choice((-2, -1, 1, 3)) for k in support})

@@ -18,11 +18,10 @@ from kleinfour.autos import (
     torus_involution,
     weyl_lift,
 )
-from kleinfour import exactq, realform
+from kleinfour import autos, exactq, identify, realform
 from kleinfour.exactq import (
     SpanSolver,
     axpy,
-    joint_eigenspace,
     kernel,
     lincomb,
     rref,
@@ -42,7 +41,8 @@ from kleinfour.realform import (
 )
 from kleinfour.rootsys import build_root_system, cartan_matrix, chevalley_table
 from kleinfour.verify import VerifyContext
-from helpers import compact_table, root_index, set_bracket, split_defects, split_spans
+from helpers import (auto_cols, compact_table, root_index, set_bracket, split_defects,
+                     split_spans, stacked_kernel)
 from oracles import (REFERENCE_TYPES, cartan_real_form_name, cocycle_defect, compact_cols,
                      compact_reference, compose_cols, exp_ad_cols, first_homomorphism_defect, jacobi_defect, killing_reference,
                      sparse_jacobi_defect, to_compact)
@@ -179,8 +179,8 @@ def test_compact_form_certifies_the_chevalley_involution(label, monkeypatch):
     compact_form(t)
     (omega0,) = made
     rank, npos = t.rank, t.npos
-    assert omega0.order == 2 and omega0.pi is not None
-    assert omega0.cols == tuple([{i: -1} for i in range(rank)] + [
+    assert omega0.order == 2
+    assert auto_cols(omega0) == tuple([{i: -1} for i in range(rank)] + [
         {rank + (k + npos) % (2 * npos): -1} for k in range(2 * npos)])
 
 
@@ -205,14 +205,14 @@ def test_compact_form_names_the_pair_where_the_chevalley_involution_fails(order)
 
 def test_torus_compact_matrix_is_diagonal(e6, e6_compact):
     a = torus_involution(e6, (1, 0, 0, 0, 0, 1))
-    cols = compact_cols(e6_compact, a.cols)
+    cols = compact_cols(e6_compact, auto_cols(a))
     for j, col in enumerate(cols):
         assert set(col) == {j}
         assert col[j] in (1, -1)
 
 
 def test_weyl_lift_preserves_compact_form(e6, e6_compact):
-    cols = compact_cols(e6_compact, weyl_lift(e6, 2).cols)
+    cols = compact_cols(e6_compact, auto_cols(weyl_lift(e6, 2)))
     assert len(cols) == 78
 
 
@@ -224,11 +224,12 @@ def _unipotent_conjugate(table, root_coords, sigma):
     x = {6 + root_index(rs, root_coords): 1}
     e_cols = exp_ad_cols(table, x)
     e_inv = exp_ad_cols(table, {k: -v for k, v in x.items()})
-    return compose_cols(e_cols, compose_cols(sigma.cols, e_inv))
+    return compose_cols(e_cols, compose_cols(auto_cols(sigma), e_inv))
 
 
 def _commutes_with_omega0(cols, cb):
-    return compose_cols(cols, cb.omega0.cols) == compose_cols(cb.omega0.cols, cols)
+    omega0 = auto_cols(cb.omega0)
+    return compose_cols(cols, omega0) == compose_cols(omega0, cols)
 
 
 def test_unipotent_conjugate_fails_compactness(e6, e6_compact):
@@ -237,7 +238,7 @@ def test_unipotent_conjugate_fails_compactness(e6, e6_compact):
     sigma = torus_involution(e6, (0, 1, 0, 0, 0, 0))
     moved = _unipotent_conjugate(e6, (0, 0, 0, 1, 0, 0), sigma)
     assert compose_cols(moved, moved) == tuple({j: 1} for j in range(e6.dim))
-    assert moved != sigma.cols and first_homomorphism_defect(e6, moved) is None
+    assert moved != auto_cols(sigma) and first_homomorphism_defect(e6, moved) is None
     assert not _commutes_with_omega0(moved, e6_compact)
     with pytest.raises(AssertionError):
         compact_cols(e6_compact, moved)
@@ -272,7 +273,7 @@ def test_the_omega0_gate_agrees_with_the_compact_columns(e6, e6_compact, census)
             return False
         return True
 
-    verdicts = [(commutes(a, e6_compact.omega0), compact(a.cols)) for a in autos]
+    verdicts = [(commutes(a, e6_compact.omega0), compact(auto_cols(a))) for a in autos]
     verdicts += [(_commutes_with_omega0(cols, e6_compact), compact(cols)) for cols in moving]
     assert verdicts == [(True, True)] * 86 + [(False, False)] * 2
 
@@ -322,9 +323,10 @@ def test_split_eliminates_only_p_c(ctx, case, dim, monkeypatch):
 def _split_by_the_compact_fixed_algebra(cb, theta, gamma):
     """k and p by a second route: the compact Fix(gamma) first, then theta's +1
     and -1 eigenspaces on its rows by span_kernel."""
-    tcols = compact_cols(cb, theta.cols)
+    tcols = compact_cols(cb, auto_cols(theta))
     fixed = subalgebra_from_vectors(
-        compact_table(cb), joint_eigenspace(cb.dim, [compact_cols(cb, g.cols) for g in gamma]))
+        compact_table(cb), stacked_kernel(cb.dim, [(compact_cols(cb, auto_cols(g)), 1)
+                                                   for g in gamma]))
 
     def part(eigen):
         images = [axpy(lincomb(row.values(), (tcols[j] for j in row)), -eigen, row.items())
@@ -357,17 +359,21 @@ def test_k_and_p_match_the_compact_fixed_algebra_route(ctx, census, monkeypatch)
     E7, the k and p that helpers.split_spans reads as joint eigenspaces on
     the compact basis have the rows and pivots of the route through the
     compact fixed algebra, and the split's p_C those of the elimination
-    route: the stacked kernel that joint_eigenspace takes when the orbits of
-    signed permutations are not read.  Every theta and gamma here is a
-    signed permutation, so the split itself runs no kernel."""
+    route: the stacked kernel of the Chevalley columns in place of
+    autos.eigenspace.  The split runs no kernel over more than rank
+    columns: its only ones are the Cartan blocks of autos.eigenspace."""
     for cb, theta, gamma in _eleven_splits(ctx, census):
-        kernels = []
-        monkeypatch.setattr(exactq, "kernel", lambda *a: kernels.append(1) or kernel(*a))
+        widths = []
+        for mod in (exactq, autos):
+            monkeypatch.setattr(mod, "kernel", lambda rows, n: widths.append(n) or kernel(rows, n))
         made, _ = _captured_split(cb, theta, gamma, monkeypatch)
-        assert not kernels and len(made) == 1
+        assert widths and max(widths) <= cb.table.rank and len(made) == 1
         assert [(s.rows, s.pivots) for s in split_spans(cb, theta, gamma)[:2]] == [
             (s.rows, s.pivots) for s in _split_by_the_compact_fixed_algebra(cb, theta, gamma)]
-        monkeypatch.setattr(exactq, "_orbit_eigenspace", lambda dim, maps: None)
+        dim = cb.table.dim
+        for mod in (identify, realform):
+            monkeypatch.setattr(mod, "eigenspace", lambda pairs: stacked_kernel(
+                dim, [(auto_cols(a), e) for a, e in pairs]))
         assert _captured_split(cb, theta, gamma, monkeypatch)[0] == made
 
 
@@ -384,8 +390,8 @@ def test_fill_check_fires_when_p_loses_a_vector(ctx, monkeypatch):
     vector of p_C (the split's one eigenspace) and the split fails naming
     all three dims."""
     (_, theta, gamma), = [c for c in _split_cases(ctx) if c[0] == "so82"]
-    eigen = realform.joint_eigenspace
-    monkeypatch.setattr(realform, "joint_eigenspace", lambda dim, maps: eigen(dim, maps)[:-1])
+    eigen = realform.eigenspace
+    monkeypatch.setattr(realform, "eigenspace", lambda pairs: eigen(pairs)[:-1])
     with pytest.raises(RealFormError, match=r"dim k 30 \+ dim p 15 != dim 46 of gamma's"):
         cartan_decomposition(ctx.cb, theta, gamma)
 

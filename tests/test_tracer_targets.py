@@ -41,8 +41,9 @@ def test_every_traced_name_is_a_callable_of_that_name():
 
 def test_every_traced_exactq_function_runs_on_a_request(capsys):
     """``verify holomorphic`` reaches all four: the center of k(theta) is
-    cut out by ``kernel``, while every fixed space it builds is one of signed
-    permutations, read off orbits with no elimination."""
+    cut out by ``kernel``, and so is the Cartan block of every fixed space
+    it builds (``autos.eigenspace``), whose root-vector part is read off
+    orbits with no elimination."""
     tracer = _tracer()
     tr = tracer.Tracer(time.perf_counter)
     tr.install()

@@ -39,7 +39,7 @@ from kleinfour.verify import (
     verify_so81_klein_pair,
 )
 from kleinfour.rootsys import StructureTable, build_root_system, cartan_matrix, chevalley_table
-from helpers import diagram_automorphism, torus_walk
+from helpers import auto_cols, column_trace, diagram_automorphism, torus_walk
 from oracles import compose_cols, first_homomorphism_defect, torus_census_buckets
 
 
@@ -117,12 +117,12 @@ def test_census_certifies_only_the_involutive_twists(ctx, census, monkeypatch):
     table = ctx.table
     identity = tuple({j: 1} for j in range(table.dim))
     kept = [r.descriptor for r in census.rows if r.kind == "outer"]
-    omega = ctx.automorphism("omega").cols
+    omega = auto_cols(ctx.automorphism("omega"))
     dropped = 0
     for bits in product((0, 1), repeat=table.rank):
         if "omega*torus:" + ",".join(map(str, bits)) in kept:
             continue
-        cols = compose_cols(omega, torus_involution(table, bits).cols)
+        cols = compose_cols(omega, auto_cols(torus_involution(table, bits)))
         assert first_homomorphism_defect(table, cols) is None, bits
         assert cols != identity and compose_cols(cols, cols) != identity, bits
         dropped += 1
@@ -185,8 +185,8 @@ def test_census_provenance_edges_lead_to_a_generic_row(census):
             seen.add(r.descriptor)
             g_desc, x_desc = r.provenance
             g, x = conjugators[g_desc], by_desc[x_desc]
-            assert compose_cols(r.automorphism.cols, g.cols) == compose_cols(
-                g.cols, x.automorphism.cols)
+            assert compose_cols(auto_cols(r.automorphism), auto_cols(g)) == compose_cols(
+                auto_cols(g), auto_cols(x.automorphism))
             r = x
         assert r.label == row.label
 
@@ -294,7 +294,7 @@ def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, censu
     for a in rows:
         same_img.setdefault(a.img, []).append(a)
     for g in census.conjugators:
-        gm = (g.img, g.eta)
+        gm, gc = (g.img, g.eta), auto_cols(g)
         g_inv = autos._inverse(gm)
         for x in rows:
             m = index.get(verify._conjugate_key(gm, g_inv, (x,)))
@@ -306,7 +306,7 @@ def test_edge_rule_on_signed_permutations_matches_the_column_products(ctx, censu
             for other, want in ((y, True), (z, False)):
                 assert verify._conjugates((other.img, other.eta), gm, (x.img, x.eta)) is want, (
                     g, x, other)
-                assert (compose_cols(other.cols, g.cols) == compose_cols(g.cols, x.cols)) is want
+                assert (compose_cols(auto_cols(other), gc) == compose_cols(gc, auto_cols(x))) is want
     assert found == 79 * 12 - 64  # 64 Weyl conjugates of twists are no census row
 
 
@@ -452,23 +452,27 @@ def test_enumerator_dims_match_column_character_sums(ctx, labels, count):
     (the last composing with a product of twists), and twists alone.  Pair
     products are kept by identity only to keep the test short; each is a
     column-path product."""
-    pair_traces, pair_prods = {}, {}
+    pair_traces, pair_prods, memo = {}, {}, {}
     product_trace = lambda a, b: sum(v * a[k].get(j, 0) for j, col in enumerate(b)
                                      for k, v in col.items())
+
+    def cols_of(a):
+        if id(a) not in memo:
+            memo[id(a)] = auto_cols(a)
+        return memo[id(a)]
 
     def pair(a, b):
         key = (id(a), id(b))
         if key not in pair_prods:
-            pair_prods[key] = compose_cols(a.cols, b.cols)
-            pair_traces[key] = product_trace(a.cols, b.cols)
+            pair_prods[key] = compose_cols(cols_of(a), cols_of(b))
+            pair_traces[key] = product_trace(cols_of(a), cols_of(b))
         return key
 
     seen = 0
     for (a, b, c), dim in verify._commuting_tuples(ctx, labels, 0):
-        total = ctx.table.dim + sum(sum(col.get(j, 0) for j, col in enumerate(x.cols))
-                                    for x in (a, b, c))
+        total = ctx.table.dim + sum(column_trace(cols_of(x)) for x in (a, b, c))
         total += sum(pair_traces[pair(x, y)] for x, y in ((a, b), (a, c), (b, c)))
-        total += product_trace(pair_prods[pair(a, b)], c.cols)
+        total += product_trace(pair_prods[pair(a, b)], cols_of(c))
         assert total == 8 * dim, (a, b, c)
         seen += 1
     assert seen == count
@@ -559,9 +563,9 @@ def _check_so9_edges(ctx, how):
     lifts = {f"weyl:{i + 1}": weyl_lift(ctx.table, i) for i in range(ctx.table.rank)}
     for d, edge in how.items():
         if edge != "generic":
-            g = lifts.get(edge[0]) or ctx.automorphism(edge[0])
+            gc = auto_cols(lifts.get(edge[0]) or ctx.automorphism(edge[0]))
             for y, x in zip(pairs[d], pairs[by_joined[edge[1]]]):
-                assert compose_cols(y.cols, g.cols) == compose_cols(g.cols, x.cols), d
+                assert compose_cols(auto_cols(y), gc) == compose_cols(gc, auto_cols(x)), d
 
 
 def test_so9_pairs_match_the_generic_classifier(ctx):
@@ -895,13 +899,13 @@ def test_context_twists_are_omega_after_their_torus_factor(ctx):
     """Each twist parsed on the context's table is omega∘t, omega the diagram
     automorphism of E6's one nontrivial diagram symmetry."""
     (perm,) = [p for p in autos.diagram_symmetries(ctx.table.rs.cartan) if p != tuple(range(6))]
-    omega = diagram_automorphism(ctx.table, perm).cols
+    omega = auto_cols(diagram_automorphism(ctx.table, perm))
     twists = ["omega*torus:0,1,0,0,0,0", "omega*torus:1,0,0,0,0,1", "omega*torus:0,0,0,0,0,0"]
     got = [ctx.automorphism(d) for d in twists]
     for d, a in zip(twists, got):
         bits = [int(c) for c in d[len("omega*torus:"):].split(",")]
         assert (a.descriptor, a.order) == (d, 2)
-        assert a.cols == compose_cols(omega, torus_involution(ctx.table, bits).cols)
+        assert auto_cols(a) == compose_cols(omega, auto_cols(torus_involution(ctx.table, bits)))
 
 
 def test_rank3_pinned(rank3):
@@ -955,12 +959,15 @@ def test_verify_all_matches_golden(ctx):
 
 
 def test_cold_verify_all_eliminations_are_pinned(monkeypatch):
-    """A cold verify all runs exactly 44 eliminations (exactq._echelon), 9 of
-    them through exactq.kernel, all for center_of; each of its 6 splits
-    eliminates p_C only.  Fixed spaces of signed permutations are read off
-    orbits; a change that sends them back to the stacked kernel, or adds
-    eliminations elsewhere, moves these counts."""
+    """A cold verify all runs exactly 64 eliminations (exactq._echelon).  9
+    of them go through exactq.kernel, all for center_of; each of its 6
+    splits eliminates p_C; and each of its 20 fixed spaces eliminates one
+    Cartan block (autos.eigenspace), over rank columns.  The root vectors'
+    part is read off orbits: a change that sends it back to a stacked
+    kernel over every basis column, or adds eliminations elsewhere, moves
+    these counts or the widths."""
     counts = {"_echelon": 0, "kernel": 0}
+    widths = []
 
     def counting(name):
         real = getattr(exactq, name)
@@ -972,8 +979,12 @@ def test_cold_verify_all_eliminations_are_pinned(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(exactq, name, counting(name))
-    run_all(VerifyContext())
-    assert counts == {"_echelon": 44, "kernel": 9}
+    real_kernel = autos.kernel
+    monkeypatch.setattr(autos, "kernel", lambda rows, n: widths.append(n) or real_kernel(rows, n))
+    ctx = VerifyContext()
+    run_all(ctx)
+    assert counts == {"_echelon": 64, "kernel": 9}
+    assert len(widths) == 20 and max(widths) <= ctx.table.rank
 
 
 def test_reports_json_schema(ctx):
@@ -1026,7 +1037,8 @@ def test_so81_fixed_types_match_fixed_subalgebra(ctx, rank3):
 
 def test_census_rows_carry_the_context_automorphisms(ctx, census):
     for row in census.rows:
-        assert row.automorphism.cols == ctx.automorphism(row.descriptor).cols, row.descriptor
+        a = ctx.automorphism(row.descriptor)
+        assert auto_cols(row.automorphism) == auto_cols(a), row.descriptor
 
 
 @pytest.mark.parametrize("name", ["rank3", "so9_klein"])
